@@ -13,7 +13,40 @@ run() {
     "$@"
 }
 
+# One query driver, no planner knobs: keeps the forks and env reads that
+# `exec::run` replaced from growing back. `./ci.sh guard` runs only this
+# (the ci.yml step does).
+guard() {
+    echo
+    echo "==> guard: one query driver, no planner/executor env knobs"
+    local bad=0 f n=0
+    if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
+        echo "guard: planning and execution must not read the environment"
+        bad=1
+    fi
+    if grep -rnE 'APLUS_(TRAVERSAL|BLOCK_SIZE)' . \
+        --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build \
+        --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md; then
+        echo "guard: the traversal and block-size knobs were removed; do not reintroduce them"
+        bad=1
+    fi
+    for f in crates/query/src/*.rs; do
+        n=$((n + $(sed '/#\[cfg(test)\]/,$d' "$f" | grep -c 'match strategy(' || true)))
+    done
+    if ((n > 1)); then
+        echo "guard: $n dispatches over Strategy in non-test crates/query/src (exec::run is the only one)"
+        bad=1
+    fi
+    ((bad == 0)) || exit 1
+    echo "    guard passed"
+}
+if [[ ${1:-} == guard ]]; then
+    guard
+    exit 0
+fi
+
 run cargo fmt --all --check
+guard
 # Lint baseline: the whole workspace (vendor stubs included) is clippy-clean
 # with warnings promoted to errors. Keep it that way; allow specific lints
 # inline with a justification instead of loosening this gate.
@@ -58,8 +91,8 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # table13_observability instrumentation-overhead experiment (plain vs
 # profiled counts gated and equal, profiling overhead informational,
 # fc-shortcut pseudo-metrics pinned), and the table14_varlength
-# variable-length-path experiment (BFS and IDDFS traversal policies'
-# counts gated and equal at every thread count, latency informational). To
+# variable-length-path experiment (BFS counts gated and equal at every
+# thread count, latency informational). To
 # refresh the baselines intentionally, run bench_smoke *without*
 # APLUS_BENCH_OUT (it then writes to the repo root) and commit the files.
 run env APLUS_SCALE=20000 APLUS_THREAD_COUNTS=1,2,4 APLUS_BENCH_OUT=target/bench-fresh \

@@ -21,7 +21,7 @@ use aplus_datagen::properties::{
     add_fraud_properties, add_magicrecs_properties, amount_alpha_for_selectivity,
     time_threshold_for_selectivity,
 };
-use aplus_query::Database;
+use aplus_query::{Database, MorselPool};
 
 /// Scale divisor for bench datasets (WT at 4000 ≈ 450 vertices / 7.1K
 /// edges — small enough for Criterion's repeated sampling).
@@ -50,7 +50,7 @@ fn bench_table2(c: &mut Criterion) {
         db.ddl(ddl).expect("reconfigure");
         let (bound, plan) = db.prepare(&q).expect("plan");
         group.bench_function(BenchmarkId::from_parameter(config), |b| {
-            b.iter(|| db.count_prepared(&bound, &plan))
+            b.iter(|| db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential()))
         });
     }
     group.finish();
@@ -66,7 +66,9 @@ fn bench_table3(c: &mut Criterion) {
     group.sample_size(15);
     {
         let (bound, plan) = db.prepare(&q).expect("plan");
-        group.bench_function("D", |b| b.iter(|| db.count_prepared(&bound, &plan)));
+        group.bench_function("D", |b| {
+            b.iter(|| db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential()))
+        });
     }
     db.ddl(
         "CREATE 1-HOP VIEW VPt MATCH vs-[eadj]->vd \
@@ -75,7 +77,9 @@ fn bench_table3(c: &mut Criterion) {
     .expect("VPt");
     {
         let (bound, plan) = db.prepare(&q).expect("plan");
-        group.bench_function("D+VPt", |b| b.iter(|| db.count_prepared(&bound, &plan)));
+        group.bench_function("D+VPt", |b| {
+            b.iter(|| db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential()))
+        });
     }
     group.finish();
 }
@@ -92,20 +96,26 @@ fn bench_table4(c: &mut Criterion) {
     group.sample_size(15);
     {
         let (bound, plan) = db.prepare(&mf1).expect("plan");
-        group.bench_function("MF1/D", |b| b.iter(|| db.count_prepared(&bound, &plan)));
+        group.bench_function("MF1/D", |b| {
+            b.iter(|| db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential()))
+        });
         let (bound, plan) = db.prepare(&mf5).expect("plan");
-        group.bench_function("MF5/D", |b| b.iter(|| db.count_prepared(&bound, &plan)));
+        group.bench_function("MF5/D", |b| {
+            b.iter(|| db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential()))
+        });
     }
     db.ddl(&mf::vpc_ddl()).expect("VPc");
     {
         let (bound, plan) = db.prepare(&mf1).expect("plan");
-        group.bench_function("MF1/D+VPc", |b| b.iter(|| db.count_prepared(&bound, &plan)));
+        group.bench_function("MF1/D+VPc", |b| {
+            b.iter(|| db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential()))
+        });
     }
     db.ddl(&mf::epc_ddl(alpha)).expect("EPc");
     {
         let (bound, plan) = db.prepare(&mf5).expect("plan");
         group.bench_function("MF5/D+VPc+EPc", |b| {
-            b.iter(|| db.count_prepared(&bound, &plan))
+            b.iter(|| db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential()))
         });
     }
     group.finish();
@@ -122,7 +132,9 @@ fn bench_table5(c: &mut Criterion) {
     group.sample_size(15);
     {
         let (bq, plan) = db.prepare(&q).expect("plan");
-        group.bench_function("A+ D", |b| b.iter(|| db.count_prepared(&bq, &plan)));
+        group.bench_function("A+ D", |b| {
+            b.iter(|| db.count_prepared_parallel(&bq, &plan, &MorselPool::sequential()))
+        });
     }
     group.bench_function("TG-like", |b| b.iter(|| tg.count(db.graph(), &bound)));
     group.bench_function("N4-like", |b| b.iter(|| n4.count(db.graph(), &bound)));
@@ -130,7 +142,9 @@ fn bench_table5(c: &mut Criterion) {
         .expect("Dp");
     {
         let (bq, plan) = db.prepare(&q).expect("plan");
-        group.bench_function("A+ Dp", |b| b.iter(|| db.count_prepared(&bq, &plan)));
+        group.bench_function("A+ Dp", |b| {
+            b.iter(|| db.count_prepared_parallel(&bq, &plan, &MorselPool::sequential()))
+        });
     }
     group.finish();
 }

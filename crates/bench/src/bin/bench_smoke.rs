@@ -54,7 +54,9 @@ const SMOKE_SCALE_DEFAULT: usize = 20_000;
 /// v7: added the `table14_varlength` reporter (variable-length path
 /// queries under both traversal policies; counts gated, latency
 /// informational) to `BENCH_tables.json`.
-const SCHEMA: u32 = 7;
+/// v8: `table14_varlength` dropped its `iddfs-T*` cells with the
+/// iterative-deepening traversal (BFS is the one traversal).
+const SCHEMA: u32 = 8;
 
 #[derive(Serialize)]
 struct TablesFile {

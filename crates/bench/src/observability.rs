@@ -2,10 +2,11 @@
 //! paper table).
 //!
 //! Counts the SQ workload and the high-fanout MR workload twice per
-//! thread count — **plain** (`count_parallel`, no profiler attached;
-//! metric handles are the only instrumentation, and nothing reads them)
-//! and **profiled** (`profile_count_parallel`, a [`QueryProfiler`]
-//! collecting per-level operator stats on every worker thread). The two
+//! thread count — **plain** (`SharedDatabase::count`, no profiler
+//! attached; metric handles are the only instrumentation, and nothing
+//! reads them) and **profiled** (`SharedDatabase::profile_count`, a
+//! [`QueryProfiler`] collecting per-level operator stats on every worker
+//! thread). The two
 //! paths must produce identical counts (enforced by
 //! `assert_counts_agree` here, and pinned across PRs by the
 //! `bench_compare` baseline gate); the latency cells — the profiling
@@ -24,7 +25,7 @@
 
 use aplus_datagen::presets::DatasetPreset;
 use aplus_datagen::properties::{add_magicrecs_properties, time_threshold_for_selectivity};
-use aplus_query::{Database, MorselPool};
+use aplus_query::{Database, MorselPool, SharedDatabase};
 
 use crate::datasets::dataset;
 use crate::report::Reporter;
@@ -79,14 +80,14 @@ fn run_paths(
     thread_counts: &[usize],
 ) {
     for &t in thread_counts {
-        let pool = MorselPool::new(t);
+        let shared = SharedDatabase::with_pool(db.clone(), MorselPool::new(t));
         for (qname, q) in queries {
             r.time(dataset_name, &format!("plain-T{t}"), qname, || {
-                db.count_parallel(q, &pool).expect("query valid")
+                shared.count(q).expect("query valid")
             });
             let mut fc_hits = 0u64;
             r.time(dataset_name, &format!("profile-T{t}"), qname, || {
-                let (n, profile) = db.profile_count_parallel(q, &pool).expect("query valid");
+                let (n, profile) = shared.profile_count(q).expect("query valid");
                 fc_hits = profile.fc_shortcut_hits;
                 n
             });

@@ -5,7 +5,7 @@
 //! the `aplus_runtime` subsystem layered on top of it: [`run_table7`]
 //! times SQ/MR *counts* at increasing worker counts (1-thread = baseline)
 //! and [`run_collect_table`] times SQ row *materialization* — full
-//! `collect_parallel` plus a streamed `RowSink` drain. Counts are asserted
+//! `collect_prepared_parallel` plus a streamed `RowSink` drain. Counts are asserted
 //! identical across thread counts, and the collect table additionally
 //! asserts the full row sequences are bit-identical to the sequential
 //! ones — the morsel-order merge guarantee, checked end to end.
@@ -123,7 +123,7 @@ fn run_workload(
 }
 
 /// Runs the `collect` scaling experiment: SQ-workload row materialization
-/// (full `collect_parallel`) and streamed drain (`stream` into a
+/// (full `collect_prepared_parallel`) and streamed drain (`stream` into a
 /// [`aplus_query::VecSink`]) at every thread count, on the densest preset.
 /// Row *sequences* — not just counts — are asserted identical to the
 /// 1-thread baseline for every cell, so the harness doubles as the

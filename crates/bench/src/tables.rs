@@ -11,7 +11,7 @@ use aplus_datagen::properties::{
     time_threshold_for_selectivity,
 };
 use aplus_graph::{GraphStats, Value};
-use aplus_query::Database;
+use aplus_query::{Database, MorselPool};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -77,7 +77,9 @@ pub fn run_table2(scale: usize) -> Reporter {
             let ir = t.elapsed().as_secs_f64();
             for (qname, q) in &queries {
                 let (bound, plan) = db.prepare(q).expect("plan");
-                r.time(name, config, qname, || db.count_prepared(&bound, &plan));
+                r.time(name, config, qname, || {
+                    db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential())
+                });
             }
             r.record_value(name, config, "Mem(MB)", db.index_memory_bytes() as f64 / MB);
             r.record_value(name, config, "IR(s)", ir);
@@ -108,7 +110,9 @@ pub fn run_table3(scale: usize) -> Reporter {
         ];
         for (qname, q) in &queries {
             let (bound, plan) = db.prepare(q).expect("plan");
-            r.time(name, "D", qname, || db.count_prepared(&bound, &plan));
+            r.time(name, "D", qname, || {
+                db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential())
+            });
         }
         r.record_value(name, "D", "Mem(MB)", db.index_memory_bytes() as f64 / MB);
 
@@ -122,7 +126,9 @@ pub fn run_table3(scale: usize) -> Reporter {
         for (qname, q) in &queries {
             let (bound, plan) = db.prepare(q).expect("plan");
             assert!(plan.uses_index("VPt"), "{qname} should use VPt:\n{plan}");
-            r.time(name, "D+VPt", qname, || db.count_prepared(&bound, &plan));
+            r.time(name, "D+VPt", qname, || {
+                db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential())
+            });
         }
         r.record_value(
             name,
@@ -164,7 +170,9 @@ pub fn run_table4(scale: usize) -> Reporter {
         // D: MF1–MF5 (the paper reports MF5 under D and under EPc).
         for (qname, q) in &all {
             let (bound, plan) = db.prepare(q).expect("plan");
-            r.time(name, "D", qname, || db.count_prepared(&bound, &plan));
+            r.time(name, "D", qname, || {
+                db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential())
+            });
         }
         r.record_value(name, "D", "Mem(MB)", db.index_memory_bytes() as f64 / MB);
         r.record_value(name, "D", "|Eindexed|", db.graph().live_edge_count() as f64);
@@ -175,7 +183,9 @@ pub fn run_table4(scale: usize) -> Reporter {
         let ic_vpc = t.elapsed().as_secs_f64();
         for (qname, q) in all.iter().take(4) {
             let (bound, plan) = db.prepare(q).expect("plan");
-            r.time(name, "D+VPc", qname, || db.count_prepared(&bound, &plan));
+            r.time(name, "D+VPc", qname, || {
+                db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential())
+            });
         }
         r.record_value(
             name,
@@ -192,7 +202,7 @@ pub fn run_table4(scale: usize) -> Reporter {
         for (qname, q) in all.iter().skip(2) {
             let (bound, plan) = db.prepare(q).expect("plan");
             r.time(name, "D+VPc+EPc", qname, || {
-                db.count_prepared(&bound, &plan)
+                db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential())
             });
         }
         r.record_value(
@@ -230,7 +240,9 @@ pub fn run_table5(scale: usize) -> Reporter {
             .collect();
         for (qname, q) in &queries {
             let (bound, plan) = db.prepare(q).expect("plan");
-            r.time(name, "D", qname, || db.count_prepared(&bound, &plan));
+            r.time(name, "D", qname, || {
+                db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential())
+            });
             r.time(name, "TG-like", qname, || tg.count(db.graph(), &bound));
             r.time(name, "N4-like", qname, || n4.count(db.graph(), &bound));
         }
@@ -238,7 +250,9 @@ pub fn run_table5(scale: usize) -> Reporter {
             .expect("Dp");
         for (qname, q) in &queries {
             let (bound, plan) = db.prepare(q).expect("plan");
-            r.time(name, "Dp", qname, || db.count_prepared(&bound, &plan));
+            r.time(name, "Dp", qname, || {
+                db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential())
+            });
         }
     }
     r.assert_counts_agree();

@@ -3,15 +3,13 @@
 //!
 //! Counts Kleene-star traversals — bounded `*min..max` expansions, an
 //! unlabelled variant, a ring (cycle-check) query and a pinned-root
-//! query whose BFS frontier is what the morsel pool partitions — under
-//! both traversal policies (`bfs`, the default morsel-parallel frontier,
-//! and `iddfs`, the iterative-deepening fallback) at every thread count.
-//! Counts must be identical across every (policy, thread count) cell —
+//! query whose BFS frontier is what the morsel pool partitions — at every
+//! thread count. Counts must be identical across every thread-count cell —
 //! enforced by `assert_counts_agree` here and pinned across PRs by the
 //! `bench_compare` baseline gate; the latency cells are informational.
 
 use aplus_datagen::presets::DatasetPreset;
-use aplus_query::{Database, MorselPool};
+use aplus_query::{Database, MorselPool, SharedDatabase};
 
 use crate::datasets::dataset;
 use crate::report::Reporter;
@@ -30,49 +28,38 @@ fn queries() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Runs the var-length experiment on `Ork2,2` at every thread count,
-/// once per traversal policy.
+/// Runs the var-length experiment on `Ork2,2` at every thread count.
 pub fn run_varlength_table(scale: usize, thread_counts: &[usize]) -> Reporter {
     let mut r = Reporter::new(
         "table14_varlength",
-        "Variable-length path queries: morsel-parallel BFS vs iterative-deepening DFS, \
+        "Variable-length path queries: morsel-parallel BFS, \
          bounded/unbounded/ring/pinned-root patterns, per thread count \
          (counts gated, latency informational)",
     );
     let db = Database::new(dataset(DatasetPreset::Orkut, scale, 2, 2)).expect("index build");
-
-    run_policy(&mut r, &db, "bfs", thread_counts);
-    // The policy is plan-time configuration; restore the default after.
-    std::env::set_var("APLUS_TRAVERSAL", "iddfs");
-    run_policy(&mut r, &db, "iddfs", thread_counts);
-    std::env::remove_var("APLUS_TRAVERSAL");
-
-    // Both policies and every thread count must agree on every count.
-    r.assert_counts_agree();
-    r
-}
-
-fn run_policy(r: &mut Reporter, db: &Database, policy: &str, thread_counts: &[usize]) {
     for &t in thread_counts {
-        let pool = MorselPool::new(t);
+        let shared = SharedDatabase::with_pool(db.clone(), MorselPool::new(t));
         for (qname, q) in queries() {
-            r.time("VL(Ork2,2)", &format!("{policy}-T{t}"), qname, || {
-                db.count_parallel(q, &pool).expect("query valid")
+            r.time("VL(Ork2,2)", &format!("bfs-T{t}"), qname, || {
+                shared.count(q).expect("query valid")
             });
         }
     }
+    // Every thread count must agree on every count.
+    r.assert_counts_agree();
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// End-to-end smoke at a tiny scale: every (policy, thread count)
-    /// cell is populated and the counts agree (enforced inside the run).
+    /// End-to-end smoke at a tiny scale: every thread-count cell is
+    /// populated and the counts agree (enforced inside the run).
     #[test]
     fn varlength_table_runs_at_tiny_scale() {
         let r = run_varlength_table(20_000, &[1, 2]);
-        for config in ["bfs-T1", "bfs-T2", "iddfs-T1", "iddfs-T2"] {
+        for config in ["bfs-T1", "bfs-T2"] {
             for (q, _) in queries() {
                 assert!(
                     r.measurements

@@ -23,40 +23,46 @@
 //! **flat order of the last level is the sequential DFS row order**, and
 //! flattening is a lazy walk (`FlattenIter`) that rebinds only the path
 //! suffix that changed between consecutive entries (amortized O(1) per
-//! row). Rows cross into sinks through [`crate::sink::drain_flattened`] —
-//! the single flatten boundary — so streamed and collected rows are
-//! bit-identical to the row engine at any thread count and limit.
+//! row). Flattened rows reach sinks through the same morsel-order merge as
+//! the row engine's, so streamed and collected rows are bit-identical to
+//! it at any thread count and limit.
 //!
 //! Counting never flattens at all: the last E/I level is consumed as a
 //! **multiplicity** per frontier entry, and a single-list tail extension
 //! with no residual work is counted as the adjacency-list *length* without
 //! touching a single entry (the classic factorized-count win on high-fanout
-//! queries). Parallelism reuses the row engine's morsel strategies; root
-//! morsels are additionally capped at the block size
-//! ([`aplus_runtime::block_morsel_size`]) so each morsel is one block.
+//! queries).
+//!
+//! This module owns no driver: [`crate::exec::run`] picks the morsel
+//! strategy and merges the output for both engines, and calls in here only
+//! for the *morsel body* — `root_morsel` (one block seeded from a
+//! root-ID range; root morsels are capped at the block size,
+//! [`aplus_runtime::block_morsel_size`], so each morsel is one block) or
+//! `ei_morsel` (one root binding's first E/I restricted to a range of
+//! its leading list). Either body then counts its levels or flattens them
+//! row by row into whatever the driver hands it (`exec::Emit`): the
+//! morsel's buffer on a pool worker, the sink itself when it runs inline.
 //!
 //! Plans opt in via [`FlattenPolicy::AtSink`] (the optimizer's default for
 //! supported shapes); [`use_block`] is the single dispatch predicate.
-//! Unsupported shapes — edge-scan roots, MULTI-EXTEND — keep the
-//! row engine.
+//! Unsupported shapes — edge-scan roots, MULTI-EXTEND, var-length
+//! expansions — keep the row engine.
 
 use std::ops::{ControlFlow, Range};
 
 use aplus_common::{EdgeId, VertexId};
 use aplus_core::Direction;
-use aplus_runtime::{block_morsel_size, scan_morsel_size, MorselPool};
 
 use crate::exec::{
-    deliver, ei_over_lists, fetch_ei_lists, first_ei_op, for_each_root_vertex, merge_window,
-    strategy, vid, visit_vertex, BoundList, ExecContext, FirstEi, Strategy, EI_MORSEL_CAP,
+    ei_op, ei_over_lists, fetch_ei_lists, scan_vertices_range, BoundList, EiOp, Emit, ExecContext,
 };
 use crate::plan::{FlattenPolicy, FromRef, IndexChoice, Operator, Plan};
 use crate::query::{QueryGraph, QueryPredicate, Row};
-use crate::sink::{drain_flattened, RawRow, RowSink};
+use crate::sink::RawRow;
 
 /// Whether `plan` executes on the block engine: the plan asks for lazy
-/// flattening *and* its shape is supported. [`crate::exec`]'s entry points
-/// dispatch on this; forcing [`FlattenPolicy::Eager`] (see
+/// flattening *and* its shape is supported. [`crate::exec::run`]
+/// dispatches on this; forcing [`FlattenPolicy::Eager`] (see
 /// [`Plan::with_flatten`]) pins the row engine regardless of shape.
 #[must_use]
 pub fn use_block(plan: &Plan) -> bool {
@@ -101,7 +107,7 @@ impl Level {
         }
     }
 
-    fn for_ei(ei: &FirstEi<'_>) -> Self {
+    fn for_ei(ei: &EiOp<'_>) -> Self {
         let edge_vars: Vec<usize> = ei.alds.iter().map(|a| a.edge_var).collect();
         Self {
             parent: Vec::new(),
@@ -184,13 +190,7 @@ impl Blocks {
     /// Extends the whole top level through an E/I operator at plan-op
     /// index `level`, pushing the produced level. Returns `false` when
     /// nothing was produced.
-    fn extend(
-        &mut self,
-        ctx: ExecContext<'_>,
-        ei: &FirstEi<'_>,
-        level: usize,
-        row: &mut Row,
-    ) -> bool {
+    fn extend(&mut self, ctx: ExecContext<'_>, ei: &EiOp<'_>, level: usize, row: &mut Row) -> bool {
         let stats = ctx.prof_level(level);
         let top = self.levels.len() - 1;
         let mut out = Level::for_ei(ei);
@@ -203,20 +203,10 @@ impl Blocks {
                 continue;
             };
             let range = 0..lists[0].len();
-            let _ = ei_over_lists(
-                ctx,
-                ei.target,
-                ei.target_label,
-                &lists,
-                range,
-                ei.residual,
-                row,
-                stats,
-                &mut |r| {
-                    out.push_from_row(fi, r);
-                    ControlFlow::Continue(())
-                },
-            );
+            let _ = ei_over_lists(ctx, ei, &lists, range, row, stats, &mut |r| {
+                out.push_from_row(fi, r);
+                ControlFlow::Continue(())
+            });
         }
         let produced = out.len() > 0;
         self.levels.push(out);
@@ -230,27 +220,17 @@ impl Blocks {
     fn extend_from_lists(
         &mut self,
         ctx: ExecContext<'_>,
-        ei: &FirstEi<'_>,
+        ei: &EiOp<'_>,
         lists: &[BoundList<'_>],
         range: Range<usize>,
         row: &mut Row,
     ) -> bool {
         debug_assert_eq!(self.top_len(), 1, "first-E/I morsels extend one root");
         let mut out = Level::for_ei(ei);
-        let _ = ei_over_lists(
-            ctx,
-            ei.target,
-            ei.target_label,
-            lists,
-            range,
-            ei.residual,
-            row,
-            ctx.prof_level(1),
-            &mut |r| {
-                out.push_from_row(0, r);
-                ControlFlow::Continue(())
-            },
-        );
+        let _ = ei_over_lists(ctx, ei, lists, range, row, ctx.prof_level(1), &mut |r| {
+            out.push_from_row(0, r);
+            ControlFlow::Continue(())
+        });
         let produced = out.len() > 0;
         self.levels.push(out);
         self.cursor.push(None);
@@ -311,7 +291,7 @@ impl Blocks {
     fn tail_count(
         &mut self,
         ctx: ExecContext<'_>,
-        ei: &FirstEi<'_>,
+        ei: &EiOp<'_>,
         level: usize,
         row: &mut Row,
     ) -> u64 {
@@ -340,7 +320,7 @@ impl Blocks {
 /// examined — exactly the work it saves.
 fn count_ei(
     ctx: ExecContext<'_>,
-    ei: &FirstEi<'_>,
+    ei: &EiOp<'_>,
     lists: &[BoundList<'_>],
     range: Range<usize>,
     level: usize,
@@ -355,20 +335,10 @@ fn count_ei(
         return n;
     }
     let mut n = 0u64;
-    let _ = ei_over_lists(
-        ctx,
-        ei.target,
-        ei.target_label,
-        lists,
-        range,
-        ei.residual,
-        row,
-        stats,
-        &mut |_| {
-            n += 1;
-            ControlFlow::Continue(())
-        },
-    );
+    let _ = ei_over_lists(ctx, ei, lists, range, row, stats, &mut |_| {
+        n += 1;
+        ControlFlow::Continue(())
+    });
     n
 }
 
@@ -382,7 +352,7 @@ fn count_ei(
 /// and get no such guarantee — they always iterate.
 fn tail_count_fast(
     ctx: ExecContext<'_>,
-    ei: &FirstEi<'_>,
+    ei: &EiOp<'_>,
     lists: &[BoundList<'_>],
     range: &Range<usize>,
     row: &Row,
@@ -423,26 +393,6 @@ fn root_var(plan: &Plan) -> usize {
     *var
 }
 
-/// Destructures any E/I operator into its parts (the [`FirstEi`] shape,
-/// reused for every level here).
-fn ei_parts(op: &Operator) -> FirstEi<'_> {
-    let Operator::ExtendIntersect {
-        target,
-        target_label,
-        alds,
-        residual,
-    } = op
-    else {
-        unreachable!("block engine only extends E/I operators")
-    };
-    FirstEi {
-        target: *target,
-        target_label: *target_label,
-        alds,
-        residual,
-    }
-}
-
 /// Runs `plan.ops[from..]` over a seeded block, building every level.
 /// Returns `false` as soon as a level comes up empty.
 fn apply_ops(
@@ -454,7 +404,7 @@ fn apply_ops(
 ) -> bool {
     for (i, op) in plan.ops.iter().enumerate().skip(from) {
         let ok = match op {
-            Operator::ExtendIntersect { .. } => st.extend(ctx, &ei_parts(op), i, row),
+            Operator::ExtendIntersect { .. } => st.extend(ctx, &ei_op(op), i, row),
             Operator::Filter { preds } => st.filter_top(ctx, preds, i, row),
             _ => unreachable!("block-eligible plans contain only E/I and FILTER past the root"),
         };
@@ -479,10 +429,10 @@ fn count_ops(
         let last = i + 1 == plan.ops.len();
         match op {
             Operator::ExtendIntersect { .. } if last => {
-                return st.tail_count(ctx, &ei_parts(op), i, row);
+                return st.tail_count(ctx, &ei_op(op), i, row);
             }
             Operator::ExtendIntersect { .. } => {
-                if !st.extend(ctx, &ei_parts(op), i, row) {
+                if !st.extend(ctx, &ei_op(op), i, row) {
                     return 0;
                 }
             }
@@ -549,337 +499,87 @@ impl Drop for FlattenIter<'_> {
     }
 }
 
-/// Collects the root bindings in ID `range` that pass the scan's label +
-/// predicate checks — the seed of one block.
-fn collect_roots_range(
+/// Seeds a block with the root bindings in ID `range` that pass the scan's
+/// label + predicate checks (the row engine's own root scan, so pinned
+/// vertices and label/predicate semantics are shared) and consumes it — the
+/// morsel body of root-range partitioning.
+pub(crate) fn root_morsel(
     ctx: ExecContext<'_>,
+    query: &QueryGraph,
     plan: &Plan,
     range: Range<usize>,
-    row: &mut Row,
-    out: &mut Vec<u32>,
+    emit: Emit<'_>,
 ) {
     let Some(Operator::ScanVertices { var, label, preds }) = plan.ops.first() else {
         unreachable!("block-eligible plans have a vertex-scan root")
     };
-    let before = out.len();
-    let end = range.end.min(ctx.graph.vertex_count());
-    for raw in range.start..end {
-        let _ = visit_vertex(ctx, *var, *label, preds, vid(raw), row, &mut |r| {
-            out.push(r.vertex(*var).expect("scan binds root").raw());
-            ControlFlow::Continue(())
-        });
-    }
-    if let Some(s) = ctx.prof_level(0) {
-        s.record(
-            0,
-            end.saturating_sub(range.start) as u64,
-            (out.len() - before) as u64,
-        );
-    }
-}
-
-fn fresh_row(query: &QueryGraph) -> Row {
-    Row::unbound(query.vertices.len(), query.edges.len())
-}
-
-/// Sequential factorized count: roots are gathered block-at-a-time (via
-/// the row engine's root enumeration, so pinned-vertex and label/predicate
-/// semantics are shared), each block counted on factorized levels.
-#[must_use]
-pub fn count_seq(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan) -> u64 {
-    let block = plan.block.block_size.max(1);
-    let mut scan_row = fresh_row(query);
-    let var = root_var(plan);
-    let mut roots: Vec<u32> = Vec::new();
-    let mut total = 0u64;
-    let _ = for_each_root_vertex(ctx, plan, &mut scan_row, &mut |r| {
-        roots.push(r.vertex(var).expect("scan binds root").raw());
-        if roots.len() >= block {
-            total += count_roots_block(ctx, query, plan, std::mem::take(&mut roots));
-        }
-        ControlFlow::Continue(())
-    });
-    if !roots.is_empty() {
-        total += count_roots_block(ctx, query, plan, roots);
-    }
-    total
-}
-
-fn count_roots_block(
-    ctx: ExecContext<'_>,
-    query: &QueryGraph,
-    plan: &Plan,
-    roots: Vec<u32>,
-) -> u64 {
     // A fresh scratch row per block: `bind_path` materializes exactly the
     // path variables, and unbound slots must stay the sentinel (stale
     // bindings from another block would corrupt `uses_edge` checks).
-    let mut row = fresh_row(query);
-    ctx.note_block();
-    let mut st = Blocks::seeded(plan, roots);
-    count_ops(ctx, plan, &mut st, &mut row, 1)
-}
-
-/// Morsel-parallel factorized count; bit-identical to [`count_seq`] at any
-/// thread count (counts merge in morsel order). Root morsels are capped at
-/// the plan's block size so every morsel is one block.
-#[must_use]
-pub fn count_parallel(
-    ctx: ExecContext<'_>,
-    query: &QueryGraph,
-    plan: &Plan,
-    pool: &MorselPool,
-) -> u64 {
-    match strategy(ctx, plan, pool) {
-        Strategy::Sequential => count_seq(ctx, query, plan),
-        Strategy::RootRanges { total, cap } => {
-            let size = block_morsel_size(total, pool.threads(), cap, plan.block.block_size);
-            pool.sum_ranges(total, size, |range| {
-                ctx.note_morsel();
-                let mut scan_row = fresh_row(query);
-                let mut roots = Vec::new();
-                collect_roots_range(ctx, plan, range, &mut scan_row, &mut roots);
-                if roots.is_empty() {
-                    return 0;
-                }
-                count_roots_block(ctx, query, plan, roots)
-            })
-        }
-        Strategy::FirstEi => count_first_ei(ctx, query, plan, pool),
-        // `eligible` rejects var-length plans, so a block plan can never
-        // select the first-var-length strategy.
-        Strategy::FirstVarLength => unreachable!("block plans have no var-length operators"),
-    }
-}
-
-/// [`count_parallel`] for the skewed case: per root binding, the first
-/// E/I's leading list is partitioned by position; each morsel builds its
-/// factorized sub-block (or tail-counts directly for 2-op plans).
-fn count_first_ei(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan, pool: &MorselPool) -> u64 {
-    let ei = first_ei_op(plan);
-    let var = root_var(plan);
-    let mut total = 0u64;
-    let mut row = fresh_row(query);
-    let _ = for_each_root_vertex(ctx, plan, &mut row, &mut |row| {
-        if let Some(s) = ctx.prof_level(1) {
-            s.record(ei.alds.len() as u64, 0, 0);
-        }
-        let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
-            return ControlFlow::Continue(());
-        };
-        let n0 = lists[0].len();
-        let size = scan_morsel_size(n0, pool.threads(), EI_MORSEL_CAP);
-        let base: &Row = row;
-        let lists = &lists;
-        let ei = &ei;
-        total += pool.sum_ranges(n0, size, |r| {
-            ctx.note_morsel();
-            let mut w = base.clone();
-            if plan.ops.len() == 2 {
-                // The first E/I is also the last: count its morsel range
-                // directly as a multiplicity.
-                return count_ei(ctx, ei, lists, r, 1, &mut w);
-            }
-            let root = base.vertex(var).expect("scan binds root").raw();
-            ctx.note_block();
-            let mut st = Blocks::seeded(plan, vec![root]);
-            if !st.extend_from_lists(ctx, ei, lists, r, &mut w) {
-                return 0;
-            }
-            count_ops(ctx, plan, &mut st, &mut w, 2)
-        });
-        ControlFlow::Continue(())
-    });
-    total
-}
-
-/// Sequential factorized streaming: builds each block's levels, then
-/// drains the lazy flatten through [`drain_flattened`] — the only place
-/// factorized intermediates become rows. Stops as soon as `limit` rows
-/// were delivered or the sink breaks.
-pub fn stream_seq(
-    ctx: ExecContext<'_>,
-    query: &QueryGraph,
-    plan: &Plan,
-    limit: usize,
-    sink: &mut dyn RowSink,
-) {
-    if limit == 0 {
-        return;
-    }
-    let block = plan.block.block_size.max(1);
-    let var = root_var(plan);
-    let mut scan_row = fresh_row(query);
+    let mut row = Row::unbound(query.vertices.len(), query.edges.len());
     let mut roots: Vec<u32> = Vec::new();
-    let mut sent = 0usize;
-    let sent = &mut sent;
-    let _ = for_each_root_vertex(ctx, plan, &mut scan_row, &mut |r| {
-        roots.push(r.vertex(var).expect("scan binds root").raw());
-        if roots.len() >= block {
-            return stream_roots_block(
-                ctx,
-                query,
-                plan,
-                std::mem::take(&mut roots),
-                sent,
-                limit,
-                sink,
-            );
-        }
+    let _ = scan_vertices_range(ctx, 0, *var, *label, preds, range, &mut row, &mut |r| {
+        roots.push(r.vertex(*var).expect("scan binds root").raw());
         ControlFlow::Continue(())
     });
-    if !roots.is_empty() && *sent < limit {
-        let _ = stream_roots_block(ctx, query, plan, roots, sent, limit, sink);
-    }
-}
-
-fn stream_roots_block(
-    ctx: ExecContext<'_>,
-    query: &QueryGraph,
-    plan: &Plan,
-    roots: Vec<u32>,
-    sent: &mut usize,
-    limit: usize,
-    sink: &mut dyn RowSink,
-) -> ControlFlow<()> {
-    let mut row = fresh_row(query);
-    ctx.note_block();
-    let mut st = Blocks::seeded(plan, roots);
-    if !apply_ops(ctx, plan, &mut st, &mut row, 1) {
-        return ControlFlow::Continue(());
-    }
-    drain_flattened(sink, sent, limit, FlattenIter::new(&mut st, &mut row, ctx))
-}
-
-/// Morsel-parallel factorized streaming; the pushed row sequence is
-/// bit-identical to [`stream_seq`] (and the row engine) at any thread
-/// count: each morsel is one block whose flattened rows are buffered, and
-/// buffers merge in morsel order through `exec::deliver`.
-pub fn stream(
-    ctx: ExecContext<'_>,
-    query: &QueryGraph,
-    plan: &Plan,
-    limit: usize,
-    pool: &MorselPool,
-    sink: &mut dyn RowSink,
-) {
-    if limit == 0 {
+    if roots.is_empty() {
         return;
     }
-    match strategy(ctx, plan, pool) {
-        Strategy::Sequential => stream_seq(ctx, query, plan, limit, sink),
-        Strategy::RootRanges { total, cap } => {
-            let size = block_morsel_size(total, pool.threads(), cap, plan.block.block_size);
-            let mut sent = 0usize;
-            pool.map_ranges(
-                total,
-                size,
-                merge_window(pool),
-                |range, exit| {
-                    ctx.note_morsel();
-                    let mut scan_row = fresh_row(query);
-                    let mut roots = Vec::new();
-                    collect_roots_range(ctx, plan, range, &mut scan_row, &mut roots);
-                    let mut buf: Vec<RawRow> = Vec::new();
-                    if roots.is_empty() {
-                        return buf;
-                    }
-                    let mut row = fresh_row(query);
-                    ctx.note_block();
-                    let mut st = Blocks::seeded(plan, roots);
-                    if apply_ops(ctx, plan, &mut st, &mut row, 1) {
-                        for raw in FlattenIter::new(&mut st, &mut row, ctx) {
-                            buf.push(raw);
-                            // A morsel contributes at most `limit` rows to
-                            // the merged prefix; stop early on cancel too.
-                            if buf.len() >= limit || exit.is_stopped() {
-                                break;
-                            }
-                        }
-                    }
-                    buf
-                },
-                |buf| {
-                    let f = deliver(buf, &mut sent, limit, sink);
-                    if f.is_break() {
-                        ctx.note_early_exit(plan.ops.len());
-                    }
-                    f
-                },
-            );
+    ctx.note_block();
+    consume(ctx, plan, Blocks::seeded(plan, roots), &mut row, 1, emit);
+}
+
+/// Extends the single root binding held by `row` through the first E/I
+/// `ei` over pre-fetched `lists`, with list 0 restricted to `range`, and
+/// consumes the resulting sub-block — the morsel body of first-E/I
+/// partitioning.
+pub(crate) fn ei_morsel(
+    ctx: ExecContext<'_>,
+    plan: &Plan,
+    ei: &EiOp<'_>,
+    lists: &[BoundList<'_>],
+    range: Range<usize>,
+    row: &mut Row,
+    emit: Emit<'_>,
+) {
+    let emit = match emit {
+        // The first E/I is also the last: count its morsel range directly
+        // as a multiplicity.
+        Emit::Count(n) if plan.ops.len() == 2 => {
+            *n += count_ei(ctx, ei, lists, range, 1, row);
+            return;
         }
-        Strategy::FirstEi => stream_first_ei(ctx, query, plan, limit, pool, sink),
-        // See `count_parallel`: unreachable behind the `eligible` gate.
-        Strategy::FirstVarLength => unreachable!("block plans have no var-length operators"),
+        emit => emit,
+    };
+    let root = row.vertex(root_var(plan)).expect("scan binds root").raw();
+    ctx.note_block();
+    let mut st = Blocks::seeded(plan, vec![root]);
+    if st.extend_from_lists(ctx, ei, lists, range, row) {
+        consume(ctx, plan, st, row, 2, emit);
     }
 }
 
-/// [`stream`] for the skewed case, mirroring the row engine's first-E/I
-/// streaming: per root binding (in root order), morsels over the leading
-/// list build factorized sub-blocks, flatten into per-morsel buffers, and
-/// merge in morsel order.
-fn stream_first_ei(
+/// Runs `plan.ops[from..]` over a seeded block and emits it: a count folded
+/// on the factorized levels, or the lazy flatten pushed row by row — the
+/// only place factorized intermediates become rows.
+fn consume(
     ctx: ExecContext<'_>,
-    query: &QueryGraph,
     plan: &Plan,
-    limit: usize,
-    pool: &MorselPool,
-    sink: &mut dyn RowSink,
+    mut st: Blocks,
+    row: &mut Row,
+    from: usize,
+    emit: Emit<'_>,
 ) {
-    let ei = first_ei_op(plan);
-    let var = root_var(plan);
-    let mut sent = 0usize;
-    let mut row = fresh_row(query);
-    let sent = &mut sent;
-    let _ = for_each_root_vertex(ctx, plan, &mut row, &mut |row| {
-        if let Some(s) = ctx.prof_level(1) {
-            s.record(ei.alds.len() as u64, 0, 0);
-        }
-        let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
-            return ControlFlow::Continue(());
-        };
-        let n0 = lists[0].len();
-        let size = scan_morsel_size(n0, pool.threads(), EI_MORSEL_CAP);
-        if *sent >= limit {
-            return ControlFlow::Break(());
-        }
-        let remaining = limit - *sent;
-        let base: &Row = row;
-        let lists = &lists;
-        let ei = &ei;
-        let mut flow = ControlFlow::Continue(());
-        pool.map_ranges(
-            n0,
-            size,
-            merge_window(pool),
-            |r, exit| {
-                ctx.note_morsel();
-                let mut w = base.clone();
-                let mut buf: Vec<RawRow> = Vec::new();
-                let root = base.vertex(var).expect("scan binds root").raw();
-                ctx.note_block();
-                let mut st = Blocks::seeded(plan, vec![root]);
-                if st.extend_from_lists(ctx, ei, lists, r, &mut w)
-                    && apply_ops(ctx, plan, &mut st, &mut w, 2)
-                {
-                    for raw in FlattenIter::new(&mut st, &mut w, ctx) {
-                        buf.push(raw);
-                        if buf.len() >= remaining || exit.is_stopped() {
-                            break;
-                        }
+    match emit {
+        Emit::Count(n) => *n += count_ops(ctx, plan, &mut st, row, from),
+        Emit::Rows(push) => {
+            if apply_ops(ctx, plan, &mut st, row, from) {
+                for raw in FlattenIter::new(&mut st, row, ctx) {
+                    if push(raw).is_break() {
+                        break;
                     }
                 }
-                buf
-            },
-            |buf| {
-                let f = deliver(buf, sent, limit, sink);
-                if f.is_break() {
-                    ctx.note_early_exit(plan.ops.len());
-                    flow = ControlFlow::Break(());
-                }
-                f
-            },
-        );
-        flow
-    });
+            }
+        }
+    }
 }

@@ -43,12 +43,12 @@ use aplus_storage::{
 use crate::ast::{self, Statement};
 use crate::durable::{self, Checkpointer, DurabilityError, DurableCore};
 use crate::error::QueryError;
-use crate::exec::{self, ExecContext};
+use crate::exec::{self, ExecContext, Output};
 use crate::optimizer;
 use crate::parser;
 use crate::plan::{Operator, Plan};
 use crate::query::QueryGraph;
-use crate::sink::RowSink;
+use crate::sink::{RowSink, VecSink};
 
 pub use crate::sink::RawRow;
 
@@ -205,15 +205,8 @@ impl Database {
         (&mut self.store, &self.graph)
     }
 
-    /// Parses, binds, optimizes and executes a `MATCH` query; returns the
-    /// number of matches.
-    pub fn count(&self, query: &str) -> Result<u64, QueryError> {
-        let (bound, plan) = self.prepare(query)?;
-        Ok(exec::count(self.ctx(), &bound, &plan))
-    }
-
     /// Parses, binds and optimizes a `MATCH` query without executing it
-    /// (plan inspection, plan-shape tests).
+    /// (plan inspection, plan-shape tests, repeated execution).
     pub fn prepare(&self, query: &str) -> Result<(QueryGraph, Plan), QueryError> {
         // Scans bind vertices as u32; refuse to plan against a graph whose
         // population would silently truncate IDs.
@@ -234,21 +227,41 @@ impl Database {
         }
     }
 
-    /// Executes a pre-bound query with a pre-built plan.
-    #[must_use]
-    pub fn count_prepared(&self, query: &QueryGraph, plan: &Plan) -> u64 {
-        exec::count(self.ctx(), query, plan)
+    /// Executes a prepared query on `pool` into `out` and returns the
+    /// number of matches ([`Output::Count`]) or of rows delivered
+    /// ([`Output::Rows`]) — the one query driver every other read entry
+    /// point wraps. Counts and row sequences are bit-identical at any pool
+    /// size (deterministic morsel-order merge; `MorselPool::sequential()`
+    /// runs the same code inline), including under a row limit, which
+    /// stops execution early. `profiler`, when given, receives the run's
+    /// per-operator statistics (see [`profiled`]).
+    ///
+    /// `plan` must come from [`Database::prepare`] on this same database
+    /// version: plans reference indexes by name and partition layout.
+    pub fn run(
+        &self,
+        query: &QueryGraph,
+        plan: &Plan,
+        pool: &MorselPool,
+        profiler: Option<&QueryProfiler>,
+        out: Output<'_>,
+    ) -> u64 {
+        let ctx = ExecContext {
+            graph: &self.graph,
+            store: &self.store,
+            profiler,
+        };
+        exec::run(ctx, query, plan, pool, out)
     }
 
-    /// Parses, optimizes and executes a `MATCH` query morsel-parallel on
-    /// `pool`; the count is guaranteed identical to [`Database::count`] at
-    /// any thread count (deterministic morsel-order merge).
-    pub fn count_parallel(&self, query: &str, pool: &MorselPool) -> Result<u64, QueryError> {
+    /// Parses, binds, optimizes and executes a `MATCH` query inline on the
+    /// caller's thread; returns the number of matches.
+    pub fn count(&self, query: &str) -> Result<u64, QueryError> {
         let (bound, plan) = self.prepare(query)?;
-        Ok(exec::count_parallel(self.ctx(), &bound, &plan, pool))
+        Ok(self.count_prepared_parallel(&bound, &plan, &MorselPool::sequential()))
     }
 
-    /// Executes a pre-bound query morsel-parallel on `pool`.
+    /// Counts a prepared query morsel-parallel on `pool`.
     #[must_use]
     pub fn count_prepared_parallel(
         &self,
@@ -256,7 +269,7 @@ impl Database {
         plan: &Plan,
         pool: &MorselPool,
     ) -> u64 {
-        exec::count_parallel(self.ctx(), query, plan, pool)
+        self.run(query, plan, pool, None, Output::Count)
     }
 
     /// Wraps this database in the concurrent service layer with a pool
@@ -266,35 +279,16 @@ impl Database {
         SharedDatabase::new(self)
     }
 
-    /// Executes and collects up to `limit` rows of `(vertex bindings, edge
-    /// bindings)` (raw IDs; unbound slots are sentinels). Execution stops
-    /// as soon as `limit` rows are gathered.
+    /// Executes inline and collects up to `limit` rows of `(vertex
+    /// bindings, edge bindings)` (raw IDs; unbound slots are sentinels).
+    /// Execution stops as soon as `limit` rows are gathered.
     pub fn collect(&self, query: &str, limit: usize) -> Result<Vec<RawRow>, QueryError> {
         let (bound, plan) = self.prepare(query)?;
-        Ok(exec::collect(self.ctx(), &bound, &plan, limit))
+        Ok(self.collect_prepared_parallel(&bound, &plan, limit, &MorselPool::sequential()))
     }
 
-    /// [`Database::collect`] executed morsel-parallel on `pool`: the row
-    /// sequence is guaranteed **bit-identical** to the sequential one at
-    /// any thread count (per-morsel buffers concatenate in morsel order),
-    /// including under `limit`.
-    pub fn collect_parallel(
-        &self,
-        query: &str,
-        limit: usize,
-        pool: &MorselPool,
-    ) -> Result<Vec<RawRow>, QueryError> {
-        let (bound, plan) = self.prepare(query)?;
-        Ok(exec::collect_parallel(
-            self.ctx(),
-            &bound,
-            &plan,
-            limit,
-            pool,
-        ))
-    }
-
-    /// Collects a pre-bound query morsel-parallel on `pool`.
+    /// Collects up to `limit` rows of a prepared query morsel-parallel on
+    /// `pool`.
     #[must_use]
     pub fn collect_prepared_parallel(
         &self,
@@ -303,87 +297,55 @@ impl Database {
         limit: usize,
         pool: &MorselPool,
     ) -> Vec<RawRow> {
-        exec::collect_parallel(self.ctx(), query, plan, limit, pool)
+        let mut sink = VecSink::with_limit(limit);
+        self.stream_prepared(query, plan, limit, pool, &mut sink);
+        sink.into_rows()
     }
 
-    /// Runs a query with per-operator instrumentation and returns the
-    /// match count alongside the collected [`QueryProfile`]. Accepts both
-    /// `MATCH …` and `PROFILE MATCH …` statements (the keyword only marks
-    /// intent; instrumentation is decided by calling this entry point).
-    /// Executes sequentially; see [`Database::profile_count_parallel`].
+    /// Runs a query inline with per-operator instrumentation and returns
+    /// the match count alongside the collected [`QueryProfile`]. Accepts
+    /// both `MATCH …` and `PROFILE MATCH …` statements (the keyword only
+    /// marks intent; instrumentation is decided by calling this entry
+    /// point).
     pub fn profile_count(&self, query: &str) -> Result<(u64, QueryProfile), QueryError> {
-        let (bound, plan) = self.prepare(query)?;
-        let profiler = profiler_for(&plan.ops);
-        let started = Instant::now();
-        let n = exec::count(self.ctx().with_profiler(&profiler), &bound, &plan);
-        Ok((n, finish_profile(&profiler, &plan, started, n)))
+        self.profile_count_on(query, &MorselPool::sequential())
     }
 
-    /// [`Database::count_prepared_parallel`] with instrumentation: counts
-    /// a pre-planned query and returns the [`QueryProfile`]. Differential
-    /// tests use this to profile the same plan pinned to each engine (see
-    /// [`Plan::with_flatten`]).
-    pub fn profile_count_prepared_parallel(
-        &self,
-        query: &QueryGraph,
-        plan: &Plan,
-        pool: &MorselPool,
-    ) -> (u64, QueryProfile) {
-        let profiler = profiler_for(&plan.ops);
-        let started = Instant::now();
-        let n = exec::count_parallel(self.ctx().with_profiler(&profiler), query, plan, pool);
-        (n, finish_profile(&profiler, plan, started, n))
-    }
-
-    /// [`Database::profile_count`] executed morsel-parallel on `pool`.
-    /// Everything in the profile's [`QueryProfile::deterministic_view`] is
-    /// identical to the sequential profile at any thread count.
-    pub fn profile_count_parallel(
+    fn profile_count_on(
         &self,
         query: &str,
         pool: &MorselPool,
     ) -> Result<(u64, QueryProfile), QueryError> {
         let (bound, plan) = self.prepare(query)?;
-        let profiler = profiler_for(&plan.ops);
-        let started = Instant::now();
-        let n = exec::count_parallel(self.ctx().with_profiler(&profiler), &bound, &plan, pool);
-        Ok((n, finish_profile(&profiler, &plan, started, n)))
+        let profile = profiled(&plan, |p| {
+            self.run(&bound, &plan, pool, Some(p), Output::Count)
+        });
+        Ok((profile.rows, profile))
     }
 
-    /// Collects up to `limit` rows with per-operator instrumentation,
-    /// returning the rows alongside the [`QueryProfile`] (sequential).
+    /// Collects up to `limit` rows inline with per-operator
+    /// instrumentation, returning the rows alongside the [`QueryProfile`].
     pub fn profile_collect(
         &self,
         query: &str,
         limit: usize,
     ) -> Result<(Vec<RawRow>, QueryProfile), QueryError> {
-        let (bound, plan) = self.prepare(query)?;
-        let profiler = profiler_for(&plan.ops);
-        let started = Instant::now();
-        let rows = exec::collect(self.ctx().with_profiler(&profiler), &bound, &plan, limit);
-        let profile = finish_profile(&profiler, &plan, started, rows.len() as u64);
-        Ok((rows, profile))
+        self.profile_collect_on(query, limit, &MorselPool::sequential())
     }
 
-    /// [`Database::profile_collect`] executed morsel-parallel on `pool`.
-    pub fn profile_collect_parallel(
+    fn profile_collect_on(
         &self,
         query: &str,
         limit: usize,
         pool: &MorselPool,
     ) -> Result<(Vec<RawRow>, QueryProfile), QueryError> {
         let (bound, plan) = self.prepare(query)?;
-        let profiler = profiler_for(&plan.ops);
-        let started = Instant::now();
-        let rows = exec::collect_parallel(
-            self.ctx().with_profiler(&profiler),
-            &bound,
-            &plan,
-            limit,
-            pool,
-        );
-        let profile = finish_profile(&profiler, &plan, started, rows.len() as u64);
-        Ok((rows, profile))
+        let mut sink = VecSink::with_limit(limit);
+        let profile = profiled(&plan, |p| {
+            let sink = &mut sink;
+            self.run(&bound, &plan, pool, Some(p), Output::Rows { limit, sink })
+        });
+        Ok((sink.into_rows(), profile))
     }
 
     /// Streams up to `limit` result rows into `sink`, in sequential result
@@ -400,11 +362,11 @@ impl Database {
         sink: &mut dyn RowSink,
     ) -> Result<(), QueryError> {
         let (bound, plan) = self.prepare(query)?;
-        exec::stream(self.ctx(), &bound, &plan, limit, pool, sink);
+        self.stream_prepared(&bound, &plan, limit, pool, sink);
         Ok(())
     }
 
-    /// Streams a pre-bound query (see [`Database::stream`]).
+    /// Streams a prepared query (see [`Database::stream`]).
     pub fn stream_prepared(
         &self,
         query: &QueryGraph,
@@ -413,7 +375,7 @@ impl Database {
         pool: &MorselPool,
         sink: &mut dyn RowSink,
     ) {
-        exec::stream(self.ctx(), query, plan, limit, pool, sink);
+        self.run(query, plan, pool, None, Output::Rows { limit, sink });
     }
 
     /// Applies a DDL statement: `RECONFIGURE PRIMARY INDEXES ...`,
@@ -514,18 +476,20 @@ impl Database {
     pub fn index_memory_bytes(&self) -> usize {
         self.store.memory_bytes()
     }
-
-    fn ctx(&self) -> ExecContext<'_> {
-        ExecContext::new(&self.graph, &self.store)
-    }
 }
 
-/// Builds the profiler for one run of `ops`: one level cell per physical
-/// operator, plus hop cells sized by the plan's largest var-length hop
-/// bound so `PROFILE` can report per-hop frontier statistics (zero hop
-/// cells — and no hop section — for plans without var-length operators).
-fn profiler_for(ops: &[Operator]) -> QueryProfiler {
-    let hops = ops
+/// Runs `run` with a [`QueryProfiler`] sized for `plan` — one level cell
+/// per physical operator, plus hop cells sized by the plan's largest
+/// var-length hop bound so `PROFILE` can report per-hop frontier
+/// statistics (no hop section for plans without var-length operators) —
+/// and freezes it into the [`QueryProfile`] a `PROFILE` run returns,
+/// stamped with the engine that executes the plan, the wall-clock time,
+/// and the result cardinality `run` returns. Pass the profiler on to
+/// [`Database::run`]; differential tests use this to profile one plan
+/// pinned to each engine (see [`Plan::with_flatten`]).
+pub fn profiled(plan: &Plan, run: impl FnOnce(&QueryProfiler) -> u64) -> QueryProfile {
+    let hops = plan
+        .ops
         .iter()
         .map(|op| match op {
             Operator::VarLengthExpand { max, .. } => *max as usize,
@@ -533,18 +497,9 @@ fn profiler_for(ops: &[Operator]) -> QueryProfiler {
         })
         .max()
         .unwrap_or(0);
-    QueryProfiler::new(ops.len()).with_hops(hops)
-}
-
-/// Freezes a profiler into the [`QueryProfile`] a `PROFILE` run returns,
-/// stamping the engine that executed the plan, the wall-clock time, and
-/// the result cardinality.
-fn finish_profile(
-    profiler: &QueryProfiler,
-    plan: &Plan,
-    started: Instant,
-    rows: u64,
-) -> QueryProfile {
+    let profiler = QueryProfiler::new(plan.ops.len()).with_hops(hops);
+    let started = Instant::now();
+    let rows = run(&profiler);
     let elapsed = started.elapsed();
     let mut profile = profiler.finish(&plan.op_descriptions());
     profile.engine = if crate::block::use_block(plan) {
@@ -651,12 +606,8 @@ impl Deref for Snapshot {
 /// [`Database`]'s copy-on-write internals mean distinct versions share
 /// every artifact the write batch did not dirty.
 ///
-/// Plans prepared via [`SharedDatabase::prepare`] reference indexes by
-/// name; execute them against a snapshot of the same index configuration
-/// (hold the [`Snapshot`] from prepare time and call
-/// [`Database::count_prepared_parallel`] on it — the string-query paths
-/// plan and execute against one pinned snapshot, so they are always
-/// safe).
+/// A prepared plan runs only on the [`Snapshot`] that planned it: pin
+/// one with [`SharedDatabase::snapshot`], then `prepare` and execute on it.
 ///
 /// # Writer panics
 ///
@@ -1010,14 +961,18 @@ impl SharedDatabase {
     /// Parses, optimizes and executes a `MATCH` query morsel-parallel
     /// against the current snapshot; returns the number of matches.
     pub fn count(&self, query: &str) -> Result<u64, QueryError> {
-        self.snapshot().count_parallel(query, &self.pool)
+        let snapshot = self.snapshot();
+        let (bound, plan) = snapshot.prepare(query)?;
+        Ok(snapshot.count_prepared_parallel(&bound, &plan, &self.pool))
     }
 
     /// Executes and collects up to `limit` rows morsel-parallel against
     /// the current snapshot. The row sequence is identical to a sequential
     /// collect at any pool size.
     pub fn collect(&self, query: &str, limit: usize) -> Result<Vec<RawRow>, QueryError> {
-        self.snapshot().collect_parallel(query, limit, &self.pool)
+        let snapshot = self.snapshot();
+        let (bound, plan) = snapshot.prepare(query)?;
+        Ok(snapshot.collect_prepared_parallel(&bound, &plan, limit, &self.pool))
     }
 
     /// The metrics registry of this database: engine/storage counters,
@@ -1034,7 +989,7 @@ impl SharedDatabase {
     /// against the current snapshot; returns the count and the
     /// [`QueryProfile`].
     pub fn profile_count(&self, query: &str) -> Result<(u64, QueryProfile), QueryError> {
-        self.snapshot().profile_count_parallel(query, &self.pool)
+        self.snapshot().profile_count_on(query, &self.pool)
     }
 
     /// Collects up to `limit` rows with per-operator instrumentation
@@ -1044,8 +999,7 @@ impl SharedDatabase {
         query: &str,
         limit: usize,
     ) -> Result<(Vec<RawRow>, QueryProfile), QueryError> {
-        self.snapshot()
-            .profile_collect_parallel(query, limit, &self.pool)
+        self.snapshot().profile_collect_on(query, limit, &self.pool)
     }
 
     /// Streams up to `limit` rows into `sink` morsel-parallel against one
@@ -1097,27 +1051,6 @@ impl SharedDatabase {
                 Err(e)
             }
         }
-    }
-
-    /// Parses, binds and optimizes a query against the current snapshot.
-    pub fn prepare(&self, query: &str) -> Result<(QueryGraph, Plan), QueryError> {
-        self.snapshot().prepare(query)
-    }
-
-    /// Executes a pre-bound query morsel-parallel against the current
-    /// snapshot. See the type docs for the plan-validity caveat.
-    #[must_use]
-    pub fn count_prepared(&self, query: &QueryGraph, plan: &Plan) -> u64 {
-        self.snapshot()
-            .count_prepared_parallel(query, plan, &self.pool)
-    }
-
-    /// Pins the current snapshot for any other `&self` access (plan
-    /// inspection, memory reporting, raw stores). Alias of
-    /// [`SharedDatabase::snapshot`], kept so pre-snapshot call sites read
-    /// naturally; concurrent readers never block each other or writers.
-    pub fn read(&self) -> Snapshot {
-        self.snapshot()
     }
 
     /// The serialized writer handle: all mutation — `insert_edge`,
@@ -1632,8 +1565,8 @@ mod tests {
         ] {
             let seq = db.count(q).unwrap();
             for threads in [1, 2, 4] {
-                let par = db.count_parallel(q, &MorselPool::new(threads)).unwrap();
-                assert_eq!(par, seq, "{q} at {threads} threads");
+                let shared = SharedDatabase::with_pool(db.clone(), MorselPool::new(threads));
+                assert_eq!(shared.count(q).unwrap(), seq, "{q} at {threads} threads");
             }
         }
     }
@@ -1657,8 +1590,8 @@ mod tests {
         shared.writer().delete_edge(e).unwrap();
         shared.writer().flush();
         assert_eq!(reader.count("MATCH a-[r:W]->b").unwrap(), 9);
-        // Read guards expose the plain &self API.
-        assert!(reader.read().index_memory_bytes() > 0);
+        // Snapshots expose the plain &self API.
+        assert!(reader.snapshot().index_memory_bytes() > 0);
     }
 
     #[test]
@@ -1812,9 +1745,9 @@ mod tests {
         ] {
             let seq = db.collect(q, usize::MAX).unwrap();
             for threads in [1, 2, 4] {
-                let pool = MorselPool::new(threads);
+                let shared = SharedDatabase::with_pool(db.clone(), MorselPool::new(threads));
                 for limit in [0, 1, 3, usize::MAX] {
-                    let par = db.collect_parallel(q, limit, &pool).unwrap();
+                    let par = shared.collect(q, limit).unwrap();
                     assert_eq!(
                         par,
                         seq[..limit.min(seq.len())],
@@ -2037,7 +1970,7 @@ mod tests {
     fn shared_database_collect_and_stream() {
         let shared = db().into_shared();
         let expect = {
-            let guard = shared.read();
+            let guard = shared.snapshot();
             guard.collect("MATCH a-[r:W]->b", usize::MAX).unwrap()
         };
         assert_eq!(

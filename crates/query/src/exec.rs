@@ -1,4 +1,5 @@
-//! Plan execution: SCAN, EXTEND/INTERSECT, MULTI-EXTEND, FILTER.
+//! Plan execution: SCAN, EXTEND/INTERSECT, MULTI-EXTEND, VAR-LENGTH
+//! EXPAND, FILTER.
 //!
 //! Execution is depth-first over the operator pipeline: each operator
 //! enumerates bindings for its variables and recurses. Adjacency lists are
@@ -11,44 +12,50 @@
 //! Matching semantics follow openCypher: query vertices may bind the same
 //! data vertex, but each data edge binds at most one query edge per match.
 //!
-//! # Morsel-driven parallelism
+//! # One driver: strategy × morsel body × output
 //!
-//! The pipeline is driven morsel-at-a-time: a partitionable level is cut
-//! into contiguous ranges ([`aplus_runtime::scan_morsel_size`]) and each
-//! morsel runs the remaining operator pipeline depth-first with its own
-//! per-worker [`Row`] and operator state — no shared mutable state, no
-//! synchronization inside operators. Two levels can partition:
+//! [`run`] is the only way a plan executes. It picks the one level of the
+//! plan that is cut into contiguous morsels
+//! ([`aplus_runtime::scan_morsel_size`]), hands every morsel to an
+//! engine's *body*, and merges the bodies' results **in morsel order**
+//! into the query's [`Output`]:
 //!
-//! * **the root scan** (vertices or edges) — the common case; or
-//! * **the first E/I level**, when the root scan binds fewer vertices than
-//!   there are workers (a pinned scan followed by huge intersections — the
-//!   skewed-supernode case): the adjacency lists fetched for the first
-//!   EXTEND/INTERSECT are partitioned by position instead, per root
-//!   binding, so the heavy intersections themselves fan out.
+//! * **Strategy** — which level partitions. *The root scan's ID range*
+//!   (vertices or edges; a pinned vertex is the one-ID range) is the common
+//!   case. When the root binds fewer vertices than there are workers (a
+//!   pinned scan followed by huge intersections — the skewed-supernode
+//!   case), *the first E/I level* partitions instead: per root binding,
+//!   the operator's lists are fetched once and the leading list is cut by
+//!   position, so the heavy intersections themselves fan out. Likewise a
+//!   *first var-length expansion* partitions every BFS level: frontier
+//!   expansion and the level's emission list both go through the pool.
+//! * **Morsel body** — what one morsel runs. The row engine runs the
+//!   remaining operator pipeline below depth-first with its own per-worker
+//!   [`Row`] and operator state — no shared mutable state, no
+//!   synchronization inside operators. The factorized block engine
+//!   ([`crate::block`]) builds block levels for the morsel, then counts
+//!   them without flattening or flattens them lazily. Which engine a plan
+//!   runs on is a plan-shape decision ([`crate::block::use_block`]).
+//! * **Output** — a match count (per-morsel `u64`s summed), or up to
+//!   `limit` rows (per-morsel buffers, each capped at the rows still
+//!   missing, handed to the [`RowSink`]).
 //!
-//! [`count_parallel`] merges per-morsel partial counts in morsel order and
-//! [`collect_parallel`]/[`stream`] concatenate per-morsel row buffers in
-//! morsel order, so parallel results are **bit-identical** to sequential
-//! ones at any thread count. Every `on_row` callback returns a
-//! [`ControlFlow`]: `Break` unwinds the pipeline immediately, which is how
-//! `LIMIT` stops work early — sequentially on the caller's stack, and in
-//! parallel via the pool's cooperative [`aplus_runtime::ExitSignal`]. A
-//! 1-thread pool (or an unpartitionable plan) takes the pre-existing
-//! sequential path unchanged.
+//! Because the merge order is fixed, counts and row sequences are
+//! **bit-identical** at any thread count, and a 1-thread pool runs the
+//! *same* strategy code and morsel bodies inline on the caller's stack —
+//! there is no separate sequential path. The one thing an inline morsel
+//! skips is the buffer: it is next in morsel order while it runs, so its
+//! rows go straight to the sink (O(1) memory, first row before the second
+//! is computed). Every `on_row` callback returns a [`ControlFlow`]: `Break`
+//! unwinds the pipeline immediately, which is how `LIMIT` or a sink that
+//! stopped consuming ends a morsel early; outstanding pool morsels are
+//! cancelled through the cooperative [`aplus_runtime::ExitSignal`].
 //!
-//! # Block-at-a-time factorized execution
-//!
-//! [`count`], [`collect`] and [`stream`] dispatch on the plan's
-//! [`crate::plan::FlattenPolicy`]: plans whose shape the factorized block
-//! engine supports (vertex-scan root followed by E/I and FILTER operators)
-//! run through [`crate::block`], which extends whole blocks of bindings per
-//! operator, keeps intermediates factorized, counts without flattening, and
-//! flattens lazily at the [`RowSink`] boundary — see the module docs of
-//! [`crate::block`]. Results are bit-identical to this row engine at every
-//! thread count and limit (enforced by differential proptests). The
-//! row-at-a-time pipeline below remains both the fallback for unsupported
-//! shapes ([`Operator::ScanEdges`] roots, [`Operator::MultiExtend`]) and
-//! the reference semantics; [`execute`] always runs it.
+//! The row-at-a-time pipeline is both the fallback for shapes the block
+//! engine does not support ([`Operator::ScanEdges`] roots,
+//! [`Operator::MultiExtend`], var-length expansions) and the reference
+//! semantics the block engine is differential-tested against;
+//! [`execute`] always runs it.
 
 use std::collections::HashSet;
 use std::ops::{ControlFlow, Range};
@@ -57,13 +64,13 @@ use aplus_common::{EdgeId, VertexId};
 use aplus_core::{CmpOp, Direction, IndexStore, List, SortKey};
 use aplus_graph::Graph;
 use aplus_obs::{HopStats, LevelStats, QueryProfiler};
-use aplus_runtime::{ExitSignal, MorselPool};
+use aplus_runtime::{block_morsel_size, scan_morsel_size, MorselPool};
 
 use crate::block;
 use crate::error::QueryError;
-use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue, TraversalPolicy};
+use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryOperand, QueryPredicate, Row};
-use crate::sink::{drain_flattened, RawRow, RowSink, VecSink};
+use crate::sink::{drain_flattened, RawRow, RowSink};
 
 /// Everything an executing plan reads.
 #[derive(Clone, Copy)]
@@ -72,8 +79,9 @@ pub struct ExecContext<'a> {
     pub graph: &'a Graph,
     /// The index store.
     pub store: &'a IndexStore,
-    /// The per-query profiler of a `PROFILE` run; `None` (the overwhelmingly
-    /// common case) keeps the hot paths at one branch per flush point.
+    /// The per-query profiler of a `PROFILE` run — executors flush per-level
+    /// statistics into it as they run; `None` (the overwhelmingly common
+    /// case) keeps the hot paths at one branch per flush point.
     pub profiler: Option<&'a QueryProfiler>,
 }
 
@@ -86,14 +94,6 @@ impl<'a> ExecContext<'a> {
             store,
             profiler: None,
         }
-    }
-
-    /// Attaches a [`QueryProfiler`]; executors flush per-level statistics
-    /// into it as they run.
-    #[must_use]
-    pub fn with_profiler(mut self, profiler: &'a QueryProfiler) -> Self {
-        self.profiler = Some(profiler);
-        self
     }
 
     /// The stats cell of plan-operator level `level`, when profiling.
@@ -143,9 +143,11 @@ impl<'a> ExecContext<'a> {
     }
 }
 
-/// Runs `plan`, invoking `on_row` for every complete match, in sequential
-/// result order. `on_row` returning [`ControlFlow::Break`] stops execution
-/// immediately (early exit for `LIMIT`); the break is returned through.
+/// Runs `plan` on the row engine, invoking `on_row` for every complete
+/// match, in sequential result order. `on_row` returning
+/// [`ControlFlow::Break`] stops execution immediately (early exit for
+/// `LIMIT`); the break is returned through. This is the reference the
+/// [`run`] driver is tested against.
 pub fn execute(
     ctx: ExecContext<'_>,
     query: &QueryGraph,
@@ -154,29 +156,6 @@ pub fn execute(
 ) -> ControlFlow<()> {
     let mut row = Row::unbound(query.vertices.len(), query.edges.len());
     run_op(ctx, plan, 0, &mut row, on_row)
-}
-
-/// Runs `plan` and returns the number of matches. Block-eligible plans
-/// (see [`crate::block`]) count on factorized blocks without flattening;
-/// the result is identical to counting [`execute`]'s callbacks.
-#[must_use]
-pub fn count(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan) -> u64 {
-    if block::use_block(plan) {
-        return block::count_seq(ctx, query, plan);
-    }
-    count_rows(ctx, query, plan)
-}
-
-/// [`count`] pinned to the row-at-a-time engine (the reference path the
-/// block engine is differential-tested against).
-#[must_use]
-pub fn count_rows(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan) -> u64 {
-    let mut n = 0u64;
-    let _ = execute(ctx, query, plan, &mut |_| {
-        n += 1;
-        ControlFlow::Continue(())
-    });
-    n
 }
 
 /// Guards the executor's 32-bit vertex-ID domain: scans address vertices
@@ -214,106 +193,359 @@ pub const EI_MORSEL_CAP: usize = 256;
 /// first-var-length partitioned plans.
 pub const VL_MORSEL_CAP: usize = 256;
 
-/// How a plan parallelizes on a given pool.
-pub(crate) enum Strategy {
-    /// Partition the root scan's ID space into morsels.
-    RootRanges { total: usize, cap: usize },
+/// Which level of a plan [`run`] cuts into morsels on a given pool.
+enum Strategy {
+    /// Partition the root scan's ID `range` (a pinned vertex scan is the
+    /// one-ID range).
+    RootRanges { range: Range<usize>, cap: usize },
     /// The root scan binds fewer vertices than there are workers and the
     /// next operator is an E/I: partition the first E/I level's adjacency
     /// lists instead (per root binding, in root order).
     FirstEi,
     /// The root scan binds fewer vertices than there are workers and the
-    /// next operator is a BFS var-length expansion: partition each BFS
-    /// level's frontier instead (per root binding, in root order).
+    /// next operator is a var-length expansion: partition each BFS level's
+    /// frontier instead (per root binding, in root order).
     FirstVarLength,
-    /// Nothing to partition (1-thread pool, exotic root): run inline.
-    Sequential,
 }
 
-pub(crate) fn strategy(ctx: ExecContext<'_>, plan: &Plan, pool: &MorselPool) -> Strategy {
-    if pool.is_sequential() {
-        return Strategy::Sequential;
-    }
+fn strategy(ctx: ExecContext<'_>, plan: &Plan, pool: &MorselPool) -> Strategy {
     match plan.ops.first() {
         Some(Operator::ScanVertices { var, preds, .. }) => {
-            let domain = if pinned_vertex(preds, *var).is_some() {
-                1
-            } else {
-                ctx.graph.vertex_count()
-            };
-            let first_ei = matches!(plan.ops.get(1), Some(Operator::ExtendIntersect { .. }));
-            // Check-mode expansions bind nothing (and IDDFS has no
-            // frontier to partition): only a BFS expand fans out.
-            let first_vl = matches!(
-                plan.ops.get(1),
-                Some(Operator::VarLengthExpand {
-                    policy: TraversalPolicy::Bfs,
-                    check: false,
-                    ..
-                })
-            );
-            if domain < pool.threads() && first_ei {
-                Strategy::FirstEi
-            } else if domain < pool.threads() && first_vl {
-                Strategy::FirstVarLength
-            } else if domain > 1 {
-                Strategy::RootRanges {
-                    total: ctx.graph.vertex_count(),
-                    cap: VERTEX_MORSEL_CAP,
+            let range = vertex_scan_range(ctx, preds, *var);
+            if range.len() < pool.threads() {
+                match plan.ops.get(1) {
+                    Some(Operator::ExtendIntersect { .. }) => return Strategy::FirstEi,
+                    // Check-mode expansions bind nothing, so they have no
+                    // emission list to fan out.
+                    Some(Operator::VarLengthExpand { check: false, .. }) => {
+                        return Strategy::FirstVarLength
+                    }
+                    _ => {}
                 }
-            } else {
-                Strategy::Sequential
+            }
+            Strategy::RootRanges {
+                range,
+                cap: VERTEX_MORSEL_CAP,
             }
         }
         Some(Operator::ScanEdges { .. }) => Strategy::RootRanges {
-            total: ctx.graph.edge_count(),
+            range: 0..ctx.graph.edge_count(),
             cap: EDGE_MORSEL_CAP,
         },
-        _ => Strategy::Sequential,
+        _ => unreachable!("plans start with a scan"),
     }
 }
 
 /// The merge window for streaming morsel merges: enough in-flight morsels
 /// to keep every worker busy while the merger drains, without unbounded
 /// result buffering.
-pub(crate) fn merge_window(pool: &MorselPool) -> usize {
+fn merge_window(pool: &MorselPool) -> usize {
     pool.threads().saturating_mul(4)
 }
 
-/// Runs `plan` morsel-at-a-time on `pool` and returns the number of
-/// matches. Guaranteed equal to [`count`] at any thread count: morsels
-/// partition the root scan's ID space (or the first E/I level, for
-/// pinned/small roots) and partial counts merge in morsel order. Falls
-/// back to the sequential path for 1-thread pools and plans with no
-/// partitionable level.
-#[must_use]
-pub fn count_parallel(
+/// What a query run produces.
+pub enum Output<'a> {
+    /// The number of matches. Block-eligible plans count on factorized
+    /// blocks without flattening.
+    Count,
+    /// Up to `limit` rows pushed into `sink`, in sequential result order.
+    /// Morsels that run inline (a 1-thread pool, a single-morsel level)
+    /// push each row as it is found; pool workers buffer per morsel, and
+    /// the buffers reach the sink as their morsel's turn comes, so memory
+    /// stays bounded by the merge window, never the full result. The sink
+    /// returning [`ControlFlow::Break`] stops an inline morsel at once and
+    /// cancels outstanding pool morsels cooperatively.
+    Rows {
+        /// Rows to deliver before stopping the query.
+        limit: usize,
+        /// Where the rows go.
+        sink: &'a mut dyn RowSink,
+    },
+}
+
+/// What a morsel body does with the matches it finds.
+pub(crate) enum Emit<'a> {
+    /// Counts them.
+    Count(&'a mut u64),
+    /// Pushes them as rows, in result order; `Break` means the morsel can
+    /// no longer contribute and should stop at once.
+    Rows(&'a mut dyn FnMut(RawRow) -> ControlFlow<()>),
+}
+
+/// One pool-run morsel's contribution: `count` when the query counts,
+/// `rows` when it produces rows (the other stays empty).
+#[derive(Default)]
+struct Part {
+    count: u64,
+    rows: Vec<RawRow>,
+}
+
+/// The merge side of [`run`]: cuts a level into morsels on the pool and
+/// folds what they emit, in morsel order, into the output.
+struct Driver<'a, 'o> {
+    ctx: ExecContext<'a>,
+    pool: &'a MorselPool,
+    /// The level an early exit is attributed to: the sink, one past the
+    /// last operator.
+    sink_level: usize,
+    out: Output<'o>,
+    counted: u64,
+    sent: usize,
+}
+
+impl Driver<'_, '_> {
+    /// The row cap of a buffering morsel; `None` when the query counts.
+    fn cap(&self) -> Option<usize> {
+        match self.out {
+            Output::Count => None,
+            // A morsel contributes at most the rows still missing from the
+            // global limit. `merge` breaks out of every strategy loop the
+            // moment `sent` reaches `limit`, and `run` rejects `limit == 0`
+            // up front, so `sent < limit` holds whenever morsels are cut —
+            // the saturating subtraction keeps the invariant local instead
+            // of trusting every caller forever.
+            Output::Rows { limit, .. } => {
+                debug_assert!(self.sent < limit, "merge must break before sent == limit");
+                Some(limit.saturating_sub(self.sent))
+            }
+        }
+    }
+
+    /// Folds one morsel's `count` or `rows` into the output; `Break` means
+    /// the output is complete (limit reached or the sink stopped
+    /// consuming). Rows cross into the sink through [`drain_flattened`],
+    /// which enforces the global limit: the `limit`-th row is delivered,
+    /// then the query stops.
+    fn merge(&mut self, count: u64, rows: impl Iterator<Item = RawRow>) -> ControlFlow<()> {
+        match &mut self.out {
+            Output::Count => {
+                self.counted += count;
+                ControlFlow::Continue(())
+            }
+            Output::Rows { limit, sink } => {
+                let flow = drain_flattened(*sink, &mut self.sent, *limit, rows);
+                if flow.is_break() {
+                    self.ctx.note_early_exit(self.sink_level);
+                }
+                flow
+            }
+        }
+    }
+
+    /// Cuts `0..total` into morsels of `size`, runs `body` on each across
+    /// the pool and merges what they emit in morsel order. `Break` means
+    /// the output is complete.
+    fn morsels(
+        &mut self,
+        total: usize,
+        size: usize,
+        body: impl Fn(Range<usize>, Emit<'_>) + Sync,
+    ) -> ControlFlow<()> {
+        let (ctx, pool, size) = (self.ctx, self.pool, size.max(1));
+        if pool.threads().min(total.div_ceil(size)) <= 1 {
+            // The morsels run inline, one after the other on this thread,
+            // so each one *is* next in morsel order while it runs: its rows
+            // go through `merge` one at a time instead of through a buffer.
+            // A full-result stream then holds O(1) rows, the first row
+            // arrives before the second is computed, and a sink `Break`
+            // unwinds the pipeline at once.
+            for start in (0..total).step_by(size) {
+                ctx.note_morsel();
+                let range = start..(start + size).min(total);
+                let mut flow = ControlFlow::Continue(());
+                match self.out {
+                    Output::Count => body(range, Emit::Count(&mut self.counted)),
+                    Output::Rows { .. } => body(
+                        range,
+                        Emit::Rows(&mut |raw| {
+                            flow = self.merge(0, std::iter::once(raw));
+                            flow
+                        }),
+                    ),
+                }
+                flow?;
+            }
+            return ControlFlow::Continue(());
+        }
+        let cap = self.cap();
+        let mut flow = ControlFlow::Continue(());
+        pool.map_ranges(
+            total,
+            size,
+            merge_window(pool),
+            |range, exit| {
+                ctx.note_morsel();
+                let mut part = Part::default();
+                match cap {
+                    None => body(range, Emit::Count(&mut part.count)),
+                    // A worker's morsel may finish before its turn in
+                    // morsel order, so its rows wait in a buffer. It stops
+                    // early once the buffer holds `cap` rows (the output
+                    // takes at most that many from any morsel prefix) or
+                    // the merger cancelled outstanding work.
+                    Some(cap) => {
+                        let rows = &mut part.rows;
+                        body(
+                            range,
+                            Emit::Rows(&mut |raw| {
+                                rows.push(raw);
+                                if rows.len() >= cap || exit.is_stopped() {
+                                    ControlFlow::Break(())
+                                } else {
+                                    ControlFlow::Continue(())
+                                }
+                            }),
+                        );
+                    }
+                }
+                part
+            },
+            |part| {
+                flow = self.merge(part.count, part.rows.into_iter());
+                flow
+            },
+        );
+        flow
+    }
+}
+
+/// Executes `plan` on `pool` and returns the number of matches
+/// ([`Output::Count`]) or of rows delivered ([`Output::Rows`]). The only
+/// entry into plan execution: every strategy, both engines and both output
+/// shapes go through here, and the result is bit-identical at any thread
+/// count — morsels merge in morsel order, and a 1-thread pool runs the same
+/// code inline.
+pub fn run(
     ctx: ExecContext<'_>,
     query: &QueryGraph,
     plan: &Plan,
     pool: &MorselPool,
+    out: Output<'_>,
 ) -> u64 {
-    if block::use_block(plan) {
-        return block::count_parallel(ctx, query, plan, pool);
+    // The one `limit == 0` guard on the execution path: nothing runs,
+    // nothing reaches the sink, no early exit is recorded.
+    if matches!(out, Output::Rows { limit: 0, .. }) {
+        return 0;
     }
+    let mut driver = Driver {
+        ctx,
+        pool,
+        sink_level: plan.ops.len(),
+        out,
+        counted: 0,
+        sent: 0,
+    };
+    let block = block::use_block(plan);
+    let fresh_row = || Row::unbound(query.vertices.len(), query.edges.len());
+    let threads = pool.threads();
     match strategy(ctx, plan, pool) {
-        Strategy::Sequential => count_rows(ctx, query, plan),
-        Strategy::RootRanges { total, cap } => {
-            let size = aplus_runtime::scan_morsel_size(total, pool.threads(), cap);
-            pool.sum_ranges(total, size, |range| {
-                ctx.note_morsel();
-                let mut n = 0u64;
-                let mut row = Row::unbound(query.vertices.len(), query.edges.len());
-                let _ = run_root_range(ctx, plan, range, &mut row, &mut |_| {
-                    n += 1;
-                    ControlFlow::Continue(())
-                });
-                n
-            })
+        Strategy::RootRanges { range, cap } => {
+            // Block morsels are additionally capped at the plan's block
+            // size, so every morsel is one block.
+            let size = if block {
+                block_morsel_size(range.len(), threads, cap, plan.block.block_size)
+            } else {
+                scan_morsel_size(range.len(), threads, cap)
+            };
+            let _ = driver.morsels(range.len(), size, |r, emit| {
+                let r = range.start + r.start..range.start + r.end;
+                if block {
+                    block::root_morsel(ctx, query, plan, r, emit);
+                } else {
+                    row_morsel(emit, |on_row| {
+                        run_root_range(ctx, plan, r, &mut fresh_row(), on_row)
+                    });
+                }
+            });
         }
-        Strategy::FirstEi => count_first_ei(ctx, query, plan, pool),
-        Strategy::FirstVarLength => count_first_vl(ctx, query, plan, pool),
+        // Per root binding (in root order, so the overall row sequence
+        // stays sequential): fetch the first E/I's lists once and morsel
+        // over positions of the leading list.
+        Strategy::FirstEi => {
+            let ei = ei_op(&plan.ops[1]);
+            let stats = ctx.prof_level(1);
+            let _ = for_each_root_vertex(ctx, plan, &mut fresh_row(), &mut |base| {
+                if let Some(s) = stats {
+                    s.record(ei.alds.len() as u64, 0, 0);
+                }
+                let Some(lists) = fetch_ei_lists(ctx, ei.alds, base) else {
+                    return ControlFlow::Continue(());
+                };
+                let (base, lists, ei) = (&*base, &lists, &ei);
+                let n0 = lists[0].len();
+                let size = scan_morsel_size(n0, threads, EI_MORSEL_CAP);
+                driver.morsels(n0, size, |r, emit| {
+                    let mut w = base.clone();
+                    if block {
+                        block::ei_morsel(ctx, plan, ei, lists, r, &mut w, emit);
+                    } else {
+                        row_morsel(emit, |on_row| {
+                            ei_over_lists(ctx, ei, lists, r, &mut w, stats, &mut |w| {
+                                run_op(ctx, plan, 2, w, on_row)
+                            })
+                        });
+                    }
+                })
+            });
+        }
+        // Per root binding: BFS levels run in order with each frontier
+        // expanded across the pool, and each level's emission list is
+        // morselled with the parts merged in ascending-target order.
+        Strategy::FirstVarLength => {
+            let vl = var_length_op(&plan.ops[1]);
+            let _ = for_each_root_vertex(ctx, plan, &mut fresh_row(), &mut |base| {
+                if let Some(stats) = ctx.prof_level(1) {
+                    stats.record(1, 0, 0);
+                }
+                let s = base
+                    .vertex(vl.src)
+                    .expect("root scan binds the traversal source");
+                let (base, vl) = (&*base, &vl);
+                var_length_bfs(ctx, vl, s, pool, &mut |level, candidates, s_new| {
+                    if level < vl.min {
+                        return ControlFlow::Continue(());
+                    }
+                    let emission = &vl_emission(candidates, s, s_new);
+                    let size = scan_morsel_size(emission.len(), threads, VL_MORSEL_CAP);
+                    let flow = driver.morsels(emission.len(), size, |r, emit| {
+                        let mut w = base.clone();
+                        row_morsel(emit, |on_row| {
+                            for &t in &emission[r] {
+                                emit_vl_target(ctx, plan, 1, vl, VertexId(t), &mut w, on_row)?;
+                            }
+                            ControlFlow::Continue(())
+                        });
+                    });
+                    if flow.is_break() {
+                        ControlFlow::Break(flow)
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+            });
+        }
     }
+    match driver.out {
+        Output::Count => driver.counted,
+        Output::Rows { .. } => driver.sent as u64,
+    }
+}
+
+/// A row-engine morsel body: runs `pipeline` with the `on_row` callback
+/// `emit` calls for.
+fn row_morsel(
+    emit: Emit<'_>,
+    pipeline: impl FnOnce(&mut dyn FnMut(&Row) -> ControlFlow<()>) -> ControlFlow<()>,
+) {
+    let _ = match emit {
+        Emit::Count(n) => pipeline(&mut |_| {
+            *n += 1;
+            ControlFlow::Continue(())
+        }),
+        Emit::Rows(push) => {
+            pipeline(&mut |row| push((row.vertex_slots().to_vec(), row.edge_slots().to_vec())))
+        }
+    };
 }
 
 /// Executes the whole pipeline with the root scan restricted to the ID
@@ -329,245 +561,53 @@ fn run_root_range(
 ) -> ControlFlow<()> {
     match plan.ops.first().expect("caller checked the root operator") {
         Operator::ScanVertices { var, label, preds } => {
-            exec_scan_vertices_range(ctx, plan, 0, *var, *label, preds, range, row, on_row)
+            scan_vertices_range(ctx, 0, *var, *label, preds, range, row, &mut |row| {
+                run_op(ctx, plan, 1, row, on_row)
+            })
         }
-        Operator::ScanEdges {
-            edge_var,
-            src_var,
-            dst_var,
-            label,
-            src_label,
-            dst_label,
-            preds,
-        } => exec_scan_edges_range(
-            ctx,
-            plan,
-            0,
-            ScanEdgesVars {
-                edge_var: *edge_var,
-                src_var: *src_var,
-                dst_var: *dst_var,
-                label: *label,
-                src_label: *src_label,
-                dst_label: *dst_label,
-            },
-            preds,
-            range,
-            row,
-            on_row,
-        ),
-        _ => unreachable!("parallel roots are scans"),
-    }
-}
-
-/// Runs `plan` and collects up to `limit` rows, stopping execution as soon
-/// as the limit is reached (no wasted tail enumeration). Block-eligible
-/// plans run factorized and flatten lazily; rows are bit-identical to the
-/// row engine's.
-#[must_use]
-pub fn collect(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan, limit: usize) -> Vec<RawRow> {
-    if block::use_block(plan) {
-        let mut sink = VecSink::with_limit(limit);
-        block::stream_seq(ctx, query, plan, limit, &mut sink);
-        return sink.into_rows();
-    }
-    let mut out = Vec::new();
-    if limit == 0 {
-        return out;
-    }
-    let flow = execute(ctx, query, plan, &mut |row| {
-        out.push((row.vertex_slots().to_vec(), row.edge_slots().to_vec()));
-        if out.len() >= limit {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
+        op @ Operator::ScanEdges { .. } => {
+            exec_scan_edges_range(ctx, plan, 0, op, range, row, on_row)
         }
-    });
-    if flow.is_break() {
-        ctx.note_early_exit(plan.ops.len());
+        _ => unreachable!("plans start with a scan"),
     }
-    out
-}
-
-/// Runs `plan` morsel-parallel on `pool` and collects up to `limit` rows.
-/// The returned row sequence is **bit-identical** to [`collect`] at any
-/// thread count: each morsel gathers rows into its own buffer and buffers
-/// are concatenated in morsel order.
-#[must_use]
-pub fn collect_parallel(
-    ctx: ExecContext<'_>,
-    query: &QueryGraph,
-    plan: &Plan,
-    limit: usize,
-    pool: &MorselPool,
-) -> Vec<RawRow> {
-    let mut sink = VecSink::with_limit(limit);
-    stream(ctx, query, plan, limit, pool, &mut sink);
-    sink.into_rows()
-}
-
-/// Streams up to `limit` result rows into `sink`, in sequential result
-/// order, executing morsel-parallel on `pool` where the plan allows. The
-/// pushed row sequence is bit-identical to [`collect`] at any thread
-/// count; memory stays bounded by the merge window (per-morsel buffers are
-/// handed to the sink as soon as their morsel's turn comes, never
-/// materializing the full result). The sink returning
-/// [`ControlFlow::Break`] cancels outstanding morsels cooperatively.
-pub fn stream(
-    ctx: ExecContext<'_>,
-    query: &QueryGraph,
-    plan: &Plan,
-    limit: usize,
-    pool: &MorselPool,
-    sink: &mut dyn RowSink,
-) {
-    if limit == 0 {
-        return;
-    }
-    if block::use_block(plan) {
-        block::stream(ctx, query, plan, limit, pool, sink);
-        return;
-    }
-    match strategy(ctx, plan, pool) {
-        Strategy::Sequential => {
-            let mut sent = 0usize;
-            let flow = execute(ctx, query, plan, &mut |row| {
-                sent += 1;
-                let flow = sink.push((row.vertex_slots().to_vec(), row.edge_slots().to_vec()));
-                if flow.is_break() || sent >= limit {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            });
-            if flow.is_break() {
-                ctx.note_early_exit(plan.ops.len());
-            }
-        }
-        Strategy::RootRanges { total, cap } => {
-            let size = aplus_runtime::scan_morsel_size(total, pool.threads(), cap);
-            let mut sent = 0usize;
-            pool.map_ranges(
-                total,
-                size,
-                merge_window(pool),
-                |range, exit| {
-                    ctx.note_morsel();
-                    let mut buf: Vec<RawRow> = Vec::new();
-                    let mut row = Row::unbound(query.vertices.len(), query.edges.len());
-                    let _ = run_root_range(ctx, plan, range, &mut row, &mut |r| {
-                        buffer_row(&mut buf, r, limit, exit)
-                    });
-                    buf
-                },
-                |buf| {
-                    let f = deliver(buf, &mut sent, limit, sink);
-                    if f.is_break() {
-                        ctx.note_early_exit(plan.ops.len());
-                    }
-                    f
-                },
-            );
-        }
-        Strategy::FirstEi => stream_first_ei(ctx, query, plan, limit, pool, sink),
-        Strategy::FirstVarLength => stream_first_vl(ctx, query, plan, limit, pool, sink),
-    }
-}
-
-/// The per-morsel `on_row`: buffer the row, stop early when the morsel can
-/// no longer contribute to the output — its buffer already holds `limit`
-/// rows (the output takes at most `limit` from any morsel prefix), or the
-/// merger cancelled outstanding work.
-fn buffer_row(
-    buf: &mut Vec<RawRow>,
-    row: &Row,
-    limit: usize,
-    exit: &ExitSignal,
-) -> ControlFlow<()> {
-    buf.push((row.vertex_slots().to_vec(), row.edge_slots().to_vec()));
-    if buf.len() >= limit || exit.is_stopped() {
-        ControlFlow::Break(())
-    } else {
-        ControlFlow::Continue(())
-    }
-}
-
-/// Feeds one morsel's buffered rows to the sink, enforcing the global
-/// limit exactly as the sequential path does (the `limit`-th row is
-/// delivered, then the query stops). A thin wrapper over the sink-side
-/// flatten boundary [`drain_flattened`], which also guards the degenerate
-/// limits (`limit == 0` delivers nothing; `sent` never overflows).
-pub(crate) fn deliver(
-    buf: Vec<RawRow>,
-    sent: &mut usize,
-    limit: usize,
-    sink: &mut dyn RowSink,
-) -> ControlFlow<()> {
-    drain_flattened(sink, sent, limit, buf.into_iter())
 }
 
 /// Enumerates the root vertex-scan's bindings without running deeper
 /// operators: binds the scan variable, checks label + predicates, and
-/// hands each surviving root row to `f`. The first-E/I strategies use this
-/// to process root bindings one at a time, in root order.
-pub(crate) fn for_each_root_vertex(
+/// hands each surviving root row to `f`. The first-level strategies use
+/// this to process root bindings one at a time, in root order.
+fn for_each_root_vertex(
     ctx: ExecContext<'_>,
     plan: &Plan,
     row: &mut Row,
     f: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let Some(Operator::ScanVertices { var, label, preds }) = plan.ops.first() else {
-        unreachable!("first-E/I strategy requires a vertex-scan root")
+        unreachable!("first-level strategies require a vertex-scan root")
     };
-    let stats = ctx.prof_level(0);
-    let (mut cand, mut emit) = (0u64, 0u64);
-    let mut g = |row: &mut Row| {
-        emit += 1;
-        f(row)
-    };
-    let mut out = ControlFlow::Continue(());
-    match pinned_vertex(preds, *var) {
-        Some(v) => {
-            if v.index() < ctx.graph.vertex_count() {
-                cand = 1;
-                out = visit_vertex(ctx, *var, *label, preds, v, row, &mut g);
-            }
-        }
-        None => {
-            for raw in 0..ctx.graph.vertex_count() {
-                cand += 1;
-                if visit_vertex(ctx, *var, *label, preds, vid(raw), row, &mut g).is_break() {
-                    out = ControlFlow::Break(());
-                    break;
-                }
-            }
-        }
-    }
-    if let Some(s) = stats {
-        s.record(0, cand, emit);
-    }
-    out
+    let range = vertex_scan_range(ctx, preds, *var);
+    scan_vertices_range(ctx, 0, *var, *label, preds, range, row, f)
 }
 
-/// The first-E/I operator's pieces, destructured once per query.
-pub(crate) struct FirstEi<'p> {
+/// An E/I operator's pieces, destructured once per use site.
+pub(crate) struct EiOp<'p> {
     pub(crate) target: usize,
     pub(crate) target_label: Option<aplus_common::VertexLabelId>,
     pub(crate) alds: &'p [Ald],
     pub(crate) residual: &'p [QueryPredicate],
 }
 
-pub(crate) fn first_ei_op(plan: &Plan) -> FirstEi<'_> {
-    let Some(Operator::ExtendIntersect {
+pub(crate) fn ei_op(op: &Operator) -> EiOp<'_> {
+    let Operator::ExtendIntersect {
         target,
         target_label,
         alds,
         residual,
-    }) = plan.ops.get(1)
+    } = op
     else {
-        unreachable!("first-E/I strategy requires an E/I second operator")
+        unreachable!("caller matched an ExtendIntersect")
     };
-    FirstEi {
+    EiOp {
         target: *target,
         target_label: *target_label,
         alds,
@@ -575,146 +615,23 @@ pub(crate) fn first_ei_op(plan: &Plan) -> FirstEi<'_> {
     }
 }
 
-/// [`count_parallel`] for the skewed case: per root binding, fetch the
-/// first E/I's lists once and morsel over positions of the first list.
-fn count_first_ei(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan, pool: &MorselPool) -> u64 {
-    let ei = first_ei_op(plan);
-    let stats = ctx.prof_level(1);
-    let mut total = 0u64;
-    let mut row = Row::unbound(query.vertices.len(), query.edges.len());
-    let _ = for_each_root_vertex(ctx, plan, &mut row, &mut |row| {
-        if let Some(s) = stats {
-            s.record(ei.alds.len() as u64, 0, 0);
-        }
-        let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
-            return ControlFlow::Continue(());
-        };
-        let n0 = lists[0].len();
-        let size = aplus_runtime::scan_morsel_size(n0, pool.threads(), EI_MORSEL_CAP);
-        let base: &Row = row;
-        let lists = &lists;
-        total += pool.sum_ranges(n0, size, |r| {
-            ctx.note_morsel();
-            let mut w = base.clone();
-            let mut n = 0u64;
-            let mut on_row = |_: &Row| {
-                n += 1;
-                ControlFlow::Continue(())
-            };
-            let _ = ei_over_lists(
-                ctx,
-                ei.target,
-                ei.target_label,
-                lists,
-                r,
-                ei.residual,
-                &mut w,
-                stats,
-                &mut |w| run_op(ctx, plan, 2, w, &mut on_row),
-            );
-            n
-        });
-        ControlFlow::Continue(())
-    });
-    total
-}
-
-/// [`stream`] for the skewed case: per root binding, morsel over the first
-/// E/I's leading list, buffering rows per morsel and merging in morsel
-/// order — root bindings are processed in root order, so the overall row
-/// sequence stays sequential.
-fn stream_first_ei(
-    ctx: ExecContext<'_>,
-    query: &QueryGraph,
-    plan: &Plan,
-    limit: usize,
-    pool: &MorselPool,
-    sink: &mut dyn RowSink,
-) {
-    let ei = first_ei_op(plan);
-    let stats = ctx.prof_level(1);
-    let mut sent = 0usize;
-    let mut row = Row::unbound(query.vertices.len(), query.edges.len());
-    let sent = &mut sent;
-    let _ = for_each_root_vertex(ctx, plan, &mut row, &mut |row| {
-        if let Some(s) = stats {
-            s.record(ei.alds.len() as u64, 0, 0);
-        }
-        let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
-            return ControlFlow::Continue(());
-        };
-        let n0 = lists[0].len();
-        let size = aplus_runtime::scan_morsel_size(n0, pool.threads(), EI_MORSEL_CAP);
-        // A morsel of *this* root binding contributes at most the rows
-        // still missing from the global limit. `deliver` breaks out of the
-        // root loop the moment `*sent` reaches `limit`, and `stream`
-        // rejects `limit == 0` up front, so `*sent < limit` holds here —
-        // the guard makes the invariant local instead of trusting every
-        // caller forever.
-        if *sent >= limit {
-            return ControlFlow::Break(());
-        }
-        debug_assert!(
-            *sent < limit,
-            "deliver must break before sent reaches limit"
-        );
-        let remaining = limit - *sent;
-        let base: &Row = row;
-        let lists = &lists;
-        let mut flow = ControlFlow::Continue(());
-        pool.map_ranges(
-            n0,
-            size,
-            merge_window(pool),
-            |r, exit| {
-                ctx.note_morsel();
-                let mut w = base.clone();
-                let mut buf: Vec<RawRow> = Vec::new();
-                let mut on_row = |rr: &Row| buffer_row(&mut buf, rr, remaining, exit);
-                let _ = ei_over_lists(
-                    ctx,
-                    ei.target,
-                    ei.target_label,
-                    lists,
-                    r,
-                    ei.residual,
-                    &mut w,
-                    stats,
-                    &mut |w| run_op(ctx, plan, 2, w, &mut on_row),
-                );
-                buf
-            },
-            |buf| {
-                let f = deliver(buf, sent, limit, sink);
-                if f.is_break() {
-                    ctx.note_early_exit(plan.ops.len());
-                    flow = ControlFlow::Break(());
-                }
-                f
-            },
-        );
-        flow
-    });
-}
-
 /// A [`Operator::VarLengthExpand`]'s pieces, destructured once per use
 /// site.
-pub(crate) struct VarLengthOp<'p> {
-    pub(crate) src: usize,
-    pub(crate) target: usize,
-    pub(crate) target_label: Option<aplus_common::VertexLabelId>,
-    pub(crate) edge_label: Option<aplus_common::EdgeLabelId>,
-    pub(crate) dir: Direction,
-    pub(crate) prefix: &'p [u32],
-    pub(crate) label_enforced: bool,
-    pub(crate) min: u32,
-    pub(crate) max: u32,
-    pub(crate) policy: TraversalPolicy,
-    pub(crate) check: bool,
-    pub(crate) residual: &'p [QueryPredicate],
+struct VarLengthOp<'p> {
+    src: usize,
+    target: usize,
+    target_label: Option<aplus_common::VertexLabelId>,
+    edge_label: Option<aplus_common::EdgeLabelId>,
+    dir: Direction,
+    prefix: &'p [u32],
+    label_enforced: bool,
+    min: u32,
+    max: u32,
+    check: bool,
+    residual: &'p [QueryPredicate],
 }
 
-pub(crate) fn var_length_op(op: &Operator) -> VarLengthOp<'_> {
+fn var_length_op(op: &Operator) -> VarLengthOp<'_> {
     let Operator::VarLengthExpand {
         src,
         target,
@@ -725,7 +642,6 @@ pub(crate) fn var_length_op(op: &Operator) -> VarLengthOp<'_> {
         label_enforced,
         min,
         max,
-        policy,
         check,
         residual,
     } = op
@@ -742,7 +658,6 @@ pub(crate) fn var_length_op(op: &Operator) -> VarLengthOp<'_> {
         label_enforced: *label_enforced,
         min: *min,
         max: *max,
-        policy: *policy,
         check: *check,
         residual,
     }
@@ -762,7 +677,7 @@ fn vl_neighbors(
     for (e, n) in list.iter() {
         if !vl.label_enforced {
             if let Some(want) = vl.edge_label {
-                if ctx.graph.edge_label(e) != Ok(want) {
+                if !ctx.graph.edge_label(e).is_ok_and(|l| l == want) {
                     continue;
                 }
             }
@@ -798,7 +713,7 @@ fn emit_vl_target(
 ) -> ControlFlow<()> {
     if vl
         .target_label
-        .is_some_and(|want| ctx.graph.vertex_label(t) != Ok(want))
+        .is_some_and(|want| !ctx.graph.vertex_label(t).is_ok_and(|l| l == want))
     {
         return ControlFlow::Continue(());
     }
@@ -812,17 +727,17 @@ fn emit_vl_target(
     flow
 }
 
-/// Executes a [`Operator::VarLengthExpand`] for the current row.
+/// Executes a [`Operator::VarLengthExpand`] for the current row, inline
+/// (the pinned-root second operator fans out through [`run`] instead).
 ///
 /// Semantics: target `t` matches iff the shortest walk of length ≥ 1 from
 /// the source to `t` (over edges passing the label filter) has length
 /// within `min..=max`. Each target is emitted exactly once, at its
 /// shortest level, in ascending vertex-ID order per level — a canonical
-/// order both traversal policies and the morsel-parallel frontier
-/// reproduce bit-identically. The source itself is a valid target when a
-/// cycle returns to it (`min ≤ shortest cycle ≤ max`). Check mode (both
-/// endpoints already bound) verifies that distance instead of binding,
-/// always via BFS — iterative deepening has nothing to save there.
+/// order the morsel-parallel frontier reproduces bit-identically. The
+/// source itself is a valid target when a cycle returns to it (`min ≤
+/// shortest cycle ≤ max`). Check mode (both endpoints already bound)
+/// verifies that distance instead of binding.
 fn exec_var_length(
     ctx: ExecContext<'_>,
     plan: &Plan,
@@ -835,31 +750,60 @@ fn exec_var_length(
     if let Some(stats) = ctx.prof_level(depth) {
         stats.record(1, 0, 0);
     }
-    if vl.check || vl.policy == TraversalPolicy::Bfs {
-        exec_var_length_bfs(ctx, plan, depth, vl, s, row, on_row)
-    } else {
-        exec_var_length_iddfs(ctx, plan, depth, vl, s, row, on_row)
-    }
-}
-
-/// Level-synchronous BFS from `s`: `visited` keeps every target at its
-/// shortest level only; the source is tracked separately (`s_hit` /
-/// `s_refound`) so the shortest cycle back to it can be reported without
-/// ever re-expanding it.
-#[allow(clippy::too_many_arguments)]
-fn exec_var_length_bfs(
-    ctx: ExecContext<'_>,
-    plan: &Plan,
-    depth: usize,
-    vl: &VarLengthOp<'_>,
-    s: VertexId,
-    row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
-) -> ControlFlow<()> {
     let check_target = vl.check.then(|| {
         row.vertex(vl.target)
             .expect("check mode binds both endpoints")
     });
+    let inline = MorselPool::sequential();
+    var_length_bfs(ctx, vl, s, &inline, &mut |level, candidates, s_new| {
+        if let Some(t) = check_target {
+            let found = if t == s {
+                s_new
+            } else {
+                candidates.binary_search(&t.raw()).is_ok()
+            };
+            if !found {
+                return ControlFlow::Continue(());
+            }
+            // `level` is the shortest distance; the pattern matches iff it
+            // clears the minimum (it is ≤ max by the loop).
+            let matched = level >= vl.min && vl.residual.iter().all(|p| p.eval(ctx.graph, row));
+            return ControlFlow::Break(if matched {
+                run_op(ctx, plan, depth + 1, row, on_row)
+            } else {
+                ControlFlow::Continue(())
+            });
+        }
+        if level >= vl.min {
+            for &t in &vl_emission(candidates, s, s_new) {
+                if let flow @ ControlFlow::Break(()) =
+                    emit_vl_target(ctx, plan, depth, vl, VertexId(t), row, on_row)
+                {
+                    return ControlFlow::Break(flow);
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    })
+}
+
+/// A BFS level visitor's verdict: `Continue` descends a level,
+/// `Break(flow)` ends the traversal and hands `flow` back to the pipeline.
+type LevelFlow = ControlFlow<ControlFlow<()>>;
+
+/// The level-synchronous BFS from `s` — the one traversal loop. `visited`
+/// keeps every target at its shortest level only; the source is tracked
+/// separately (`s_hit` / `s_refound`) so the shortest cycle back to it can
+/// be reported without ever re-expanding it. Each level's frontier expands
+/// across `pool`, then `on_level(level, newly reached targets, source
+/// newly re-reached)` decides how to go on.
+fn var_length_bfs(
+    ctx: ExecContext<'_>,
+    vl: &VarLengthOp<'_>,
+    s: VertexId,
+    pool: &MorselPool,
+    on_level: &mut dyn FnMut(u32, &[u32], bool) -> LevelFlow,
+) -> ControlFlow<()> {
     let mut visited: HashSet<u32> = HashSet::new();
     visited.insert(s.raw());
     let mut frontier: Vec<u32> = vec![s.raw()];
@@ -868,19 +812,7 @@ fn exec_var_length_bfs(
         if frontier.is_empty() {
             break;
         }
-        let mut candidates: Vec<u32> = Vec::new();
-        let mut s_hit = false;
-        for &u in &frontier {
-            vl_neighbors(ctx, vl, VertexId(u), &mut |n| {
-                if n == s {
-                    s_hit = true;
-                } else if !visited.contains(&n.raw()) {
-                    candidates.push(n.raw());
-                }
-            });
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
+        let (candidates, s_hit) = expand_frontier(ctx, vl, s, &frontier, &visited, pool);
         let s_new = s_hit && !s_refound;
         record_hop(
             ctx,
@@ -890,24 +822,8 @@ fn exec_var_length_bfs(
             &candidates,
             s_new,
         );
-        if let Some(t) = check_target {
-            let found = if t == s {
-                s_new
-            } else {
-                candidates.binary_search(&t.raw()).is_ok()
-            };
-            if found {
-                // `level` is the shortest distance; the pattern matches
-                // iff it clears the minimum (it is ≤ max by the loop).
-                if level >= vl.min && vl.residual.iter().all(|p| p.eval(ctx.graph, row)) {
-                    return run_op(ctx, plan, depth + 1, row, on_row);
-                }
-                return ControlFlow::Continue(());
-            }
-        } else if level >= vl.min {
-            for &t in &vl_emission(&candidates, s, s_new) {
-                emit_vl_target(ctx, plan, depth, vl, VertexId(t), row, on_row)?;
-            }
+        if let ControlFlow::Break(flow) = on_level(level, &candidates, s_new) {
+            return flow;
         }
         s_refound |= s_hit;
         visited.extend(candidates.iter().copied());
@@ -938,110 +854,12 @@ fn record_hop(
     }
 }
 
-/// Iterative-deepening DFS: for each level, enumerate the endpoints of
-/// simple paths of exactly that length (allowing a return to the source
-/// only as the final vertex). A target's first-reported iteration equals
-/// its shortest walk length — shortest walks are simple paths — so the
-/// per-level emission sets are identical to BFS. No frontier or visited
-/// set is kept (hop stats report newly reached targets only); the price
-/// is an exponential worst case on dense graphs.
-#[allow(clippy::too_many_arguments)]
-fn exec_var_length_iddfs(
-    ctx: ExecContext<'_>,
-    plan: &Plan,
-    depth: usize,
-    vl: &VarLengthOp<'_>,
-    s: VertexId,
-    row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let mut found: HashSet<u32> = HashSet::new();
-    let mut s_refound = false;
-    for level in 1..=vl.max {
-        let mut on_path: HashSet<u32> = HashSet::new();
-        on_path.insert(s.raw());
-        let mut new: Vec<u32> = Vec::new();
-        let mut s_hit = false;
-        let mut reached = false;
-        vl_dfs(
-            ctx,
-            vl,
-            s,
-            level,
-            s,
-            &mut on_path,
-            &mut new,
-            &mut s_hit,
-            &mut reached,
-        );
-        new.sort_unstable();
-        new.dedup();
-        new.retain(|t| !found.contains(t));
-        let s_new = s_hit && !s_refound;
-        if let Some(h) = ctx.prof_hop(level as usize - 1) {
-            h.record(0, 0, (new.len() + usize::from(s_new)) as u64);
-        }
-        if level >= vl.min {
-            for &t in &vl_emission(&new, s, s_new) {
-                emit_vl_target(ctx, plan, depth, vl, VertexId(t), row, on_row)?;
-            }
-        }
-        s_refound |= s_hit;
-        found.extend(new.iter().copied());
-        // Every simple path of length l+1 starts with a simple path of
-        // length l ending off-path; none at this depth means none deeper.
-        if !reached {
-            break;
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-/// Depth-limited DFS step: report every vertex exactly `remaining` hops
-/// ahead of `u` along a simple path (the source may only be re-entered as
-/// the final vertex, closing a cycle).
-#[allow(clippy::too_many_arguments)]
-fn vl_dfs(
-    ctx: ExecContext<'_>,
-    vl: &VarLengthOp<'_>,
-    u: VertexId,
-    remaining: u32,
-    s: VertexId,
-    on_path: &mut HashSet<u32>,
-    out: &mut Vec<u32>,
-    s_hit: &mut bool,
-    reached: &mut bool,
-) {
-    vl_neighbors(ctx, vl, u, &mut |n| {
-        if remaining == 1 {
-            if n == s {
-                *s_hit = true;
-            } else if !on_path.contains(&n.raw()) {
-                *reached = true;
-                out.push(n.raw());
-            }
-        } else if n != s && !on_path.contains(&n.raw()) {
-            on_path.insert(n.raw());
-            vl_dfs(ctx, vl, n, remaining - 1, s, on_path, out, s_hit, reached);
-            on_path.remove(&n.raw());
-        }
-    });
-}
-
-/// The first-var-length operator, destructured from plan position 1.
-fn first_vl_op(plan: &Plan) -> VarLengthOp<'_> {
-    let Some(op @ Operator::VarLengthExpand { .. }) = plan.ops.get(1) else {
-        unreachable!("first-var-length strategy requires a var-length second operator")
-    };
-    var_length_op(op)
-}
-
 /// Expands one BFS level with the frontier partitioned across the pool:
 /// each morsel scans a contiguous frontier range against the shared
 /// (read-only) visited set; partial candidate lists concatenate in morsel
 /// order and are then sorted + deduplicated, so the merged level is
-/// bit-identical to the sequential one at any thread count.
-fn expand_frontier_parallel(
+/// bit-identical at any thread count (a 1-thread pool expands inline).
+fn expand_frontier(
     ctx: ExecContext<'_>,
     vl: &VarLengthOp<'_>,
     s: VertexId,
@@ -1049,9 +867,12 @@ fn expand_frontier_parallel(
     visited: &HashSet<u32>,
     pool: &MorselPool,
 ) -> (Vec<u32>, bool) {
-    let size = aplus_runtime::scan_morsel_size(frontier.len(), pool.threads(), VL_MORSEL_CAP);
+    let size = scan_morsel_size(frontier.len(), pool.threads(), VL_MORSEL_CAP);
     let parts: Vec<(Vec<u32>, bool)> = pool.run_ranges(frontier.len(), size, |r: Range<usize>| {
-        ctx.note_morsel();
+        // An inline expansion is part of the morsel that runs it.
+        if !pool.is_sequential() {
+            ctx.note_morsel();
+        }
         let mut out: Vec<u32> = Vec::new();
         let mut s_hit = false;
         for &u in &frontier[r] {
@@ -1074,164 +895,6 @@ fn expand_frontier_parallel(
     candidates.sort_unstable();
     candidates.dedup();
     (candidates, s_hit)
-}
-
-/// [`count_parallel`] for a pinned/small root followed by a BFS
-/// var-length expansion: per root binding, run the BFS with each level's
-/// frontier morsel-partitioned, then count the downstream pipeline over
-/// each level's emission list in parallel.
-fn count_first_vl(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan, pool: &MorselPool) -> u64 {
-    let vl = first_vl_op(plan);
-    let mut total = 0u64;
-    let mut row = Row::unbound(query.vertices.len(), query.edges.len());
-    let _ = for_each_root_vertex(ctx, plan, &mut row, &mut |row| {
-        if let Some(stats) = ctx.prof_level(1) {
-            stats.record(1, 0, 0);
-        }
-        let s = row
-            .vertex(vl.src)
-            .expect("root scan binds the traversal source");
-        let mut visited: HashSet<u32> = HashSet::new();
-        visited.insert(s.raw());
-        let mut frontier: Vec<u32> = vec![s.raw()];
-        let mut s_refound = false;
-        for level in 1..=vl.max {
-            if frontier.is_empty() {
-                break;
-            }
-            let (candidates, s_hit) =
-                expand_frontier_parallel(ctx, &vl, s, &frontier, &visited, pool);
-            let s_new = s_hit && !s_refound;
-            record_hop(
-                ctx,
-                level,
-                frontier.len(),
-                visited.len(),
-                &candidates,
-                s_new,
-            );
-            if level >= vl.min {
-                let emission = vl_emission(&candidates, s, s_new);
-                let size =
-                    aplus_runtime::scan_morsel_size(emission.len(), pool.threads(), VL_MORSEL_CAP);
-                let base: &Row = row;
-                let emission = &emission;
-                total += pool.sum_ranges(emission.len(), size, |r: Range<usize>| {
-                    ctx.note_morsel();
-                    let mut w = base.clone();
-                    let mut n = 0u64;
-                    let mut on_row = |_: &Row| {
-                        n += 1;
-                        ControlFlow::Continue(())
-                    };
-                    for &t in &emission[r] {
-                        let _ = emit_vl_target(ctx, plan, 1, &vl, VertexId(t), &mut w, &mut on_row);
-                    }
-                    n
-                });
-            }
-            s_refound |= s_hit;
-            visited.extend(candidates.iter().copied());
-            frontier = candidates;
-        }
-        ControlFlow::Continue(())
-    });
-    total
-}
-
-/// [`stream`] for a pinned/small root followed by a BFS var-length
-/// expansion: levels run in order, each level's emission list is
-/// morsel-partitioned with per-morsel row buffers merged in morsel
-/// (ascending-target) order — the overall row sequence is bit-identical
-/// to the sequential path at any thread count and limit.
-fn stream_first_vl(
-    ctx: ExecContext<'_>,
-    query: &QueryGraph,
-    plan: &Plan,
-    limit: usize,
-    pool: &MorselPool,
-    sink: &mut dyn RowSink,
-) {
-    let vl = first_vl_op(plan);
-    let mut sent = 0usize;
-    let sent = &mut sent;
-    let mut row = Row::unbound(query.vertices.len(), query.edges.len());
-    let _ = for_each_root_vertex(ctx, plan, &mut row, &mut |row| {
-        if let Some(stats) = ctx.prof_level(1) {
-            stats.record(1, 0, 0);
-        }
-        let s = row
-            .vertex(vl.src)
-            .expect("root scan binds the traversal source");
-        let mut visited: HashSet<u32> = HashSet::new();
-        visited.insert(s.raw());
-        let mut frontier: Vec<u32> = vec![s.raw()];
-        let mut s_refound = false;
-        for level in 1..=vl.max {
-            if frontier.is_empty() {
-                break;
-            }
-            let (candidates, s_hit) =
-                expand_frontier_parallel(ctx, &vl, s, &frontier, &visited, pool);
-            let s_new = s_hit && !s_refound;
-            record_hop(
-                ctx,
-                level,
-                frontier.len(),
-                visited.len(),
-                &candidates,
-                s_new,
-            );
-            if level >= vl.min {
-                // Same invariant as `stream_first_ei`: `deliver` breaks
-                // out before `*sent` reaches `limit`.
-                if *sent >= limit {
-                    return ControlFlow::Break(());
-                }
-                let remaining = limit - *sent;
-                let emission = vl_emission(&candidates, s, s_new);
-                let size =
-                    aplus_runtime::scan_morsel_size(emission.len(), pool.threads(), VL_MORSEL_CAP);
-                let base: &Row = row;
-                let emission = &emission;
-                let mut flow = ControlFlow::Continue(());
-                pool.map_ranges(
-                    emission.len(),
-                    size,
-                    merge_window(pool),
-                    |r: Range<usize>, exit| {
-                        ctx.note_morsel();
-                        let mut w = base.clone();
-                        let mut buf: Vec<RawRow> = Vec::new();
-                        let mut on_row = |rr: &Row| buffer_row(&mut buf, rr, remaining, exit);
-                        for &t in &emission[r] {
-                            if emit_vl_target(ctx, plan, 1, &vl, VertexId(t), &mut w, &mut on_row)
-                                .is_break()
-                            {
-                                break;
-                            }
-                        }
-                        buf
-                    },
-                    |buf| {
-                        let f = deliver(buf, sent, limit, sink);
-                        if f.is_break() {
-                            ctx.note_early_exit(plan.ops.len());
-                            flow = ControlFlow::Break(());
-                        }
-                        f
-                    },
-                );
-                if flow.is_break() {
-                    return ControlFlow::Break(());
-                }
-            }
-            s_refound |= s_hit;
-            visited.extend(candidates.iter().copied());
-            frontier = candidates;
-        }
-        ControlFlow::Continue(())
-    });
 }
 
 /// Fetches an E/I operator's adjacency lists for the current row; `None`
@@ -1266,49 +929,18 @@ fn run_op(
     };
     match op {
         Operator::ScanVertices { var, label, preds } => {
-            exec_scan_vertices(ctx, plan, depth, *var, *label, preds, row, on_row)
+            let range = vertex_scan_range(ctx, preds, *var);
+            scan_vertices_range(ctx, depth, *var, *label, preds, range, row, &mut |row| {
+                run_op(ctx, plan, depth + 1, row, on_row)
+            })
         }
-        Operator::ScanEdges {
-            edge_var,
-            src_var,
-            dst_var,
-            label,
-            src_label,
-            dst_label,
-            preds,
-        } => exec_scan_edges_range(
-            ctx,
-            plan,
-            depth,
-            ScanEdgesVars {
-                edge_var: *edge_var,
-                src_var: *src_var,
-                dst_var: *dst_var,
-                label: *label,
-                src_label: *src_label,
-                dst_label: *dst_label,
-            },
-            preds,
-            0..ctx.graph.edge_count(),
-            row,
-            on_row,
-        ),
-        Operator::ExtendIntersect {
-            target,
-            target_label,
-            alds,
-            residual,
-        } => exec_extend_intersect(
-            ctx,
-            plan,
-            depth,
-            *target,
-            *target_label,
-            alds,
-            residual,
-            row,
-            on_row,
-        ),
+        Operator::ScanEdges { .. } => {
+            let range = 0..ctx.graph.edge_count();
+            exec_scan_edges_range(ctx, plan, depth, op, range, row, on_row)
+        }
+        Operator::ExtendIntersect { .. } => {
+            exec_extend_intersect(ctx, plan, depth, &ei_op(op), row, on_row)
+        }
         Operator::MultiExtend { targets, residual } => {
             exec_multi_extend(ctx, plan, depth, targets, residual, row, on_row)
         }
@@ -1326,9 +958,8 @@ fn run_op(
 }
 
 /// An ID-equality predicate that pins the scanned vertex directly (the
-/// `a1.ID = v5` fast path). Such scans are single-vertex and therefore not
-/// worth partitioning into morsels.
-pub(crate) fn pinned_vertex(preds: &[QueryPredicate], var: usize) -> Option<VertexId> {
+/// `a1.ID = v5` fast path).
+fn pinned_vertex(preds: &[QueryPredicate], var: usize) -> Option<VertexId> {
     preds.iter().find_map(|p| match (p.lhs, p.op, p.rhs) {
         (QueryOperand::VertexIdOf(v), CmpOp::Eq, QueryOperand::Const(c))
             if v == var && p.rhs_add == 0 =>
@@ -1339,52 +970,31 @@ pub(crate) fn pinned_vertex(preds: &[QueryPredicate], var: usize) -> Option<Vert
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_scan_vertices(
-    ctx: ExecContext<'_>,
-    plan: &Plan,
-    depth: usize,
-    var: usize,
-    label: Option<aplus_common::VertexLabelId>,
-    preds: &[QueryPredicate],
-    row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
-) -> ControlFlow<()> {
+/// The vertex IDs a scan of `var` has to visit: the single pinned ID, or
+/// every vertex. A pinned scan is a one-ID range, so it is never worth
+/// partitioning into morsels.
+fn vertex_scan_range(ctx: ExecContext<'_>, preds: &[QueryPredicate], var: usize) -> Range<usize> {
     match pinned_vertex(preds, var) {
-        Some(v) => {
-            if v.index() < ctx.graph.vertex_count() {
-                let stats = ctx.prof_level(depth);
-                let mut emit = 0u64;
-                let flow = visit_vertex(ctx, var, label, preds, v, row, &mut |row| {
-                    emit += 1;
-                    run_op(ctx, plan, depth + 1, row, on_row)
-                });
-                if let Some(s) = stats {
-                    s.record(0, 1, emit);
-                }
-                flow?;
-            }
-            ControlFlow::Continue(())
-        }
-        None => {
-            let n = ctx.graph.vertex_count();
-            exec_scan_vertices_range(ctx, plan, depth, var, label, preds, 0..n, row, on_row)
-        }
+        Some(v) => v.index()..v.index().saturating_add(1),
+        None => 0..ctx.graph.vertex_count(),
     }
 }
 
-/// The vertex scan restricted to IDs in `range` (a morsel, or everything).
+/// The vertex scan restricted to IDs in `range` (a morsel, a pinned ID, or
+/// everything): binds each vertex passing the label + predicate checks and
+/// runs the continuation `k` — the rest of the pipeline, a root-binding
+/// consumer of the first-level strategies, or the block engine's root
+/// collector.
 #[allow(clippy::too_many_arguments)]
-fn exec_scan_vertices_range(
+pub(crate) fn scan_vertices_range(
     ctx: ExecContext<'_>,
-    plan: &Plan,
     depth: usize,
     var: usize,
     label: Option<aplus_common::VertexLabelId>,
     preds: &[QueryPredicate],
     range: Range<usize>,
     row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
+    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let stats = ctx.prof_level(depth);
     let (mut cand, mut emit) = (0u64, 0u64);
@@ -1393,7 +1003,7 @@ fn exec_scan_vertices_range(
         cand += 1;
         let f = visit_vertex(ctx, var, label, preds, vid(raw), row, &mut |row| {
             emit += 1;
-            run_op(ctx, plan, depth + 1, row, on_row)
+            k(row)
         });
         if f.is_break() {
             flow = ControlFlow::Break(());
@@ -1407,9 +1017,8 @@ fn exec_scan_vertices_range(
 }
 
 /// Binds `v` to the scan variable if it passes the label + predicate
-/// checks, then runs the continuation `k` (the rest of the pipeline, or a
-/// root-binding consumer for first-E/I partitioned execution).
-pub(crate) fn visit_vertex(
+/// checks, then runs the continuation `k`.
+fn visit_vertex(
     ctx: ExecContext<'_>,
     var: usize,
     label: Option<aplus_common::VertexLabelId>,
@@ -1434,62 +1043,55 @@ pub(crate) fn visit_vertex(
     flow
 }
 
-/// The non-predicate bindings of a `ScanEdges` operator, grouped so the
-/// range-driven scan stays under the argument-count lint.
-#[derive(Clone, Copy)]
-struct ScanEdgesVars {
-    edge_var: usize,
-    src_var: usize,
-    dst_var: usize,
-    label: Option<aplus_common::EdgeLabelId>,
-    src_label: Option<aplus_common::VertexLabelId>,
-    dst_label: Option<aplus_common::VertexLabelId>,
-}
-
-/// The edge scan restricted to IDs in `range` (a morsel, or everything).
-#[allow(clippy::too_many_arguments)]
+/// The edge scan `op` restricted to IDs in `range` (a morsel, or
+/// everything).
 fn exec_scan_edges_range(
     ctx: ExecContext<'_>,
     plan: &Plan,
     depth: usize,
-    vars: ScanEdgesVars,
-    preds: &[QueryPredicate],
+    op: &Operator,
     range: Range<usize>,
     row: &mut Row,
     on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
+    let Operator::ScanEdges {
+        edge_var,
+        src_var,
+        dst_var,
+        label,
+        src_label,
+        dst_label,
+        preds,
+    } = op
+    else {
+        unreachable!("caller matched a ScanEdges")
+    };
     let stats = ctx.prof_level(depth);
     let (mut cand, mut emit) = (0u64, 0u64);
     let mut out = ControlFlow::Continue(());
     for (e, s, d, l) in ctx.graph.edges_in(range) {
         cand += 1;
-        if vars.label.is_some_and(|want| want != l) {
+        if label.is_some_and(|want| want != l) {
             continue;
         }
-        if vars
-            .src_label
-            .is_some_and(|want| ctx.graph.vertex_label(s) != Ok(want))
-        {
+        if src_label.is_some_and(|want| !ctx.graph.vertex_label(s).is_ok_and(|l| l == want)) {
             continue;
         }
-        if vars
-            .dst_label
-            .is_some_and(|want| ctx.graph.vertex_label(d) != Ok(want))
-        {
+        if dst_label.is_some_and(|want| !ctx.graph.vertex_label(d).is_ok_and(|l| l == want)) {
             continue;
         }
-        row.bind_edge(vars.edge_var, e);
-        row.bind_vertex(vars.src_var, s);
-        row.bind_vertex(vars.dst_var, d);
+        row.bind_edge(*edge_var, e);
+        row.bind_vertex(*src_var, s);
+        row.bind_vertex(*dst_var, d);
         let flow = if preds.iter().all(|p| p.eval(ctx.graph, row)) {
             emit += 1;
             run_op(ctx, plan, depth + 1, row, on_row)
         } else {
             ControlFlow::Continue(())
         };
-        row.unbind_edge(vars.edge_var);
-        row.unbind_vertex(vars.src_var);
-        row.unbind_vertex(vars.dst_var);
+        row.unbind_edge(*edge_var);
+        row.unbind_vertex(*src_var);
+        row.unbind_vertex(*dst_var);
         if flow.is_break() {
             out = ControlFlow::Break(());
             break;
@@ -1809,15 +1411,11 @@ fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn exec_extend_intersect(
     ctx: ExecContext<'_>,
     plan: &Plan,
     depth: usize,
-    target: usize,
-    target_label: Option<aplus_common::VertexLabelId>,
-    alds: &[Ald],
-    residual: &[QueryPredicate],
+    ei: &EiOp<'_>,
     row: &mut Row,
     on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
@@ -1826,31 +1424,24 @@ fn exec_extend_intersect(
     // leapfrog.
     let stats = ctx.prof_level(depth);
     if let Some(s) = stats {
-        s.record(alds.len() as u64, 0, 0);
+        s.record(ei.alds.len() as u64, 0, 0);
     }
-    let Some(lists) = fetch_ei_lists(ctx, alds, row) else {
+    let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
         return ControlFlow::Continue(());
     };
     let range = 0..lists[0].len();
-    ei_over_lists(
-        ctx,
-        target,
-        target_label,
-        &lists,
-        range,
-        residual,
-        row,
-        stats,
-        &mut |row| run_op(ctx, plan, depth + 1, row, on_row),
-    )
+    ei_over_lists(ctx, ei, &lists, range, row, stats, &mut |row| {
+        run_op(ctx, plan, depth + 1, row, on_row)
+    })
 }
 
-/// Runs an E/I over pre-fetched lists with the *first* list restricted to
-/// the position `range` — the unit of first-level partitioned execution.
-/// Because list 0 is neighbour-sorted (intersections) or arbitrary but
-/// positionally stable (single-list extends), concatenating the outputs of
-/// contiguous ranges in order reproduces the unrestricted output exactly,
-/// even when a range boundary splits a run of parallel edges.
+/// Runs the E/I `ei` over pre-fetched lists with the *first* list
+/// restricted to the position `range` — the unit of first-level
+/// partitioned execution. Because list 0 is neighbour-sorted
+/// (intersections) or arbitrary but positionally stable (single-list
+/// extends), concatenating the outputs of contiguous ranges in order
+/// reproduces the unrestricted output exactly, even when a range boundary
+/// splits a run of parallel edges.
 ///
 /// The continuation `k` runs per produced binding with the target vertex
 /// and all edge variables bound (and is unwound before the next binding).
@@ -1864,32 +1455,18 @@ fn exec_extend_intersect(
 /// candidates examined — single-list entries scanned, or leapfrog head
 /// groups considered — and bindings emitted, accumulated in locals and
 /// flushed with one atomic add per call.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn ei_over_lists(
     ctx: ExecContext<'_>,
-    target: usize,
-    target_label: Option<aplus_common::VertexLabelId>,
+    ei: &EiOp<'_>,
     lists: &[BoundList<'_>],
     range: Range<usize>,
-    residual: &[QueryPredicate],
     row: &mut Row,
     stats: Option<&LevelStats>,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let mut cand = 0u64;
     let mut emit = 0u64;
-    let flow = ei_over_lists_counted(
-        ctx,
-        target,
-        target_label,
-        lists,
-        range,
-        residual,
-        row,
-        &mut cand,
-        &mut emit,
-        k,
-    );
+    let flow = ei_over_lists_counted(ctx, ei, lists, range, row, &mut cand, &mut emit, k);
     if let Some(s) = stats {
         s.record(0, cand, emit);
     }
@@ -1899,18 +1476,21 @@ pub(crate) fn ei_over_lists(
 #[allow(clippy::too_many_arguments)]
 fn ei_over_lists_counted(
     ctx: ExecContext<'_>,
-    target: usize,
-    target_label: Option<aplus_common::VertexLabelId>,
+    ei: &EiOp<'_>,
     lists: &[BoundList<'_>],
     range: Range<usize>,
-    residual: &[QueryPredicate],
     row: &mut Row,
     cand: &mut u64,
     emit: &mut u64,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let label_ok =
-        |n: VertexId| target_label.is_none_or(|want| ctx.graph.vertex_label(n) == Ok(want));
+    let (target, residual) = (ei.target, ei.residual);
+    // Compares the label alone: `== Ok(want)` would compare whole
+    // `Result`s, dragging the error type's equality into the hot loop.
+    let label_ok = |n: VertexId| {
+        ei.target_label
+            .is_none_or(|want| ctx.graph.vertex_label(n).is_ok_and(|l| l == want))
+    };
     if lists.len() == 1 {
         let l = &lists[0];
         for i in range {
@@ -2116,7 +1696,9 @@ fn bind_targets_product(
     }
     let (tvar, tlabel, _) = targets[ti];
     for &(e, n) in &runs[ti] {
-        if row.uses_edge(e) || tlabel.is_some_and(|want| ctx.graph.vertex_label(n) != Ok(want)) {
+        if row.uses_edge(e)
+            || tlabel.is_some_and(|want| !ctx.graph.vertex_label(n).is_ok_and(|l| l == want))
+        {
             continue;
         }
         row.bind_vertex(tvar, n);
@@ -2144,9 +1726,56 @@ fn bind_targets_product(
 mod tests {
     use super::*;
     use crate::plan::BlockPolicy;
+    use crate::sink::VecSink;
     use aplus_core::{Direction, IndexSpec, SortKey};
     use aplus_datagen::build_financial_graph;
     use aplus_graph::PropertyEntity;
+
+    // The result shapes the tests below ask of the one driver.
+    fn count_on(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan, pool: &MorselPool) -> u64 {
+        run(ctx, query, plan, pool, Output::Count)
+    }
+
+    fn count(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan) -> u64 {
+        count_on(ctx, query, plan, &MorselPool::sequential())
+    }
+
+    /// The row-engine reference count: [`execute`]'s callbacks.
+    fn reference_count(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan) -> u64 {
+        let mut n = 0u64;
+        let _ = execute(ctx, query, plan, &mut |_| {
+            n += 1;
+            ControlFlow::Continue(())
+        });
+        n
+    }
+
+    fn stream(
+        ctx: ExecContext<'_>,
+        query: &QueryGraph,
+        plan: &Plan,
+        limit: usize,
+        pool: &MorselPool,
+        sink: &mut dyn RowSink,
+    ) {
+        run(ctx, query, plan, pool, Output::Rows { limit, sink });
+    }
+
+    fn collect_on(
+        ctx: ExecContext<'_>,
+        query: &QueryGraph,
+        plan: &Plan,
+        limit: usize,
+        pool: &MorselPool,
+    ) -> Vec<RawRow> {
+        let mut sink = VecSink::with_limit(limit);
+        stream(ctx, query, plan, limit, pool, &mut sink);
+        sink.into_rows()
+    }
+
+    fn collect(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan, limit: usize) -> Vec<RawRow> {
+        collect_on(ctx, query, plan, limit, &MorselPool::sequential())
+    }
 
     fn fixture() -> (
         aplus_graph::Graph,
@@ -2240,14 +1869,14 @@ mod tests {
         assert_eq!(count(ctx, &query, &plan), 4);
         // A pinned root scan cannot be partitioned, but its first E/I
         // level can: the parallel entry point must still answer.
-        assert_eq!(count_parallel(ctx, &query, &plan, &MorselPool::new(4)), 4);
+        assert_eq!(count_on(ctx, &query, &plan, &MorselPool::new(4)), 4);
         // And parallel collect must return the identical row sequence.
         let seq = collect(ctx, &query, &plan, usize::MAX);
         assert_eq!(seq.len(), 4);
         for threads in [1, 2, 4, 8] {
             let pool = MorselPool::new(threads);
             for limit in [0, 1, 2, 3, 4, usize::MAX] {
-                let par = collect_parallel(ctx, &query, &plan, limit, &pool);
+                let par = collect_on(ctx, &query, &plan, limit, &pool);
                 assert_eq!(
                     par,
                     seq[..limit.min(seq.len())],
@@ -2320,6 +1949,41 @@ mod tests {
         let all = collect(ctx, &query, &plan, usize::MAX);
         assert_eq!(collect(ctx, &query, &plan, 3), all[..3]);
         assert_eq!(collect(ctx, &query, &plan, 0), vec![]);
+        // Inline morsels hand rows straight to the sink, so on both engines
+        // a sink `Break` — no `LIMIT` involved — stops the morsel at its
+        // third row instead of after buffering every row.
+        for flatten in [crate::plan::FlattenPolicy::Eager, plan.block.flatten] {
+            let plan = plan.clone().with_flatten(flatten);
+            let profiler = QueryProfiler::new(plan.ops.len());
+            let profiled = ExecContext {
+                profiler: Some(&profiler),
+                ..ctx
+            };
+            let mut pushed = Vec::new();
+            let pool = MorselPool::sequential();
+            stream(profiled, &query, &plan, usize::MAX, &pool, &mut |r| {
+                pushed.push(r);
+                if pushed.len() == 3 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            assert_eq!(pushed, all[..3]);
+            let profile = profiler.finish(&plan.op_descriptions());
+            assert_eq!(profile.early_exit_level, Some(plan.ops.len()));
+            if block::use_block(&plan) {
+                assert_eq!(
+                    profile.flatten_rows, 3,
+                    "block engine flattened past the break"
+                );
+            } else {
+                assert_eq!(
+                    profile.levels[1].emitted, 3,
+                    "row engine ran past the break"
+                );
+            }
+        }
     }
 
     /// Parallel collect (root-partitioned and streamed) returns the
@@ -2391,7 +2055,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let pool = MorselPool::new(threads);
             for limit in [1, 5, seq.len(), usize::MAX] {
-                let par = collect_parallel(ctx, &query, &plan, limit, &pool);
+                let par = collect_on(ctx, &query, &plan, limit, &pool);
                 assert_eq!(par, seq[..limit.min(seq.len())], "{threads}t limit {limit}");
                 let mut streamed = Vec::new();
                 stream(ctx, &query, &plan, limit, &pool, &mut |r: RawRow| {
@@ -2494,7 +2158,7 @@ mod tests {
         // Morsel-driven execution must agree at every thread count.
         for threads in [1, 2, 4, 8] {
             assert_eq!(
-                count_parallel(ctx, &query, &plan, &MorselPool::new(threads)),
+                count_on(ctx, &query, &plan, &MorselPool::new(threads)),
                 wcoj,
                 "parallel count diverged at {threads} threads"
             );
@@ -2920,19 +2584,19 @@ mod tests {
             let ctx = ExecContext::new(db.graph(), db.store());
             assert_eq!(
                 count(ctx, &bound, &plan),
-                count_rows(ctx, &bound, &row_plan),
+                reference_count(ctx, &bound, &row_plan),
                 "{q}"
             );
             for threads in [1, 2, 4] {
                 let pool = MorselPool::new(threads);
                 assert_eq!(
-                    count_parallel(ctx, &bound, &plan, &pool),
-                    count_rows(ctx, &bound, &row_plan),
+                    count_on(ctx, &bound, &plan, &pool),
+                    reference_count(ctx, &bound, &row_plan),
                     "{q} threads={threads}"
                 );
                 for limit in [0, 1, 3, usize::MAX] {
                     assert_eq!(
-                        collect_parallel(ctx, &bound, &plan, limit, &pool),
+                        collect_on(ctx, &bound, &plan, limit, &pool),
                         collect(ctx, &bound, &row_plan, limit),
                         "{q} threads={threads} limit={limit}"
                     );

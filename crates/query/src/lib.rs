@@ -25,13 +25,14 @@
 //!   collecting `VecSink`, and the bounded blocking `row_channel` for
 //!   draining a stream on another thread.
 //!
-//! Query execution is morsel-driven: the root scan (or, for pinned/skewed
-//! roots, the first E/I level's adjacency lists) partitions into ranges
-//! executed on an [`aplus_runtime::MorselPool`] (work-stealing, scoped
-//! threads), with per-worker operator state and a deterministic
-//! morsel-order merge — counts *and* collected/streamed row sequences are
-//! bit-identical at every thread count, including under `LIMIT` (which
-//! exits early on every path).
+//! Query execution is morsel-driven and has one driver, [`exec::run`]:
+//! the root scan (or, for pinned/skewed roots, the first E/I level's
+//! adjacency lists or the first var-length level's BFS frontier)
+//! partitions into ranges executed on an [`aplus_runtime::MorselPool`]
+//! (work-stealing, scoped threads; a 1-thread pool runs inline), with
+//! per-worker operator state and a deterministic morsel-order merge —
+//! counts *and* collected/streamed row sequences are bit-identical at
+//! every thread count, including under `LIMIT` (which exits early).
 //!
 //! Supported plan shapes additionally run **block-at-a-time and
 //! factorized** ([`block`]): E/I levels extend whole blocks of bindings,
@@ -69,6 +70,7 @@ pub use aplus_obs::{
     QueryProfiler,
 };
 pub use durable::DurabilityError;
-pub use engine::{metric, Database, DatabaseWriteGuard, SharedDatabase, Snapshot};
+pub use engine::{metric, profiled, Database, DatabaseWriteGuard, SharedDatabase, Snapshot};
 pub use error::QueryError;
+pub use exec::Output;
 pub use sink::{row_channel, RawRow, RowChannelSink, RowReceiver, RowSink, TryNext, VecSink};

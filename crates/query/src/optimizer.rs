@@ -27,7 +27,7 @@ use aplus_graph::{Graph, GraphStats, PropertyEntity, PropertyKind};
 use crate::error::QueryError;
 use crate::plan::{
     Ald, BlockPolicy, FlattenPolicy, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue,
-    TraversalPolicy, DEFAULT_BLOCK_SIZE,
+    DEFAULT_BLOCK_SIZE,
 };
 use crate::query::{QueryGraph, QueryOperand, QueryPredicate};
 
@@ -327,7 +327,7 @@ impl Optimizer<'_> {
     // ----- VAR-LENGTH EXPAND extensions -------------------------------------
 
     /// Extends the bound set by one unbound vertex reachable through a
-    /// variable-length query edge: a BFS/IDDFS traversal from the bound
+    /// variable-length query edge: a BFS traversal from the bound
     /// endpoint binds the target to every vertex whose shortest walk lies
     /// within the hop bounds.
     fn extend_varlength(&self, mask: u32, partial: &Partial, best: &mut FxHashMap<u32, Partial>) {
@@ -377,7 +377,6 @@ impl Optimizer<'_> {
                     label_enforced,
                     min: vl.min,
                     max: vl.max,
-                    policy: traversal_policy(),
                     check: false,
                     residual,
                 });
@@ -1023,7 +1022,6 @@ impl Optimizer<'_> {
             label_enforced,
             min: vl.min,
             max: vl.max,
-            policy: traversal_policy(),
             check: true,
             residual: Vec::new(),
         };
@@ -1136,33 +1134,16 @@ impl Optimizer<'_> {
 
 /// Flatten placement: plans whose shape the factorized block engine
 /// supports flatten lazily at the sink ([`FlattenPolicy::AtSink`]); other
-/// shapes flatten eagerly, i.e. stay on the row engine. The block size is
-/// tunable via `APLUS_BLOCK_SIZE` (defaults to
-/// [`crate::plan::DEFAULT_BLOCK_SIZE`]; invalid or zero values fall back).
+/// shapes flatten eagerly, i.e. stay on the row engine.
 fn block_policy(ops: &[Operator]) -> BlockPolicy {
     let flatten = if crate::block::eligible(ops) {
         FlattenPolicy::AtSink
     } else {
         FlattenPolicy::Eager
     };
-    let block_size = std::env::var("APLUS_BLOCK_SIZE")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_BLOCK_SIZE);
     BlockPolicy {
         flatten,
-        block_size,
-    }
-}
-
-/// Which traversal strategy VAR-LENGTH EXPAND uses: `APLUS_TRAVERSAL=iddfs`
-/// selects iterative deepening, anything else (or unset) the BFS frontier.
-/// Mirrors the `APLUS_BLOCK_SIZE` env knob on [`BlockPolicy`].
-fn traversal_policy() -> TraversalPolicy {
-    match std::env::var("APLUS_TRAVERSAL") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("iddfs") => TraversalPolicy::Iddfs,
-        _ => TraversalPolicy::Bfs,
+        block_size: DEFAULT_BLOCK_SIZE,
     }
 }
 

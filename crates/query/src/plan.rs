@@ -229,8 +229,6 @@ pub enum Operator {
         min: u32,
         /// Maximum hops (≤ the hop cap).
         max: u32,
-        /// Frontier strategy.
-        policy: TraversalPolicy,
         /// Check mode: verify the distance between two bound vertices.
         check: bool,
         /// Residual predicates evaluated per produced match.
@@ -241,21 +239,6 @@ pub enum Operator {
         /// Predicates to evaluate.
         preds: Vec<QueryPredicate>,
     },
-}
-
-/// How a [`Operator::VarLengthExpand`] traverses: a BFS frontier (the
-/// default; morsel-parallel when the operator sits directly above a pinned
-/// root) or iterative-deepening DFS (depth-limited simple-path search per
-/// level; no frontier allocation, exponential worst case). Both produce
-/// identical rows. Selectable via the `APLUS_TRAVERSAL` environment
-/// variable (`bfs` / `iddfs`), mirroring the `BlockPolicy` knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraversalPolicy {
-    /// Level-synchronous BFS over a per-source frontier.
-    #[default]
-    Bfs,
-    /// Iterative-deepening depth-first search.
-    Iddfs,
 }
 
 /// Where intermediate results are flattened into rows.
@@ -423,7 +406,6 @@ fn op_description(op: &Operator) -> String {
             dir,
             min,
             max,
-            policy,
             check,
             residual,
             ..
@@ -432,13 +414,7 @@ fn op_description(op: &Operator) -> String {
                 Direction::Fwd => format!("v{src}-[*{min}..{max}]->v{target}"),
                 Direction::Bwd => format!("v{src}<-[*{min}..{max}]-v{target}"),
             };
-            let mut s = format!(
-                "VarLength {arrow} {}",
-                match policy {
-                    TraversalPolicy::Bfs => "bfs",
-                    TraversalPolicy::Iddfs => "iddfs",
-                }
-            );
+            let mut s = format!("VarLength {arrow} bfs");
             if let Some(l) = edge_label {
                 s.push_str(&format!(" label={l}"));
             }

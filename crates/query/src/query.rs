@@ -8,6 +8,8 @@
 //! numeric properties, inter-edge comparisons like `Pf(e1, e2)`, and
 //! vertex-ID anchors like `a1.ID = v5` / `a1.ID < 50000`).
 
+use std::sync::OnceLock;
+
 use aplus_common::{EdgeId, EdgeLabelId, PropertyId, VertexId, VertexLabelId};
 use aplus_graph::Graph;
 
@@ -24,16 +26,18 @@ pub const MAX_QUERY_VERTICES: usize = 16;
 pub const DEFAULT_HOP_CAP: u32 = 64;
 
 /// The effective hop cap: `APLUS_HOP_CAP` if set to a positive integer,
-/// otherwise [`DEFAULT_HOP_CAP`].
+/// otherwise [`DEFAULT_HOP_CAP`]. The environment is read once per
+/// process, so binding a query touches no process-global state.
 #[must_use]
 pub fn hop_cap() -> u32 {
-    match std::env::var("APLUS_HOP_CAP") {
-        Ok(v) => match v.trim().parse::<u32>() {
-            Ok(n) if n >= 1 => n,
-            _ => DEFAULT_HOP_CAP,
-        },
-        Err(_) => DEFAULT_HOP_CAP,
-    }
+    static CAP: OnceLock<u32> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        std::env::var("APLUS_HOP_CAP")
+            .ok()
+            .and_then(|v| v.trim().parse::<u32>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or(DEFAULT_HOP_CAP)
+    })
 }
 
 /// Resolved hop bounds of a variable-length query edge

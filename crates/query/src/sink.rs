@@ -3,11 +3,10 @@
 //! A [`RowSink`] consumes result rows one at a time, **in sequential result
 //! order**, without the engine materializing the full result set first —
 //! the shape a network front-end needs to stream rows to a client. Sinks
-//! plug into [`crate::exec::stream`] / `Database::stream` /
-//! `SharedDatabase::stream`; the executor feeds them identically from the
-//! sequential path and from morsel-parallel execution (per-morsel buffers
-//! merged in morsel order), so the pushed row sequence is bit-identical at
-//! every thread count.
+//! plug into [`crate::exec::Output::Rows`] / `Database::stream` /
+//! `SharedDatabase::stream`; the executor feeds them from per-morsel
+//! buffers merged in morsel order — inline on a 1-thread pool — so the
+//! pushed row sequence is bit-identical at every thread count.
 //!
 //! Three ready-made consumers:
 //!
@@ -52,7 +51,7 @@ impl<F: FnMut(RawRow) -> ControlFlow<()>> RowSink for F {
 /// lazy flatten iterator or a morsel buffer, pulled one row at a time so
 /// nothing past the limit is ever materialized.
 ///
-/// Semantics match the sequential executor exactly: the `limit`-th row is
+/// Semantics match a row-at-a-time `LIMIT` exactly: the `limit`-th row is
 /// still delivered, then `Break` is returned; a sink `Break` stops
 /// immediately. Degenerate limits are safe: `limit == 0` delivers nothing
 /// (checked *before* the first push), and `sent` saturates instead of

@@ -16,6 +16,8 @@ use aplus_core::{IndexSpec, PartitionKey, SortKey};
 use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
 use aplus_query::{Database, FlattenPolicy, MorselPool, RawRow};
 
+mod common;
+
 const N: u32 = 24;
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -236,6 +238,10 @@ proptest! {
                 );
                 let factorized = db.count_prepared_parallel(&bound, &plan, &pool);
                 prop_assert_eq!(factorized, flattened, "count: query {} threads {}", q, t);
+            }
+            // Block boundaries inside first-E/I sub-blocks and root blocks.
+            for block_size in BLOCK_SIZES {
+                common::assert_one_driver(&db, q, block_size)?;
             }
         }
     }

@@ -21,7 +21,10 @@ use aplus_core::store::IndexDirections;
 use aplus_core::view::OneHopView;
 use aplus_core::{IndexSpec, PartitionKey, SortKey, ViewPredicate};
 use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
-use aplus_query::{Database, FlattenPolicy, MorselPool, RawRow};
+use aplus_query::{Database, FlattenPolicy, MorselPool, RawRow, DEFAULT_BLOCK_SIZE};
+
+mod common;
+use common::{collect_on, count_on};
 
 const N: u32 = 24;
 
@@ -81,7 +84,7 @@ fn drain_stream(db: &Database, q: &str, limit: usize, pool: &MorselPool) -> Vec<
 }
 
 /// Asserts every result path agrees row-for-row at every thread count:
-/// sequential `collect` == `collect_parallel` == drained `RowSink` ==
+/// sequential `collect` == parallel collect == drained `RowSink` ==
 /// the row engine pinned via [`FlattenPolicy::Eager`]. Since the default
 /// plan runs the factorized block engine wherever its shape is supported,
 /// this is also the block-vs-row differential.
@@ -91,11 +94,11 @@ fn assert_differential(db: &Database, q: &str, limit: usize) -> Result<(), TestC
     let row_plan = plan.with_flatten(FlattenPolicy::Eager);
     for t in THREADS {
         let pool = MorselPool::new(t);
-        let par = db.collect_parallel(q, limit, &pool).unwrap();
+        let par = collect_on(db, q, limit, &pool);
         prop_assert_eq!(
             &par,
             &seq,
-            "collect_parallel diverged: query {} threads {} limit {}",
+            "parallel collect diverged: query {} threads {} limit {}",
             q,
             t,
             limit
@@ -180,7 +183,7 @@ proptest! {
         for q in TEMPLATES {
             let seq = db.count(q).unwrap();
             for t in THREADS {
-                let par = db.count_parallel(q, &MorselPool::new(t)).unwrap();
+                let par = count_on(&db, q, &MorselPool::new(t));
                 prop_assert_eq!(par, seq, "config {} query {} threads {}", config, q, t);
             }
         }
@@ -221,7 +224,7 @@ proptest! {
         }
         for (q, &expect) in TEMPLATES.iter().zip(&reference) {
             for t in THREADS {
-                let par = db.count_parallel(q, &MorselPool::new(t)).unwrap();
+                let par = count_on(&db, q, &MorselPool::new(t));
                 prop_assert_eq!(par, expect, "query {} threads {}", q, t);
             }
         }
@@ -256,6 +259,8 @@ proptest! {
         let limit = if limit_raw >= 150 { usize::MAX } else { limit_raw };
         for q in TEMPLATES {
             assert_differential(&db, q, limit)?;
+            // Vertex- and edge-scan root ranges, on both engine pins.
+            common::assert_one_driver(&db, q, DEFAULT_BLOCK_SIZE)?;
         }
     }
 
@@ -274,10 +279,12 @@ proptest! {
         for q in PINNED_TEMPLATES {
             let seq_count = db.count(q).unwrap();
             for t in THREADS {
-                let par = db.count_parallel(q, &MorselPool::new(t)).unwrap();
+                let par = count_on(&db, q, &MorselPool::new(t));
                 prop_assert_eq!(par, seq_count, "count: query {} threads {}", q, t);
             }
             assert_differential(&db, q, limit)?;
+            // Pinned first-E/I, on both engine pins.
+            common::assert_one_driver(&db, q, DEFAULT_BLOCK_SIZE)?;
         }
     }
 }

@@ -19,7 +19,10 @@ use proptest::prelude::*;
 
 use aplus_core::{IndexSpec, PartitionKey, SortKey};
 use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
-use aplus_query::{Database, MorselPool, RawRow};
+use aplus_query::{Database, MorselPool, RawRow, DEFAULT_BLOCK_SIZE};
+
+mod common;
+use common::{collect_on, count_on};
 
 const N: u32 = 20;
 
@@ -159,11 +162,11 @@ fn assert_parallel_identical(db: &Database, q: &str, limit: usize) -> Result<(),
     let seq = db.collect(q, limit).unwrap();
     for t in THREADS {
         let pool = MorselPool::new(t);
-        let par = db.collect_parallel(q, limit, &pool).unwrap();
+        let par = collect_on(db, q, limit, &pool);
         prop_assert_eq!(
             &par,
             &seq,
-            "collect_parallel diverged: query {} threads {} limit {}",
+            "parallel collect diverged: query {} threads {} limit {}",
             q,
             t,
             limit
@@ -222,7 +225,7 @@ proptest! {
             let seq = db.count(q).unwrap();
             prop_assert_eq!(seq, expect.len() as u64, "count: config {} query {}", config, q);
             for t in THREADS {
-                let par = db.count_parallel(q, &MorselPool::new(t)).unwrap();
+                let par = count_on(&db, q, &MorselPool::new(t));
                 prop_assert_eq!(par, seq, "config {} query {} threads {}", config, q, t);
             }
         }
@@ -249,7 +252,7 @@ proptest! {
             let got = db.count(q).unwrap();
             prop_assert_eq!(got, expect.len() as u64, "config {} query {}", config, q);
             for t in THREADS {
-                let par = db.count_parallel(q, &MorselPool::new(t)).unwrap();
+                let par = count_on(&db, q, &MorselPool::new(t));
                 prop_assert_eq!(par, got, "config {} query {} threads {}", config, q, t);
             }
         }
@@ -270,6 +273,7 @@ proptest! {
         let limit = if limit_raw >= 150 { usize::MAX } else { limit_raw };
         for (q, _, _, _) in templates() {
             assert_parallel_identical(&db, q, limit)?;
+            common::assert_one_driver(&db, q, DEFAULT_BLOCK_SIZE)?;
         }
         // A backward var-length pattern matches the forward reference.
         // The binder interns vertices in edge (src, dst) order, so slot 0
@@ -314,10 +318,12 @@ proptest! {
             let seq = db.count(q).unwrap();
             prop_assert_eq!(seq, expect.len() as u64, "query {}", q);
             for t in THREADS {
-                let par = db.count_parallel(q, &MorselPool::new(t)).unwrap();
+                let par = count_on(&db, q, &MorselPool::new(t));
                 prop_assert_eq!(par, seq, "query {} threads {}", q, t);
             }
             assert_parallel_identical(&db, q, limit)?;
+            // Pinned first-var-length: frontier + emission partitioning.
+            common::assert_one_driver(&db, q, DEFAULT_BLOCK_SIZE)?;
         }
     }
 
@@ -342,7 +348,7 @@ proptest! {
         let q = "MATCH a-[:E*1..2]->b-[s:F]->c";
         prop_assert_eq!(db.count(q).unwrap(), expect, "query {}", q);
         for t in THREADS {
-            let par = db.count_parallel(q, &MorselPool::new(t)).unwrap();
+            let par = count_on(&db, q, &MorselPool::new(t));
             prop_assert_eq!(par, expect, "query {} threads {}", q, t);
         }
         assert_parallel_identical(&db, q, usize::MAX)?;

@@ -327,16 +327,6 @@ impl MorselPool {
         self.run(morsels, |m| task(m * size..((m + 1) * size).min(total)))
     }
 
-    /// Range-partitioned sum: each morsel produces a per-worker partial
-    /// count, merged in morsel order. Because the merge order is fixed, the
-    /// result is bit-identical to the sequential fold at any thread count.
-    pub fn sum_ranges<F>(&self, total: usize, morsel_size: usize, task: F) -> u64
-    where
-        F: Fn(Range<usize>) -> u64 + Sync,
-    {
-        self.run_ranges(total, morsel_size, task).into_iter().sum()
-    }
-
     /// Order-preserving streaming map over contiguous ranges of `0..total`,
     /// with a bounded in-flight window and cooperative early exit.
     ///
@@ -623,16 +613,6 @@ mod tests {
             assert_eq!(w[0].end, w[1].start);
         }
         assert!(ranges.iter().all(|r| r.len() <= 64 && !r.is_empty()));
-    }
-
-    #[test]
-    fn sum_ranges_matches_sequential_fold() {
-        let expect: u64 = (0..10_000u64).sum();
-        for threads in [1, 2, 4, 7] {
-            let pool = MorselPool::new(threads);
-            let got = pool.sum_ranges(10_000, 97, |r| r.map(|i| i as u64).sum());
-            assert_eq!(got, expect, "{threads} threads");
-        }
     }
 
     #[test]

@@ -46,6 +46,10 @@ fn every_request_type_round_trips() {
         direct.collect(TWO_HOP, usize::MAX).unwrap(),
         "streamed rows arrive in collect order"
     );
+    // `limit == 0` reaches the one driver's guard through both row verbs:
+    // a well-formed, empty answer.
+    assert_eq!(client.collect(TWO_HOP, 0).unwrap(), vec![]);
+    assert_eq!(client.stream_collect(TWO_HOP, 0).unwrap(), vec![]);
 
     // DDL + the dedicated reconfigure request.
     let outcome = client

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use aplus::datagen::presets::{build_preset, DatasetPreset};
 use aplus::datagen::properties::{add_fraud_properties, amount_alpha_for_selectivity};
-use aplus::Database;
+use aplus::{Database, MorselPool};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut graph = build_preset(DatasetPreset::BerkStan, 400, 1, 1);
@@ -101,7 +101,7 @@ fn run(db: &Database, name: &str, q: &str) -> Result<(), Box<dyn std::error::Err
     let (bound, plan) = db.prepare(q)?;
     println!("{name} plan:\n{plan}");
     let t = Instant::now();
-    let n = db.count_prepared(&bound, &plan);
+    let n = db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential());
     println!("{name}: {n} matches in {:?}", t.elapsed());
     Ok(())
 }

@@ -30,7 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (vs, _) in &rings {
         println!("  account {}", vs[0]);
     }
-    assert_eq!(rings.len() as u64, fin.count_prepared(&bound, &plan));
+    assert_eq!(
+        rings.len() as u64,
+        fin.count_prepared_parallel(&bound, &plan, &MorselPool::sequential())
+    );
 
     // --- A scaled web graph: rings + reachability, in parallel. ---
     let db = Database::new(build_preset(DatasetPreset::BerkStan, 400, 1, 1))?;
@@ -43,7 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let ring_q = "MATCH a-[:E0*2..4]->a";
     let t = Instant::now();
-    let n_rings = db.count_parallel(ring_q, &pool)?;
+    let (bound, plan) = db.prepare(ring_q)?;
+    let n_rings = db.count_prepared_parallel(&bound, &plan, &pool);
     println!(
         "{ring_q}\n  -> {n_rings} ring vertices in {:?}",
         t.elapsed()
@@ -53,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Pinned root: the BFS frontier itself partitions across the pool.
     let reach_q = "MATCH a-[:E0*1..4]->b WHERE a.ID = 0";
     let t = Instant::now();
-    let reached = db.collect_parallel(reach_q, usize::MAX, &pool)?;
+    let (bound, plan) = db.prepare(reach_q)?;
+    let reached = db.collect_prepared_parallel(&bound, &plan, usize::MAX, &pool);
     println!(
         "{reach_q}\n  -> {} vertices within 4 hops of vertex 0 in {:?}",
         reached.len(),

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use aplus::datagen::presets::{build_preset, DatasetPreset};
 use aplus::datagen::properties::{add_magicrecs_properties, time_threshold_for_selectivity};
-use aplus::Database;
+use aplus::{Database, MorselPool};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut graph = build_preset(DatasetPreset::WikiTopcats, 400, 1, 1);
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(plan.uses_index("VPt"), "plan should read VPt:\n{plan}");
     println!("{plan}");
     let t = Instant::now();
-    let tuned = db.count_prepared(&bound, &plan);
+    let tuned = db.count_prepared_parallel(&bound, &plan, &MorselPool::sequential());
     let tuned_time = t.elapsed();
     println!("MR2: {tuned} matches in {tuned_time:?}");
     assert_eq!(base, tuned, "index choice must not change results");

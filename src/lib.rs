@@ -51,10 +51,11 @@
 //! Queries execute morsel-parallel (the root scan — or the first E/I
 //! level, for pinned/skewed roots — partitions into ranges executed on a
 //! work-stealing pool; `APLUS_THREADS` overrides the worker count) with
-//! counts and row sequences bit-identical at every thread count:
-//! `collect_parallel` concatenates per-morsel buffers in morsel order,
-//! and `stream` pushes rows into a [`RowSink`] (e.g. the bounded
-//! [`row_channel`]) without materializing the result. [`SharedDatabase`]
+//! counts and row sequences bit-identical at every thread count: one
+//! driver (`Database::run`) merges per-morsel counts or row buffers in
+//! morsel order, so `collect` gathers and `stream` pushes rows into a
+//! [`RowSink`] (e.g. the bounded [`row_channel`]) without materializing
+//! the result. [`SharedDatabase`]
 //! publishes immutable database [`Snapshot`]s under epoch-based
 //! versioning: readers pin the current snapshot and **never block behind
 //! writers** (not even a full `RECONFIGURE` rebuild), while writes batch

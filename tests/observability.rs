@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use aplus::common::VertexId;
 use aplus::datagen::{build_financial_graph, generate, GeneratorConfig};
-use aplus::query::{metric, FlattenPolicy};
+use aplus::query::{metric, profiled, FlattenPolicy, Output};
 use aplus::{Database, DurabilityConfig, FsyncPolicy, MorselPool, SharedDatabase};
 
 const WIRES: &str = "MATCH a-[r:W]->b";
@@ -133,10 +133,8 @@ fn profile_merge_is_deterministic_across_thread_counts() {
     let query = "MATCH a1-[e1]->a2, a2-[e2]->a3";
     let baseline = db.profile_count(query).expect("query valid");
     for threads in [1usize, 2, 4] {
-        let pool = MorselPool::new(threads);
-        let (n, profile) = db
-            .profile_count_parallel(query, &pool)
-            .expect("query valid");
+        let shared = SharedDatabase::with_pool(db.clone(), MorselPool::new(threads));
+        let (n, profile) = shared.profile_count(query).expect("query valid");
         assert_eq!(n, baseline.0);
         assert_eq!(
             profile.deterministic_view(),
@@ -180,10 +178,8 @@ fn var_length_profiles_report_thread_invariant_hop_stats() {
     assert!(rendered.contains("hop1 frontier="), "{rendered}");
 
     for threads in [1usize, 2, 4] {
-        let pool = MorselPool::new(threads);
-        let (pn, profile) = db
-            .profile_count_parallel(query, &pool)
-            .expect("query valid");
+        let shared = SharedDatabase::with_pool(db.clone(), MorselPool::new(threads));
+        let (pn, profile) = shared.profile_count(query).expect("query valid");
         assert_eq!(pn, n);
         assert_eq!(
             profile.hops, baseline.hops,
@@ -202,10 +198,8 @@ fn var_length_profiles_report_thread_invariant_hop_stats() {
     assert_eq!(seq_rows.len(), limit);
     assert!(!seq_limited.hops.is_empty());
     for threads in [2usize, 4] {
-        let pool = MorselPool::new(threads);
-        let (rows, limited) = db
-            .profile_collect_parallel(pinned, limit, &pool)
-            .expect("query valid");
+        let shared = SharedDatabase::with_pool(db.clone(), MorselPool::new(threads));
+        let (rows, limited) = shared.profile_collect(pinned, limit).expect("query valid");
         assert_eq!(rows, seq_rows, "thread count {threads}");
         assert_eq!(
             limited.hops, seq_limited.hops,
@@ -264,9 +258,13 @@ fn profiles_distinguish_block_and_row_engines() {
     let (bound, plan) = db.prepare(query).expect("plan");
     let row_plan = plan.clone().with_flatten(FlattenPolicy::Eager);
     let pool = MorselPool::new(2);
-    let (bn, block) = db.profile_count_prepared_parallel(&bound, &plan, &pool);
-    let (rn, row) = db.profile_count_prepared_parallel(&bound, &row_plan, &pool);
-    assert_eq!(bn, rn, "engines must agree on the count");
+    let profile = |plan| {
+        profiled(plan, |p| {
+            db.run(&bound, plan, &pool, Some(p), Output::Count)
+        })
+    };
+    let (block, row) = (profile(&plan), profile(&row_plan));
+    assert_eq!(block.rows, row.rows, "engines must agree on the count");
     assert_eq!(block.engine, "block");
     assert_eq!(row.engine, "row");
     assert!(block.blocks > 0, "block engine processes blocks");

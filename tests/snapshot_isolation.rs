@@ -31,7 +31,7 @@ fn shared_db() -> SharedDatabase {
 fn stream_overlapping_reconfigure_pins_the_pre_rebuild_snapshot() {
     let shared = shared_db();
     let expect = shared.collect(WIRES_QUERY, usize::MAX).unwrap();
-    let spec_before = shared.read().store().primary().spec().clone();
+    let spec_before = shared.snapshot().store().primary().spec().clone();
 
     // A capacity-1 channel guarantees the producing query is still
     // running (blocked on back-pressure) while the writers commit.
@@ -222,15 +222,14 @@ fn pinned_snapshot_results_are_bit_identical_across_pool_sizes_under_churn() {
 
         for threads in [1, 2, 4] {
             let pool = MorselPool::new(threads);
+            let (bound, plan) = snapshot.prepare(WIRES_QUERY).unwrap();
             assert_eq!(
-                snapshot.count_parallel(WIRES_QUERY, &pool).unwrap(),
+                snapshot.count_prepared_parallel(&bound, &plan, &pool),
                 sequential.len() as u64,
                 "count at {threads} threads"
             );
             assert_eq!(
-                snapshot
-                    .collect_parallel(WIRES_QUERY, usize::MAX, &pool)
-                    .unwrap(),
+                snapshot.collect_prepared_parallel(&bound, &plan, usize::MAX, &pool),
                 sequential,
                 "collect at {threads} threads"
             );
