@@ -13,12 +13,13 @@ run() {
     "$@"
 }
 
-# One query driver, no planner knobs: keeps the forks and env reads that
-# `exec::run` replaced from growing back. `./ci.sh guard` runs only this
-# (the ci.yml step does).
+# One query driver, no planner knobs, no graph scan while planning, no
+# removed server knob: keeps the forks, env reads, per-query O(|E|) pass
+# and per-request stream thread that were deleted from growing back.
+# `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner"
     local bad=0 f n=0
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -35,6 +36,19 @@ guard() {
     done
     if ((n > 1)); then
         echo "guard: $n dispatches over Strategy in non-test crates/query/src (exec::run is the only one)"
+        bad=1
+    fi
+    # Planning prices from the statistics the graph maintains on its write
+    # path; a scan here would put |E| back into every request.
+    if sed '/#\[cfg(test)\]/,$d' crates/query/src/optimizer.rs |
+        grep -nE 'GraphStats::compute|graph\.edges\(\)|graph\.vertices\(\)'; then
+        echo "guard: the optimizer must not scan the graph (read Graph's maintained statistics)"
+        bad=1
+    fi
+    if grep -rn 'stream_buffer' . \
+        --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build \
+        --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=ci.sh; then
+        echo "guard: ServerConfig::stream_buffer was removed (streams run on the connection thread)"
         bad=1
     fi
     ((bad == 0)) || exit 1

@@ -56,6 +56,13 @@ struct OffsetPage {
     buffer: Vec<IdBuffered>,
 }
 
+impl OffsetPage {
+    /// Live entries: merged minus tombstoned, plus buffered.
+    fn entry_count(&self) -> usize {
+        self.offsets.len() - self.deleted.count_ones() + self.buffer.len()
+    }
+}
+
 /// Offset lists with their own partitioning levels.
 #[derive(Debug, Clone)]
 pub struct OffsetCsr {
@@ -65,6 +72,9 @@ pub struct OffsetCsr {
     pages: Vec<OffsetPage>,
     /// Globally non-empty slots (see `NestedCsr::nonempty_slots`).
     nonempty_slots: Vec<bool>,
+    /// Live entries across all pages, kept by every mutation so the
+    /// optimizer's size estimate reads it without touching the pages.
+    entry_count: usize,
 }
 
 impl OffsetCsr {
@@ -122,6 +132,7 @@ impl OffsetCsr {
             owner_count,
             pages,
             nonempty_slots,
+            entry_count: entries.len(),
         }
     }
 
@@ -159,10 +170,15 @@ impl OffsetCsr {
     /// Live entries (merged − tombstoned + buffered).
     #[must_use]
     pub fn entry_count(&self) -> usize {
-        self.pages
-            .iter()
-            .map(|p| p.offsets.len() - p.deleted.count_ones() + p.buffer.len())
-            .sum()
+        debug_assert_eq!(
+            self.entry_count,
+            self.pages
+                .iter()
+                .map(OffsetPage::entry_count)
+                .sum::<usize>(),
+            "maintained entry count drifted from the pages"
+        );
+        self.entry_count
     }
 
     /// Extends the owner space with empty lists.
@@ -329,6 +345,7 @@ impl OffsetCsr {
             (e.merge_pos, e.slot, e.sort) <= (entry.merge_pos, entry.slot, entry.sort)
         });
         page.buffer.insert(ins, entry);
+        self.entry_count += 1;
         self.nonempty_slots[slot as usize] = true;
     }
 
@@ -350,6 +367,7 @@ impl OffsetCsr {
             .position(|b| b.owner_in_page == local && b.edge == edge)
         {
             self.pages[g].buffer.remove(i);
+            self.entry_count -= 1;
             return true;
         }
         let (_, range, ..) = self.range(owner, &[]);
@@ -361,6 +379,7 @@ impl OffsetCsr {
             if let Some((e, _)) = resolve(page.offsets.get(pos) as u32) {
                 if e == edge {
                     page.deleted.set(pos, true);
+                    self.entry_count -= 1;
                     return true;
                 }
             }
@@ -417,6 +436,7 @@ impl OffsetCsr {
                 }
             }
         }
+        self.entry_count = self.entry_count - self.pages[group].entry_count() + offsets.len();
         self.pages[group] = OffsetPage {
             slot_offsets,
             offsets,

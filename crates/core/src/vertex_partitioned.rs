@@ -48,10 +48,20 @@ struct SharedPage {
     buffer: Vec<SharedBuffered>,
 }
 
+impl SharedPage {
+    /// Live entries: merged minus tombstoned, plus buffered.
+    fn entry_count(&self) -> usize {
+        self.offsets.len() - self.deleted.count_ones() + self.buffer.len()
+    }
+}
+
 /// Shared-levels offset storage.
 #[derive(Debug, Clone, Default)]
 pub struct SharedOffsets {
     pages: Vec<SharedPage>,
+    /// Live entries across all pages, kept by every mutation so the
+    /// optimizer's size estimate reads it without touching the pages.
+    entry_count: usize,
 }
 
 /// A clean positional view into a shared page's offset array.
@@ -571,6 +581,7 @@ impl SharedOffsets {
             }
         }
         let deleted = Bitmap::with_len(offsets.len(), false);
+        self.entry_count = self.entry_count - self.pages[group].entry_count() + offsets.len();
         self.pages[group] = SharedPage {
             offsets,
             deleted,
@@ -579,10 +590,15 @@ impl SharedOffsets {
     }
 
     fn entry_count(&self) -> usize {
-        self.pages
-            .iter()
-            .map(|p| p.offsets.len() - p.deleted.count_ones() + p.buffer.len())
-            .sum()
+        debug_assert_eq!(
+            self.entry_count,
+            self.pages
+                .iter()
+                .map(SharedPage::entry_count)
+                .sum::<usize>(),
+            "maintained entry count drifted from the pages"
+        );
+        self.entry_count
     }
 
     fn list(&self, primary: &PrimaryIndex, owner: VertexId, prefix: &[u32]) -> List<'static> {
@@ -681,6 +697,7 @@ impl SharedOffsets {
             (e.merge_pos, e.slot, e.sort) <= (entry.merge_pos, entry.slot, entry.sort)
         });
         page.buffer.insert(ins, entry);
+        self.entry_count += 1;
     }
 
     fn delete(&mut self, primary: &PrimaryIndex, owner: VertexId, edge: u64) -> bool {
@@ -695,6 +712,7 @@ impl SharedOffsets {
             .position(|b| b.owner_in_page == local && b.edge == edge)
         {
             page.buffer.remove(i);
+            self.entry_count -= 1;
             return true;
         }
         let csr = primary.csr();
@@ -707,6 +725,7 @@ impl SharedOffsets {
             let (e, _) = csr.region_entry(owner.index(), off as usize);
             if e.raw() == edge {
                 page.deleted.set(pos, true);
+                self.entry_count -= 1;
                 return true;
             }
         }

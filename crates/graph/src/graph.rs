@@ -47,6 +47,13 @@ pub struct Graph {
     edge_deleted: Arc<Bitmap>,
     vertex_props: Vec<Arc<PropertyColumn>>,
     edge_props: Vec<Arc<PropertyColumn>>,
+    /// Planner statistics (§IV-A), kept by [`Graph::add_edge`] and
+    /// [`Graph::delete_edge`] — the only two topology mutation sites — so
+    /// reading them never scans: the live edge count, and the live edges
+    /// per label indexed by `EdgeLabelId`. Plain fields: a clone (a
+    /// snapshot, a COW head) carries its own copy.
+    live_edges: usize,
+    live_edges_per_label: Vec<usize>,
 }
 
 impl Graph {
@@ -82,10 +89,19 @@ impl Graph {
         self.edge_srcs.len()
     }
 
-    /// Number of live (non-deleted) edges.
+    /// Number of live (non-deleted) edges. O(1): maintained on the write
+    /// path, not counted.
     #[must_use]
     pub fn live_edge_count(&self) -> usize {
-        self.edge_count() - self.edge_deleted.count_ones()
+        self.live_edges
+    }
+
+    /// Number of live edges per edge label, indexed by `EdgeLabelId`; a
+    /// label past the end has never been used by an edge. O(1), like
+    /// [`Graph::live_edge_count`].
+    #[must_use]
+    pub fn live_edges_per_label(&self) -> &[usize] {
+        &self.live_edges_per_label
     }
 
     // ----- vertex/edge accessors -------------------------------------------
@@ -192,16 +208,28 @@ impl Graph {
         Arc::make_mut(&mut self.edge_dsts).push(dst);
         Arc::make_mut(&mut self.edge_labels).push(lid);
         Arc::make_mut(&mut self.edge_deleted).push(false);
+        self.live_edges += 1;
+        if self.live_edges_per_label.len() <= lid.index() {
+            self.live_edges_per_label.resize(lid.index() + 1, 0);
+        }
+        self.live_edges_per_label[lid.index()] += 1;
         Ok(e)
     }
 
     /// Marks edge `e` deleted (tombstone). Index maintenance reacts to this
     /// via its own tombstones (§IV-C); the edge slot is never reused.
+    /// Deleting an already-deleted edge is a no-op: the statistics move
+    /// only when the tombstone bit flips.
     pub fn delete_edge(&mut self, e: EdgeId) -> Result<(), GraphError> {
         if e.index() >= self.edge_count() {
             return Err(GraphError::EdgeOutOfRange(e.raw()));
         }
+        if self.edge_deleted.get(e.index()) {
+            return Ok(());
+        }
         Arc::make_mut(&mut self.edge_deleted).set(e.index(), true);
+        self.live_edges -= 1;
+        self.live_edges_per_label[self.edge_labels[e.index()].index()] -= 1;
         Ok(())
     }
 
@@ -472,6 +500,21 @@ mod tests {
         assert_eq!(g.edges().count(), 1);
         // Edge count (ID space) is unchanged.
         assert_eq!(g.edge_count(), 2);
+    }
+
+    #[test]
+    fn double_delete_leaves_the_statistics_alone() {
+        let mut g = sample();
+        let wire = g.catalog().edge_label("Wire").unwrap();
+        let dd = g.catalog().edge_label("DD").unwrap();
+        g.delete_edge(EdgeId(0)).unwrap();
+        g.delete_edge(EdgeId(0)).unwrap(); // already a tombstone: no-op
+        assert_eq!(g.live_edge_count(), 1);
+        assert_eq!(g.live_edges_per_label()[wire.index()], 0);
+        assert_eq!(g.live_edges_per_label()[dd.index()], 1);
+        assert_eq!(g.live_edge_count(), g.edges().count());
+        assert!(g.delete_edge(EdgeId(9)).is_err());
+        assert_eq!(g.live_edge_count(), 1, "a failed delete changes nothing");
     }
 
     #[test]

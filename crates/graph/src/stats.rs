@@ -1,6 +1,8 @@
-//! Graph statistics used for Table I reporting and by the optimizer's
-//! i-cost estimates (§IV-A: "The system's cost metric is intersection cost
-//! (i-cost), which is the total estimated sizes of the adjacency lists").
+//! Graph statistics for Table I reporting. The counts the optimizer's
+//! i-cost estimates need (§IV-A: "The system's cost metric is intersection
+//! cost (i-cost), which is the total estimated sizes of the adjacency
+//! lists") are maintained by [`Graph`] itself and read from there; only
+//! the degree maxima below need a pass over the edges.
 
 use aplus_common::EdgeLabelId;
 use aplus_common::FxHashMap;
@@ -25,20 +27,26 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes statistics with one pass over the edges.
+    /// Computes statistics: the edge counts are the graph's maintained
+    /// ones (the same integers the optimizer reads), the degree maxima
+    /// take one pass over the edges.
     #[must_use]
     pub fn compute(graph: &Graph) -> Self {
         let n = graph.vertex_count();
         let mut out_deg = vec![0usize; n];
         let mut in_deg = vec![0usize; n];
-        let mut edges_per_label: FxHashMap<EdgeLabelId, usize> = FxHashMap::default();
-        let mut m = 0usize;
-        for (_, src, dst, label) in graph.edges() {
+        for (_, src, dst, _) in graph.edges() {
             out_deg[src.index()] += 1;
             in_deg[dst.index()] += 1;
-            *edges_per_label.entry(label).or_insert(0) += 1;
-            m += 1;
         }
+        let m = graph.live_edge_count();
+        let edges_per_label: FxHashMap<EdgeLabelId, usize> = graph
+            .live_edges_per_label()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &live)| live > 0)
+            .map(|(label, &live)| (EdgeLabelId(label as u16), live))
+            .collect();
         Self {
             vertex_count: n,
             edge_count: m,
@@ -47,17 +55,6 @@ impl GraphStats {
             max_in_degree: in_deg.iter().copied().max().unwrap_or(0),
             edges_per_label,
         }
-    }
-
-    /// Average number of edges per (vertex, edge-label) list — the base
-    /// cardinality estimate for label-partitioned adjacency lists.
-    #[must_use]
-    pub fn avg_label_degree(&self, label: EdgeLabelId) -> f64 {
-        if self.vertex_count == 0 {
-            return 0.0;
-        }
-        let m = self.edges_per_label.get(&label).copied().unwrap_or(0);
-        m as f64 / self.vertex_count as f64
     }
 }
 
@@ -84,7 +81,6 @@ mod tests {
         assert!((s.avg_degree - 1.0).abs() < f64::EPSILON);
         let a = g.catalog().edge_label("A").unwrap();
         assert_eq!(s.edges_per_label[&a], 2);
-        assert!((s.avg_label_degree(a) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -100,6 +100,72 @@ proptest! {
         prop_assert_eq!(g.live_edge_count(), n_edges - deleted.len());
         prop_assert_eq!(g.edge_count(), n_edges);
     }
+
+    /// Planner statistics are maintained, not recomputed: after every
+    /// step of a random add / delete / double-delete stream over several
+    /// labels, the O(1) counts equal an independent scan — on the graph
+    /// and on a clone taken mid-stream that keeps diverging.
+    #[test]
+    fn maintained_statistics_equal_a_recount(
+        ops in proptest::collection::vec((0u8..4, 0usize..200, 0usize..5), 1..200),
+    ) {
+        let mut g = Graph::new();
+        for _ in 0..4 {
+            g.add_vertex("V");
+        }
+        let mut fork: Option<Graph> = None;
+        for (step, &(kind, pick, label)) in ops.iter().enumerate() {
+            match kind {
+                // Deletes pick among all edge IDs ever issued, so they hit
+                // live edges, tombstones (double delete) and — on an empty
+                // graph — nothing at all.
+                0 | 1 if g.edge_count() > 0 => {
+                    let e = EdgeId((pick % g.edge_count()) as u64);
+                    g.delete_edge(e).unwrap();
+                    if kind == 1 {
+                        g.delete_edge(e).unwrap();
+                    }
+                }
+                _ => {
+                    let (s, d) = (VertexId((pick % 4) as u32), VertexId((pick / 4 % 4) as u32));
+                    g.add_edge(s, d, &format!("L{label}")).unwrap();
+                }
+            }
+            prop_assert_eq!(maintained(&g), recount(&g), "step {}", step);
+            if step == ops.len() / 2 {
+                fork = Some(g.clone());
+            }
+        }
+        // The clone kept its own counters: it still matches its own scan,
+        // and writes to it never reach the original.
+        let mut fork = fork.expect("forked at the midpoint");
+        prop_assert_eq!(maintained(&fork), recount(&fork));
+        let before = maintained(&g);
+        fork.add_edge(VertexId(0), VertexId(1), "L0").unwrap();
+        fork.delete_edge(EdgeId(0)).unwrap();
+        prop_assert_eq!(maintained(&fork), recount(&fork));
+        prop_assert_eq!(maintained(&g), before);
+    }
+}
+
+/// `(live edges, live edges per label)` as the graph maintains them.
+fn maintained(g: &Graph) -> (usize, Vec<usize>) {
+    let mut per_label = g.live_edges_per_label().to_vec();
+    per_label.resize(g.catalog().edge_label_count(), 0);
+    (g.live_edge_count(), per_label)
+}
+
+/// The same numbers from a scan of the edge table.
+fn recount(g: &Graph) -> (usize, Vec<usize>) {
+    let mut per_label = vec![0usize; g.catalog().edge_label_count()];
+    let mut live = 0;
+    for e in 0..g.edge_count() as u64 {
+        if !g.edge_is_deleted(EdgeId(e)) {
+            live += 1;
+            per_label[g.edge_label(EdgeId(e)).unwrap().index()] += 1;
+        }
+    }
+    (live, per_label)
 }
 
 /// SNAP loader round trip: write an edge list, load it, and compare the

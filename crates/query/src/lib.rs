@@ -73,4 +73,4 @@ pub use durable::DurabilityError;
 pub use engine::{metric, profiled, Database, DatabaseWriteGuard, SharedDatabase, Snapshot};
 pub use error::QueryError;
 pub use exec::Output;
-pub use sink::{row_channel, RawRow, RowChannelSink, RowReceiver, RowSink, TryNext, VecSink};
+pub use sink::{row_channel, RawRow, RowChannelSink, RowReceiver, RowSink, VecSink};

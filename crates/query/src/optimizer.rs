@@ -19,10 +19,11 @@
 //! chosen index's view predicate or enforced by its partition prefix /
 //! sorted-prefix prune are dropped from the residual FILTER.
 
+use aplus_common::EdgeLabelId;
 use aplus_common::FxHashMap;
 use aplus_core::view::TwoHopOrientation;
 use aplus_core::{CmpOp, Direction, IndexStore, PartitionKey, SortKey, ViewPredicate};
-use aplus_graph::{Graph, GraphStats, PropertyEntity, PropertyKind};
+use aplus_graph::{Graph, PropertyEntity, PropertyKind};
 
 use crate::error::QueryError;
 use crate::plan::{
@@ -49,10 +50,71 @@ mod consts {
     pub const DEFAULT_DOMAIN: f64 = 20.0;
 }
 
+/// The catalog numbers the cost model prices plans from (§IV-A): |V|, the
+/// live |E|, and the live edges per label. [`optimize`] reads them off the
+/// graph, which maintains them on its write path — planning never scans
+/// the graph, so its cost depends on the query, not on |E|.
+#[derive(Debug, Clone, Copy)]
+pub struct PlannerStats<'a> {
+    /// Number of vertices.
+    pub vertex_count: usize,
+    /// Number of live edges.
+    pub edge_count: usize,
+    /// Live edges per label, indexed by `EdgeLabelId` (missing = 0).
+    pub edges_per_label: &'a [usize],
+}
+
+impl<'a> PlannerStats<'a> {
+    /// The statistics `graph` maintains.
+    #[must_use]
+    pub fn of(graph: &'a Graph) -> Self {
+        Self {
+            vertex_count: graph.vertex_count(),
+            edge_count: graph.live_edge_count(),
+            edges_per_label: graph.live_edges_per_label(),
+        }
+    }
+
+    /// Average out-degree (`edge_count / vertex_count`).
+    fn avg_degree(&self) -> f64 {
+        self.avg(self.edge_count)
+    }
+
+    /// Average number of edges per (vertex, edge-label) list — the base
+    /// cardinality estimate for label-partitioned adjacency lists.
+    fn avg_label_degree(&self, label: EdgeLabelId) -> f64 {
+        self.avg(
+            self.edges_per_label
+                .get(label.index())
+                .copied()
+                .unwrap_or(0),
+        )
+    }
+
+    fn avg(&self, edges: usize) -> f64 {
+        if self.vertex_count == 0 {
+            0.0
+        } else {
+            edges as f64 / self.vertex_count as f64
+        }
+    }
+}
+
 /// Optimizes `query` into an executable plan.
 pub fn optimize(graph: &Graph, store: &IndexStore, query: &QueryGraph) -> Result<Plan, QueryError> {
+    optimize_with(graph, store, query, PlannerStats::of(graph))
+}
+
+/// [`optimize`] priced from caller-supplied statistics instead of the
+/// graph's maintained ones — the seam the plan-equivalence tests use to
+/// feed independently recounted numbers.
+pub fn optimize_with(
+    graph: &Graph,
+    store: &IndexStore,
+    query: &QueryGraph,
+    stats: PlannerStats<'_>,
+) -> Result<Plan, QueryError> {
     query.validate()?;
-    let stats = GraphStats::compute(graph);
     let opt = Optimizer {
         graph,
         store,
@@ -75,7 +137,7 @@ struct Optimizer<'a> {
     graph: &'a Graph,
     store: &'a IndexStore,
     query: &'a QueryGraph,
-    stats: GraphStats,
+    stats: PlannerStats<'a>,
 }
 
 /// A candidate access path for one connecting query edge.
@@ -615,7 +677,7 @@ impl Optimizer<'_> {
                 self.stats
                     .avg_label_degree(edge.label.expect("enforced implies labelled"))
             } else {
-                self.stats.avg_degree
+                self.stats.avg_degree()
             };
             let est = (base * scale * prune_scale).max(0.05);
             out.push(Candidate {
@@ -660,7 +722,7 @@ impl Optimizer<'_> {
                 self.stats
                     .avg_label_degree(edge.label.expect("enforced implies labelled"))
             } else {
-                self.stats.avg_degree
+                self.stats.avg_degree()
             };
             let est = (base * ratio.min(1.0) * scale * prune_scale).max(0.05);
             out.push(Candidate {
@@ -1056,7 +1118,7 @@ impl Optimizer<'_> {
     ) -> (f64, f64) {
         let deg = match label {
             Some(l) if label_enforced => self.stats.avg_label_degree(l),
-            _ => self.stats.avg_degree,
+            _ => self.stats.avg_degree(),
         }
         .max(1.0);
         let v = (self.stats.vertex_count as f64).max(1.0);
@@ -1304,12 +1366,28 @@ mod tests {
         use crate::ast::Statement;
         use crate::parser::{self};
 
+        /// Plans `q` — and, for every fixture that goes through here,
+        /// checks the plan priced from the graph's maintained statistics
+        /// is bit-identical to one priced from a scan of the edges.
         pub fn plan_for(graph: &Graph, store: &IndexStore, q: &str) -> crate::plan::Plan {
             let Statement::Query(ast) = parser::parse(q).unwrap() else {
                 panic!("expected query");
             };
             let bound = ast::bind_query(graph, &ast).unwrap();
-            optimize(graph, store, &bound).unwrap()
+            let plan = optimize(graph, store, &bound).unwrap();
+            let mut edges_per_label = vec![0usize; graph.catalog().edge_label_count()];
+            for (_, _, _, label) in graph.edges() {
+                edges_per_label[label.index()] += 1;
+            }
+            let scanned = PlannerStats {
+                vertex_count: graph.vertices().count(),
+                edge_count: graph.edges().count(),
+                edges_per_label: &edges_per_label,
+            };
+            let reference = optimize_with(graph, store, &bound, scanned).unwrap();
+            assert_eq!(format!("{plan:?}"), format!("{reference:?}"), "{q}");
+            assert_eq!(plan.est_cost.to_bits(), reference.est_cost.to_bits(), "{q}");
+            plan
         }
     }
 

@@ -188,32 +188,6 @@ pub struct RowReceiver {
     rx: mpsc::Receiver<RawRow>,
 }
 
-/// Outcome of a non-blocking [`RowReceiver::try_next`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryNext {
-    /// A row was available.
-    Row(RawRow),
-    /// No row buffered right now, but the producer is still live.
-    Empty,
-    /// The producer closed the stream; no further rows will arrive.
-    Closed,
-}
-
-impl RowReceiver {
-    /// Non-blocking receive, for consumers that batch buffered rows into
-    /// one unit of downstream work (e.g. a network frame) after a blocking
-    /// [`Iterator::next`] yielded the first row: keep draining with
-    /// `try_next` until [`TryNext::Empty`]/[`TryNext::Closed`] instead of
-    /// blocking per row.
-    pub fn try_next(&mut self) -> TryNext {
-        match self.rx.try_recv() {
-            Ok(row) => TryNext::Row(row),
-            Err(mpsc::TryRecvError::Empty) => TryNext::Empty,
-            Err(mpsc::TryRecvError::Disconnected) => TryNext::Closed,
-        }
-    }
-}
-
 impl Iterator for RowReceiver {
     type Item = RawRow;
 
@@ -332,19 +306,6 @@ mod tests {
         let (mut tx, rx) = row_channel(4);
         drop(rx);
         assert!(tx.push(row(0)).is_break());
-    }
-
-    #[test]
-    fn try_next_batches_without_blocking() {
-        let (mut tx, mut rx) = row_channel(8);
-        assert_eq!(rx.try_next(), TryNext::Empty, "nothing buffered yet");
-        assert!(tx.push(row(0)).is_continue());
-        assert!(tx.push(row(1)).is_continue());
-        assert_eq!(rx.try_next(), TryNext::Row(row(0)));
-        assert_eq!(rx.try_next(), TryNext::Row(row(1)));
-        assert_eq!(rx.try_next(), TryNext::Empty, "drained but still open");
-        drop(tx);
-        assert_eq!(rx.try_next(), TryNext::Closed);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{Shutdown as SocketShutdown, TcpStream, ToSocketAddrs};
 
 use aplus_query::engine::DdlOutcome;
@@ -75,7 +75,9 @@ impl From<io::Error> for ClientError {
 /// A blocking connection to an `aplus_server`.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Reads go through the buffer (a small response is one `read`);
+    /// writes go straight to the socket underneath it.
+    stream: BufReader<TcpStream>,
     /// Set when a `RowStream` was dropped mid-stream: the wire is no
     /// longer at a request boundary, so further requests would desync.
     disconnected: bool,
@@ -87,7 +89,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         Ok(Self {
-            stream,
+            stream: BufReader::new(stream),
             disconnected: false,
         })
     }
@@ -97,7 +99,7 @@ impl Client {
         if self.disconnected {
             return Err(ClientError::Disconnected);
         }
-        write_frame(&mut self.stream, &request.to_json())?;
+        write_frame(self.stream.get_mut(), &request.to_json())?;
         self.read_response()
     }
 
@@ -297,7 +299,7 @@ impl Client {
             return Err(ClientError::Disconnected);
         }
         write_frame(
-            &mut self.stream,
+            self.stream.get_mut(),
             &Request::Stream {
                 query: query.to_owned(),
                 limit: encode_limit(limit),
@@ -403,7 +405,7 @@ impl Drop for RowStream<'_> {
             // Hanging up mid-stream: the server's next write fails, which
             // cancels the producing query. This client can no longer
             // frame-align, so it is poisoned.
-            let _ = self.client.stream.shutdown(SocketShutdown::Both);
+            let _ = self.client.stream.get_ref().shutdown(SocketShutdown::Both);
             self.client.disconnected = true;
         }
     }

@@ -64,6 +64,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 use aplus_query::engine::DdlOutcome;
 use aplus_query::{HistogramSnapshot, HopProfile, LevelProfile, MetricsSnapshot, QueryProfile};
@@ -75,7 +76,9 @@ use serde_json::Value;
 /// corrupt or hostile peer.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-/// Writes one frame (4-byte big-endian length + JSON payload).
+/// Writes one frame (4-byte big-endian length + JSON payload) with a
+/// single `write`: prefix and payload leave in one buffer, so a small
+/// frame is one syscall and, under `TCP_NODELAY`, one segment.
 pub fn write_frame(w: &mut impl Write, json: &str) -> io::Result<()> {
     let len = u32::try_from(json.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32"))?;
@@ -85,26 +88,60 @@ pub fn write_frame(w: &mut impl Write, json: &str) -> io::Result<()> {
             format!("frame payload of {len} bytes exceeds MAX_FRAME_LEN"),
         ));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(json.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + json.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(json.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF *before* a length prefix (the
-/// peer hung up between frames). EOF mid-frame is an error.
+/// peer hung up between frames). EOF mid-frame is an error, and so is a
+/// read timeout. Read sockets through a [`std::io::BufReader`] (as
+/// [`crate::Client`] and the server do): the prefix read then pulls the
+/// whole of a small frame in with one `read`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
-    let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf[..1])? {
-        0 => return Ok(None),
-        1 => {}
-        _ => unreachable!("read of a 1-byte buffer returns 0 or 1"),
-    }
-    r.read_exact(&mut len_buf[1..])?;
-    read_frame_body(r, len_buf)
+    read_frame_with(r, |_, e| Err(e))
 }
 
-/// Completes a frame whose 4-byte length prefix is already in `len_buf`.
-pub(crate) fn read_frame_body(r: &mut impl Read, len_buf: [u8; 4]) -> io::Result<Option<String>> {
+/// [`read_frame`] for a source whose reads time out every poll tick (a
+/// socket with a short read timeout set once): a tick *between* frames
+/// asks `keep_waiting` — `false` ends the wait with `Ok(None)` — while
+/// ticks *inside* a frame only fail it once they have gone on for longer
+/// than `frame_timeout`. No socket option changes per frame.
+pub(crate) fn read_frame_polled(
+    r: &mut impl Read,
+    frame_timeout: Duration,
+    mut keep_waiting: impl FnMut() -> bool,
+) -> io::Result<Option<String>> {
+    let mut stalled_since = None;
+    read_frame_with(r, |mid_frame, e| {
+        if !mid_frame {
+            return Ok(keep_waiting());
+        }
+        if stalled_since.get_or_insert_with(Instant::now).elapsed() < frame_timeout {
+            return Ok(true);
+        }
+        Err(io::Error::new(
+            e.kind(),
+            "frame did not arrive in full within the frame timeout",
+        ))
+    })
+}
+
+/// The one frame decoder. `on_timeout(mid_frame, error)` decides what a
+/// timed-out read means, given whether any byte of the current frame has
+/// arrived: `Ok(true)` retries, `Ok(false)` stops waiting.
+fn read_frame_with(
+    r: &mut impl Read,
+    mut on_timeout: impl FnMut(bool, io::Error) -> io::Result<bool>,
+) -> io::Result<Option<String>> {
+    let mut len_buf = [0u8; 4];
+    match read_full(r, &mut len_buf, |got, e| on_timeout(got > 0, e))? {
+        0 => return Ok(None),
+        4 => {}
+        _ => return Err(eof_mid_frame()),
+    }
     let len = u32::from_be_bytes(len_buf);
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -113,10 +150,45 @@ pub(crate) fn read_frame_body(r: &mut impl Read, len_buf: [u8; 4]) -> io::Result
         ));
     }
     let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    if read_full(r, &mut payload, |_, e| on_timeout(true, e))? < payload.len() {
+        return Err(eof_mid_frame());
+    }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))
+}
+
+/// Fills `buf`, returning how many bytes arrived: short only at EOF or
+/// when `on_timeout(bytes so far, error)` stopped the wait.
+fn read_full(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    mut on_timeout: impl FnMut(usize, io::Error) -> io::Result<bool>,
+) -> io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                if !on_timeout(got, e)? {
+                    break;
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+fn eof_mid_frame() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-frame")
 }
 
 /// A client-to-server request.
@@ -1302,6 +1374,174 @@ mod tests {
         buf.extend_from_slice(&2u32.to_be_bytes());
         buf.extend_from_slice(&[0xff, 0xfe]); // not UTF-8
         assert!(read_frame(&mut &buf[..]).is_err(), "non-UTF-8 payload");
+    }
+
+    /// A `Write` that counts calls, accepting everything offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `Read` that replays a script: each step hands out at most that
+    /// many bytes of `data`, `0` standing for one timed-out read; after
+    /// the script it behaves like EOF. Counts the calls.
+    struct ScriptedReader {
+        data: Vec<u8>,
+        pos: usize,
+        script: std::collections::VecDeque<usize>,
+        reads: usize,
+    }
+
+    impl ScriptedReader {
+        fn new(data: Vec<u8>, script: impl IntoIterator<Item = usize>) -> Self {
+            Self {
+                data,
+                pos: 0,
+                script: script.into_iter().collect(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for ScriptedReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            match self.script.pop_front() {
+                None => Ok(0),
+                Some(0) => Err(io::Error::new(io::ErrorKind::WouldBlock, "tick")),
+                Some(step) => {
+                    let n = step.min(buf.len()).min(self.data.len() - self.pos);
+                    buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+                    self.pos += n;
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    const PING: &str = "{\"type\":\"ping\"}";
+    const PONG: &str = "{\"type\":\"pong\"}";
+
+    fn frames(payloads: &[&str]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for p in payloads {
+            write_frame(&mut bytes, p).unwrap();
+        }
+        bytes
+    }
+
+    #[test]
+    fn a_frame_is_written_with_exactly_one_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, PING).unwrap();
+        assert_eq!(w.writes, 1, "prefix and payload leave together");
+        assert_eq!(w.bytes, frames(&[PING]));
+        let big = "x".repeat(100_000);
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &big).unwrap();
+        assert_eq!(w.writes, 1);
+    }
+
+    #[test]
+    fn a_frame_arriving_one_byte_at_a_time_decodes() {
+        let bytes = frames(&[PING]);
+        let n = bytes.len();
+        let mut r = ScriptedReader::new(bytes, std::iter::repeat_n(1, n));
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), PING);
+        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn two_frames_in_one_segment_cost_one_read() {
+        let bytes = frames(&[PING, PONG]);
+        let n = bytes.len();
+        let mut r = std::io::BufReader::new(ScriptedReader::new(bytes, [n]));
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), PING);
+        assert_eq!(r.get_ref().reads, 1, "a small frame is one read");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), PONG);
+        assert_eq!(
+            r.get_ref().reads,
+            1,
+            "the second frame was already buffered"
+        );
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn a_frame_split_across_the_buffer_boundary_decodes() {
+        // A 16-byte buffer: the first frame ends inside the second fill,
+        // the second frame's prefix straddles a refill, and the long
+        // payload is larger than the whole buffer.
+        let long = format!("{{\"type\":\"count\",\"query\":\"{}\"}}", "q".repeat(100));
+        let bytes = frames(&[PING, PONG, &long, PING]);
+        for chunk in [1usize, 3, 7, 16, 1000] {
+            let script = std::iter::repeat_n(chunk, bytes.len());
+            let reader = ScriptedReader::new(bytes.clone(), script);
+            let mut r = std::io::BufReader::with_capacity(16, reader);
+            for want in [PING, PONG, long.as_str(), PING] {
+                assert_eq!(read_frame(&mut r).unwrap().unwrap(), want, "chunk {chunk}");
+            }
+            assert_eq!(read_frame(&mut r).unwrap(), None, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn bad_prefixes_and_torn_frames_are_clean_errors_through_a_buffer() {
+        let oversized = (MAX_FRAME_LEN + 1).to_be_bytes().to_vec();
+        let mut r = std::io::BufReader::new(ScriptedReader::new(oversized, [4]));
+        let e = read_frame(&mut r).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        // EOF inside the prefix and inside the payload.
+        let bytes = frames(&[PING]);
+        for cut in [1, 3, 4, 5, bytes.len() - 1] {
+            let torn = bytes[..cut].to_vec();
+            let mut r = std::io::BufReader::new(ScriptedReader::new(torn, [cut]));
+            let e = read_frame(&mut r).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+        // A plain `read_frame` treats a timed-out read as the error it is.
+        let mut r = ScriptedReader::new(frames(&[PING]), [2, 0]);
+        assert_eq!(
+            read_frame(&mut r).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock
+        );
+    }
+
+    #[test]
+    fn polled_reads_wait_between_frames_and_bound_a_started_frame() {
+        let bytes = frames(&[PING]);
+        let n = bytes.len();
+        // Idle ticks ask `keep_waiting`; ticks inside the frame do not.
+        let mut r = ScriptedReader::new(bytes.clone(), [0, 0, 2, 0, 2, 0, n]);
+        let mut idle_ticks = 0;
+        let frame = read_frame_polled(&mut r, Duration::from_secs(60), || {
+            idle_ticks += 1;
+            true
+        });
+        assert_eq!(frame.unwrap().unwrap(), PING);
+        assert_eq!(idle_ticks, 2, "only the ticks before the first byte");
+        // `keep_waiting` answering no ends an idle wait cleanly…
+        let mut r = ScriptedReader::new(bytes.clone(), [0, 0, n]);
+        let stopped = read_frame_polled(&mut r, Duration::from_secs(60), || false);
+        assert_eq!(stopped.unwrap(), None);
+        // …but never abandons a frame that has started: that is bounded by
+        // the frame timeout instead.
+        let mut r = ScriptedReader::new(bytes, [2, 0, n]);
+        let late = read_frame_polled(&mut r, Duration::ZERO, || panic!("not idle"));
+        assert_eq!(late.unwrap_err().kind(), io::ErrorKind::WouldBlock);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   would). Tests then re-attach with [`attach_replica`] to exercise the
 //!   resume path.
 
-use std::io::{self, Read as _};
+use std::io;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,7 +42,9 @@ use aplus_query::{
 use aplus_runtime::Shutdown;
 
 use crate::client::{Client, ClientError};
-use crate::protocol::{read_frame_body, write_frame, Request, Response, WireError, WireProp};
+use crate::protocol::{
+    read_frame, read_frame_polled, write_frame, Request, Response, WireError, WireProp,
+};
 
 /// Tuning knobs of one replica applier.
 #[derive(Debug, Clone)]
@@ -271,6 +273,11 @@ fn run_session(
     config: &ReplicaConfig,
     shutdown: &Shutdown,
 ) -> SessionEnd {
+    // Short read ticks for the whole session, so waiting for a frame can
+    // watch the shutdown signal (see `read_push_polled`).
+    if let Err(e) = stream.set_read_timeout(Some(poll_slice(config))) {
+        return SessionEnd::Retry(e.into());
+    }
     loop {
         if shutdown.is_triggered() {
             return SessionEnd::Shutdown;
@@ -350,75 +357,48 @@ fn send_subscribe(stream: &mut TcpStream, have: Option<u64>) -> Result<(), ReplE
 
 /// Reads one pushed frame, blocking up to the configured frame timeout.
 fn read_push(stream: &mut TcpStream) -> Result<Response, ReplError> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let frame = read_frame_body(stream, len_buf)?.ok_or_else(|| {
-        ReplError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "primary closed the stream",
-        ))
-    })?;
+    let frame = read_frame(stream)?.ok_or_else(primary_closed)?;
     Response::from_json(&frame).map_err(ReplError::Protocol)
 }
 
-/// [`read_push`], but interruptible: between frames the shutdown signal
-/// is honored at every read-timeout tick. `Ok(None)` means shutdown.
+/// How often a session waiting for the next frame checks for shutdown.
+fn poll_slice(config: &ReplicaConfig) -> Duration {
+    config.frame_timeout.min(Duration::from_millis(50))
+}
+
+/// [`read_push`], but interruptible: the session's socket reads time out
+/// every [`poll_slice`], and between frames each tick honors the shutdown
+/// signal. `Ok(None)` means shutdown. Heartbeats bound the gap between
+/// frames, so a full `frame_timeout` of silence is a dead primary
+/// (surfaced as a timeout error -> session retry).
 fn read_push_polled(
     stream: &mut TcpStream,
     config: &ReplicaConfig,
     shutdown: &Shutdown,
 ) -> Result<Option<Response>, ReplError> {
-    // Wait for the first byte in short slices so a shutting-down replica
-    // never blocks a whole frame timeout; heartbeats bound the gap
-    // between frames, so a full `frame_timeout` of silence is a dead
-    // primary (surfaced as a timeout error -> session retry).
-    let mut len_buf = [0u8; 4];
-    let slice = config.frame_timeout.min(Duration::from_millis(50));
-    stream.set_read_timeout(Some(slice))?;
     let mut waited = Duration::ZERO;
-    loop {
-        if shutdown.is_triggered() {
-            return Ok(None);
-        }
-        match stream.read(&mut len_buf[..1]) {
-            Ok(0) => {
-                return Err(ReplError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "primary closed the stream",
-                )))
-            }
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                waited += slice;
-                if waited >= config.frame_timeout {
-                    return Err(ReplError::Io(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "no frame (not even a heartbeat) within the frame timeout",
-                    )));
-                }
-            }
-            Err(e) => return Err(ReplError::Io(e)),
-        }
-    }
-    // Frame started: read the rest under the full timeout.
-    stream.set_read_timeout(Some(config.frame_timeout))?;
-    stream.read_exact(&mut len_buf[1..])?;
-    let frame = read_frame_body(stream, len_buf)?.ok_or_else(|| {
-        ReplError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "primary closed the stream mid-frame",
-        ))
+    let frame = read_frame_polled(stream, config.frame_timeout, || {
+        waited += poll_slice(config);
+        waited < config.frame_timeout && !shutdown.is_triggered()
     })?;
-    Response::from_json(&frame)
-        .map(Some)
-        .map_err(ReplError::Protocol)
+    match frame {
+        Some(frame) => Response::from_json(&frame)
+            .map(Some)
+            .map_err(ReplError::Protocol),
+        None if shutdown.is_triggered() => Ok(None),
+        None if waited >= config.frame_timeout => Err(ReplError::Io(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "no frame (not even a heartbeat) within the frame timeout",
+        ))),
+        None => Err(primary_closed()),
+    }
+}
+
+fn primary_closed() -> ReplError {
+    ReplError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "primary closed the stream",
+    ))
 }
 
 /// The client-side router over one primary and N replicas: writes go to

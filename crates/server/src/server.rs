@@ -9,48 +9,64 @@
 //! wait on writers**: a `reconfigure` rebuilding every index delays no
 //! reader, and a reader crash can never poison anything.
 //!
+//! # The request path
+//!
+//! A connection is one thread and nothing else: it reads frames through
+//! a per-connection buffer (a small request is one `read`; the socket's
+//! read timeout is set once, to the idle poll interval), answers each
+//! with one `write`, and bumps per-verb metric handles that were resolved
+//! once for the whole server. No request spawns a thread or changes a
+//! socket option.
+//!
 //! # Streaming and slow clients
 //!
-//! A `stream` request runs the query on a dedicated producer thread that
-//! pushes rows into a bounded [`aplus_query::sink::row_channel`]; the
-//! connection thread drains that channel into bounded `row_batch` frames.
-//! The producing query executes against one pinned snapshot, so the
-//! client observes a transactionally consistent result no matter how many
-//! writes commit mid-drain — and those writers are never delayed by the
-//! drain (the old read-lock hold is gone). A client that stops reading
-//! eventually blocks the connection thread's socket write; after
-//! [`ServerConfig::write_timeout`] the connection is dropped, which drops
-//! the channel receiver and cancels the producing query through the
-//! disconnect-cancellation path ([`std::ops::ControlFlow::Break`] from
-//! the sink). With snapshots this timeout no longer protects writer
-//! latency — it reclaims the resources an abandoned stream would pin
-//! forever: a producer thread, a channel buffer, and the memory of the
-//! snapshot version it is draining.
+//! A `stream` request runs the query on the connection thread with a
+//! [`RowSink`] that buffers rows and writes a `row_batch` frame when
+//! [`ServerConfig::frame_rows`] rows are waiting, when the stream ends,
+//! or when the oldest buffered row has waited [`STREAM_FLUSH_AFTER`]
+//! (checked as rows are pushed). The query executes against one pinned
+//! snapshot, so the client observes a transactionally consistent result
+//! no matter how many writes commit mid-stream — and those writers are
+//! never delayed by it. The socket is the back-pressure: a client that
+//! stops reading eventually blocks the frame write; after
+//! [`ServerConfig::write_timeout`] the write fails, the sink returns
+//! [`std::ops::ControlFlow::Break`] — the disconnect-cancellation path,
+//! which stops the query cooperatively — and the connection is dropped,
+//! releasing the snapshot version an abandoned stream would pin forever.
 //!
 //! # Graceful shutdown
 //!
 //! [`ServerHandle::shutdown`] triggers the shared
 //! [`aplus_runtime::Shutdown`] signal: the accept loop stops accepting
-//! (new connections are refused once the listener closes), idle
-//! connections close at their next poll, in-flight requests run to
-//! completion and flush their responses, and `shutdown` joins every
-//! thread before returning.
+//! (it blocks in `accept`, so `shutdown` wakes it with a loopback
+//! connection to itself; new connections are refused once the listener
+//! closes), idle connections close at their next poll, in-flight requests
+//! run to completion and flush their responses, and `shutdown` joins
+//! every thread before returning.
 
-use std::io::{self, Read as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aplus_common::{EdgeId, VertexId};
 use aplus_graph::Value;
+use aplus_obs::{Counter, Histogram, MetricsRegistry};
 use aplus_query::engine::DdlOutcome;
-use aplus_query::sink::{row_channel, RowReceiver, TryNext};
-use aplus_query::{RawRow, SharedDatabase};
+use aplus_query::{RawRow, RowSink, SharedDatabase};
 use aplus_runtime::Shutdown;
 
-use crate::protocol::{read_frame_body, write_frame, Request, Response, Role, WireError, WireProp};
+use crate::protocol::{
+    read_frame_polled, write_frame, Request, Response, Role, WireError, WireProp,
+};
+
+/// How long the oldest row of a partly filled `row_batch` may wait before
+/// the batch is sent anyway, so a slow query still delivers its rows
+/// promptly. Checked as rows are pushed.
+pub const STREAM_FLUSH_AFTER: Duration = Duration::from_millis(1);
 
 /// Wire-facing metric names. Per-verb and per-subscriber series embed a
 /// literal Prometheus-style label set in the name — the registry treats
@@ -87,21 +103,61 @@ pub mod metric {
     }
 }
 
-/// The wire verb of a request, as spelled in its `type` member.
-fn request_verb(request: &Request) -> &'static str {
+/// The wire verbs, as spelled in a request's `type` member; a verb's
+/// position indexes [`VerbMetrics`].
+const VERBS: [&str; 12] = [
+    "ping",
+    "count",
+    "collect",
+    "stream",
+    "ddl",
+    "reconfigure",
+    "insert",
+    "delete",
+    "epoch",
+    "metrics",
+    "profile",
+    "subscribe",
+];
+
+/// The index of a request's verb in [`VERBS`].
+fn request_verb(request: &Request) -> usize {
     match request {
-        Request::Ping => "ping",
-        Request::Count { .. } => "count",
-        Request::Collect { .. } => "collect",
-        Request::Stream { .. } => "stream",
-        Request::Ddl { .. } => "ddl",
-        Request::Reconfigure { .. } => "reconfigure",
-        Request::Insert { .. } => "insert",
-        Request::Delete { .. } => "delete",
-        Request::Epoch => "epoch",
-        Request::Metrics => "metrics",
-        Request::Profile { .. } => "profile",
-        Request::Subscribe { .. } => "subscribe",
+        Request::Ping => 0,
+        Request::Count { .. } => 1,
+        Request::Collect { .. } => 2,
+        Request::Stream { .. } => 3,
+        Request::Ddl { .. } => 4,
+        Request::Reconfigure { .. } => 5,
+        Request::Insert { .. } => 6,
+        Request::Delete { .. } => 7,
+        Request::Epoch => 8,
+        Request::Metrics => 9,
+        Request::Profile { .. } => 10,
+        Request::Subscribe { .. } => 11,
+    }
+}
+
+/// One server's per-verb `requests_total` / `request_seconds` handles,
+/// each resolved on first use and shared by every connection — the
+/// request path bumps atomics, it never formats a series name or takes
+/// the registry lock. (Lazily, so a series still appears only once it has
+/// a sample: `subscribe` never completes, so it gets no latency series.)
+#[derive(Default)]
+struct VerbMetrics {
+    requests_total: [OnceLock<Counter>; VERBS.len()],
+    request_seconds: [OnceLock<Histogram>; VERBS.len()],
+}
+
+impl VerbMetrics {
+    fn requests_total(&self, verb: usize, registry: &MetricsRegistry) -> &Counter {
+        self.requests_total[verb]
+            .get_or_init(|| registry.counter(&metric::requests_total(VERBS[verb])))
+    }
+
+    fn request_seconds(&self, verb: usize, registry: &MetricsRegistry) -> &Histogram {
+        self.request_seconds[verb]
+            .get_or_init(|| registry.histogram(&metric::request_seconds(VERBS[verb])))
     }
 }
 
@@ -127,23 +183,22 @@ impl Drop for ConnectionGuard {
 /// Tuning knobs of one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Rows buffered between a stream's producing query and the
-    /// connection thread (the per-client back-pressure bound).
-    pub stream_buffer: usize,
-    /// Maximum rows per `row_batch` frame.
+    /// Maximum rows per `row_batch` frame — also the most rows a stream
+    /// ever holds server-side (the socket is the back-pressure).
     pub frame_rows: usize,
     /// How long one socket write may block before the client is declared
     /// too slow and disconnected (which cancels its in-flight stream).
     pub write_timeout: Duration,
-    /// How often idle connections and the accept loop check the shutdown
-    /// signal.
+    /// How often idle connections (and idle replication subscriptions)
+    /// check the shutdown signal. The accept loop does not poll.
     pub poll_interval: Duration,
-    /// How long a started request frame may take to arrive in full.
+    /// How long a started request frame may stall (reads timing out every
+    /// `poll_interval`) before the connection is dropped.
     pub frame_timeout: Duration,
     /// Most rows one `collect` answer may carry. A `collect` travels as a
     /// single frame, so this bounds server-side result materialization;
     /// larger results get a `result_too_large` error directing the client
-    /// to `stream` (which is bounded by `stream_buffer` instead).
+    /// to `stream` (which is bounded by `frame_rows` instead).
     pub collect_row_cap: usize,
     /// How often an idle replication subscription sends a
     /// `repl_heartbeat` frame, so subscribers can tell a quiet primary
@@ -155,7 +210,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            stream_buffer: 1024,
             frame_rows: 256,
             write_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(50),
@@ -183,12 +237,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shutdown signal, for sharing with external watchers.
-    #[must_use]
-    pub fn shutdown_signal(&self) -> Arc<Shutdown> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// Gracefully shuts down: refuses new connections, drains in-flight
     /// requests, joins every server thread.
     pub fn shutdown(mut self) {
@@ -196,12 +244,24 @@ impl ServerHandle {
     }
 
     fn shutdown_impl(&mut self) {
-        // The accept loop polls a nonblocking listener against this
-        // signal, so triggering it suffices — no self-connect wakeup that
-        // could fail on a non-self-dialable bind address.
         self.shutdown.trigger();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        let Some(accept_thread) = self.accept_thread.take() else {
+            return;
+        };
+        // The accept loop blocks in `accept` (an idle listener costs
+        // nothing and a fresh connection is served at once); a loopback
+        // connection to ourselves wakes it to see the signal.
+        match TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1)) {
+            Ok(_) => {
+                let _ = accept_thread.join();
+            }
+            // Could not dial ourselves (descriptors exhausted, a bind
+            // address that is not self-dialable): joining would hang, so
+            // the accept thread is left to exit at its next wake-up.
+            // Connections still see the signal and drain on their own.
+            Err(e) => aplus_obs::log::warn(format_args!(
+                "aplus_server: could not wake the accept loop for shutdown: {e}"
+            )),
         }
     }
 }
@@ -210,6 +270,17 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown_impl();
     }
+}
+
+/// The address that reaches a listener bound to `bound` from this host:
+/// a wildcard bind is dialled through loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// Binds `addr` and serves `shared` until [`ServerHandle::shutdown`], as
@@ -235,9 +306,6 @@ pub fn serve_with_role(
     role: Role,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    // Nonblocking accept, polled against the shutdown signal: shutdown
-    // latency and idle cost are both bounded by `poll_interval`.
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(Shutdown::new());
     let accept_shutdown = Arc::clone(&shutdown);
@@ -260,6 +328,7 @@ fn accept_loop(
 ) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     let mut accept_errors = 0u32;
+    let verbs = Arc::new(VerbMetrics::default());
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -274,6 +343,7 @@ fn accept_loop(
                 let shared = shared.clone();
                 let config = config.clone();
                 let shutdown = Arc::clone(shutdown);
+                let verbs = Arc::clone(&verbs);
                 let spawned =
                     std::thread::Builder::new()
                         .name("aplus-conn".into())
@@ -282,7 +352,7 @@ fn accept_loop(
                             // (and, since readers pin snapshots and a
                             // crashed writer's head is discarded
                             // unpublished, never the database).
-                            handle_connection(stream, &shared, &config, role, &shutdown);
+                            handle_connection(stream, &shared, &config, role, &shutdown, &verbs);
                         });
                 match spawned {
                     Ok(handle) => connections.push(handle),
@@ -292,12 +362,6 @@ fn accept_loop(
                 }
             }
             Err(e) if matches!(e.kind(), io::ErrorKind::Interrupted) => continue,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock) => {
-                // Idle: park on the shutdown signal for one poll interval.
-                if shutdown.wait_timeout(config.poll_interval) {
-                    break;
-                }
-            }
             Err(e) => {
                 if shutdown.is_triggered() {
                     break;
@@ -329,62 +393,46 @@ fn accept_loop(
     }
 }
 
-/// Reads the next request frame, polling the shutdown signal while the
-/// connection is idle. `Ok(None)` means the connection is done (peer EOF
-/// or shutdown).
+/// Reads the next request frame, checking the shutdown signal before a
+/// frame starts and at every idle poll tick. `Ok(None)` means the
+/// connection is done (peer EOF or shutdown). A frame that has started
+/// must arrive within the frame timeout, shutdown or not — an in-flight
+/// request is served before the connection closes.
 fn read_request(
-    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     config: &ServerConfig,
     shutdown: &Shutdown,
 ) -> io::Result<Option<String>> {
-    let mut len_buf = [0u8; 4];
-    stream.set_read_timeout(Some(config.poll_interval))?;
-    loop {
-        if shutdown.is_triggered() {
-            return Ok(None);
-        }
-        match stream.read(&mut len_buf[..1]) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
+    if shutdown.is_triggered() {
+        return Ok(None);
     }
-    // A frame has started: it must now arrive promptly, shutdown or not —
-    // an in-flight request is served before the connection closes.
-    stream.set_read_timeout(Some(config.frame_timeout))?;
-    stream.read_exact(&mut len_buf[1..])?;
-    read_frame_body(stream, len_buf)
+    read_frame_polled(reader, config.frame_timeout, || !shutdown.is_triggered())
 }
 
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     shared: &SharedDatabase,
     config: &ServerConfig,
     role: Role,
     shutdown: &Shutdown,
+    verbs: &VerbMetrics,
 ) {
-    // Accepted sockets are blocking on the platforms we target, but the
-    // listener is nonblocking — pin the mode explicitly for portability.
-    let _ = stream.set_nonblocking(false);
+    // Socket options are set here, once: reads tick every poll interval
+    // (that is how an idle connection notices shutdown), writes give up on
+    // a client too slow to drain.
     let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(config.poll_interval));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     let metrics = shared.metrics();
     let _guard = ConnectionGuard::enter(shared);
+    let mut reader = BufReader::new(stream);
     loop {
-        let frame = match read_request(&mut stream, config, shutdown) {
+        let frame = match read_request(&mut reader, config, shutdown) {
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => return,
         };
+        // Responses go straight to the socket under the read buffer.
+        let stream = reader.get_mut();
         let request = match Request::from_json(&frame) {
             Ok(r) => r,
             Err(e) => {
@@ -392,10 +440,10 @@ fn handle_connection(
                 // malformed payload gets a structured error and the
                 // connection lives on.
                 let resp = Response::Error(WireError::protocol(format!("bad request: {e}")));
-                if write_frame(&mut stream, &resp.to_json()).is_err() {
-                    return;
+                if respond(stream, &resp) {
+                    continue;
                 }
-                continue;
+                return;
             }
         };
         if role == Role::Replica && is_write_request(&request) {
@@ -406,13 +454,13 @@ fn handle_connection(
                 message: "this node is a read replica; send writes to the primary".into(),
                 offset: None,
             });
-            if respond(&mut stream, &resp) {
+            if respond(stream, &resp) {
                 continue;
             }
             return;
         }
         let verb = request_verb(&request);
-        metrics.counter(&metric::requests_total(verb)).inc();
+        verbs.requests_total(verb, &metrics).inc();
         // Slow-query logging wants the text after the (consuming) dispatch
         // below; only pay for the clone when the threshold is configured.
         let slow_threshold = aplus_obs::slow_query_threshold();
@@ -425,18 +473,18 @@ fn handle_connection(
         });
         let started = Instant::now();
         let keep_going = match request {
-            Request::Ping => respond(&mut stream, &Response::Pong),
+            Request::Ping => respond(stream, &Response::Pong),
             Request::Count { query } => {
                 let resp = match shared.count(&query) {
                     Ok(value) => Response::Count { value },
                     Err(e) => Response::Error(WireError::from(&e)),
                 };
-                respond(&mut stream, &resp)
+                respond(stream, &resp)
             }
             Request::Collect { query, limit } => {
                 let resp = run_collect(shared, config, &query, decode_limit(limit));
                 let json = bounded_response_json(&resp, crate::protocol::MAX_FRAME_LEN as usize);
-                write_frame(&mut stream, &json).is_ok()
+                write_frame(stream, &json).is_ok()
             }
             Request::Ddl { statement } => {
                 // Transactional: a failed statement aborts its write
@@ -445,31 +493,31 @@ fn handle_connection(
                     Ok(outcome) => Response::DdlOk { outcome },
                     Err(e) => Response::Error(WireError::from(&e)),
                 };
-                respond(&mut stream, &resp)
+                respond(stream, &resp)
             }
             Request::Reconfigure { statement } => {
                 let resp = run_reconfigure(shared, &statement);
-                respond(&mut stream, &resp)
+                respond(stream, &resp)
             }
             Request::Insert {
                 src,
                 dst,
                 label,
                 props,
-            } => respond(&mut stream, &run_insert(shared, src, dst, &label, &props)),
-            Request::Delete { edge } => respond(&mut stream, &run_delete(shared, edge)),
+            } => respond(stream, &run_insert(shared, src, dst, &label, &props)),
+            Request::Delete { edge } => respond(stream, &run_delete(shared, edge)),
             Request::Epoch => respond(
-                &mut stream,
+                stream,
                 &Response::Epoch {
                     epoch: shared.epoch(),
                     role,
                 },
             ),
             Request::Stream { query, limit } => {
-                handle_stream(&mut stream, shared, config, &query, decode_limit(limit))
+                handle_stream(stream, shared, config, &query, decode_limit(limit))
             }
             Request::Metrics => respond(
-                &mut stream,
+                stream,
                 &Response::Metrics {
                     snapshot: metrics.snapshot(),
                 },
@@ -479,24 +527,23 @@ fn handle_connection(
                     Ok((value, profile)) => Response::Profile { value, profile },
                     Err(e) => Response::Error(WireError::from(&e)),
                 };
-                respond(&mut stream, &resp)
+                respond(stream, &resp)
             }
             Request::Subscribe { have } => {
                 // The connection becomes a push-only replication stream;
                 // when the subscription ends, so does the connection.
                 // (Counted above; no latency series — it never returns.)
-                serve_subscription(&mut stream, shared, config, role, have, shutdown);
+                serve_subscription(stream, shared, config, role, have, shutdown);
                 return;
             }
         };
         let elapsed = started.elapsed();
-        metrics
-            .histogram(&metric::request_seconds(verb))
-            .observe(elapsed);
+        verbs.request_seconds(verb, &metrics).observe(elapsed);
         if let (Some(threshold), Some(query)) = (slow_threshold, query_text) {
             if elapsed >= threshold {
                 aplus_obs::log::warn(format_args!(
-                    "aplus_server: slow {verb} ({} ms): {query}",
+                    "aplus_server: slow {} ({} ms): {query}",
+                    VERBS[verb],
                     elapsed.as_millis()
                 ));
             }
@@ -788,10 +835,57 @@ fn bounded_response_json(response: &Response, max_len: usize) -> String {
     .to_json()
 }
 
-/// Serves one `stream` request: producer thread + bounded channel +
-/// batched frames (see the module docs). Returns `false` when the
-/// connection died mid-stream (a cancelled client), which also cancels
-/// the producing query by dropping the receiver.
+/// The [`RowSink`] of one `stream` request: buffers rows and writes them
+/// as `row_batch` frames (see the module docs for the flush rule). A
+/// failed or timed-out write answers `Break`, cancelling the query.
+struct FrameSink<'a> {
+    stream: &'a mut TcpStream,
+    shared: &'a SharedDatabase,
+    frame_rows: usize,
+    batch: Vec<RawRow>,
+    /// When the oldest row of `batch` was pushed.
+    oldest: Instant,
+    sent: u64,
+    alive: bool,
+}
+
+impl FrameSink<'_> {
+    /// Sends the buffered rows, if any, as one `row_batch` frame.
+    fn flush(&mut self) -> ControlFlow<()> {
+        if self.batch.is_empty() {
+            return ControlFlow::Continue(());
+        }
+        let rows = std::mem::take(&mut self.batch);
+        self.sent += rows.len() as u64;
+        if respond(self.stream, &Response::RowBatch { rows }) {
+            ControlFlow::Continue(())
+        } else {
+            // Client too slow (write timeout) or gone.
+            let metrics = self.shared.metrics();
+            metrics.counter(metric::STREAM_DISCONNECTS).inc();
+            self.alive = false;
+            ControlFlow::Break(())
+        }
+    }
+}
+
+impl RowSink for FrameSink<'_> {
+    fn push(&mut self, row: RawRow) -> ControlFlow<()> {
+        if self.batch.is_empty() {
+            self.oldest = Instant::now();
+        }
+        self.batch.push(row);
+        if self.batch.len() >= self.frame_rows || self.oldest.elapsed() >= STREAM_FLUSH_AFTER {
+            self.flush()
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
+/// Serves one `stream` request on the connection thread (see the module
+/// docs). Returns `false` when the connection died mid-stream — a
+/// cancelled client, whose query the sink has already stopped.
 fn handle_stream(
     stream: &mut TcpStream,
     shared: &SharedDatabase,
@@ -799,75 +893,28 @@ fn handle_stream(
     query: &str,
     limit: usize,
 ) -> bool {
-    let (mut tx, rx) = row_channel(config.stream_buffer.max(1));
-    let producer = {
-        let shared = shared.clone();
-        let query = query.to_owned();
-        std::thread::Builder::new()
-            .name("aplus-stream".into())
-            .spawn(move || {
-                let result = shared.stream(&query, limit, &mut tx);
-                drop(tx); // close: the drain loop below observes the end
-                result
-            })
+    let mut sink = FrameSink {
+        stream,
+        shared,
+        frame_rows: config.frame_rows.max(1),
+        batch: Vec::new(),
+        oldest: Instant::now(),
+        sent: 0,
+        alive: true,
     };
-    let producer = match producer {
-        Ok(p) => p,
-        Err(_) => {
-            return respond(
-                stream,
-                &Response::Error(WireError::protocol("could not spawn stream producer")),
-            );
-        }
-    };
-    let mut rx = Some(rx);
-    let mut sent = 0u64;
-    let mut alive = true;
-    while let Some(receiver) = rx.as_mut() {
-        let Some(first) = receiver.next() else {
-            rx = None; // producer closed: done (or it failed before rows)
-            break;
-        };
-        let batch = drain_batch(receiver, first, config.frame_rows);
-        sent += batch.len() as u64;
-        if !respond(stream, &Response::RowBatch { rows: batch }) {
-            // Client too slow (write timeout) or gone: dropping the
-            // receiver cancels the producing query cooperatively.
-            shared.metrics().counter(metric::STREAM_DISCONNECTS).inc();
-            rx = None;
-            alive = false;
-            break;
-        }
-    }
-    drop(rx);
-    let produced = producer.join();
-    if !alive {
+    let result = shared.stream(query, limit, &mut sink);
+    if !sink.alive {
         return false;
     }
-    match produced {
-        Ok(Ok(())) => respond(stream, &Response::StreamEnd { rows: sent }),
+    match result {
+        Ok(()) => {
+            sink.flush().is_continue()
+                && respond(sink.stream, &Response::StreamEnd { rows: sink.sent })
+        }
         // Query errors surface before any row is produced (prepare runs
         // first), so the error frame replaces the whole stream.
-        Ok(Err(e)) => respond(stream, &Response::Error(WireError::from(&e))),
-        Err(_) => respond(
-            stream,
-            &Response::Error(WireError::protocol("stream producer panicked")),
-        ),
+        Err(e) => respond(sink.stream, &Response::Error(WireError::from(&e))),
     }
-}
-
-/// Greedily extends `first` with whatever rows are already buffered, up
-/// to `frame_rows` — one blocking receive per frame, never per row.
-fn drain_batch(rx: &mut RowReceiver, first: RawRow, frame_rows: usize) -> Vec<RawRow> {
-    let mut batch = Vec::with_capacity(frame_rows.clamp(1, 1024));
-    batch.push(first);
-    while batch.len() < frame_rows.max(1) {
-        match rx.try_next() {
-            TryNext::Row(row) => batch.push(row),
-            TryNext::Empty | TryNext::Closed => break,
-        }
-    }
-    batch
 }
 
 /// Convenience for binaries: `RECONFIGURE`-vs-`DDL` routing used by the

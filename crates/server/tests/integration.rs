@@ -162,18 +162,13 @@ fn graceful_shutdown_drains_and_refuses() {
     }
 }
 
-/// Satellite regression: a stream whose result fits the bounded buffer
-/// releases the read lock as soon as production finishes — a client that
-/// never reads the response does **not** block writers.
+/// Satellite regression: a stream pins a snapshot, not a lock — a client
+/// that never reads the response does **not** block writers.
 #[test]
-fn buffered_stream_releases_the_read_lock_before_the_client_drains() {
+fn undrained_stream_does_not_block_writers() {
     let shared = financial_shared(2);
     let writer_handle = shared.clone();
-    let config = ServerConfig {
-        stream_buffer: 1024, // whole result fits: producer never blocks
-        ..ServerConfig::default()
-    };
-    let handle = serve(shared, "127.0.0.1:0", config).unwrap();
+    let handle = serve(shared, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.local_addr()).unwrap();
     let mut rows = client.stream("MATCH a-[r]->b", usize::MAX).unwrap();
     // One row proves the producing query started (and the lock was held).
@@ -188,7 +183,7 @@ fn buffered_stream_releases_the_read_lock_before_the_client_drains() {
     let waited = t.elapsed();
     assert!(
         waited < Duration::from_secs(5),
-        "writer waited {waited:?} behind an undrained stream whose rows fit the buffer"
+        "writer waited {waited:?} behind an undrained stream"
     );
     drop(rows); // hang up mid-stream
     let mut fresh = Client::connect(handle.local_addr()).unwrap();
@@ -207,7 +202,6 @@ fn slow_stream_client_is_cancelled_and_writers_proceed() {
     let shared = SharedDatabase::with_pool(db, MorselPool::new(2));
     let writer_handle = shared.clone();
     let config = ServerConfig {
-        stream_buffer: 64,
         frame_rows: 64,
         write_timeout: Duration::from_millis(200),
         ..ServerConfig::default()
@@ -217,18 +211,147 @@ fn slow_stream_client_is_cancelled_and_writers_proceed() {
     // ~800k two-hop rows: no socket buffer swallows that.
     let mut rows = client.stream(TWO_HOP, usize::MAX).unwrap();
     rows.next().unwrap().unwrap(); // the query is live and holds the lock
-    let t = Instant::now();
+    let stalled = Instant::now();
+    // The stream runs on its connection's thread: no producer thread.
+    let threads = thread_names();
+    assert!(threads.iter().any(|t| t == "aplus-conn"), "{threads:?}");
+    assert!(!threads.iter().any(|t| t == "aplus-stream"), "{threads:?}");
     writer_handle
         .writer()
         .insert_edge(VertexId(0), VertexId(1), "E0", &[])
         .unwrap();
-    let waited = t.elapsed();
+    let waited = stalled.elapsed();
     assert!(
         waited < Duration::from_secs(30),
         "writer starved {waited:?} behind a stalled streaming client"
     );
+    // We never read again: once the socket buffers fill, a frame write
+    // blocks, times out, and the sink's `Break` cancels the query — well
+    // before the ~800k rows could have been produced and sent.
+    wait_until(
+        "the stalled stream is cancelled",
+        Duration::from_secs(20),
+        || stream_disconnects(&writer_handle) == 1,
+    );
+    wait_until("its connection closes", Duration::from_secs(5), || {
+        connections(&writer_handle) == 0
+    });
     drop(rows);
     handle.shutdown();
+}
+
+/// Dropping a `RowStream` early hangs up, which fails the server's next
+/// frame write and cancels the query the same way.
+#[test]
+fn early_stream_drop_cancels_a_large_stream() {
+    let graph = generate(&GeneratorConfig::social(500, 20_000, 2, 2));
+    let shared = SharedDatabase::with_pool(Database::new(graph).unwrap(), MorselPool::new(2));
+    let metrics = shared.clone();
+    let handle = serve(shared, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    {
+        let mut rows = client.stream(TWO_HOP, usize::MAX).unwrap();
+        rows.next().unwrap().unwrap();
+    }
+    wait_until(
+        "the abandoned stream is cancelled",
+        Duration::from_secs(20),
+        || stream_disconnects(&metrics) == 1 && connections(&metrics) == 0,
+    );
+    handle.shutdown();
+}
+
+/// A query error surfaces before any row: the whole stream is one `error`
+/// frame (no `row_batch`, no `stream_end`) and the connection lives on.
+#[test]
+fn a_failing_stream_is_exactly_one_error_frame() {
+    let handle = serve(financial_shared(1), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    let request = protocol::Request::Stream {
+        query: "MATCH a-[r]->b WHERE a.x @ 1".into(),
+        limit: None,
+    };
+    protocol::write_frame(&mut raw, &request.to_json()).unwrap();
+    let reply = protocol::read_frame(&mut raw).unwrap().unwrap();
+    match protocol::Response::from_json(&reply).unwrap() {
+        protocol::Response::Error(e) => assert_eq!(e.kind, "syntax", "{e}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // The next frame answers the next request — nothing trailed the error.
+    protocol::write_frame(&mut raw, &protocol::Request::Ping.to_json()).unwrap();
+    let reply = protocol::read_frame(&mut raw).unwrap().unwrap();
+    assert_eq!(
+        protocol::Response::from_json(&reply).unwrap(),
+        protocol::Response::Pong
+    );
+    handle.shutdown();
+}
+
+/// The accept loop blocks in `accept` instead of polling: a fresh
+/// connection is served at once however long `poll_interval` is (it used
+/// to wait out what was left of the interval), and shutdown wakes the
+/// loop instead of waiting for its next tick.
+#[test]
+fn accept_and_shutdown_do_not_wait_for_the_poll_interval() {
+    let config = ServerConfig {
+        poll_interval: Duration::from_secs(3),
+        ..ServerConfig::default()
+    };
+    let shared = financial_shared(1);
+    let handle = serve(shared.clone(), "127.0.0.1:0", config).unwrap();
+    for _ in 0..5 {
+        let t = Instant::now();
+        let mut client = Client::connect(handle.local_addr()).unwrap();
+        client.ping().unwrap();
+        let took = t.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "connect + first request took {took:?}"
+        );
+        // Hang up before the next round, so no idle connection is left to
+        // bound the shutdown below by `poll_interval`.
+        drop(client);
+    }
+    wait_until(
+        "the probes' connections close",
+        Duration::from_secs(5),
+        || connections(&shared) == 0,
+    );
+    let t = Instant::now();
+    handle.shutdown();
+    let took = t.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+}
+
+fn stream_disconnects(shared: &SharedDatabase) -> u64 {
+    let snapshot = shared.metrics().snapshot();
+    snapshot
+        .counter(aplus_server::server::metric::STREAM_DISCONNECTS)
+        .unwrap_or(0)
+}
+
+fn connections(shared: &SharedDatabase) -> i64 {
+    let snapshot = shared.metrics().snapshot();
+    snapshot
+        .gauge(aplus_server::server::metric::CONNECTIONS)
+        .unwrap_or(0)
+}
+
+fn wait_until(what: &str, deadline: Duration, mut ready: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !ready() {
+        assert!(start.elapsed() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The names of this process's threads (the server runs in-process).
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("thread names are read from /proc (Linux)")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_owned())
+        .collect()
 }
 
 /// Satellite: N concurrent clients issuing mixed count/collect/stream
