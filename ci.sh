@@ -14,12 +14,13 @@ run() {
 }
 
 # One query driver, no planner knobs, no graph scan while planning, no
-# removed server knob: keeps the forks, env reads, per-query O(|E|) pass
-# and per-request stream thread that were deleted from growing back.
+# removed server knob, one way to read an offset list: keeps the forks, env
+# reads, per-query O(|E|) pass and per-request stream thread that were
+# deleted from growing back.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path"
     local bad=0 f n=0
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -49,6 +50,23 @@ guard() {
         --exclude-dir=target --exclude-dir=.git --exclude-dir=.bench_build \
         --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=ci.sh; then
         echo "guard: ServerConfig::stream_buffer was removed (streams run on the connection thread)"
+        bad=1
+    fi
+    # A secondary index has one read method returning one handle
+    # (`OffsetList`); the lazy/materializing twins stay deleted.
+    if grep -rnE 'clean_list|clean_range|LazyVpList|LazyEpList|fetch_pruned_lazy' \
+        crates/*/src README.md docs; then
+        echo "guard: the forked offset-list read path was removed (use list() -> OffsetList)"
+        bad=1
+    fi
+    for f in crates/core/src/{vertex,edge}_partitioned.rs; do
+        if (($(grep -cE 'pub fn list[<(]' "$f") > 1)); then
+            echo "guard: $f must keep exactly one public read method"
+            bad=1
+        fi
+    done
+    if grep -rniE 'iterative-deepening|iddfs' README.md docs; then
+        echo "guard: IDDFS was deleted (BFS is the one traversal); do not document it"
         bad=1
     fi
     ((bad == 0)) || exit 1

@@ -185,9 +185,12 @@ fn bench_core_ops(c: &mut Criterion) {
     });
     group.bench_function("offset_list_deref_scan", |b| {
         b.iter(|| {
-            let mut acc = 0usize;
+            // Fold every neighbour ID: the list dereferences lazily, so
+            // `len()` alone would time no dereference at all.
+            let mut acc = 0u64;
             for v in 0..n {
-                acc += vp.list(primary, aplus_common::VertexId(v), &[]).len();
+                let list = vp.list(primary, aplus_common::VertexId(v), &[]);
+                acc += list.iter().map(|(_, n)| u64::from(n.raw())).sum::<u64>();
             }
             acc
         })

@@ -452,12 +452,15 @@ pub fn run_ablation(scale: usize) -> Reporter {
         // The hypothetical duplicated ID-list baseline: 8 B edge + 4 B nbr.
         r.record_value(&ds, "id-duplication", "bytes/edge", 12.0);
 
-        // Access time: read the full indexed list of the sampled vertices.
+        // Access time: read the full indexed list of the sampled vertices,
+        // folding every neighbour ID — an offset list dereferences lazily,
+        // so `len()` alone would read nothing.
         let t = Instant::now();
-        let mut acc = 0usize;
+        let mut acc = 0u64;
         for _ in 0..20 {
             for &v in &sample {
-                acc += vp.list(primary, v, &[]).len();
+                let list = vp.list(primary, v, &[]);
+                acc += list.iter().map(|(_, n)| u64::from(n.raw())).sum::<u64>();
             }
         }
         r.record_value(
@@ -467,10 +470,11 @@ pub fn run_ablation(scale: usize) -> Reporter {
             t.elapsed().as_secs_f64() * 1e6,
         );
         let t = Instant::now();
-        let mut acc2 = 0usize;
+        let mut acc2 = 0u64;
         for _ in 0..20 {
             for &v in &sample {
-                acc2 += bm.list(primary, v, &[]).len();
+                let list = bm.list(primary, v, &[]);
+                acc2 += list.iter().map(|(_, n)| u64::from(n.raw())).sum::<u64>();
             }
         }
         r.record_value(&ds, "bitmap", "scan(µs)", t.elapsed().as_secs_f64() * 1e6);

@@ -19,7 +19,7 @@ use aplus_common::{EdgeId, VertexId};
 use aplus_graph::Graph;
 
 use crate::error::IndexError;
-use crate::list::List;
+use crate::list::OffsetList;
 use crate::offsets::{OffsetCsr, OffsetEntry};
 use crate::primary::{PrimaryIndex, PrimaryIndexes};
 use crate::spec::{Direction, IndexSpec};
@@ -124,52 +124,26 @@ impl EdgePartitionedIndex {
         self.csr.span_sorted(prefix)
     }
 
-    /// The adjacency list of bound edge `eb` under a partition-code prefix.
+    /// The adjacency list of bound edge `eb` under a partition-code prefix:
+    /// lazy over the anchor vertex's primary region when the range is
+    /// clean, already spliced when it has buffered entries or tombstones.
     #[must_use]
-    pub fn list(
-        &self,
-        graph: &Graph,
-        primary: &PrimaryIndex,
-        eb: EdgeId,
-        prefix: &[u32],
-    ) -> List<'static> {
-        let Ok((src, dst)) = graph.edge_endpoints(eb) else {
-            return List::empty();
-        };
-        let anchor = self.view.orientation.anchor(src, dst);
-        self.csr.list(eb.index(), prefix, |off| {
-            if primary
-                .csr()
-                .region_entry_deleted(anchor.index(), off as usize)
-            {
-                return None;
-            }
-            let (e, n) = primary.csr().region_entry(anchor.index(), off as usize);
-            Some((e.raw(), n.raw()))
-        })
-    }
-
-    /// A lazy positional view over a clean bound-edge list (see
-    /// `VertexPartitionedIndex::clean_list`). Returns `None` when dirty.
-    #[must_use]
-    pub fn clean_list<'a>(
+    pub fn list<'a>(
         &'a self,
         graph: &Graph,
         primary: &'a PrimaryIndex,
         eb: EdgeId,
         prefix: &[u32],
-    ) -> Option<LazyEpList<'a>> {
-        let (src, dst) = graph.edge_endpoints(eb).ok()?;
-        let anchor = self.view.orientation.anchor(src, dst);
-        let range = self.csr.clean_range(eb.index(), prefix)?;
-        if !primary.csr().region_clean(anchor.index()) {
-            return None;
+    ) -> OffsetList<'a> {
+        let Ok((src, dst)) = graph.edge_endpoints(eb) else {
+            return OffsetList::empty();
+        };
+        let anchor = self.view.orientation.anchor(src, dst).index();
+        if anchor >= primary.csr().owner_count() {
+            return OffsetList::empty();
         }
-        Some(LazyEpList {
-            primary,
-            anchor,
-            range,
-        })
+        self.csr
+            .list(eb.index(), prefix, primary.csr().region(anchor))
     }
 
     /// Maintenance for an inserted edge `e` (§IV-C): two delta queries.
@@ -263,11 +237,8 @@ impl EdgePartitionedIndex {
                 .map(|(edge, _)| edge.raw())
                 .collect();
             for t in targets {
-                let a = anchor;
-                self.csr.delete(e.index(), t, |off| {
-                    let (edge, n) = primary.csr().region_entry(a.index(), off as usize);
-                    Some((edge.raw(), n.raw()))
-                });
+                let region = primary.csr().region(anchor.index());
+                self.csr.delete(e.index(), t, region);
             }
         }
         // e inside other bound lists.
@@ -276,11 +247,8 @@ impl EdgePartitionedIndex {
             if eb == e || eb.index() >= self.csr.owner_count() {
                 continue;
             }
-            let a = e_owner;
-            self.csr.delete(eb.index(), e.raw(), |off| {
-                let (edge, n) = primary.csr().region_entry(a.index(), off as usize);
-                Some((edge.raw(), n.raw()))
-            });
+            let region = primary.csr().region(e_owner.index());
+            self.csr.delete(eb.index(), e.raw(), region);
         }
     }
 
@@ -347,48 +315,6 @@ impl EdgePartitionedIndex {
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.csr.memory_bytes()
-    }
-}
-
-/// A lazy, clean adjacency list of an edge-partitioned index.
-#[derive(Clone, Copy)]
-pub struct LazyEpList<'a> {
-    primary: &'a PrimaryIndex,
-    anchor: VertexId,
-    range: crate::offsets::OffsetRange<'a>,
-}
-
-impl LazyEpList<'_> {
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.range.len()
-    }
-
-    /// Whether the list is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
-    }
-
-    /// The `(edge, neighbour)` at position `i`.
-    #[must_use]
-    pub fn get(&self, i: usize) -> (EdgeId, VertexId) {
-        let off = self.range.offset_at(i);
-        self.primary
-            .csr()
-            .region_entry(self.anchor.index(), off as usize)
-    }
-
-    /// Materializes the subrange `[start, end)`.
-    #[must_use]
-    pub fn materialize(&self, start: usize, end: usize) -> crate::list::List<'static> {
-        let mut out = Vec::with_capacity(end.saturating_sub(start));
-        for i in start..end {
-            let (e, n) = self.get(i);
-            out.push((e.raw(), n.raw()));
-        }
-        crate::list::List::Owned(out)
     }
 }
 

@@ -33,7 +33,7 @@ pub mod vertex_partitioned;
 pub mod view;
 
 pub use error::IndexError;
-pub use list::List;
+pub use list::{List, OffsetList};
 pub use primary::PrimaryIndexes;
 pub use spec::{Direction, IndexSpec, PartitionKey, SortKey};
 pub use store::IndexStore;

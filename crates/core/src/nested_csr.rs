@@ -70,6 +70,33 @@ impl Page {
     }
 }
 
+/// One owner's merged region (buffered entries excluded), borrowed from its
+/// page: the target of offset-list dereferences.
+#[derive(Debug, Clone, Copy)]
+pub struct Region<'a> {
+    /// Edge IDs (raw), indexed by region-relative offset.
+    pub edges: &'a [u64],
+    /// Neighbour vertex IDs (raw), indexed by region-relative offset.
+    pub nbrs: &'a [u32],
+    deleted: &'a Bitmap,
+    start: usize,
+}
+
+impl Region<'_> {
+    /// Whether the region has no tombstones (word-at-a-time bitmap check).
+    #[must_use]
+    pub fn is_clean(&self) -> bool {
+        let range = self.start..self.start + self.edges.len();
+        self.deleted.count_ones_in_range(range) == 0
+    }
+
+    /// Whether the entry at region-relative offset `off` is tombstoned.
+    #[must_use]
+    pub fn is_deleted(&self, off: usize) -> bool {
+        self.deleted.get(self.start + off)
+    }
+}
+
 /// The multi-level partitioned CSR.
 #[derive(Debug, Clone)]
 pub struct NestedCsr {
@@ -307,20 +334,19 @@ impl NestedCsr {
         (EdgeId(page.edge_ids[pos]), VertexId(page.nbr_ids[pos]))
     }
 
-    /// Whether `owner`'s merged region has no tombstones (word-at-a-time
-    /// bitmap check — used by the lazy offset-list fast path).
+    /// The merged region of `owner` as its ID columns plus the tombstone
+    /// test — what an offset list dereferences through, resolved once per
+    /// fetch rather than once per entry.
     #[must_use]
-    pub fn region_clean(&self, owner: usize) -> bool {
+    pub fn region(&self, owner: usize) -> Region<'_> {
         let (g, r) = self.region_bounds(owner);
-        self.pages[g].deleted.count_ones_in_range(r) == 0
-    }
-
-    /// Whether the merged entry at region-relative offset `off` is
-    /// tombstoned.
-    #[must_use]
-    pub fn region_entry_deleted(&self, owner: usize, off: usize) -> bool {
-        let (g, r) = self.region_bounds(owner);
-        self.pages[g].deleted.get(r.start + off)
+        let page = &self.pages[g];
+        Region {
+            edges: &page.edge_ids[r.clone()],
+            nbrs: &page.nbr_ids[r.clone()],
+            deleted: &page.deleted,
+            start: r.start,
+        }
     }
 
     /// Iterates the merged region of `owner` as

@@ -19,7 +19,8 @@
 
 use aplus_common::{byte_width_for, Bitmap, PackedUints, GROUP_SIZE};
 
-use crate::list::List;
+use crate::list::{OffsetList, Splice};
+use crate::nested_csr::Region;
 use crate::sortkey::SortVal;
 
 /// One secondary entry: owner + flattened slot + sort key + offset into the
@@ -224,84 +225,28 @@ impl OffsetCsr {
         (g, start..end, first, first + span)
     }
 
-    /// Materializes the list of `owner` under `prefix`. `resolve(offset)`
-    /// dereferences a primary-region offset to `(edge, nbr)`, returning
-    /// `None` when the target is tombstoned in the primary.
-    #[must_use]
-    pub fn list(
-        &self,
+    /// The list of `owner` under `prefix`, its offsets pointing into
+    /// `region` (the owner's — or, for edge-partitioned indexes, the
+    /// anchor's — primary region).
+    pub(crate) fn list<'a>(
+        &'a self,
         owner: usize,
         prefix: &[u32],
-        resolve: impl Fn(u32) -> Option<(u64, u32)>,
-    ) -> List<'static> {
-        if owner >= self.owner_count {
-            return List::empty();
-        }
-        for (i, &code) in prefix.iter().enumerate() {
-            if code >= self.widths[i] {
-                return List::empty();
-            }
+        region: Region<'a>,
+    ) -> OffsetList<'a> {
+        if owner >= self.owner_count || prefix.iter().zip(&self.widths).any(|(c, w)| c >= w) {
+            return OffsetList::empty();
         }
         let (g, range, slot_lo, slot_hi) = self.range(owner, prefix);
         let page = &self.pages[g];
         let local = (owner % GROUP_SIZE) as u32;
-        let mut out = Vec::with_capacity(range.len());
-        let mut buf = page
+        let splices: Vec<Splice> = page
             .buffer
             .iter()
             .filter(|b| b.owner_in_page == local && b.slot >= slot_lo && b.slot < slot_hi)
-            .peekable();
-        for pos in range {
-            while let Some(b) = buf.peek() {
-                if (b.merge_pos as usize) <= pos {
-                    out.push((b.edge, b.nbr));
-                    buf.next();
-                } else {
-                    break;
-                }
-            }
-            if !page.deleted.get(pos) {
-                if let Some(pair) = resolve(page.offsets.get(pos) as u32) {
-                    out.push(pair);
-                }
-            }
-        }
-        for b in buf {
-            out.push((b.edge, b.nbr));
-        }
-        List::Owned(out)
-    }
-
-    /// A positional view over a *clean* range (no buffered entries, no
-    /// tombstones): enables binary-search pruning without dereferencing the
-    /// whole list. Returns `None` when the range is dirty or empty-prefix
-    /// invalid; callers then fall back to the materializing [`Self::list`].
-    #[must_use]
-    pub fn clean_range(&self, owner: usize, prefix: &[u32]) -> Option<OffsetRange<'_>> {
-        if owner >= self.owner_count {
-            return None;
-        }
-        for (i, &code) in prefix.iter().enumerate() {
-            if code >= self.widths[i] {
-                return None;
-            }
-        }
-        let (g, range, slot_lo, slot_hi) = self.range(owner, prefix);
-        let page = &self.pages[g];
-        let local = (owner % GROUP_SIZE) as u32;
-        let dirty = page
-            .buffer
-            .iter()
-            .any(|b| b.owner_in_page == local && b.slot >= slot_lo && b.slot < slot_hi)
-            || page.deleted.count_ones_in_range(range.clone()) > 0;
-        if dirty {
-            return None;
-        }
-        Some(OffsetRange {
-            offsets: &page.offsets,
-            start: range.start,
-            len: range.len(),
-        })
+            .map(|b| (b.merge_pos, b.edge, b.nbr))
+            .collect();
+        OffsetList::read(&page.offsets, &page.deleted, range, &splices, region)
     }
 
     /// Buffers an insert. `key_of_offset(offset)` recomputes the sort key of
@@ -350,12 +295,8 @@ impl OffsetCsr {
     }
 
     /// Removes `edge` from `owner`'s lists (buffer first, then tombstone).
-    pub fn delete(
-        &mut self,
-        owner: usize,
-        edge: u64,
-        resolve: impl Fn(u32) -> Option<(u64, u32)>,
-    ) -> bool {
+    /// `region` is the primary region the owner's offsets point into.
+    pub fn delete(&mut self, owner: usize, edge: u64, region: Region<'_>) -> bool {
         if owner >= self.owner_count {
             return false;
         }
@@ -373,15 +314,10 @@ impl OffsetCsr {
         let (_, range, ..) = self.range(owner, &[]);
         let page = &mut self.pages[g];
         for pos in range {
-            if page.deleted.get(pos) {
-                continue;
-            }
-            if let Some((e, _)) = resolve(page.offsets.get(pos) as u32) {
-                if e == edge {
-                    page.deleted.set(pos, true);
-                    self.entry_count -= 1;
-                    return true;
-                }
+            if !page.deleted.get(pos) && region.edges[page.offsets.get(pos) as usize] == edge {
+                page.deleted.set(pos, true);
+                self.entry_count -= 1;
+                return true;
             }
         }
         false
@@ -473,35 +409,6 @@ impl OffsetCsr {
     }
 }
 
-/// A positional view over a clean offset-list range.
-#[derive(Clone, Copy)]
-pub struct OffsetRange<'a> {
-    offsets: &'a PackedUints,
-    start: usize,
-    len: usize,
-}
-
-impl OffsetRange<'_> {
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the range is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The primary-region offset stored at position `i`.
-    #[must_use]
-    pub fn offset_at(&self, i: usize) -> u32 {
-        debug_assert!(i < self.len);
-        self.offsets.get(self.start + i) as u32
-    }
-}
-
 fn owners_in_group(owner_count: usize, group: usize) -> usize {
     owner_count
         .saturating_sub(group * GROUP_SIZE)
@@ -511,6 +418,7 @@ fn owners_in_group(owner_count: usize, group: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nested_csr::{EntryInput, NestedCsr};
     use crate::sortkey::{encode_component, MAX_SORT_KEYS};
 
     fn sv(k: i64) -> SortVal {
@@ -549,19 +457,29 @@ mod tests {
         )
     }
 
-    fn resolve(off: u32) -> Option<(u64, u32)> {
-        // Primary region: offset i holds edge 100+i, nbr i.
-        Some((100 + u64::from(off), off))
+    /// A one-owner primary whose region holds, at offset `i`, edge
+    /// `base + i` with neighbour `i`.
+    fn primary(len: u32, base: u64) -> NestedCsr {
+        let entries = (0..len).map(|i| EntryInput {
+            owner: 0,
+            slot: 0,
+            sort: sv(i64::from(i)),
+            edge: base + u64::from(i),
+            nbr: i,
+        });
+        NestedCsr::build(1, vec![1], entries.collect())
     }
 
     #[test]
     fn build_and_list() {
         let c = build_small();
-        let l = c.list(0, &[0], resolve);
+        let p = primary(4, 100);
+        let region = p.region(0);
+        let l = c.list(0, &[0], region);
         let edges: Vec<u64> = l.iter().map(|(e, _)| e.raw()).collect();
         assert_eq!(edges, vec![102, 100]); // offsets 2, 0 in sort order
-        assert_eq!(c.list(0, &[1], resolve).len(), 0);
-        assert_eq!(c.list(1, &[1], resolve).len(), 1);
+        assert_eq!(c.list(0, &[1], region).len(), 0);
+        assert_eq!(c.list(1, &[1], region).len(), 1);
         assert_eq!(c.entry_count(), 3);
     }
 
@@ -582,25 +500,31 @@ mod tests {
             |_| 70_001,
         );
         // 70_001 distinct offsets need 3 bytes each.
-        let l = wide.list(0, &[0], |off| Some((u64::from(off), off)));
+        let p = primary(70_001, 0);
+        let l = wide.list(0, &[0], p.region(0));
         assert_eq!(l.get(0).0.raw(), 70_000);
     }
 
     #[test]
     fn resolve_none_skips_entry() {
         let c = build_small();
-        let l = c.list(0, &[0], |off| if off == 0 { None } else { resolve(off) });
+        let mut p = primary(4, 100);
+        assert!(p.delete(0, 100)); // tombstones offset 0 in the primary
+        let l = c.list(0, &[0], p.region(0));
+        assert!(matches!(l, OffsetList::Dirty(_)));
         assert_eq!(l.len(), 1);
     }
 
     #[test]
     fn insert_buffers_between_merged() {
         let mut c = build_small();
+        let p = primary(4, 100);
+        let region = p.region(0);
         // Keys of merged entries: offset 2 -> 10, offset 0 -> 20 (see build).
         let key_of = |off: u32| if off == 2 { sv(10) } else { sv(20) };
         c.insert(0, 0, sv(15), 999, 9, key_of);
         let edges: Vec<u64> = c
-            .list(0, &[0], resolve)
+            .list(0, &[0], region)
             .iter()
             .map(|(e, _)| e.raw())
             .collect();
@@ -611,21 +535,25 @@ mod tests {
     #[test]
     fn delete_from_buffer_and_merged() {
         let mut c = build_small();
+        let p = primary(4, 100);
+        let region = p.region(0);
         c.insert(0, 0, sv(1), 999, 9, |_| sv(0));
-        assert!(c.delete(0, 999, resolve));
-        assert!(c.delete(0, 102, resolve)); // merged entry at offset 2
+        assert!(c.delete(0, 999, region));
+        assert!(c.delete(0, 102, region)); // merged entry at offset 2
         let edges: Vec<u64> = c
-            .list(0, &[0], resolve)
+            .list(0, &[0], region)
             .iter()
             .map(|(e, _)| e.raw())
             .collect();
         assert_eq!(edges, vec![100]);
-        assert!(!c.delete(0, 12345, resolve));
+        assert!(!c.delete(0, 12345, region));
     }
 
     #[test]
     fn rebuild_group_replaces_page() {
         let mut c = build_small();
+        let p = primary(4, 100);
+        let region = p.region(0);
         c.insert(0, 0, sv(1), 999, 9, |_| sv(0));
         c.rebuild_group(0, 4, |owner| {
             if owner == 0 {
@@ -636,7 +564,7 @@ mod tests {
         });
         assert_eq!(c.buffer_len(0), 0);
         let edges: Vec<u64> = c
-            .list(0, &[0], resolve)
+            .list(0, &[0], region)
             .iter()
             .map(|(e, _)| e.raw())
             .collect();
@@ -646,15 +574,19 @@ mod tests {
     #[test]
     fn grow_owners_appends_empty() {
         let mut c = build_small();
+        let p = primary(4, 100);
+        let region = p.region(0);
         c.grow_owners(100, |_| 1);
         assert_eq!(c.owner_count(), 100);
-        assert_eq!(c.list(80, &[], resolve).len(), 0);
+        assert_eq!(c.list(80, &[], region).len(), 0);
     }
 
     #[test]
     fn out_of_range_prefix_empty() {
         let c = build_small();
-        assert!(c.list(0, &[99], resolve).is_empty());
-        assert!(c.list(50, &[], resolve).is_empty());
+        let p = primary(4, 100);
+        let region = p.region(0);
+        assert!(c.list(0, &[99], region).is_empty());
+        assert!(c.list(50, &[], region).is_empty());
     }
 }

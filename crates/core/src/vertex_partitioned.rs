@@ -20,7 +20,8 @@ use aplus_common::{byte_width_for, Bitmap, EdgeId, PackedUints, VertexId, GROUP_
 use aplus_graph::Graph;
 
 use crate::error::IndexError;
-use crate::list::List;
+use crate::list::{OffsetList, Splice};
+use crate::nested_csr::{NestedCsr, Region};
 use crate::offsets::{OffsetCsr, OffsetEntry};
 use crate::primary::PrimaryIndex;
 use crate::sortkey::SortVal;
@@ -62,82 +63,6 @@ pub struct SharedOffsets {
     /// Live entries across all pages, kept by every mutation so the
     /// optimizer's size estimate reads it without touching the pages.
     entry_count: usize,
-}
-
-/// A clean positional view into a shared page's offset array.
-#[derive(Clone, Copy)]
-struct SharedRange<'a> {
-    offsets: &'a PackedUints,
-    start: usize,
-    len: usize,
-}
-
-/// Internal representation of a clean range for either storage layout.
-#[derive(Clone, Copy)]
-enum AnyRange<'a> {
-    Own(crate::offsets::OffsetRange<'a>),
-    Shared(SharedRange<'a>),
-}
-
-impl<'a> From<crate::offsets::OffsetRange<'a>> for AnyRange<'a> {
-    fn from(r: crate::offsets::OffsetRange<'a>) -> Self {
-        Self::Own(r)
-    }
-}
-
-impl<'a> From<SharedRange<'a>> for AnyRange<'a> {
-    fn from(r: SharedRange<'a>) -> Self {
-        Self::Shared(r)
-    }
-}
-
-/// A lazy, clean adjacency list of a vertex-partitioned index: positions
-/// dereference through the primary on demand.
-#[derive(Clone, Copy)]
-pub struct LazyVpList<'a> {
-    primary: &'a PrimaryIndex,
-    owner: VertexId,
-    range: AnyRange<'a>,
-}
-
-impl LazyVpList<'_> {
-    /// Number of entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self.range {
-            AnyRange::Own(r) => r.len(),
-            AnyRange::Shared(r) => r.len,
-        }
-    }
-
-    /// Whether the list is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `(edge, neighbour)` at position `i` (one indirection).
-    #[must_use]
-    pub fn get(&self, i: usize) -> (EdgeId, VertexId) {
-        let off = match self.range {
-            AnyRange::Own(r) => r.offset_at(i),
-            AnyRange::Shared(r) => r.offsets.get(r.start + i) as u32,
-        };
-        self.primary
-            .csr()
-            .region_entry(self.owner.index(), off as usize)
-    }
-
-    /// Materializes the subrange `[start, end)` into an owned list.
-    #[must_use]
-    pub fn materialize(&self, start: usize, end: usize) -> List<'static> {
-        let mut out = Vec::with_capacity(end.saturating_sub(start));
-        for i in start..end {
-            let (e, n) = self.get(i);
-            out.push((e.raw(), n.raw()));
-        }
-        List::Owned(out)
-    }
 }
 
 /// Physical layout of a vertex-partitioned index.
@@ -263,81 +188,24 @@ impl VertexPartitionedIndex {
         }
     }
 
-    /// A lazy positional view over a *clean* range (no pending buffer
-    /// entries, no tombstones — the common case for static graphs).
-    /// Entries dereference through the primary on demand, so a
-    /// binary-search prune touches O(log n) entries instead of
-    /// materializing the list. Returns `None` when the range is dirty.
+    /// The indexed adjacency list of `owner` under a partition-code
+    /// prefix: lazy over the owner's primary region when the range is
+    /// clean, already spliced when it has buffered entries or tombstones.
     #[must_use]
-    pub fn clean_list<'a>(
+    pub fn list<'a>(
         &'a self,
         primary: &'a PrimaryIndex,
         owner: VertexId,
         prefix: &[u32],
-    ) -> Option<LazyVpList<'a>> {
-        match &self.storage {
-            VpStorage::Own(csr) => {
-                let range = csr.clean_range(owner.index(), prefix)?;
-                // Any tombstone in the *primary* region also dirties
-                // dereferences; the primary's offsets stay valid but the
-                // target may be deleted. Cheap check: region clean?
-                if !primary.csr().region_clean(owner.index()) {
-                    return None;
-                }
-                Some(LazyVpList {
-                    primary,
-                    owner,
-                    range: range.into(),
-                })
-            }
-            VpStorage::Shared(st) => {
-                let csr = primary.csr();
-                if owner.index() >= csr.owner_count() {
-                    return None;
-                }
-                for (i, &code) in prefix.iter().enumerate() {
-                    if code >= primary.widths()[i] {
-                        return None;
-                    }
-                }
-                let (g, range) = csr.range_abs(owner.index(), prefix);
-                let page = st.pages.get(g)?;
-                let (slot_lo, span) = csr.slot_span(prefix);
-                let slot_hi = slot_lo + span;
-                let local = (owner.index() % GROUP_SIZE) as u32;
-                let dirty = page
-                    .buffer
-                    .iter()
-                    .any(|b| b.owner_in_page == local && b.slot >= slot_lo && b.slot < slot_hi)
-                    || range.end > page.offsets.len()
-                    || (range.start..range.end).any(|p| page.deleted.get(p))
-                    || !primary.csr().region_clean(owner.index());
-                if dirty {
-                    return None;
-                }
-                Some(LazyVpList {
-                    primary,
-                    owner,
-                    range: SharedRange {
-                        offsets: &page.offsets,
-                        start: range.start,
-                        len: range.end - range.start,
-                    }
-                    .into(),
-                })
-            }
+    ) -> OffsetList<'a> {
+        let csr = primary.csr();
+        if owner.index() >= csr.owner_count() {
+            return OffsetList::empty();
         }
-    }
-
-    /// The indexed adjacency list of `owner` under a partition-code prefix.
-    /// Always materialized (offset-list indirection).
-    #[must_use]
-    pub fn list(&self, primary: &PrimaryIndex, owner: VertexId, prefix: &[u32]) -> List<'static> {
+        let region = csr.region(owner.index());
         match &self.storage {
-            VpStorage::Shared(s) => s.list(primary, owner, prefix),
-            VpStorage::Own(csr) => {
-                csr.list(owner.index(), prefix, |off| deref_live(primary, owner, off))
-            }
+            VpStorage::Shared(s) => s.list(csr, owner.index(), prefix, region),
+            VpStorage::Own(own) => own.list(owner.index(), prefix, region),
         }
     }
 
@@ -395,10 +263,9 @@ impl VertexPartitionedIndex {
         let owner = self.direction.owner(src, dst);
         match &mut self.storage {
             VpStorage::Shared(s) => s.delete(primary, owner, e.raw()),
-            VpStorage::Own(csr) => csr.delete(owner.index(), e.raw(), |off| {
-                let (edge, nbr) = primary.csr().region_entry(owner.index(), off as usize);
-                Some((edge.raw(), nbr.raw()))
-            }),
+            VpStorage::Own(csr) => {
+                csr.delete(owner.index(), e.raw(), primary.csr().region(owner.index()))
+            }
         }
     }
 
@@ -450,17 +317,6 @@ impl VertexPartitionedIndex {
             VpStorage::Own(csr) => csr.offset_bytes(),
         }
     }
-}
-
-fn deref_live(primary: &PrimaryIndex, owner: VertexId, off: u32) -> Option<(u64, u32)> {
-    if primary
-        .csr()
-        .region_entry_deleted(owner.index(), off as usize)
-    {
-        return None;
-    }
-    let (e, n) = primary.csr().region_entry(owner.index(), off as usize);
-    Some((e.raw(), n.raw()))
 }
 
 /// Generates the own-storage entries of one owner by scanning its primary
@@ -601,52 +457,31 @@ impl SharedOffsets {
         self.entry_count
     }
 
-    fn list(&self, primary: &PrimaryIndex, owner: VertexId, prefix: &[u32]) -> List<'static> {
-        let csr = primary.csr();
-        if owner.index() >= csr.owner_count() {
-            return List::empty();
+    /// `owner`'s range of the shared page: the primary's own slot
+    /// boundaries, read through this index's re-sorted offsets.
+    fn list<'a>(
+        &'a self,
+        csr: &NestedCsr,
+        owner: usize,
+        prefix: &[u32],
+        region: Region<'a>,
+    ) -> OffsetList<'a> {
+        if prefix.iter().zip(csr.widths()).any(|(c, w)| c >= w) {
+            return OffsetList::empty();
         }
-        for (i, &code) in prefix.iter().enumerate() {
-            if code >= primary.widths()[i] {
-                return List::empty();
-            }
-        }
-        let (g, range) = csr.range_abs(owner.index(), prefix);
+        let (g, range) = csr.range_abs(owner, prefix);
         let Some(page) = self.pages.get(g) else {
-            return List::empty();
+            return OffsetList::empty();
         };
         let (slot_lo, span) = csr.slot_span(prefix);
-        let slot_hi = slot_lo + span;
-        let local = (owner.index() % GROUP_SIZE) as u32;
-        let mut out = Vec::with_capacity(range.len());
-        let mut buf = page
+        let local = (owner % GROUP_SIZE) as u32;
+        let splices: Vec<Splice> = page
             .buffer
             .iter()
-            .filter(|b| b.owner_in_page == local && b.slot >= slot_lo && b.slot < slot_hi)
-            .peekable();
-        for pos in range {
-            while let Some(b) = buf.peek() {
-                if (b.merge_pos as usize) <= pos {
-                    out.push((b.edge, b.nbr));
-                    buf.next();
-                } else {
-                    break;
-                }
-            }
-            if pos >= page.offsets.len() || page.deleted.get(pos) {
-                continue;
-            }
-            let off = page.offsets.get(pos) as u32;
-            if csr.region_entry_deleted(owner.index(), off as usize) {
-                continue;
-            }
-            let (e, n) = csr.region_entry(owner.index(), off as usize);
-            out.push((e.raw(), n.raw()));
-        }
-        for b in buf {
-            out.push((b.edge, b.nbr));
-        }
-        List::Owned(out)
+            .filter(|b| b.owner_in_page == local && b.slot >= slot_lo && b.slot < slot_lo + span)
+            .map(|b| (b.merge_pos, b.edge, b.nbr))
+            .collect();
+        OffsetList::read(&page.offsets, &page.deleted, range, &splices, region)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -940,9 +775,12 @@ mod tests {
         )
         .unwrap();
         let t4 = fg.transfer(4);
-        assert!(vp.delete_edge(&g, p.index(Direction::Fwd), t4));
-        p.index_mut(Direction::Fwd).delete_edge(&g, t4);
         let wire = u32::from(g.catalog().edge_label("W").unwrap().raw());
+        assert!(vp.delete_edge(&g, p.index(Direction::Fwd), t4));
+        // The index's own tombstone alone already dirties the range.
+        let l = vp.list(p.index(Direction::Fwd), fg.account(1), &[wire]);
+        assert!(matches!(l, OffsetList::Dirty(_)) && l.len() == 2);
+        p.index_mut(Direction::Fwd).delete_edge(&g, t4);
         let l = vp.list(p.index(Direction::Fwd), fg.account(1), &[wire]);
         assert_eq!(l.len(), 2);
         assert!(l.iter().all(|(e, _)| e != t4));

@@ -164,7 +164,7 @@ proptest! {
                 let (edge, nbr) = csr.region_entry(owner as usize, off);
                 prop_assert_eq!((edge.raw(), nbr.raw()), (e, n));
             }
-            prop_assert!(csr.region_clean(owner as usize));
+            prop_assert!(csr.region(owner as usize).is_clean());
         }
     }
 

@@ -1,7 +1,10 @@
 //! Property-based tests for secondary A+ indexes: on random graphs with
 //! random predicates, vertex- and edge-partitioned indexes must return
 //! exactly the edges a direct predicate scan returns — after builds, after
-//! maintenance streams, and after flushes.
+//! maintenance streams, and after flushes. Every list is read every way an
+//! [`OffsetList`] can be (`get`, `iter`, `into_list` whole and cut), and its
+//! variant is asserted: `Clean` after a build or a flush, `Dirty` exactly
+//! where un-flushed maintenance touched it.
 
 use proptest::prelude::*;
 
@@ -9,8 +12,8 @@ use aplus_common::{EdgeId, VertexId};
 use aplus_core::store::IndexDirections;
 use aplus_core::view::{OneHopView, TwoHopOrientation, TwoHopView};
 use aplus_core::{
-    CmpOp, Direction, IndexSpec, IndexStore, SortKey, ViewComparison, ViewEntity, ViewOperand,
-    ViewPredicate,
+    CmpOp, Direction, IndexSpec, IndexStore, OffsetList, SortKey, ViewComparison, ViewEntity,
+    ViewOperand, ViewPredicate,
 };
 use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
 
@@ -34,6 +37,67 @@ fn build_graph(n: u32, edges: &[(u32, u32, i64)]) -> Graph {
         g.set_edge_prop(e, w, Value::Int(wt)).unwrap();
     }
     g
+}
+
+/// The entries of `list`, after checking that `get`, `iter`, `into_list`
+/// over everything and `into_list` over an inner cut all agree, and that
+/// the list is `Dirty` exactly when `expect_dirty`.
+fn read_every_way(
+    list: OffsetList<'_>,
+    expect_dirty: bool,
+) -> Result<Vec<(u64, u32)>, TestCaseError> {
+    prop_assert_eq!(matches!(list, OffsetList::Dirty(_)), expect_dirty);
+    let len = list.len();
+    prop_assert_eq!(list.is_empty(), len == 0);
+    let by_get: Vec<_> = (0..len).map(|i| list.get(i)).collect();
+    let by_iter: Vec<_> = list.iter().collect();
+    prop_assert_eq!(&by_get, &by_iter);
+    let raw: Vec<(u64, u32)> = by_get.iter().map(|&(e, n)| (e.raw(), n.raw())).collect();
+    let (a, b) = (len / 3, len - len / 4);
+    for (start, end) in [(0, len), (a, b), (len, len)] {
+        let run = list.clone().into_list(start, end);
+        let got: Vec<(u64, u32)> = run.iter().map(|(e, n)| (e.raw(), n.raw())).collect();
+        prop_assert_eq!(&got[..], &raw[start..end], "run {}..{}", start, end);
+    }
+    Ok(raw)
+}
+
+/// What un-flushed maintenance leaves behind, tracked beside the store:
+/// edges below `merged_below` sit in merged primary pages, later ones in
+/// update buffers, and `tombstoned` are the merged edges deleted since.
+/// Whenever the primaries report nothing pending (a flush ran, or every
+/// buffered insert was deleted again) the state is that of a fresh build.
+struct Pending {
+    merged_below: u64,
+    tombstoned: Vec<EdgeId>,
+}
+
+impl Pending {
+    fn after_build(g: &Graph) -> Self {
+        Self {
+            merged_below: g.edge_count() as u64,
+            tombstoned: Vec::new(),
+        }
+    }
+
+    fn note_delete(&mut self, victim: EdgeId) {
+        if victim.raw() < self.merged_below {
+            self.tombstoned.push(victim);
+        }
+    }
+
+    fn observe(&mut self, g: &Graph, store: &IndexStore) {
+        let pending = [Direction::Fwd, Direction::Bwd]
+            .iter()
+            .any(|&d| store.primary().index(d).has_pending_merges());
+        if !pending {
+            *self = Self::after_build(g);
+        }
+    }
+
+    fn buffered(&self, e: EdgeId) -> bool {
+        e.raw() >= self.merged_below
+    }
 }
 
 fn edge_strategy(n: u32) -> impl Strategy<Value = Vec<(u32, u32, i64)>> {
@@ -60,25 +124,34 @@ proptest! {
             .create_vertex_index(&g, "vp", IndexDirections::FwBw, view,
                 IndexSpec::default_primary())
             .unwrap();
+        // No predicate, the primary's partitioning, another sort: the
+        // shared-levels layout, indexing every edge.
+        store
+            .create_vertex_index(&g, "vps", IndexDirections::FwBw,
+                OneHopView::new(ViewPredicate::always_true()).unwrap(),
+                IndexSpec::default_primary().with_sort(vec![SortKey::EdgeProp(w)]))
+            .unwrap();
         for dir in [Direction::Fwd, Direction::Bwd] {
-            let vp = store.vertex_index("vp", dir).unwrap();
             let primary = store.primary().index(dir);
-            for v in g.vertices() {
-                let mut expect: Vec<u64> = g
-                    .edges()
-                    .filter(|&(e, s, d, _)| {
-                        dir.owner(s, d) == v && g.edge_prop(e, w).unwrap() > threshold
-                    })
-                    .map(|(e, ..)| e.raw())
-                    .collect();
-                expect.sort_unstable();
-                let mut got: Vec<u64> = vp
-                    .list(primary, v, &[])
-                    .iter()
-                    .map(|(e, _)| e.raw())
-                    .collect();
-                got.sort_unstable();
-                prop_assert_eq!(got, expect, "dir {:?} vertex {}", dir, v);
+            for (name, shared, floor) in [("vp", false, threshold), ("vps", true, i64::MIN)] {
+                let vp = store.vertex_index(name, dir).unwrap();
+                prop_assert_eq!(vp.shares_levels(), shared);
+                for v in g.vertices() {
+                    let mut expect: Vec<u64> = g
+                        .edges()
+                        .filter(|&(e, s, d, _)| {
+                            dir.owner(s, d) == v && g.edge_prop(e, w).unwrap() > floor
+                        })
+                        .map(|(e, ..)| e.raw())
+                        .collect();
+                    expect.sort_unstable();
+                    let mut got: Vec<u64> = read_every_way(vp.list(primary, v, &[]), false)?
+                        .into_iter()
+                        .map(|(e, _)| e)
+                        .collect();
+                    got.sort_unstable();
+                    prop_assert_eq!(got, expect, "{} dir {:?} vertex {}", name, dir, v);
+                }
             }
         }
     }
@@ -115,10 +188,9 @@ proptest! {
                 .map(|&(e, ..)| e.raw())
                 .collect();
             expect.sort_unstable();
-            let mut got: Vec<u64> = ep
-                .list(&g, primary, eb, &[])
-                .iter()
-                .map(|(e, _)| e.raw())
+            let mut got: Vec<u64> = read_every_way(ep.list(&g, primary, eb, &[]), false)?
+                .into_iter()
+                .map(|(e, _)| e)
                 .collect();
             got.sort_unstable();
             prop_assert_eq!(got, expect, "bound edge {}", eb);
@@ -140,11 +212,24 @@ proptest! {
         let view = OneHopView::new(ViewPredicate::all_of(vec![
             ViewComparison::prop_const(ViewEntity::AdjEdge, w, CmpOp::Gt, threshold),
         ])).unwrap();
-        store
-            .create_vertex_index(&g, "vp", IndexDirections::Fw, view.clone(),
-                IndexSpec::default().with_sort(vec![SortKey::EdgeProp(w)]))
-            .unwrap();
+        // "vp": a predicate, so own levels; "vps": none and the primary's
+        // partitioning, so shared levels. Both sorted by w.
+        let specs = [
+            ("vp", view, IndexSpec::default().with_sort(vec![SortKey::EdgeProp(w)]), threshold),
+            (
+                "vps",
+                OneHopView::new(ViewPredicate::always_true()).unwrap(),
+                IndexSpec::default_primary().with_sort(vec![SortKey::EdgeProp(w)]),
+                i64::MIN,
+            ),
+        ];
+        for (name, view, spec, _) in &specs {
+            store
+                .create_vertex_index(&g, name, IndexDirections::Fw, view.clone(), spec.clone())
+                .unwrap();
+        }
 
+        let mut pending = Pending::after_build(&g);
         let mut live: Vec<EdgeId> = g.edges().map(|(e, ..)| e).collect();
         for &(s, d, wt, delete) in &stream {
             if delete && !live.is_empty() {
@@ -152,44 +237,49 @@ proptest! {
                 live.retain(|&e| e != victim);
                 g.delete_edge(victim).unwrap();
                 store.delete_edge(&g, victim);
+                pending.note_delete(victim);
             } else {
                 let e = g.add_edge(VertexId(s % 30), VertexId(d % 30), "E").unwrap();
                 g.set_edge_prop(e, w, Value::Int(wt)).unwrap();
                 store.insert_edge(&g, e);
                 live.push(e);
             }
+            pending.observe(&g, &store);
         }
 
         let mut rebuilt = IndexStore::build(&g).unwrap();
-        rebuilt
-            .create_vertex_index(&g, "vp", IndexDirections::Fw, view,
-                IndexSpec::default().with_sort(vec![SortKey::EdgeProp(w)]))
-            .unwrap();
+        for (name, view, spec, _) in &specs {
+            rebuilt
+                .create_vertex_index(&g, name, IndexDirections::Fw, view.clone(), spec.clone())
+                .unwrap();
+        }
 
-        let check = |store: &IndexStore, phase: &str| -> Result<(), TestCaseError> {
-            let vp = store.vertex_index("vp", Direction::Fwd).unwrap();
+        let check = |store: &IndexStore, pending: &Pending, phase: &str| -> Result<(), TestCaseError> {
             let primary = store.primary().index(Direction::Fwd);
-            let rb = rebuilt.vertex_index("vp", Direction::Fwd).unwrap();
             let rb_primary = rebuilt.primary().index(Direction::Fwd);
-            for v in g.vertices() {
-                // Sorted by w, so the full (edge, nbr) sequences must match.
-                let got: Vec<(u64, u32)> = vp
-                    .list(primary, v, &[])
-                    .iter()
-                    .map(|(e, n)| (e.raw(), n.raw()))
-                    .collect();
-                let expect: Vec<(u64, u32)> = rb
-                    .list(rb_primary, v, &[])
-                    .iter()
-                    .map(|(e, n)| (e.raw(), n.raw()))
-                    .collect();
-                prop_assert_eq!(got, expect, "{} vertex {}", phase, v);
+            for (name, _, _, floor) in &specs {
+                let vp = store.vertex_index(name, Direction::Fwd).unwrap();
+                let rb = rebuilt.vertex_index(name, Direction::Fwd).unwrap();
+                prop_assert_eq!(vp.shares_levels(), *name == "vps");
+                for v in g.vertices() {
+                    // Dirty: a tombstone in v's primary region, or a
+                    // buffered edge of v that the view admits.
+                    let src_is_v = |e: EdgeId| g.edge_endpoints(e).unwrap().0 == v;
+                    let dirty = pending.tombstoned.iter().any(|&t| src_is_v(t))
+                        || live.iter().any(|&e| {
+                            pending.buffered(e) && src_is_v(e) && g.edge_prop(e, w).unwrap() > *floor
+                        });
+                    // Sorted by w, so the full (edge, nbr) sequences must match.
+                    let got = read_every_way(vp.list(primary, v, &[]), dirty)?;
+                    let expect = read_every_way(rb.list(rb_primary, v, &[]), false)?;
+                    prop_assert_eq!(got, expect, "{} {} vertex {}", phase, name, v);
+                }
             }
             Ok(())
         };
-        check(&store, "pre-flush")?;
+        check(&store, &pending, "pre-flush")?;
         store.flush(&g);
-        check(&store, "post-flush")?;
+        check(&store, &Pending::after_build(&g), "post-flush")?;
     }
 
     /// Edge-partitioned maintenance: a random insert/delete stream through
@@ -214,6 +304,7 @@ proptest! {
             .create_edge_index(&g, "ep", view.clone(), IndexSpec::default_primary())
             .unwrap();
 
+        let mut pending = Pending::after_build(&g);
         let mut live: Vec<EdgeId> = g.edges().map(|(e, ..)| e).collect();
         for &(s, d, wt, delete) in &stream {
             if delete && !live.is_empty() {
@@ -221,12 +312,14 @@ proptest! {
                 live.retain(|&e| e != victim);
                 g.delete_edge(victim).unwrap();
                 store.delete_edge(&g, victim);
+                pending.note_delete(victim);
             } else {
                 let e = g.add_edge(VertexId(s % 20), VertexId(d % 20), "E").unwrap();
                 g.set_edge_prop(e, w, Value::Int(wt)).unwrap();
                 store.insert_edge(&g, e);
                 live.push(e);
             }
+            pending.observe(&g, &store);
         }
 
         let mut rebuilt = IndexStore::build(&g).unwrap();
@@ -234,34 +327,34 @@ proptest! {
             .create_edge_index(&g, "ep", view, IndexSpec::default_primary())
             .unwrap();
 
-        let check = |st: &IndexStore, phase: &str| -> Result<(), TestCaseError> {
+        let check = |st: &IndexStore, pending: &Pending, phase: &str| -> Result<(), TestCaseError> {
             let ep = st.edge_index("ep").unwrap();
             let primary = st.primary().index(Direction::Fwd);
             let rb = rebuilt.edge_index("ep").unwrap();
             let rb_primary = rebuilt.primary().index(Direction::Fwd);
-            for eb in 0..g.edge_count() as u64 {
-                let eb = EdgeId(eb);
-                if g.edge_is_deleted(eb) {
-                    continue;
-                }
-                let mut got: Vec<u64> = ep
-                    .list(&g, primary, eb, &[])
-                    .iter()
-                    .map(|(e, _)| e.raw())
-                    .collect();
-                let mut expect: Vec<u64> = rb
-                    .list(&g, rb_primary, eb, &[])
-                    .iter()
-                    .map(|(e, _)| e.raw())
-                    .collect();
+            for &eb in &live {
+                // Dirty: a tombstone in the anchor's (eb's destination's)
+                // forward region, or a view pair (eb, eadj) either side of
+                // which is still buffered.
+                let anchor = g.edge_endpoints(eb).unwrap().1;
+                let leaves_anchor = |e: EdgeId| g.edge_endpoints(e).unwrap().0 == anchor;
+                let dirty = pending.tombstoned.iter().any(|&t| leaves_anchor(t))
+                    || live.iter().any(|&eadj| {
+                        eadj != eb
+                            && leaves_anchor(eadj)
+                            && g.edge_prop(eb, w).unwrap() > g.edge_prop(eadj, w).unwrap()
+                            && (pending.buffered(eb) || pending.buffered(eadj))
+                    });
+                let mut got = read_every_way(ep.list(&g, primary, eb, &[]), dirty)?;
+                let mut expect = read_every_way(rb.list(&g, rb_primary, eb, &[]), false)?;
                 got.sort_unstable();
                 expect.sort_unstable();
                 prop_assert_eq!(got, expect, "{} bound edge {}", phase, eb);
             }
             Ok(())
         };
-        check(&store, "pre-flush")?;
+        check(&store, &pending, "pre-flush")?;
         store.flush(&g);
-        check(&store, "post-flush")?;
+        check(&store, &Pending::after_build(&g), "post-flush")?;
     }
 }

@@ -61,7 +61,7 @@ use std::collections::HashSet;
 use std::ops::{ControlFlow, Range};
 
 use aplus_common::{EdgeId, VertexId};
-use aplus_core::{CmpOp, Direction, IndexStore, List, SortKey};
+use aplus_core::{CmpOp, Direction, IndexStore, List, OffsetList, SortKey};
 use aplus_graph::Graph;
 use aplus_obs::{HopStats, LevelStats, QueryProfiler};
 use aplus_runtime::{block_morsel_size, scan_morsel_size, MorselPool};
@@ -1134,32 +1134,55 @@ impl BoundList<'_> {
     }
 }
 
-/// Resolves an ALD against the current row into a pruned list satisfying
-/// `need`. Ranges that are not globally sorted (multi-slot spans) get
-/// materialized and sorted here — the executor stays correct for any plan,
-/// and the extra work is exactly the penalty the optimizer's cost model
-/// charges such plans.
-fn fetch_list<'a>(ctx: ExecContext<'a>, ald: &Ald, row: &Row, need: Need) -> BoundList<'a> {
-    // Fast path for pruned, sorted, clean secondary lists: binary search
-    // over a lazy positional view so only the surviving subrange is
-    // dereferenced — the access pattern that makes VPt's time-sorted
-    // prefix reads cheap (§V-C1).
-    if ald.prune.is_some() && ald.sorted_range {
-        if let Some(mut bl) = fetch_pruned_lazy(ctx, ald, row) {
-            // The pruned run keeps the index's sort order; re-sort only if
-            // the consumer needs neighbour order and the run lacks it.
-            if need == Need::NbrSorted && !ald.nbr_sorted() {
-                if let List::Owned(v) = &mut bl.list {
-                    v.sort_unstable_by_key(|&(e, n)| (n, e));
-                }
-            }
-            return bl;
-        }
+/// What an index read hands [`fetch_list`]: an ID list (primary) or an
+/// offset list (secondary). A trait, not an enum, so the primary path
+/// compiles to the plain slice code it always was.
+trait Fetched<'a> {
+    fn len(&self) -> usize;
+    fn get(&self, i: usize) -> (EdgeId, VertexId);
+    /// The run `[start, end)` as a kernel-ready list plus its bounds in it.
+    fn into_run(self, start: usize, end: usize) -> (List<'a>, usize, usize);
+}
+
+impl<'a> Fetched<'a> for List<'a> {
+    fn len(&self) -> usize {
+        List::len(self)
     }
-    let mut list: List<'a> = match (&ald.index, ald.from) {
+
+    fn get(&self, i: usize) -> (EdgeId, VertexId) {
+        List::get(self, i)
+    }
+
+    /// An ID list stays as it is, borrowed or owned.
+    fn into_run(self, start: usize, end: usize) -> (List<'a>, usize, usize) {
+        (self, start, end)
+    }
+}
+
+impl<'a> Fetched<'a> for OffsetList<'a> {
+    fn len(&self) -> usize {
+        OffsetList::len(self)
+    }
+
+    fn get(&self, i: usize) -> (EdgeId, VertexId) {
+        OffsetList::get(self, i)
+    }
+
+    /// An offset list is dereferenced here — after the prune, so only the
+    /// survivors are copied.
+    fn into_run(self, start: usize, end: usize) -> (List<'a>, usize, usize) {
+        (self.into_list(start, end), 0, end - start)
+    }
+}
+
+/// Resolves an ALD against the current row into a pruned list satisfying
+/// `need`: one index read, then [`restrict`].
+fn fetch_list<'a>(ctx: ExecContext<'a>, ald: &Ald, row: &Row, need: Need) -> BoundList<'a> {
+    match (&ald.index, ald.from) {
         (IndexChoice::Primary(dir), FromRef::Vertex(v)) => {
             let owner = row.vertex(v).expect("plan binds FROM before use");
-            ctx.store.primary().index(*dir).list(owner, &ald.prefix)
+            let list = ctx.store.primary().index(*dir).list(owner, &ald.prefix);
+            restrict(ctx, ald, row, need, list)
         }
         (IndexChoice::VertexIdx { name, direction }, FromRef::Vertex(v)) => {
             let owner = row.vertex(v).expect("plan binds FROM before use");
@@ -1167,7 +1190,8 @@ fn fetch_list<'a>(ctx: ExecContext<'a>, ald: &Ald, row: &Row, need: Need) -> Bou
                 .store
                 .vertex_index(name, *direction)
                 .expect("plan references existing index");
-            idx.list(ctx.store.primary().index(*direction), owner, &ald.prefix)
+            let primary = ctx.store.primary().index(*direction);
+            restrict(ctx, ald, row, need, idx.list(primary, owner, &ald.prefix))
         }
         (IndexChoice::EdgeIdx { name }, FromRef::BoundEdge(e)) => {
             let eb = row.edge(e).expect("plan binds FROM edge before use");
@@ -1176,62 +1200,70 @@ fn fetch_list<'a>(ctx: ExecContext<'a>, ald: &Ald, row: &Row, need: Need) -> Bou
                 .edge_index(name)
                 .expect("plan references existing index");
             let dir = idx.view().orientation.primary_direction();
-            idx.list(ctx.graph, ctx.store.primary().index(dir), eb, &ald.prefix)
+            let primary = ctx.store.primary().index(dir);
+            let list = idx.list(ctx.graph, primary, eb, &ald.prefix);
+            restrict(ctx, ald, row, need, list)
         }
         (choice, from) => unreachable!("invalid ALD combination {choice:?} / {from:?}"),
-    };
-    let (mut start, mut end) = (0usize, list.len());
-    let mut resolved_prune = None;
-    if let Some(Prune { op, value }) = ald.prune {
-        let v = match value {
-            PruneValue::Const(c) => Some(c),
-            PruneValue::VertexProp(var, pid) => {
-                row.vertex(var).and_then(|v| ctx.graph.vertex_prop(v, pid))
-            }
-            PruneValue::EdgeProp(var, pid) => {
-                row.edge(var).and_then(|e| ctx.graph.edge_prop(e, pid))
-            }
-        };
-        match v {
-            Some(v) => resolved_prune = Some((op, v)),
-            // A NULL comparison value satisfies nothing.
-            None => {
-                return BoundList {
-                    list: List::empty(),
-                    start: 0,
-                    end: 0,
-                    edge_var: ald.edge_var,
-                    merge_key: None,
-                }
-            }
-        }
     }
-    if let Some((op, value)) = resolved_prune {
-        if ald.sorted_range {
-            // Binary search on the leading sort key.
-            let key_of = |i: usize| -> i128 {
-                let (e, n) = list.get(i);
-                leading_key(ctx.graph, &ald.sort, e, n).map_or(i128::MAX, i128::from)
-            };
-            (start, end) = prune_bounds(op, value, list.len(), key_of);
-        } else {
-            // Unsorted range: fall back to a filtering scan.
-            let mut kept = Vec::with_capacity(end - start);
-            for i in start..end {
-                let (e, n) = list.get(i);
-                let Some(key) = leading_key(ctx.graph, &ald.sort, e, n) else {
-                    continue; // NULL never satisfies the restriction
-                };
-                if op.eval(key, value) {
-                    kept.push((e.raw(), n.raw()));
-                }
-            }
-            list = List::Owned(kept);
-            start = 0;
-            end = list.len();
-        }
-    }
+}
+
+/// Applies the ALD's prune to a fetched list and enforces `need`. Ranges
+/// that are not globally sorted (multi-slot spans) get materialized and
+/// sorted here — the executor stays correct for any plan, and the extra
+/// work is exactly the penalty the optimizer's cost model charges such
+/// plans.
+fn restrict<'a>(
+    ctx: ExecContext<'a>,
+    ald: &Ald,
+    row: &Row,
+    need: Need,
+    fetched: impl Fetched<'a>,
+) -> BoundList<'a> {
     let merge_key = ald.effective_sort().first().copied();
+    let bound = |list, start, end| BoundList {
+        list,
+        start,
+        end,
+        edge_var: ald.edge_var,
+        merge_key,
+    };
+    let prune = match ald.prune {
+        Some(Prune { op, value }) => match resolve_prune_value(ctx, value, row) {
+            Some(v) => Some((op, v)),
+            // A NULL comparison value satisfies nothing.
+            None => return bound(List::empty(), 0, 0),
+        },
+        None => None,
+    };
+    let leading = ald.sort.first().copied();
+    let (mut list, mut start, mut end) = match prune {
+        // Unsorted range: fall back to a filtering scan (NULL never
+        // satisfies the restriction).
+        Some((op, value)) if !ald.sorted_range => {
+            let kept: Vec<(u64, u32)> = (0..fetched.len())
+                .map(|i| fetched.get(i))
+                .filter(|&(e, n)| {
+                    sort_key(ctx.graph, leading, e, n).is_some_and(|key| op.eval(key, value))
+                })
+                .map(|(e, n)| (e.raw(), n.raw()))
+                .collect();
+            let len = kept.len();
+            (List::Owned(kept), 0, len)
+        }
+        // Binary search on the leading sort key: a lazy offset list
+        // dereferences O(log n) entries here — the access pattern that
+        // makes VPt's time-sorted prefix reads cheap (§V-C1).
+        sorted => {
+            let (start, end) = sorted.map_or((0, fetched.len()), |(op, value)| {
+                prune_bounds(op, value, fetched.len(), |i| {
+                    let (e, n) = fetched.get(i);
+                    sort_key(ctx.graph, leading, e, n).map_or(i128::MAX, i128::from)
+                })
+            });
+            fetched.into_run(start, end)
+        }
+    };
     // Enforce the consumer's ordering requirement.
     let satisfied = match need {
         Need::Any => true,
@@ -1239,40 +1271,32 @@ fn fetch_list<'a>(ctx: ExecContext<'a>, ald: &Ald, row: &Row, need: Need) -> Bou
         Need::KeySorted => ald.sorted_range,
     };
     if !satisfied {
-        let mut owned: Vec<(u64, u32)> = (start..end)
-            .map(|i| {
-                let (e, n) = list.get(i);
-                (e.raw(), n.raw())
-            })
-            .collect();
+        // An already-owned run (every offset list) is sorted in place.
+        let mut owned = match list {
+            List::Owned(mut v) => {
+                v.truncate(end);
+                v.drain(..start);
+                v
+            }
+            borrowed => (start..end)
+                .map(|i| {
+                    let (e, n) = borrowed.get(i);
+                    (e.raw(), n.raw())
+                })
+                .collect(),
+        };
         match need {
             Need::NbrSorted => owned.sort_unstable_by_key(|&(e, n)| (n, e)),
             Need::KeySorted => owned.sort_by_cached_key(|&(e, n)| {
-                let key = match merge_key {
-                    None | Some(SortKey::NbrId) => Some(i64::from(n)),
-                    Some(SortKey::NbrLabel) => ctx
-                        .graph
-                        .vertex_label(VertexId(n))
-                        .ok()
-                        .map(|l| i64::from(l.raw())),
-                    Some(SortKey::EdgeProp(pid)) => ctx.graph.edge_prop(EdgeId(e), pid),
-                    Some(SortKey::NbrProp(pid)) => ctx.graph.vertex_prop(VertexId(n), pid),
-                };
+                let key = sort_key(ctx.graph, merge_key, EdgeId(e), VertexId(n));
                 (key.map_or(i128::MAX, i128::from), n, e)
             }),
             Need::Any => {}
         }
+        (start, end) = (0, owned.len());
         list = List::Owned(owned);
-        start = 0;
-        end = list.len();
     }
-    BoundList {
-        list,
-        start,
-        end,
-        edge_var: ald.edge_var,
-        merge_key,
-    }
+    bound(list, start, end)
 }
 
 /// Resolves a prune's comparison value against the current row; `None`
@@ -1309,71 +1333,6 @@ fn prune_bounds(op: CmpOp, value: i64, len: usize, key: impl Fn(usize) -> i128) 
     }
 }
 
-/// Lazy binary-search prune over clean secondary offset lists. Returns
-/// `None` when the list is dirty or the ALD is not a secondary index —
-/// the caller falls back to the materializing path.
-fn fetch_pruned_lazy<'a>(ctx: ExecContext<'a>, ald: &Ald, row: &Row) -> Option<BoundList<'a>> {
-    let Prune { op, value } = ald.prune.expect("caller checked");
-    let merge_key = ald.effective_sort().first().copied();
-    let key_of = |e: EdgeId, n: VertexId| -> i128 {
-        leading_key(ctx.graph, &ald.sort, e, n).map_or(i128::MAX, i128::from)
-    };
-    match (&ald.index, ald.from) {
-        (IndexChoice::VertexIdx { name, direction }, FromRef::Vertex(v)) => {
-            let owner = row.vertex(v).expect("plan binds FROM before use");
-            let idx = ctx.store.vertex_index(name, *direction)?;
-            let primary = ctx.store.primary().index(*direction);
-            let lazy = idx.clean_list(primary, owner, &ald.prefix)?;
-            let Some(value) = resolve_prune_value(ctx, value, row) else {
-                return Some(empty_bound(ald));
-            };
-            let (start, end) = prune_bounds(op, value, lazy.len(), |i| {
-                let (e, n) = lazy.get(i);
-                key_of(e, n)
-            });
-            Some(BoundList {
-                list: lazy.materialize(start, end),
-                start: 0,
-                end: end - start,
-                edge_var: ald.edge_var,
-                merge_key,
-            })
-        }
-        (IndexChoice::EdgeIdx { name }, FromRef::BoundEdge(e)) => {
-            let eb = row.edge(e).expect("plan binds FROM edge before use");
-            let idx = ctx.store.edge_index(name)?;
-            let dir = idx.view().orientation.primary_direction();
-            let primary = ctx.store.primary().index(dir);
-            let lazy = idx.clean_list(ctx.graph, primary, eb, &ald.prefix)?;
-            let Some(value) = resolve_prune_value(ctx, value, row) else {
-                return Some(empty_bound(ald));
-            };
-            let (start, end) = prune_bounds(op, value, lazy.len(), |i| {
-                let (edge, n) = lazy.get(i);
-                key_of(edge, n)
-            });
-            Some(BoundList {
-                list: lazy.materialize(start, end),
-                start: 0,
-                end: end - start,
-                edge_var: ald.edge_var,
-                merge_key,
-            })
-        }
-        _ => None,
-    }
-}
-
-fn empty_bound(ald: &Ald) -> BoundList<'static> {
-    BoundList {
-        list: List::empty(),
-        start: 0,
-        end: 0,
-        edge_var: ald.edge_var,
-        merge_key: None,
-    }
-}
-
 /// Binary search: first index in `[start, end)` where `pred` is false.
 fn partition_idx(start: usize, end: usize, pred: impl Fn(usize) -> bool) -> usize {
     let mut a = start;
@@ -1389,13 +1348,14 @@ fn partition_idx(start: usize, end: usize, pred: impl Fn(usize) -> bool) -> usiz
     a
 }
 
-/// The leading sort-key value of an entry; `None` is NULL (sorts last).
-fn leading_key(graph: &Graph, sort: &[SortKey], edge: EdgeId, nbr: VertexId) -> Option<i64> {
-    match sort.first() {
+/// The value of sort criterion `key` (no criterion: the neighbour-ID
+/// tiebreak) for one entry; `None` is NULL, which sorts last.
+fn sort_key(graph: &Graph, key: Option<SortKey>, edge: EdgeId, nbr: VertexId) -> Option<i64> {
+    match key {
         None | Some(SortKey::NbrId) => Some(i64::from(nbr.raw())),
         Some(SortKey::NbrLabel) => graph.vertex_label(nbr).ok().map(|l| i64::from(l.raw())),
-        Some(SortKey::EdgeProp(pid)) => graph.edge_prop(edge, *pid),
-        Some(SortKey::NbrProp(pid)) => graph.vertex_prop(nbr, *pid),
+        Some(SortKey::EdgeProp(pid)) => graph.edge_prop(edge, pid),
+        Some(SortKey::NbrProp(pid)) => graph.vertex_prop(nbr, pid),
     }
 }
 
@@ -1403,12 +1363,7 @@ fn leading_key(graph: &Graph, sort: &[SortKey], edge: EdgeId, nbr: VertexId) -> 
 /// *effective* sort key.
 fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
     let (e, n) = list.get(i);
-    match list.merge_key {
-        None | Some(SortKey::NbrId) => Some(i64::from(n.raw())),
-        Some(SortKey::NbrLabel) => graph.vertex_label(n).ok().map(|l| i64::from(l.raw())),
-        Some(SortKey::EdgeProp(pid)) => graph.edge_prop(e, pid),
-        Some(SortKey::NbrProp(pid)) => graph.vertex_prop(n, pid),
-    }
+    sort_key(graph, list.merge_key, e, n)
 }
 
 fn exec_extend_intersect(
@@ -2478,11 +2433,13 @@ mod tests {
         let _ = fg;
     }
 
-    /// The lazy clean-range prune and the materializing fallback agree on
-    /// every vertex and threshold (the VPt access path, §V-C1).
+    /// Pruned fetches agree with a brute-force filter of the graph on every
+    /// vertex, operator and threshold (the VPt access path, §V-C1): over
+    /// lazy `Clean` lists, over a `Dirty` one (a buffered insert and a
+    /// tombstone inside v1's range), and again once `flush` folded both in.
     #[test]
     fn lazy_and_materializing_prunes_agree() {
-        let (g, mut store, _) = fixture();
+        let (mut g, mut store, fg) = fixture();
         let date = g.catalog().property(PropertyEntity::Edge, "date").unwrap();
         store
             .create_vertex_index(
@@ -2494,45 +2451,62 @@ mod tests {
                 IndexSpec::default().with_sort(vec![SortKey::EdgeProp(date)]),
             )
             .unwrap();
-        let ctx = ExecContext::new(&g, &store);
-        let idx = store.vertex_index("VPt", Direction::Fwd).unwrap();
-        let primary = store.primary().index(Direction::Fwd);
-        for v in g.vertices() {
-            for threshold in [0i64, 3, 10, 21, 100] {
-                for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq] {
-                    let ald = Ald {
-                        from: FromRef::Vertex(0),
-                        index: IndexChoice::VertexIdx {
-                            name: "VPt".into(),
-                            direction: Direction::Fwd,
-                        },
-                        prefix: vec![],
-                        edge_var: 0,
-                        sort: vec![SortKey::EdgeProp(date)],
-                        prune: Some(Prune {
-                            op,
-                            value: PruneValue::Const(threshold),
-                        }),
-                        sorted_range: true,
-                    };
-                    let mut row = Row::unbound(1, 1);
-                    row.bind_vertex(0, v);
-                    // Lazy path (clean index).
-                    let lazy = fetch_list(ctx, &ald, &row, Need::Any);
-                    let got: Vec<u64> = (0..lazy.len()).map(|i| lazy.get(i).0.raw()).collect();
-                    // Reference: filter the full secondary list directly.
-                    let expect: Vec<u64> = idx
-                        .list(primary, v, &[])
-                        .iter()
-                        .filter(|&(e, _)| {
-                            g.edge_prop(e, date).is_some_and(|d| op.eval(d, threshold))
-                        })
-                        .map(|(e, _)| e.raw())
-                        .collect();
-                    assert_eq!(got, expect, "v={v} {op:?} {threshold}");
+        let v1 = fg.account(1);
+        let check = |g: &Graph, store: &IndexStore, v1_dirty: bool| {
+            let ctx = ExecContext::new(g, store);
+            let idx = store.vertex_index("VPt", Direction::Fwd).unwrap();
+            let v1_list = idx.list(store.primary().index(Direction::Fwd), v1, &[]);
+            assert_eq!(matches!(v1_list, OffsetList::Dirty(_)), v1_dirty);
+            for v in g.vertices() {
+                for threshold in [0i64, 3, 10, 21, 100] {
+                    for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq] {
+                        let ald = Ald {
+                            from: FromRef::Vertex(0),
+                            index: IndexChoice::VertexIdx {
+                                name: "VPt".into(),
+                                direction: Direction::Fwd,
+                            },
+                            prefix: vec![],
+                            edge_var: 0,
+                            sort: vec![SortKey::EdgeProp(date)],
+                            prune: Some(Prune {
+                                op,
+                                value: PruneValue::Const(threshold),
+                            }),
+                            sorted_range: true,
+                        };
+                        let mut row = Row::unbound(1, 1);
+                        row.bind_vertex(0, v);
+                        let fetched = fetch_list(ctx, &ald, &row, Need::Any);
+                        let got: Vec<u64> =
+                            (0..fetched.len()).map(|i| fetched.get(i).0.raw()).collect();
+                        // Reference: v's live out-edges in index order
+                        // (date, then the neighbour / edge tiebreaks).
+                        let mut expect: Vec<(i64, u32, u64)> = g
+                            .edges()
+                            .filter(|&(_, s, ..)| s == v)
+                            .filter_map(|(e, _, d, _)| {
+                                Some((g.edge_prop(e, date)?, d.raw(), e.raw()))
+                            })
+                            .filter(|&(d, ..)| op.eval(d, threshold))
+                            .collect();
+                        expect.sort_unstable();
+                        let expect: Vec<u64> = expect.into_iter().map(|(.., e)| e).collect();
+                        assert_eq!(got, expect, "v={v} {op:?} {threshold}");
+                    }
                 }
             }
-        }
+        };
+        check(&g, &store, false);
+        let e = g.add_edge(v1, fg.account(3), "W").unwrap();
+        g.set_edge_prop(e, date, aplus_graph::Value::Int(10))
+            .unwrap();
+        store.insert_edge(&g, e);
+        g.delete_edge(fg.transfer(17)).unwrap();
+        store.delete_edge(&g, fg.transfer(17));
+        check(&g, &store, true);
+        store.flush(&g);
+        check(&g, &store, false);
     }
 
     /// Satellite of the `VertexId(raw as u32)` truncation fix: the domain
