@@ -107,6 +107,10 @@ run cargo build --release
 # docs/*.md fail here, mirroring rustdoc's -D warnings gate for
 # intra-doc links).
 run cargo test --workspace -q
+# The repo benchmark is a package of its own (benchmark/Cargo.toml), outside
+# the workspace: compiling it and running its unit tests here makes a
+# product API change that breaks benchmark/src/sut.rs fail this gate.
+run cargo test --offline -q --manifest-path benchmark/Cargo.toml
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Perf trajectory + parallel-path smoke: bench_smoke writes a fresh run
 # into target/bench-fresh and bench_compare diffs it against the committed

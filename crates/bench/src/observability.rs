@@ -16,10 +16,12 @@
 //! config records whether the profiled run saw factorized-count shortcut
 //! hits (1.0 when `fc_shortcut_hits > 0`) — so an engine change that
 //! silently stops shortcutting the high-fanout frontier shows up in the
-//! baseline diff. The shortcut requires an unlabelled, predicate-free
-//! single-list tail extension, so the MR patterns (time predicates on
-//! their edges) never take it; the unlabelled 2-hop `PATH2` fan-out
-//! query is the cell that must read 1.0.
+//! baseline diff. The shortcut takes any single-list tail extension
+//! with no residual predicate whose list hangs off a vertex, labelled or
+//! not: SQ shapes ending in one list (SQ6 here) take it, intersection
+//! tails (SQ1, SQ3, SQ9) and the MR patterns (time predicates on their
+//! edges) do not. The unlabelled 2-hop `PATH2` fan-out query is the cell
+//! that must read 1.0.
 //!
 //! [`QueryProfiler`]: aplus_query::QueryProfiler
 
@@ -58,9 +60,9 @@ pub fn run_observability_table(scale: usize, thread_counts: &[usize]) -> Reporte
     let mut mr_queries: Vec<(String, String)> = (1..=2)
         .map(|k| (format!("MR{k}"), mr::query(k, alpha, None)))
         .collect();
-    // Unlabelled predicate-free 2-hop: the tail extension is a pure list
-    // length, so the factorized-count shortcut fires on every frontier
-    // entry with a distinct intermediate.
+    // Unlabelled predicate-free 2-hop: the tail extension is one list
+    // counted in place, so the factorized-count shortcut fires on every
+    // frontier entry.
     mr_queries.push((
         "PATH2".to_owned(),
         "MATCH a1-[e1]->a2, a2-[e2]->a3".to_owned(),
@@ -108,8 +110,8 @@ mod tests {
     use super::*;
 
     /// End-to-end smoke at a tiny scale: both paths populate every cell
-    /// with agreeing counts (enforced inside), and the high-fanout MR
-    /// queries really exercise the factorized-count shortcut.
+    /// with agreeing counts (enforced inside), and the single-list tails
+    /// really exercise the factorized-count shortcut.
     #[test]
     fn observability_table_runs_at_tiny_scale() {
         let r = run_observability_table(20_000, &[1, 2]);
@@ -123,11 +125,14 @@ mod tests {
                 );
             }
         }
-        assert!(
-            r.measurements
-                .iter()
-                .any(|m| m.config == "profile" && m.query == "PATH2-fc-shortcut" && m.value == 1.0),
-            "PATH2 should hit the factorized-count shortcut"
-        );
+        // PATH2's tail is unlabelled, SQ6's labelled: both count in place.
+        for q in ["PATH2-fc-shortcut", "SQ6-fc-shortcut"] {
+            assert!(
+                r.measurements
+                    .iter()
+                    .any(|m| m.config == "profile" && m.query == q && m.value == 1.0),
+                "{q} should read 1.0"
+            );
+        }
     }
 }

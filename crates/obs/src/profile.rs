@@ -95,8 +95,8 @@ pub struct QueryProfiler {
     hops: Vec<HopStats>,
     /// Factorized blocks processed by the block engine.
     pub blocks: AtomicU64,
-    /// Factorized-count shortcut hits: tail counts folded as a list
-    /// *length* without materializing bindings.
+    /// Factorized-count shortcut hits: frontier entries whose tail
+    /// extension was counted in place, without binding a candidate.
     pub fc_shortcut_hits: AtomicU64,
     /// Rows crossing the flatten boundary into the sink.
     pub flatten_rows: AtomicU64,
@@ -270,7 +270,8 @@ pub struct QueryProfile {
     pub hops: Vec<HopProfile>,
     /// Factorized blocks processed (0 under the row engine).
     pub blocks: u64,
-    /// Factorized-count shortcut hits (tail lists counted by length).
+    /// Factorized-count shortcut hits (frontier entries whose tail list
+    /// was counted in place).
     pub fc_shortcut_hits: u64,
     /// Rows that crossed the flatten boundary into the sink.
     pub flatten_rows: u64,

@@ -28,10 +28,15 @@
 //! it at any thread count and limit.
 //!
 //! Counting never flattens at all: the last E/I level is consumed as a
-//! **multiplicity** per frontier entry, and a single-list tail extension
-//! with no residual work is counted as the adjacency-list *length* without
-//! touching a single entry (the classic factorized-count win on high-fanout
-//! queries).
+//! **multiplicity** per frontier entry. A single-list tail extension with
+//! no residual whose list hangs off a vertex is counted **in place**,
+//! without binding a single candidate: the entries whose neighbour passes
+//! the target label, read in one tight pass over the list's neighbour
+//! column (no pass at all when unlabelled), minus the path edges already
+//! bound that relationship uniqueness would reject (found by binary search
+//! on a neighbour-sorted list). Consecutive frontier entries with the same
+//! list owner share one fetch and one label pass, so only the subtraction
+//! runs per entry — the factorized-count win on high-fanout tails.
 //!
 //! This module owns no driver: [`crate::exec::run`] picks the morsel
 //! strategy and merges the output for both engines, and calls in here only
@@ -50,13 +55,14 @@
 
 use std::ops::{ControlFlow, Range};
 
-use aplus_common::{EdgeId, VertexId};
+use aplus_common::{EdgeId, VertexId, VertexLabelId};
 use aplus_core::Direction;
+use aplus_obs::LevelStats;
 
 use crate::exec::{
     ei_op, ei_over_lists, fetch_ei_lists, scan_vertices_range, BoundList, EiOp, Emit, ExecContext,
 };
-use crate::plan::{FlattenPolicy, FromRef, IndexChoice, Operator, Plan};
+use crate::plan::{FlattenPolicy, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryPredicate, Row};
 use crate::sink::RawRow;
 
@@ -287,7 +293,13 @@ impl Blocks {
     /// Counts the matches a final E/I operator (at plan-op index `level`)
     /// would produce, **without building its level**: per frontier entry,
     /// the extension count is a multiplicity folded straight into the
-    /// total.
+    /// total. A [`FastTail`] whose list depends on its owner alone is
+    /// fetched and label-counted once per run of consecutive entries with
+    /// the same owner (entries come in DFS order, so a run is every
+    /// extension of one owner binding); only the uniqueness subtraction
+    /// runs per entry. A run never spans two root bindings, so where block
+    /// boundaries fall — which varies with the thread count — cannot change
+    /// the label reads a `PROFILE` run reports.
     fn tail_count(
         &mut self,
         ctx: ExecContext<'_>,
@@ -297,27 +309,64 @@ impl Blocks {
     ) -> u64 {
         let stats = ctx.prof_level(level);
         let top = self.levels.len() - 1;
+        let fast = FastTail::of(ei);
+        let mut run: Option<OwnerRun<'_>> = None;
         let mut total = 0u64;
         for fi in 0..self.levels[top].len() {
             self.bind_path(row, top, fi);
             if let Some(s) = stats {
                 s.record(ei.alds.len() as u64, 0, 0);
             }
-            let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
+            let Some(tail) = &fast else {
+                if let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) {
+                    total += leapfrog_count(ctx, ei, &lists, 0..lists[0].len(), row, stats);
+                }
                 continue;
             };
-            let range = 0..lists[0].len();
-            total += count_ei(ctx, ei, &lists, range, level, row);
+            let owner = row
+                .vertex(tail.owner_var)
+                .expect("plan binds FROM before use");
+            // `bind_path` left the entry's root in the level-0 memo.
+            let key = (self.cursor[0], owner);
+            if !(tail.per_owner && run.as_ref().is_some_and(|r| r.key == key)) {
+                let list = fetch_ei_lists(ctx, ei.alds, row).map(|mut lists| lists.swap_remove(0));
+                let matching = list
+                    .as_ref()
+                    .map_or(0, |l| tail.matching(ctx, l, 0..l.len(), stats));
+                run = Some(OwnerRun {
+                    key,
+                    list,
+                    matching,
+                });
+            }
+            let Some(OwnerRun {
+                list: Some(list),
+                matching,
+                ..
+            }) = &run
+            else {
+                continue;
+            };
+            let n = matching - tail.already_bound(ctx, list, 0..list.len(), row);
+            total += served(ctx, stats, n);
         }
         total
     }
 }
 
+/// Consecutive frontier entries of one root binding whose tail list has the
+/// same owner: the owner's list (`None` when empty) and how many of its
+/// entries pass the label check, fetched and counted once for the run.
+struct OwnerRun<'a> {
+    /// The root entry and the owner.
+    key: (Option<usize>, VertexId),
+    list: Option<BoundList<'a>>,
+    matching: u64,
+}
+
 /// Counts one E/I extension of the binding in `row` over pre-fetched
-/// lists. Takes the pure-list-length fast path when sound, else runs the
-/// shared leapfrog with a counting continuation. A `PROFILE` run records
-/// the fast path as a factorized-count shortcut hit with zero candidates
-/// examined — exactly the work it saves.
+/// lists: through the [`FastTail`] when the extension has one, else the
+/// shared leapfrog with a counting continuation.
 fn count_ei(
     ctx: ExecContext<'_>,
     ei: &EiOp<'_>,
@@ -327,13 +376,27 @@ fn count_ei(
     row: &mut Row,
 ) -> u64 {
     let stats = ctx.prof_level(level);
-    if let Some(n) = tail_count_fast(ctx, ei, lists, &range, row) {
-        ctx.note_fc_shortcut();
-        if let Some(s) = stats {
-            s.record(0, 0, n);
+    match FastTail::of(ei) {
+        Some(tail) => {
+            let list = &lists[0];
+            let n = tail.matching(ctx, list, range.clone(), stats)
+                - tail.already_bound(ctx, list, range, row);
+            served(ctx, stats, n)
         }
-        return n;
+        None => leapfrog_count(ctx, ei, lists, range, row, stats),
     }
+}
+
+/// Counts an extension by running the shared leapfrog with a counting
+/// continuation: every candidate is bound, checked and unbound.
+fn leapfrog_count(
+    ctx: ExecContext<'_>,
+    ei: &EiOp<'_>,
+    lists: &[BoundList<'_>],
+    range: Range<usize>,
+    row: &mut Row,
+    stats: Option<&LevelStats>,
+) -> u64 {
     let mut n = 0u64;
     let _ = ei_over_lists(ctx, ei, lists, range, row, stats, &mut |_| {
         n += 1;
@@ -342,48 +405,128 @@ fn count_ei(
     n
 }
 
-/// The factorized-count fast path: a single-list extension with no label
-/// check and no residuals contributes exactly its list length — *provided*
-/// relationship uniqueness cannot reject any entry. Every candidate edge
-/// has the list's owner as its direction-side endpoint (primary and
-/// secondary vertex-partitioned lists are 1-hop views of the owner's
-/// adjacency), so it suffices that no already-bound path edge has the
-/// owner there too. Edge-partitioned lists hang off an edge, not a vertex,
-/// and get no such guarantee — they always iterate.
-fn tail_count_fast(
-    ctx: ExecContext<'_>,
-    ei: &EiOp<'_>,
-    lists: &[BoundList<'_>],
-    range: &Range<usize>,
-    row: &Row,
-) -> Option<u64> {
-    if lists.len() != 1 || !ei.residual.is_empty() || ei.target_label.is_some() {
-        return None;
+/// Records `n` matches counted by the [`FastTail`] as one
+/// factorized-count shortcut hit, and returns `n`.
+fn served(ctx: ExecContext<'_>, stats: Option<&LevelStats>, n: u64) -> u64 {
+    ctx.note_fc_shortcut();
+    if let Some(s) = stats {
+        s.record(0, 0, n);
     }
-    let ald = &ei.alds[0];
-    let dir = match &ald.index {
-        IndexChoice::Primary(d) => *d,
-        IndexChoice::VertexIdx { direction, .. } => *direction,
-        IndexChoice::EdgeIdx { .. } => return None,
-    };
-    let FromRef::Vertex(fv) = ald.from else {
-        return None;
-    };
-    let owner = row.vertex(fv).expect("plan binds FROM before use");
-    for slot in 0..row.edge_slots().len() {
-        let Some(e) = row.edge(slot) else { continue };
-        let Ok((s, d)) = ctx.graph.edge_endpoints(e) else {
-            return None;
-        };
-        let endpoint = match dir {
-            Direction::Fwd => s,
-            Direction::Bwd => d,
-        };
-        if endpoint == owner {
+    n
+}
+
+/// The factorized-count fast path: a single-list extension with no
+/// residual whose list hangs off a bound vertex (a primary or
+/// vertex-partitioned list). Its count is the number of list entries whose
+/// neighbour passes the target label ([`FastTail::matching`]) minus those
+/// relationship uniqueness rejects ([`FastTail::already_bound`]) — nothing
+/// is bound, checked or unbound per entry. Edge-partitioned lists hang off
+/// an edge, not a vertex, and always iterate.
+struct FastTail {
+    /// The query vertex whose list this is.
+    owner_var: usize,
+    dir: Direction,
+    /// The E/I's target label check, if any.
+    label: Option<VertexLabelId>,
+    /// Whether the fetched range is ordered by neighbour ID, so a bound
+    /// edge is found by binary search rather than by a scan.
+    nbr_sorted: bool,
+    /// Whether the list depends on its owner alone (no prune, or a
+    /// constant one), so consecutive entries with the same owner share it.
+    per_owner: bool,
+}
+
+impl FastTail {
+    fn of(ei: &EiOp<'_>) -> Option<Self> {
+        let [ald] = ei.alds else { return None };
+        if !ei.residual.is_empty() {
             return None;
         }
+        let dir = match &ald.index {
+            IndexChoice::Primary(d) => *d,
+            IndexChoice::VertexIdx { direction, .. } => *direction,
+            IndexChoice::EdgeIdx { .. } => return None,
+        };
+        let FromRef::Vertex(owner_var) = ald.from else {
+            return None;
+        };
+        Some(Self {
+            owner_var,
+            dir,
+            label: ei.target_label,
+            nbr_sorted: ald.nbr_sorted() && ald.sorted_range,
+            per_owner: matches!(
+                ald.prune,
+                None | Some(Prune {
+                    value: PruneValue::Const(_),
+                    ..
+                })
+            ),
+        })
     }
-    Some(range.len() as u64)
+
+    /// The entries of `list` in `range` whose neighbour passes the target
+    /// label: the range length when unlabelled, else one tight pass over
+    /// the neighbour column. A `PROFILE` run records each label read as a
+    /// candidate.
+    fn matching(
+        &self,
+        ctx: ExecContext<'_>,
+        list: &BoundList<'_>,
+        range: Range<usize>,
+        stats: Option<&LevelStats>,
+    ) -> u64 {
+        let Some(want) = self.label else {
+            return range.len() as u64;
+        };
+        if let Some(s) = stats {
+            s.record(0, range.len() as u64, 0);
+        }
+        list.count_nbrs(range, |n| {
+            ctx.graph.vertex_label(n).is_ok_and(|l| l == want)
+        })
+    }
+
+    /// The entries [`Self::matching`] counted that relationship uniqueness
+    /// rejects: path edges already bound in `row`. Every entry of the list
+    /// is an edge with the owner as its direction-side endpoint and the
+    /// entry's neighbour as the other, so only a bound edge with the owner
+    /// on that side can occur, and only where the other endpoint is. Bound
+    /// edges are pairwise distinct (every level enforced uniqueness), so no
+    /// position is subtracted twice.
+    fn already_bound(
+        &self,
+        ctx: ExecContext<'_>,
+        list: &BoundList<'_>,
+        range: Range<usize>,
+        row: &Row,
+    ) -> u64 {
+        let owner = row
+            .vertex(self.owner_var)
+            .expect("plan binds FROM before use");
+        let mut n = 0u64;
+        for slot in 0..row.edge_slots().len() {
+            let Some(e) = row.edge(slot) else { continue };
+            // Every list entry is an edge of the graph.
+            let Ok((s, d)) = ctx.graph.edge_endpoints(e) else {
+                continue;
+            };
+            let (side, nbr) = match self.dir {
+                Direction::Fwd => (s, d),
+                Direction::Bwd => (d, s),
+            };
+            if side != owner {
+                continue;
+            }
+            if self
+                .label
+                .is_none_or(|want| ctx.graph.vertex_label(nbr).is_ok_and(|l| l == want))
+            {
+                n += list.count_entry(range.clone(), e, nbr, self.nbr_sorted);
+            }
+        }
+        n
+    }
 }
 
 fn root_var(plan: &Plan) -> usize {
@@ -579,6 +722,95 @@ fn consume(
                         break;
                     }
                 }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use aplus_common::VertexId;
+    use aplus_core::{IndexSpec, PartitionKey, SortKey};
+    use aplus_graph::Graph;
+    use aplus_runtime::MorselPool;
+
+    use crate::exec::Output;
+    use crate::{profiled, Database, FlattenPolicy};
+
+    /// v0:A, v1:B, v2:B with E edges e0, e1: v0->v1 (a parallel pair),
+    /// e2: v1->v1 and e5: v2->v2 (self-loops), e3: v1->v2 and e4: v0->v2.
+    fn graph() -> Graph {
+        let mut g = Graph::new();
+        for label in ["A", "B", "B"] {
+            g.add_vertex(label);
+        }
+        for (s, d) in [(0, 1), (0, 1), (1, 1), (1, 2), (0, 2), (2, 2)] {
+            g.add_edge(VertexId(s), VertexId(d), "E").unwrap();
+        }
+        g
+    }
+
+    /// Tail counts worked out by hand. All but the fourth are too high
+    /// without the uniqueness subtraction.
+    const CASES: &[(&str, u64)] = &[
+        // Star on v0, same-label siblings: ordered pairs of distinct
+        // out-edges among {e0, e1, e4}.
+        ("MATCH (a:A)-[r:E]->(b:B), (a:A)-[s:E]->(c:B)", 6),
+        // Tree: b = v1 (out {e2, e3}): r in {e0, e1} leaves both for the
+        // ordered pair (s, t); r = e2, the self-loop, leaves only e3. b =
+        // v2 has one out-edge.
+        (
+            "MATCH (a)-[r:E]->(b:B), (b:B)-[s:E]->(c:B), (b:B)-[t:E]->(d:B)",
+            4,
+        ),
+        // The same tree from a pinned root a = v0, so the tail's owner b is
+        // neither the root nor the newest binding c. The frontier entry
+        // (b = v2, c = v2) follows (b = v1, c = v2): the owner run must
+        // restart there although c and a repeat.
+        (
+            "MATCH (a)-[r:E]->(b:B), (b:B)-[s:E]->(c:B), (b:B)-[t:E]->(d:B) WHERE a.ID = 0",
+            4,
+        ),
+        // Backward tail: ordered pairs of distinct in-edges from B. v1 has
+        // only e2; v2 has {e3, e5}.
+        ("MATCH (a:B)-[r:E]->(b:B), (c:B)-[s:E]->(b:B)", 2),
+        // The bound edge at the tail's owner comes from A, so the label
+        // check keeps it out of the subtraction: v1: {e0, e1} x {e2}; v2:
+        // {e4} x {e3, e5}.
+        ("MATCH (a:A)-[r:E]->(b:B), (c:B)-[s:E]->(b:B)", 4),
+        // Unlabelled 2-hop: in * out per middle vertex (v1: 3 * 2, v2:
+        // 3 * 1) minus each self-loop used twice.
+        ("MATCH a-[r]->b, b-[s]->c", 7),
+    ];
+
+    #[test]
+    fn in_place_tail_counts_match_hand_counts() {
+        let specs = [
+            IndexSpec::default_primary(),
+            IndexSpec::default()
+                .with_partitioning(vec![PartitionKey::EdgeLabel, PartitionKey::NbrLabel])
+                .with_sort(vec![SortKey::NbrId]),
+        ];
+        let pool = MorselPool::sequential();
+        for spec in specs {
+            let db = Database::with_primary_spec(graph(), spec).unwrap();
+            for &(q, want) in CASES {
+                let (bound, plan) = db.prepare(q).unwrap();
+                let row_plan = plan.clone().with_flatten(FlattenPolicy::Eager);
+                assert_eq!(
+                    db.count_prepared_parallel(&bound, &row_plan, &pool),
+                    want,
+                    "{q}"
+                );
+                let profile = profiled(&plan, |p| {
+                    db.run(&bound, &plan, &pool, Some(p), Output::Count)
+                });
+                assert_eq!(profile.engine, "block", "{q}");
+                assert_eq!(profile.rows, want, "{q}");
+                assert!(
+                    profile.fc_shortcut_hits > 0,
+                    "{q} should count its tail in place"
+                );
             }
         }
     }

@@ -1132,6 +1132,47 @@ impl BoundList<'_> {
     pub(crate) fn get(&self, i: usize) -> (EdgeId, VertexId) {
         self.list.get(self.start + i)
     }
+
+    /// Counts the positions in `range` whose neighbour passes `keep`, in
+    /// one pass over the neighbour column: the representation is matched
+    /// once, outside the loop.
+    pub(crate) fn count_nbrs(&self, range: Range<usize>, keep: impl Fn(VertexId) -> bool) -> u64 {
+        let at = self.start + range.start..self.start + range.end;
+        let n = match &self.list {
+            List::Slice { nbrs, .. } => nbrs[at].iter().filter(|&&n| keep(VertexId(n))).count(),
+            List::Owned(pairs) => pairs[at]
+                .iter()
+                .filter(|&&(_, n)| keep(VertexId(n)))
+                .count(),
+        };
+        n as u64
+    }
+
+    /// Counts the positions in `range` holding exactly `(e, nbr)`. When
+    /// the list is `nbr_sorted`, only `nbr`'s parallel-edge run is read,
+    /// found by binary search; otherwise the whole range is scanned.
+    pub(crate) fn count_entry(
+        &self,
+        range: Range<usize>,
+        e: EdgeId,
+        nbr: VertexId,
+        nbr_sorted: bool,
+    ) -> u64 {
+        let from = if nbr_sorted {
+            partition_idx(range.start, range.end, |i| self.get(i).1 < nbr)
+        } else {
+            range.start
+        };
+        let mut n = 0u64;
+        for i in from..range.end {
+            let (ei, ni) = self.get(i);
+            if nbr_sorted && ni != nbr {
+                break;
+            }
+            n += u64::from(ei == e && ni == nbr);
+        }
+        n
+    }
 }
 
 /// What an index read hands [`fetch_list`]: an ID list (primary) or an

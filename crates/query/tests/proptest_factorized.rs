@@ -55,7 +55,13 @@ fn build_graph(edges: &[(u32, u32, i64, bool)]) -> Graph {
 /// Block-eligible templates: vertex-scan roots with E/I (+ residual
 /// filters), covering plain extends, label checks, cycles (relationship
 /// uniqueness on factorized levels), high-multiplicity fan-outs and
-/// pinned roots.
+/// pinned roots. The last five end in a labelled single-list tail whose
+/// owner already has a bound edge in the tail list's direction, so the
+/// in-place count must subtract it: a star with same-label siblings, a
+/// tree whose tail shares its owner with the level before (also from a
+/// pinned root, so the owner is neither the root nor the newest binding),
+/// and a tail read from a backward list; the star with different-label
+/// siblings must not.
 const TEMPLATES: &[&str] = &[
     "MATCH a-[r:E]->b",
     "MATCH a-[r]->b",
@@ -68,6 +74,11 @@ const TEMPLATES: &[&str] = &[
     "MATCH a-[r:E]->b<-[s:E]-c",
     "MATCH a-[r]->b WHERE a.ID = 0",
     "MATCH a-[r]->b-[s]->c WHERE a.ID = 0",
+    "MATCH (a:A)-[r:E]->(b:B), (a:A)-[s:E]->(c:B)",
+    "MATCH (a)-[r:E]->(b:B), (b:B)-[s:E]->(c:B), (b:B)-[t:E]->(d:B)",
+    "MATCH (a)-[r:E]->(b:B), (b:B)-[s:E]->(c:B), (b:B)-[t:E]->(d:B) WHERE a.ID = 0",
+    "MATCH (a:B)-[r:E]->(b:B), (c:B)-[s:E]->(b:B)",
+    "MATCH (a)-[r:E]->(b:A), (a)-[s:E]->(c:B)",
 ];
 
 fn drain_stream_prepared(
@@ -147,7 +158,7 @@ proptest! {
     }
 
     /// Counts: the factorized count (multiplicities on factorized levels,
-    /// the pure-list-length tail fast path included) equals the flattened
+    /// the in-place tail count included) equals the flattened
     /// row count, at every thread count and block size.
     #[test]
     fn factorized_count_equals_flattened_count(

@@ -126,26 +126,38 @@ fn profile_rows_match_collect_counts() {
 /// atomics see the same per-level sums regardless of interleaving.
 #[test]
 fn profile_merge_is_deterministic_across_thread_counts() {
-    let db = social(300, 2400);
     // Single-list intersections at every level: the per-level candidate
     // totals are partition-invariant (multi-list leapfrog candidates can
-    // legitimately vary with morsel boundaries; see exec docs).
-    let query = "MATCH a1-[e1]->a2, a2-[e2]->a3";
-    let baseline = db.profile_count(query).expect("query valid");
-    for threads in [1usize, 2, 4] {
-        let shared = SharedDatabase::with_pool(db.clone(), MorselPool::new(threads));
-        let (n, profile) = shared.profile_count(query).expect("query valid");
-        assert_eq!(n, baseline.0);
-        assert_eq!(
-            profile.deterministic_view(),
-            baseline.1.deterministic_view(),
-            "thread count {threads} changed the profile"
-        );
-        assert_eq!(
-            profile.morsels_per_worker.len().min(threads),
-            profile.morsels_per_worker.len(),
-            "at most one morsel bucket per worker"
-        );
+    // legitimately vary with morsel boundaries; see exec docs). The
+    // labelled star-of-stars counts its tail in place off a non-root
+    // owner, whose label reads must not depend on where blocks split.
+    let labelled =
+        Database::new(generate(&GeneratorConfig::social(300, 2400, 2, 1))).expect("index build");
+    let cases = [
+        (social(300, 2400), "MATCH a1-[e1]->a2, a2-[e2]->a3"),
+        (
+            labelled,
+            "MATCH (a0:V0)-[r0:E0]->(a1:V1), (a0:V0)-[r1:E0]->(a2:V1), \
+             (a1:V1)-[r2:E0]->(a3:V0), (a1:V1)-[r3:E0]->(a4:V1)",
+        ),
+    ];
+    for (db, query) in &cases {
+        let baseline = db.profile_count(query).expect("query valid");
+        for threads in [1usize, 2, 4] {
+            let shared = SharedDatabase::with_pool(db.clone(), MorselPool::new(threads));
+            let (n, profile) = shared.profile_count(query).expect("query valid");
+            assert_eq!(n, baseline.0);
+            assert_eq!(
+                profile.deterministic_view(),
+                baseline.1.deterministic_view(),
+                "thread count {threads} changed the profile of {query}"
+            );
+            assert_eq!(
+                profile.morsels_per_worker.len().min(threads),
+                profile.morsels_per_worker.len(),
+                "at most one morsel bucket per worker"
+            );
+        }
     }
 }
 
@@ -248,41 +260,57 @@ fn profiles_differ_across_reconfigured_layouts() {
 }
 
 /// The same plan profiled on both engines: the block engine reports
-/// blocks and factorized-count shortcut hits on a high-fanout unlabelled
-/// query, the pinned row engine reports neither — and both count the
-/// same.
+/// blocks and factorized-count shortcut hits, the pinned row engine
+/// reports neither — and both count the same. Both a high-fanout
+/// unlabelled 2-hop and a labelled tree (whose tail owner already has a
+/// bound edge) count their tail in place: the tail fetches as many lists
+/// as the row engine but reads fewer candidates.
 #[test]
 fn profiles_distinguish_block_and_row_engines() {
-    let db = social(300, 2400);
-    let query = "MATCH a1-[e1]->a2, a2-[e2]->a3";
-    let (bound, plan) = db.prepare(query).expect("plan");
-    let row_plan = plan.clone().with_flatten(FlattenPolicy::Eager);
+    let labelled =
+        Database::new(generate(&GeneratorConfig::social(300, 2400, 2, 1))).expect("index build");
+    let cases = [
+        (social(300, 2400), "MATCH a1-[e1]->a2, a2-[e2]->a3"),
+        (
+            labelled,
+            "MATCH (a1:V0)-[e1:E0]->(a2:V1), (a2:V1)-[e2:E0]->(a3:V1), (a2:V1)-[e3:E0]->(a4:V0)",
+        ),
+    ];
     let pool = MorselPool::new(2);
-    let profile = |plan| {
-        profiled(plan, |p| {
-            db.run(&bound, plan, &pool, Some(p), Output::Count)
-        })
-    };
-    let (block, row) = (profile(&plan), profile(&row_plan));
-    assert_eq!(block.rows, row.rows, "engines must agree on the count");
-    assert_eq!(block.engine, "block");
-    assert_eq!(row.engine, "row");
-    assert!(block.blocks > 0, "block engine processes blocks");
-    assert!(
-        block.fc_shortcut_hits > 0,
-        "high-fanout tail extension takes the factorized-count shortcut"
-    );
-    assert_eq!(row.blocks, 0);
-    assert_eq!(row.fc_shortcut_hits, 0);
-    // The shortcut skips candidate examination entirely, so the block
-    // tail level examines strictly fewer candidates than the row engine.
-    let tail = plan_tail_level(&block);
-    assert!(
-        block.levels[tail].candidates < row.levels[tail].candidates,
-        "block {} vs row {}",
-        block.levels[tail].candidates,
-        row.levels[tail].candidates
-    );
+    for (db, query) in &cases {
+        let (bound, plan) = db.prepare(query).expect("plan");
+        let row_plan = plan.clone().with_flatten(FlattenPolicy::Eager);
+        let profile = |plan| {
+            profiled(plan, |p| {
+                db.run(&bound, plan, &pool, Some(p), Output::Count)
+            })
+        };
+        let (block, row) = (profile(&plan), profile(&row_plan));
+        assert_eq!(
+            block.rows, row.rows,
+            "engines must agree on the count: {query}"
+        );
+        assert_eq!(block.engine, "block");
+        assert_eq!(row.engine, "row");
+        assert!(block.blocks > 0, "block engine processes blocks");
+        assert!(
+            block.fc_shortcut_hits > 0,
+            "the tail extension takes the factorized-count shortcut: {query}"
+        );
+        assert_eq!(row.blocks, 0);
+        assert_eq!(row.fc_shortcut_hits, 0);
+        let tail = plan_tail_level(&block);
+        assert_eq!(
+            block.levels[tail].lists_scanned, row.levels[tail].lists_scanned,
+            "{query}"
+        );
+        assert!(
+            block.levels[tail].candidates < row.levels[tail].candidates,
+            "{query}: block {} vs row {}",
+            block.levels[tail].candidates,
+            row.levels[tail].candidates
+        );
+    }
 }
 
 fn plan_tail_level(p: &aplus::query::QueryProfile) -> usize {
