@@ -14,13 +14,15 @@ run() {
 }
 
 # One query driver, no planner knobs, no graph scan while planning, no
-# removed server knob, one way to read an offset list: keeps the forks, env
-# reads, per-query O(|E|) pass and per-request stream thread that were
-# deleted from growing back.
+# removed server knob, one way to read an offset list, page-granular
+# copy-on-write, no bitmap-index plumbing in the store: keeps the forks,
+# env reads, per-query O(|E|) pass, per-request stream thread and
+# whole-index / whole-column commit copies that were deleted from growing
+# back.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes"
     local bad=0 f n=0
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -67,6 +69,20 @@ guard() {
     done
     if grep -rniE 'iterative-deepening|iddfs' README.md docs; then
         echo "guard: IDDFS was deleted (BFS is the one traversal); do not document it"
+        bad=1
+    fi
+    # A commit copies the pages and chunks it dirties: index pages and
+    # edge columns stay shared per page / per chunk, never as one block.
+    if grep -rnE '^\s*(pub(\(crate\))? )?pages: Vec<(Page|OffsetPage|SharedPage)>' crates/core/src; then
+        echo "guard: index pages must be Arc-shared (Vec<Arc<Page>>), so a write copies one page"
+        bad=1
+    fi
+    if grep -nE '^\s*\w+: Arc<(Vec<(VertexId|EdgeLabelId)>|Bitmap)>' crates/graph/src/graph.rs; then
+        echo "guard: edge columns are ChunkedVecs, so a write copies one chunk, not the column"
+        bad=1
+    fi
+    if grep -nE 'create_bitmap_index|bitmap_indexes' crates/core/src/store.rs; then
+        echo "guard: the store's bitmap-index plumbing was removed (the ablation builds BitmapIndex directly)"
         bad=1
     fi
     ((bad == 0)) || exit 1

@@ -11,15 +11,19 @@
 //!   optimizer memoization, where SipHash is needlessly slow.
 //! * [`bitmap`] — a compact bit set used for validity (null) tracking,
 //!   tombstones, and the bitmap-based secondary-index storage alternative.
+//! * [`chunked`] — a column shared copy-on-write in fixed-size chunks, so a
+//!   write to a cloned column copies one chunk rather than the column.
 //! * [`packed`] — fixed-width byte-packed unsigned integer arrays, the
 //!   physical representation of *offset lists* (§III-B3, §IV-B).
 
 pub mod bitmap;
+pub mod chunked;
 pub mod hash;
 pub mod ids;
 pub mod packed;
 
 pub use bitmap::Bitmap;
+pub use chunked::ChunkedVec;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use ids::{EdgeId, EdgeLabelId, PropertyId, VertexId, VertexLabelId};
 pub use packed::PackedUints;

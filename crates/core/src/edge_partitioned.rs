@@ -316,6 +316,12 @@ impl EdgePartitionedIndex {
     pub fn memory_bytes(&self) -> usize {
         self.csr.memory_bytes()
     }
+
+    /// Indexes of the pages `self` does not share with `other`.
+    #[cfg(test)]
+    pub(crate) fn unshared_pages(&self, other: &Self) -> Vec<usize> {
+        self.csr.unshared_pages(&other.csr)
+    }
 }
 
 /// The bound edges whose anchor vertex is `v`, found in constant time via

@@ -15,6 +15,13 @@
 //! Buffered inserts record the merged-array position they sort before, so
 //! reads interleave them without consulting the graph, and `merge_group`
 //! folds them into the arrays.
+//!
+//! The page is also the unit of sharing: pages sit behind `Arc`s, so a
+//! clone of the CSR copies only the page pointers, and a mutation unshares
+//! (`Arc::make_mut`) just the page it writes — after checking through
+//! `&self` that it has something to write.
+
+use std::sync::Arc;
 
 use aplus_common::{Bitmap, EdgeId, VertexId, GROUP_SIZE};
 
@@ -103,7 +110,7 @@ pub struct NestedCsr {
     widths: Vec<u32>,
     slots_per_owner: u32,
     owner_count: usize,
-    pages: Vec<Page>,
+    pages: Vec<Arc<Page>>,
     /// Live entry count (merged − tombstoned + buffered).
     entry_count: usize,
     /// Which flattened slots hold any entry for *any* owner. A range that
@@ -159,6 +166,10 @@ impl NestedCsr {
             entries.len(),
             "entries must reference valid owners/slots"
         );
+        // Allocate the page headers back to back, after the arrays: every
+        // list read goes through one, and scattering them between the
+        // arrays costs reads a TLB miss.
+        let pages = pages.into_iter().map(Arc::new).collect();
         let mut nonempty_slots = vec![false; slots_per_owner as usize];
         for e in &entries {
             nonempty_slots[e.slot as usize] = true;
@@ -226,10 +237,14 @@ impl NestedCsr {
         }
         self.owner_count = new_count;
         let needed_pages = new_count.div_ceil(GROUP_SIZE);
-        // Top up the last existing page's slot space.
+        // Top up the last existing page's slot space; pages already wide
+        // enough stay shared.
         for g in 0..self.pages.len() {
             let want = owners_in_group(new_count, g) * self.slots_per_owner as usize + 1;
-            let page = &mut self.pages[g];
+            if self.pages[g].slot_offsets.len() >= want {
+                continue;
+            }
+            let page = Arc::make_mut(&mut self.pages[g]);
             let last = *page.slot_offsets.last().expect("slot_offsets non-empty");
             while page.slot_offsets.len() < want {
                 page.slot_offsets.push(last);
@@ -239,10 +254,10 @@ impl NestedCsr {
             let g = self.pages.len();
             let owners_in_page = owners_in_group(new_count, g);
             let slot_count = owners_in_page * self.slots_per_owner as usize;
-            self.pages.push(Page {
+            self.pages.push(Arc::new(Page {
                 slot_offsets: vec![0; slot_count + 1],
                 ..Page::default()
-            });
+            }));
         }
     }
 
@@ -451,7 +466,7 @@ impl NestedCsr {
             nbr,
             merge_pos,
         };
-        let page = &mut self.pages[g];
+        let page = Arc::make_mut(&mut self.pages[g]);
         let ins = page.buffer.partition_point(|e| {
             // Slot is the middle tiebreak: empty slots collapse onto the
             // same merged position, and slot order must win over sort-key
@@ -465,30 +480,30 @@ impl NestedCsr {
 
     /// Removes `edge` from `owner`'s lists: drops a buffered copy if
     /// present, otherwise tombstones the merged entry. Returns whether
-    /// anything was removed.
+    /// anything was removed; the page is unshared only when something was.
     pub fn delete(&mut self, owner: usize, edge: u64) -> bool {
         let g = owner / GROUP_SIZE;
         let local = (owner % GROUP_SIZE) as u32;
-        let page = &mut self.pages[g];
-        if let Some(i) = page
+        if let Some(i) = self.pages[g]
             .buffer
             .iter()
             .position(|b| b.owner_in_page == local && b.edge == edge)
         {
-            page.buffer.remove(i);
+            Arc::make_mut(&mut self.pages[g]).buffer.remove(i);
             self.entry_count -= 1;
             return true;
         }
         let (_, range) = self.region_bounds(owner);
-        let page = &mut self.pages[g];
-        for pos in range {
-            if page.edge_ids[pos] == edge && !page.deleted.get(pos) {
-                page.deleted.set(pos, true);
-                self.entry_count -= 1;
-                return true;
-            }
-        }
-        false
+        let page = &self.pages[g];
+        let Some(pos) = range
+            .into_iter()
+            .find(|&pos| page.edge_ids[pos] == edge && !page.deleted.get(pos))
+        else {
+            return false;
+        };
+        Arc::make_mut(&mut self.pages[g]).deleted.set(pos, true);
+        self.entry_count -= 1;
+        true
     }
 
     /// Number of buffered entries in `group`'s page.
@@ -510,9 +525,11 @@ impl NestedCsr {
 
     /// Folds a page's buffer and tombstones into its merged arrays.
     /// Returns `true` if the page changed (callers must then rebuild any
-    /// offset lists referencing these owners' regions).
+    /// offset lists referencing these owners' regions). A clean page stays
+    /// shared; a dirty one is replaced by a freshly built page, so the old
+    /// one is never copied.
     pub fn merge_group(&mut self, group: usize) -> bool {
-        let page = &mut self.pages[group];
+        let page = &self.pages[group];
         if page.buffer.is_empty() && page.deleted.count_ones() == 0 {
             return false;
         }
@@ -546,11 +563,13 @@ impl NestedCsr {
                 new_offsets.push(new_edges.len() as u32);
             }
         }
-        page.deleted = Bitmap::with_len(new_edges.len(), false);
-        page.edge_ids = new_edges;
-        page.nbr_ids = new_nbrs;
-        page.slot_offsets = new_offsets;
-        page.buffer.clear();
+        self.pages[group] = Arc::new(Page {
+            deleted: Bitmap::with_len(new_edges.len(), false),
+            edge_ids: new_edges,
+            nbr_ids: new_nbrs,
+            slot_offsets: new_offsets,
+            buffer: Vec::new(),
+        });
         true
     }
 
@@ -577,6 +596,24 @@ impl NestedCsr {
             })
             .sum()
     }
+
+    /// Indexes of the pages `self` does not share with `other`.
+    #[cfg(test)]
+    pub(crate) fn unshared_pages(&self, other: &Self) -> Vec<usize> {
+        unshared_pages(&self.pages, &other.pages)
+    }
+}
+
+/// Indexes of the pages two page spines do not share; a page only one of
+/// them has counts as unshared.
+#[cfg(test)]
+pub(crate) fn unshared_pages<P>(a: &[Arc<P>], b: &[Arc<P>]) -> Vec<usize> {
+    (0..a.len().max(b.len()))
+        .filter(|&g| match (a.get(g), b.get(g)) {
+            (Some(x), Some(y)) => !Arc::ptr_eq(x, y),
+            _ => true,
+        })
+        .collect()
 }
 
 fn owners_in_group(owner_count: usize, group: usize) -> usize {
@@ -760,6 +797,41 @@ mod tests {
         let mut dirty = small();
         dirty.delete(0, 100);
         assert!(matches!(dirty.list(0, &[0]), List::Owned(_)));
+    }
+
+    #[test]
+    fn writes_unshare_only_the_pages_they_change() {
+        // 130 owners -> pages of 64, 64 and 2 owners; owner o has edge o.
+        let entries = (0..130).map(|o| entry(o, 0, 1, u64::from(o), (o + 1) % 130));
+        let base = NestedCsr::build(130, vec![1], entries.collect());
+        let key_of = |e: EdgeId, _n: VertexId| sv(0, 0, e.raw());
+
+        let mut head = base.clone();
+        assert!(head.unshared_pages(&base).is_empty());
+        head.insert(100, 0, sv(2, 5, 900), 900, 5, key_of);
+        assert_eq!(head.unshared_pages(&base), vec![100 / GROUP_SIZE]);
+        assert_eq!(base.list(100, &[]).len(), 1, "the clone never sees it");
+
+        // Writes that find nothing to do unshare nothing.
+        let mut head = base.clone();
+        assert!(!head.delete(70, 12_345), "absent edge");
+        assert!(!head.delete(70, 71), "another owner's edge");
+        assert!(head.merge_all().is_empty(), "nothing pending");
+        head.grow_owners(140);
+        assert_eq!(
+            head.unshared_pages(&base),
+            vec![2],
+            "only the last page was too narrow for 140 owners"
+        );
+
+        // A delete, then its merge, touch only the page holding the owner.
+        let mut head = base.clone();
+        assert!(head.delete(70, 70));
+        assert_eq!(head.unshared_pages(&base), vec![1]);
+        assert_eq!(head.merge_all(), vec![1]);
+        assert_eq!(head.unshared_pages(&base), vec![1]);
+        assert_eq!(head.list(70, &[]).len(), 0);
+        assert_eq!(base.list(70, &[]).len(), 1);
     }
 
     #[test]

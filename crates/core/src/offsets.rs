@@ -16,6 +16,11 @@
 //! Update buffers here hold ID-based entries (the offset of a not-yet-merged
 //! primary entry does not exist); they are spliced into reads by their
 //! precomputed merge position and converted to offsets on rebuild.
+//!
+//! Pages sit behind `Arc`s, as in the nested CSR: a clone shares every
+//! page, and a write unshares only the page it changes.
+
+use std::sync::Arc;
 
 use aplus_common::{byte_width_for, Bitmap, PackedUints, GROUP_SIZE};
 
@@ -38,7 +43,7 @@ pub struct OffsetEntry {
 }
 
 /// A buffered (not yet merged) ID-based entry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IdBuffered {
     owner_in_page: u32,
     slot: u32,
@@ -49,7 +54,7 @@ struct IdBuffered {
     merge_pos: u32,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct OffsetPage {
     slot_offsets: Vec<u32>,
     offsets: PackedUints,
@@ -70,7 +75,7 @@ pub struct OffsetCsr {
     widths: Vec<u32>,
     slots_per_owner: u32,
     owner_count: usize,
-    pages: Vec<OffsetPage>,
+    pages: Vec<Arc<OffsetPage>>,
     /// Globally non-empty slots (see `NestedCsr::nonempty_slots`).
     nonempty_slots: Vec<bool>,
     /// Live entries across all pages, kept by every mutation so the
@@ -123,6 +128,8 @@ impl OffsetCsr {
             });
         }
         debug_assert_eq!(cursor, entries.len(), "entries must reference valid owners");
+        // Page headers back to back, after the arrays (see `NestedCsr::build`).
+        let pages = pages.into_iter().map(Arc::new).collect();
         let mut nonempty_slots = vec![false; slots_per_owner as usize];
         for e in &entries {
             nonempty_slots[e.slot as usize] = true;
@@ -173,10 +180,7 @@ impl OffsetCsr {
     pub fn entry_count(&self) -> usize {
         debug_assert_eq!(
             self.entry_count,
-            self.pages
-                .iter()
-                .map(OffsetPage::entry_count)
-                .sum::<usize>(),
+            self.pages.iter().map(|p| p.entry_count()).sum::<usize>(),
             "maintained entry count drifted from the pages"
         );
         self.entry_count
@@ -191,7 +195,10 @@ impl OffsetCsr {
         let needed = new_count.div_ceil(GROUP_SIZE);
         for g in 0..self.pages.len() {
             let want = owners_in_group(new_count, g) * self.slots_per_owner as usize + 1;
-            let page = &mut self.pages[g];
+            if self.pages[g].slot_offsets.len() >= want {
+                continue;
+            }
+            let page = Arc::make_mut(&mut self.pages[g]);
             let last = *page.slot_offsets.last().expect("non-empty");
             while page.slot_offsets.len() < want {
                 page.slot_offsets.push(last);
@@ -201,12 +208,12 @@ impl OffsetCsr {
             let g = self.pages.len();
             let owners_in_page = owners_in_group(new_count, g);
             let width = byte_width_for(max_offset_exclusive(g));
-            self.pages.push(OffsetPage {
+            self.pages.push(Arc::new(OffsetPage {
                 slot_offsets: vec![0; owners_in_page * self.slots_per_owner as usize + 1],
                 offsets: PackedUints::with_width(width),
                 deleted: Bitmap::new(),
                 buffer: Vec::new(),
-            });
+            }));
         }
     }
 
@@ -282,7 +289,7 @@ impl OffsetCsr {
             nbr,
             merge_pos: a as u32,
         };
-        let page = &mut self.pages[g];
+        let page = Arc::make_mut(&mut self.pages[g]);
         let ins = page.buffer.partition_point(|e| {
             // Slot is the middle tiebreak: empty slots collapse onto the
             // same merged position, and slot order must win over sort-key
@@ -307,20 +314,20 @@ impl OffsetCsr {
             .iter()
             .position(|b| b.owner_in_page == local && b.edge == edge)
         {
-            self.pages[g].buffer.remove(i);
+            Arc::make_mut(&mut self.pages[g]).buffer.remove(i);
             self.entry_count -= 1;
             return true;
         }
-        let (_, range, ..) = self.range(owner, &[]);
-        let page = &mut self.pages[g];
-        for pos in range {
-            if !page.deleted.get(pos) && region.edges[page.offsets.get(pos) as usize] == edge {
-                page.deleted.set(pos, true);
-                self.entry_count -= 1;
-                return true;
-            }
-        }
-        false
+        let (_, mut range, ..) = self.range(owner, &[]);
+        let page = &self.pages[g];
+        let Some(pos) = range.find(|&pos| {
+            !page.deleted.get(pos) && region.edges[page.offsets.get(pos) as usize] == edge
+        }) else {
+            return false;
+        };
+        Arc::make_mut(&mut self.pages[g]).deleted.set(pos, true);
+        self.entry_count -= 1;
+        true
     }
 
     /// Number of buffered entries in a group's page.
@@ -332,7 +339,8 @@ impl OffsetCsr {
     /// Rebuilds one page from scratch: `gen(owner)` yields that owner's
     /// entries as `(slot, sort, offset)` (any order). Clears buffers and
     /// tombstones. Used after the primary region of any owner in the group
-    /// changed (offsets went stale) and to fold buffers in.
+    /// changed (offsets went stale) and to fold buffers in. A rebuild that
+    /// reproduces the page leaves it shared.
     pub fn rebuild_group(
         &mut self,
         group: usize,
@@ -372,13 +380,17 @@ impl OffsetCsr {
                 }
             }
         }
-        self.entry_count = self.entry_count - self.pages[group].entry_count() + offsets.len();
-        self.pages[group] = OffsetPage {
+        let page = OffsetPage {
             slot_offsets,
             offsets,
             deleted,
             buffer: Vec::new(),
         };
+        if *self.pages[group] != page {
+            self.entry_count =
+                self.entry_count - self.pages[group].entry_count() + page.offsets.len();
+            self.pages[group] = Arc::new(page);
+        }
     }
 
     /// Number of pages.
@@ -406,6 +418,12 @@ impl OffsetCsr {
     #[must_use]
     pub fn offset_bytes(&self) -> usize {
         self.pages.iter().map(|p| p.offsets.memory_bytes()).sum()
+    }
+
+    /// Indexes of the pages `self` does not share with `other`.
+    #[cfg(test)]
+    pub(crate) fn unshared_pages(&self, other: &Self) -> Vec<usize> {
+        crate::nested_csr::unshared_pages(&self.pages, &other.pages)
     }
 }
 

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use aplus_common::{EdgeId, FxHashSet, VertexId, GROUP_SIZE};
 use aplus_graph::Graph;
 
-use crate::bitmap_index::BitmapIndex;
 use crate::edge_partitioned::{bound_edges_anchored_at, EdgePartitionedIndex};
 use crate::error::IndexError;
 use crate::maintenance::MaintenanceConfig;
@@ -43,20 +42,21 @@ impl IndexDirections {
 
 /// The store: primary pair + named secondary indexes.
 ///
-/// Every built index artifact is held behind an `Arc` with copy-on-write
-/// mutation ([`Arc::make_mut`]): cloning a store is a handful of
-/// reference-count bumps, and a clone only pays for the artifacts a later
-/// write actually dirties. This is what makes the service layer's
-/// snapshot publication affordable — a `RECONFIGURE` on a cloned head
-/// swaps in freshly built artifacts without ever deep-copying the old
-/// ones, and the displaced snapshot keeps serving them until its last
-/// reader drops.
+/// Sharing is copy-on-write at two levels. Every built index artifact is
+/// held behind an `Arc` ([`Arc::make_mut`]), so cloning a store is a
+/// handful of reference-count bumps. Inside an artifact, every 64-owner
+/// page is behind its own `Arc`, so a write to a cloned head copies the
+/// artifact's spine of page pointers plus the pages the write changes —
+/// never the pages it does not. This is what makes the service layer's
+/// snapshot publication affordable: a commit costs the pages its batch
+/// dirties, and a `RECONFIGURE` on a cloned head swaps in freshly built
+/// artifacts without ever deep-copying the old ones, which the displaced
+/// snapshot keeps serving until its last reader drops.
 #[derive(Debug, Clone)]
 pub struct IndexStore {
     primary: Arc<PrimaryIndexes>,
     vertex_indexes: Vec<Arc<VertexPartitionedIndex>>,
     edge_indexes: Vec<Arc<EdgePartitionedIndex>>,
-    bitmap_indexes: Vec<Arc<BitmapIndex>>,
     config: MaintenanceConfig,
 }
 
@@ -72,7 +72,6 @@ impl IndexStore {
             primary: Arc::new(PrimaryIndexes::build(graph, spec)?),
             vertex_indexes: Vec::new(),
             edge_indexes: Vec::new(),
-            bitmap_indexes: Vec::new(),
             config: MaintenanceConfig::default(),
         })
     }
@@ -96,11 +95,6 @@ impl IndexStore {
     /// All edge-partitioned secondary indexes.
     pub fn edge_indexes(&self) -> impl Iterator<Item = &EdgePartitionedIndex> {
         self.edge_indexes.iter().map(Arc::as_ref)
-    }
-
-    /// All bitmap-stored secondary indexes (ablation).
-    pub fn bitmap_indexes(&self) -> impl Iterator<Item = &BitmapIndex> {
-        self.bitmap_indexes.iter().map(Arc::as_ref)
     }
 
     /// Looks up a vertex-partitioned index by name and direction.
@@ -128,7 +122,6 @@ impl IndexStore {
     fn name_taken(&self, name: &str) -> bool {
         self.vertex_indexes.iter().any(|i| i.name() == name)
             || self.edge_indexes.iter().any(|i| i.name() == name)
-            || self.bitmap_indexes.iter().any(|i| i.name() == name)
     }
 
     /// `RECONFIGURE PRIMARY INDEXES ...`: rebuilds the primary pair and then
@@ -195,31 +188,12 @@ impl IndexStore {
         Ok(())
     }
 
-    /// Creates a bitmap-stored secondary index (ablation alternative,
-    /// §III-B3). Not maintained under updates; rebuild after bulk changes.
-    pub fn create_bitmap_index(
-        &mut self,
-        graph: &Graph,
-        name: &str,
-        direction: Direction,
-        view: OneHopView,
-    ) -> Result<(), IndexError> {
-        if self.name_taken(name) {
-            return Err(IndexError::DuplicateIndexName(name.to_owned()));
-        }
-        let idx = BitmapIndex::build(graph, self.primary.index(direction), name, view)?;
-        self.bitmap_indexes.push(Arc::new(idx));
-        Ok(())
-    }
-
     /// Drops all indexes registered under `name`.
     pub fn drop_index(&mut self, name: &str) -> Result<(), IndexError> {
-        let before =
-            self.vertex_indexes.len() + self.edge_indexes.len() + self.bitmap_indexes.len();
+        let before = self.vertex_indexes.len() + self.edge_indexes.len();
         self.vertex_indexes.retain(|i| i.name() != name);
         self.edge_indexes.retain(|i| i.name() != name);
-        self.bitmap_indexes.retain(|i| i.name() != name);
-        let after = self.vertex_indexes.len() + self.edge_indexes.len() + self.bitmap_indexes.len();
+        let after = self.vertex_indexes.len() + self.edge_indexes.len();
         if before == after {
             return Err(IndexError::UnknownIndex(name.to_owned()));
         }
@@ -293,9 +267,8 @@ impl IndexStore {
     pub fn flush(&mut self, graph: &Graph) {
         // Copy-on-write discipline: `make_mut` only on artifacts this
         // flush actually rewrites, so untouched indexes stay shared with
-        // any live snapshot clone instead of being deep-copied. The
-        // `&self` pending probe keeps a no-op flush from unsharing (and
-        // deep-copying) an already-merged primary pair.
+        // any live snapshot clone. Within a rewritten artifact only the
+        // merged or rebuilt pages are replaced; the rest stay shared too.
         let has_pending = self.primary.index(Direction::Fwd).has_pending_merges()
             || self.primary.index(Direction::Bwd).has_pending_merges();
         let (changed_fwd, changed_bwd) = if has_pending {
@@ -405,15 +378,6 @@ impl IndexStore {
             )?;
             self.edge_indexes.push(Arc::new(idx));
         }
-        let bitmap_defs: Vec<_> = self
-            .bitmap_indexes
-            .drain(..)
-            .map(|i| (i.name().to_owned(), i.direction(), i.view().clone()))
-            .collect();
-        for (name, d, view) in bitmap_defs {
-            let idx = BitmapIndex::build(graph, self.primary.index(d), &name, view)?;
-            self.bitmap_indexes.push(Arc::new(idx));
-        }
         Ok(())
     }
 
@@ -433,11 +397,6 @@ impl IndexStore {
                 .iter()
                 .map(|i| i.memory_bytes())
                 .sum::<usize>()
-            + self
-                .bitmap_indexes
-                .iter()
-                .map(|i| i.memory_bytes())
-                .sum::<usize>()
     }
 
     /// Per-index memory breakdown `(name, bytes)`; the primary pair reports
@@ -453,9 +412,6 @@ impl IndexStore {
         }
         for i in &self.edge_indexes {
             out.push((i.name().to_owned(), i.memory_bytes()));
-        }
-        for i in &self.bitmap_indexes {
-            out.push((format!("{} (bitmap)", i.name()), i.memory_bytes()));
         }
         out
     }
@@ -708,26 +664,133 @@ mod tests {
             .any(|(x, _)| x == t19));
     }
 
+    /// Every list `store` serves over `g`: the forward, backward and VPt
+    /// lists of each vertex, then the MF list of each bound edge.
+    fn all_lists(store: &IndexStore, g: &Graph) -> Vec<Vec<(EdgeId, VertexId)>> {
+        let fwd = store.primary().index(Direction::Fwd);
+        let bwd = store.primary().index(Direction::Bwd);
+        let vp = store.vertex_index("VPt", Direction::Fwd).unwrap();
+        let ep = store.edge_index("MF").unwrap();
+        let per_vertex = g.vertices().flat_map(|v| {
+            [
+                fwd.region(v).iter().collect(),
+                bwd.region(v).iter().collect(),
+                vp.list(fwd, v, &[]).iter().collect(),
+            ]
+        });
+        let per_edge =
+            (0..g.edge_count() as u64).map(|eb| ep.list(g, fwd, EdgeId(eb), &[]).iter().collect());
+        per_vertex.chain(per_edge).collect()
+    }
+
+    /// Groups of the pages a write changed, as `unshared_pages` reports
+    /// them (sorted, distinct).
+    fn groups(ids: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        let set: std::collections::BTreeSet<usize> =
+            ids.into_iter().map(|i| i / GROUP_SIZE).collect();
+        set.into_iter().collect()
+    }
+
     #[test]
     fn clone_shares_artifacts_until_written() {
-        let (mut g, mut store, fg) = fixture();
+        let (mut g, _, fg) = fixture();
+        let date = g.catalog().property(PropertyEntity::Edge, "date").unwrap();
+        let amt = g.catalog().property(PropertyEntity::Edge, "amt").unwrap();
+        // Grow the graph past one page per index: primary and VP pages
+        // hold 64 vertices, EP pages 64 bound edges.
+        let first = g.vertex_count() as u32;
+        let first_edge = g.edge_count() as u64;
+        let v = |i: u32| VertexId(first + i % 200);
+        for _ in 0..200 {
+            g.add_vertex("Account");
+        }
+        for i in 0..300 {
+            let e = g.add_edge(v(i), v(i * 7 + 1), "W").unwrap();
+            g.set_edge_prop(e, date, Value::Int(i64::from(i))).unwrap();
+            g.set_edge_prop(e, amt, Value::Int(1000 - i64::from(i)))
+                .unwrap();
+        }
+        let mut store = IndexStore::build(&g).unwrap();
         store
             .create_vertex_index(
                 &g,
                 "VPt",
                 IndexDirections::Fw,
                 OneHopView::new(ViewPredicate::always_true()).unwrap(),
-                IndexSpec::default_primary(),
+                IndexSpec::default_primary().with_sort(vec![SortKey::EdgeProp(date)]),
             )
             .unwrap();
+        store
+            .create_edge_index(&g, "MF", money_flow_view(&g), IndexSpec::default_primary())
+            .unwrap();
         let snapshot = store.clone();
+        let g0 = g.clone();
+        let lists = all_lists(&snapshot, &g0);
         assert!(Arc::ptr_eq(&snapshot.primary, &store.primary));
         assert!(Arc::ptr_eq(
             &snapshot.vertex_indexes[0],
             &store.vertex_indexes[0]
         ));
+        assert!(Arc::ptr_eq(
+            &snapshot.edge_indexes[0],
+            &store.edge_indexes[0]
+        ));
+
+        // One insert unshares only the pages of its endpoints' groups…
+        let (src, dst) = (v(5), v(130));
+        let e = g.add_edge(src, dst, "W").unwrap();
+        g.set_edge_prop(e, date, Value::Int(2000)).unwrap();
+        g.set_edge_prop(e, amt, Value::Int(1)).unwrap();
+        store.insert_edge(&g, e);
+        let unshared = |head: &IndexStore, d| {
+            let csr = |s: &IndexStore| s.primary().index(d).csr().clone();
+            csr(head).unshared_pages(&csr(&snapshot))
+        };
+        assert_eq!(unshared(&store, Direction::Fwd), groups([src.index()]));
+        assert_eq!(unshared(&store, Direction::Bwd), groups([dst.index()]));
+        assert_eq!(
+            store.vertex_indexes[0].unshared_pages(&snapshot.vertex_indexes[0]),
+            groups([src.index()])
+        );
+        // …and, in MF, the pages of the bound lists `e` joined plus the
+        // page that gained `e` as a new bound edge.
+        let (ep, ep0) = (
+            store.edge_index("MF").unwrap(),
+            snapshot.edge_index("MF").unwrap(),
+        );
+        let (fwd, fwd0) = (
+            store.primary().index(Direction::Fwd),
+            snapshot.primary().index(Direction::Fwd),
+        );
+        let joined = (0..g0.edge_count()).filter(|&i| {
+            let eb = EdgeId(i as u64);
+            ep.list(&g, fwd, eb, &[]).len() != ep0.list(&g0, fwd0, eb, &[]).len()
+        });
+        let touched = groups(joined.chain([e.index()]));
+        assert!(touched.len() > 1, "e joined an existing bound list");
+        assert!(ep.page_count() > touched.len());
+        assert_eq!(store.edge_indexes[0].unshared_pages(ep0), touched);
+
+        // A delete and a flush (merges + offset rebuilds) on the head leave
+        // every list of the clone as it was.
+        let gone = EdgeId(first_edge + 10);
+        let (gone_src, gone_dst) = g.edge_endpoints(gone).unwrap();
+        g.delete_edge(gone).unwrap();
+        store.delete_edge(&g, gone);
+        store.flush(&g);
+        assert_eq!(all_lists(&snapshot, &g0), lists);
+        assert_eq!(
+            unshared(&store, Direction::Fwd),
+            groups([src.index(), gone_src.index()])
+        );
+        assert_eq!(
+            unshared(&store, Direction::Bwd),
+            groups([dst.index(), gone_dst.index()])
+        );
+
         // A reconfigure swaps in fresh artifacts; the clone keeps the old
         // ones untouched (rebuild-and-swap, never mutate-in-place).
+        let snapshot = store.clone();
         let curr = g
             .catalog()
             .property(PropertyEntity::Edge, "currency")

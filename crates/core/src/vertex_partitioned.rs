@@ -15,6 +15,11 @@
 //!   innermost lists differ from the primary's, so the index stores its own
 //!   (smaller) partitioning levels plus offset lists (the paper's
 //!   LargeUSDTrnx example and the VPc configuration).
+//!
+//! Both layouts share their pages behind `Arc`s: a write unshares only the
+//! page it changes.
+
+use std::sync::Arc;
 
 use aplus_common::{byte_width_for, Bitmap, EdgeId, PackedUints, VertexId, GROUP_SIZE};
 use aplus_graph::Graph;
@@ -29,7 +34,7 @@ use crate::spec::{Direction, IndexSpec};
 use crate::view::OneHopView;
 
 /// A buffered ID-based entry for the shared-levels layout.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SharedBuffered {
     owner_in_page: u32,
     slot: u32,
@@ -42,7 +47,7 @@ struct SharedBuffered {
 
 /// One page of the shared-levels layout: a packed offset array positionally
 /// aligned with the primary page's merged ID arrays (same slot boundaries).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SharedPage {
     offsets: PackedUints,
     deleted: Bitmap,
@@ -59,7 +64,7 @@ impl SharedPage {
 /// Shared-levels offset storage.
 #[derive(Debug, Clone, Default)]
 pub struct SharedOffsets {
-    pages: Vec<SharedPage>,
+    pages: Vec<Arc<SharedPage>>,
     /// Live entries across all pages, kept by every mutation so the
     /// optimizer's size estimate reads it without touching the pages.
     entry_count: usize,
@@ -382,13 +387,14 @@ fn build_own(
 
 impl SharedOffsets {
     fn build(graph: &Graph, primary: &PrimaryIndex, spec: &IndexSpec) -> Self {
-        let mut s = Self::default();
-        let groups = primary.csr().page_count();
-        for g in 0..groups {
-            s.pages.push(SharedPage::default());
-            s.rebuild_page_inner(graph, primary, spec, g);
+        let pages: Vec<SharedPage> = (0..primary.csr().page_count())
+            .map(|g| Self::build_page(graph, primary, spec, g))
+            .collect();
+        // Page headers back to back, after the arrays (see `NestedCsr::build`).
+        Self {
+            entry_count: pages.iter().map(SharedPage::entry_count).sum(),
+            pages: pages.into_iter().map(Arc::new).collect(),
         }
-        s
     }
 
     fn rebuild_group(
@@ -399,20 +405,27 @@ impl SharedOffsets {
         group: usize,
     ) {
         while self.pages.len() < primary.csr().page_count() {
-            self.pages.push(SharedPage::default());
+            self.pages.push(Arc::default());
         }
-        if group < self.pages.len() {
-            self.rebuild_page_inner(graph, primary, spec, group);
+        if group >= self.pages.len() {
+            return;
+        }
+        let page = Self::build_page(graph, primary, spec, group);
+        // A rebuild that reproduces the page leaves it shared.
+        if *self.pages[group] != page {
+            self.entry_count =
+                self.entry_count - self.pages[group].entry_count() + page.offsets.len();
+            self.pages[group] = Arc::new(page);
         }
     }
 
-    fn rebuild_page_inner(
-        &mut self,
+    /// The page of `group`: each slot's offsets re-sorted by `spec`.
+    fn build_page(
         graph: &Graph,
         primary: &PrimaryIndex,
         spec: &IndexSpec,
         group: usize,
-    ) {
+    ) -> SharedPage {
         let csr = primary.csr();
         let width = byte_width_for(csr.max_region_len_in_group(group) as u64 + 1);
         let mut offsets = PackedUints::with_width(width);
@@ -436,22 +449,17 @@ impl SharedOffsets {
                 }
             }
         }
-        let deleted = Bitmap::with_len(offsets.len(), false);
-        self.entry_count = self.entry_count - self.pages[group].entry_count() + offsets.len();
-        self.pages[group] = SharedPage {
+        SharedPage {
+            deleted: Bitmap::with_len(offsets.len(), false),
             offsets,
-            deleted,
             buffer: Vec::new(),
-        };
+        }
     }
 
     fn entry_count(&self) -> usize {
         debug_assert_eq!(
             self.entry_count,
-            self.pages
-                .iter()
-                .map(SharedPage::entry_count)
-                .sum::<usize>(),
+            self.pages.iter().map(|p| p.entry_count()).sum::<usize>(),
             "maintained entry count drifted from the pages"
         );
         self.entry_count
@@ -499,7 +507,7 @@ impl SharedOffsets {
         let csr = primary.csr();
         let g = owner.index() / GROUP_SIZE;
         while self.pages.len() <= g {
-            self.pages.push(SharedPage::default());
+            self.pages.push(Arc::default());
         }
         let bounds = csr.slot_bounds(owner.index(), slot);
         let page = &self.pages[g];
@@ -524,7 +532,7 @@ impl SharedOffsets {
             nbr,
             merge_pos: a as u32,
         };
-        let page = &mut self.pages[g];
+        let page = Arc::make_mut(&mut self.pages[g]);
         let ins = page.buffer.partition_point(|e| {
             // Slot is the middle tiebreak: empty slots collapse onto the
             // same merged position, and slot order must win over sort-key
@@ -537,7 +545,7 @@ impl SharedOffsets {
 
     fn delete(&mut self, primary: &PrimaryIndex, owner: VertexId, edge: u64) -> bool {
         let g = owner.index() / GROUP_SIZE;
-        let Some(page) = self.pages.get_mut(g) else {
+        let Some(page) = self.pages.get(g) else {
             return false;
         };
         let local = (owner.index() % GROUP_SIZE) as u32;
@@ -546,25 +554,26 @@ impl SharedOffsets {
             .iter()
             .position(|b| b.owner_in_page == local && b.edge == edge)
         {
-            page.buffer.remove(i);
+            Arc::make_mut(&mut self.pages[g]).buffer.remove(i);
             self.entry_count -= 1;
             return true;
         }
         let csr = primary.csr();
-        let (_, region) = csr.region_bounds(owner.index());
-        for pos in region {
-            if pos >= page.offsets.len() || page.deleted.get(pos) {
-                continue;
-            }
-            let off = page.offsets.get(pos) as u32;
-            let (e, _) = csr.region_entry(owner.index(), off as usize);
-            if e.raw() == edge {
-                page.deleted.set(pos, true);
-                self.entry_count -= 1;
-                return true;
-            }
-        }
-        false
+        let (_, mut region) = csr.region_bounds(owner.index());
+        let Some(pos) = region.find(|&pos| {
+            pos < page.offsets.len()
+                && !page.deleted.get(pos)
+                && csr
+                    .region_entry(owner.index(), page.offsets.get(pos) as usize)
+                    .0
+                    .raw()
+                    == edge
+        }) else {
+            return false;
+        };
+        Arc::make_mut(&mut self.pages[g]).deleted.set(pos, true);
+        self.entry_count -= 1;
+        true
     }
 
     fn memory_bytes(&self) -> usize {
@@ -576,6 +585,20 @@ impl SharedOffsets {
                     + p.buffer.capacity() * std::mem::size_of::<SharedBuffered>()
             })
             .sum()
+    }
+}
+
+#[cfg(test)]
+impl VertexPartitionedIndex {
+    /// Indexes of the pages `self` does not share with `other`.
+    pub(crate) fn unshared_pages(&self, other: &Self) -> Vec<usize> {
+        match (&self.storage, &other.storage) {
+            (VpStorage::Shared(a), VpStorage::Shared(b)) => {
+                crate::nested_csr::unshared_pages(&a.pages, &b.pages)
+            }
+            (VpStorage::Own(a), VpStorage::Own(b)) => a.unshared_pages(b),
+            _ => panic!("different layouts share no pages"),
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use aplus_common::{Bitmap, EdgeId, EdgeLabelId, PropertyId, VertexId, VertexLabelId};
+use aplus_common::{ChunkedVec, EdgeId, EdgeLabelId, PropertyId, VertexId, VertexLabelId};
 
 use crate::catalog::{Catalog, PropertyEntity, PropertyKind};
 use crate::column::PropertyColumn;
@@ -30,21 +30,25 @@ pub enum Value<'a> {
 /// The property graph store.
 ///
 /// Every heavyweight piece — the catalog, the topology columns, each
-/// property column — sits behind an `Arc` with copy-on-write mutation:
-/// cloning a graph is a handful of reference-count bumps, and a clone
-/// only deep-copies the pieces a later write dirties (a property update
-/// copies that one column; a topology write copies the edge table). This
-/// is what lets the service layer publish immutable graph snapshots
-/// cheaply while a writer keeps mutating its private head.
+/// property column — is shared copy-on-write: cloning a graph bumps
+/// reference counts, and a clone only deep-copies what a later write
+/// dirties. The edge table is shared chunk by chunk ([`ChunkedVec`]), so
+/// an edge insert copies at most the tail chunk of each edge column and a
+/// delete copies the one tombstone chunk holding the edge; a property
+/// update copies that one column; the catalog is copied only when a write
+/// interns a name it has not seen. This is what lets the service layer
+/// publish immutable graph snapshots cheaply while a writer keeps mutating
+/// its private head.
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
     catalog: Arc<Catalog>,
     vertex_labels: Arc<Vec<VertexLabelId>>,
-    edge_srcs: Arc<Vec<VertexId>>,
-    edge_dsts: Arc<Vec<VertexId>>,
-    edge_labels: Arc<Vec<EdgeLabelId>>,
-    /// Tombstones for deleted edges (§IV-C).
-    edge_deleted: Arc<Bitmap>,
+    /// `(source, destination)` of each edge, side by side: an endpoint
+    /// lookup reads one entry.
+    edge_ends: ChunkedVec<(VertexId, VertexId)>,
+    edge_labels: ChunkedVec<EdgeLabelId>,
+    /// Tombstones for deleted edges (§IV-C), 64 edges per word.
+    edge_deleted: ChunkedVec<u64>,
     vertex_props: Vec<Arc<PropertyColumn>>,
     edge_props: Vec<Arc<PropertyColumn>>,
     /// Planner statistics (§IV-A), kept by [`Graph::add_edge`] and
@@ -86,7 +90,7 @@ impl Graph {
     /// never reused).
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.edge_srcs.len()
+        self.edge_ends.len()
     }
 
     /// Number of live (non-deleted) edges. O(1): maintained on the write
@@ -124,16 +128,18 @@ impl Graph {
 
     /// `(source, destination)` endpoints of edge `e`.
     pub fn edge_endpoints(&self, e: EdgeId) -> Result<(VertexId, VertexId), GraphError> {
-        if e.index() >= self.edge_count() {
-            return Err(GraphError::EdgeOutOfRange(e.raw()));
+        match self.edge_ends.get(e.index()) {
+            Some(&ends) => Ok(ends),
+            None => Err(GraphError::EdgeOutOfRange(e.raw())),
         }
-        Ok((self.edge_srcs[e.index()], self.edge_dsts[e.index()]))
     }
 
     /// Whether edge `e` carries a deletion tombstone.
     #[must_use]
     pub fn edge_is_deleted(&self, e: EdgeId) -> bool {
-        e.index() < self.edge_deleted.len() && self.edge_deleted.get(e.index())
+        self.edge_deleted
+            .get(e.index() / 64)
+            .is_some_and(|word| word >> (e.index() % 64) & 1 == 1)
     }
 
     /// Property value of vertex `v`, `None` when NULL/absent.
@@ -157,17 +163,23 @@ impl Graph {
 
     /// Iterates the live edges with IDs in `range` — a scan morsel. The
     /// range is clamped to the edge table, so callers may over-approximate.
+    /// Walks the edge columns one chunk slice at a time.
     pub fn edges_in(
         &self,
         range: std::ops::Range<usize>,
     ) -> impl Iterator<Item = (EdgeId, VertexId, VertexId, EdgeLabelId)> + '_ {
-        (range.start..range.end.min(self.edge_count())).filter_map(move |i| {
-            let e = EdgeId(i as u64);
-            if self.edge_is_deleted(e) {
-                None
-            } else {
-                Some((e, self.edge_srcs[i], self.edge_dsts[i], self.edge_labels[i]))
-            }
+        let columns = self
+            .edge_ends
+            .slices(range.clone())
+            .zip(self.edge_labels.slices(range));
+        columns.flat_map(move |((start, ends), (_, labels))| {
+            ends.iter()
+                .zip(labels)
+                .enumerate()
+                .filter_map(move |(k, (&(src, dst), &label))| {
+                    let e = EdgeId((start + k) as u64);
+                    (!self.edge_is_deleted(e)).then_some((e, src, dst, label))
+                })
         })
     }
 
@@ -180,7 +192,10 @@ impl Graph {
 
     /// Adds a vertex with the given label name, returning its ID.
     pub fn add_vertex(&mut self, label: &str) -> VertexId {
-        let lid = Arc::make_mut(&mut self.catalog).intern_vertex_label(label);
+        let lid = match self.catalog.vertex_label(label) {
+            Ok(lid) => lid,
+            Err(_) => Arc::make_mut(&mut self.catalog).intern_vertex_label(label),
+        };
         let v = VertexId(u32::try_from(self.vertex_labels.len()).expect("vertex id overflow"));
         Arc::make_mut(&mut self.vertex_labels).push(lid);
         v
@@ -202,12 +217,18 @@ impl Graph {
         if dst.index() >= self.vertex_count() {
             return Err(GraphError::VertexOutOfRange(dst.raw()));
         }
-        let lid = Arc::make_mut(&mut self.catalog).intern_edge_label(label);
-        let e = EdgeId(self.edge_srcs.len() as u64);
-        Arc::make_mut(&mut self.edge_srcs).push(src);
-        Arc::make_mut(&mut self.edge_dsts).push(dst);
-        Arc::make_mut(&mut self.edge_labels).push(lid);
-        Arc::make_mut(&mut self.edge_deleted).push(false);
+        // Look the label up first: interning through `make_mut` would
+        // deep-copy a shared catalog even when the label already exists.
+        let lid = match self.catalog.edge_label(label) {
+            Ok(lid) => lid,
+            Err(_) => Arc::make_mut(&mut self.catalog).intern_edge_label(label),
+        };
+        let e = EdgeId(self.edge_ends.len() as u64);
+        self.edge_ends.push((src, dst));
+        self.edge_labels.push(lid);
+        if e.index() % 64 == 0 {
+            self.edge_deleted.push(0);
+        }
         self.live_edges += 1;
         if self.live_edges_per_label.len() <= lid.index() {
             self.live_edges_per_label.resize(lid.index() + 1, 0);
@@ -224,10 +245,12 @@ impl Graph {
         if e.index() >= self.edge_count() {
             return Err(GraphError::EdgeOutOfRange(e.raw()));
         }
-        if self.edge_deleted.get(e.index()) {
+        if self.edge_is_deleted(e) {
             return Ok(());
         }
-        Arc::make_mut(&mut self.edge_deleted).set(e.index(), true);
+        let word = e.index() / 64;
+        self.edge_deleted
+            .set(word, self.edge_deleted[word] | 1 << (e.index() % 64));
         self.live_edges -= 1;
         self.live_edges_per_label[self.edge_labels[e.index()].index()] -= 1;
         Ok(())
@@ -316,26 +339,41 @@ impl Graph {
                 actual: "Str",
             }),
             (PropertyKind::Categorical, Value::Str(s)) => {
-                let code = Arc::make_mut(&mut self.catalog).encode_categorical(entity, pid, s)?;
-                Ok(Some(i64::from(code)))
+                Ok(Some(i64::from(self.categorical_code(entity, pid, s)?)))
             }
-            (PropertyKind::Categorical, Value::Int(i)) => {
-                // Integers are valid categorical values (§III-A1 allows
-                // "integers or enums"); encode through the dictionary so the
-                // domain stays dense.
-                let code = Arc::make_mut(&mut self.catalog).encode_categorical(
-                    entity,
-                    pid,
-                    &i.to_string(),
-                )?;
-                Ok(Some(i64::from(code)))
+            // Integers are valid categorical values (§III-A1 allows
+            // "integers or enums"); encode through the dictionary so the
+            // domain stays dense.
+            (PropertyKind::Categorical, Value::Int(i)) => Ok(Some(i64::from(
+                self.categorical_code(entity, pid, &i.to_string())?,
+            ))),
+            (PropertyKind::Text, Value::Str(s)) => Ok(Some(i64::from(self.string_code(s)))),
+            (PropertyKind::Text, Value::Int(i)) => {
+                Ok(Some(i64::from(self.string_code(&i.to_string()))))
             }
-            (PropertyKind::Text, Value::Str(s)) => Ok(Some(i64::from(
-                Arc::make_mut(&mut self.catalog).intern_string(s),
-            ))),
-            (PropertyKind::Text, Value::Int(i)) => Ok(Some(i64::from(
-                Arc::make_mut(&mut self.catalog).intern_string(&i.to_string()),
-            ))),
+        }
+    }
+
+    /// The dictionary code of a categorical value, unsharing the catalog
+    /// only when the value is new.
+    fn categorical_code(
+        &mut self,
+        entity: PropertyEntity,
+        pid: PropertyId,
+        value: &str,
+    ) -> Result<u32, GraphError> {
+        match self.catalog.categorical_code(entity, pid, value) {
+            Some(code) => Ok(code),
+            None => Arc::make_mut(&mut self.catalog).encode_categorical(entity, pid, value),
+        }
+    }
+
+    /// The interned code of a text value, unsharing the catalog only when
+    /// the string is new.
+    fn string_code(&mut self, value: &str) -> u32 {
+        match self.catalog.string_code(value) {
+            Some(code) => code,
+            None => Arc::make_mut(&mut self.catalog).intern_string(value),
         }
     }
 
@@ -343,9 +381,8 @@ impl Graph {
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         let topo = self.vertex_labels.capacity() * 2
-            + self.edge_srcs.capacity() * 4
-            + self.edge_dsts.capacity() * 4
-            + self.edge_labels.capacity() * 2
+            + self.edge_ends.memory_bytes()
+            + self.edge_labels.memory_bytes()
             + self.edge_deleted.memory_bytes();
         let props: usize = self
             .vertex_props
@@ -438,6 +475,7 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aplus_common::chunked::CHUNK_LEN;
 
     fn sample() -> Graph {
         let mut b = GraphBuilder::new()
@@ -533,14 +571,30 @@ mod tests {
         assert!(g.set_edge_prop(EdgeId(0), amt, Value::Str("oops")).is_err());
     }
 
+    /// Indexes of the chunks `a` and `b` do not share (a chunk only one of
+    /// them has counts as unshared).
+    fn unshared_chunks<T>(a: &ChunkedVec<T>, b: &ChunkedVec<T>) -> Vec<usize> {
+        let ptrs = |c: &ChunkedVec<T>| -> Vec<*const T> {
+            c.slices(0..c.len()).map(|(_, s)| s.as_ptr()).collect()
+        };
+        let (a, b) = (ptrs(a), ptrs(b));
+        (0..a.len().max(b.len()))
+            .filter(|&i| a.get(i) != b.get(i))
+            .collect()
+    }
+
     #[test]
     fn clone_shares_until_written() {
-        let g = sample();
+        // Enough edges for two chunks of tombstone words (64 edges a word).
+        let mut g = sample();
+        while g.edge_count() < 64 * CHUNK_LEN + 10 {
+            g.add_edge(VertexId(0), VertexId(1), "Wire").unwrap();
+        }
         let mut head = g.clone();
         // A fresh clone shares every artifact (reference-count bumps only).
         assert!(Arc::ptr_eq(&g.catalog, &head.catalog));
-        assert!(Arc::ptr_eq(&g.edge_srcs, &head.edge_srcs));
-        assert!(Arc::ptr_eq(&g.edge_deleted, &head.edge_deleted));
+        assert!(unshared_chunks(&g.edge_ends, &head.edge_ends).is_empty());
+        assert!(unshared_chunks(&g.edge_deleted, &head.edge_deleted).is_empty());
         for (a, b) in g.edge_props.iter().zip(&head.edge_props) {
             assert!(Arc::ptr_eq(a, b));
         }
@@ -551,17 +605,57 @@ mod tests {
             &g.edge_props[amt.index()],
             &head.edge_props[amt.index()]
         ));
-        assert!(
-            Arc::ptr_eq(&g.edge_srcs, &head.edge_srcs),
-            "topology still shared"
-        );
+        assert!(unshared_chunks(&g.edge_ends, &head.edge_ends).is_empty());
         // …and the original graph is untouched.
         assert_eq!(g.edge_prop(EdgeId(0), amt), Some(50));
         assert_eq!(head.edge_prop(EdgeId(0), amt), Some(99));
-        // Topology writes unshare the edge table, not the other clone.
+
+        // An insert copies the tail chunk of each edge column; its edge ID
+        // is not a multiple of 64, so no tombstone word is added.
+        let tail = g.edge_count() / CHUNK_LEN;
+        let e = head.add_edge(VertexId(1), VertexId(0), "DD").unwrap();
+        assert_eq!(unshared_chunks(&g.edge_ends, &head.edge_ends), vec![tail]);
+        assert_eq!(
+            unshared_chunks(&g.edge_labels, &head.edge_labels),
+            vec![tail]
+        );
+        assert!(unshared_chunks(&g.edge_deleted, &head.edge_deleted).is_empty());
+        assert!(g.edge_endpoints(e).is_err());
+        assert_eq!(head.edges_in(e.index()..usize::MAX).count(), 1);
+
+        // A delete copies the one tombstone chunk holding the edge…
         head.delete_edge(EdgeId(1)).unwrap();
-        assert_eq!(head.live_edge_count(), 1);
-        assert_eq!(g.live_edge_count(), 2);
+        assert_eq!(
+            unshared_chunks(&g.edge_deleted, &head.edge_deleted),
+            vec![0]
+        );
+        assert!(head.edge_is_deleted(EdgeId(1)) && !g.edge_is_deleted(EdgeId(1)));
+        assert_eq!(head.live_edge_count(), g.live_edge_count());
+        // …and deleting it again copies nothing.
+        let mut again = head.clone();
+        again.delete_edge(EdgeId(1)).unwrap();
+        assert!(unshared_chunks(&head.edge_deleted, &again.edge_deleted).is_empty());
+    }
+
+    #[test]
+    fn known_names_leave_the_catalog_shared() {
+        let g = sample();
+        let mut head = g.clone();
+        let city = g
+            .catalog()
+            .property(PropertyEntity::Vertex, "city")
+            .unwrap();
+        head.add_edge(VertexId(0), VertexId(1), "Wire").unwrap();
+        head.add_vertex("Account");
+        head.set_vertex_prop(VertexId(0), city, Value::Str("BOS"))
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&g.catalog, &head.catalog),
+            "names that already exist intern nothing"
+        );
+        head.add_edge(VertexId(0), VertexId(1), "NEW").unwrap();
+        assert!(!Arc::ptr_eq(&g.catalog, &head.catalog));
+        assert!(g.catalog().edge_label("NEW").is_err());
     }
 
     #[test]

@@ -108,10 +108,12 @@ pub enum DdlOutcome {
 /// Cloning is cheap: every heavyweight artifact (catalog, topology
 /// columns, property columns, primary CSR pair, secondary indexes) sits
 /// behind an `Arc`, so a clone is reference-count bumps — O(artifact
-/// *count*), not O(index memory). Artifacts are deep-copied lazily, each
-/// at most once per clone, at its first mutation (`Arc::make_mut`) — this
-/// is what makes [`SharedDatabase`]'s snapshot publication affordable: a
-/// writer's head costs only the artifacts its batch actually dirties.
+/// *count*), not O(index memory). Copies are lazy and fine-grained: a
+/// mutation unshares (`Arc::make_mut`) only the 64-owner index pages and
+/// the edge-column chunks it writes, each at most once per clone, plus
+/// the page-pointer spine of each index it touches — this is what makes
+/// [`SharedDatabase`]'s snapshot publication affordable: a writer's head
+/// costs only the pages and chunks its batch actually dirties.
 #[derive(Debug, Clone)]
 pub struct Database {
     graph: Graph,
@@ -878,7 +880,7 @@ impl SharedDatabase {
                     // Rebuild on a plain Database: nothing here re-logs.
                     // `ddl()` re-records the statements into the history,
                     // so the *next* checkpoint carries them forward.
-                    let mut db = Database::new(graph)?;
+                    let mut db = Database::new(*graph)?;
                     for statement in &ddl {
                         db.ddl(statement)?;
                     }

@@ -59,7 +59,7 @@ pub enum RecoveredState {
         /// Epoch of the checkpoint the graph below was loaded from.
         checkpoint_epoch: u64,
         /// The checkpointed graph.
-        graph: Graph,
+        graph: Box<Graph>,
         /// Ordered index-DDL statements to replay over `graph`.
         ddl: Vec<String>,
         /// Committed batches past the checkpoint, ascending and contiguous
@@ -179,7 +179,7 @@ pub fn recover(dir: &Path, fsync: bool) -> Result<RecoveredState, StorageError> 
     }
     Ok(RecoveredState::Existing {
         checkpoint_epoch,
-        graph,
+        graph: Box::new(graph),
         ddl,
         tail,
         wal,
