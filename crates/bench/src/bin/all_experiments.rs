@@ -12,7 +12,6 @@ fn main() {
         ("table5", aplus_bench::tables::run_table5),
         ("table6", aplus_bench::tables::run_table6),
         ("ablation", aplus_bench::tables::run_ablation),
-        ("table7_scaling", aplus_bench::scaling::run_table7_env),
     ] {
         eprintln!(">>> running {name}");
         let r = run(scale);
@@ -20,7 +19,6 @@ fn main() {
             "table6" => "Ds",
             "ablation" => "offset-lists",
             "table1" => "scaled",
-            "table7_scaling" => "T1",
             _ => "D",
         };
         println!("{}", r.render(baseline));

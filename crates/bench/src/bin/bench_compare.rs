@@ -8,8 +8,7 @@
 //! baseline (see [`aplus_bench::compare`]): count mismatches and missing
 //! cells exit non-zero (results changed — a correctness regression);
 //! latency drift is printed but never fatal, because the CI box is 1-core
-//! and noisy. Wired into `ci.sh` for both `BENCH_tables.json` and
-//! `BENCH_scaling.json`.
+//! and noisy. Wired into `ci.sh` for `BENCH_tables.json`.
 
 use aplus_bench::compare::{compare_json, render_report};
 
@@ -37,8 +36,8 @@ fn main() {
     if !cmp.passed() {
         eprintln!(
             "bench_compare: FAILED — query counts diverged from the committed baseline. \
-             If the change is intentional, regenerate the baselines by running \
-             bench_smoke without APLUS_BENCH_OUT and commit the updated files."
+             If the change is intentional, regenerate the baseline by running \
+             bench_smoke without APLUS_BENCH_OUT and commit the updated file."
         );
         std::process::exit(1);
     }

@@ -1,5 +1,5 @@
 //! Bench-baseline comparison: the CI regression gate over the committed
-//! `BENCH_tables.json` / `BENCH_scaling.json` perf-trajectory files.
+//! `BENCH_tables.json` perf-trajectory file.
 //!
 //! [`compare_json`] walks both documents for measurement records (any JSON
 //! object carrying `dataset`/`config`/`query`/`value`, wherever reporters

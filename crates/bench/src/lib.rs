@@ -1,5 +1,5 @@
 //! Benchmark harness regenerating every table of the paper's evaluation
-//! (§V), plus the ablation studies called out in DESIGN.md.
+//! (§V), plus the §III-B3 storage ablation.
 //!
 //! Each `table*` binary builds the scaled datasets, runs the workload under
 //! the paper's index configurations, prints a markdown table next to the
@@ -15,29 +15,23 @@
 //! | `table5` | Table V — fixed-index baselines |
 //! | `table6_maintenance` | §V-F — maintenance micro-benchmark |
 //! | `ablation_storage` | §III-B3 — offset lists vs bitmaps vs ID lists |
-//! | `table7_scaling` | morsel-driven parallel scaling at 1/2/4/8 threads (beyond the paper) |
-//! | `bench_smoke` | CI perf trajectory: reduced-scale run writing `BENCH_tables.json` + `BENCH_scaling.json` (incl. the `table8_collect` parallel-collect table, the `table9_churn` reader-latency-under-writer-churn experiment, the `table10_recovery` WAL-overhead/recovery-time experiment, the `table13_observability` instrumentation-overhead experiment, and the `table14_varlength` variable-length-path experiment) |
-//! | `bench_compare` | CI baseline gate: diffs a fresh `bench_smoke` run against the committed trajectory files — count mismatches fail, latency drift is informational |
+//! | `bench_smoke` | CI perf trajectory: reduced-scale tables II–IV written to `BENCH_tables.json` |
+//! | `bench_compare` | CI baseline gate: diffs a fresh `bench_smoke` run against the committed `BENCH_tables.json` — count mismatches fail, latency drift is informational |
 //!
 //! Dataset sizes scale with `APLUS_SCALE` (divisor of the paper's
 //! vertex/edge counts; default 1000). The environment variable is read
 //! once per binary; every driver function takes the divisor as an explicit
 //! parameter so library callers and tests never touch process-global env.
-//! `table7_scaling` and `bench_smoke` additionally honour
-//! `APLUS_THREAD_COUNTS` (e.g. `1,2,4`), which fully determines the pools
-//! they measure (the runtime-wide `APLUS_THREADS` default does not apply —
-//! the sweep builds each pool explicitly).
+//!
+//! Everything beyond the paper — parallel scaling, streaming, churn,
+//! recovery, engines, profiling, var-length paths and the wire — is
+//! measured by the repository benchmark (`benchmark/`), and its result
+//! invariants are checked by the differential test suites.
 
-pub mod churn;
 pub mod compare;
 pub mod datasets;
-pub mod factorized;
-pub mod observability;
-pub mod recovery;
 pub mod report;
-pub mod scaling;
 pub mod tables;
-pub mod varlength;
 pub mod workloads;
 
 pub use report::{Measurement, Reporter};

@@ -750,8 +750,8 @@ mod tests {
         g
     }
 
-    /// Tail counts worked out by hand. All but the fourth are too high
-    /// without the uniqueness subtraction.
+    /// Tail counts worked out by hand. All but the fourth and the last are
+    /// too high without the uniqueness subtraction.
     const CASES: &[(&str, u64)] = &[
         // Star on v0, same-label siblings: ordered pairs of distinct
         // out-edges among {e0, e1, e4}.
@@ -781,6 +781,10 @@ mod tests {
         // Unlabelled 2-hop: in * out per middle vertex (v1: 3 * 2, v2:
         // 3 * 1) minus each self-loop used twice.
         ("MATCH a-[r]->b, b-[s]->c", 7),
+        // Labelled path, the tail of SQ6's 4-path: b = v1 (via e0 or e1)
+        // has out {e2, e3}, b = v2 (via e4) has out {e5}; r leaves the A
+        // vertex, so no bound edge is ever in the tail list.
+        ("MATCH (a:A)-[r:E]->(b:B), (b:B)-[s:E]->(c:B)", 5),
     ];
 
     #[test]

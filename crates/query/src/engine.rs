@@ -325,31 +325,6 @@ impl Database {
         Ok((profile.rows, profile))
     }
 
-    /// Collects up to `limit` rows inline with per-operator
-    /// instrumentation, returning the rows alongside the [`QueryProfile`].
-    pub fn profile_collect(
-        &self,
-        query: &str,
-        limit: usize,
-    ) -> Result<(Vec<RawRow>, QueryProfile), QueryError> {
-        self.profile_collect_on(query, limit, &MorselPool::sequential())
-    }
-
-    fn profile_collect_on(
-        &self,
-        query: &str,
-        limit: usize,
-        pool: &MorselPool,
-    ) -> Result<(Vec<RawRow>, QueryProfile), QueryError> {
-        let (bound, plan) = self.prepare(query)?;
-        let mut sink = VecSink::with_limit(limit);
-        let profile = profiled(&plan, |p| {
-            let sink = &mut sink;
-            self.run(&bound, &plan, pool, Some(p), Output::Rows { limit, sink })
-        });
-        Ok((sink.into_rows(), profile))
-    }
-
     /// Streams up to `limit` result rows into `sink`, in sequential result
     /// order, executing morsel-parallel on `pool` — rows are pushed as
     /// their morsel's turn comes, never materializing the full result. The
@@ -992,16 +967,6 @@ impl SharedDatabase {
     /// [`QueryProfile`].
     pub fn profile_count(&self, query: &str) -> Result<(u64, QueryProfile), QueryError> {
         self.snapshot().profile_count_on(query, &self.pool)
-    }
-
-    /// Collects up to `limit` rows with per-operator instrumentation
-    /// morsel-parallel against the current snapshot.
-    pub fn profile_collect(
-        &self,
-        query: &str,
-        limit: usize,
-    ) -> Result<(Vec<RawRow>, QueryProfile), QueryError> {
-        self.snapshot().profile_collect_on(query, limit, &self.pool)
     }
 
     /// Streams up to `limit` rows into `sink` morsel-parallel against one

@@ -61,7 +61,9 @@ fn build_graph(edges: &[(u32, u32, i64, bool)]) -> Graph {
 /// tree whose tail shares its owner with the level before (also from a
 /// pinned root, so the owner is neither the root nor the newest binding),
 /// and a tail read from a backward list; the star with different-label
-/// siblings must not.
+/// siblings must not. The last two are the paper workload's densest
+/// cyclic shapes, SQ3 (diamond) and SQ9 (4-clique), whose closing levels
+/// intersect two and three lists.
 const TEMPLATES: &[&str] = &[
     "MATCH a-[r:E]->b",
     "MATCH a-[r]->b",
@@ -79,7 +81,21 @@ const TEMPLATES: &[&str] = &[
     "MATCH (a)-[r:E]->(b:B), (b:B)-[s:E]->(c:B), (b:B)-[t:E]->(d:B) WHERE a.ID = 0",
     "MATCH (a:B)-[r:E]->(b:B), (c:B)-[s:E]->(b:B)",
     "MATCH (a)-[r:E]->(b:A), (a)-[s:E]->(c:B)",
+    "MATCH a-[r:E]->b, b-[s:E]->c, c-[t:E]->d, d-[u:E]->a, a-[v:E]->c",
+    "MATCH a-[r:E]->b, a-[s:E]->c, a-[t:E]->d, b-[u:E]->c, b-[v:E]->d, c-[x:E]->d",
 ];
+
+/// Folds every endpoint into the first `CORE` vertices when `dense`, so
+/// the cyclic templates (diamond, 4-clique) find matches on random inputs.
+const CORE: u32 = 6;
+
+fn maybe_dense(edges: &[(u32, u32, i64, bool)], dense: bool) -> Vec<(u32, u32, i64, bool)> {
+    let n = if dense { CORE } else { N };
+    edges
+        .iter()
+        .map(|&(s, d, w, l)| (s % n, d % n, w, l))
+        .collect()
+}
 
 fn drain_stream_prepared(
     db: &Database,
@@ -104,10 +120,11 @@ proptest! {
     #[test]
     fn block_rows_equal_row_engine(
         edges in proptest::collection::vec((0..N, 0..N, 0i64..100, prop::bool::ANY), 1..50),
+        dense in prop::bool::ANY,
         config in 0usize..3,
         limit_raw in 0usize..200,
     ) {
-        let g = build_graph(&edges);
+        let g = build_graph(&maybe_dense(&edges, dense));
         let spec = match config {
             0 => IndexSpec::default_primary(),
             1 => IndexSpec::default().with_sort(vec![SortKey::NbrId]),
@@ -163,9 +180,10 @@ proptest! {
     #[test]
     fn factorized_count_equals_flattened_count(
         edges in proptest::collection::vec((0..N, 0..N, 0i64..100, prop::bool::ANY), 1..50),
+        dense in prop::bool::ANY,
         config in 0usize..3,
     ) {
-        let g = build_graph(&edges);
+        let g = build_graph(&maybe_dense(&edges, dense));
         let spec = match config {
             0 => IndexSpec::default_primary(),
             1 => IndexSpec::default().with_sort(vec![SortKey::NbrId]),

@@ -5,13 +5,14 @@
 //! and the row vs block engines, and the durable path records WAL /
 //! checkpoint / recovery metrics.
 
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use aplus::common::VertexId;
 use aplus::datagen::{build_financial_graph, generate, GeneratorConfig};
-use aplus::query::{metric, profiled, FlattenPolicy, Output};
+use aplus::query::{metric, profiled, FlattenPolicy, Output, QueryProfile, RawRow};
 use aplus::{Database, DurabilityConfig, FsyncPolicy, MorselPool, SharedDatabase};
 
 const WIRES: &str = "MATCH a-[r:W]->b";
@@ -23,6 +24,26 @@ fn financial() -> Database {
 
 fn social(vertices: usize, edges: usize) -> Database {
     Database::new(generate(&GeneratorConfig::social(vertices, edges, 1, 1))).expect("index build")
+}
+
+/// Collects up to `limit` rows of `query` on `pool` with a profiler
+/// attached: `prepare` + `run` with `Output::Rows`.
+fn profile_rows(
+    db: &Database,
+    query: &str,
+    limit: usize,
+    pool: &MorselPool,
+) -> (Vec<RawRow>, QueryProfile) {
+    let (bound, plan) = db.prepare(query).expect("query valid");
+    let mut rows = Vec::new();
+    let profile = profiled(&plan, |p| {
+        let sink = &mut |r: RawRow| {
+            rows.push(r);
+            ControlFlow::Continue(())
+        };
+        db.run(&bound, &plan, pool, Some(p), Output::Rows { limit, sink })
+    });
+    (rows, profile)
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -110,9 +131,7 @@ fn profile_rows_match_collect_counts() {
     let shared = SharedDatabase::with_pool(financial(), MorselPool::new(2));
     for query in [WIRES, TWO_HOP] {
         let plain = shared.collect(query, usize::MAX).expect("query valid");
-        let (rows, profile) = shared
-            .profile_collect(query, usize::MAX)
-            .expect("query valid");
+        let (rows, profile) = profile_rows(&shared.snapshot(), query, usize::MAX, shared.pool());
         assert_eq!(rows, plain, "{query}: profiling must not change results");
         assert_eq!(profile.rows, rows.len() as u64, "{query}");
         let (n, count_profile) = shared.profile_count(query).expect("query valid");
@@ -206,12 +225,11 @@ fn var_length_profiles_report_thread_invariant_hop_stats() {
     let full = db.count(pinned).expect("query valid");
     assert!(full >= 2, "root 0 must reach a few vertices: {full}");
     let limit = (full as usize) / 2;
-    let (seq_rows, seq_limited) = db.profile_collect(pinned, limit).expect("query valid");
+    let (seq_rows, seq_limited) = profile_rows(&db, pinned, limit, &MorselPool::sequential());
     assert_eq!(seq_rows.len(), limit);
     assert!(!seq_limited.hops.is_empty());
     for threads in [2usize, 4] {
-        let shared = SharedDatabase::with_pool(db.clone(), MorselPool::new(threads));
-        let (rows, limited) = shared.profile_collect(pinned, limit).expect("query valid");
+        let (rows, limited) = profile_rows(&db, pinned, limit, &MorselPool::new(threads));
         assert_eq!(rows, seq_rows, "thread count {threads}");
         assert_eq!(
             limited.hops, seq_limited.hops,
