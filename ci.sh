@@ -16,13 +16,14 @@ run() {
 # One query driver, no planner knobs, no graph scan while planning, no
 # removed server knob, one way to read an offset list, page-granular
 # copy-on-write, no bitmap-index plumbing in the store, one benchmark
-# track: keeps the forks, env reads, per-query O(|E|) pass, per-request
-# stream thread, whole-index / whole-column commit copies and duplicate
-# bench reporters that were deleted from growing back.
+# track, one (factorized) engine: keeps the forks, env reads, per-query
+# O(|E|) pass, per-request stream thread, whole-index / whole-column commit
+# copies, duplicate bench reporters and the row pipeline with its engine
+# knobs that were deleted from growing back.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine"
     local bad=0 f n=0
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -93,6 +94,14 @@ guard() {
         echo "guard: the beyond-the-paper bench reporters and the profiled-collect twins were removed (use benchmark/, and profiled + run)"
         bad=1
     fi
+    # Every plan runs on factorized blocks; the row-at-a-time pipeline and
+    # the policy knobs that chose between the two engines stay deleted.
+    if grep -rnE 'FlattenPolicy|BlockPolicy|DEFAULT_BLOCK_SIZE|with_flatten|use_block|block_morsel_size' \
+        crates/*/src crates/*/tests src tests README.md docs ||
+        grep -nE 'fn (run_op|execute)\(' crates/query/src/*.rs; then
+        echo "guard: the row engine and its FlattenPolicy / BlockPolicy knobs were removed (every plan runs on blocks)"
+        bad=1
+    fi
     ((bad == 0)) || exit 1
     echo "    guard passed"
 }
@@ -123,7 +132,7 @@ run cargo build --release
 # unusable/newer-format data directories), the observability suites
 # (tests/observability.rs: monotone race-free counters at pool sizes
 # 1/2/4, thread-count-invariant PROFILE merges, profiles distinguishing
-# RECONFIGUREd layouts and the row vs block engines, storage metrics
+# RECONFIGUREd layouts and reporting factorized work, storage metrics
 # across a durable lifecycle; crates/server/tests/observability.rs: the
 # metrics/profile wire verbs + 3-node replication lag gauges converging
 # to 0; doctests in docs/OBSERVABILITY.md), and the docs link check

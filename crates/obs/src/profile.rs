@@ -32,8 +32,8 @@ pub struct LevelStats {
     /// considered by the multiway intersection, or single-list entries
     /// scanned when no intersection was needed).
     pub candidates: AtomicU64,
-    /// Bindings emitted past this level (rows for the row engine,
-    /// flattened-equivalent bindings for the block engine).
+    /// Bindings emitted past this level (entries of its factorized level,
+    /// or the matches an in-place tail count folded).
     pub emitted: AtomicU64,
 }
 
@@ -257,7 +257,8 @@ pub struct HopProfile {
 /// deterministic for a given (database, plan, limit) at any thread count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QueryProfile {
-    /// `"block"` or `"row"` — which executor ran the plan.
+    /// Which executor ran the plan: `"block"`, the factorized engine every
+    /// plan runs on.
     pub engine: String,
     /// Wall-clock execution time, microseconds (scheduling-dependent).
     pub elapsed_us: u64,
@@ -268,7 +269,7 @@ pub struct QueryProfile {
     /// Per-hop statistics of var-length traversals (hop 1 first; trailing
     /// never-reached hops trimmed). Empty for plans without them.
     pub hops: Vec<HopProfile>,
-    /// Factorized blocks processed (0 under the row engine).
+    /// Factorized blocks processed.
     pub blocks: u64,
     /// Factorized-count shortcut hits (frontier entries whose tail list
     /// was counted in place).

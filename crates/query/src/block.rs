@@ -1,33 +1,32 @@
-//! Block-at-a-time factorized execution.
+//! Block-at-a-time factorized execution: the one engine.
 //!
-//! The row engine ([`crate::exec`]) enumerates matches one row at a time,
-//! re-walking the whole binding prefix for every result. This module
-//! processes **blocks** of bindings per operator instead, and keeps
-//! intermediate results **factorized** (the list-based processing of the
-//! companion "Columnar Storage and List-based Processing for GDBMSs" work):
+//! Every plan runs here. Instead of enumerating matches one row at a time
+//! and re-walking the whole binding prefix for every result, each operator
+//! processes a **block** of bindings at once, and intermediate results stay
+//! **factorized** (the list-based processing of the companion "Columnar
+//! Storage and List-based Processing for GDBMSs" work):
 //!
-//! * The root vertex scan seeds a block of up to
-//!   [`crate::plan::BlockPolicy::block_size`] root bindings.
-//! * Each E/I operator extends the whole frontier level at once into a new
-//!   `Level`: one `(parent, neighbour, edges)` entry per produced
-//!   binding, where `parent` points at the frontier entry it extends. The
-//!   root binding is stored **once**, never repeated per downstream row —
-//!   the factorized representation whose flat expansion is exactly the
-//!   cross product the row engine would enumerate.
+//! * The root scan (vertices or edges) seeds a block from one morsel of
+//!   its ID range.
+//! * Every other operator — E/I, MULTI-EXTEND, var-length expansion —
+//!   extends the whole top level at once into a new `Level`: one entry per
+//!   produced binding, holding the variables the operator binds and a
+//!   `parent` pointer to the entry it extends. A binding is stored
+//!   **once**, never repeated per downstream row — the factorized
+//!   representation whose flat expansion is the cross product of its
+//!   levels.
 //! * FILTER operators compact the top level in place.
 //!
 //! Entries are appended in frontier order, and within one frontier entry in
-//! the order `exec::ei_over_lists` produces them — the same
-//! k-pointer leapfrog the row engine runs (both engines literally share
-//! that function, so per-level semantics cannot drift). Consequently the
-//! **flat order of the last level is the sequential DFS row order**, and
-//! flattening is a lazy walk (`FlattenIter`) that rebinds only the path
-//! suffix that changed between consecutive entries (amortized O(1) per
-//! row). Flattened rows reach sinks through the same morsel-order merge as
-//! the row engine's, so streamed and collected rows are bit-identical to
-//! it at any thread count and limit.
+//! the order the operator's binding producer (`exec::op_bindings`)
+//! yields them. Consequently the **flat order of the last level is the
+//! depth-first row order**, and flattening is a lazy walk (`FlattenIter`)
+//! that rebinds only the path suffix that changed between consecutive
+//! entries (amortized O(1) per row). Flattened rows reach sinks through the
+//! driver's morsel-order merge, so streamed and collected rows are
+//! bit-identical at any thread count and limit.
 //!
-//! Counting never flattens at all: the last E/I level is consumed as a
+//! Counting never flattens at all: the last operator is consumed as a
 //! **multiplicity** per frontier entry. A single-list tail extension with
 //! no residual whose list hangs off a vertex is counted **in place**,
 //! without binding a single candidate: the entries whose neighbour passes
@@ -39,19 +38,14 @@
 //! runs per entry — the factorized-count win on high-fanout tails.
 //!
 //! This module owns no driver: [`crate::exec::run`] picks the morsel
-//! strategy and merges the output for both engines, and calls in here only
-//! for the *morsel body* — `root_morsel` (one block seeded from a
-//! root-ID range; root morsels are capped at the block size,
-//! [`aplus_runtime::block_morsel_size`], so each morsel is one block) or
-//! `ei_morsel` (one root binding's first E/I restricted to a range of
-//! its leading list). Either body then counts its levels or flattens them
-//! row by row into whatever the driver hands it (`exec::Emit`): the
-//! morsel's buffer on a pool worker, the sink itself when it runs inline.
-//!
-//! Plans opt in via [`FlattenPolicy::AtSink`] (the optimizer's default for
-//! supported shapes); [`use_block`] is the single dispatch predicate.
-//! Unsupported shapes — edge-scan roots, MULTI-EXTEND, var-length
-//! expansions — keep the row engine.
+//! strategy and merges the output, and calls in here only for the *block
+//! body* — `root_morsel` (one block seeded from a root-ID range),
+//! `ei_morsel` (one root binding's first E/I restricted to a range of its
+//! leading list) or `vl_morsel` (one root binding's first var-length
+//! expansion restricted to a range of one BFS level's targets). Each body
+//! then counts its levels or flattens them row by row into whatever the
+//! driver hands it (`exec::Emit`): the morsel's buffer on a pool worker,
+//! the sink itself when it runs inline.
 
 use std::ops::{ControlFlow, Range};
 
@@ -60,87 +54,72 @@ use aplus_core::Direction;
 use aplus_obs::LevelStats;
 
 use crate::exec::{
-    ei_op, ei_over_lists, fetch_ei_lists, scan_vertices_range, BoundList, EiOp, Emit, ExecContext,
+    ei_op, ei_over_lists, fetch_ei_lists, op_bindings, root_range_bindings, vl_target, BoundList,
+    EiOp, Emit, ExecContext, VarLengthOp,
 };
-use crate::plan::{FlattenPolicy, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
+use crate::plan::{FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryPredicate, Row};
 use crate::sink::RawRow;
 
-/// Whether `plan` executes on the block engine: the plan asks for lazy
-/// flattening *and* its shape is supported. [`crate::exec::run`]
-/// dispatches on this; forcing [`FlattenPolicy::Eager`] (see
-/// [`Plan::with_flatten`]) pins the row engine regardless of shape.
-#[must_use]
-pub fn use_block(plan: &Plan) -> bool {
-    plan.block.flatten == FlattenPolicy::AtSink && eligible(&plan.ops)
-}
-
-/// Shape support: a vertex-scan root followed by nothing but E/I and
-/// FILTER operators. Edge-scan roots and MULTI-EXTEND fall back to the
-/// row engine.
-#[must_use]
-pub fn eligible(ops: &[Operator]) -> bool {
-    matches!(ops.first(), Some(Operator::ScanVertices { .. }))
-        && ops[1..].iter().all(|op| {
-            matches!(
-                op,
-                Operator::ExtendIntersect { .. } | Operator::Filter { .. }
-            )
-        })
-}
-
-/// One factorized level: entry `i` is the binding `(nbr[i],
-/// edges[i*stride..][..stride])` extending frontier entry `parent[i]` of
-/// the level below. The root level has no parents and no edges.
+/// One factorized level: entry `i` binds the operator's vertex variables to
+/// `verts[i*vertex_vars.len()..]` and its edge variables to
+/// `edges[i*edge_vars.len()..]`, extending entry `parent[i]` of the level
+/// below (the root level's parents are unused).
 struct Level {
     parent: Vec<usize>,
-    nbr: Vec<u32>,
-    edges: Vec<u64>,
-    stride: usize,
-    vertex_var: usize,
+    vertex_vars: Vec<usize>,
+    verts: Vec<u32>,
     edge_vars: Vec<usize>,
+    edges: Vec<u64>,
 }
 
 impl Level {
-    fn root(vertex_var: usize, roots: Vec<u32>) -> Self {
+    /// An empty level for the variables `op` binds. A check-mode var-length
+    /// expansion binds none: its entries only record which parents passed.
+    fn for_op(op: &Operator) -> Self {
+        let (vertex_vars, edge_vars): (Vec<usize>, Vec<usize>) = match op {
+            Operator::ScanVertices { var, .. } => (vec![*var], vec![]),
+            Operator::ScanEdges {
+                edge_var,
+                src_var,
+                dst_var,
+                ..
+            } => (vec![*src_var, *dst_var], vec![*edge_var]),
+            Operator::ExtendIntersect { target, alds, .. } => {
+                (vec![*target], alds.iter().map(|a| a.edge_var).collect())
+            }
+            Operator::MultiExtend { targets, .. } => {
+                targets.iter().map(|(v, _, ald)| (*v, ald.edge_var)).unzip()
+            }
+            Operator::VarLengthExpand { target, check, .. } => {
+                (if *check { vec![] } else { vec![*target] }, vec![])
+            }
+            Operator::Filter { .. } => unreachable!("FILTER compacts its level in place"),
+        };
         Self {
             parent: Vec::new(),
-            nbr: roots,
-            edges: Vec::new(),
-            stride: 0,
-            vertex_var,
-            edge_vars: Vec::new(),
-        }
-    }
-
-    fn for_ei(ei: &EiOp<'_>) -> Self {
-        let edge_vars: Vec<usize> = ei.alds.iter().map(|a| a.edge_var).collect();
-        Self {
-            parent: Vec::new(),
-            nbr: Vec::new(),
-            edges: Vec::new(),
-            stride: edge_vars.len(),
-            vertex_var: ei.target,
+            vertex_vars,
+            verts: Vec::new(),
             edge_vars,
+            edges: Vec::new(),
         }
     }
 
     fn len(&self) -> usize {
-        self.nbr.len()
+        self.parent.len()
     }
 
     /// Appends the binding currently held by `row` as an entry extending
     /// frontier entry `parent`.
     fn push_from_row(&mut self, parent: usize, row: &Row) {
         self.parent.push(parent);
-        self.nbr.push(
-            row.vertex(self.vertex_var)
-                .expect("E/I binds its target")
-                .raw(),
-        );
-        for &ev in &self.edge_vars {
+        for &v in &self.vertex_vars {
+            self.verts
+                .push(row.vertex(v).expect("operator binds its vertices").raw());
+        }
+        for &e in &self.edge_vars {
             self.edges
-                .push(row.edge(ev).expect("E/I binds its edge vars").raw());
+                .push(row.edge(e).expect("operator binds its edges").raw());
         }
     }
 }
@@ -156,11 +135,11 @@ struct Blocks {
 }
 
 impl Blocks {
-    /// Seeds the root level with a block of root bindings (raw vertex IDs
-    /// that already passed the scan's label + predicate checks).
-    fn seeded(plan: &Plan, roots: Vec<u32>) -> Self {
+    /// A block whose root level is `root` (bindings that already passed the
+    /// root scan's checks).
+    fn seeded(root: Level) -> Self {
         Self {
-            levels: vec![Level::root(root_var(plan), roots)],
+            levels: vec![root],
             cursor: vec![None],
         }
     }
@@ -174,7 +153,7 @@ impl Blocks {
     ///
     /// Invariant: `cursor[l] == Some(e)` implies `row` holds entry `e`'s
     /// bindings for level `l` *and* `cursor[l-1]` memoizes its parent.
-    /// Only this method binds level variables ([`ei_over_lists`]'s
+    /// Only this method binds level variables (a binding producer's
     /// transient bindings are unwound before it returns), and compaction
     /// invalidates the memo, so the invariant is local to this struct.
     fn bind_path(&mut self, row: &mut Row, li: usize, ei: usize) {
@@ -186,61 +165,38 @@ impl Blocks {
             self.bind_path(row, li - 1, parent);
         }
         let lvl = &self.levels[li];
-        row.bind_vertex(lvl.vertex_var, VertexId(lvl.nbr[ei]));
-        for (j, &ev) in lvl.edge_vars.iter().enumerate() {
-            row.bind_edge(ev, EdgeId(lvl.edges[ei * lvl.stride + j]));
+        let (nv, ne) = (lvl.vertex_vars.len(), lvl.edge_vars.len());
+        for (j, &v) in lvl.vertex_vars.iter().enumerate() {
+            row.bind_vertex(v, VertexId(lvl.verts[ei * nv + j]));
+        }
+        for (j, &e) in lvl.edge_vars.iter().enumerate() {
+            row.bind_edge(e, EdgeId(lvl.edges[ei * ne + j]));
         }
         self.cursor[li] = Some(ei);
     }
 
-    /// Extends the whole top level through an E/I operator at plan-op
-    /// index `level`, pushing the produced level. Returns `false` when
-    /// nothing was produced.
-    fn extend(&mut self, ctx: ExecContext<'_>, ei: &EiOp<'_>, level: usize, row: &mut Row) -> bool {
-        let stats = ctx.prof_level(level);
-        let top = self.levels.len() - 1;
-        let mut out = Level::for_ei(ei);
-        for fi in 0..self.levels[top].len() {
-            self.bind_path(row, top, fi);
-            if let Some(s) = stats {
-                s.record(ei.alds.len() as u64, 0, 0);
-            }
-            let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
-                continue;
-            };
-            let range = 0..lists[0].len();
-            let _ = ei_over_lists(ctx, ei, &lists, range, row, stats, &mut |r| {
-                out.push_from_row(fi, r);
-                ControlFlow::Continue(())
-            });
-        }
+    /// Pushes `out` as the new top level. Returns `false` when it is empty.
+    fn push_level(&mut self, out: Level) -> bool {
         let produced = out.len() > 0;
         self.levels.push(out);
         self.cursor.push(None);
         produced
     }
 
-    /// Extends a **single-entry** frontier through an E/I whose lists were
-    /// fetched by the caller, with list 0 restricted to `range` — the
-    /// first-E/I morsel unit. `row` must already hold the frontier path.
-    fn extend_from_lists(
-        &mut self,
-        ctx: ExecContext<'_>,
-        ei: &EiOp<'_>,
-        lists: &[BoundList<'_>],
-        range: Range<usize>,
-        row: &mut Row,
-    ) -> bool {
-        debug_assert_eq!(self.top_len(), 1, "first-E/I morsels extend one root");
-        let mut out = Level::for_ei(ei);
-        let _ = ei_over_lists(ctx, ei, lists, range, row, ctx.prof_level(1), &mut |r| {
-            out.push_from_row(0, r);
-            ControlFlow::Continue(())
-        });
-        let produced = out.len() > 0;
-        self.levels.push(out);
-        self.cursor.push(None);
-        produced
+    /// Extends the whole top level through `op` at plan-op index `level`,
+    /// pushing the produced level. Returns `false` when nothing was
+    /// produced.
+    fn extend(&mut self, ctx: ExecContext<'_>, op: &Operator, level: usize, row: &mut Row) -> bool {
+        let top = self.levels.len() - 1;
+        let mut out = Level::for_op(op);
+        for fi in 0..self.levels[top].len() {
+            self.bind_path(row, top, fi);
+            let _ = op_bindings(ctx, op, level, row, &mut |r| {
+                out.push_from_row(fi, r);
+                ControlFlow::Continue(())
+            });
+        }
+        self.push_level(out)
     }
 
     /// FILTER at plan-op index `level`: compacts the top level in place,
@@ -264,65 +220,71 @@ impl Blocks {
             s.record(0, n as u64, keep.iter().filter(|&&k| k).count() as u64);
         }
         let lvl = &mut self.levels[top];
+        let (nv, ne) = (lvl.vertex_vars.len(), lvl.edge_vars.len());
         let mut w = 0usize;
         for (r, &kept) in keep.iter().enumerate() {
             if kept {
                 if w != r {
-                    if !lvl.parent.is_empty() {
-                        lvl.parent[w] = lvl.parent[r];
-                    }
-                    lvl.nbr[w] = lvl.nbr[r];
-                    for j in 0..lvl.stride {
-                        lvl.edges[w * lvl.stride + j] = lvl.edges[r * lvl.stride + j];
-                    }
+                    lvl.parent[w] = lvl.parent[r];
+                    lvl.verts.copy_within(r * nv..(r + 1) * nv, w * nv);
+                    lvl.edges.copy_within(r * ne..(r + 1) * ne, w * ne);
                 }
                 w += 1;
             }
         }
-        if !lvl.parent.is_empty() {
-            lvl.parent.truncate(w);
-        }
-        lvl.nbr.truncate(w);
-        lvl.edges.truncate(w * lvl.stride);
+        lvl.parent.truncate(w);
+        lvl.verts.truncate(w * nv);
+        lvl.edges.truncate(w * ne);
         // Entries moved: the memoized row bindings may describe a removed
         // entry.
         self.cursor[top] = None;
         w > 0
     }
 
-    /// Counts the matches a final E/I operator (at plan-op index `level`)
+    /// Counts the matches a final operator `op` (at plan-op index `level`)
     /// would produce, **without building its level**: per frontier entry,
     /// the extension count is a multiplicity folded straight into the
     /// total. A [`FastTail`] whose list depends on its owner alone is
     /// fetched and label-counted once per run of consecutive entries with
-    /// the same owner (entries come in DFS order, so a run is every
+    /// the same owner (entries come in depth-first order, so a run is every
     /// extension of one owner binding); only the uniqueness subtraction
     /// runs per entry. A run never spans two root bindings, so where block
     /// boundaries fall — which varies with the thread count — cannot change
-    /// the label reads a `PROFILE` run reports.
+    /// the label reads a `PROFILE` run reports. Any other tail counts the
+    /// bindings its producer yields.
     fn tail_count(
         &mut self,
         ctx: ExecContext<'_>,
-        ei: &EiOp<'_>,
+        op: &Operator,
         level: usize,
         row: &mut Row,
     ) -> u64 {
-        let stats = ctx.prof_level(level);
         let top = self.levels.len() - 1;
-        let fast = FastTail::of(ei);
-        let mut run: Option<OwnerRun<'_>> = None;
         let mut total = 0u64;
+        let fast = match op {
+            Operator::ExtendIntersect { .. } => {
+                let ei = ei_op(op);
+                FastTail::of(&ei).map(|tail| (tail, ei))
+            }
+            _ => None,
+        };
+        let Some((tail, ei)) = fast else {
+            for fi in 0..self.levels[top].len() {
+                self.bind_path(row, top, fi);
+                let _ = op_bindings(ctx, op, level, row, &mut |_| {
+                    total += 1;
+                    ControlFlow::Continue(())
+                });
+            }
+            return total;
+        };
+        let stats = ctx.prof_level(level);
+        let mut run: Option<OwnerRun<'_>> = None;
         for fi in 0..self.levels[top].len() {
             self.bind_path(row, top, fi);
             if let Some(s) = stats {
                 s.record(ei.alds.len() as u64, 0, 0);
             }
-            let Some(tail) = &fast else {
-                if let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) {
-                    total += leapfrog_count(ctx, ei, &lists, 0..lists[0].len(), row, stats);
-                }
-                continue;
-            };
             let owner = row
                 .vertex(tail.owner_var)
                 .expect("plan binds FROM before use");
@@ -529,38 +491,33 @@ impl FastTail {
     }
 }
 
-fn root_var(plan: &Plan) -> usize {
-    let Some(Operator::ScanVertices { var, .. }) = plan.ops.first() else {
-        unreachable!("block-eligible plans have a vertex-scan root")
-    };
-    *var
+/// The root level of a block seeded from the single root binding `row`
+/// holds (the first-level strategies' morsels).
+fn root_level(plan: &Plan, row: &Row) -> Level {
+    let mut root = Level::for_op(&plan.ops[0]);
+    root.push_from_row(0, row);
+    root
 }
 
-/// Runs `plan.ops[from..]` over a seeded block, building every level.
+/// Runs `plan.ops[ops]` over a seeded block, building every level.
 /// Returns `false` as soon as a level comes up empty.
 fn apply_ops(
     ctx: ExecContext<'_>,
     plan: &Plan,
     st: &mut Blocks,
     row: &mut Row,
-    from: usize,
+    ops: Range<usize>,
 ) -> bool {
-    for (i, op) in plan.ops.iter().enumerate().skip(from) {
-        let ok = match op {
-            Operator::ExtendIntersect { .. } => st.extend(ctx, &ei_op(op), i, row),
-            Operator::Filter { preds } => st.filter_top(ctx, preds, i, row),
-            _ => unreachable!("block-eligible plans contain only E/I and FILTER past the root"),
-        };
-        if !ok {
-            return false;
-        }
-    }
-    true
+    let start = ops.start;
+    plan.ops[ops].iter().enumerate().all(|(i, op)| match op {
+        Operator::Filter { preds } => st.filter_top(ctx, preds, start + i, row),
+        _ => st.extend(ctx, op, start + i, row),
+    })
 }
 
-/// Runs `plan.ops[from..]` over a seeded block for counting: a trailing
-/// E/I is consumed as per-entry multiplicities ([`Blocks::tail_count`])
-/// instead of building its level.
+/// Runs `plan.ops[from..]` over a seeded block for counting: the last
+/// operator is consumed as per-entry multiplicities
+/// ([`Blocks::tail_count`]) instead of building its level.
 fn count_ops(
     ctx: ExecContext<'_>,
     plan: &Plan,
@@ -568,30 +525,24 @@ fn count_ops(
     row: &mut Row,
     from: usize,
 ) -> u64 {
-    for (i, op) in plan.ops.iter().enumerate().skip(from) {
-        let last = i + 1 == plan.ops.len();
-        match op {
-            Operator::ExtendIntersect { .. } if last => {
-                return st.tail_count(ctx, &ei_op(op), i, row);
-            }
-            Operator::ExtendIntersect { .. } => {
-                if !st.extend(ctx, &ei_op(op), i, row) {
-                    return 0;
-                }
-            }
-            Operator::Filter { preds } => {
-                if !st.filter_top(ctx, preds, i, row) {
-                    return 0;
-                }
-            }
-            _ => unreachable!("block-eligible plans contain only E/I and FILTER past the root"),
-        }
+    let last = plan.ops.len() - 1;
+    if from > last {
+        return st.top_len() as u64;
     }
-    st.top_len() as u64
+    if !apply_ops(ctx, plan, st, row, from..last) {
+        return 0;
+    }
+    match &plan.ops[last] {
+        Operator::Filter { preds } => {
+            st.filter_top(ctx, preds, last, row);
+            st.top_len() as u64
+        }
+        op => st.tail_count(ctx, op, last, row),
+    }
 }
 
 /// Lazily flattens the last level into [`RawRow`]s, in flat storage order
-/// — which is exactly the sequential DFS row order. Each step rebinds only
+/// — which is exactly the depth-first row order. Each step rebinds only
 /// the changed path suffix via the cursor memo. A `PROFILE` run counts the
 /// rows actually pulled across this flatten boundary (flushed on drop, so
 /// early-exited drains report only what they materialized).
@@ -642,10 +593,9 @@ impl Drop for FlattenIter<'_> {
     }
 }
 
-/// Seeds a block with the root bindings in ID `range` that pass the scan's
-/// label + predicate checks (the row engine's own root scan, so pinned
-/// vertices and label/predicate semantics are shared) and consumes it — the
-/// morsel body of root-range partitioning.
+/// Seeds a block with the root bindings in ID `range` that pass the root
+/// scan's checks (pinned vertices and label/predicate semantics included)
+/// and consumes it — the block body of root-range partitioning.
 pub(crate) fn root_morsel(
     ctx: ExecContext<'_>,
     query: &QueryGraph,
@@ -653,28 +603,25 @@ pub(crate) fn root_morsel(
     range: Range<usize>,
     emit: Emit<'_>,
 ) {
-    let Some(Operator::ScanVertices { var, label, preds }) = plan.ops.first() else {
-        unreachable!("block-eligible plans have a vertex-scan root")
-    };
     // A fresh scratch row per block: `bind_path` materializes exactly the
     // path variables, and unbound slots must stay the sentinel (stale
     // bindings from another block would corrupt `uses_edge` checks).
     let mut row = Row::unbound(query.vertices.len(), query.edges.len());
-    let mut roots: Vec<u32> = Vec::new();
-    let _ = scan_vertices_range(ctx, 0, *var, *label, preds, range, &mut row, &mut |r| {
-        roots.push(r.vertex(*var).expect("scan binds root").raw());
+    let mut root = Level::for_op(&plan.ops[0]);
+    let _ = root_range_bindings(ctx, plan, range, &mut row, &mut |r| {
+        root.push_from_row(0, r);
         ControlFlow::Continue(())
     });
-    if roots.is_empty() {
+    if root.len() == 0 {
         return;
     }
     ctx.note_block();
-    consume(ctx, plan, Blocks::seeded(plan, roots), &mut row, 1, emit);
+    consume(ctx, plan, Blocks::seeded(root), &mut row, 1, emit);
 }
 
 /// Extends the single root binding held by `row` through the first E/I
 /// `ei` over pre-fetched `lists`, with list 0 restricted to `range`, and
-/// consumes the resulting sub-block — the morsel body of first-E/I
+/// consumes the resulting sub-block — the block body of first-E/I
 /// partitioning.
 pub(crate) fn ei_morsel(
     ctx: ExecContext<'_>,
@@ -694,10 +641,53 @@ pub(crate) fn ei_morsel(
         }
         emit => emit,
     };
-    let root = row.vertex(root_var(plan)).expect("scan binds root").raw();
     ctx.note_block();
-    let mut st = Blocks::seeded(plan, vec![root]);
-    if st.extend_from_lists(ctx, ei, lists, range, row) {
+    let mut st = Blocks::seeded(root_level(plan, row));
+    let mut out = Level::for_op(&plan.ops[1]);
+    let _ = ei_over_lists(ctx, ei, lists, range, row, ctx.prof_level(1), &mut |r| {
+        out.push_from_row(0, r);
+        ControlFlow::Continue(())
+    });
+    if st.push_level(out) {
+        consume(ctx, plan, st, row, 2, emit);
+    }
+}
+
+/// Binds the root binding held by `row` to each of `targets` (a range of
+/// one BFS level's newly reached vertices) through the first var-length
+/// expansion `vl`, and consumes the resulting sub-block — the block body
+/// of first-var-length partitioning.
+pub(crate) fn vl_morsel(
+    ctx: ExecContext<'_>,
+    plan: &Plan,
+    vl: &VarLengthOp<'_>,
+    targets: &[u32],
+    row: &mut Row,
+    emit: Emit<'_>,
+) {
+    let emit = match emit {
+        // The expansion is also the last operator: count its targets.
+        Emit::Count(n) if plan.ops.len() == 2 => {
+            for &t in targets {
+                let _ = vl_target(ctx, vl, VertexId(t), row, &mut |_| {
+                    *n += 1;
+                    ControlFlow::Continue(())
+                });
+            }
+            return;
+        }
+        emit => emit,
+    };
+    ctx.note_block();
+    let mut st = Blocks::seeded(root_level(plan, row));
+    let mut out = Level::for_op(&plan.ops[1]);
+    for &t in targets {
+        let _ = vl_target(ctx, vl, VertexId(t), row, &mut |r| {
+            out.push_from_row(0, r);
+            ControlFlow::Continue(())
+        });
+    }
+    if st.push_level(out) {
         consume(ctx, plan, st, row, 2, emit);
     }
 }
@@ -716,7 +706,7 @@ fn consume(
     match emit {
         Emit::Count(n) => *n += count_ops(ctx, plan, &mut st, row, from),
         Emit::Rows(push) => {
-            if apply_ops(ctx, plan, &mut st, row, from) {
+            if apply_ops(ctx, plan, &mut st, row, from..plan.ops.len()) {
                 for raw in FlattenIter::new(&mut st, row, ctx) {
                     if push(raw).is_break() {
                         break;
@@ -735,7 +725,7 @@ mod tests {
     use aplus_runtime::MorselPool;
 
     use crate::exec::Output;
-    use crate::{profiled, Database, FlattenPolicy};
+    use crate::{profiled, Database};
 
     /// v0:A, v1:B, v2:B with E edges e0, e1: v0->v1 (a parallel pair),
     /// e2: v1->v1 and e5: v2->v2 (self-loops), e3: v1->v2 and e4: v0->v2.
@@ -800,9 +790,10 @@ mod tests {
             let db = Database::with_primary_spec(graph(), spec).unwrap();
             for &(q, want) in CASES {
                 let (bound, plan) = db.prepare(q).unwrap();
-                let row_plan = plan.clone().with_flatten(FlattenPolicy::Eager);
+                // The flattened rows bind every candidate the count skips.
                 assert_eq!(
-                    db.count_prepared_parallel(&bound, &row_plan, &pool),
+                    db.collect_prepared_parallel(&bound, &plan, usize::MAX, &pool)
+                        .len() as u64,
                     want,
                     "{q}"
                 );

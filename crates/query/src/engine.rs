@@ -460,10 +460,9 @@ impl Database {
 /// var-length hop bound so `PROFILE` can report per-hop frontier
 /// statistics (no hop section for plans without var-length operators) —
 /// and freezes it into the [`QueryProfile`] a `PROFILE` run returns,
-/// stamped with the engine that executes the plan, the wall-clock time,
-/// and the result cardinality `run` returns. Pass the profiler on to
-/// [`Database::run`]; differential tests use this to profile one plan
-/// pinned to each engine (see [`Plan::with_flatten`]).
+/// stamped with the engine that executed it (always `block`), the
+/// wall-clock time, and the result cardinality `run` returns. Pass the
+/// profiler on to [`Database::run`].
 pub fn profiled(plan: &Plan, run: impl FnOnce(&QueryProfiler) -> u64) -> QueryProfile {
     let hops = plan
         .ops
@@ -479,12 +478,7 @@ pub fn profiled(plan: &Plan, run: impl FnOnce(&QueryProfiler) -> u64) -> QueryPr
     let rows = run(&profiler);
     let elapsed = started.elapsed();
     let mut profile = profiler.finish(&plan.op_descriptions());
-    profile.engine = if crate::block::use_block(plan) {
-        "block"
-    } else {
-        "row"
-    }
-    .to_owned();
+    profile.engine = "block".to_owned();
     profile.elapsed_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
     profile.rows = rows;
     profile

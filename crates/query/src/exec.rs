@@ -1,24 +1,28 @@
 //! Plan execution: SCAN, EXTEND/INTERSECT, MULTI-EXTEND, VAR-LENGTH
 //! EXPAND, FILTER.
 //!
-//! Execution is depth-first over the operator pipeline: each operator
-//! enumerates bindings for its variables and recurses. Adjacency lists are
-//! read through the A+ indexes; E/I performs k-pointer sorted intersection
-//! on neighbour IDs (the WCOJ building block), MULTI-EXTEND performs a
-//! k-pointer merge-group on a property sort key and emits the cartesian
-//! product of each equal-key group, and sorted-prefix prunes are applied by
-//! binary search (the "fewer predicate evaluations" effect of VPt, §V-C1).
+//! Every operator is a *binding producer* (`op_bindings`): given a row
+//! holding one binding of the variables bound so far, it enumerates the
+//! bindings it adds and hands each to a continuation. The factorized block
+//! engine ([`crate::block`]) is the only consumer: it runs each operator
+//! over a whole level of bindings at once and keeps the results factorized
+//! until the sink. Adjacency lists are read through the A+ indexes; E/I
+//! performs k-pointer sorted intersection on neighbour IDs (the WCOJ
+//! building block), MULTI-EXTEND performs a k-pointer merge-group on a
+//! property sort key and emits the cartesian product of each equal-key
+//! group, and sorted-prefix prunes are applied by binary search (the
+//! "fewer predicate evaluations" effect of VPt, §V-C1).
 //!
 //! Matching semantics follow openCypher: query vertices may bind the same
 //! data vertex, but each data edge binds at most one query edge per match.
 //!
-//! # One driver: strategy × morsel body × output
+//! # One driver: strategy × block body × output
 //!
 //! [`run`] is the only way a plan executes. It picks the one level of the
 //! plan that is cut into contiguous morsels
-//! ([`aplus_runtime::scan_morsel_size`]), hands every morsel to an
-//! engine's *body*, and merges the bodies' results **in morsel order**
-//! into the query's [`Output`]:
+//! ([`aplus_runtime::scan_morsel_size`]), hands every morsel to a block
+//! body, and merges the bodies' results **in morsel order** into the
+//! query's [`Output`]:
 //!
 //! * **Strategy** — which level partitions. *The root scan's ID range*
 //!   (vertices or edges; a pinned vertex is the one-ID range) is the common
@@ -29,33 +33,25 @@
 //!   position, so the heavy intersections themselves fan out. Likewise a
 //!   *first var-length expansion* partitions every BFS level: frontier
 //!   expansion and the level's emission list both go through the pool.
-//! * **Morsel body** — what one morsel runs. The row engine runs the
-//!   remaining operator pipeline below depth-first with its own per-worker
-//!   [`Row`] and operator state — no shared mutable state, no
-//!   synchronization inside operators. The factorized block engine
-//!   ([`crate::block`]) builds block levels for the morsel, then counts
-//!   them without flattening or flattens them lazily. Which engine a plan
-//!   runs on is a plan-shape decision ([`crate::block::use_block`]).
+//! * **Block body** — what one morsel runs: the block seeded from the
+//!   morsel ([`crate::block`]), extended through the remaining operators
+//!   with its own per-worker scratch row — no shared mutable state, no
+//!   synchronization inside operators — then counted without flattening or
+//!   flattened lazily.
 //! * **Output** — a match count (per-morsel `u64`s summed), or up to
 //!   `limit` rows (per-morsel buffers, each capped at the rows still
 //!   missing, handed to the [`RowSink`]).
 //!
 //! Because the merge order is fixed, counts and row sequences are
 //! **bit-identical** at any thread count, and a 1-thread pool runs the
-//! *same* strategy code and morsel bodies inline on the caller's stack —
+//! *same* strategy code and block bodies inline on the caller's stack —
 //! there is no separate sequential path. The one thing an inline morsel
 //! skips is the buffer: it is next in morsel order while it runs, so its
-//! rows go straight to the sink (O(1) memory, first row before the second
-//! is computed). Every `on_row` callback returns a [`ControlFlow`]: `Break`
-//! unwinds the pipeline immediately, which is how `LIMIT` or a sink that
-//! stopped consuming ends a morsel early; outstanding pool morsels are
-//! cancelled through the cooperative [`aplus_runtime::ExitSignal`].
-//!
-//! The row-at-a-time pipeline is both the fallback for shapes the block
-//! engine does not support ([`Operator::ScanEdges`] roots,
-//! [`Operator::MultiExtend`], var-length expansions) and the reference
-//! semantics the block engine is differential-tested against;
-//! [`execute`] always runs it.
+//! rows go straight to the sink as they are flattened. Every row callback
+//! returns a [`ControlFlow`]: `Break` stops the flatten at once, which is
+//! how `LIMIT` or a sink that stopped consuming ends a morsel early;
+//! outstanding pool morsels are cancelled through the cooperative
+//! [`aplus_runtime::ExitSignal`].
 
 use std::collections::HashSet;
 use std::ops::{ControlFlow, Range};
@@ -64,7 +60,7 @@ use aplus_common::{EdgeId, VertexId};
 use aplus_core::{CmpOp, Direction, IndexStore, List, OffsetList, SortKey};
 use aplus_graph::Graph;
 use aplus_obs::{HopStats, LevelStats, QueryProfiler};
-use aplus_runtime::{block_morsel_size, scan_morsel_size, MorselPool};
+use aplus_runtime::{scan_morsel_size, MorselPool};
 
 use crate::block;
 use crate::error::QueryError;
@@ -143,21 +139,6 @@ impl<'a> ExecContext<'a> {
     }
 }
 
-/// Runs `plan` on the row engine, invoking `on_row` for every complete
-/// match, in sequential result order. `on_row` returning
-/// [`ControlFlow::Break`] stops execution immediately (early exit for
-/// `LIMIT`); the break is returned through. This is the reference the
-/// [`run`] driver is tested against.
-pub fn execute(
-    ctx: ExecContext<'_>,
-    query: &QueryGraph,
-    plan: &Plan,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let mut row = Row::unbound(query.vertices.len(), query.edges.len());
-    run_op(ctx, plan, 0, &mut row, on_row)
-}
-
 /// Guards the executor's 32-bit vertex-ID domain: scans address vertices
 /// as `0..vertex_count` and bind each as a `u32`, so a graph beyond
 /// `u32::MAX + 1` vertices cannot execute without silently truncating IDs.
@@ -212,16 +193,20 @@ fn strategy(ctx: ExecContext<'_>, plan: &Plan, pool: &MorselPool) -> Strategy {
     match plan.ops.first() {
         Some(Operator::ScanVertices { var, preds, .. }) => {
             let range = vertex_scan_range(ctx, preds, *var);
-            if range.len() < pool.threads() {
-                match plan.ops.get(1) {
-                    Some(Operator::ExtendIntersect { .. }) => return Strategy::FirstEi,
-                    // Check-mode expansions bind nothing, so they have no
-                    // emission list to fan out.
-                    Some(Operator::VarLengthExpand { check: false, .. }) => {
-                        return Strategy::FirstVarLength
-                    }
-                    _ => {}
+            match plan.ops.get(1) {
+                Some(Operator::ExtendIntersect { .. }) if range.len() < pool.threads() => {
+                    return Strategy::FirstEi
                 }
+                // Check-mode expansions bind nothing, so they have no
+                // emission list to fan out. A single root expands level by
+                // level even on one worker, so a satisfied `LIMIT` stops
+                // its BFS at the level that satisfied it.
+                Some(Operator::VarLengthExpand { check: false, .. })
+                    if range.len() < pool.threads().max(2) =>
+                {
+                    return Strategy::FirstVarLength
+                }
+                _ => {}
             }
             Strategy::RootRanges {
                 range,
@@ -245,12 +230,12 @@ fn merge_window(pool: &MorselPool) -> usize {
 
 /// What a query run produces.
 pub enum Output<'a> {
-    /// The number of matches. Block-eligible plans count on factorized
-    /// blocks without flattening.
+    /// The number of matches, folded on factorized blocks without
+    /// flattening.
     Count,
     /// Up to `limit` rows pushed into `sink`, in sequential result order.
     /// Morsels that run inline (a 1-thread pool, a single-morsel level)
-    /// push each row as it is found; pool workers buffer per morsel, and
+    /// push each row as it is flattened; pool workers buffer per morsel, and
     /// the buffers reach the sink as their morsel's turn comes, so memory
     /// stays bounded by the merge window, never the full result. The sink
     /// returning [`ControlFlow::Break`] stops an inline morsel at once and
@@ -346,9 +331,8 @@ impl Driver<'_, '_> {
             // The morsels run inline, one after the other on this thread,
             // so each one *is* next in morsel order while it runs: its rows
             // go through `merge` one at a time instead of through a buffer.
-            // A full-result stream then holds O(1) rows, the first row
-            // arrives before the second is computed, and a sink `Break`
-            // unwinds the pipeline at once.
+            // A full-result stream then holds one block, not the result,
+            // and a sink `Break` stops the flatten at once.
             for start in (0..total).step_by(size) {
                 ctx.note_morsel();
                 let range = start..(start + size).min(total);
@@ -411,8 +395,8 @@ impl Driver<'_, '_> {
 
 /// Executes `plan` on `pool` and returns the number of matches
 /// ([`Output::Count`]) or of rows delivered ([`Output::Rows`]). The only
-/// entry into plan execution: every strategy, both engines and both output
-/// shapes go through here, and the result is bit-identical at any thread
+/// entry into plan execution: every strategy and both output shapes go
+/// through here, and the result is bit-identical at any thread
 /// count — morsels merge in morsel order, and a 1-thread pool runs the same
 /// code inline.
 pub fn run(
@@ -435,27 +419,15 @@ pub fn run(
         counted: 0,
         sent: 0,
     };
-    let block = block::use_block(plan);
     let fresh_row = || Row::unbound(query.vertices.len(), query.edges.len());
     let threads = pool.threads();
     match strategy(ctx, plan, pool) {
+        // Every root morsel is one block.
         Strategy::RootRanges { range, cap } => {
-            // Block morsels are additionally capped at the plan's block
-            // size, so every morsel is one block.
-            let size = if block {
-                block_morsel_size(range.len(), threads, cap, plan.block.block_size)
-            } else {
-                scan_morsel_size(range.len(), threads, cap)
-            };
+            let size = scan_morsel_size(range.len(), threads, cap);
             let _ = driver.morsels(range.len(), size, |r, emit| {
                 let r = range.start + r.start..range.start + r.end;
-                if block {
-                    block::root_morsel(ctx, query, plan, r, emit);
-                } else {
-                    row_morsel(emit, |on_row| {
-                        run_root_range(ctx, plan, r, &mut fresh_row(), on_row)
-                    });
-                }
+                block::root_morsel(ctx, query, plan, r, emit);
             });
         }
         // Per root binding (in root order, so the overall row sequence
@@ -475,16 +447,7 @@ pub fn run(
                 let n0 = lists[0].len();
                 let size = scan_morsel_size(n0, threads, EI_MORSEL_CAP);
                 driver.morsels(n0, size, |r, emit| {
-                    let mut w = base.clone();
-                    if block {
-                        block::ei_morsel(ctx, plan, ei, lists, r, &mut w, emit);
-                    } else {
-                        row_morsel(emit, |on_row| {
-                            ei_over_lists(ctx, ei, lists, r, &mut w, stats, &mut |w| {
-                                run_op(ctx, plan, 2, w, on_row)
-                            })
-                        });
-                    }
+                    block::ei_morsel(ctx, plan, ei, lists, r, &mut base.clone(), emit);
                 })
             });
         }
@@ -508,13 +471,7 @@ pub fn run(
                     let emission = &vl_emission(candidates, s, s_new);
                     let size = scan_morsel_size(emission.len(), threads, VL_MORSEL_CAP);
                     let flow = driver.morsels(emission.len(), size, |r, emit| {
-                        let mut w = base.clone();
-                        row_morsel(emit, |on_row| {
-                            for &t in &emission[r] {
-                                emit_vl_target(ctx, plan, 1, vl, VertexId(t), &mut w, on_row)?;
-                            }
-                            ControlFlow::Continue(())
-                        });
+                        block::vl_morsel(ctx, plan, vl, &emission[r], &mut base.clone(), emit);
                     });
                     if flow.is_break() {
                         ControlFlow::Break(flow)
@@ -531,43 +488,21 @@ pub fn run(
     }
 }
 
-/// A row-engine morsel body: runs `pipeline` with the `on_row` callback
-/// `emit` calls for.
-fn row_morsel(
-    emit: Emit<'_>,
-    pipeline: impl FnOnce(&mut dyn FnMut(&Row) -> ControlFlow<()>) -> ControlFlow<()>,
-) {
-    let _ = match emit {
-        Emit::Count(n) => pipeline(&mut |_| {
-            *n += 1;
-            ControlFlow::Continue(())
-        }),
-        Emit::Rows(push) => {
-            pipeline(&mut |row| push((row.vertex_slots().to_vec(), row.edge_slots().to_vec())))
-        }
-    };
-}
-
-/// Executes the whole pipeline with the root scan restricted to the ID
-/// `range` — the per-morsel unit of work. Operator state (the row, fetch
-/// buffers, intersection cursors) lives on this call stack, so each worker
-/// owns its state outright.
-fn run_root_range(
+/// The root scan's bindings with its ID space restricted to `range` (a
+/// root morsel): binds each vertex or edge that passes the scan's checks
+/// and runs the continuation `k` on it.
+pub(crate) fn root_range_bindings(
     ctx: ExecContext<'_>,
     plan: &Plan,
     range: Range<usize>,
     row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
+    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     match plan.ops.first().expect("caller checked the root operator") {
         Operator::ScanVertices { var, label, preds } => {
-            scan_vertices_range(ctx, 0, *var, *label, preds, range, row, &mut |row| {
-                run_op(ctx, plan, 1, row, on_row)
-            })
+            scan_vertices_range(ctx, 0, *var, *label, preds, range, row, k)
         }
-        op @ Operator::ScanEdges { .. } => {
-            exec_scan_edges_range(ctx, plan, 0, op, range, row, on_row)
-        }
+        op @ Operator::ScanEdges { .. } => scan_edges_range(ctx, 0, op, range, row, k),
         _ => unreachable!("plans start with a scan"),
     }
 }
@@ -617,7 +552,7 @@ pub(crate) fn ei_op(op: &Operator) -> EiOp<'_> {
 
 /// A [`Operator::VarLengthExpand`]'s pieces, destructured once per use
 /// site.
-struct VarLengthOp<'p> {
+pub(crate) struct VarLengthOp<'p> {
     src: usize,
     target: usize,
     target_label: Option<aplus_common::VertexLabelId>,
@@ -631,7 +566,7 @@ struct VarLengthOp<'p> {
     residual: &'p [QueryPredicate],
 }
 
-fn var_length_op(op: &Operator) -> VarLengthOp<'_> {
+pub(crate) fn var_length_op(op: &Operator) -> VarLengthOp<'_> {
     let Operator::VarLengthExpand {
         src,
         target,
@@ -698,18 +633,16 @@ fn vl_emission(candidates: &[u32], s: VertexId, s_new: bool) -> Vec<u32> {
     v
 }
 
-/// Emits one var-length target: re-checks the target label, binds the
-/// target vertex (the edge variable, if any, stays unbound — a
-/// variable-length pattern matches a walk, not a single edge), evaluates
-/// residuals and runs the rest of the pipeline.
-fn emit_vl_target(
+/// One var-length target: re-checks the target label, binds the target
+/// vertex (the edge variable, if any, stays unbound — a variable-length
+/// pattern matches a walk, not a single edge), evaluates residuals and runs
+/// the continuation `k`.
+pub(crate) fn vl_target(
     ctx: ExecContext<'_>,
-    plan: &Plan,
-    depth: usize,
     vl: &VarLengthOp<'_>,
     t: VertexId,
     row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
+    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     if vl
         .target_label
@@ -719,7 +652,7 @@ fn emit_vl_target(
     }
     row.bind_vertex(vl.target, t);
     let flow = if vl.residual.iter().all(|p| p.eval(ctx.graph, row)) {
-        run_op(ctx, plan, depth + 1, row, on_row)
+        k(row)
     } else {
         ControlFlow::Continue(())
     };
@@ -727,8 +660,9 @@ fn emit_vl_target(
     flow
 }
 
-/// Executes a [`Operator::VarLengthExpand`] for the current row, inline
-/// (the pinned-root second operator fans out through [`run`] instead).
+/// The bindings a [`Operator::VarLengthExpand`] adds to the current row,
+/// traversed inline (the pinned-root second operator fans out through
+/// [`run`] instead).
 ///
 /// Semantics: target `t` matches iff the shortest walk of length ≥ 1 from
 /// the source to `t` (over edges passing the label filter) has length
@@ -738,13 +672,12 @@ fn emit_vl_target(
 /// source itself is a valid target when a cycle returns to it (`min ≤
 /// shortest cycle ≤ max`). Check mode (both endpoints already bound)
 /// verifies that distance instead of binding.
-fn exec_var_length(
+fn var_length_bindings(
     ctx: ExecContext<'_>,
-    plan: &Plan,
     depth: usize,
     vl: &VarLengthOp<'_>,
     row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
+    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let s = row.vertex(vl.src).expect("plan binds the traversal source");
     if let Some(stats) = ctx.prof_level(depth) {
@@ -769,16 +702,14 @@ fn exec_var_length(
             // clears the minimum (it is ≤ max by the loop).
             let matched = level >= vl.min && vl.residual.iter().all(|p| p.eval(ctx.graph, row));
             return ControlFlow::Break(if matched {
-                run_op(ctx, plan, depth + 1, row, on_row)
+                k(row)
             } else {
                 ControlFlow::Continue(())
             });
         }
         if level >= vl.min {
             for &t in &vl_emission(candidates, s, s_new) {
-                if let flow @ ControlFlow::Break(()) =
-                    emit_vl_target(ctx, plan, depth, vl, VertexId(t), row, on_row)
-                {
+                if let flow @ ControlFlow::Break(()) = vl_target(ctx, vl, VertexId(t), row, k) {
                     return ControlFlow::Break(flow);
                 }
             }
@@ -917,43 +848,48 @@ pub(crate) fn fetch_ei_lists<'a>(
     }
 }
 
-fn run_op(
+/// The bindings operator `op` (plan level `depth`) adds to the binding
+/// held in `row`: each is bound in `row` while the continuation `k` runs,
+/// and unbound before the next. `Break` from `k` stops the enumeration.
+/// FILTER adds no bindings; the block engine compacts its level instead.
+pub(crate) fn op_bindings(
     ctx: ExecContext<'_>,
-    plan: &Plan,
+    op: &Operator,
     depth: usize,
     row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
+    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let Some(op) = plan.ops.get(depth) else {
-        return on_row(row);
-    };
     match op {
         Operator::ScanVertices { var, label, preds } => {
             let range = vertex_scan_range(ctx, preds, *var);
-            scan_vertices_range(ctx, depth, *var, *label, preds, range, row, &mut |row| {
-                run_op(ctx, plan, depth + 1, row, on_row)
-            })
+            scan_vertices_range(ctx, depth, *var, *label, preds, range, row, k)
         }
         Operator::ScanEdges { .. } => {
             let range = 0..ctx.graph.edge_count();
-            exec_scan_edges_range(ctx, plan, depth, op, range, row, on_row)
+            scan_edges_range(ctx, depth, op, range, row, k)
         }
         Operator::ExtendIntersect { .. } => {
-            exec_extend_intersect(ctx, plan, depth, &ei_op(op), row, on_row)
+            // A single list needs no intersection (plain EXTEND); multiple
+            // lists are each fetched neighbour-sorted and intersected with
+            // a k-pointer leapfrog.
+            let ei = ei_op(op);
+            let stats = ctx.prof_level(depth);
+            if let Some(s) = stats {
+                s.record(ei.alds.len() as u64, 0, 0);
+            }
+            let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
+                return ControlFlow::Continue(());
+            };
+            let range = 0..lists[0].len();
+            ei_over_lists(ctx, &ei, &lists, range, row, stats, k)
         }
         Operator::MultiExtend { targets, residual } => {
-            exec_multi_extend(ctx, plan, depth, targets, residual, row, on_row)
+            multi_extend(ctx, depth, targets, residual, row, k)
         }
         Operator::VarLengthExpand { .. } => {
-            exec_var_length(ctx, plan, depth, &var_length_op(op), row, on_row)
+            var_length_bindings(ctx, depth, &var_length_op(op), row, k)
         }
-        Operator::Filter { preds } => {
-            if preds.iter().all(|p| p.eval(ctx.graph, row)) {
-                run_op(ctx, plan, depth + 1, row, on_row)
-            } else {
-                ControlFlow::Continue(())
-            }
-        }
+        Operator::Filter { .. } => unreachable!("FILTER compacts its level in place"),
     }
 }
 
@@ -982,11 +918,10 @@ fn vertex_scan_range(ctx: ExecContext<'_>, preds: &[QueryPredicate], var: usize)
 
 /// The vertex scan restricted to IDs in `range` (a morsel, a pinned ID, or
 /// everything): binds each vertex passing the label + predicate checks and
-/// runs the continuation `k` — the rest of the pipeline, a root-binding
-/// consumer of the first-level strategies, or the block engine's root
-/// collector.
+/// runs the continuation `k` — a root-binding consumer of the first-level
+/// strategies, or a block level collecting the bindings.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_vertices_range(
+fn scan_vertices_range(
     ctx: ExecContext<'_>,
     depth: usize,
     var: usize,
@@ -1044,15 +979,15 @@ fn visit_vertex(
 }
 
 /// The edge scan `op` restricted to IDs in `range` (a morsel, or
-/// everything).
-fn exec_scan_edges_range(
+/// everything): binds each edge passing the label + predicate checks and
+/// both its endpoints, and runs the continuation `k`.
+fn scan_edges_range(
     ctx: ExecContext<'_>,
-    plan: &Plan,
     depth: usize,
     op: &Operator,
     range: Range<usize>,
     row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
+    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let Operator::ScanEdges {
         edge_var,
@@ -1085,7 +1020,7 @@ fn exec_scan_edges_range(
         row.bind_vertex(*dst_var, d);
         let flow = if preds.iter().all(|p| p.eval(ctx.graph, row)) {
             emit += 1;
-            run_op(ctx, plan, depth + 1, row, on_row)
+            k(row)
         } else {
             ControlFlow::Continue(())
         };
@@ -1407,30 +1342,6 @@ fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
     sort_key(graph, list.merge_key, e, n)
 }
 
-fn exec_extend_intersect(
-    ctx: ExecContext<'_>,
-    plan: &Plan,
-    depth: usize,
-    ei: &EiOp<'_>,
-    row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    // A single list needs no intersection (plain EXTEND); multiple lists
-    // are each fetched neighbour-sorted and intersected with a k-pointer
-    // leapfrog.
-    let stats = ctx.prof_level(depth);
-    if let Some(s) = stats {
-        s.record(ei.alds.len() as u64, 0, 0);
-    }
-    let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
-        return ControlFlow::Continue(());
-    };
-    let range = 0..lists[0].len();
-    ei_over_lists(ctx, ei, &lists, range, row, stats, &mut |row| {
-        run_op(ctx, plan, depth + 1, row, on_row)
-    })
-}
-
 /// Runs the E/I `ei` over pre-fetched lists with the *first* list
 /// restricted to the position `range` — the unit of first-level
 /// partitioned execution. Because list 0 is neighbour-sorted
@@ -1440,12 +1351,9 @@ fn exec_extend_intersect(
 /// splits a run of parallel edges.
 ///
 /// The continuation `k` runs per produced binding with the target vertex
-/// and all edge variables bound (and is unwound before the next binding).
-/// The row engine passes "run the rest of the pipeline"; the factorized
-/// block engine ([`crate::block`]) passes "append one entry to the next
-/// level" — both engines share this one leapfrog, so their per-level
-/// semantics (neighbour order, parallel-edge products, relationship
-/// uniqueness, residual placement) cannot drift apart.
+/// and all edge variables bound (and is unwound before the next binding):
+/// the block engine ([`crate::block`]) appends one entry to the next level
+/// or counts it.
 ///
 /// `stats` (a `PROFILE` run's cell for this operator level) accrues
 /// candidates examined — single-list entries scanned, or leapfrog head
@@ -1598,15 +1506,16 @@ fn bind_edges_product(
     ControlFlow::Continue(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_multi_extend(
+/// The bindings a MULTI-EXTEND adds to the current row: every combination
+/// of one entry per target list within each equal-key group, with
+/// relationship uniqueness and the targets' label checks.
+fn multi_extend(
     ctx: ExecContext<'_>,
-    plan: &Plan,
     depth: usize,
     targets: &[(usize, Option<aplus_common::VertexLabelId>, Ald)],
     residual: &[QueryPredicate],
     row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
+    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     if let Some(s) = ctx.prof_level(depth) {
         s.record(targets.len() as u64, 0, 0);
@@ -1618,12 +1527,12 @@ fn exec_multi_extend(
     if lists.iter().any(|l| l.len() == 0) {
         return ControlFlow::Continue(());
     }
-    let k = lists.len();
-    let mut ptr = vec![0usize; k];
+    let n = lists.len();
+    let mut ptr = vec![0usize; n];
     'outer: loop {
         // Heads; NULL keys terminate their list (NULL == NULL is false).
         let mut max_key = i64::MIN;
-        for i in 0..k {
+        for i in 0..n {
             if ptr[i] >= lists[i].len() {
                 break 'outer;
             }
@@ -1634,7 +1543,7 @@ fn exec_multi_extend(
             }
         }
         let mut aligned = true;
-        for i in 0..k {
+        for i in 0..n {
             while ptr[i] < lists[i].len() {
                 match merge_key_at(ctx.graph, &lists[i], ptr[i]) {
                     Some(key) if key < max_key => ptr[i] += 1,
@@ -1655,8 +1564,8 @@ fn exec_multi_extend(
             continue;
         }
         // Collect the equal-key run per target.
-        let mut runs: Vec<Vec<(EdgeId, VertexId)>> = vec![Vec::new(); k];
-        for i in 0..k {
+        let mut runs: Vec<Vec<(EdgeId, VertexId)>> = vec![Vec::new(); n];
+        for i in 0..n {
             let mut j = ptr[i];
             while j < lists[i].len() && merge_key_at(ctx.graph, &lists[i], j) == Some(max_key) {
                 runs[i].push(lists[i].get(j));
@@ -1664,9 +1573,7 @@ fn exec_multi_extend(
             }
             ptr[i] = j;
         }
-        bind_targets_product(
-            ctx, plan, depth, targets, &lists, &runs, 0, residual, row, on_row,
-        )?;
+        bind_targets_product(ctx, targets, &lists, &runs, 0, residual, row, k)?;
     }
     ControlFlow::Continue(())
 }
@@ -1674,19 +1581,17 @@ fn exec_multi_extend(
 #[allow(clippy::too_many_arguments)]
 fn bind_targets_product(
     ctx: ExecContext<'_>,
-    plan: &Plan,
-    depth: usize,
     targets: &[(usize, Option<aplus_common::VertexLabelId>, Ald)],
     lists: &[BoundList<'_>],
     runs: &[Vec<(EdgeId, VertexId)>],
     ti: usize,
     residual: &[QueryPredicate],
     row: &mut Row,
-    on_row: &mut dyn FnMut(&Row) -> ControlFlow<()>,
+    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     if ti == targets.len() {
         if residual.iter().all(|p| p.eval(ctx.graph, row)) {
-            return run_op(ctx, plan, depth + 1, row, on_row);
+            return k(row);
         }
         return ControlFlow::Continue(());
     }
@@ -1699,18 +1604,7 @@ fn bind_targets_product(
         }
         row.bind_vertex(tvar, n);
         row.bind_edge(lists[ti].edge_var, e);
-        let flow = bind_targets_product(
-            ctx,
-            plan,
-            depth,
-            targets,
-            lists,
-            runs,
-            ti + 1,
-            residual,
-            row,
-            on_row,
-        );
+        let flow = bind_targets_product(ctx, targets, lists, runs, ti + 1, residual, row, k);
         row.unbind_edge(lists[ti].edge_var);
         row.unbind_vertex(tvar);
         flow?;
@@ -1721,7 +1615,6 @@ fn bind_targets_product(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::BlockPolicy;
     use crate::sink::VecSink;
     use aplus_core::{Direction, IndexSpec, SortKey};
     use aplus_datagen::build_financial_graph;
@@ -1734,16 +1627,6 @@ mod tests {
 
     fn count(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan) -> u64 {
         count_on(ctx, query, plan, &MorselPool::sequential())
-    }
-
-    /// The row-engine reference count: [`execute`]'s callbacks.
-    fn reference_count(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan) -> u64 {
-        let mut n = 0u64;
-        let _ = execute(ctx, query, plan, &mut |_| {
-            n += 1;
-            ControlFlow::Continue(())
-        });
-        n
     }
 
     fn stream(
@@ -1858,7 +1741,6 @@ mod tests {
                 },
             ],
             est_cost: 0.0,
-            block: BlockPolicy::default(),
         };
         let ctx = ExecContext::new(&g, &store);
         // Alice owns v1 (3 wires) and v2 (1 wire: t8) -> 4 matches.
@@ -1882,8 +1764,8 @@ mod tests {
         }
     }
 
-    /// `Break` from `on_row` unwinds the whole pipeline immediately: the
-    /// callback is never invoked again (the `LIMIT` early-exit contract).
+    /// A sink `Break` stops execution immediately: the sink is never
+    /// pushed to again (the `LIMIT` early-exit contract).
     #[test]
     fn execute_break_stops_immediately() {
         let (g, store, _) = fixture();
@@ -1926,60 +1808,35 @@ mod tests {
                 },
             ],
             est_cost: 0.0,
-            block: BlockPolicy::default(),
         };
         let ctx = ExecContext::new(&g, &store);
         assert!(count(ctx, &query, &plan) > 3, "fixture has enough edges");
-        let mut calls = 0;
-        let flow = execute(ctx, &query, &plan, &mut |_| {
-            calls += 1;
-            if calls == 3 {
+        // `collect` gathers exactly the first `limit` rows.
+        let all = collect(ctx, &query, &plan, usize::MAX);
+        assert_eq!(collect(ctx, &query, &plan, 3), all[..3]);
+        assert_eq!(collect(ctx, &query, &plan, 0), vec![]);
+        // An inline morsel hands rows straight to the sink as it flattens
+        // them, so a sink `Break` — no `LIMIT` involved — stops the flatten
+        // at the third row and no row is pushed after it.
+        let profiler = QueryProfiler::new(plan.ops.len());
+        let profiled = ExecContext {
+            profiler: Some(&profiler),
+            ..ctx
+        };
+        let mut pushed = Vec::new();
+        let pool = MorselPool::sequential();
+        stream(profiled, &query, &plan, usize::MAX, &pool, &mut |r| {
+            pushed.push(r);
+            if pushed.len() == 3 {
                 ControlFlow::Break(())
             } else {
                 ControlFlow::Continue(())
             }
         });
-        assert_eq!(flow, ControlFlow::Break(()));
-        assert_eq!(calls, 3, "no rows may be produced after the break");
-        // And `collect` gathers exactly the first `limit` rows.
-        let all = collect(ctx, &query, &plan, usize::MAX);
-        assert_eq!(collect(ctx, &query, &plan, 3), all[..3]);
-        assert_eq!(collect(ctx, &query, &plan, 0), vec![]);
-        // Inline morsels hand rows straight to the sink, so on both engines
-        // a sink `Break` — no `LIMIT` involved — stops the morsel at its
-        // third row instead of after buffering every row.
-        for flatten in [crate::plan::FlattenPolicy::Eager, plan.block.flatten] {
-            let plan = plan.clone().with_flatten(flatten);
-            let profiler = QueryProfiler::new(plan.ops.len());
-            let profiled = ExecContext {
-                profiler: Some(&profiler),
-                ..ctx
-            };
-            let mut pushed = Vec::new();
-            let pool = MorselPool::sequential();
-            stream(profiled, &query, &plan, usize::MAX, &pool, &mut |r| {
-                pushed.push(r);
-                if pushed.len() == 3 {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            });
-            assert_eq!(pushed, all[..3]);
-            let profile = profiler.finish(&plan.op_descriptions());
-            assert_eq!(profile.early_exit_level, Some(plan.ops.len()));
-            if block::use_block(&plan) {
-                assert_eq!(
-                    profile.flatten_rows, 3,
-                    "block engine flattened past the break"
-                );
-            } else {
-                assert_eq!(
-                    profile.levels[1].emitted, 3,
-                    "row engine ran past the break"
-                );
-            }
-        }
+        assert_eq!(pushed, all[..3]);
+        let profile = profiler.finish(&plan.op_descriptions());
+        assert_eq!(profile.early_exit_level, Some(plan.ops.len()));
+        assert_eq!(profile.flatten_rows, 3, "flattened past the break");
     }
 
     /// Parallel collect (root-partitioned and streamed) returns the
@@ -2043,7 +1900,6 @@ mod tests {
                 },
             ],
             est_cost: 0.0,
-            block: BlockPolicy::default(),
         };
         let ctx = ExecContext::new(&g, &store);
         let seq = collect(ctx, &query, &plan, usize::MAX);
@@ -2147,7 +2003,6 @@ mod tests {
                 },
             ],
             est_cost: 0.0,
-            block: BlockPolicy::default(),
         };
         let ctx = ExecContext::new(&g, &store);
         let wcoj = count(ctx, &query, &plan);
@@ -2250,7 +2105,6 @@ mod tests {
                 },
             ],
             est_cost: 0.0,
-            block: BlockPolicy::default(),
         };
         let ctx = ExecContext::new(&g, &store);
         let pruned = count(ctx, &query, &mk_plan(true));
@@ -2333,7 +2187,6 @@ mod tests {
                 },
             ],
             est_cost: 0.0,
-            block: BlockPolicy::default(),
         };
         let ctx = ExecContext::new(&g, &store);
         let got = count(ctx, &query, &plan);
@@ -2464,7 +2317,6 @@ mod tests {
                 },
             ],
             est_cost: 0.0,
-            block: BlockPolicy::default(),
         };
         let ctx = ExecContext::new(&g, &store);
         let pruned = count(ctx, &query, &mk_plan(true));
@@ -2574,49 +2426,61 @@ mod tests {
         assert!(msg.contains("4294967297"), "error names the count: {msg}");
     }
 
-    /// The block engine and the row engine agree on counts and exact row
-    /// sequences for every optimizer-built financial-graph query shape
-    /// (the proptest suite covers random graphs; this is the fast unit
-    /// gate).
+    /// Every optimizer-built plan shape — vertex- and edge-scan roots, E/I
+    /// chains and intersections, pinned roots and var-length expansions —
+    /// runs on factorized blocks, and its count equals its flattened rows
+    /// at every thread count, with limited rows an exact prefix (the
+    /// proptest suites check random graphs against the oracle; this is the
+    /// fast unit gate).
     #[test]
-    fn block_engine_matches_row_engine() {
-        use crate::plan::FlattenPolicy;
+    fn every_plan_shape_counts_its_flattened_rows() {
         let db = crate::engine::Database::new(build_financial_graph().graph).unwrap();
         let queries = [
             "MATCH a-[r:W]->b",
             "MATCH a-[r1:O]->b-[r2:W]->c",
             "MATCH a-[r1:W]->b-[r2:W]->c, a-[r3:W]->c",
             "MATCH a-[r:W]->b WHERE a.ID = 4",
+            "MATCH a-[r1]->b WHERE r1.eID = 3",
+            "MATCH a-[r1]->b-[r2]->c WHERE r1.eID = 3",
+            "MATCH a-[:W*1..3]->b",
+            "MATCH a-[:W*1..3]->b WHERE a.ID = 4",
+            "MATCH c-[r:O]->a-[:W*2..3]->b",
         ];
+        let mut shapes = Vec::new();
         for q in queries {
             let (bound, plan) = db.prepare(q).unwrap();
-            assert!(
-                crate::block::use_block(&plan),
-                "optimizer should pick the block engine for {q}"
-            );
-            let row_plan = plan.clone().with_flatten(FlattenPolicy::Eager);
-            assert!(!crate::block::use_block(&row_plan));
+            shapes.extend(plan.ops.iter().map(std::mem::discriminant));
             let ctx = ExecContext::new(db.graph(), db.store());
-            assert_eq!(
-                count(ctx, &bound, &plan),
-                reference_count(ctx, &bound, &row_plan),
-                "{q}"
-            );
+            let rows = collect(ctx, &bound, &plan, usize::MAX);
+            assert!(!rows.is_empty(), "{q}");
             for threads in [1, 2, 4] {
                 let pool = MorselPool::new(threads);
                 assert_eq!(
                     count_on(ctx, &bound, &plan, &pool),
-                    reference_count(ctx, &bound, &row_plan),
+                    rows.len() as u64,
                     "{q} threads={threads}"
                 );
                 for limit in [0, 1, 3, usize::MAX] {
                     assert_eq!(
                         collect_on(ctx, &bound, &plan, limit, &pool),
-                        collect(ctx, &bound, &row_plan, limit),
+                        rows[..limit.min(rows.len())],
                         "{q} threads={threads} limit={limit}"
                     );
                 }
             }
         }
+        let edge_scan = Operator::ScanEdges {
+            edge_var: 0,
+            src_var: 0,
+            dst_var: 0,
+            label: None,
+            src_label: None,
+            dst_label: None,
+            preds: vec![],
+        };
+        assert!(
+            shapes.contains(&std::mem::discriminant(&edge_scan)),
+            "an edge-scan root is covered"
+        );
     }
 }

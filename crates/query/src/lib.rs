@@ -34,11 +34,10 @@
 //! counts *and* collected/streamed row sequences are bit-identical at
 //! every thread count, including under `LIMIT` (which exits early).
 //!
-//! Supported plan shapes additionally run **block-at-a-time and
-//! factorized** ([`block`]): E/I levels extend whole blocks of bindings,
-//! intermediates stay factorized until the sink boundary, and counts fold
-//! multiplicities without flattening. The row engine remains the reference
-//! semantics; [`plan::FlattenPolicy`] selects between them per plan.
+//! Every plan runs **block-at-a-time and factorized** ([`block`]): each
+//! operator extends a whole block of bindings, intermediates stay
+//! factorized until the sink boundary, and counts fold multiplicities
+//! without flattening.
 
 pub mod ast;
 pub mod block;
@@ -52,7 +51,6 @@ pub mod plan;
 pub mod query;
 pub mod sink;
 
-pub use crate::plan::{BlockPolicy, FlattenPolicy, DEFAULT_BLOCK_SIZE};
 pub use crate::query::{QueryGraph, QueryOperand, QueryPredicate};
 pub use aplus_runtime::MorselPool;
 // Durability configuration, crash injection, and the replication-facing

@@ -26,10 +26,7 @@ use aplus_core::{CmpOp, Direction, IndexStore, PartitionKey, SortKey, ViewPredic
 use aplus_graph::{Graph, PropertyEntity, PropertyKind};
 
 use crate::error::QueryError;
-use crate::plan::{
-    Ald, BlockPolicy, FlattenPolicy, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue,
-    DEFAULT_BLOCK_SIZE,
-};
+use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryOperand, QueryPredicate};
 
 /// Cost-model constants. Deliberately simple and fully deterministic: the
@@ -195,7 +192,6 @@ impl Optimizer<'_> {
             final_plan.ops.push(Operator::Filter { preds: leftovers });
         }
         Ok(Plan {
-            block: block_policy(&final_plan.ops),
             ops: final_plan.ops,
             est_cost: final_plan.cost,
         })
@@ -1191,21 +1187,6 @@ impl Optimizer<'_> {
             }
         }
         card.max(1.0)
-    }
-}
-
-/// Flatten placement: plans whose shape the factorized block engine
-/// supports flatten lazily at the sink ([`FlattenPolicy::AtSink`]); other
-/// shapes flatten eagerly, i.e. stay on the row engine.
-fn block_policy(ops: &[Operator]) -> BlockPolicy {
-    let flatten = if crate::block::eligible(ops) {
-        FlattenPolicy::AtSink
-    } else {
-        FlattenPolicy::Eager
-    };
-    BlockPolicy {
-        flatten,
-        block_size: DEFAULT_BLOCK_SIZE,
     }
 }
 

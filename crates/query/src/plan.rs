@@ -241,53 +241,6 @@ pub enum Operator {
     },
 }
 
-/// Where intermediate results are flattened into rows.
-///
-/// Block-at-a-time execution keeps intermediates **factorized**: each E/I
-/// level stores one entry per `(parent binding, extension)` pair instead of
-/// repeating the whole prefix per row, and the cross product is only
-/// materialized at the sink (`AtSink`). Plans whose shape the block engine
-/// does not support (edge-scan roots, MULTI-EXTEND) flatten eagerly — i.e.
-/// they run on the row-at-a-time engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlattenPolicy {
-    /// Keep intermediates factorized; flatten lazily at the `RowSink`
-    /// boundary (counts never flatten at all). The executor still falls
-    /// back to row-at-a-time execution for plan shapes the block engine
-    /// does not cover.
-    #[default]
-    AtSink,
-    /// Flatten per row: the row-at-a-time `on_row` pipeline.
-    Eager,
-}
-
-/// The block-execution policy attached to a plan: flatten placement plus
-/// the block-size knob (how many root bindings are seeded per factorized
-/// block; extensions per block are data-dependent and unbounded, but each
-/// block is flattened and released before the next starts, so memory is
-/// bounded by one block's factorized intermediates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockPolicy {
-    /// Where flattening happens.
-    pub flatten: FlattenPolicy,
-    /// Root bindings per block (≥ 1).
-    pub block_size: usize,
-}
-
-/// Default root bindings per factorized block. Large enough to amortize
-/// per-block setup, small enough that one block's intermediates stay
-/// cache-friendly.
-pub const DEFAULT_BLOCK_SIZE: usize = 1024;
-
-impl Default for BlockPolicy {
-    fn default() -> Self {
-        Self {
-            flatten: FlattenPolicy::AtSink,
-            block_size: DEFAULT_BLOCK_SIZE,
-        }
-    }
-}
-
 /// A complete physical plan.
 #[derive(Debug, Clone)]
 pub struct Plan {
@@ -295,21 +248,9 @@ pub struct Plan {
     pub ops: Vec<Operator>,
     /// Estimated i-cost (total adjacency-list entries accessed).
     pub est_cost: f64,
-    /// Block-at-a-time execution policy (flatten placement + block size).
-    pub block: BlockPolicy,
 }
 
 impl Plan {
-    /// Returns the plan with its flatten placement replaced — the switch
-    /// between the factorized block engine (`AtSink`) and the
-    /// row-at-a-time engine (`Eager`). Differential tests and benches use
-    /// this to run the same plan on both engines.
-    #[must_use]
-    pub fn with_flatten(mut self, flatten: FlattenPolicy) -> Self {
-        self.block.flatten = flatten;
-        self
-    }
-
     /// Whether any operator is a MULTI-EXTEND (used by plan-shape tests).
     #[must_use]
     pub fn uses_multi_extend(&self) -> bool {
@@ -509,7 +450,6 @@ mod tests {
                 },
             ],
             est_cost: 12.0,
-            block: BlockPolicy::default(),
         };
         assert!(plan.uses_multi_extend());
         assert!(plan.uses_edge_partitioned_index());

@@ -1,10 +1,8 @@
 //! Differential property tests: the full optimizer + executor pipeline
-//! against a naive brute-force matcher, over random graphs, random
-//! patterns, and random index configurations.
-//!
-//! The brute-force matcher enumerates all assignments of data edges to
-//! query edges directly from the edge table (openCypher semantics: edges
-//! distinct, vertices free), so any disagreement implicates the engine.
+//! against the oracle (`common::oracle_rows`, a naive matcher that
+//! enumerates assignments of data edges to query edges straight from the
+//! edge table), over random graphs, random patterns, and random index
+//! configurations.
 
 use proptest::prelude::*;
 
@@ -12,8 +10,9 @@ use aplus_core::store::IndexDirections;
 use aplus_core::view::OneHopView;
 use aplus_core::{IndexSpec, PartitionKey, SortKey, ViewPredicate};
 use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
-use aplus_query::query::QueryGraph;
 use aplus_query::Database;
+
+mod common;
 
 const N: u32 = 16;
 
@@ -41,87 +40,6 @@ fn build_graph(edges: &[(u32, u32, i64, bool)]) -> Graph {
         g.set_edge_prop(e, w, Value::Int(wt)).unwrap();
     }
     g
-}
-
-/// Brute force: try every injective assignment of data edges to query
-/// edges that satisfies endpoints, labels, and predicates.
-fn brute_force(g: &Graph, q: &QueryGraph) -> u64 {
-    let edges: Vec<_> = g.edges().collect();
-    let mut count = 0u64;
-    let mut assignment: Vec<usize> = Vec::new();
-    fn rec(
-        g: &Graph,
-        q: &QueryGraph,
-        edges: &[(
-            aplus_common::EdgeId,
-            aplus_common::VertexId,
-            aplus_common::VertexId,
-            aplus_common::EdgeLabelId,
-        )],
-        assignment: &mut Vec<usize>,
-        count: &mut u64,
-    ) {
-        let qi = assignment.len();
-        if qi == q.edges.len() {
-            // Derive vertex bindings and evaluate predicates through the
-            // engine's own Row (re-using its eval keeps semantics aligned).
-            let mut row = aplus_query::query::Row::unbound(q.vertices.len(), q.edges.len());
-            for (qe, &di) in q.edges.iter().zip(assignment.iter()) {
-                let (e, s, d, _) = edges[di];
-                row.bind_edge(q.edges.iter().position(|x| std::ptr::eq(x, qe)).unwrap(), e);
-                row.bind_vertex(qe.src, s);
-                row.bind_vertex(qe.dst, d);
-            }
-            // Vertex labels.
-            for (vi, qv) in q.vertices.iter().enumerate() {
-                if let Some(want) = qv.label {
-                    let Some(v) = row.vertex(vi) else { return };
-                    if g.vertex_label(v) != Ok(want) {
-                        return;
-                    }
-                }
-            }
-            if q.predicates.iter().all(|p| p.eval(g, &row)) {
-                *count += 1;
-            }
-            return;
-        }
-        let qe = &q.edges[qi];
-        'cand: for (di, &(_e, s, d, l)) in edges.iter().enumerate() {
-            if assignment.contains(&di) {
-                continue;
-            }
-            if let Some(want) = qe.label {
-                if l != want {
-                    continue;
-                }
-            }
-            // Endpoint consistency with earlier assignments.
-            for (qj, &dj) in assignment.iter().enumerate() {
-                let other = &q.edges[qj];
-                let (_, os, od, _) = edges[dj];
-                for (va, vb) in [
-                    (qe.src, other.src, s, os),
-                    (qe.src, other.dst, s, od),
-                    (qe.dst, other.src, d, os),
-                    (qe.dst, other.dst, d, od),
-                ]
-                .map(|(a, b, x, y)| ((a, b), (x, y)))
-                .iter()
-                .map(|&((a, b), (x, y))| ((a == b), (x == y)))
-                {
-                    if va && !vb {
-                        continue 'cand;
-                    }
-                }
-            }
-            assignment.push(di);
-            rec(g, q, edges, assignment, count);
-            assignment.pop();
-        }
-    }
-    rec(g, q, &edges, &mut assignment, &mut count);
-    count
 }
 
 /// The query templates exercised (mix of shapes, labels, predicates).
@@ -161,7 +79,7 @@ proptest! {
         let db = Database::with_primary_spec(g, spec).unwrap();
         for q in TEMPLATES {
             let (bound, _) = db.prepare(q).unwrap();
-            let expect = brute_force(db.graph(), &bound);
+            let expect = common::oracle_rows(db.graph(), &bound).unwrap().len() as u64;
             let got = db.count(q).unwrap();
             prop_assert_eq!(got, expect, "config {} query {}", config, q);
         }

@@ -1,12 +1,11 @@
-//! Property tests for the factorized block engine: over random graphs ×
-//! index configurations × thread counts {1, 2, 4} × limits × block sizes,
-//! the block engine (`FlattenPolicy::AtSink`, the optimizer default for
-//! supported shapes) must return **bit-identical rows** to the row engine
-//! (`FlattenPolicy::Eager`), and the factorized count — multiplicities
-//! folded on factorized levels, never flattening — must equal the
-//! flattened row count. Small block sizes are forced explicitly so blocks
-//! really split on these small graphs instead of degenerating to one
-//! block per query.
+//! Property tests for the factorized block engine, the one engine every
+//! plan runs on: over random graphs × index configurations × thread counts
+//! {1, 2, 4} × limits, every plan shape — vertex- and edge-scan roots, E/I,
+//! MULTI-EXTEND, var-length expansions and filters — must return the
+//! oracle's rows (`common::oracle_rows`) in an order that is bit-identical
+//! at every thread count, and the factorized count — multiplicities folded
+//! on factorized levels, never flattening — must equal the flattened row
+//! count.
 
 use std::ops::ControlFlow;
 
@@ -14,17 +13,14 @@ use proptest::prelude::*;
 
 use aplus_core::{IndexSpec, PartitionKey, SortKey};
 use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
-use aplus_query::{Database, FlattenPolicy, MorselPool, RawRow};
+use aplus_query::plan::Operator;
+use aplus_query::{Database, MorselPool, RawRow};
 
 mod common;
 
 const N: u32 = 24;
 
 const THREADS: [usize; 3] = [1, 2, 4];
-
-/// Block sizes to force: 1 (every root its own block), a small prime, and
-/// the default-ish large size (one block per morsel).
-const BLOCK_SIZES: [usize; 3] = [1, 5, 1024];
 
 fn build_graph(edges: &[(u32, u32, i64, bool)]) -> Graph {
     let mut g = Graph::new();
@@ -52,18 +48,20 @@ fn build_graph(edges: &[(u32, u32, i64, bool)]) -> Graph {
     g
 }
 
-/// Block-eligible templates: vertex-scan roots with E/I (+ residual
-/// filters), covering plain extends, label checks, cycles (relationship
-/// uniqueness on factorized levels), high-multiplicity fan-outs and
-/// pinned roots. The last five end in a labelled single-list tail whose
-/// owner already has a bound edge in the tail list's direction, so the
-/// in-place count must subtract it: a star with same-label siblings, a
+/// Templates covering every plan shape. First, vertex-scan roots with E/I
+/// (+ residual filters): plain extends, label checks, cycles (relationship
+/// uniqueness on factorized levels), high-multiplicity fan-outs and pinned
+/// roots. The five after the two pinned ones end in a labelled single-list tail
+/// whose owner already has a bound edge in the tail list's direction, so
+/// the in-place count must subtract it: a star with same-label siblings, a
 /// tree whose tail shares its owner with the level before (also from a
 /// pinned root, so the owner is neither the root nor the newest binding),
 /// and a tail read from a backward list; the star with different-label
-/// siblings must not. The last two are the paper workload's densest
-/// cyclic shapes, SQ3 (diamond) and SQ9 (4-clique), whose closing levels
-/// intersect two and three lists.
+/// siblings must not. Then the paper workload's densest cyclic shapes, SQ3
+/// (diamond) and SQ9 (4-clique), whose closing levels intersect two and
+/// three lists. Last, an edge-scan root, a MULTI-EXTEND (planned on the
+/// `bygrp` configuration) and var-length expansions at the tail, in the
+/// middle and at the front of a pipeline.
 const TEMPLATES: &[&str] = &[
     "MATCH a-[r:E]->b",
     "MATCH a-[r]->b",
@@ -83,7 +81,35 @@ const TEMPLATES: &[&str] = &[
     "MATCH (a)-[r:E]->(b:A), (a)-[s:E]->(c:B)",
     "MATCH a-[r:E]->b, b-[s:E]->c, c-[t:E]->d, d-[u:E]->a, a-[v:E]->c",
     "MATCH a-[r:E]->b, a-[s:E]->c, a-[t:E]->d, b-[u:E]->c, b-[v:E]->d, c-[x:E]->d",
+    "MATCH a-[r]->b-[s]->c WHERE r.eID = 3",
+    "MATCH a-[r]->b, a-[s]->c WHERE b.grp = c.grp",
+    "MATCH a-[:E*1..3]->b",
+    "MATCH a-[r:E]->b-[:F*1..2]->c",
+    "MATCH a-[:E*2..3]->b-[s:F]->c WHERE a.ID = 0",
 ];
+
+/// The primary configurations, plus (config 3) a grp-sorted secondary
+/// index, which is what the optimizer needs to plan a MULTI-EXTEND.
+fn database(g: Graph, config: usize) -> Database {
+    let spec = match config {
+        1 => IndexSpec::default().with_sort(vec![SortKey::NbrId]),
+        2 => IndexSpec::default()
+            .with_partitioning(vec![PartitionKey::EdgeLabel, PartitionKey::NbrLabel])
+            .with_sort(vec![SortKey::NbrId]),
+        _ => IndexSpec::default_primary(),
+    };
+    let mut db = Database::with_primary_spec(g, spec).unwrap();
+    if config == 3 {
+        db.ddl("CREATE 1-HOP VIEW bygrp MATCH vs-[eadj]->vd INDEX AS FW SORT BY vnbr.grp")
+            .unwrap();
+    }
+    db
+}
+
+/// Whether any of `ops` is the operator kind of `probe`.
+fn has(ops: &[Operator], probe: fn(&Operator) -> bool) -> bool {
+    ops.iter().any(probe)
+}
 
 /// Folds every endpoint into the first `CORE` vertices when `dense`, so
 /// the cyclic templates (diamond, 4-clique) find matches on random inputs.
@@ -115,111 +141,58 @@ fn drain_stream_prepared(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Rows: block engine == row engine, bit-identical, at every thread
-    /// count, limit and block size.
+    /// Rows: every template returns the oracle's rows, as an order that is
+    /// bit-identical at every thread count and limit, and the templates
+    /// reach every operator kind.
     #[test]
-    fn block_rows_equal_row_engine(
+    fn block_rows_equal_oracle(
         edges in proptest::collection::vec((0..N, 0..N, 0i64..100, prop::bool::ANY), 1..50),
         dense in prop::bool::ANY,
-        config in 0usize..3,
-        limit_raw in 0usize..200,
+        config in 0usize..4,
     ) {
-        let g = build_graph(&maybe_dense(&edges, dense));
-        let spec = match config {
-            0 => IndexSpec::default_primary(),
-            1 => IndexSpec::default().with_sort(vec![SortKey::NbrId]),
-            _ => IndexSpec::default()
-                .with_partitioning(vec![PartitionKey::EdgeLabel, PartitionKey::NbrLabel])
-                .with_sort(vec![SortKey::NbrId]),
-        };
-        let db = Database::with_primary_spec(g, spec).unwrap();
-        let limit = if limit_raw >= 150 { usize::MAX } else { limit_raw };
+        let db = database(build_graph(&maybe_dense(&edges, dense)), config);
+        let mut ops = Vec::new();
         for q in TEMPLATES {
-            let (bound, plan) = db.prepare(q).unwrap();
-            prop_assert!(
-                aplus_query::block::use_block(&plan),
-                "template should be block-eligible: {}",
-                q
-            );
-            let row_plan = plan.clone().with_flatten(FlattenPolicy::Eager);
-            let reference =
-                db.collect_prepared_parallel(&bound, &row_plan, limit, &MorselPool::sequential());
-            for block_size in BLOCK_SIZES {
-                let mut block_plan = plan.clone();
-                block_plan.block.block_size = block_size;
-                for t in THREADS {
-                    let pool = MorselPool::new(t);
-                    let got = db.collect_prepared_parallel(&bound, &block_plan, limit, &pool);
-                    prop_assert_eq!(
-                        &got,
-                        &reference,
-                        "rows diverged: query {} threads {} limit {} block {}",
-                        q,
-                        t,
-                        limit,
-                        block_size
-                    );
-                    let streamed = drain_stream_prepared(&db, &bound, &block_plan, limit, &pool);
-                    prop_assert_eq!(
-                        &streamed,
-                        &reference,
-                        "streamed diverged: query {} threads {} limit {} block {}",
-                        q,
-                        t,
-                        limit,
-                        block_size
-                    );
-                }
-            }
+            common::assert_one_driver(&db, q)?;
+            ops.extend(db.prepare(q).unwrap().1.ops);
+        }
+        prop_assert!(has(&ops, |o| matches!(o, Operator::ScanEdges { .. })));
+        prop_assert!(has(&ops, |o| matches!(o, Operator::VarLengthExpand { .. })));
+        if config == 3 {
+            prop_assert!(has(&ops, |o| matches!(o, Operator::MultiExtend { .. })));
         }
     }
 
     /// Counts: the factorized count (multiplicities on factorized levels,
-    /// the in-place tail count included) equals the flattened
-    /// row count, at every thread count and block size.
+    /// the in-place tail count included) equals the flattened row count,
+    /// at every thread count.
     #[test]
     fn factorized_count_equals_flattened_count(
         edges in proptest::collection::vec((0..N, 0..N, 0i64..100, prop::bool::ANY), 1..50),
         dense in prop::bool::ANY,
-        config in 0usize..3,
+        config in 0usize..4,
     ) {
-        let g = build_graph(&maybe_dense(&edges, dense));
-        let spec = match config {
-            0 => IndexSpec::default_primary(),
-            1 => IndexSpec::default().with_sort(vec![SortKey::NbrId]),
-            _ => IndexSpec::default()
-                .with_partitioning(vec![PartitionKey::EdgeLabel, PartitionKey::NbrLabel])
-                .with_sort(vec![SortKey::NbrId]),
-        };
-        let db = Database::with_primary_spec(g, spec).unwrap();
+        let db = database(build_graph(&maybe_dense(&edges, dense)), config);
         for q in TEMPLATES {
             let (bound, plan) = db.prepare(q).unwrap();
-            let row_plan = plan.clone().with_flatten(FlattenPolicy::Eager);
-            // Flattened ground truth: the row engine's materialized rows.
             let flattened = db
-                .collect_prepared_parallel(&bound, &row_plan, usize::MAX, &MorselPool::sequential())
+                .collect_prepared_parallel(&bound, &plan, usize::MAX, &MorselPool::sequential())
                 .len() as u64;
-            for block_size in BLOCK_SIZES {
-                let mut block_plan = plan.clone();
-                block_plan.block.block_size = block_size;
-                for t in THREADS {
-                    let pool = MorselPool::new(t);
-                    let factorized = db.count_prepared_parallel(&bound, &block_plan, &pool);
-                    prop_assert_eq!(
-                        factorized,
-                        flattened,
-                        "count diverged: query {} threads {} block {}",
-                        q,
-                        t,
-                        block_size
-                    );
-                }
+            for t in THREADS {
+                let factorized = db.count_prepared_parallel(&bound, &plan, &MorselPool::new(t));
+                prop_assert_eq!(
+                    factorized,
+                    flattened,
+                    "count diverged: query {} threads {}",
+                    q,
+                    t
+                );
             }
         }
     }
 
-    /// Skewed supernode + pinned root: the first-E/I partitioned block
-    /// paths agree with the row engine on rows and counts.
+    /// Skewed supernode + pinned root: the first-E/I and first-var-length
+    /// partitioned block paths agree with the sequential rows and counts.
     #[test]
     fn pinned_skew_block_paths_agree(
         hub_degree in 16u32..120,
@@ -245,14 +218,14 @@ proptest! {
             "MATCH a-[r]->b-[s]->c WHERE a.ID = 0",
             "MATCH a-[r]->b-[s]->c WHERE a.ID = 0, r.w > s.w",
             "MATCH a-[r:E]->b-[s:E]->c-[t:E]->a WHERE a.ID = 0",
+            "MATCH a-[*1..2]->b-[s:E]->c WHERE a.ID = 0",
         ];
         for q in pinned {
             let (bound, plan) = db.prepare(q).unwrap();
-            let row_plan = plan.clone().with_flatten(FlattenPolicy::Eager);
             let reference =
-                db.collect_prepared_parallel(&bound, &row_plan, limit, &MorselPool::sequential());
+                db.collect_prepared_parallel(&bound, &plan, limit, &MorselPool::sequential());
             let flattened = db
-                .collect_prepared_parallel(&bound, &row_plan, usize::MAX, &MorselPool::sequential())
+                .collect_prepared_parallel(&bound, &plan, usize::MAX, &MorselPool::sequential())
                 .len() as u64;
             for t in THREADS {
                 let pool = MorselPool::new(t);
@@ -265,13 +238,12 @@ proptest! {
                     t,
                     limit
                 );
+                let streamed = drain_stream_prepared(&db, &bound, &plan, limit, &pool);
+                prop_assert_eq!(&streamed, &reference, "streamed: query {} threads {}", q, t);
                 let factorized = db.count_prepared_parallel(&bound, &plan, &pool);
                 prop_assert_eq!(factorized, flattened, "count: query {} threads {}", q, t);
             }
-            // Block boundaries inside first-E/I sub-blocks and root blocks.
-            for block_size in BLOCK_SIZES {
-                common::assert_one_driver(&db, q, block_size)?;
-            }
+            common::assert_one_driver(&db, q)?;
         }
     }
 }

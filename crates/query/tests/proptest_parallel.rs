@@ -21,7 +21,7 @@ use aplus_core::store::IndexDirections;
 use aplus_core::view::OneHopView;
 use aplus_core::{IndexSpec, PartitionKey, SortKey, ViewPredicate};
 use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
-use aplus_query::{Database, FlattenPolicy, MorselPool, RawRow, DEFAULT_BLOCK_SIZE};
+use aplus_query::{Database, MorselPool, RawRow};
 
 mod common;
 use common::{collect_on, count_on};
@@ -84,14 +84,9 @@ fn drain_stream(db: &Database, q: &str, limit: usize, pool: &MorselPool) -> Vec<
 }
 
 /// Asserts every result path agrees row-for-row at every thread count:
-/// sequential `collect` == parallel collect == drained `RowSink` ==
-/// the row engine pinned via [`FlattenPolicy::Eager`]. Since the default
-/// plan runs the factorized block engine wherever its shape is supported,
-/// this is also the block-vs-row differential.
+/// sequential `collect` == parallel collect == drained `RowSink`.
 fn assert_differential(db: &Database, q: &str, limit: usize) -> Result<(), TestCaseError> {
     let seq = db.collect(q, limit).unwrap();
-    let (bound, plan) = db.prepare(q).unwrap();
-    let row_plan = plan.with_flatten(FlattenPolicy::Eager);
     for t in THREADS {
         let pool = MorselPool::new(t);
         let par = collect_on(db, q, limit, &pool);
@@ -108,15 +103,6 @@ fn assert_differential(db: &Database, q: &str, limit: usize) -> Result<(), TestC
             &streamed,
             &seq,
             "streamed rows diverged: query {} threads {} limit {}",
-            q,
-            t,
-            limit
-        );
-        let row_engine = db.collect_prepared_parallel(&bound, &row_plan, limit, &pool);
-        prop_assert_eq!(
-            &row_engine,
-            &seq,
-            "row engine diverged: query {} threads {} limit {}",
             q,
             t,
             limit
@@ -259,8 +245,8 @@ proptest! {
         let limit = if limit_raw >= 150 { usize::MAX } else { limit_raw };
         for q in TEMPLATES {
             assert_differential(&db, q, limit)?;
-            // Vertex- and edge-scan root ranges, on both engine pins.
-            common::assert_one_driver(&db, q, DEFAULT_BLOCK_SIZE)?;
+            // Vertex- and edge-scan root ranges, against the oracle.
+            common::assert_one_driver(&db, q)?;
         }
     }
 
@@ -283,8 +269,8 @@ proptest! {
                 prop_assert_eq!(par, seq_count, "count: query {} threads {}", q, t);
             }
             assert_differential(&db, q, limit)?;
-            // Pinned first-E/I, on both engine pins.
-            common::assert_one_driver(&db, q, DEFAULT_BLOCK_SIZE)?;
+            // Pinned first-E/I, against the oracle.
+            common::assert_one_driver(&db, q)?;
         }
     }
 }

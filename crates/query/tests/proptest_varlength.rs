@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use aplus_core::{IndexSpec, PartitionKey, SortKey};
 use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
-use aplus_query::{Database, MorselPool, RawRow, DEFAULT_BLOCK_SIZE};
+use aplus_query::{Database, MorselPool, RawRow};
 
 mod common;
 use common::{collect_on, count_on};
@@ -229,6 +229,20 @@ proptest! {
                 prop_assert_eq!(par, seq, "config {} query {} threads {}", config, q, t);
             }
         }
+        // A predicate over both endpoints is a residual of the expansion,
+        // evaluated per reached target.
+        let q = "MATCH a-[:E*1..3]->b WHERE a.ID < b.ID";
+        let mut expect: Vec<(u32, u32)> = reference_pairs(db.graph(), Some("E"), 1, 3)
+            .into_iter()
+            .filter(|&(s, t)| s < t)
+            .collect();
+        expect.sort_unstable();
+        let rows = db.collect(q, usize::MAX).unwrap();
+        prop_assert_eq!(endpoint_pairs(&rows), expect.clone(), "config {} query {}", config, q);
+        for t in THREADS {
+            let par = count_on(&db, q, &MorselPool::new(t));
+            prop_assert_eq!(par, expect.len() as u64, "config {} query {} threads {}", config, q, t);
+        }
     }
 
     /// Ring queries (`a-[*min..max]->a`): the planner's check-mode
@@ -273,7 +287,7 @@ proptest! {
         let limit = if limit_raw >= 150 { usize::MAX } else { limit_raw };
         for (q, _, _, _) in templates() {
             assert_parallel_identical(&db, q, limit)?;
-            common::assert_one_driver(&db, q, DEFAULT_BLOCK_SIZE)?;
+            common::assert_one_driver(&db, q)?;
         }
         // A backward var-length pattern matches the forward reference.
         // The binder interns vertices in edge (src, dst) order, so slot 0
@@ -323,7 +337,7 @@ proptest! {
             }
             assert_parallel_identical(&db, q, limit)?;
             // Pinned first-var-length: frontier + emission partitioning.
-            common::assert_one_driver(&db, q, DEFAULT_BLOCK_SIZE)?;
+            common::assert_one_driver(&db, q)?;
         }
     }
 

@@ -545,16 +545,6 @@ pub fn scan_morsel_size(total: usize, threads: usize, cap: usize) -> usize {
     total.div_ceil(threads.max(1) * 8).clamp(1, cap.max(1))
 }
 
-/// [`scan_morsel_size`] for block-at-a-time consumers: the morsel size is
-/// additionally capped at `block` so a morsel is exactly one (possibly
-/// partial) factorized block — workers never carry half-finished block
-/// state across a steal boundary, and per-morsel memory stays bounded by
-/// one block's intermediates.
-#[must_use]
-pub fn block_morsel_size(total: usize, threads: usize, cap: usize, block: usize) -> usize {
-    scan_morsel_size(total, threads, cap).min(block.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,17 +624,6 @@ mod tests {
         assert_eq!(scan_morsel_size(10_000, 4, 256), 256); // capped
         assert_eq!(scan_morsel_size(1000, 4, 256), 32); // ~8 morsels/worker
         assert_eq!(scan_morsel_size(1000, 1, 256), 125);
-    }
-
-    #[test]
-    fn block_morsel_size_caps_at_block() {
-        // Block larger than the scan cap: identical to scan_morsel_size.
-        assert_eq!(block_morsel_size(10_000, 4, 256, 1024), 256);
-        // Block smaller than the scan morsel: the block wins.
-        assert_eq!(block_morsel_size(10_000, 4, 256, 64), 64);
-        // Degenerate block sizes stay sane.
-        assert_eq!(block_morsel_size(10_000, 4, 256, 0), 1);
-        assert_eq!(block_morsel_size(0, 4, 256, 1024), 1);
     }
 
     #[test]

@@ -121,8 +121,8 @@ pub use aplus_storage as storage;
 pub use aplus_core::{Direction, IndexSpec, IndexStore, PartitionKey, SortKey};
 pub use aplus_graph::{Graph, GraphBuilder, Value};
 pub use aplus_query::{
-    row_channel, BlockPolicy, CrashPoint, Database, DurabilityConfig, DurabilityError,
-    FaultInjector, FlattenPolicy, FsyncPolicy, QueryError, RawRow, RowReceiver, RowSink,
-    SharedDatabase, Snapshot, StorageError, VecSink, DEFAULT_BLOCK_SIZE,
+    row_channel, CrashPoint, Database, DurabilityConfig, DurabilityError, FaultInjector,
+    FsyncPolicy, QueryError, RawRow, RowReceiver, RowSink, SharedDatabase, Snapshot, StorageError,
+    VecSink,
 };
 pub use aplus_runtime::MorselPool;

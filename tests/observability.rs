@@ -2,8 +2,8 @@
 //! and race-free under concurrent readers and a committing writer,
 //! per-query profiles are deterministic across thread counts, `PROFILE`
 //! parses as a statement, profiles distinguish `RECONFIGURE`d layouts
-//! and the row vs block engines, and the durable path records WAL /
-//! checkpoint / recovery metrics.
+//! and report the block engine's factorized work, and the durable path
+//! records WAL / checkpoint / recovery metrics.
 
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use aplus::common::VertexId;
 use aplus::datagen::{build_financial_graph, generate, GeneratorConfig};
-use aplus::query::{metric, profiled, FlattenPolicy, Output, QueryProfile, RawRow};
+use aplus::query::{metric, profiled, Output, QueryProfile, RawRow};
 use aplus::{Database, DurabilityConfig, FsyncPolicy, MorselPool, SharedDatabase};
 
 const WIRES: &str = "MATCH a-[r:W]->b";
@@ -277,14 +277,37 @@ fn profiles_differ_across_reconfigured_layouts() {
     );
 }
 
-/// The same plan profiled on both engines: the block engine reports
-/// blocks and factorized-count shortcut hits, the pinned row engine
-/// reports neither — and both count the same. Both a high-fanout
-/// unlabelled 2-hop and a labelled tree (whose tail owner already has a
-/// bound edge) count their tail in place: the tail fetches as many lists
-/// as the row engine but reads fewer candidates.
+/// Every plan shape profiles as the block engine: roots seed blocks
+/// (vertex- and edge-scan roots, E/I chains and var-length expansions
+/// alike). Both a high-fanout unlabelled 2-hop and a labelled
+/// tree (whose tail owner already has a bound edge) count their tail in
+/// place: the tail level reads fewer candidates than the rows it counts,
+/// where binding each row would read at least one per row.
 #[test]
-fn profiles_distinguish_block_and_row_engines() {
+fn profiles_report_blocks_and_in_place_tail_counts() {
+    let pool = MorselPool::new(2);
+    let profile = |db: &Database, query: &str| {
+        let (bound, plan) = db.prepare(query).expect("plan");
+        profiled(&plan, |p| {
+            db.run(&bound, &plan, &pool, Some(p), Output::Count)
+        })
+    };
+    let fin = financial();
+    for query in [
+        WIRES,
+        TWO_HOP,
+        "MATCH a-[r1]->b-[r2]->c WHERE r1.eID = 3",
+        "MATCH a-[:W*1..3]->b",
+    ] {
+        let block = profile(&fin, query);
+        assert_eq!(block.engine, "block", "{query}");
+        assert!(block.blocks > 0, "{query}: roots seed blocks");
+        assert_eq!(
+            block.rows,
+            fin.count(query).expect("query valid"),
+            "{query}"
+        );
+    }
     let labelled =
         Database::new(generate(&GeneratorConfig::social(300, 2400, 2, 1))).expect("index build");
     let cases = [
@@ -294,39 +317,23 @@ fn profiles_distinguish_block_and_row_engines() {
             "MATCH (a1:V0)-[e1:E0]->(a2:V1), (a2:V1)-[e2:E0]->(a3:V1), (a2:V1)-[e3:E0]->(a4:V0)",
         ),
     ];
-    let pool = MorselPool::new(2);
     for (db, query) in &cases {
-        let (bound, plan) = db.prepare(query).expect("plan");
-        let row_plan = plan.clone().with_flatten(FlattenPolicy::Eager);
-        let profile = |plan| {
-            profiled(plan, |p| {
-                db.run(&bound, plan, &pool, Some(p), Output::Count)
-            })
-        };
-        let (block, row) = (profile(&plan), profile(&row_plan));
+        let block = profile(db, query);
+        let rows = db.collect(query, usize::MAX).expect("query valid").len() as u64;
         assert_eq!(
-            block.rows, row.rows,
-            "engines must agree on the count: {query}"
+            block.rows, rows,
+            "the count equals the flattened rows: {query}"
         );
-        assert_eq!(block.engine, "block");
-        assert_eq!(row.engine, "row");
-        assert!(block.blocks > 0, "block engine processes blocks");
         assert!(
             block.fc_shortcut_hits > 0,
             "the tail extension takes the factorized-count shortcut: {query}"
         );
-        assert_eq!(row.blocks, 0);
-        assert_eq!(row.fc_shortcut_hits, 0);
         let tail = plan_tail_level(&block);
-        assert_eq!(
-            block.levels[tail].lists_scanned, row.levels[tail].lists_scanned,
-            "{query}"
-        );
+        assert_eq!(block.levels[tail].emitted, rows, "{query}");
         assert!(
-            block.levels[tail].candidates < row.levels[tail].candidates,
-            "{query}: block {} vs row {}",
-            block.levels[tail].candidates,
-            row.levels[tail].candidates
+            block.levels[tail].candidates < rows,
+            "{query}: tail candidates {} vs rows {rows}",
+            block.levels[tail].candidates
         );
     }
 }
