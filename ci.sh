@@ -105,10 +105,64 @@ guard() {
     ((bad == 0)) || exit 1
     echo "    guard passed"
 }
-if [[ ${1:-} == guard ]]; then
-    guard
+# Metrics and var-length smoke, out of process, against the release
+# binaries (build them first). `./ci.sh smoke` runs only this (the ci.yml
+# step does).
+smoke() {
+    # Metrics smoke, out of process: the released aplus-server binary must
+    # answer the shell's `metrics` command with live Prometheus series after
+    # a query (the in-process wire round-trip is asserted by
+    # crates/server/tests/observability.rs; this checks the shipped binaries
+    # wire the registry end to end).
+    echo
+    echo "==> metrics smoke: aplus-server <-> aplus-shell"
+    coproc SERVER { ./target/release/aplus-server 127.0.0.1:0 2>&1; }
+    server_addr=""
+    while IFS= read -r line <&"${SERVER[0]}"; do
+        echo "    $line"
+        if [[ $line =~ serving.*on\ (127\.0\.0\.1:[0-9]+) ]]; then
+            server_addr="${BASH_REMATCH[1]}"
+            break
+        fi
+    done
+    [[ -n $server_addr ]] || { echo "metrics smoke: server never announced its address"; exit 1; }
+    metrics_out=$(printf 'count MATCH a-[r:W]->b\nmetrics\ncount MATCH a-[:W*1..3]->b\ncount MATCH a-[:W*1..100]->b\n' | ./target/release/aplus-shell "$server_addr" 2>/dev/null)
+    echo "quit" >&"${SERVER[1]}"
+    wait "$SERVER_PID" 2>/dev/null || true
+    for series in \
+        'aplus_server_requests_total{verb="count"} 1' \
+        'aplus_server_connections_total 1' \
+        'aplus_engine_published_epoch 0' \
+        'aplus_server_request_seconds_count{verb="count"} 1'; do
+        if ! grep -qF "$series" <<<"$metrics_out"; then
+            echo "metrics smoke: missing series: $series"
+            echo "$metrics_out"
+            exit 1
+        fi
+    done
+    echo "    metrics smoke passed (4 series asserted)"
+    # Variable-length paths, out of process: the same shell session ran a
+    # Kleene-star count (20 account pairs within 3 wire hops on the Figure-1
+    # graph) and a hop-count past the cap, which must come back as a
+    # structured hop_cap_exceeded error — not a dropped connection.
+    if ! grep -qF '20 match(es)' <<<"$metrics_out"; then
+        echo "var-length smoke: expected 20 match(es) for MATCH a-[:W*1..3]->b"
+        echo "$metrics_out"
+        exit 1
+    fi
+    if ! grep -qF '[hop_cap_exceeded] at byte 11' <<<"$metrics_out"; then
+        echo "var-length smoke: expected a hop_cap_exceeded error for *1..100"
+        echo "$metrics_out"
+        exit 1
+    fi
+    echo "    var-length smoke passed (count + structured hop-cap error)"
+}
+case ${1:-} in
+guard | smoke)
+    "$1"
     exit 0
-fi
+    ;;
+esac
 
 run cargo fmt --all --check
 guard
@@ -157,52 +211,6 @@ run env APLUS_SCALE=20000 APLUS_BENCH_OUT=target/bench-fresh \
     cargo run --release -q -p aplus_bench --bin bench_smoke
 run cargo run --release -q -p aplus_bench --bin bench_compare -- \
     BENCH_tables.json target/bench-fresh/BENCH_tables.json
-# Metrics smoke, out of process: the released aplus-server binary must
-# answer the shell's `metrics` command with live Prometheus series after
-# a query (the in-process wire round-trip is asserted by
-# crates/server/tests/observability.rs; this checks the shipped binaries
-# wire the registry end to end).
-echo
-echo "==> metrics smoke: aplus-server <-> aplus-shell"
-coproc SERVER { ./target/release/aplus-server 127.0.0.1:0 2>&1; }
-server_addr=""
-while IFS= read -r line <&"${SERVER[0]}"; do
-    echo "    $line"
-    if [[ $line =~ serving.*on\ (127\.0\.0\.1:[0-9]+) ]]; then
-        server_addr="${BASH_REMATCH[1]}"
-        break
-    fi
-done
-[[ -n $server_addr ]] || { echo "metrics smoke: server never announced its address"; exit 1; }
-metrics_out=$(printf 'count MATCH a-[r:W]->b\nmetrics\ncount MATCH a-[:W*1..3]->b\ncount MATCH a-[:W*1..100]->b\n' | ./target/release/aplus-shell "$server_addr" 2>/dev/null)
-echo "quit" >&"${SERVER[1]}"
-wait "$SERVER_PID" 2>/dev/null || true
-for series in \
-    'aplus_server_requests_total{verb="count"} 1' \
-    'aplus_server_connections_total 1' \
-    'aplus_engine_published_epoch 0' \
-    'aplus_server_request_seconds_count{verb="count"} 1'; do
-    if ! grep -qF "$series" <<<"$metrics_out"; then
-        echo "metrics smoke: missing series: $series"
-        echo "$metrics_out"
-        exit 1
-    fi
-done
-echo "    metrics smoke passed (4 series asserted)"
-# Variable-length paths, out of process: the same shell session ran a
-# Kleene-star count (20 account pairs within 3 wire hops on the Figure-1
-# graph) and a hop-count past the cap, which must come back as a
-# structured hop_cap_exceeded error — not a dropped connection.
-if ! grep -qF '20 match(es)' <<<"$metrics_out"; then
-    echo "var-length smoke: expected 20 match(es) for MATCH a-[:W*1..3]->b"
-    echo "$metrics_out"
-    exit 1
-fi
-if ! grep -qF '[hop_cap_exceeded] at byte 11' <<<"$metrics_out"; then
-    echo "var-length smoke: expected a hop_cap_exceeded error for *1..100"
-    echo "$metrics_out"
-    exit 1
-fi
-echo "    var-length smoke passed (count + structured hop-cap error)"
+smoke
 echo
 echo "CI gate passed."

@@ -26,16 +26,23 @@
 //! driver's morsel-order merge, so streamed and collected rows are
 //! bit-identical at any thread count and limit.
 //!
-//! Counting never flattens at all: the last operator is consumed as a
-//! **multiplicity** per frontier entry. A single-list tail extension with
-//! no residual whose list hangs off a vertex is counted **in place**,
-//! without binding a single candidate: the entries whose neighbour passes
-//! the target label, read in one tight pass over the list's neighbour
-//! column (no pass at all when unlabelled), minus the path edges already
-//! bound that relationship uniqueness would reject (found by binary search
-//! on a neighbour-sorted list). Consecutive frontier entries with the same
-//! list owner share one fetch and one label pass, so only the subtraction
-//! runs per entry — the factorized-count win on high-fanout tails.
+//! Counting never flattens at all, and never builds the levels of the
+//! plan's counted `Suffix`: its trailing single-list extensions with no
+//! residual whose list hangs off a vertex. They form a forest of branches,
+//! and each frontier entry's count is the product of its root branches. A
+//! leaf branch is counted **in place**, without binding a single
+//! candidate: the entries whose neighbour passes the target label, read in
+//! one tight pass over the list's neighbour column (no pass at all when
+//! unlabelled), minus the path edges already bound that relationship
+//! uniqueness would reject (found by binary search on a neighbour-sorted
+//! list). An inner branch sums its children's product over its
+//! label-passing neighbours. A plan-time proof from the enforced labels
+//! that no two suffix edges can bind the same graph edge makes the product
+//! exact; without it the suffix is the last operator alone. Consecutive
+//! frontier entries under the same owner entry share one evaluation of a
+//! branch, so for a leaf only the subtraction runs per entry — the
+//! factorized-count win on high-fanout tails. A plan without a suffix
+//! counts its last operator's bindings per frontier entry.
 //!
 //! This module owns no driver: [`crate::exec::run`] picks the morsel
 //! strategy and merges the output, and calls in here only for the *block
@@ -48,16 +55,17 @@
 //! the sink itself when it runs inline.
 
 use std::ops::{ControlFlow, Range};
+use std::sync::OnceLock;
 
 use aplus_common::{EdgeId, VertexId, VertexLabelId};
-use aplus_core::Direction;
+use aplus_core::{Direction, PartitionKey};
 use aplus_obs::LevelStats;
 
 use crate::exec::{
-    ei_op, ei_over_lists, fetch_ei_lists, op_bindings, root_range_bindings, vl_target, BoundList,
-    EiOp, Emit, ExecContext, VarLengthOp,
+    ei_op, ei_over_lists, fetch_one, op_bindings, root_range_bindings, vl_target, BoundList, EiOp,
+    Emit, ExecContext, VarLengthOp,
 };
-use crate::plan::{FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
+use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryPredicate, Row};
 use crate::sink::RawRow;
 
@@ -241,89 +249,67 @@ impl Blocks {
         w > 0
     }
 
-    /// Counts the matches a final operator `op` (at plan-op index `level`)
-    /// would produce, **without building its level**: per frontier entry,
-    /// the extension count is a multiplicity folded straight into the
-    /// total. A [`FastTail`] whose list depends on its owner alone is
-    /// fetched and label-counted once per run of consecutive entries with
-    /// the same owner (entries come in depth-first order, so a run is every
-    /// extension of one owner binding); only the uniqueness subtraction
-    /// runs per entry. A run never spans two root bindings, so where block
-    /// boundaries fall — which varies with the thread count — cannot change
-    /// the label reads a `PROFILE` run reports. Any other tail counts the
-    /// bindings its producer yields.
-    fn tail_count(
+    /// Counts the matches of the operators the block did not build, **without
+    /// building their levels**: per frontier entry, the plan's counted
+    /// [`Suffix`] product, or — when the last operator has no in-place count
+    /// — the bindings its producer yields, folded straight into the total.
+    fn tail_count<'a>(
         &mut self,
-        ctx: ExecContext<'_>,
-        op: &Operator,
-        level: usize,
+        ctx: ExecContext<'a>,
+        plan: &Plan,
+        count: Counting<'_, 'a>,
         row: &mut Row,
     ) -> u64 {
         let top = self.levels.len() - 1;
+        let last = plan.ops.len() - 1;
+        let stats = ctx.prof_level(last);
+        let mut runs: Vec<Run<'a>> = count.suffix.map_or_else(Vec::new, |s| {
+            s.roots
+                .iter()
+                .map(|&r| Run {
+                    level: self.level_binding(s.branches[r].tail.owner_var),
+                    memo: None,
+                })
+                .collect()
+        });
         let mut total = 0u64;
-        let fast = match op {
-            Operator::ExtendIntersect { .. } => {
-                let ei = ei_op(op);
-                FastTail::of(&ei).map(|tail| (tail, ei))
-            }
-            _ => None,
-        };
-        let Some((tail, ei)) = fast else {
-            for fi in 0..self.levels[top].len() {
-                self.bind_path(row, top, fi);
-                let _ = op_bindings(ctx, op, level, row, &mut |_| {
-                    total += 1;
-                    ControlFlow::Continue(())
-                });
-            }
-            return total;
-        };
-        let stats = ctx.prof_level(level);
-        let mut run: Option<OwnerRun<'_>> = None;
         for fi in 0..self.levels[top].len() {
             self.bind_path(row, top, fi);
-            if let Some(s) = stats {
-                s.record(ei.alds.len() as u64, 0, 0);
-            }
-            let owner = row
-                .vertex(tail.owner_var)
-                .expect("plan binds FROM before use");
-            // `bind_path` left the entry's root in the level-0 memo.
-            let key = (self.cursor[0], owner);
-            if !(tail.per_owner && run.as_ref().is_some_and(|r| r.key == key)) {
-                let list = fetch_ei_lists(ctx, ei.alds, row).map(|mut lists| lists.swap_remove(0));
-                let matching = list
-                    .as_ref()
-                    .map_or(0, |l| tail.matching(ctx, l, 0..l.len(), stats));
-                run = Some(OwnerRun {
-                    key,
-                    list,
-                    matching,
-                });
-            }
-            let Some(OwnerRun {
-                list: Some(list),
-                matching,
-                ..
-            }) = &run
-            else {
-                continue;
+            let n = match count.suffix {
+                Some(s) => s
+                    .count_entry(ctx, count.shared, &self.cursor, &mut runs, row)
+                    .map_or(0, |n| served(ctx, stats, n)),
+                None => {
+                    let mut n = 0u64;
+                    let _ = op_bindings(ctx, &plan.ops[last], last, row, &mut |_| {
+                        n += 1;
+                        ControlFlow::Continue(())
+                    });
+                    n
+                }
             };
-            let n = matching - tail.already_bound(ctx, list, 0..list.len(), row);
-            total += served(ctx, stats, n);
+            total = total.saturating_add(n);
         }
         total
     }
+
+    /// The index of the level that binds query vertex `var`.
+    fn level_binding(&self, var: usize) -> usize {
+        self.levels
+            .iter()
+            .position(|l| l.vertex_vars.contains(&var))
+            .expect("the suffix's owners are bound before it")
+    }
 }
 
-/// Consecutive frontier entries of one root binding whose tail list has the
-/// same owner: the owner's list (`None` when empty) and how many of its
-/// entries pass the label check, fetched and counted once for the run.
-struct OwnerRun<'a> {
-    /// The root entry and the owner.
-    key: (Option<usize>, VertexId),
-    list: Option<BoundList<'a>>,
-    matching: u64,
+/// One root branch's reuse within a block: the level binding its owner,
+/// and the memo computed for the owner entry it names. Frontier entries
+/// come in depth-first order, so every entry under one owner entry is
+/// consecutive, and they all lie in the block that holds that entry —
+/// wherever the thread count cuts the morsels.
+struct Run<'a> {
+    level: usize,
+    memo: Option<(usize, Memo<'a>)>,
 }
 
 /// Counts one E/I extension of the binding in `row` over pre-fetched
@@ -367,8 +353,9 @@ fn leapfrog_count(
     n
 }
 
-/// Records `n` matches counted by the [`FastTail`] as one
-/// factorized-count shortcut hit, and returns `n`.
+/// Records `n` matches counted in place (by a [`Suffix`] or a first-E/I
+/// [`FastTail`]) as one factorized-count shortcut hit at the last level,
+/// and returns `n`.
 fn served(ctx: ExecContext<'_>, stats: Option<&LevelStats>, n: u64) -> u64 {
     ctx.note_fc_shortcut();
     if let Some(s) = stats {
@@ -379,11 +366,12 @@ fn served(ctx: ExecContext<'_>, stats: Option<&LevelStats>, n: u64) -> u64 {
 
 /// The factorized-count fast path: a single-list extension with no
 /// residual whose list hangs off a bound vertex (a primary or
-/// vertex-partitioned list). Its count is the number of list entries whose
-/// neighbour passes the target label ([`FastTail::matching`]) minus those
-/// relationship uniqueness rejects ([`FastTail::already_bound`]) — nothing
-/// is bound, checked or unbound per entry. Edge-partitioned lists hang off
-/// an edge, not a vertex, and always iterate.
+/// vertex-partitioned list). Counted last, its count is the number of list
+/// entries whose neighbour passes the target label ([`FastTail::matching`])
+/// minus those relationship uniqueness rejects ([`FastTail::already_bound`])
+/// — nothing is bound, checked or unbound per entry. Every operator of a
+/// counted [`Suffix`] is one. Edge-partitioned lists hang off an edge, not
+/// a vertex, and always iterate.
 struct FastTail {
     /// The query vertex whose list this is.
     owner_var: usize,
@@ -438,15 +426,19 @@ impl FastTail {
         range: Range<usize>,
         stats: Option<&LevelStats>,
     ) -> u64 {
-        let Some(want) = self.label else {
+        if self.label.is_none() {
             return range.len() as u64;
-        };
+        }
         if let Some(s) = stats {
             s.record(0, range.len() as u64, 0);
         }
-        list.count_nbrs(range, |n| {
-            ctx.graph.vertex_label(n).is_ok_and(|l| l == want)
-        })
+        list.count_nbrs(range, |n| self.passes(ctx, n))
+    }
+
+    /// Whether neighbour `n` passes the target label check.
+    fn passes(&self, ctx: ExecContext<'_>, n: VertexId) -> bool {
+        self.label
+            .is_none_or(|want| ctx.graph.vertex_label(n).is_ok_and(|l| l == want))
     }
 
     /// The entries [`Self::matching`] counted that relationship uniqueness
@@ -480,15 +472,350 @@ impl FastTail {
             if side != owner {
                 continue;
             }
-            if self
-                .label
-                .is_none_or(|want| ctx.graph.vertex_label(nbr).is_ok_and(|l| l == want))
-            {
+            if self.passes(ctx, nbr) {
                 n += list.count_entry(range.clone(), e, nbr, self.nbr_sorted);
             }
         }
         n
     }
+}
+
+/// The operators a count takes **without building their levels**: the
+/// longest plan suffix of [`FastTail`] extensions whose prune is absent or
+/// constant, starting at op 2 or later so that both first-level strategies
+/// build level 1 with the same code — else the last operator alone, if it
+/// is a [`FastTail`] with any prune. A suffix operator reads only its
+/// owner, so the suffix is a forest: a *root* branch hangs off a vertex
+/// bound before the suffix, any other off the target of an earlier suffix
+/// operator. Per frontier entry, the count is the product of the root
+/// branches' counts, where
+///
+/// * a leaf branch counts like a last [`FastTail`]: label matches minus the
+///   path edges already bound;
+/// * an inner branch sums, over the label-passing neighbours of its owner
+///   whose edge no path edge holds, the product of its children's counts.
+///   Each neighbour is bound in the row only while its children count; no
+///   suffix edge is ever bound.
+///
+/// Multiplying is exact only if no two suffix edges can bind the same graph
+/// edge, which [`Suffix::of`] proves from the labels the plan enforces
+/// (see [`disjoint`]). Where the proof fails, the suffix is the last
+/// operator alone.
+pub(crate) struct Suffix<'p> {
+    /// The plan-op index of the first suffix operator; every earlier
+    /// operator builds a level.
+    start: usize,
+    /// One per operator of the suffix, in plan order.
+    branches: Vec<Branch<'p>>,
+    /// The branches hanging off a vertex bound before the suffix.
+    roots: Vec<usize>,
+}
+
+/// One suffix operator.
+struct Branch<'p> {
+    /// Its plan-op index, which is also its `PROFILE` level.
+    level: usize,
+    ald: &'p Ald,
+    tail: FastTail,
+    /// The vertex it binds, transiently, for its children.
+    target: usize,
+    /// The branches hanging off `target`.
+    children: Vec<usize>,
+    /// Whether no path edge bound before the suffix can be its edge or a
+    /// descendant's: then its count depends on its owner alone, and no
+    /// uniqueness check or subtraction is needed under it.
+    prefix_disjoint: bool,
+}
+
+impl Branch<'_> {
+    /// Whether consecutive frontier entries with the same owner entry may
+    /// share one evaluation: a leaf with a per-owner list (the subtraction
+    /// stays per entry), or an inner branch that is `prefix_disjoint`.
+    fn reusable(&self) -> bool {
+        self.tail.per_owner && (self.children.is_empty() || self.prefix_disjoint)
+    }
+}
+
+/// What evaluating a branch leaves for later entries with the same owner.
+pub(crate) enum Memo<'a> {
+    /// A leaf's list and how many of its entries pass the label check;
+    /// each entry subtracts its own bound edges from `matching`.
+    Leaf { list: BoundList<'a>, matching: u64 },
+    /// An inner branch's count.
+    Count(u64),
+    /// The owner's list is empty.
+    Empty,
+}
+
+impl Memo<'_> {
+    /// The count branch `br` contributes to the entry bound in `row`.
+    fn value(&self, ctx: ExecContext<'_>, br: &Branch<'_>, row: &Row) -> u64 {
+        match self {
+            Self::Count(n) => *n,
+            Self::Empty => 0,
+            Self::Leaf { matching, .. } if br.prefix_disjoint => *matching,
+            Self::Leaf { list, matching } => {
+                matching - br.tail.already_bound(ctx, list, 0..list.len(), row)
+            }
+        }
+    }
+}
+
+/// How a block body counts: the plan's counted suffix (`None` when the last
+/// operator has no in-place count) and, under a first-level strategy, the
+/// memo cells ([`Suffix::memo_cells`]) of the root binding it extends.
+#[derive(Clone, Copy)]
+pub(crate) struct Counting<'s, 'a> {
+    pub(crate) suffix: Option<&'s Suffix<'s>>,
+    pub(crate) shared: Option<&'s [OnceLock<Memo<'a>>]>,
+}
+
+impl<'p> Suffix<'p> {
+    /// The counted suffix of `plan`, or `None` when its last operator is
+    /// not a [`FastTail`].
+    pub(crate) fn of(ctx: ExecContext<'_>, query: &QueryGraph, plan: &'p Plan) -> Option<Self> {
+        let fast = |i: usize| match &plan.ops[i] {
+            op @ Operator::ExtendIntersect { .. } => {
+                let ei = ei_op(op);
+                FastTail::of(&ei).map(|tail| (tail, ei))
+            }
+            _ => None,
+        };
+        let last = plan.ops.len() - 1;
+        let mut start = last;
+        if fast(last)?.0.per_owner {
+            while start > 2 && fast(start - 1).is_some_and(|(t, _)| t.per_owner) {
+                start -= 1;
+            }
+        }
+        let shapes = edge_shapes(ctx, query, plan);
+        let edge = |i: usize| shapes[ei_op(&plan.ops[i]).alds[0].edge_var];
+        if !(start..=last).all(|i| (i + 1..=last).all(|j| disjoint(edge(i), edge(j)))) {
+            start = last;
+        }
+        let prefix: Vec<Shape> = plan.ops[..start]
+            .iter()
+            .filter(|op| !matches!(op, Operator::Filter { .. }))
+            .flat_map(|op| Level::for_op(op).edge_vars)
+            .map(|e| shapes[e])
+            .collect();
+        let (mut branches, mut roots) = (Vec::<Branch<'p>>::new(), Vec::new());
+        for level in start..=last {
+            let (tail, ei) = fast(level).expect("every suffix operator is a fast tail");
+            let b = branches.len();
+            match branches.iter().position(|p| p.target == tail.owner_var) {
+                Some(p) => branches[p].children.push(b),
+                None => roots.push(b),
+            }
+            branches.push(Branch {
+                level,
+                ald: &ei.alds[0],
+                target: ei.target,
+                children: Vec::new(),
+                prefix_disjoint: prefix.iter().all(|&p| disjoint(p, edge(level))),
+                tail,
+            });
+        }
+        // Children follow their parent, so one back-to-front pass sees every
+        // descendant settled first.
+        for b in (0..branches.len()).rev() {
+            let clear = branches[b]
+                .children
+                .iter()
+                .all(|&c| branches[c].prefix_disjoint);
+            branches[b].prefix_disjoint &= clear;
+        }
+        Some(Self {
+            start,
+            branches,
+            roots,
+        })
+    }
+
+    /// One empty memo cell per branch, for one root binding whose morsels
+    /// run apart (a first-level strategy): each root-owned branch is then
+    /// evaluated once per root binding, by the first morsel that needs it —
+    /// exactly when, and as often as, one block holding every entry of that
+    /// root would evaluate it.
+    pub(crate) fn memo_cells<'a>(&self) -> Vec<OnceLock<Memo<'a>>> {
+        self.branches.iter().map(|_| OnceLock::new()).collect()
+    }
+
+    /// The count of the frontier entry bound in `row`: the product of the
+    /// root branches, or `None` when a root branch's list is empty (the
+    /// entry is not served, as a first-E/I morsel never starts on an empty
+    /// leading list). A reusable root branch is evaluated once per owner
+    /// entry (`runs`, keyed by the owner level's `cursor`), or once per root
+    /// binding through `shared` when its owner is the root and the root's
+    /// morsels run apart.
+    fn count_entry<'a>(
+        &self,
+        ctx: ExecContext<'a>,
+        shared: Option<&[OnceLock<Memo<'a>>]>,
+        cursor: &[Option<usize>],
+        runs: &mut [Run<'a>],
+        row: &mut Row,
+    ) -> Option<u64> {
+        let mut n = 1u64;
+        for (&r, run) in self.roots.iter().zip(runs.iter_mut()) {
+            let br = &self.branches[r];
+            let fresh;
+            let memo = match (br.reusable(), run.level, shared) {
+                (false, ..) => {
+                    fresh = self.evaluate(ctx, r, row);
+                    &fresh
+                }
+                (true, 0, Some(cells)) => cells[r].get_or_init(|| self.evaluate(ctx, r, row)),
+                (true, level, _) => {
+                    let key = cursor[level].expect("bind_path memoizes the whole path");
+                    if run.memo.as_ref().is_none_or(|(k, _)| *k != key) {
+                        run.memo = Some((key, self.evaluate(ctx, r, row)));
+                    }
+                    &run.memo.as_ref().expect("filled above").1
+                }
+            };
+            if matches!(memo, Memo::Empty) {
+                return None;
+            }
+            n = n.saturating_mul(memo.value(ctx, br, row));
+            if n == 0 {
+                break;
+            }
+        }
+        Some(n)
+    }
+
+    /// The product of `branches`' counts, each evaluated afresh, for the
+    /// neighbour an inner branch bound in `row`.
+    fn product(&self, ctx: ExecContext<'_>, branches: &[usize], row: &mut Row) -> u64 {
+        let mut n = 1u64;
+        for &c in branches {
+            n = n.saturating_mul(
+                self.evaluate(ctx, c, row)
+                    .value(ctx, &self.branches[c], row),
+            );
+            if n == 0 {
+                break;
+            }
+        }
+        n
+    }
+
+    /// Evaluates branch `b` with its owner bound in `row`. A `PROFILE` run
+    /// records at the branch's level the list fetched, each label read as a
+    /// candidate, and each neighbour an inner branch binds as emitted.
+    fn evaluate<'a>(&self, ctx: ExecContext<'a>, b: usize, row: &mut Row) -> Memo<'a> {
+        let br = &self.branches[b];
+        let stats = ctx.prof_level(br.level);
+        if let Some(s) = stats {
+            s.record(1, 0, 0);
+        }
+        let list = fetch_one(ctx, br.ald, row);
+        if list.len() == 0 {
+            return Memo::Empty;
+        }
+        if br.children.is_empty() {
+            let matching = br.tail.matching(ctx, &list, 0..list.len(), stats);
+            return Memo::Leaf { list, matching };
+        }
+        let (mut sum, mut visited) = (0u64, 0u64);
+        for i in 0..list.len() {
+            let (e, n) = list.get(i);
+            if !br.tail.passes(ctx, n) || (!br.prefix_disjoint && row.uses_edge(e)) {
+                continue;
+            }
+            visited += 1;
+            row.bind_vertex(br.target, n);
+            sum = sum.saturating_add(self.product(ctx, &br.children, row));
+            row.unbind_vertex(br.target);
+        }
+        if let Some(s) = stats {
+            let label_reads = if br.tail.label.is_some() {
+                list.len()
+            } else {
+                0
+            };
+            s.record(0, label_reads as u64, visited);
+        }
+        Memo::Count(sum)
+    }
+}
+
+/// The labels a plan enforces on one query edge: the edge's own label code,
+/// then its source's and its destination's label — each `None` where the
+/// plan enforces none.
+type Shape = [Option<u32>; 3];
+
+/// Whether no graph edge can match both shapes: some label they both fix
+/// differs (edge labels, or both source labels, or both destination
+/// labels).
+fn disjoint(a: Shape, b: Shape) -> bool {
+    a.iter()
+        .zip(&b)
+        .any(|pair| matches!(pair, (Some(x), Some(y)) if x != y))
+}
+
+/// Every query edge's [`Shape`], read off the scans and E/Is that bind the
+/// edge and its endpoints: scan and target label checks, edge-scan labels,
+/// and the edge label an ALD's partition prefix pins.
+fn edge_shapes(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan) -> Vec<Shape> {
+    let mut vertex = vec![None; query.vertices.len()];
+    let mut edge = vec![None; query.edges.len()];
+    let code = |l: Option<VertexLabelId>| l.map(|l| u32::from(l.raw()));
+    for op in &plan.ops {
+        match op {
+            Operator::ScanVertices { var, label, .. } => vertex[*var] = code(*label),
+            Operator::ScanEdges {
+                edge_var,
+                src_var,
+                dst_var,
+                label,
+                src_label,
+                dst_label,
+                ..
+            } => {
+                edge[*edge_var] = label.map(|l| u32::from(l.raw()));
+                vertex[*src_var] = code(*src_label);
+                vertex[*dst_var] = code(*dst_label);
+            }
+            Operator::ExtendIntersect {
+                target,
+                target_label,
+                alds,
+                ..
+            } => {
+                vertex[*target] = code(*target_label);
+                for ald in alds {
+                    edge[ald.edge_var] = ald_edge_label(ctx, ald);
+                }
+            }
+            // What other operators bind stays unlabelled: the proof only
+            // gets weaker.
+            _ => {}
+        }
+    }
+    query
+        .edges
+        .iter()
+        .zip(edge)
+        .map(|(qe, label)| [label, vertex[qe.src], vertex[qe.dst]])
+        .collect()
+}
+
+/// The edge label code `ald`'s partition prefix pins, if its index
+/// partitions by edge label within the prefix.
+fn ald_edge_label(ctx: ExecContext<'_>, ald: &Ald) -> Option<u32> {
+    let spec = match &ald.index {
+        IndexChoice::Primary(dir) => ctx.store.primary().index(*dir).spec(),
+        IndexChoice::VertexIdx { name, direction } => {
+            ctx.store.vertex_index(name, *direction)?.spec()
+        }
+        IndexChoice::EdgeIdx { name } => ctx.store.edge_index(name)?.spec(),
+    };
+    spec.partitioning
+        .iter()
+        .zip(&ald.prefix)
+        .find_map(|(key, &code)| (*key == PartitionKey::EdgeLabel).then_some(code))
 }
 
 /// The root level of a block seeded from the single root binding `row`
@@ -515,12 +842,14 @@ fn apply_ops(
     })
 }
 
-/// Runs `plan.ops[from..]` over a seeded block for counting: the last
-/// operator is consumed as per-entry multiplicities
-/// ([`Blocks::tail_count`]) instead of building its level.
-fn count_ops(
-    ctx: ExecContext<'_>,
+/// Runs `plan.ops[from..]` over a seeded block for counting: the operators
+/// of the counted suffix — or the last operator, when there is none — are
+/// consumed as per-entry multiplicities ([`Blocks::tail_count`]) instead of
+/// building their levels.
+fn count_ops<'a>(
+    ctx: ExecContext<'a>,
     plan: &Plan,
+    count: Counting<'_, 'a>,
     st: &mut Blocks,
     row: &mut Row,
     from: usize,
@@ -529,7 +858,9 @@ fn count_ops(
     if from > last {
         return st.top_len() as u64;
     }
-    if !apply_ops(ctx, plan, st, row, from..last) {
+    let built = count.suffix.map_or(last, |s| s.start);
+    debug_assert!(built >= from, "the suffix starts after the seeded levels");
+    if !apply_ops(ctx, plan, st, row, from..built) {
         return 0;
     }
     match &plan.ops[last] {
@@ -537,7 +868,7 @@ fn count_ops(
             st.filter_top(ctx, preds, last, row);
             st.top_len() as u64
         }
-        op => st.tail_count(ctx, op, last, row),
+        _ => st.tail_count(ctx, plan, count, row),
     }
 }
 
@@ -596,10 +927,11 @@ impl Drop for FlattenIter<'_> {
 /// Seeds a block with the root bindings in ID `range` that pass the root
 /// scan's checks (pinned vertices and label/predicate semantics included)
 /// and consumes it — the block body of root-range partitioning.
-pub(crate) fn root_morsel(
-    ctx: ExecContext<'_>,
+pub(crate) fn root_morsel<'a>(
+    ctx: ExecContext<'a>,
     query: &QueryGraph,
     plan: &Plan,
+    count: Counting<'_, 'a>,
     range: Range<usize>,
     emit: Emit<'_>,
 ) {
@@ -616,27 +948,28 @@ pub(crate) fn root_morsel(
         return;
     }
     ctx.note_block();
-    consume(ctx, plan, Blocks::seeded(root), &mut row, 1, emit);
+    consume(ctx, plan, count, Blocks::seeded(root), &mut row, 1, emit);
 }
 
 /// Extends the single root binding held by `row` through the first E/I
-/// `ei` over pre-fetched `lists`, with list 0 restricted to `range`, and
-/// consumes the resulting sub-block — the block body of first-E/I
-/// partitioning.
-pub(crate) fn ei_morsel(
-    ctx: ExecContext<'_>,
+/// (`plan.ops[1]`) over its pre-fetched `lists`, with list 0 restricted to
+/// `range`, and consumes the resulting sub-block — the block body of
+/// first-E/I partitioning.
+pub(crate) fn ei_morsel<'a>(
+    ctx: ExecContext<'a>,
     plan: &Plan,
-    ei: &EiOp<'_>,
+    count: Counting<'_, 'a>,
     lists: &[BoundList<'_>],
     range: Range<usize>,
     row: &mut Row,
     emit: Emit<'_>,
 ) {
+    let ei = ei_op(&plan.ops[1]);
     let emit = match emit {
         // The first E/I is also the last: count its morsel range directly
         // as a multiplicity.
         Emit::Count(n) if plan.ops.len() == 2 => {
-            *n += count_ei(ctx, ei, lists, range, 1, row);
+            *n = n.saturating_add(count_ei(ctx, &ei, lists, range, 1, row));
             return;
         }
         emit => emit,
@@ -644,12 +977,12 @@ pub(crate) fn ei_morsel(
     ctx.note_block();
     let mut st = Blocks::seeded(root_level(plan, row));
     let mut out = Level::for_op(&plan.ops[1]);
-    let _ = ei_over_lists(ctx, ei, lists, range, row, ctx.prof_level(1), &mut |r| {
+    let _ = ei_over_lists(ctx, &ei, lists, range, row, ctx.prof_level(1), &mut |r| {
         out.push_from_row(0, r);
         ControlFlow::Continue(())
     });
     if st.push_level(out) {
-        consume(ctx, plan, st, row, 2, emit);
+        consume(ctx, plan, count, st, row, 2, emit);
     }
 }
 
@@ -657,9 +990,10 @@ pub(crate) fn ei_morsel(
 /// one BFS level's newly reached vertices) through the first var-length
 /// expansion `vl`, and consumes the resulting sub-block — the block body
 /// of first-var-length partitioning.
-pub(crate) fn vl_morsel(
-    ctx: ExecContext<'_>,
+pub(crate) fn vl_morsel<'a>(
+    ctx: ExecContext<'a>,
     plan: &Plan,
+    count: Counting<'_, 'a>,
     vl: &VarLengthOp<'_>,
     targets: &[u32],
     row: &mut Row,
@@ -688,23 +1022,24 @@ pub(crate) fn vl_morsel(
         });
     }
     if st.push_level(out) {
-        consume(ctx, plan, st, row, 2, emit);
+        consume(ctx, plan, count, st, row, 2, emit);
     }
 }
 
 /// Runs `plan.ops[from..]` over a seeded block and emits it: a count folded
 /// on the factorized levels, or the lazy flatten pushed row by row — the
 /// only place factorized intermediates become rows.
-fn consume(
-    ctx: ExecContext<'_>,
+fn consume<'a>(
+    ctx: ExecContext<'a>,
     plan: &Plan,
+    count: Counting<'_, 'a>,
     mut st: Blocks,
     row: &mut Row,
     from: usize,
     emit: Emit<'_>,
 ) {
     match emit {
-        Emit::Count(n) => *n += count_ops(ctx, plan, &mut st, row, from),
+        Emit::Count(n) => *n = n.saturating_add(count_ops(ctx, plan, count, &mut st, row, from)),
         Emit::Rows(push) => {
             if apply_ops(ctx, plan, &mut st, row, from..plan.ops.len()) {
                 for raw in FlattenIter::new(&mut st, row, ctx) {
@@ -724,7 +1059,8 @@ mod tests {
     use aplus_graph::Graph;
     use aplus_runtime::MorselPool;
 
-    use crate::exec::Output;
+    use super::Suffix;
+    use crate::exec::{ExecContext, Output};
     use crate::{profiled, Database};
 
     /// v0:A, v1:B, v2:B with E edges e0, e1: v0->v1 (a parallel pair),
@@ -777,16 +1113,26 @@ mod tests {
         ("MATCH (a:A)-[r:E]->(b:B), (b:B)-[s:E]->(c:B)", 5),
     ];
 
-    #[test]
-    fn in_place_tail_counts_match_hand_counts() {
-        let specs = [
+    fn specs() -> [IndexSpec; 2] {
+        [
             IndexSpec::default_primary(),
             IndexSpec::default()
                 .with_partitioning(vec![PartitionKey::EdgeLabel, PartitionKey::NbrLabel])
                 .with_sort(vec![SortKey::NbrId]),
-        ];
+        ]
+    }
+
+    /// The number of operators `q`'s count takes as one suffix.
+    fn suffix_len(db: &Database, q: &str) -> usize {
+        let (bound, plan) = db.prepare(q).unwrap();
+        let ctx = ExecContext::new(db.graph(), db.store());
+        Suffix::of(ctx, &bound, &plan).map_or(0, |s| s.branches.len())
+    }
+
+    #[test]
+    fn in_place_tail_counts_match_hand_counts() {
         let pool = MorselPool::sequential();
-        for spec in specs {
+        for spec in specs() {
             let db = Database::with_primary_spec(graph(), spec).unwrap();
             for &(q, want) in CASES {
                 let (bound, plan) = db.prepare(q).unwrap();
@@ -807,6 +1153,125 @@ mod tests {
                     "{q} should count its tail in place"
                 );
             }
+        }
+    }
+
+    /// v0:A, v1:B, v2:B, v3:A. E edges: e0, e1: v0->v1 (a parallel pair),
+    /// e3: v1->v3, e6: v2->v3 and e7: v0->v3. F edges: e2: v1->v2, e4:
+    /// v1->v1 (a self-loop) and e5: v0->v2.
+    fn two_label_graph() -> Graph {
+        let mut g = Graph::new();
+        for label in ["A", "B", "B", "A"] {
+            g.add_vertex(label);
+        }
+        let edges = [
+            (0, 1, "E"),
+            (0, 1, "E"),
+            (1, 2, "F"),
+            (1, 3, "E"),
+            (1, 1, "F"),
+            (0, 2, "F"),
+            (2, 3, "E"),
+            (0, 3, "E"),
+        ];
+        for (s, d, label) in edges {
+            g.add_edge(VertexId(s), VertexId(d), label).unwrap();
+        }
+        g
+    }
+
+    /// Suffix counts worked out by hand, with how many operators each
+    /// count takes as one suffix. b = v1 is reached from a = v0 by two
+    /// parallel edges.
+    const SUFFIX_CASES: &[(&str, u64, usize)] = &[
+        // Tree: b = v1 has two F-neighbours in B (v2, and itself by the
+        // self-loop) and one E-neighbour in A (v3): 2 x 1 per r.
+        (
+            "MATCH (a:A)-[r:E]->(b:B), (b:B)-[s:F]->(c:B), (b:B)-[t:E]->(d:A)",
+            4,
+            2,
+        ),
+        // Path: c = v2 goes on to v3 by e6, c = v1 by e3: 2 per r.
+        (
+            "MATCH (a:A)-[r:E]->(b:B), (b:B)-[s:F]->(c:B), (c:B)-[t:E]->(d:A)",
+            4,
+            2,
+        ),
+        // Star: a = v0 has two E-neighbours in B (v1 twice), one
+        // F-neighbour in B (v2) and one E-neighbour in A (v3).
+        (
+            "MATCH (a:A)-[r:E]->(b:B), (a:A)-[s:F]->(c:B), (a:A)-[t:E]->(d:A)",
+            2,
+            2,
+        ),
+        // An inner branch owned by the pinned root: c = v2 goes on to v3 by
+        // e6, once per r.
+        (
+            "MATCH (a)-[r:E]->(b:B), (a)-[s:F]->(c:B), (c:B)-[t:E]->(d:A) WHERE a.ID = 0",
+            2,
+            2,
+        ),
+        // An inner branch whose list can hold the path edge r: ordered
+        // pairs of distinct F-edges out of v1 ({e2, e4}), each continued by
+        // one E-edge. Visiting s = r too would count 5.
+        ("MATCH (a)-[r:F]->(b), (a)-[s:F]->(c), (c)-[u:E]->(d)", 2, 2),
+    ];
+
+    #[test]
+    fn suffix_counts_match_hand_counts() {
+        let pool = MorselPool::sequential();
+        for spec in specs() {
+            // Same-label siblings may bind one graph edge: no proof, so
+            // the suffix is the last operator alone.
+            let same_label = Database::with_primary_spec(graph(), spec.clone()).unwrap();
+            let q = "MATCH (a)-[r:E]->(b:B), (b:B)-[s:E]->(c:B), (b:B)-[t:E]->(d:B)";
+            assert_eq!(suffix_len(&same_label, q), 1, "{q}");
+            let db = Database::with_primary_spec(two_label_graph(), spec).unwrap();
+            for &(q, want, len) in SUFFIX_CASES {
+                assert_eq!(suffix_len(&db, q), len, "{q}");
+                let (bound, plan) = db.prepare(q).unwrap();
+                assert_eq!(
+                    db.collect_prepared_parallel(&bound, &plan, usize::MAX, &pool)
+                        .len() as u64,
+                    want,
+                    "{q}"
+                );
+                let profile = profiled(&plan, |p| {
+                    db.run(&bound, &plan, &pool, Some(p), Output::Count)
+                });
+                assert_eq!(profile.rows, want, "{q}");
+                let levels = &profile.levels;
+                assert_eq!(levels[levels.len() - 1].emitted, want, "{q}");
+                // Every entry of the level before the suffix is served.
+                let frontier = &levels[levels.len() - 1 - len];
+                assert_eq!(profile.fc_shortcut_hits, frontier.emitted, "{q}");
+            }
+        }
+    }
+
+    /// A star of eight differently labelled edges off one vertex, each
+    /// label on 256 parallel edges: 256^8 = 2^64 matches, one more than
+    /// `u64::MAX`. The suffix multiplies that out in milliseconds, and the
+    /// count saturates instead of wrapping to 0.
+    #[test]
+    fn counts_beyond_u64_saturate() {
+        let mut g = Graph::new();
+        g.add_vertex("A");
+        g.add_vertex("A");
+        for label in 0..8 {
+            for _ in 0..256 {
+                g.add_edge(VertexId(0), VertexId(1), &format!("L{label}"))
+                    .unwrap();
+            }
+        }
+        let db = Database::new(g).unwrap();
+        let star: Vec<String> = (0..8).map(|i| format!("(a)-[r{i}:L{i}]->(b{i})")).collect();
+        let q = format!("MATCH {}", star.join(", "));
+        assert_eq!(suffix_len(&db, &q), 7);
+        let (bound, plan) = db.prepare(&q).unwrap();
+        for threads in [1, 2] {
+            let pool = MorselPool::new(threads);
+            assert_eq!(db.count_prepared_parallel(&bound, &plan, &pool), u64::MAX);
         }
     }
 }

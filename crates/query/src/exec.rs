@@ -231,7 +231,8 @@ fn merge_window(pool: &MorselPool) -> usize {
 /// What a query run produces.
 pub enum Output<'a> {
     /// The number of matches, folded on factorized blocks without
-    /// flattening.
+    /// flattening. It saturates at `u64::MAX`: a counted suffix multiplies
+    /// branch counts, so a count can outgrow any result one could list.
     Count,
     /// Up to `limit` rows pushed into `sink`, in sequential result order.
     /// Morsels that run inline (a 1-thread pool, a single-morsel level)
@@ -304,7 +305,7 @@ impl Driver<'_, '_> {
     fn merge(&mut self, count: u64, rows: impl Iterator<Item = RawRow>) -> ControlFlow<()> {
         match &mut self.out {
             Output::Count => {
-                self.counted += count;
+                self.counted = self.counted.saturating_add(count);
                 ControlFlow::Continue(())
             }
             Output::Rows { limit, sink } => {
@@ -411,6 +412,15 @@ pub fn run(
     if matches!(out, Output::Rows { limit: 0, .. }) {
         return 0;
     }
+    // Counts take the plan's counted suffix without building its levels.
+    let suffix = match out {
+        Output::Count => block::Suffix::of(ctx, query, plan),
+        Output::Rows { .. } => None,
+    };
+    let suffix = suffix.as_ref();
+    // Per root binding under a first-level strategy, whose morsels run
+    // apart: the memo cells its root-owned suffix branches share.
+    let memo_cells = || suffix.map_or_else(Vec::new, block::Suffix::memo_cells);
     let mut driver = Driver {
         ctx,
         pool,
@@ -425,29 +435,38 @@ pub fn run(
         // Every root morsel is one block.
         Strategy::RootRanges { range, cap } => {
             let size = scan_morsel_size(range.len(), threads, cap);
+            let count = block::Counting {
+                suffix,
+                shared: None,
+            };
             let _ = driver.morsels(range.len(), size, |r, emit| {
                 let r = range.start + r.start..range.start + r.end;
-                block::root_morsel(ctx, query, plan, r, emit);
+                block::root_morsel(ctx, query, plan, count, r, emit);
             });
         }
         // Per root binding (in root order, so the overall row sequence
         // stays sequential): fetch the first E/I's lists once and morsel
         // over positions of the leading list.
         Strategy::FirstEi => {
-            let ei = ei_op(&plan.ops[1]);
+            let alds = ei_op(&plan.ops[1]).alds;
             let stats = ctx.prof_level(1);
             let _ = for_each_root_vertex(ctx, plan, &mut fresh_row(), &mut |base| {
                 if let Some(s) = stats {
-                    s.record(ei.alds.len() as u64, 0, 0);
+                    s.record(alds.len() as u64, 0, 0);
                 }
-                let Some(lists) = fetch_ei_lists(ctx, ei.alds, base) else {
+                let Some(lists) = fetch_ei_lists(ctx, alds, base) else {
                     return ControlFlow::Continue(());
                 };
-                let (base, lists, ei) = (&*base, &lists, &ei);
+                let cells = memo_cells();
+                let count = block::Counting {
+                    suffix,
+                    shared: Some(&cells),
+                };
+                let (base, lists) = (&*base, &lists);
                 let n0 = lists[0].len();
                 let size = scan_morsel_size(n0, threads, EI_MORSEL_CAP);
                 driver.morsels(n0, size, |r, emit| {
-                    block::ei_morsel(ctx, plan, ei, lists, r, &mut base.clone(), emit);
+                    block::ei_morsel(ctx, plan, count, lists, r, &mut base.clone(), emit);
                 })
             });
         }
@@ -463,6 +482,11 @@ pub fn run(
                 let s = base
                     .vertex(vl.src)
                     .expect("root scan binds the traversal source");
+                let cells = memo_cells();
+                let count = block::Counting {
+                    suffix,
+                    shared: Some(&cells),
+                };
                 let (base, vl) = (&*base, &vl);
                 var_length_bfs(ctx, vl, s, pool, &mut |level, candidates, s_new| {
                     if level < vl.min {
@@ -471,7 +495,15 @@ pub fn run(
                     let emission = &vl_emission(candidates, s, s_new);
                     let size = scan_morsel_size(emission.len(), threads, VL_MORSEL_CAP);
                     let flow = driver.morsels(emission.len(), size, |r, emit| {
-                        block::vl_morsel(ctx, plan, vl, &emission[r], &mut base.clone(), emit);
+                        block::vl_morsel(
+                            ctx,
+                            plan,
+                            count,
+                            vl,
+                            &emission[r],
+                            &mut base.clone(),
+                            emit,
+                        );
                     });
                     if flow.is_break() {
                         ControlFlow::Break(flow)
@@ -846,6 +878,12 @@ pub(crate) fn fetch_ei_lists<'a>(
     } else {
         Some(lists)
     }
+}
+
+/// Fetches a single-list extension's list for the current row, in any
+/// order.
+pub(crate) fn fetch_one<'a>(ctx: ExecContext<'a>, ald: &Ald, row: &Row) -> BoundList<'a> {
+    fetch_list(ctx, ald, row, Need::Any)
 }
 
 /// The bindings operator `op` (plan level `depth`) adds to the binding

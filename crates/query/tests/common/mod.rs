@@ -107,12 +107,16 @@ fn assign(
 }
 
 /// What a profile must agree on across pools: the deterministic view, with
-/// the factorized-count shortcut reduced to hit/no-hit — under first-E/I
-/// partitioning it fires once per morsel of the leading list, so its
-/// *number* follows the morsel cut like `blocks` does.
+/// the factorized-count shortcut of a two-operator plan reduced to
+/// hit/no-hit — under first-E/I partitioning its one E/I is counted once
+/// per morsel of the leading list, so its *number* follows the morsel cut
+/// like `blocks` does. A longer plan's suffix serves one frontier entry
+/// per hit at any cut.
 fn comparable(profile: &QueryProfile) -> QueryProfile {
     let mut view = profile.deterministic_view();
-    view.fc_shortcut_hits = view.fc_shortcut_hits.min(1);
+    if view.levels.len() == 2 {
+        view.fc_shortcut_hits = view.fc_shortcut_hits.min(1);
+    }
     view
 }
 

@@ -57,7 +57,13 @@ fn build_graph(edges: &[(u32, u32, i64, bool)]) -> Graph {
 /// tree whose tail shares its owner with the level before (also from a
 /// pinned root, so the owner is neither the root nor the newest binding),
 /// and a tail read from a backward list; the star with different-label
-/// siblings must not. Then the paper workload's densest cyclic shapes, SQ3
+/// siblings must not. Four labelled shapes follow whose trailing
+/// single-list extensions are counted together as one suffix, because the
+/// labels prove no two of their edges can bind the same graph edge: a tree
+/// (two leaves off the level-1 vertex), a path (an inner branch with a leaf
+/// below it), a star (three leaves off the root, one owner run per root) and
+/// a five-vertex tree whose inner branch has two leaves. Then the paper
+/// workload's densest cyclic shapes, SQ3
 /// (diamond) and SQ9 (4-clique), whose closing levels intersect two and
 /// three lists. Last, an edge-scan root, a MULTI-EXTEND (planned on the
 /// `bygrp` configuration) and var-length expansions at the tail, in the
@@ -79,6 +85,10 @@ const TEMPLATES: &[&str] = &[
     "MATCH (a)-[r:E]->(b:B), (b:B)-[s:E]->(c:B), (b:B)-[t:E]->(d:B) WHERE a.ID = 0",
     "MATCH (a:B)-[r:E]->(b:B), (c:B)-[s:E]->(b:B)",
     "MATCH (a)-[r:E]->(b:A), (a)-[s:E]->(c:B)",
+    "MATCH (a:A)-[r:E]->(b:B), (b:B)-[s:F]->(c:B), (b:B)-[t:E]->(d:A)",
+    "MATCH (a:A)-[r:E]->(b:B), (b:B)-[s:F]->(c:B), (c:B)-[t:E]->(d:A)",
+    "MATCH (a:A)-[r:E]->(b:B), (a:A)-[s:F]->(c:B), (a:A)-[t:E]->(d:A)",
+    "MATCH (a:B)-[r:E]->(b:B), (b:B)-[s:F]->(c:A), (c:A)-[t:E]->(d:B), (c:A)-[u:F]->(e:A)",
     "MATCH a-[r:E]->b, b-[s:E]->c, c-[t:E]->d, d-[u:E]->a, a-[v:E]->c",
     "MATCH a-[r:E]->b, a-[s:E]->c, a-[t:E]->d, b-[u:E]->c, b-[v:E]->d, c-[x:E]->d",
     "MATCH a-[r]->b-[s]->c WHERE r.eID = 3",
@@ -193,6 +203,10 @@ proptest! {
 
     /// Skewed supernode + pinned root: the first-E/I and first-var-length
     /// partitioned block paths agree with the sequential rows and counts.
+    /// The last three count a suffix under first-E/I partitioning: a
+    /// single tail owned by the root, whose label pass must run once per
+    /// root binding however the morsels are cut; a tree whose two leaves
+    /// hang off the level-1 vertex; and an inner branch owned by the root.
     #[test]
     fn pinned_skew_block_paths_agree(
         hub_degree in 16u32..120,
@@ -219,6 +233,9 @@ proptest! {
             "MATCH a-[r]->b-[s]->c WHERE a.ID = 0, r.w > s.w",
             "MATCH a-[r:E]->b-[s:E]->c-[t:E]->a WHERE a.ID = 0",
             "MATCH a-[*1..2]->b-[s:E]->c WHERE a.ID = 0",
+            "MATCH (a)-[r:E]->(b:B), (a)-[s:F]->(c:B) WHERE a.ID = 0",
+            "MATCH (a)-[r:E]->(b:B), (b:B)-[s:F]->(c:B), (b:B)-[t:E]->(d:A) WHERE a.ID = 0",
+            "MATCH (a)-[r:E]->(b:B), (a)-[s:F]->(c:B), (c:B)-[t:E]->(d:A) WHERE a.ID = 0",
         ];
         for q in pinned {
             let (bound, plan) = db.prepare(q).unwrap();
