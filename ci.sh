@@ -16,14 +16,15 @@ run() {
 # One query driver, no planner knobs, no graph scan while planning, no
 # removed server knob, one way to read an offset list, page-granular
 # copy-on-write, no bitmap-index plumbing in the store, one benchmark
-# track, one (factorized) engine: keeps the forks, env reads, per-query
-# O(|E|) pass, per-request stream thread, whole-index / whole-column commit
-# copies, duplicate bench reporters and the row pipeline with its engine
-# knobs that were deleted from growing back.
+# track, one (factorized) engine, blocks flattened once at the merge: keeps
+# the forks, env reads, per-query O(|E|) pass, per-request stream thread,
+# whole-index / whole-column commit copies, duplicate bench reporters, the
+# row pipeline with its engine knobs and the worker-side row buffers that
+# were deleted from growing back.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge"
     local bad=0 f n=0
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -102,6 +103,14 @@ guard() {
         echo "guard: the row engine and its FlattenPolicy / BlockPolicy knobs were removed (every plan runs on blocks)"
         bad=1
     fi
+    # Pool morsels hand their built block to the merger, which flattens it
+    # once, in morsel order: no worker flattens rows into a buffer.
+    for f in crates/query/src/{exec,block}.rs; do
+        if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'Vec<RawRow>|Emit::Rows'; then
+            echo "guard: $f: morsels hand their block to the merger (no per-morsel row buffer, no Emit::Rows)"
+            bad=1
+        fi
+    done
     ((bad == 0)) || exit 1
     echo "    guard passed"
 }

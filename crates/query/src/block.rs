@@ -20,7 +20,7 @@
 //! Entries are appended in frontier order, and within one frontier entry in
 //! the order the operator's binding producer (`exec::op_bindings`)
 //! yields them. Consequently the **flat order of the last level is the
-//! depth-first row order**, and flattening is a lazy walk (`FlattenIter`)
+//! depth-first row order**, and flattening is a lazy walk (`Built::rows`)
 //! that rebinds only the path suffix that changed between consecutive
 //! entries (amortized O(1) per row). Flattened rows reach sinks through the
 //! driver's morsel-order merge, so streamed and collected rows are
@@ -50,9 +50,12 @@
 //! `ei_morsel` (one root binding's first E/I restricted to a range of its
 //! leading list) or `vl_morsel` (one root binding's first var-length
 //! expansion restricted to a range of one BFS level's targets). Each body
-//! then counts its levels or flattens them row by row into whatever the
-//! driver hands it (`exec::Emit`): the morsel's buffer on a pool worker,
-//! the sink itself when it runs inline.
+//! then counts its levels, or builds them all and hands the block back
+//! unflattened (`Built`, through `exec::Emit`). Blocks wait; rows are
+//! flattened once, at the merge: the driver flattens a morsel's block on
+//! the merging thread when the morsel's turn in morsel order comes, straight
+//! into the sink, so a satisfied limit or a sink `Break` stops the flatten
+//! at the last row anybody sees.
 
 use std::ops::{ControlFlow, Range};
 use std::sync::OnceLock;
@@ -872,30 +875,40 @@ fn count_ops<'a>(
     }
 }
 
-/// Lazily flattens the last level into [`RawRow`]s, in flat storage order
-/// — which is exactly the depth-first row order. Each step rebinds only
-/// the changed path suffix via the cursor memo. A `PROFILE` run counts the
-/// rows actually pulled across this flatten boundary (flushed on drop, so
-/// early-exited drains report only what they materialized).
-struct FlattenIter<'a> {
-    st: &'a mut Blocks,
-    row: &'a mut Row,
-    total: usize,
-    next: usize,
-    profiler: Option<&'a aplus_obs::QueryProfiler>,
+/// A morsel's block with every operator applied, waiting unflattened for
+/// its turn in morsel order: the levels plus the scratch row its flatten
+/// rebinds. Built on a pool worker, flattened on the merging thread.
+pub(crate) struct Built {
+    st: Blocks,
+    row: Row,
 }
 
-impl<'a> FlattenIter<'a> {
-    fn new(st: &'a mut Blocks, row: &'a mut Row, ctx: ExecContext<'a>) -> Self {
-        let total = st.top_len();
-        Self {
-            st,
-            row,
-            total,
+impl Built {
+    /// Lazily flattens the last level into [`RawRow`]s, in flat storage
+    /// order — which is exactly the depth-first row order. Each step
+    /// rebinds only the changed path suffix via the cursor memo. A
+    /// `PROFILE` run counts the rows actually pulled across this flatten
+    /// boundary (flushed on drop, so early-exited drains report only what
+    /// they materialized).
+    pub(crate) fn rows<'a>(
+        &'a mut self,
+        ctx: ExecContext<'a>,
+    ) -> impl Iterator<Item = RawRow> + 'a {
+        FlattenIter {
+            total: self.st.top_len(),
+            built: self,
             next: 0,
             profiler: ctx.profiler,
         }
     }
+}
+
+/// The iterator of [`Built::rows`].
+struct FlattenIter<'a> {
+    built: &'a mut Built,
+    total: usize,
+    next: usize,
+    profiler: Option<&'a aplus_obs::QueryProfiler>,
 }
 
 impl Iterator for FlattenIter<'_> {
@@ -905,13 +918,10 @@ impl Iterator for FlattenIter<'_> {
         if self.next >= self.total {
             return None;
         }
-        let top = self.st.levels.len() - 1;
-        self.st.bind_path(self.row, top, self.next);
+        let Built { st, row } = &mut *self.built;
+        st.bind_path(row, st.levels.len() - 1, self.next);
         self.next += 1;
-        Some((
-            self.row.vertex_slots().to_vec(),
-            self.row.edge_slots().to_vec(),
-        ))
+        Some((row.vertex_slots().to_vec(), row.edge_slots().to_vec()))
     }
 }
 
@@ -948,7 +958,7 @@ pub(crate) fn root_morsel<'a>(
         return;
     }
     ctx.note_block();
-    consume(ctx, plan, count, Blocks::seeded(root), &mut row, 1, emit);
+    consume(ctx, plan, count, Blocks::seeded(root), row, 1, emit);
 }
 
 /// Extends the single root binding held by `row` through the first E/I
@@ -961,7 +971,7 @@ pub(crate) fn ei_morsel<'a>(
     count: Counting<'_, 'a>,
     lists: &[BoundList<'_>],
     range: Range<usize>,
-    row: &mut Row,
+    mut row: Row,
     emit: Emit<'_>,
 ) {
     let ei = ei_op(&plan.ops[1]);
@@ -969,15 +979,16 @@ pub(crate) fn ei_morsel<'a>(
         // The first E/I is also the last: count its morsel range directly
         // as a multiplicity.
         Emit::Count(n) if plan.ops.len() == 2 => {
-            *n = n.saturating_add(count_ei(ctx, &ei, lists, range, 1, row));
+            *n = n.saturating_add(count_ei(ctx, &ei, lists, range, 1, &mut row));
             return;
         }
         emit => emit,
     };
     ctx.note_block();
-    let mut st = Blocks::seeded(root_level(plan, row));
+    let mut st = Blocks::seeded(root_level(plan, &row));
     let mut out = Level::for_op(&plan.ops[1]);
-    let _ = ei_over_lists(ctx, &ei, lists, range, row, ctx.prof_level(1), &mut |r| {
+    let stats = ctx.prof_level(1);
+    let _ = ei_over_lists(ctx, &ei, lists, range, &mut row, stats, &mut |r| {
         out.push_from_row(0, r);
         ControlFlow::Continue(())
     });
@@ -996,14 +1007,14 @@ pub(crate) fn vl_morsel<'a>(
     count: Counting<'_, 'a>,
     vl: &VarLengthOp<'_>,
     targets: &[u32],
-    row: &mut Row,
+    mut row: Row,
     emit: Emit<'_>,
 ) {
     let emit = match emit {
         // The expansion is also the last operator: count its targets.
         Emit::Count(n) if plan.ops.len() == 2 => {
             for &t in targets {
-                let _ = vl_target(ctx, vl, VertexId(t), row, &mut |_| {
+                let _ = vl_target(ctx, vl, VertexId(t), &mut row, &mut |_| {
                     *n += 1;
                     ControlFlow::Continue(())
                 });
@@ -1013,10 +1024,10 @@ pub(crate) fn vl_morsel<'a>(
         emit => emit,
     };
     ctx.note_block();
-    let mut st = Blocks::seeded(root_level(plan, row));
+    let mut st = Blocks::seeded(root_level(plan, &row));
     let mut out = Level::for_op(&plan.ops[1]);
     for &t in targets {
-        let _ = vl_target(ctx, vl, VertexId(t), row, &mut |r| {
+        let _ = vl_target(ctx, vl, VertexId(t), &mut row, &mut |r| {
             out.push_from_row(0, r);
             ControlFlow::Continue(())
         });
@@ -1027,26 +1038,24 @@ pub(crate) fn vl_morsel<'a>(
 }
 
 /// Runs `plan.ops[from..]` over a seeded block and emits it: a count folded
-/// on the factorized levels, or the lazy flatten pushed row by row — the
-/// only place factorized intermediates become rows.
+/// on the factorized levels, or the built block handed back unflattened —
+/// the driver flattens it when its morsel's turn in morsel order comes.
 fn consume<'a>(
     ctx: ExecContext<'a>,
     plan: &Plan,
     count: Counting<'_, 'a>,
     mut st: Blocks,
-    row: &mut Row,
+    mut row: Row,
     from: usize,
     emit: Emit<'_>,
 ) {
     match emit {
-        Emit::Count(n) => *n = n.saturating_add(count_ops(ctx, plan, count, &mut st, row, from)),
-        Emit::Rows(push) => {
-            if apply_ops(ctx, plan, &mut st, row, from..plan.ops.len()) {
-                for raw in FlattenIter::new(&mut st, row, ctx) {
-                    if push(raw).is_break() {
-                        break;
-                    }
-                }
+        Emit::Count(n) => {
+            *n = n.saturating_add(count_ops(ctx, plan, count, &mut st, &mut row, from));
+        }
+        Emit::Block(slot) => {
+            if apply_ops(ctx, plan, &mut st, &mut row, from..plan.ops.len()) {
+                *slot = Some(Built { st, row });
             }
         }
     }

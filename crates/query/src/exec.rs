@@ -36,22 +36,21 @@
 //! * **Block body** — what one morsel runs: the block seeded from the
 //!   morsel ([`crate::block`]), extended through the remaining operators
 //!   with its own per-worker scratch row — no shared mutable state, no
-//!   synchronization inside operators — then counted without flattening or
-//!   flattened lazily.
+//!   synchronization inside operators — then counted without flattening,
+//!   or built and handed back unflattened.
 //! * **Output** — a match count (per-morsel `u64`s summed), or up to
-//!   `limit` rows (per-morsel buffers, each capped at the rows still
-//!   missing, handed to the [`RowSink`]).
+//!   `limit` rows. Blocks wait; rows are flattened once, at the merge: the
+//!   merging thread flattens each morsel's block straight into the
+//!   [`RowSink`] when the morsel's turn in morsel order comes.
 //!
 //! Because the merge order is fixed, counts and row sequences are
 //! **bit-identical** at any thread count, and a 1-thread pool runs the
-//! *same* strategy code and block bodies inline on the caller's stack —
-//! there is no separate sequential path. The one thing an inline morsel
-//! skips is the buffer: it is next in morsel order while it runs, so its
-//! rows go straight to the sink as they are flattened. Every row callback
-//! returns a [`ControlFlow`]: `Break` stops the flatten at once, which is
-//! how `LIMIT` or a sink that stopped consuming ends a morsel early;
-//! outstanding pool morsels are cancelled through the cooperative
-//! [`aplus_runtime::ExitSignal`].
+//! *same* strategy code, block bodies and merge inline on the caller's
+//! stack — there is no separate sequential path. The sink returns a
+//! [`ControlFlow`]: `Break` — a satisfied `LIMIT` or a sink that stopped
+//! consuming — stops the flatten at once, so no row past the last one
+//! delivered is built, and outstanding pool morsels are cancelled through
+//! the cooperative [`aplus_runtime::ExitSignal`].
 
 use std::collections::HashSet;
 use std::ops::{ControlFlow, Range};
@@ -66,7 +65,7 @@ use crate::block;
 use crate::error::QueryError;
 use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryOperand, QueryPredicate, Row};
-use crate::sink::{drain_flattened, RawRow, RowSink};
+use crate::sink::{drain_flattened, RowSink};
 
 /// Everything an executing plan reads.
 #[derive(Clone, Copy)]
@@ -223,7 +222,7 @@ fn strategy(ctx: ExecContext<'_>, plan: &Plan, pool: &MorselPool) -> Strategy {
 
 /// The merge window for streaming morsel merges: enough in-flight morsels
 /// to keep every worker busy while the merger drains, without unbounded
-/// result buffering.
+/// buffering of built blocks.
 fn merge_window(pool: &MorselPool) -> usize {
     pool.threads().saturating_mul(4)
 }
@@ -235,12 +234,11 @@ pub enum Output<'a> {
     /// branch counts, so a count can outgrow any result one could list.
     Count,
     /// Up to `limit` rows pushed into `sink`, in sequential result order.
-    /// Morsels that run inline (a 1-thread pool, a single-morsel level)
-    /// push each row as it is flattened; pool workers buffer per morsel, and
-    /// the buffers reach the sink as their morsel's turn comes, so memory
-    /// stays bounded by the merge window, never the full result. The sink
-    /// returning [`ControlFlow::Break`] stops an inline morsel at once and
-    /// cancels outstanding pool morsels cooperatively.
+    /// Every morsel's block waits unflattened until its turn in morsel
+    /// order comes, then is flattened row by row into the sink, so memory
+    /// stays bounded by the merge window's blocks, never the full result.
+    /// The sink returning [`ControlFlow::Break`] stops the flatten at once
+    /// and cancels outstanding pool morsels cooperatively.
     Rows {
         /// Rows to deliver before stopping the query.
         limit: usize,
@@ -253,17 +251,16 @@ pub enum Output<'a> {
 pub(crate) enum Emit<'a> {
     /// Counts them.
     Count(&'a mut u64),
-    /// Pushes them as rows, in result order; `Break` means the morsel can
-    /// no longer contribute and should stop at once.
-    Rows(&'a mut dyn FnMut(RawRow) -> ControlFlow<()>),
+    /// Builds their block and leaves it here, unflattened, for the merge.
+    Block(&'a mut Option<block::Built>),
 }
 
-/// One pool-run morsel's contribution: `count` when the query counts,
-/// `rows` when it produces rows (the other stays empty).
+/// One morsel's contribution: `count` when the query counts, the built
+/// `block` when it produces rows (the other stays empty).
 #[derive(Default)]
 struct Part {
     count: u64,
-    rows: Vec<RawRow>,
+    block: Option<block::Built>,
 }
 
 /// The merge side of [`run`]: cuts a level into morsels on the pool and
@@ -280,36 +277,23 @@ struct Driver<'a, 'o> {
 }
 
 impl Driver<'_, '_> {
-    /// The row cap of a buffering morsel; `None` when the query counts.
-    fn cap(&self) -> Option<usize> {
-        match self.out {
-            Output::Count => None,
-            // A morsel contributes at most the rows still missing from the
-            // global limit. `merge` breaks out of every strategy loop the
-            // moment `sent` reaches `limit`, and `run` rejects `limit == 0`
-            // up front, so `sent < limit` holds whenever morsels are cut —
-            // the saturating subtraction keeps the invariant local instead
-            // of trusting every caller forever.
-            Output::Rows { limit, .. } => {
-                debug_assert!(self.sent < limit, "merge must break before sent == limit");
-                Some(limit.saturating_sub(self.sent))
-            }
-        }
-    }
-
-    /// Folds one morsel's `count` or `rows` into the output; `Break` means
-    /// the output is complete (limit reached or the sink stopped
-    /// consuming). Rows cross into the sink through [`drain_flattened`],
-    /// which enforces the global limit: the `limit`-th row is delivered,
-    /// then the query stops.
-    fn merge(&mut self, count: u64, rows: impl Iterator<Item = RawRow>) -> ControlFlow<()> {
+    /// Folds one morsel's part into the output; `Break` means the output
+    /// is complete (limit reached or the sink stopped consuming). A block
+    /// is flattened here, lazily, straight into the sink through
+    /// [`drain_flattened`], which enforces the global limit: the
+    /// `limit`-th row is delivered, then the query stops, and no row past
+    /// it is built.
+    fn merge(&mut self, part: Part) -> ControlFlow<()> {
         match &mut self.out {
             Output::Count => {
-                self.counted = self.counted.saturating_add(count);
+                self.counted = self.counted.saturating_add(part.count);
                 ControlFlow::Continue(())
             }
             Output::Rows { limit, sink } => {
-                let flow = drain_flattened(*sink, &mut self.sent, *limit, rows);
+                let Some(mut built) = part.block else {
+                    return ControlFlow::Continue(());
+                };
+                let flow = drain_flattened(*sink, &mut self.sent, *limit, built.rows(self.ctx));
                 if flow.is_break() {
                     self.ctx.note_early_exit(self.sink_level);
                 }
@@ -319,74 +303,37 @@ impl Driver<'_, '_> {
     }
 
     /// Cuts `0..total` into morsels of `size`, runs `body` on each across
-    /// the pool and merges what they emit in morsel order. `Break` means
-    /// the output is complete.
+    /// the pool (inline, in order, when one worker suffices) and merges
+    /// what they emit in morsel order. `Break` means the output is
+    /// complete.
     fn morsels(
         &mut self,
         total: usize,
         size: usize,
         body: impl Fn(Range<usize>, Emit<'_>) + Sync,
     ) -> ControlFlow<()> {
-        let (ctx, pool, size) = (self.ctx, self.pool, size.max(1));
-        if pool.threads().min(total.div_ceil(size)) <= 1 {
-            // The morsels run inline, one after the other on this thread,
-            // so each one *is* next in morsel order while it runs: its rows
-            // go through `merge` one at a time instead of through a buffer.
-            // A full-result stream then holds one block, not the result,
-            // and a sink `Break` stops the flatten at once.
-            for start in (0..total).step_by(size) {
-                ctx.note_morsel();
-                let range = start..(start + size).min(total);
-                let mut flow = ControlFlow::Continue(());
-                match self.out {
-                    Output::Count => body(range, Emit::Count(&mut self.counted)),
-                    Output::Rows { .. } => body(
-                        range,
-                        Emit::Rows(&mut |raw| {
-                            flow = self.merge(0, std::iter::once(raw));
-                            flow
-                        }),
-                    ),
-                }
-                flow?;
-            }
-            return ControlFlow::Continue(());
-        }
-        let cap = self.cap();
+        let (ctx, pool) = (self.ctx, self.pool);
+        let counting = matches!(self.out, Output::Count);
         let mut flow = ControlFlow::Continue(());
         pool.map_ranges(
             total,
             size,
             merge_window(pool),
-            |range, exit| {
+            |range, _| {
                 ctx.note_morsel();
                 let mut part = Part::default();
-                match cap {
-                    None => body(range, Emit::Count(&mut part.count)),
-                    // A worker's morsel may finish before its turn in
-                    // morsel order, so its rows wait in a buffer. It stops
-                    // early once the buffer holds `cap` rows (the output
-                    // takes at most that many from any morsel prefix) or
-                    // the merger cancelled outstanding work.
-                    Some(cap) => {
-                        let rows = &mut part.rows;
-                        body(
-                            range,
-                            Emit::Rows(&mut |raw| {
-                                rows.push(raw);
-                                if rows.len() >= cap || exit.is_stopped() {
-                                    ControlFlow::Break(())
-                                } else {
-                                    ControlFlow::Continue(())
-                                }
-                            }),
-                        );
-                    }
-                }
+                body(
+                    range,
+                    if counting {
+                        Emit::Count(&mut part.count)
+                    } else {
+                        Emit::Block(&mut part.block)
+                    },
+                );
                 part
             },
             |part| {
-                flow = self.merge(part.count, part.rows.into_iter());
+                flow = self.merge(part);
                 flow
             },
         );
@@ -466,7 +413,7 @@ pub fn run(
                 let n0 = lists[0].len();
                 let size = scan_morsel_size(n0, threads, EI_MORSEL_CAP);
                 driver.morsels(n0, size, |r, emit| {
-                    block::ei_morsel(ctx, plan, count, lists, r, &mut base.clone(), emit);
+                    block::ei_morsel(ctx, plan, count, lists, r, base.clone(), emit);
                 })
             });
         }
@@ -495,15 +442,7 @@ pub fn run(
                     let emission = &vl_emission(candidates, s, s_new);
                     let size = scan_morsel_size(emission.len(), threads, VL_MORSEL_CAP);
                     let flow = driver.morsels(emission.len(), size, |r, emit| {
-                        block::vl_morsel(
-                            ctx,
-                            plan,
-                            count,
-                            vl,
-                            &emission[r],
-                            &mut base.clone(),
-                            emit,
-                        );
+                        block::vl_morsel(ctx, plan, count, vl, &emission[r], base.clone(), emit);
                     });
                     if flow.is_break() {
                         ControlFlow::Break(flow)
@@ -1653,7 +1592,7 @@ fn bind_targets_product(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::VecSink;
+    use crate::sink::{RawRow, VecSink};
     use aplus_core::{Direction, IndexSpec, SortKey};
     use aplus_datagen::build_financial_graph;
     use aplus_graph::PropertyEntity;
@@ -1853,28 +1792,34 @@ mod tests {
         let all = collect(ctx, &query, &plan, usize::MAX);
         assert_eq!(collect(ctx, &query, &plan, 3), all[..3]);
         assert_eq!(collect(ctx, &query, &plan, 0), vec![]);
-        // An inline morsel hands rows straight to the sink as it flattens
-        // them, so a sink `Break` — no `LIMIT` involved — stops the flatten
-        // at the third row and no row is pushed after it.
-        let profiler = QueryProfiler::new(plan.ops.len());
-        let profiled = ExecContext {
-            profiler: Some(&profiler),
-            ..ctx
-        };
-        let mut pushed = Vec::new();
-        let pool = MorselPool::sequential();
-        stream(profiled, &query, &plan, usize::MAX, &pool, &mut |r| {
-            pushed.push(r);
-            if pushed.len() == 3 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        assert_eq!(pushed, all[..3]);
-        let profile = profiler.finish(&plan.op_descriptions());
-        assert_eq!(profile.early_exit_level, Some(plan.ops.len()));
-        assert_eq!(profile.flatten_rows, 3, "flattened past the break");
+        // Blocks are flattened once, at the merge, straight into the sink,
+        // so a sink `Break` — no `LIMIT` involved — stops the flatten at the
+        // third row and no row is pushed or flattened after it: inline and
+        // on pools whose root range cuts into several morsels.
+        let n = g.vertex_count();
+        for threads in [1, 2, 4] {
+            let size = scan_morsel_size(n, threads, VERTEX_MORSEL_CAP);
+            assert!(threads == 1 || n.div_ceil(size) >= 2, "one morsel");
+            let profiler = QueryProfiler::new(plan.ops.len());
+            let profiled = ExecContext {
+                profiler: Some(&profiler),
+                ..ctx
+            };
+            let mut pushed = Vec::new();
+            let pool = MorselPool::new(threads);
+            stream(profiled, &query, &plan, usize::MAX, &pool, &mut |r| {
+                pushed.push(r);
+                if pushed.len() == 3 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            assert_eq!(pushed, all[..3], "threads {threads}");
+            let profile = profiler.finish(&plan.op_descriptions());
+            assert_eq!(profile.early_exit_level, Some(plan.ops.len()));
+            assert_eq!(profile.flatten_rows, 3, "flattened past the break");
+        }
     }
 
     /// Parallel collect (root-partitioned and streamed) returns the

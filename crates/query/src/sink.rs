@@ -4,8 +4,9 @@
 //! order**, without the engine materializing the full result set first —
 //! the shape a network front-end needs to stream rows to a client. Sinks
 //! plug into [`crate::exec::Output::Rows`] / `Database::stream` /
-//! `SharedDatabase::stream`; the executor feeds them from per-morsel
-//! buffers merged in morsel order — inline on a 1-thread pool — so the
+//! `SharedDatabase::stream`. Blocks wait; rows are flattened once, at the
+//! merge: the executor flattens each morsel's factorized block straight
+//! into the sink when the morsel's turn in morsel order comes, so the
 //! pushed row sequence is bit-identical at every thread count.
 //!
 //! Three ready-made consumers:
@@ -46,10 +47,10 @@ impl<F: FnMut(RawRow) -> ControlFlow<()>> RowSink for F {
 
 /// The flatten boundary: drains a lazily produced row sequence into a
 /// sink, enforcing a global `limit` across calls via the caller-owned
-/// `sent` counter. This is where factorized intermediates (and per-morsel
-/// row buffers) become flat rows — `rows` is typically the block engine's
-/// lazy flatten iterator or a morsel buffer, pulled one row at a time so
-/// nothing past the limit is ever materialized.
+/// `sent` counter. This is where factorized intermediates become flat
+/// rows — `rows` is typically the block engine's lazy flatten iterator,
+/// pulled one row at a time so nothing past the limit is ever
+/// materialized.
 ///
 /// Semantics match a row-at-a-time `LIMIT` exactly: the `limit`-th row is
 /// still delivered, then `Break` is returned; a sink `Break` stops

@@ -135,7 +135,8 @@ fn untouched(profile: &QueryProfile) -> bool {
 ///
 /// * the count equals the unlimited row count, and its profile is
 ///   identical across pools;
-/// * limited rows are the exact prefix, pushed once each;
+/// * limited rows are the exact prefix, pushed once each, and exactly the
+///   rows delivered are flattened — none past the limit, at any pool;
 /// * a run that completes records no early exit and profiles identically
 ///   across pools; one cut short by its limit exits at the sink level;
 /// * `limit == 0` runs nothing at all — through `run` and through every
@@ -179,6 +180,13 @@ pub fn assert_one_driver(db: &Database, q: &str) -> Result<(), TestCaseError> {
             });
             prop_assert_eq!(&rows[..], &reference[..limit.min(n)], "rows: {}", &at);
             prop_assert_eq!(profile.rows, rows.len() as u64, "delivered: {}", &at);
+            // Rows are flattened once, at the merge: none past the limit.
+            prop_assert_eq!(
+                profile.flatten_rows,
+                rows.len() as u64,
+                "flattened: {}",
+                &at
+            );
             if limit == 0 {
                 prop_assert!(untouched(&profile), "limit 0 ran something: {}", &at);
             } else if limit <= n {
