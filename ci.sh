@@ -16,16 +16,17 @@ run() {
 # One query driver, no planner knobs, no graph scan while planning, no
 # removed server knob, one way to read an offset list, page-granular
 # copy-on-write, no bitmap-index plumbing in the store, one benchmark
-# track, one (factorized) engine, blocks flattened once at the merge: keeps
-# the forks, env reads, per-query O(|E|) pass, per-request stream thread,
-# whole-index / whole-column commit copies, duplicate bench reporters, the
-# row pipeline with its engine knobs and the worker-side row buffers that
-# were deleted from growing back.
+# track, one (factorized) engine, blocks flattened once at the merge, one
+# partitioning strategy (root-ID morsels): keeps the forks, env reads,
+# per-query O(|E|) pass, per-request stream thread, whole-index /
+# whole-column commit copies, duplicate bench reporters, the row pipeline
+# with its engine knobs, the worker-side row buffers and the first-level
+# partitioning paths that were deleted from growing back.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge"
-    local bad=0 f n=0
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels)"
+    local bad=0 f
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
         bad=1
@@ -36,11 +37,12 @@ guard() {
         echo "guard: the traversal and block-size knobs were removed; do not reintroduce them"
         bad=1
     fi
-    for f in crates/query/src/*.rs; do
-        n=$((n + $(sed '/#\[cfg(test)\]/,$d' "$f" | grep -c 'match strategy(' || true)))
-    done
-    if ((n > 1)); then
-        echo "guard: $n dispatches over Strategy in non-test crates/query/src (exec::run is the only one)"
+    # Every morsel is a root-ID range: the first-E/I and first-var-length
+    # partitioning paths, their once-per-root memo cells and the hop-cap
+    # knob stay deleted.
+    if grep -rnwE 'FirstEi|FirstVarLength|ei_morsel|vl_morsel|memo_cells|EI_MORSEL_CAP|VL_MORSEL_CAP|APLUS_HOP_CAP' \
+        crates/*/src crates/*/tests src tests examples README.md docs; then
+        echo "guard: every morsel is a root-ID range (the first-level partitioning paths and APLUS_HOP_CAP were removed)"
         bad=1
     fi
     # Planning prices from the statistics the graph maintains on its write

@@ -20,7 +20,7 @@ use aplus_graph::{Graph, PropertyEntity, PropertyKind};
 
 use crate::error::QueryError;
 use crate::query::{
-    hop_cap, QueryEdge, QueryGraph, QueryOperand, QueryPredicate, QueryVertex, VarLength,
+    QueryEdge, QueryGraph, QueryOperand, QueryPredicate, QueryVertex, VarLength, HOP_CAP,
 };
 
 /// A constant that can never equal a stored value (codes are non-negative,
@@ -217,7 +217,7 @@ pub fn bind_query(graph: &Graph, ast: &QueryAst) -> Result<QueryGraph, QueryErro
         let var_length = match &ep.var_length {
             None => None,
             Some(vl) => {
-                let cap = hop_cap();
+                let cap = HOP_CAP;
                 if vl.min > cap {
                     return Err(QueryError::HopCapExceeded {
                         requested: vl.min,

@@ -36,37 +36,34 @@
 //! unlabelled), minus the path edges already bound that relationship
 //! uniqueness would reject (found by binary search on a neighbour-sorted
 //! list). An inner branch sums its children's product over its
-//! label-passing neighbours. A plan-time proof from the enforced labels
-//! that no two suffix edges can bind the same graph edge makes the product
-//! exact; without it the suffix is the last operator alone. Consecutive
+//! label-passing neighbours. A plan-time proof from the query's declared
+//! labels, which every operator enforces, that no two suffix edges can
+//! bind the same graph edge makes the product exact; the suffix is the
+//! longest tail it holds for, at least the last operator. Consecutive
 //! frontier entries under the same owner entry share one evaluation of a
 //! branch, so for a leaf only the subtraction runs per entry — the
 //! factorized-count win on high-fanout tails. A plan without a suffix
 //! counts its last operator's bindings per frontier entry.
 //!
-//! This module owns no driver: [`crate::exec::run`] picks the morsel
-//! strategy and merges the output, and calls in here only for the *block
-//! body* — `root_morsel` (one block seeded from a root-ID range),
-//! `ei_morsel` (one root binding's first E/I restricted to a range of its
-//! leading list) or `vl_morsel` (one root binding's first var-length
-//! expansion restricted to a range of one BFS level's targets). Each body
-//! then counts its levels, or builds them all and hands the block back
-//! unflattened (`Built`, through `exec::Emit`). Blocks wait; rows are
+//! This module owns no driver: [`crate::exec::run`] cuts the root scan's ID
+//! range into morsels and merges the output, and calls in here only for
+//! the *block body*, `root_morsel`: one block seeded from a root-ID range
+//! (a pinned root is the one-ID range). The body then counts its levels,
+//! or builds them all and hands the block back unflattened (`Built`,
+//! through `exec::Emit`). Blocks wait; rows are
 //! flattened once, at the merge: the driver flattens a morsel's block on
 //! the merging thread when the morsel's turn in morsel order comes, straight
 //! into the sink, so a satisfied limit or a sink `Break` stops the flatten
 //! at the last row anybody sees.
 
 use std::ops::{ControlFlow, Range};
-use std::sync::OnceLock;
 
 use aplus_common::{EdgeId, VertexId, VertexLabelId};
-use aplus_core::{Direction, PartitionKey};
+use aplus_core::Direction;
 use aplus_obs::LevelStats;
 
 use crate::exec::{
-    ei_op, ei_over_lists, fetch_one, op_bindings, root_range_bindings, vl_target, BoundList, EiOp,
-    Emit, ExecContext, VarLengthOp,
+    ei_op, fetch_one, op_bindings, root_range_bindings, BoundList, EiOp, Emit, ExecContext,
 };
 use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryPredicate, Row};
@@ -260,13 +257,13 @@ impl Blocks {
         &mut self,
         ctx: ExecContext<'a>,
         plan: &Plan,
-        count: Counting<'_, 'a>,
+        suffix: Option<&Suffix<'_>>,
         row: &mut Row,
     ) -> u64 {
         let top = self.levels.len() - 1;
         let last = plan.ops.len() - 1;
         let stats = ctx.prof_level(last);
-        let mut runs: Vec<Run<'a>> = count.suffix.map_or_else(Vec::new, |s| {
+        let mut runs: Vec<Run<'a>> = suffix.map_or_else(Vec::new, |s| {
             s.roots
                 .iter()
                 .map(|&r| Run {
@@ -278,9 +275,9 @@ impl Blocks {
         let mut total = 0u64;
         for fi in 0..self.levels[top].len() {
             self.bind_path(row, top, fi);
-            let n = match count.suffix {
+            let n = match suffix {
                 Some(s) => s
-                    .count_entry(ctx, count.shared, &self.cursor, &mut runs, row)
+                    .count_entry(ctx, &self.cursor, &mut runs, row)
                     .map_or(0, |n| served(ctx, stats, n)),
                 None => {
                     let mut n = 0u64;
@@ -315,50 +312,8 @@ struct Run<'a> {
     memo: Option<(usize, Memo<'a>)>,
 }
 
-/// Counts one E/I extension of the binding in `row` over pre-fetched
-/// lists: through the [`FastTail`] when the extension has one, else the
-/// shared leapfrog with a counting continuation.
-fn count_ei(
-    ctx: ExecContext<'_>,
-    ei: &EiOp<'_>,
-    lists: &[BoundList<'_>],
-    range: Range<usize>,
-    level: usize,
-    row: &mut Row,
-) -> u64 {
-    let stats = ctx.prof_level(level);
-    match FastTail::of(ei) {
-        Some(tail) => {
-            let list = &lists[0];
-            let n = tail.matching(ctx, list, range.clone(), stats)
-                - tail.already_bound(ctx, list, range, row);
-            served(ctx, stats, n)
-        }
-        None => leapfrog_count(ctx, ei, lists, range, row, stats),
-    }
-}
-
-/// Counts an extension by running the shared leapfrog with a counting
-/// continuation: every candidate is bound, checked and unbound.
-fn leapfrog_count(
-    ctx: ExecContext<'_>,
-    ei: &EiOp<'_>,
-    lists: &[BoundList<'_>],
-    range: Range<usize>,
-    row: &mut Row,
-    stats: Option<&LevelStats>,
-) -> u64 {
-    let mut n = 0u64;
-    let _ = ei_over_lists(ctx, ei, lists, range, row, stats, &mut |_| {
-        n += 1;
-        ControlFlow::Continue(())
-    });
-    n
-}
-
-/// Records `n` matches counted in place (by a [`Suffix`] or a first-E/I
-/// [`FastTail`]) as one factorized-count shortcut hit at the last level,
-/// and returns `n`.
+/// Records `n` matches counted in place by a [`Suffix`] as one
+/// factorized-count shortcut hit at the last level, and returns `n`.
 fn served(ctx: ExecContext<'_>, stats: Option<&LevelStats>, n: u64) -> u64 {
     ctx.note_fc_shortcut();
     if let Some(s) = stats {
@@ -418,24 +373,22 @@ impl FastTail {
         })
     }
 
-    /// The entries of `list` in `range` whose neighbour passes the target
-    /// label: the range length when unlabelled, else one tight pass over
-    /// the neighbour column. A `PROFILE` run records each label read as a
-    /// candidate.
+    /// The entries of `list` whose neighbour passes the target label: the
+    /// list length when unlabelled, else one tight pass over the neighbour
+    /// column. A `PROFILE` run records each label read as a candidate.
     fn matching(
         &self,
         ctx: ExecContext<'_>,
         list: &BoundList<'_>,
-        range: Range<usize>,
         stats: Option<&LevelStats>,
     ) -> u64 {
         if self.label.is_none() {
-            return range.len() as u64;
+            return list.len() as u64;
         }
         if let Some(s) = stats {
-            s.record(0, range.len() as u64, 0);
+            s.record(0, list.len() as u64, 0);
         }
-        list.count_nbrs(range, |n| self.passes(ctx, n))
+        list.count_nbrs(|n| self.passes(ctx, n))
     }
 
     /// Whether neighbour `n` passes the target label check.
@@ -451,13 +404,7 @@ impl FastTail {
     /// on that side can occur, and only where the other endpoint is. Bound
     /// edges are pairwise distinct (every level enforced uniqueness), so no
     /// position is subtracted twice.
-    fn already_bound(
-        &self,
-        ctx: ExecContext<'_>,
-        list: &BoundList<'_>,
-        range: Range<usize>,
-        row: &Row,
-    ) -> u64 {
+    fn already_bound(&self, ctx: ExecContext<'_>, list: &BoundList<'_>, row: &Row) -> u64 {
         let owner = row
             .vertex(self.owner_var)
             .expect("plan binds FROM before use");
@@ -476,7 +423,7 @@ impl FastTail {
                 continue;
             }
             if self.passes(ctx, nbr) {
-                n += list.count_entry(range.clone(), e, nbr, self.nbr_sorted);
+                n += list.count_entry(e, nbr, self.nbr_sorted);
             }
         }
         n
@@ -485,9 +432,8 @@ impl FastTail {
 
 /// The operators a count takes **without building their levels**: the
 /// longest plan suffix of [`FastTail`] extensions whose prune is absent or
-/// constant, starting at op 2 or later so that both first-level strategies
-/// build level 1 with the same code — else the last operator alone, if it
-/// is a [`FastTail`] with any prune. A suffix operator reads only its
+/// constant, after the root scan — else the last operator alone, if it is
+/// a [`FastTail`] with any prune. A suffix operator reads only its
 /// owner, so the suffix is a forest: a *root* branch hangs off a vertex
 /// bound before the suffix, any other off the target of an earlier suffix
 /// operator. Per frontier entry, the count is the product of the root
@@ -501,9 +447,10 @@ impl FastTail {
 ///   suffix edge is ever bound.
 ///
 /// Multiplying is exact only if no two suffix edges can bind the same graph
-/// edge, which [`Suffix::of`] proves from the labels the plan enforces
-/// (see [`disjoint`]). Where the proof fails, the suffix is the last
-/// operator alone.
+/// edge, which [`Suffix::of`] proves from the labels the query declares and
+/// every operator enforces (see [`edge_shapes`] and [`disjoint`]). Where
+/// the proof fails, the suffix shrinks to the longest tail it holds for,
+/// down to the last operator alone.
 pub(crate) struct Suffix<'p> {
     /// The plan-op index of the first suffix operator; every earlier
     /// operator builds a level.
@@ -540,7 +487,7 @@ impl Branch<'_> {
 }
 
 /// What evaluating a branch leaves for later entries with the same owner.
-pub(crate) enum Memo<'a> {
+enum Memo<'a> {
     /// A leaf's list and how many of its entries pass the label check;
     /// each entry subtracts its own bound edges from `matching`.
     Leaf { list: BoundList<'a>, matching: u64 },
@@ -557,26 +504,15 @@ impl Memo<'_> {
             Self::Count(n) => *n,
             Self::Empty => 0,
             Self::Leaf { matching, .. } if br.prefix_disjoint => *matching,
-            Self::Leaf { list, matching } => {
-                matching - br.tail.already_bound(ctx, list, 0..list.len(), row)
-            }
+            Self::Leaf { list, matching } => matching - br.tail.already_bound(ctx, list, row),
         }
     }
-}
-
-/// How a block body counts: the plan's counted suffix (`None` when the last
-/// operator has no in-place count) and, under a first-level strategy, the
-/// memo cells ([`Suffix::memo_cells`]) of the root binding it extends.
-#[derive(Clone, Copy)]
-pub(crate) struct Counting<'s, 'a> {
-    pub(crate) suffix: Option<&'s Suffix<'s>>,
-    pub(crate) shared: Option<&'s [OnceLock<Memo<'a>>]>,
 }
 
 impl<'p> Suffix<'p> {
     /// The counted suffix of `plan`, or `None` when its last operator is
     /// not a [`FastTail`].
-    pub(crate) fn of(ctx: ExecContext<'_>, query: &QueryGraph, plan: &'p Plan) -> Option<Self> {
+    pub(crate) fn of(query: &QueryGraph, plan: &'p Plan) -> Option<Self> {
         let fast = |i: usize| match &plan.ops[i] {
             op @ Operator::ExtendIntersect { .. } => {
                 let ei = ei_op(op);
@@ -587,14 +523,17 @@ impl<'p> Suffix<'p> {
         let last = plan.ops.len() - 1;
         let mut start = last;
         if fast(last)?.0.per_owner {
-            while start > 2 && fast(start - 1).is_some_and(|(t, _)| t.per_owner) {
+            while start > 1 && fast(start - 1).is_some_and(|(t, _)| t.per_owner) {
                 start -= 1;
             }
         }
-        let shapes = edge_shapes(ctx, query, plan);
+        let shapes = edge_shapes(query);
         let edge = |i: usize| shapes[ei_op(&plan.ops[i]).alds[0].edge_var];
-        if !(start..=last).all(|i| (i + 1..=last).all(|j| disjoint(edge(i), edge(j)))) {
-            start = last;
+        // The longest such tail whose edges are pairwise disjoint.
+        let proven =
+            |s: usize| (s..=last).all(|i| (i + 1..=last).all(|j| disjoint(edge(i), edge(j))));
+        while !proven(start) {
+            start += 1;
         }
         let prefix: Vec<Shape> = plan.ops[..start]
             .iter()
@@ -635,26 +574,13 @@ impl<'p> Suffix<'p> {
         })
     }
 
-    /// One empty memo cell per branch, for one root binding whose morsels
-    /// run apart (a first-level strategy): each root-owned branch is then
-    /// evaluated once per root binding, by the first morsel that needs it —
-    /// exactly when, and as often as, one block holding every entry of that
-    /// root would evaluate it.
-    pub(crate) fn memo_cells<'a>(&self) -> Vec<OnceLock<Memo<'a>>> {
-        self.branches.iter().map(|_| OnceLock::new()).collect()
-    }
-
     /// The count of the frontier entry bound in `row`: the product of the
     /// root branches, or `None` when a root branch's list is empty (the
-    /// entry is not served, as a first-E/I morsel never starts on an empty
-    /// leading list). A reusable root branch is evaluated once per owner
-    /// entry (`runs`, keyed by the owner level's `cursor`), or once per root
-    /// binding through `shared` when its owner is the root and the root's
-    /// morsels run apart.
+    /// entry is not served). A reusable root branch is evaluated once per
+    /// owner entry (`runs`, keyed by the owner level's `cursor`).
     fn count_entry<'a>(
         &self,
         ctx: ExecContext<'a>,
-        shared: Option<&[OnceLock<Memo<'a>>]>,
         cursor: &[Option<usize>],
         runs: &mut [Run<'a>],
         row: &mut Row,
@@ -663,19 +589,15 @@ impl<'p> Suffix<'p> {
         for (&r, run) in self.roots.iter().zip(runs.iter_mut()) {
             let br = &self.branches[r];
             let fresh;
-            let memo = match (br.reusable(), run.level, shared) {
-                (false, ..) => {
-                    fresh = self.evaluate(ctx, r, row);
-                    &fresh
+            let memo = if br.reusable() {
+                let key = cursor[run.level].expect("bind_path memoizes the whole path");
+                if run.memo.as_ref().is_none_or(|(k, _)| *k != key) {
+                    run.memo = Some((key, self.evaluate(ctx, r, row)));
                 }
-                (true, 0, Some(cells)) => cells[r].get_or_init(|| self.evaluate(ctx, r, row)),
-                (true, level, _) => {
-                    let key = cursor[level].expect("bind_path memoizes the whole path");
-                    if run.memo.as_ref().is_none_or(|(k, _)| *k != key) {
-                        run.memo = Some((key, self.evaluate(ctx, r, row)));
-                    }
-                    &run.memo.as_ref().expect("filled above").1
-                }
+                &run.memo.as_ref().expect("filled above").1
+            } else {
+                fresh = self.evaluate(ctx, r, row);
+                &fresh
             };
             if matches!(memo, Memo::Empty) {
                 return None;
@@ -718,7 +640,7 @@ impl<'p> Suffix<'p> {
             return Memo::Empty;
         }
         if br.children.is_empty() {
-            let matching = br.tail.matching(ctx, &list, 0..list.len(), stats);
+            let matching = br.tail.matching(ctx, &list, stats);
             return Memo::Leaf { list, matching };
         }
         let (mut sum, mut visited) = (0u64, 0u64);
@@ -744,9 +666,9 @@ impl<'p> Suffix<'p> {
     }
 }
 
-/// The labels a plan enforces on one query edge: the edge's own label code,
-/// then its source's and its destination's label — each `None` where the
-/// plan enforces none.
+/// The labels one query edge declares: the edge's own label code, then its
+/// source's and its destination's label — each `None` where the query
+/// declares none.
 type Shape = [Option<u32>; 3];
 
 /// Whether no graph edge can match both shapes: some label they both fix
@@ -758,75 +680,21 @@ fn disjoint(a: Shape, b: Shape) -> bool {
         .any(|pair| matches!(pair, (Some(x), Some(y)) if x != y))
 }
 
-/// Every query edge's [`Shape`], read off the scans and E/Is that bind the
-/// edge and its endpoints: scan and target label checks, edge-scan labels,
-/// and the edge label an ALD's partition prefix pins.
-fn edge_shapes(ctx: ExecContext<'_>, query: &QueryGraph, plan: &Plan) -> Vec<Shape> {
-    let mut vertex = vec![None; query.vertices.len()];
-    let mut edge = vec![None; query.edges.len()];
-    let code = |l: Option<VertexLabelId>| l.map(|l| u32::from(l.raw()));
-    for op in &plan.ops {
-        match op {
-            Operator::ScanVertices { var, label, .. } => vertex[*var] = code(*label),
-            Operator::ScanEdges {
-                edge_var,
-                src_var,
-                dst_var,
-                label,
-                src_label,
-                dst_label,
-                ..
-            } => {
-                edge[*edge_var] = label.map(|l| u32::from(l.raw()));
-                vertex[*src_var] = code(*src_label);
-                vertex[*dst_var] = code(*dst_label);
-            }
-            Operator::ExtendIntersect {
-                target,
-                target_label,
-                alds,
-                ..
-            } => {
-                vertex[*target] = code(*target_label);
-                for ald in alds {
-                    edge[ald.edge_var] = ald_edge_label(ctx, ald);
-                }
-            }
-            // What other operators bind stays unlabelled: the proof only
-            // gets weaker.
-            _ => {}
-        }
-    }
+/// Every query edge's [`Shape`]. The declared labels hold of every binding,
+/// because every operator enforces the declared labels of what it binds:
+/// scans, E/I and MULTI-EXTEND targets and var-length targets check vertex
+/// labels, and an edge label is either pinned by its list's partition
+/// prefix or re-checked as a residual (edge scans check it directly).
+fn edge_shapes(query: &QueryGraph) -> Vec<Shape> {
+    let vertex = |v: usize| query.vertices[v].label.map(|l| u32::from(l.raw()));
     query
         .edges
         .iter()
-        .zip(edge)
-        .map(|(qe, label)| [label, vertex[qe.src], vertex[qe.dst]])
+        .map(|qe| {
+            let label = qe.label.map(|l| u32::from(l.raw()));
+            [label, vertex(qe.src), vertex(qe.dst)]
+        })
         .collect()
-}
-
-/// The edge label code `ald`'s partition prefix pins, if its index
-/// partitions by edge label within the prefix.
-fn ald_edge_label(ctx: ExecContext<'_>, ald: &Ald) -> Option<u32> {
-    let spec = match &ald.index {
-        IndexChoice::Primary(dir) => ctx.store.primary().index(*dir).spec(),
-        IndexChoice::VertexIdx { name, direction } => {
-            ctx.store.vertex_index(name, *direction)?.spec()
-        }
-        IndexChoice::EdgeIdx { name } => ctx.store.edge_index(name)?.spec(),
-    };
-    spec.partitioning
-        .iter()
-        .zip(&ald.prefix)
-        .find_map(|(key, &code)| (*key == PartitionKey::EdgeLabel).then_some(code))
-}
-
-/// The root level of a block seeded from the single root binding `row`
-/// holds (the first-level strategies' morsels).
-fn root_level(plan: &Plan, row: &Row) -> Level {
-    let mut root = Level::for_op(&plan.ops[0]);
-    root.push_from_row(0, row);
-    root
 }
 
 /// Runs `plan.ops[ops]` over a seeded block, building every level.
@@ -845,25 +713,23 @@ fn apply_ops(
     })
 }
 
-/// Runs `plan.ops[from..]` over a seeded block for counting: the operators
-/// of the counted suffix — or the last operator, when there is none — are
-/// consumed as per-entry multiplicities ([`Blocks::tail_count`]) instead of
-/// building their levels.
-fn count_ops<'a>(
-    ctx: ExecContext<'a>,
+/// Runs the operators after the root scan over a root-seeded block for
+/// counting: the operators of the counted suffix — or the last operator,
+/// when there is none — are consumed as per-entry multiplicities
+/// ([`Blocks::tail_count`]) instead of building their levels.
+fn count_ops(
+    ctx: ExecContext<'_>,
     plan: &Plan,
-    count: Counting<'_, 'a>,
+    suffix: Option<&Suffix<'_>>,
     st: &mut Blocks,
     row: &mut Row,
-    from: usize,
 ) -> u64 {
     let last = plan.ops.len() - 1;
-    if from > last {
+    if last == 0 {
         return st.top_len() as u64;
     }
-    let built = count.suffix.map_or(last, |s| s.start);
-    debug_assert!(built >= from, "the suffix starts after the seeded levels");
-    if !apply_ops(ctx, plan, st, row, from..built) {
+    let built = suffix.map_or(last, |s| s.start);
+    if !apply_ops(ctx, plan, st, row, 1..built) {
         return 0;
     }
     match &plan.ops[last] {
@@ -871,7 +737,7 @@ fn count_ops<'a>(
             st.filter_top(ctx, preds, last, row);
             st.top_len() as u64
         }
-        _ => st.tail_count(ctx, plan, count, row),
+        _ => st.tail_count(ctx, plan, suffix, row),
     }
 }
 
@@ -936,12 +802,13 @@ impl Drop for FlattenIter<'_> {
 
 /// Seeds a block with the root bindings in ID `range` that pass the root
 /// scan's checks (pinned vertices and label/predicate semantics included)
-/// and consumes it — the block body of root-range partitioning.
-pub(crate) fn root_morsel<'a>(
-    ctx: ExecContext<'a>,
+/// and consumes it — the one block body. A count takes `suffix`, the plan's
+/// counted suffix, without building its levels.
+pub(crate) fn root_morsel(
+    ctx: ExecContext<'_>,
     query: &QueryGraph,
     plan: &Plan,
-    count: Counting<'_, 'a>,
+    suffix: Option<&Suffix<'_>>,
     range: Range<usize>,
     emit: Emit<'_>,
 ) {
@@ -958,103 +825,13 @@ pub(crate) fn root_morsel<'a>(
         return;
     }
     ctx.note_block();
-    consume(ctx, plan, count, Blocks::seeded(root), row, 1, emit);
-}
-
-/// Extends the single root binding held by `row` through the first E/I
-/// (`plan.ops[1]`) over its pre-fetched `lists`, with list 0 restricted to
-/// `range`, and consumes the resulting sub-block — the block body of
-/// first-E/I partitioning.
-pub(crate) fn ei_morsel<'a>(
-    ctx: ExecContext<'a>,
-    plan: &Plan,
-    count: Counting<'_, 'a>,
-    lists: &[BoundList<'_>],
-    range: Range<usize>,
-    mut row: Row,
-    emit: Emit<'_>,
-) {
-    let ei = ei_op(&plan.ops[1]);
-    let emit = match emit {
-        // The first E/I is also the last: count its morsel range directly
-        // as a multiplicity.
-        Emit::Count(n) if plan.ops.len() == 2 => {
-            *n = n.saturating_add(count_ei(ctx, &ei, lists, range, 1, &mut row));
-            return;
-        }
-        emit => emit,
-    };
-    ctx.note_block();
-    let mut st = Blocks::seeded(root_level(plan, &row));
-    let mut out = Level::for_op(&plan.ops[1]);
-    let stats = ctx.prof_level(1);
-    let _ = ei_over_lists(ctx, &ei, lists, range, &mut row, stats, &mut |r| {
-        out.push_from_row(0, r);
-        ControlFlow::Continue(())
-    });
-    if st.push_level(out) {
-        consume(ctx, plan, count, st, row, 2, emit);
-    }
-}
-
-/// Binds the root binding held by `row` to each of `targets` (a range of
-/// one BFS level's newly reached vertices) through the first var-length
-/// expansion `vl`, and consumes the resulting sub-block — the block body
-/// of first-var-length partitioning.
-pub(crate) fn vl_morsel<'a>(
-    ctx: ExecContext<'a>,
-    plan: &Plan,
-    count: Counting<'_, 'a>,
-    vl: &VarLengthOp<'_>,
-    targets: &[u32],
-    mut row: Row,
-    emit: Emit<'_>,
-) {
-    let emit = match emit {
-        // The expansion is also the last operator: count its targets.
-        Emit::Count(n) if plan.ops.len() == 2 => {
-            for &t in targets {
-                let _ = vl_target(ctx, vl, VertexId(t), &mut row, &mut |_| {
-                    *n += 1;
-                    ControlFlow::Continue(())
-                });
-            }
-            return;
-        }
-        emit => emit,
-    };
-    ctx.note_block();
-    let mut st = Blocks::seeded(root_level(plan, &row));
-    let mut out = Level::for_op(&plan.ops[1]);
-    for &t in targets {
-        let _ = vl_target(ctx, vl, VertexId(t), &mut row, &mut |r| {
-            out.push_from_row(0, r);
-            ControlFlow::Continue(())
-        });
-    }
-    if st.push_level(out) {
-        consume(ctx, plan, count, st, row, 2, emit);
-    }
-}
-
-/// Runs `plan.ops[from..]` over a seeded block and emits it: a count folded
-/// on the factorized levels, or the built block handed back unflattened —
-/// the driver flattens it when its morsel's turn in morsel order comes.
-fn consume<'a>(
-    ctx: ExecContext<'a>,
-    plan: &Plan,
-    count: Counting<'_, 'a>,
-    mut st: Blocks,
-    mut row: Row,
-    from: usize,
-    emit: Emit<'_>,
-) {
+    let mut st = Blocks::seeded(root);
     match emit {
         Emit::Count(n) => {
-            *n = n.saturating_add(count_ops(ctx, plan, count, &mut st, &mut row, from));
+            *n = n.saturating_add(count_ops(ctx, plan, suffix, &mut st, &mut row));
         }
         Emit::Block(slot) => {
-            if apply_ops(ctx, plan, &mut st, &mut row, from..plan.ops.len()) {
+            if apply_ops(ctx, plan, &mut st, &mut row, 1..plan.ops.len()) {
                 *slot = Some(Built { st, row });
             }
         }
@@ -1069,7 +846,7 @@ mod tests {
     use aplus_runtime::MorselPool;
 
     use super::Suffix;
-    use crate::exec::{ExecContext, Output};
+    use crate::exec::Output;
     use crate::{profiled, Database};
 
     /// v0:A, v1:B, v2:B with E edges e0, e1: v0->v1 (a parallel pair),
@@ -1134,8 +911,7 @@ mod tests {
     /// The number of operators `q`'s count takes as one suffix.
     fn suffix_len(db: &Database, q: &str) -> usize {
         let (bound, plan) = db.prepare(q).unwrap();
-        let ctx = ExecContext::new(db.graph(), db.store());
-        Suffix::of(ctx, &bound, &plan).map_or(0, |s| s.branches.len())
+        Suffix::of(&bound, &plan).map_or(0, |s| s.branches.len())
     }
 
     #[test]
@@ -1190,40 +966,56 @@ mod tests {
     }
 
     /// Suffix counts worked out by hand, with how many operators each
-    /// count takes as one suffix. b = v1 is reached from a = v0 by two
-    /// parallel edges.
-    const SUFFIX_CASES: &[(&str, u64, usize)] = &[
+    /// count takes as one suffix and how many entries of the level before
+    /// it the suffix serves (those whose root branches all have a list).
+    /// b = v1 is reached from a = v0 by two parallel edges. The first four
+    /// count every operator after the root scan as one suffix.
+    const SUFFIX_CASES: &[(&str, u64, usize, u64)] = &[
         // Tree: b = v1 has two F-neighbours in B (v2, and itself by the
-        // self-loop) and one E-neighbour in A (v3): 2 x 1 per r.
+        // self-loop) and one E-neighbour in A (v3): 2 x 1 per r. The root
+        // b = v2 has no F-neighbour, so it is not served.
         (
             "MATCH (a:A)-[r:E]->(b:B), (b:B)-[s:F]->(c:B), (b:B)-[t:E]->(d:A)",
             4,
-            2,
+            3,
+            1,
         ),
-        // Path: c = v2 goes on to v3 by e6, c = v1 by e3: 2 per r.
+        // Path: c = v2 goes on to v3 by e6, c = v1 by e3: 2 per r. Again
+        // b = v2 is not served.
         (
             "MATCH (a:A)-[r:E]->(b:B), (b:B)-[s:F]->(c:B), (c:B)-[t:E]->(d:A)",
             4,
-            2,
+            3,
+            1,
         ),
         // Star: a = v0 has two E-neighbours in B (v1 twice), one
-        // F-neighbour in B (v2) and one E-neighbour in A (v3).
+        // F-neighbour in B (v2) and one E-neighbour in A (v3). The root
+        // a = v3 has no out-edge.
         (
             "MATCH (a:A)-[r:E]->(b:B), (a:A)-[s:F]->(c:B), (a:A)-[t:E]->(d:A)",
             2,
-            2,
+            3,
+            1,
         ),
         // An inner branch owned by the pinned root: c = v2 goes on to v3 by
         // e6, once per r.
         (
             "MATCH (a)-[r:E]->(b:B), (a)-[s:F]->(c:B), (c:B)-[t:E]->(d:A) WHERE a.ID = 0",
             2,
-            2,
+            3,
+            1,
         ),
         // An inner branch whose list can hold the path edge r: ordered
         // pairs of distinct F-edges out of v1 ({e2, e4}), each continued by
-        // one E-edge. Visiting s = r too would count 5.
-        ("MATCH (a)-[r:F]->(b), (a)-[s:F]->(c), (c)-[u:E]->(d)", 2, 2),
+        // one E-edge. Visiting s = r too would count 5. The same-label r
+        // and s cannot share a suffix, so the suffix is s and u, and it
+        // serves all three F-edges r.
+        (
+            "MATCH (a)-[r:F]->(b), (a)-[s:F]->(c), (c)-[u:E]->(d)",
+            2,
+            2,
+            3,
+        ),
     ];
 
     #[test]
@@ -1236,7 +1028,7 @@ mod tests {
             let q = "MATCH (a)-[r:E]->(b:B), (b:B)-[s:E]->(c:B), (b:B)-[t:E]->(d:B)";
             assert_eq!(suffix_len(&same_label, q), 1, "{q}");
             let db = Database::with_primary_spec(two_label_graph(), spec).unwrap();
-            for &(q, want, len) in SUFFIX_CASES {
+            for &(q, want, len, served) in SUFFIX_CASES {
                 assert_eq!(suffix_len(&db, q), len, "{q}");
                 let (bound, plan) = db.prepare(q).unwrap();
                 assert_eq!(
@@ -1251,9 +1043,7 @@ mod tests {
                 assert_eq!(profile.rows, want, "{q}");
                 let levels = &profile.levels;
                 assert_eq!(levels[levels.len() - 1].emitted, want, "{q}");
-                // Every entry of the level before the suffix is served.
-                let frontier = &levels[levels.len() - 1 - len];
-                assert_eq!(profile.fc_shortcut_hits, frontier.emitted, "{q}");
+                assert_eq!(profile.fc_shortcut_hits, served, "{q}");
             }
         }
     }
@@ -1276,7 +1066,7 @@ mod tests {
         let db = Database::new(g).unwrap();
         let star: Vec<String> = (0..8).map(|i| format!("(a)-[r{i}:L{i}]->(b{i})")).collect();
         let q = format!("MATCH {}", star.join(", "));
-        assert_eq!(suffix_len(&db, &q), 7);
+        assert_eq!(suffix_len(&db, &q), 8);
         let (bound, plan) = db.prepare(&q).unwrap();
         for threads in [1, 2] {
             let pool = MorselPool::new(threads);

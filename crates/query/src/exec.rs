@@ -16,23 +16,17 @@
 //! Matching semantics follow openCypher: query vertices may bind the same
 //! data vertex, but each data edge binds at most one query edge per match.
 //!
-//! # One driver: strategy × block body × output
+//! # One driver: root morsels × block body × output
 //!
-//! [`run`] is the only way a plan executes. It picks the one level of the
-//! plan that is cut into contiguous morsels
+//! [`run`] is the only way a plan executes. It cuts the root scan's ID
+//! range (vertices or edges) into contiguous morsels
 //! ([`aplus_runtime::scan_morsel_size`]), hands every morsel to a block
 //! body, and merges the bodies' results **in morsel order** into the
 //! query's [`Output`]:
 //!
-//! * **Strategy** — which level partitions. *The root scan's ID range*
-//!   (vertices or edges; a pinned vertex is the one-ID range) is the common
-//!   case. When the root binds fewer vertices than there are workers (a
-//!   pinned scan followed by huge intersections — the skewed-supernode
-//!   case), *the first E/I level* partitions instead: per root binding,
-//!   the operator's lists are fetched once and the leading list is cut by
-//!   position, so the heavy intersections themselves fan out. Likewise a
-//!   *first var-length expansion* partitions every BFS level: frontier
-//!   expansion and the level's emission list both go through the pool.
+//! * **Root morsels** — the one partitioning strategy. A pinned vertex is
+//!   the one-ID range, so it is one morsel, which the pool runs inline on
+//!   the caller at any pool size; its block builds every level.
 //! * **Block body** — what one morsel runs: the block seeded from the
 //!   morsel ([`crate::block`]), extended through the remaining operators
 //!   with its own per-worker scratch row — no shared mutable state, no
@@ -45,8 +39,8 @@
 //!
 //! Because the merge order is fixed, counts and row sequences are
 //! **bit-identical** at any thread count, and a 1-thread pool runs the
-//! *same* strategy code, block bodies and merge inline on the caller's
-//! stack — there is no separate sequential path. The sink returns a
+//! *same* block bodies and merge inline on the caller's stack — there is
+//! no separate sequential path. The sink returns a
 //! [`ControlFlow`]: `Break` — a satisfied `LIMIT` or a sink that stopped
 //! consuming — stops the flatten at once, so no row past the last one
 //! delivered is built, and outstanding pool morsels are cancelled through
@@ -166,56 +160,15 @@ pub(crate) fn vid(raw: usize) -> VertexId {
 pub const VERTEX_MORSEL_CAP: usize = 256;
 /// Largest edge morsel for partitioned root scans.
 pub const EDGE_MORSEL_CAP: usize = 1024;
-/// Largest first-E/I morsel (positions of the first fetched adjacency
-/// list) for level-1 partitioned plans.
-pub const EI_MORSEL_CAP: usize = 256;
-/// Largest BFS-frontier morsel (positions of one level's frontier) for
-/// first-var-length partitioned plans.
-pub const VL_MORSEL_CAP: usize = 256;
 
-/// Which level of a plan [`run`] cuts into morsels on a given pool.
-enum Strategy {
-    /// Partition the root scan's ID `range` (a pinned vertex scan is the
-    /// one-ID range).
-    RootRanges { range: Range<usize>, cap: usize },
-    /// The root scan binds fewer vertices than there are workers and the
-    /// next operator is an E/I: partition the first E/I level's adjacency
-    /// lists instead (per root binding, in root order).
-    FirstEi,
-    /// The root scan binds fewer vertices than there are workers and the
-    /// next operator is a var-length expansion: partition each BFS level's
-    /// frontier instead (per root binding, in root order).
-    FirstVarLength,
-}
-
-fn strategy(ctx: ExecContext<'_>, plan: &Plan, pool: &MorselPool) -> Strategy {
+/// The root scan's ID range (a pinned vertex scan is the one-ID range) and
+/// the largest morsel [`run`] cuts it into.
+fn root_range(ctx: ExecContext<'_>, plan: &Plan) -> (Range<usize>, usize) {
     match plan.ops.first() {
         Some(Operator::ScanVertices { var, preds, .. }) => {
-            let range = vertex_scan_range(ctx, preds, *var);
-            match plan.ops.get(1) {
-                Some(Operator::ExtendIntersect { .. }) if range.len() < pool.threads() => {
-                    return Strategy::FirstEi
-                }
-                // Check-mode expansions bind nothing, so they have no
-                // emission list to fan out. A single root expands level by
-                // level even on one worker, so a satisfied `LIMIT` stops
-                // its BFS at the level that satisfied it.
-                Some(Operator::VarLengthExpand { check: false, .. })
-                    if range.len() < pool.threads().max(2) =>
-                {
-                    return Strategy::FirstVarLength
-                }
-                _ => {}
-            }
-            Strategy::RootRanges {
-                range,
-                cap: VERTEX_MORSEL_CAP,
-            }
+            (vertex_scan_range(ctx, preds, *var), VERTEX_MORSEL_CAP)
         }
-        Some(Operator::ScanEdges { .. }) => Strategy::RootRanges {
-            range: 0..ctx.graph.edge_count(),
-            cap: EDGE_MORSEL_CAP,
-        },
+        Some(Operator::ScanEdges { .. }) => (0..ctx.graph.edge_count(), EDGE_MORSEL_CAP),
         _ => unreachable!("plans start with a scan"),
     }
 }
@@ -263,11 +216,10 @@ struct Part {
     block: Option<block::Built>,
 }
 
-/// The merge side of [`run`]: cuts a level into morsels on the pool and
-/// folds what they emit, in morsel order, into the output.
+/// The merge side of [`run`]: folds what the root morsels emit, in morsel
+/// order, into the output.
 struct Driver<'a, 'o> {
     ctx: ExecContext<'a>,
-    pool: &'a MorselPool,
     /// The level an early exit is attributed to: the sink, one past the
     /// last operator.
     sink_level: usize,
@@ -301,52 +253,14 @@ impl Driver<'_, '_> {
             }
         }
     }
-
-    /// Cuts `0..total` into morsels of `size`, runs `body` on each across
-    /// the pool (inline, in order, when one worker suffices) and merges
-    /// what they emit in morsel order. `Break` means the output is
-    /// complete.
-    fn morsels(
-        &mut self,
-        total: usize,
-        size: usize,
-        body: impl Fn(Range<usize>, Emit<'_>) + Sync,
-    ) -> ControlFlow<()> {
-        let (ctx, pool) = (self.ctx, self.pool);
-        let counting = matches!(self.out, Output::Count);
-        let mut flow = ControlFlow::Continue(());
-        pool.map_ranges(
-            total,
-            size,
-            merge_window(pool),
-            |range, _| {
-                ctx.note_morsel();
-                let mut part = Part::default();
-                body(
-                    range,
-                    if counting {
-                        Emit::Count(&mut part.count)
-                    } else {
-                        Emit::Block(&mut part.block)
-                    },
-                );
-                part
-            },
-            |part| {
-                flow = self.merge(part);
-                flow
-            },
-        );
-        flow
-    }
 }
 
 /// Executes `plan` on `pool` and returns the number of matches
 /// ([`Output::Count`]) or of rows delivered ([`Output::Rows`]). The only
-/// entry into plan execution: every strategy and both output shapes go
-/// through here, and the result is bit-identical at any thread
-/// count — morsels merge in morsel order, and a 1-thread pool runs the same
-/// code inline.
+/// entry into plan execution: both output shapes go through here, every
+/// root morsel is one block, and the result is bit-identical at any thread
+/// count — morsels merge in morsel order, and a 1-thread pool (or a
+/// one-morsel root, such as a pinned vertex) runs the same code inline.
 pub fn run(
     ctx: ExecContext<'_>,
     query: &QueryGraph,
@@ -359,100 +273,41 @@ pub fn run(
     if matches!(out, Output::Rows { limit: 0, .. }) {
         return 0;
     }
+    let counting = matches!(out, Output::Count);
     // Counts take the plan's counted suffix without building its levels.
-    let suffix = match out {
-        Output::Count => block::Suffix::of(ctx, query, plan),
-        Output::Rows { .. } => None,
+    let suffix = if counting {
+        block::Suffix::of(query, plan)
+    } else {
+        None
     };
     let suffix = suffix.as_ref();
-    // Per root binding under a first-level strategy, whose morsels run
-    // apart: the memo cells its root-owned suffix branches share.
-    let memo_cells = || suffix.map_or_else(Vec::new, block::Suffix::memo_cells);
     let mut driver = Driver {
         ctx,
-        pool,
         sink_level: plan.ops.len(),
         out,
         counted: 0,
         sent: 0,
     };
-    let fresh_row = || Row::unbound(query.vertices.len(), query.edges.len());
-    let threads = pool.threads();
-    match strategy(ctx, plan, pool) {
-        // Every root morsel is one block.
-        Strategy::RootRanges { range, cap } => {
-            let size = scan_morsel_size(range.len(), threads, cap);
-            let count = block::Counting {
-                suffix,
-                shared: None,
+    let (range, cap) = root_range(ctx, plan);
+    let size = scan_morsel_size(range.len(), pool.threads(), cap);
+    pool.map_ranges(
+        range.len(),
+        size,
+        merge_window(pool),
+        |r, _| {
+            ctx.note_morsel();
+            let r = range.start + r.start..range.start + r.end;
+            let mut part = Part::default();
+            let emit = if counting {
+                Emit::Count(&mut part.count)
+            } else {
+                Emit::Block(&mut part.block)
             };
-            let _ = driver.morsels(range.len(), size, |r, emit| {
-                let r = range.start + r.start..range.start + r.end;
-                block::root_morsel(ctx, query, plan, count, r, emit);
-            });
-        }
-        // Per root binding (in root order, so the overall row sequence
-        // stays sequential): fetch the first E/I's lists once and morsel
-        // over positions of the leading list.
-        Strategy::FirstEi => {
-            let alds = ei_op(&plan.ops[1]).alds;
-            let stats = ctx.prof_level(1);
-            let _ = for_each_root_vertex(ctx, plan, &mut fresh_row(), &mut |base| {
-                if let Some(s) = stats {
-                    s.record(alds.len() as u64, 0, 0);
-                }
-                let Some(lists) = fetch_ei_lists(ctx, alds, base) else {
-                    return ControlFlow::Continue(());
-                };
-                let cells = memo_cells();
-                let count = block::Counting {
-                    suffix,
-                    shared: Some(&cells),
-                };
-                let (base, lists) = (&*base, &lists);
-                let n0 = lists[0].len();
-                let size = scan_morsel_size(n0, threads, EI_MORSEL_CAP);
-                driver.morsels(n0, size, |r, emit| {
-                    block::ei_morsel(ctx, plan, count, lists, r, base.clone(), emit);
-                })
-            });
-        }
-        // Per root binding: BFS levels run in order with each frontier
-        // expanded across the pool, and each level's emission list is
-        // morselled with the parts merged in ascending-target order.
-        Strategy::FirstVarLength => {
-            let vl = var_length_op(&plan.ops[1]);
-            let _ = for_each_root_vertex(ctx, plan, &mut fresh_row(), &mut |base| {
-                if let Some(stats) = ctx.prof_level(1) {
-                    stats.record(1, 0, 0);
-                }
-                let s = base
-                    .vertex(vl.src)
-                    .expect("root scan binds the traversal source");
-                let cells = memo_cells();
-                let count = block::Counting {
-                    suffix,
-                    shared: Some(&cells),
-                };
-                let (base, vl) = (&*base, &vl);
-                var_length_bfs(ctx, vl, s, pool, &mut |level, candidates, s_new| {
-                    if level < vl.min {
-                        return ControlFlow::Continue(());
-                    }
-                    let emission = &vl_emission(candidates, s, s_new);
-                    let size = scan_morsel_size(emission.len(), threads, VL_MORSEL_CAP);
-                    let flow = driver.morsels(emission.len(), size, |r, emit| {
-                        block::vl_morsel(ctx, plan, count, vl, &emission[r], base.clone(), emit);
-                    });
-                    if flow.is_break() {
-                        ControlFlow::Break(flow)
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                })
-            });
-        }
-    }
+            block::root_morsel(ctx, query, plan, suffix, r, emit);
+            part
+        },
+        |part| driver.merge(part),
+    );
     match driver.out {
         Output::Count => driver.counted,
         Output::Rows { .. } => driver.sent as u64,
@@ -476,23 +331,6 @@ pub(crate) fn root_range_bindings(
         op @ Operator::ScanEdges { .. } => scan_edges_range(ctx, 0, op, range, row, k),
         _ => unreachable!("plans start with a scan"),
     }
-}
-
-/// Enumerates the root vertex-scan's bindings without running deeper
-/// operators: binds the scan variable, checks label + predicates, and
-/// hands each surviving root row to `f`. The first-level strategies use
-/// this to process root bindings one at a time, in root order.
-fn for_each_root_vertex(
-    ctx: ExecContext<'_>,
-    plan: &Plan,
-    row: &mut Row,
-    f: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let Some(Operator::ScanVertices { var, label, preds }) = plan.ops.first() else {
-        unreachable!("first-level strategies require a vertex-scan root")
-    };
-    let range = vertex_scan_range(ctx, preds, *var);
-    scan_vertices_range(ctx, 0, *var, *label, preds, range, row, f)
 }
 
 /// An E/I operator's pieces, destructured once per use site.
@@ -523,7 +361,7 @@ pub(crate) fn ei_op(op: &Operator) -> EiOp<'_> {
 
 /// A [`Operator::VarLengthExpand`]'s pieces, destructured once per use
 /// site.
-pub(crate) struct VarLengthOp<'p> {
+struct VarLengthOp<'p> {
     src: usize,
     target: usize,
     target_label: Option<aplus_common::VertexLabelId>,
@@ -537,7 +375,7 @@ pub(crate) struct VarLengthOp<'p> {
     residual: &'p [QueryPredicate],
 }
 
-pub(crate) fn var_length_op(op: &Operator) -> VarLengthOp<'_> {
+fn var_length_op(op: &Operator) -> VarLengthOp<'_> {
     let Operator::VarLengthExpand {
         src,
         target,
@@ -608,7 +446,7 @@ fn vl_emission(candidates: &[u32], s: VertexId, s_new: bool) -> Vec<u32> {
 /// vertex (the edge variable, if any, stays unbound — a variable-length
 /// pattern matches a walk, not a single edge), evaluates residuals and runs
 /// the continuation `k`.
-pub(crate) fn vl_target(
+fn vl_target(
     ctx: ExecContext<'_>,
     vl: &VarLengthOp<'_>,
     t: VertexId,
@@ -631,15 +469,12 @@ pub(crate) fn vl_target(
     flow
 }
 
-/// The bindings a [`Operator::VarLengthExpand`] adds to the current row,
-/// traversed inline (the pinned-root second operator fans out through
-/// [`run`] instead).
+/// The bindings a [`Operator::VarLengthExpand`] adds to the current row.
 ///
 /// Semantics: target `t` matches iff the shortest walk of length ≥ 1 from
 /// the source to `t` (over edges passing the label filter) has length
 /// within `min..=max`. Each target is emitted exactly once, at its
-/// shortest level, in ascending vertex-ID order per level — a canonical
-/// order the morsel-parallel frontier reproduces bit-identically. The
+/// shortest level, in ascending vertex-ID order per level. The
 /// source itself is a valid target when a cycle returns to it (`min ≤
 /// shortest cycle ≤ max`). Check mode (both endpoints already bound)
 /// verifies that distance instead of binding.
@@ -658,8 +493,7 @@ fn var_length_bindings(
         row.vertex(vl.target)
             .expect("check mode binds both endpoints")
     });
-    let inline = MorselPool::sequential();
-    var_length_bfs(ctx, vl, s, &inline, &mut |level, candidates, s_new| {
+    var_length_bfs(ctx, vl, s, &mut |level, candidates, s_new| {
         if let Some(t) = check_target {
             let found = if t == s {
                 s_new
@@ -696,14 +530,13 @@ type LevelFlow = ControlFlow<ControlFlow<()>>;
 /// The level-synchronous BFS from `s` — the one traversal loop. `visited`
 /// keeps every target at its shortest level only; the source is tracked
 /// separately (`s_hit` / `s_refound`) so the shortest cycle back to it can
-/// be reported without ever re-expanding it. Each level's frontier expands
-/// across `pool`, then `on_level(level, newly reached targets, source
-/// newly re-reached)` decides how to go on.
+/// be reported without ever re-expanding it. After each level,
+/// `on_level(level, newly reached targets, source newly re-reached)`
+/// decides how to go on.
 fn var_length_bfs(
     ctx: ExecContext<'_>,
     vl: &VarLengthOp<'_>,
     s: VertexId,
-    pool: &MorselPool,
     on_level: &mut dyn FnMut(u32, &[u32], bool) -> LevelFlow,
 ) -> ControlFlow<()> {
     let mut visited: HashSet<u32> = HashSet::new();
@@ -714,7 +547,7 @@ fn var_length_bfs(
         if frontier.is_empty() {
             break;
         }
-        let (candidates, s_hit) = expand_frontier(ctx, vl, s, &frontier, &visited, pool);
+        let (candidates, s_hit) = expand_frontier(ctx, vl, s, &frontier, &visited);
         let s_new = s_hit && !s_refound;
         record_hop(
             ctx,
@@ -756,43 +589,25 @@ fn record_hop(
     }
 }
 
-/// Expands one BFS level with the frontier partitioned across the pool:
-/// each morsel scans a contiguous frontier range against the shared
-/// (read-only) visited set; partial candidate lists concatenate in morsel
-/// order and are then sorted + deduplicated, so the merged level is
-/// bit-identical at any thread count (a 1-thread pool expands inline).
+/// Expands one BFS level: every unvisited neighbour of the frontier,
+/// sorted and deduplicated, and whether the source was re-reached.
 fn expand_frontier(
     ctx: ExecContext<'_>,
     vl: &VarLengthOp<'_>,
     s: VertexId,
     frontier: &[u32],
     visited: &HashSet<u32>,
-    pool: &MorselPool,
 ) -> (Vec<u32>, bool) {
-    let size = scan_morsel_size(frontier.len(), pool.threads(), VL_MORSEL_CAP);
-    let parts: Vec<(Vec<u32>, bool)> = pool.run_ranges(frontier.len(), size, |r: Range<usize>| {
-        // An inline expansion is part of the morsel that runs it.
-        if !pool.is_sequential() {
-            ctx.note_morsel();
-        }
-        let mut out: Vec<u32> = Vec::new();
-        let mut s_hit = false;
-        for &u in &frontier[r] {
-            vl_neighbors(ctx, vl, VertexId(u), &mut |n| {
-                if n == s {
-                    s_hit = true;
-                } else if !visited.contains(&n.raw()) {
-                    out.push(n.raw());
-                }
-            });
-        }
-        (out, s_hit)
-    });
     let mut candidates: Vec<u32> = Vec::new();
     let mut s_hit = false;
-    for (part, hit) in parts {
-        candidates.extend(part);
-        s_hit |= hit;
+    for &u in frontier {
+        vl_neighbors(ctx, vl, VertexId(u), &mut |n| {
+            if n == s {
+                s_hit = true;
+            } else if !visited.contains(&n.raw()) {
+                candidates.push(n.raw());
+            }
+        });
     }
     candidates.sort_unstable();
     candidates.dedup();
@@ -801,11 +616,7 @@ fn expand_frontier(
 
 /// Fetches an E/I operator's adjacency lists for the current row; `None`
 /// when any list is empty (the extension produces nothing).
-pub(crate) fn fetch_ei_lists<'a>(
-    ctx: ExecContext<'a>,
-    alds: &[Ald],
-    row: &Row,
-) -> Option<Vec<BoundList<'a>>> {
+fn fetch_ei_lists<'a>(ctx: ExecContext<'a>, alds: &[Ald], row: &Row) -> Option<Vec<BoundList<'a>>> {
     let need = if alds.len() > 1 {
         Need::NbrSorted
     } else {
@@ -857,8 +668,7 @@ pub(crate) fn op_bindings(
             let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
                 return ControlFlow::Continue(());
             };
-            let range = 0..lists[0].len();
-            ei_over_lists(ctx, &ei, &lists, range, row, stats, k)
+            ei_over_lists(ctx, &ei, &lists, row, stats, k)
         }
         Operator::MultiExtend { targets, residual } => {
             multi_extend(ctx, depth, targets, residual, row, k)
@@ -895,8 +705,7 @@ fn vertex_scan_range(ctx: ExecContext<'_>, preds: &[QueryPredicate], var: usize)
 
 /// The vertex scan restricted to IDs in `range` (a morsel, a pinned ID, or
 /// everything): binds each vertex passing the label + predicate checks and
-/// runs the continuation `k` — a root-binding consumer of the first-level
-/// strategies, or a block level collecting the bindings.
+/// runs the continuation `k` — a block level collecting the bindings.
 #[allow(clippy::too_many_arguments)]
 fn scan_vertices_range(
     ctx: ExecContext<'_>,
@@ -1045,11 +854,11 @@ impl BoundList<'_> {
         self.list.get(self.start + i)
     }
 
-    /// Counts the positions in `range` whose neighbour passes `keep`, in
-    /// one pass over the neighbour column: the representation is matched
-    /// once, outside the loop.
-    pub(crate) fn count_nbrs(&self, range: Range<usize>, keep: impl Fn(VertexId) -> bool) -> u64 {
-        let at = self.start + range.start..self.start + range.end;
+    /// Counts the entries whose neighbour passes `keep`, in one pass over
+    /// the neighbour column: the representation is matched once, outside
+    /// the loop.
+    pub(crate) fn count_nbrs(&self, keep: impl Fn(VertexId) -> bool) -> u64 {
+        let at = self.start..self.end;
         let n = match &self.list {
             List::Slice { nbrs, .. } => nbrs[at].iter().filter(|&&n| keep(VertexId(n))).count(),
             List::Owned(pairs) => pairs[at]
@@ -1060,23 +869,17 @@ impl BoundList<'_> {
         n as u64
     }
 
-    /// Counts the positions in `range` holding exactly `(e, nbr)`. When
-    /// the list is `nbr_sorted`, only `nbr`'s parallel-edge run is read,
-    /// found by binary search; otherwise the whole range is scanned.
-    pub(crate) fn count_entry(
-        &self,
-        range: Range<usize>,
-        e: EdgeId,
-        nbr: VertexId,
-        nbr_sorted: bool,
-    ) -> u64 {
+    /// Counts the entries holding exactly `(e, nbr)`. When the list is
+    /// `nbr_sorted`, only `nbr`'s parallel-edge run is read, found by binary
+    /// search; otherwise the whole list is scanned.
+    pub(crate) fn count_entry(&self, e: EdgeId, nbr: VertexId, nbr_sorted: bool) -> u64 {
         let from = if nbr_sorted {
-            partition_idx(range.start, range.end, |i| self.get(i).1 < nbr)
+            partition_idx(0, self.len(), |i| self.get(i).1 < nbr)
         } else {
-            range.start
+            0
         };
         let mut n = 0u64;
-        for i in from..range.end {
+        for i in from..self.len() {
             let (ei, ni) = self.get(i);
             if nbr_sorted && ni != nbr {
                 break;
@@ -1319,13 +1122,9 @@ fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
     sort_key(graph, list.merge_key, e, n)
 }
 
-/// Runs the E/I `ei` over pre-fetched lists with the *first* list
-/// restricted to the position `range` — the unit of first-level
-/// partitioned execution. Because list 0 is neighbour-sorted
-/// (intersections) or arbitrary but positionally stable (single-list
-/// extends), concatenating the outputs of contiguous ranges in order
-/// reproduces the unrestricted output exactly, even when a range boundary
-/// splits a run of parallel edges.
+/// Runs the E/I `ei` over its pre-fetched lists: a single list is scanned
+/// in list order, several are intersected on neighbour ID with a k-pointer
+/// leapfrog.
 ///
 /// The continuation `k` runs per produced binding with the target vertex
 /// and all edge variables bound (and is unwound before the next binding):
@@ -1336,30 +1135,27 @@ fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
 /// candidates examined — single-list entries scanned, or leapfrog head
 /// groups considered — and bindings emitted, accumulated in locals and
 /// flushed with one atomic add per call.
-pub(crate) fn ei_over_lists(
+fn ei_over_lists(
     ctx: ExecContext<'_>,
     ei: &EiOp<'_>,
     lists: &[BoundList<'_>],
-    range: Range<usize>,
     row: &mut Row,
     stats: Option<&LevelStats>,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let mut cand = 0u64;
     let mut emit = 0u64;
-    let flow = ei_over_lists_counted(ctx, ei, lists, range, row, &mut cand, &mut emit, k);
+    let flow = ei_over_lists_counted(ctx, ei, lists, row, &mut cand, &mut emit, k);
     if let Some(s) = stats {
         s.record(0, cand, emit);
     }
     flow
 }
 
-#[allow(clippy::too_many_arguments)]
 fn ei_over_lists_counted(
     ctx: ExecContext<'_>,
     ei: &EiOp<'_>,
     lists: &[BoundList<'_>],
-    range: Range<usize>,
     row: &mut Row,
     cand: &mut u64,
     emit: &mut u64,
@@ -1374,7 +1170,7 @@ fn ei_over_lists_counted(
     };
     if lists.len() == 1 {
         let l = &lists[0];
-        for i in range {
+        for i in 0..l.len() {
             *cand += 1;
             let (e, n) = l.get(i);
             if row.uses_edge(e) || !label_ok(n) {
@@ -1395,11 +1191,7 @@ fn ei_over_lists_counted(
         return ControlFlow::Continue(());
     }
     let nl = lists.len();
-    // List 0 is clamped to `range`; the other lists run in full (the
-    // leapfrog fast-forwards them to list 0's neighbour span).
-    let len_of = |i: usize| if i == 0 { range.end } else { lists[i].len() };
     let mut ptr: Vec<usize> = vec![0; nl];
-    ptr[0] = range.start;
     // Run buffers are reused across neighbour groups to avoid per-group
     // allocations in the hot intersection loop.
     let mut edge_choices: Vec<Vec<EdgeId>> = vec![Vec::new(); nl];
@@ -1407,7 +1199,7 @@ fn ei_over_lists_counted(
         // Find the maximum head neighbour.
         let mut max_nbr = 0u32;
         for i in 0..nl {
-            if ptr[i] >= len_of(i) {
+            if ptr[i] >= lists[i].len() {
                 break 'outer;
             }
             max_nbr = max_nbr.max(lists[i].get(ptr[i]).1.raw());
@@ -1416,10 +1208,10 @@ fn ei_over_lists_counted(
         // Advance every list to >= max_nbr (leapfrog step).
         let mut aligned = true;
         for i in 0..nl {
-            while ptr[i] < len_of(i) && lists[i].get(ptr[i]).1.raw() < max_nbr {
+            while ptr[i] < lists[i].len() && lists[i].get(ptr[i]).1.raw() < max_nbr {
                 ptr[i] += 1;
             }
-            if ptr[i] >= len_of(i) {
+            if ptr[i] >= lists[i].len() {
                 break 'outer;
             }
             if lists[i].get(ptr[i]).1.raw() != max_nbr {
@@ -1434,7 +1226,7 @@ fn ei_over_lists_counted(
         for (i, choices) in edge_choices.iter_mut().enumerate() {
             choices.clear();
             let mut j = ptr[i];
-            while j < len_of(i) && lists[i].get(j).1 == nbr {
+            while j < lists[i].len() && lists[i].get(j).1 == nbr {
                 choices.push(lists[i].get(j).0);
                 j += 1;
             }
@@ -1722,8 +1514,7 @@ mod tests {
         let ctx = ExecContext::new(&g, &store);
         // Alice owns v1 (3 wires) and v2 (1 wire: t8) -> 4 matches.
         assert_eq!(count(ctx, &query, &plan), 4);
-        // A pinned root scan cannot be partitioned, but its first E/I
-        // level can: the parallel entry point must still answer.
+        // A pinned root scan is one morsel, run inline on any pool.
         assert_eq!(count_on(ctx, &query, &plan, &MorselPool::new(4)), 4);
         // And parallel collect must return the identical row sequence.
         let seq = collect(ctx, &query, &plan, usize::MAX);

@@ -26,8 +26,7 @@
 //!   draining a stream on another thread.
 //!
 //! Query execution is morsel-driven and has one driver, [`exec::run`]:
-//! the root scan (or, for pinned/skewed roots, the first E/I level's
-//! adjacency lists or the first var-length level's BFS frontier)
+//! the root scan's ID range (a pinned root is the one-ID range)
 //! partitions into ranges executed on an [`aplus_runtime::MorselPool`]
 //! (work-stealing, scoped threads; a 1-thread pool runs inline), with
 //! per-worker operator state and a deterministic morsel-order merge —

@@ -8,8 +8,6 @@
 //! numeric properties, inter-edge comparisons like `Pf(e1, e2)`, and
 //! vertex-ID anchors like `a1.ID = v5` / `a1.ID < 50000`).
 
-use std::sync::OnceLock;
-
 use aplus_common::{EdgeId, EdgeLabelId, PropertyId, VertexId, VertexLabelId};
 use aplus_graph::Graph;
 
@@ -20,29 +18,14 @@ use crate::error::QueryError;
 /// Maximum query vertices supported by the bitmask DP optimizer.
 pub const MAX_QUERY_VERTICES: usize = 16;
 
-/// Default maximum hops a variable-length pattern may request (the bound
-/// substituted for open upper bounds like `*` / `+` / `*2..`). Overridable
-/// via the `APLUS_HOP_CAP` environment variable.
-pub const DEFAULT_HOP_CAP: u32 = 64;
-
-/// The effective hop cap: `APLUS_HOP_CAP` if set to a positive integer,
-/// otherwise [`DEFAULT_HOP_CAP`]. The environment is read once per
-/// process, so binding a query touches no process-global state.
-#[must_use]
-pub fn hop_cap() -> u32 {
-    static CAP: OnceLock<u32> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("APLUS_HOP_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(DEFAULT_HOP_CAP)
-    })
-}
+/// Maximum hops a variable-length pattern may request: the bound
+/// substituted for open upper bounds like `*` / `+` / `*2..`; an explicit
+/// bound past it is a structured `hop_cap_exceeded` error.
+pub const HOP_CAP: u32 = 64;
 
 /// Resolved hop bounds of a variable-length query edge
 /// (`-[:L*min..max]->`). Both bounds are inclusive; `min >= 1` and
-/// `max <= hop_cap()` are enforced at parse/bind time.
+/// `max <= HOP_CAP` are enforced at parse/bind time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VarLength {
     /// Minimum number of hops (≥ 1).

@@ -106,18 +106,11 @@ fn assign(
     }
 }
 
-/// What a profile must agree on across pools: the deterministic view, with
-/// the factorized-count shortcut of a two-operator plan reduced to
-/// hit/no-hit — under first-E/I partitioning its one E/I is counted once
-/// per morsel of the leading list, so its *number* follows the morsel cut
-/// like `blocks` does. A longer plan's suffix serves one frontier entry
-/// per hit at any cut.
+/// What a profile must agree on across pools: the deterministic view,
+/// exactly. Every morsel is a root-ID range and a suffix serves one
+/// frontier entry per hit, so no counter follows the morsel cut.
 fn comparable(profile: &QueryProfile) -> QueryProfile {
-    let mut view = profile.deterministic_view();
-    if view.levels.len() == 2 {
-        view.fc_shortcut_hits = view.fc_shortcut_hits.min(1);
-    }
-    view
+    profile.deterministic_view()
 }
 
 fn untouched(profile: &QueryProfile) -> bool {

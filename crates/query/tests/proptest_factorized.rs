@@ -65,9 +65,13 @@ fn build_graph(edges: &[(u32, u32, i64, bool)]) -> Graph {
 /// a five-vertex tree whose inner branch has two leaves. Then the paper
 /// workload's densest cyclic shapes, SQ3
 /// (diamond) and SQ9 (4-clique), whose closing levels intersect two and
-/// three lists. Last, an edge-scan root, a MULTI-EXTEND (planned on the
-/// `bygrp` configuration) and var-length expansions at the tail, in the
-/// middle and at the front of a pipeline.
+/// three lists. Then an edge-scan root and a MULTI-EXTEND (planned on the
+/// `bygrp` configuration), alone and followed by a labelled single-list
+/// tail: once where the labels the MULTI-EXTEND enforces (a:A, c:B) prove
+/// the tail edge apart from its edges, so the tail skips the uniqueness
+/// subtraction, and once where they do not (c = a through a self-loop s,
+/// with t = r). Last, var-length expansions at the tail, in the middle and
+/// at the front of a pipeline.
 const TEMPLATES: &[&str] = &[
     "MATCH a-[r:E]->b",
     "MATCH a-[r]->b",
@@ -93,6 +97,8 @@ const TEMPLATES: &[&str] = &[
     "MATCH a-[r:E]->b, a-[s:E]->c, a-[t:E]->d, b-[u:E]->c, b-[v:E]->d, c-[x:E]->d",
     "MATCH a-[r]->b-[s]->c WHERE r.eID = 3",
     "MATCH a-[r]->b, a-[s]->c WHERE b.grp = c.grp",
+    "MATCH (a:A)-[r]->(b), (a:A)-[s]->(c:B), (c:B)-[t:F]->(d) WHERE a.ID < 4, b.grp = c.grp",
+    "MATCH (a:A)-[r]->b, (a:A)-[s]->c, c-[t:F]->d WHERE b.grp = c.grp",
     "MATCH a-[:E*1..3]->b",
     "MATCH a-[r:E]->b-[:F*1..2]->c",
     "MATCH a-[:E*2..3]->b-[s:F]->c WHERE a.ID = 0",
@@ -201,12 +207,12 @@ proptest! {
         }
     }
 
-    /// Skewed supernode + pinned root: the first-E/I and first-var-length
-    /// partitioned block paths agree with the sequential rows and counts.
-    /// The last three count a suffix under first-E/I partitioning: a
-    /// single tail owned by the root, whose label pass must run once per
-    /// root binding however the morsels are cut; a tree whose two leaves
-    /// hang off the level-1 vertex; and an inner branch owned by the root.
+    /// Skewed supernode + pinned root: the one-morsel root block agrees
+    /// with the sequential rows and counts at every pool size. The last
+    /// three count a suffix off the pinned root: a single tail owned by
+    /// the root, whose label pass runs once per root binding; a tree whose
+    /// two leaves hang off the level-1 vertex; and an inner branch owned by
+    /// the root.
     #[test]
     fn pinned_skew_block_paths_agree(
         hub_degree in 16u32..120,

@@ -3,15 +3,15 @@
 //! {1, 2, 4}, the parallel count must be identical to the sequential one,
 //! and parallel `collect` and the streamed `RowSink` must return the
 //! **bit-identical row sequence** as sequential `collect` — including
-//! under random `LIMIT`s and on pinned-root skew graphs where the first
-//! E/I level is what parallelizes. Index tuning and thread count must
-//! never change query results.
+//! under random `LIMIT`s and on pinned-root skew graphs, whose one-vertex
+//! root is one morsel at every pool size. Index tuning and thread count
+//! must never change query results.
 //!
 //! The graphs here are small (≤ 24 vertices), which is deliberate: the
 //! executor's morsel size adapts down to 1 at this scale
 //! (`aplus_runtime::scan_morsel_size`), so multi-threaded runs really do
-//! split the root scan (or the first E/I's adjacency lists) across
-//! workers rather than degenerating to one morsel.
+//! split the root scan across workers rather than degenerating to one
+//! morsel.
 
 use std::ops::ControlFlow;
 
@@ -113,8 +113,8 @@ fn assert_differential(db: &Database, q: &str, limit: usize) -> Result<(), TestC
 
 /// A skew graph: vertex 0 is a supernode fanning out to most of the graph
 /// (`hub_degree` edges), plus random background edges. Queries pinned to
-/// `a.ID = 0` bind a single root vertex, so only first-E/I partitioning
-/// can parallelize them.
+/// `a.ID = 0` bind a single root vertex, which is one morsel: the whole
+/// supernode fan-out runs in one block on the caller.
 fn build_skew_graph(hub_degree: u32, edges: &[(u32, u32, i64, bool)]) -> Graph {
     let mut g = build_graph(edges);
     let w = g.catalog().property(PropertyEntity::Edge, "w").unwrap();
@@ -133,7 +133,7 @@ fn build_skew_graph(hub_degree: u32, edges: &[(u32, u32, i64, bool)]) -> Graph {
 }
 
 /// Pinned-root templates: the root scan binds exactly one vertex (the
-/// supernode), exercising the first-E/I partitioned path — a plain fan-out
+/// supernode), run as one root morsel at every pool size — a plain fan-out
 /// extend, a 2-hop, a property-filtered 2-hop, and a cycle whose deeper
 /// levels intersect.
 const PINNED_TEMPLATES: &[&str] = &[
@@ -269,7 +269,7 @@ proptest! {
                 prop_assert_eq!(par, seq_count, "count: query {} threads {}", q, t);
             }
             assert_differential(&db, q, limit)?;
-            // Pinned first-E/I, against the oracle.
+            // The pinned root, against the oracle.
             common::assert_one_driver(&db, q)?;
         }
     }

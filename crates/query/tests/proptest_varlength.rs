@@ -4,8 +4,8 @@
 //! must equal an independent naive BFS reference (shortest-walk
 //! semantics), and parallel `collect`/`stream` must return the
 //! **bit-identical row sequence** as sequential `collect` — including on
-//! pinned-root skew graphs where the BFS frontier itself is what
-//! partitions across the morsel pool.
+//! pinned-root skew graphs, whose one-vertex root is one morsel that
+//! traverses the whole supernode BFS inline.
 //!
 //! The reference implementation is deliberately structured differently
 //! from the executor (classic single-source BFS distances plus a
@@ -299,10 +299,10 @@ proptest! {
         assert_parallel_identical(&db, "MATCH a<-[:E*1..2]-b", limit)?;
     }
 
-    /// Pinned-root skew: `a.ID = 0` binds a single supernode root, so the
-    /// morsel-parallel BFS frontier is the only partitionable level. Rows
-    /// must stay bit-identical to sequential at every thread count and
-    /// limit, and counts must match the reference restricted to source 0.
+    /// Pinned-root skew: `a.ID = 0` binds a single supernode root, one
+    /// morsel whose BFS runs inline at every pool size. Rows must stay
+    /// bit-identical to sequential at every thread count and limit, and
+    /// counts must match the reference restricted to source 0.
     #[test]
     fn pinned_root_bfs_frontier_partitioning(
         hub_degree in 16u32..100,
@@ -336,7 +336,7 @@ proptest! {
                 prop_assert_eq!(par, seq, "query {} threads {}", q, t);
             }
             assert_parallel_identical(&db, q, limit)?;
-            // Pinned first-var-length: frontier + emission partitioning.
+            // The pinned root: one morsel, its BFS run inline.
             common::assert_one_driver(&db, q)?;
         }
     }

@@ -1,12 +1,12 @@
 //! Morsel-driven parallel execution substrate.
 //!
-//! The workspace's single parallelism primitive is the [`MorselPool`]: work
-//! is cut into *morsels* (small, independently executable units, indexed
-//! `0..n` — the term is from HyPer's morsel-driven parallelism), block-
-//! distributed over per-worker deques, and executed by scoped threads that
-//! *steal* from their neighbours' deques once their own runs dry. Stealing
-//! keeps skewed workloads (power-law adjacency lists, pinned scans) balanced
-//! without any tuning.
+//! The workspace's single parallelism primitive is the [`MorselPool`] and its
+//! one scheduler, [`MorselPool::map_ranges`]: work is cut into *morsels*
+//! (contiguous ranges of `0..total` — the term is from HyPer's morsel-driven
+//! parallelism), dealt round-robin over per-worker deques, and executed by
+//! scoped threads that *steal* from their neighbours' deques once their own
+//! runs dry. Stealing keeps skewed workloads (power-law adjacency lists)
+//! balanced without any tuning.
 //!
 //! Two properties the query layer builds on:
 //!
@@ -194,14 +194,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A scoped work-stealing pool executing morsel-indexed tasks.
 ///
 /// The pool is a lightweight handle (a validated thread count); workers are
-/// spawned per [`MorselPool::run`] call inside a thread scope, so tasks may
-/// borrow from the caller's stack. Cloning is free.
+/// spawned per [`MorselPool::map_ranges`] call inside a thread scope, so
+/// tasks may borrow from the caller's stack. Cloning is free.
 ///
 /// ```
 /// use aplus_runtime::MorselPool;
 ///
 /// let pool = MorselPool::new(4);
-/// let squares = pool.run(8, |m| m * m);
+/// let squares = pool.run_ranges(8, 1, |r| r.start * r.start);
 /// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,7 +224,7 @@ impl MorselPool {
         }
     }
 
-    /// The single-threaded pool: every `run` executes inline.
+    /// The single-threaded pool: every call executes inline.
     #[must_use]
     pub fn sequential() -> Self {
         Self::new(1)
@@ -243,88 +243,29 @@ impl MorselPool {
         self.threads
     }
 
-    /// Whether `run` executes inline without spawning.
-    #[must_use]
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
-    /// Executes `task` once per morsel index in `0..morsels` and returns
-    /// the results **in morsel order**.
-    ///
-    /// Morsels are block-distributed over `min(threads, morsels)` worker
-    /// deques; each worker pops its own deque from the front and steals
-    /// from other deques' backs when empty. With 0 or 1 morsels, or on a
-    /// sequential pool, everything runs inline on the caller's thread.
-    ///
-    /// Panics in `task` are propagated to the caller after the scope joins.
-    pub fn run<R, F>(&self, morsels: usize, task: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let workers = self.threads.min(morsels);
-        if workers <= 1 {
-            return (0..morsels).map(task).collect();
-        }
-        // Block distribution: worker `w` seeds morsels
-        // `[w*n/W, (w+1)*n/W)`, so contiguous ranges stay contiguous per
-        // worker (cache locality) until stealing rebalances the tail.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let lo = w * morsels / workers;
-                let hi = (w + 1) * morsels / workers;
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
-        let queues = &queues;
-        let task = &task;
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(morsels).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut done: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let next = pop_own(&queues[w]).or_else(|| steal(queues, w));
-                            match next {
-                                Some(m) => done.push((m, task(m))),
-                                None => break,
-                            }
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => {
-                        for (m, r) in part {
-                            debug_assert!(slots[m].is_none(), "morsel {m} ran twice");
-                            slots[m] = Some(r);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every morsel executed exactly once"))
-            .collect()
-    }
-
     /// Cuts `0..total` into contiguous ranges of at most `morsel_size`
-    /// items, executes `task` on each, and returns the results in range
-    /// order. The convenience shape for partitioned scans.
+    /// items, executes `task` on each across the pool, and returns the
+    /// results in range order: [`Self::map_ranges`] collecting every
+    /// result, with a window as wide as the job. Panics in `task` are
+    /// propagated to the caller.
     pub fn run_ranges<R, F>(&self, total: usize, morsel_size: usize, task: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        let size = morsel_size.max(1);
-        let morsels = total.div_ceil(size);
-        self.run(morsels, |m| task(m * size..((m + 1) * size).min(total)))
+        let morsels = total.div_ceil(morsel_size.max(1));
+        let mut out = Vec::with_capacity(morsels);
+        self.map_ranges(
+            total,
+            morsel_size,
+            morsels,
+            |r, _| task(r),
+            |r| {
+                out.push(r);
+                ControlFlow::Continue(())
+            },
+        );
+        out
     }
 
     /// Order-preserving streaming map over contiguous ranges of `0..total`,
@@ -401,11 +342,11 @@ impl MorselPool {
         }
         let window = window.max(workers);
         // Ownership is *interleaved* (worker `w` owns morsels `≡ w mod
-        // workers`), unlike `run`'s block distribution: the admission
-        // window parks workers more than `window` morsels ahead of the
-        // merger, and under block distribution every worker's first own
-        // morsel (except worker 0's) already sits beyond the window — the
-        // whole pool would serialize behind worker 0's block. Interleaving
+        // workers`), not block-distributed: the admission window parks
+        // workers more than `window` morsels ahead of the merger, and under
+        // block distribution every worker's first own morsel (except worker
+        // 0's) already sits beyond the window — the whole pool would
+        // serialize behind worker 0's block. Interleaving
         // keeps each worker's queue front within `workers` of the global
         // frontier, so all workers stay admitted as the merger advances.
         let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
@@ -513,7 +454,7 @@ fn pop_own(queue: &Mutex<VecDeque<usize>>) -> Option<usize> {
 fn steal(queues: &[Mutex<VecDeque<usize>>], thief: usize) -> Option<usize> {
     let n = queues.len();
     // Victims are visited in ring order starting after the thief, taking
-    // from the *back* (the cold end of the victim's block).
+    // from the *back* (the morsels furthest from the merger).
     (1..n).find_map(|d| {
         queues[(thief + d) % n]
             .lock()
@@ -554,7 +495,7 @@ mod tests {
     fn results_are_in_morsel_order() {
         for threads in [1, 2, 3, 4, 8] {
             let pool = MorselPool::new(threads);
-            let out = pool.run(37, |m| m * 2);
+            let out = pool.run_ranges(37, 1, |r| r.start * 2);
             assert_eq!(out, (0..37).map(|m| m * 2).collect::<Vec<_>>(), "{threads}");
         }
     }
@@ -565,11 +506,11 @@ mod tests {
         let pool = MorselPool::new(4);
         // Skewed work: morsel 0 is much heavier than the rest, so other
         // workers must steal to finish.
-        pool.run(counters.len(), |m| {
-            if m == 0 {
+        pool.run_ranges(counters.len(), 1, |r| {
+            if r.start == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
-            counters[m].fetch_add(1, Ordering::Relaxed);
+            counters[r.start].fetch_add(1, Ordering::Relaxed);
         });
         for (m, c) in counters.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "morsel {m}");
@@ -581,16 +522,16 @@ mod tests {
         // Observable contract: the task runs on the calling thread.
         let caller = std::thread::current().id();
         let pool = MorselPool::sequential();
-        let ids = pool.run(5, |_| std::thread::current().id());
+        let ids = pool.run_ranges(5, 1, |_| std::thread::current().id());
+        assert_eq!(ids.len(), 5);
         assert!(ids.iter().all(|&id| id == caller));
-        assert!(pool.is_sequential());
     }
 
     #[test]
     fn zero_and_one_morsels() {
         let pool = MorselPool::new(8);
-        assert!(pool.run(0, |m| m).is_empty());
-        assert_eq!(pool.run(1, |m| m + 41), vec![41]);
+        assert!(pool.run_ranges(0, 1, |r| r).is_empty());
+        assert_eq!(pool.run_ranges(1, 1, |r| r.start + 41), vec![41]);
     }
 
     #[test]
@@ -635,11 +576,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "morsel 7 panicked")]
     fn worker_panics_propagate() {
-        MorselPool::new(2).run(16, |m| {
-            if m == 7 {
+        MorselPool::new(2).run_ranges(16, 1, |r| {
+            if r.start == 7 {
                 panic!("morsel 7 panicked");
             }
-            m
+            r.start
         });
     }
 

@@ -48,11 +48,11 @@
 //!
 //! ## Concurrency
 //!
-//! Queries execute morsel-parallel (the root scan — or the first E/I
-//! level, for pinned/skewed roots — partitions into ranges executed on a
-//! work-stealing pool; `APLUS_THREADS` overrides the worker count) with
+//! Queries execute morsel-parallel (the root scan's ID range partitions
+//! into ranges executed on a work-stealing pool — a pinned root is one
+//! range, run inline; `APLUS_THREADS` overrides the worker count) with
 //! counts and row sequences bit-identical at every thread count: one
-//! driver (`Database::run`) merges per-morsel counts or row buffers in
+//! driver (`Database::run`) merges per-morsel counts or blocks in
 //! morsel order, so `collect` gathers and `stream` pushes rows into a
 //! [`RowSink`] (e.g. the bounded [`row_channel`]) without materializing
 //! the result. [`SharedDatabase`]

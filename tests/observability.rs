@@ -145,19 +145,36 @@ fn profile_rows_match_collect_counts() {
 /// atomics see the same per-level sums regardless of interleaving.
 #[test]
 fn profile_merge_is_deterministic_across_thread_counts() {
-    // Single-list intersections at every level: the per-level candidate
-    // totals are partition-invariant (multi-list leapfrog candidates can
-    // legitimately vary with morsel boundaries; see exec docs). The
-    // labelled star-of-stars counts its tail in place off a non-root
-    // owner, whose label reads must not depend on where blocks split.
+    // Every morsel is a range of root IDs, so no counter depends on where
+    // the morsels are cut. The labelled star-of-stars counts its tail in
+    // place off a non-root owner, whose label reads must not depend on
+    // where blocks split. The pinned supernode is one morsel at every pool
+    // size, its one list and its two-list leapfrog included.
     let labelled =
         Database::new(generate(&GeneratorConfig::social(300, 2400, 2, 1))).expect("index build");
+    let hub_db = social(300, 2400);
+    let mut out_degree = vec![0usize; hub_db.graph().vertex_count()];
+    for (_, s, _, _) in hub_db.graph().edges() {
+        out_degree[s.index()] += 1;
+    }
+    let hub = (0..out_degree.len())
+        .max_by_key(|&v| out_degree[v])
+        .expect("the graph has vertices");
     let cases = [
-        (social(300, 2400), "MATCH a1-[e1]->a2, a2-[e2]->a3"),
+        (
+            social(300, 2400),
+            "MATCH a1-[e1]->a2, a2-[e2]->a3".to_owned(),
+        ),
         (
             labelled,
             "MATCH (a0:V0)-[r0:E0]->(a1:V1), (a0:V0)-[r1:E0]->(a2:V1), \
-             (a1:V1)-[r2:E0]->(a3:V0), (a1:V1)-[r3:E0]->(a4:V1)",
+             (a1:V1)-[r2:E0]->(a3:V0), (a1:V1)-[r3:E0]->(a4:V1)"
+                .to_owned(),
+        ),
+        (hub_db.clone(), format!("MATCH a-[r]->b WHERE a.ID = {hub}")),
+        (
+            hub_db,
+            format!("MATCH a-[r]->b, a-[s]->b WHERE a.ID = {hub}"),
         ),
     ];
     for (db, query) in &cases {
@@ -218,8 +235,8 @@ fn var_length_profiles_report_thread_invariant_hop_stats() {
         );
     }
 
-    // Pinned root: the morsel-parallel BFS frontier strategy records each
-    // hop at the level barrier before emission, so hop stats stay
+    // Pinned root: one morsel at every pool size, whose block runs the
+    // whole BFS before any row is flattened, so hop stats stay
     // thread-invariant even under a LIMIT that stops emission mid-level.
     let pinned = "MATCH a1-[*1..3]->a2 WHERE a1.ID = 0";
     let full = db.count(pinned).expect("query valid");
