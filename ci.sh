@@ -17,15 +17,17 @@ run() {
 # removed server knob, one way to read an offset list, page-granular
 # copy-on-write, no bitmap-index plumbing in the store, one benchmark
 # track, one (factorized) engine, blocks flattened once at the merge, one
-# partitioning strategy (root-ID morsels): keeps the forks, env reads,
-# per-query O(|E|) pass, per-request stream thread, whole-index /
-# whole-column commit copies, duplicate bench reporters, the row pipeline
-# with its engine knobs, the worker-side row buffers and the first-level
-# partitioning paths that were deleted from growing back.
+# partitioning strategy (root-ID morsels), one leapfrog kernel over list
+# columns, a bitset var-length BFS: keeps the forks, env reads, per-query
+# O(|E|) pass, per-request stream thread, whole-index / whole-column
+# commit copies, duplicate bench reporters, the row pipeline with its
+# engine knobs, the worker-side row buffers, the first-level partitioning
+# paths, a second intersection loop and the hashed BFS that were deleted
+# from growing back.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels)"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS"
     local bad=0 f
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -113,6 +115,29 @@ guard() {
             bad=1
         fi
     done
+    # Neighbour IDs are read as plain u32 columns: one leapfrog kernel
+    # seeks them by galloping, the var-length BFS keeps its levels in
+    # bitsets, and an owned list is two columns, not a vector of pairs.
+    local exec_src
+    exec_src=$(sed '/#\[cfg(test)\]/,$d' crates/query/src/exec.rs)
+    if grep -nE 'HashSet|\.dedup\(\)' <<<"$exec_src"; then
+        echo "guard: exec.rs: the var-length BFS runs over bitsets (no HashSet, no sort + dedup of a level)"
+        bad=1
+    fi
+    # A leapfrog loop calls the galloping `seek`, or steps a list pointer
+    # past smaller neighbours through `get` (the deleted linear advance).
+    local leapfrogs
+    leapfrogs=$(awk '/^(pub(\(crate\))? )?fn [a-z_0-9]+/ { f = $0; next }
+        /(^|[^a-z_])seek\(|\.1\.raw\(\) </ { print f }' <<<"$exec_src" | sort -u)
+    if (($(grep -c . <<<"$leapfrogs") > 1)); then
+        echo "$leapfrogs"
+        echo "guard: exec.rs: more than one function holds a leapfrog loop (keep one intersection kernel)"
+        bad=1
+    fi
+    if grep -rn 'List::Owned(' crates/core/src; then
+        echo "guard: List::Owned holds two columns (edges, nbrs), not a vector of pairs"
+        bad=1
+    fi
     ((bad == 0)) || exit 1
     echo "    guard passed"
 }

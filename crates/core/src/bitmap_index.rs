@@ -108,15 +108,14 @@ impl BitmapIndex {
             return List::empty();
         };
         let (_, region) = csr.region_bounds(owner.index());
-        let mut out = Vec::new();
-        for pos in range {
-            if pos < bm.len() && bm.get(pos) {
-                let off = pos - region.start;
-                let (e, n) = csr.region_entry(owner.index(), off);
-                out.push((e.raw(), n.raw()));
-            }
-        }
-        List::Owned(out)
+        List::from_pairs(
+            range
+                .filter(|&pos| pos < bm.len() && bm.get(pos))
+                .map(|pos| {
+                    let (e, n) = csr.region_entry(owner.index(), pos - region.start);
+                    (e.raw(), n.raw())
+                }),
+        )
     }
 
     /// Heap bytes (the bitmap only; levels are the primary's).

@@ -1,11 +1,15 @@
 //! Adjacency-list read handles.
 //!
 //! An index read returns one of two handles over an ordered sequence of
-//! `(edge, neighbour)` pairs:
+//! `(edge, neighbour)` pairs, both stored as two parallel columns (edge IDs
+//! and neighbour IDs):
 //!
 //! * [`List`] — what a **primary** index returns and what the E/I kernels
-//!   consume: a zero-copy borrow of a page's ID arrays, or an owned copy
-//!   when the range has buffered inserts or tombstones to splice.
+//!   consume: a zero-copy borrow of a page's ID columns, or owned columns
+//!   when the range has buffered inserts or tombstones to splice. Either
+//!   way [`List::columns`] hands out `(&[u64], &[u32])` with one match, so
+//!   a kernel reads neighbour IDs as a plain `u32` slice and touches the
+//!   edge column only where it needs an edge.
 //! * [`OffsetList`] — what a **secondary** index returns: the packed
 //!   offsets of the range plus the owner's primary region, resolved once;
 //!   positions dereference lazily in `get`, so a binary-search prune
@@ -19,20 +23,25 @@ use aplus_common::{Bitmap, EdgeId, PackedUints, VertexId};
 
 use crate::nested_csr::Region;
 
-/// An ordered adjacency list of `(edge, neighbour)` pairs.
+/// An ordered adjacency list of `(edge, neighbour)` pairs, as two columns.
 // Two variants on purpose: a third, lazy-offset arm in `get` slowed the primary
 // intersection loop (`secondary_stream` p50 18 -> 28 ms); hence `OffsetList`.
 #[derive(Debug, Clone)]
 pub enum List<'a> {
-    /// Zero-copy view into a page's merged ID arrays.
+    /// Zero-copy view into a page's merged ID columns.
     Slice {
         /// Edge IDs (raw).
         edges: &'a [u64],
         /// Neighbour vertex IDs (raw).
         nbrs: &'a [u32],
     },
-    /// Materialized pairs (buffered pages, dereferenced offset lists).
-    Owned(Vec<(u64, u32)>),
+    /// Materialized columns (buffered pages, dereferenced offset lists).
+    Owned {
+        /// Edge IDs (raw).
+        edges: Vec<u64>,
+        /// Neighbour vertex IDs (raw), parallel to `edges`.
+        nbrs: Vec<u32>,
+    },
 }
 
 impl List<'_> {
@@ -45,13 +54,27 @@ impl List<'_> {
         }
     }
 
+    /// An owned list split from `(edge, neighbour)` pairs.
+    #[must_use]
+    pub fn from_pairs(pairs: impl IntoIterator<Item = (u64, u32)>) -> List<'static> {
+        let (edges, nbrs) = pairs.into_iter().unzip();
+        List::Owned { edges, nbrs }
+    }
+
+    /// The edge-ID and neighbour-ID columns, of equal length.
+    #[inline]
+    #[must_use]
+    pub fn columns(&self) -> (&[u64], &[u32]) {
+        match self {
+            List::Slice { edges, nbrs } => (edges, nbrs),
+            List::Owned { edges, nbrs } => (edges, nbrs),
+        }
+    }
+
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self {
-            List::Slice { edges, .. } => edges.len(),
-            List::Owned(v) => v.len(),
-        }
+        self.columns().1.len()
     }
 
     /// Whether the list is empty.
@@ -67,15 +90,17 @@ impl List<'_> {
     #[inline]
     #[must_use]
     pub fn get(&self, i: usize) -> (EdgeId, VertexId) {
-        match self {
-            List::Slice { edges, nbrs } => (EdgeId(edges[i]), VertexId(nbrs[i])),
-            List::Owned(v) => (EdgeId(v[i].0), VertexId(v[i].1)),
-        }
+        let (edges, nbrs) = self.columns();
+        (EdgeId(edges[i]), VertexId(nbrs[i]))
     }
 
     /// Iterates the pairs in order.
     pub fn iter(&self) -> impl Iterator<Item = (EdgeId, VertexId)> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
+        let (edges, nbrs) = self.columns();
+        edges
+            .iter()
+            .zip(nbrs)
+            .map(|(&e, &n)| (EdgeId(e), VertexId(n)))
     }
 }
 
@@ -97,15 +122,23 @@ pub enum OffsetList<'a> {
         /// Neighbour-ID column of the owner's primary region.
         nbrs: &'a [u32],
     },
-    /// The range had buffered entries or tombstones: spliced, live pairs.
-    Dirty(Vec<(u64, u32)>),
+    /// The range had buffered entries or tombstones: spliced, live entries.
+    Dirty {
+        /// Edge IDs (raw).
+        edges: Vec<u64>,
+        /// Neighbour vertex IDs (raw), parallel to `edges`.
+        nbrs: Vec<u32>,
+    },
 }
 
 impl<'a> OffsetList<'a> {
     /// The empty list.
     #[must_use]
     pub fn empty() -> Self {
-        OffsetList::Dirty(Vec::new())
+        OffsetList::Dirty {
+            edges: Vec::new(),
+            nbrs: Vec::new(),
+        }
     }
 
     /// Reads positions `range` of a secondary page whose entries point
@@ -140,7 +173,9 @@ impl<'a> OffsetList<'a> {
             let gone = deleted.get(pos) || region.is_deleted(off);
             (region.edges[off], region.nbrs[off], gone)
         };
-        OffsetList::Dirty(interleave(range, merged, splices))
+        let (mut edges, mut nbrs) = (Vec::new(), Vec::new());
+        interleave(range, merged, splices, &mut edges, &mut nbrs);
+        OffsetList::Dirty { edges, nbrs }
     }
 
     /// Number of entries.
@@ -148,7 +183,7 @@ impl<'a> OffsetList<'a> {
     pub fn len(&self) -> usize {
         match self {
             OffsetList::Clean { len, .. } => *len,
-            OffsetList::Dirty(v) => v.len(),
+            OffsetList::Dirty { nbrs, .. } => nbrs.len(),
         }
     }
 
@@ -178,7 +213,7 @@ impl<'a> OffsetList<'a> {
                 let off = offsets.get(start + i) as usize;
                 (EdgeId(edges[off]), VertexId(nbrs[off]))
             }
-            OffsetList::Dirty(v) => (EdgeId(v[i].0), VertexId(v[i].1)),
+            OffsetList::Dirty { edges, nbrs } => (EdgeId(edges[i]), VertexId(nbrs[i])),
         }
     }
 
@@ -195,11 +230,16 @@ impl<'a> OffsetList<'a> {
     #[must_use]
     pub fn into_list(self, start: usize, end: usize) -> List<'static> {
         assert!(start <= end && end <= self.len(), "bad run {start}..{end}");
-        List::Owned(match self {
-            OffsetList::Dirty(mut v) => {
-                v.truncate(end);
-                v.drain(..start);
-                v
+        match self {
+            OffsetList::Dirty {
+                mut edges,
+                mut nbrs,
+            } => {
+                edges.truncate(end);
+                edges.drain(..start);
+                nbrs.truncate(end);
+                nbrs.drain(..start);
+                List::Owned { edges, nbrs }
             }
             OffsetList::Clean {
                 offsets,
@@ -207,13 +247,11 @@ impl<'a> OffsetList<'a> {
                 edges,
                 nbrs,
                 ..
-            } => (first + start..first + end)
-                .map(|pos| {
-                    let off = offsets.get(pos) as usize;
-                    (edges[off], nbrs[off])
-                })
-                .collect(),
-        })
+            } => List::from_pairs((first + start..first + end).map(|pos| {
+                let off = offsets.get(pos) as usize;
+                (edges[off], nbrs[off])
+            })),
+        }
     }
 }
 
@@ -221,8 +259,8 @@ impl<'a> OffsetList<'a> {
 /// which this entry sorts, edge, neighbour)`.
 pub(crate) type Splice = (u32, u64, u32);
 
-/// Materializes a range of a merged array interleaved with buffered splices
-/// and with tombstones dropped.
+/// Appends a range of a merged array, interleaved with buffered splices
+/// and with tombstones dropped, to the columns `edges` / `nbrs`.
 ///
 /// * `merged` yields `(abs_position, edge, nbr, deleted)` for positions
 ///   `range.start..range.end`.
@@ -232,23 +270,28 @@ pub(crate) fn interleave(
     range: Range<usize>,
     merged: impl Fn(usize) -> (u64, u32, bool),
     splices: &[Splice],
-) -> Vec<(u64, u32)> {
-    let mut out = Vec::with_capacity(range.len() + splices.len());
+    edges: &mut Vec<u64>,
+    nbrs: &mut Vec<u32>,
+) {
+    edges.reserve(range.len() + splices.len());
+    nbrs.reserve(range.len() + splices.len());
     let mut si = 0;
-    for pos in range.clone() {
+    for pos in range {
         while si < splices.len() && (splices[si].0 as usize) <= pos {
-            out.push((splices[si].1, splices[si].2));
+            edges.push(splices[si].1);
+            nbrs.push(splices[si].2);
             si += 1;
         }
         let (edge, nbr, deleted) = merged(pos);
         if !deleted {
-            out.push((edge, nbr));
+            edges.push(edge);
+            nbrs.push(nbr);
         }
     }
     for s in &splices[si..] {
-        out.push((s.1, s.2));
+        edges.push(s.1);
+        nbrs.push(s.2);
     }
-    out
 }
 
 #[cfg(test)]
@@ -271,11 +314,23 @@ mod tests {
 
     #[test]
     fn owned_accessors() {
-        let l = List::Owned(vec![(5, 50), (6, 60)]);
+        let l = List::from_pairs([(5, 50), (6, 60)]);
+        assert_eq!(l.columns(), (&[5u64, 6][..], &[50u32, 60][..]));
         assert_eq!(l.len(), 2);
         assert_eq!(l.get(0), (EdgeId(5), VertexId(50)));
         assert!(!l.is_empty());
         assert!(List::empty().is_empty());
+    }
+
+    /// `interleave`'s output as `(edge, neighbour)` pairs.
+    fn interleaved(
+        range: Range<usize>,
+        merged: impl Fn(usize) -> (u64, u32, bool),
+        splices: &[Splice],
+    ) -> Vec<(u64, u32)> {
+        let (mut edges, mut nbrs) = (Vec::new(), Vec::new());
+        interleave(range, merged, splices, &mut edges, &mut nbrs);
+        edges.into_iter().zip(nbrs).collect()
     }
 
     #[test]
@@ -285,14 +340,14 @@ mod tests {
         // goes last.
         let merged = |p: usize| (100 + p as u64, p as u32, false);
         let splices = vec![(1u32, 500u64, 9u32), (3, 600, 9)];
-        let out = interleave(0..3, merged, &splices);
+        let out = interleaved(0..3, merged, &splices);
         assert_eq!(out, vec![(100, 0), (500, 9), (101, 1), (102, 2), (600, 9)]);
     }
 
     #[test]
     fn interleave_skips_tombstones() {
         let merged = |p: usize| (100 + p as u64, 0u32, p == 1);
-        let out = interleave(0..3, merged, &[]);
+        let out = interleaved(0..3, merged, &[]);
         assert_eq!(out, vec![(100, 0), (102, 0)]);
     }
 
@@ -301,7 +356,7 @@ mod tests {
         // Range starting at 5; splice position 5 comes before merged[5].
         let merged = |p: usize| (p as u64, 0u32, false);
         let splices = vec![(5u32, 999u64, 1u32)];
-        let out = interleave(5..7, merged, &splices);
+        let out = interleaved(5..7, merged, &splices);
         assert_eq!(out, vec![(999, 1), (5, 0), (6, 0)]);
     }
 }

@@ -422,7 +422,9 @@ impl NestedCsr {
             .filter(|b| b.owner_in_page == local && b.slot >= first && b.slot < slot_end)
             .map(|b| (b.merge_pos, b.edge, b.nbr))
             .collect();
-        List::Owned(interleave(range, |p| page.entry(p), &splices))
+        let (mut edges, mut nbrs) = (Vec::new(), Vec::new());
+        interleave(range, |p| page.entry(p), &splices, &mut edges, &mut nbrs);
+        List::Owned { edges, nbrs }
     }
 
     // ----- maintenance ---------------------------------------------------------
@@ -551,15 +553,13 @@ impl NestedCsr {
                     .filter(|b| b.owner_in_page == local as u32 && b.slot == slot as u32)
                     .map(|b| (b.merge_pos, b.edge, b.nbr))
                     .collect();
-                let merged = interleave(
+                interleave(
                     lo..hi,
                     |p| (page.edge_ids[p], page.nbr_ids[p], page.deleted.get(p)),
                     &splices,
+                    &mut new_edges,
+                    &mut new_nbrs,
                 );
-                for (e, n) in merged {
-                    new_edges.push(e);
-                    new_nbrs.push(n);
-                }
                 new_offsets.push(new_edges.len() as u32);
             }
         }
@@ -796,7 +796,7 @@ mod tests {
         assert!(matches!(csr.list(0, &[0]), List::Slice { .. }));
         let mut dirty = small();
         dirty.delete(0, 100);
-        assert!(matches!(dirty.list(0, &[0]), List::Owned(_)));
+        assert!(matches!(dirty.list(0, &[0]), List::Owned { .. }));
     }
 
     #[test]

@@ -529,7 +529,7 @@ mod tests {
         let mut p = primary(4, 100);
         assert!(p.delete(0, 100)); // tombstones offset 0 in the primary
         let l = c.list(0, &[0], p.region(0));
-        assert!(matches!(l, OffsetList::Dirty(_)));
+        assert!(matches!(l, OffsetList::Dirty { .. }));
         assert_eq!(l.len(), 1);
     }
 

@@ -802,7 +802,7 @@ mod tests {
         assert!(vp.delete_edge(&g, p.index(Direction::Fwd), t4));
         // The index's own tombstone alone already dirties the range.
         let l = vp.list(p.index(Direction::Fwd), fg.account(1), &[wire]);
-        assert!(matches!(l, OffsetList::Dirty(_)) && l.len() == 2);
+        assert!(matches!(l, OffsetList::Dirty { .. }) && l.len() == 2);
         p.index_mut(Direction::Fwd).delete_edge(&g, t4);
         let l = vp.list(p.index(Direction::Fwd), fg.account(1), &[wire]);
         assert_eq!(l.len(), 2);

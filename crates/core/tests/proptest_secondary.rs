@@ -46,7 +46,7 @@ fn read_every_way(
     list: OffsetList<'_>,
     expect_dirty: bool,
 ) -> Result<Vec<(u64, u32)>, TestCaseError> {
-    prop_assert_eq!(matches!(list, OffsetList::Dirty(_)), expect_dirty);
+    prop_assert_eq!(matches!(list, OffsetList::Dirty { .. }), expect_dirty);
     let len = list.len();
     prop_assert_eq!(list.is_empty(), len == 0);
     let by_get: Vec<_> = (0..len).map(|i| list.get(i)).collect();

@@ -43,7 +43,9 @@
 //! frontier entries under the same owner entry share one evaluation of a
 //! branch, so for a leaf only the subtraction runs per entry — the
 //! factorized-count win on high-fanout tails. A plan without a suffix
-//! counts its last operator's bindings per frontier entry.
+//! whose last operator is a var-length expansion with no check mode, target
+//! label or residual counts its BFS level sizes, binding no target; any
+//! other counts its last operator's bindings per frontier entry.
 //!
 //! This module owns no driver: [`crate::exec::run`] cuts the root scan's ID
 //! range into morsels and merges the output, and calls in here only for
@@ -63,7 +65,8 @@ use aplus_core::Direction;
 use aplus_obs::LevelStats;
 
 use crate::exec::{
-    ei_op, fetch_one, op_bindings, root_range_bindings, BoundList, EiOp, Emit, ExecContext,
+    counted_var_length, ei_op, fetch_one, op_bindings, root_range_bindings, var_length_count,
+    BoundList, EiOp, Emit, ExecContext,
 };
 use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryPredicate, Row};
@@ -251,8 +254,10 @@ impl Blocks {
 
     /// Counts the matches of the operators the block did not build, **without
     /// building their levels**: per frontier entry, the plan's counted
-    /// [`Suffix`] product, or — when the last operator has no in-place count
-    /// — the bindings its producer yields, folded straight into the total.
+    /// [`Suffix`] product; else, for a [`counted_var_length`] last operator,
+    /// its BFS level sizes ([`var_length_count`]); else the bindings the last
+    /// operator's producer yields, folded straight into the total. This is
+    /// the one place the counting path is chosen.
     fn tail_count<'a>(
         &mut self,
         ctx: ExecContext<'a>,
@@ -272,14 +277,16 @@ impl Blocks {
                 })
                 .collect()
         });
+        let counted_vl = counted_var_length(&plan.ops[last]);
         let mut total = 0u64;
         for fi in 0..self.levels[top].len() {
             self.bind_path(row, top, fi);
-            let n = match suffix {
-                Some(s) => s
+            let n = match (suffix, &counted_vl) {
+                (Some(s), _) => s
                     .count_entry(ctx, &self.cursor, &mut runs, row)
                     .map_or(0, |n| served(ctx, stats, n)),
-                None => {
+                (None, Some(vl)) => var_length_count(ctx, last, vl, row),
+                (None, None) => {
                     let mut n = 0u64;
                     let _ = op_bindings(ctx, &plan.ops[last], last, row, &mut |_| {
                         n += 1;
@@ -644,8 +651,9 @@ impl<'p> Suffix<'p> {
             return Memo::Leaf { list, matching };
         }
         let (mut sum, mut visited) = (0u64, 0u64);
-        for i in 0..list.len() {
-            let (e, n) = list.get(i);
+        let (edges, nbrs) = list.columns();
+        for (&e, &n) in edges.iter().zip(nbrs) {
+            let (e, n) = (EdgeId(e), VertexId(n));
             if !br.tail.passes(ctx, n) || (!br.prefix_disjoint && row.uses_edge(e)) {
                 continue;
             }

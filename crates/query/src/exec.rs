@@ -6,9 +6,11 @@
 //! bindings it adds and hands each to a continuation. The factorized block
 //! engine ([`crate::block`]) is the only consumer: it runs each operator
 //! over a whole level of bindings at once and keeps the results factorized
-//! until the sink. Adjacency lists are read through the A+ indexes; E/I
-//! performs k-pointer sorted intersection on neighbour IDs (the WCOJ
-//! building block), MULTI-EXTEND performs a k-pointer merge-group on a
+//! until the sink. Adjacency lists are read through the A+ indexes as two
+//! borrowed columns (edge IDs, neighbour IDs); E/I performs a k-pointer
+//! leapfrog intersection on the neighbour columns, seeking by galloping
+//! search (the WCOJ building block), VAR-LENGTH EXPAND is a BFS over vertex
+//! bitsets, MULTI-EXTEND performs a k-pointer merge-group on a
 //! property sort key and emits the cartesian product of each equal-key
 //! group, and sorted-prefix prunes are applied by binary search (the
 //! "fewer predicate evaluations" effect of VPt, §V-C1).
@@ -46,10 +48,9 @@
 //! delivered is built, and outstanding pool morsels are cancelled through
 //! the cooperative [`aplus_runtime::ExitSignal`].
 
-use std::collections::HashSet;
 use std::ops::{ControlFlow, Range};
 
-use aplus_common::{EdgeId, VertexId};
+use aplus_common::{Bitmap, EdgeId, VertexId};
 use aplus_core::{CmpOp, Direction, IndexStore, List, OffsetList, SortKey};
 use aplus_graph::Graph;
 use aplus_obs::{HopStats, LevelStats, QueryProfiler};
@@ -361,7 +362,7 @@ pub(crate) fn ei_op(op: &Operator) -> EiOp<'_> {
 
 /// A [`Operator::VarLengthExpand`]'s pieces, destructured once per use
 /// site.
-struct VarLengthOp<'p> {
+pub(crate) struct VarLengthOp<'p> {
     src: usize,
     target: usize,
     target_label: Option<aplus_common::VertexLabelId>,
@@ -409,37 +410,38 @@ fn var_length_op(op: &Operator) -> VarLengthOp<'_> {
 
 /// One traversal step from `u`: every neighbour through the operator's
 /// primary-index run, filtered by edge label when the partition prefix
-/// does not already enforce it.
-fn vl_neighbors(
-    ctx: ExecContext<'_>,
-    vl: &VarLengthOp<'_>,
-    u: VertexId,
-    f: &mut dyn FnMut(VertexId),
-) {
-    let primary = ctx.store.primary().index(vl.dir);
-    let list = primary.list(u, vl.prefix);
-    for (e, n) in list.iter() {
-        if !vl.label_enforced {
-            if let Some(want) = vl.edge_label {
-                if !ctx.graph.edge_label(e).is_ok_and(|l| l == want) {
-                    continue;
+/// does not already enforce it. The list is read as its columns; the edge
+/// column is read only when the label must be checked.
+fn vl_neighbors(ctx: ExecContext<'_>, vl: &VarLengthOp<'_>, u: VertexId, mut f: impl FnMut(u32)) {
+    let list = ctx.store.primary().index(vl.dir).list(u, vl.prefix);
+    let (edges, nbrs) = list.columns();
+    match vl.edge_label.filter(|_| !vl.label_enforced) {
+        None => nbrs.iter().for_each(|&n| f(n)),
+        Some(want) => {
+            for (&e, &n) in edges.iter().zip(nbrs) {
+                if ctx.graph.edge_label(EdgeId(e)).is_ok_and(|l| l == want) {
+                    f(n);
                 }
             }
         }
-        f(n);
     }
 }
 
 /// The ascending emission order of one BFS level: the newly reached
 /// targets, with the source spliced in at its sorted position when this
 /// level re-reached it for the first time (the shortest-cycle case).
-fn vl_emission(candidates: &[u32], s: VertexId, s_new: bool) -> Vec<u32> {
-    let mut v = candidates.to_vec();
-    if s_new {
-        let pos = v.partition_point(|&t| t < s.raw());
-        v.insert(pos, s.raw());
-    }
-    v
+fn vl_emission(candidates: &[u32], s: VertexId, s_new: bool) -> impl Iterator<Item = u32> + '_ {
+    let at = if s_new {
+        candidates.partition_point(|&t| t < s.raw())
+    } else {
+        candidates.len()
+    };
+    let (below, above) = candidates.split_at(at);
+    below
+        .iter()
+        .copied()
+        .chain(s_new.then_some(s.raw()))
+        .chain(above.iter().copied())
 }
 
 /// One var-length target: re-checks the target label, binds the target
@@ -513,7 +515,7 @@ fn var_length_bindings(
             });
         }
         if level >= vl.min {
-            for &t in &vl_emission(candidates, s, s_new) {
+            for t in vl_emission(candidates, s, s_new) {
                 if let flow @ ControlFlow::Break(()) = vl_target(ctx, vl, VertexId(t), row, k) {
                     return ControlFlow::Break(flow);
                 }
@@ -523,37 +525,86 @@ fn var_length_bindings(
     })
 }
 
+/// The var-length operator `op` when a count may take it in place: counted
+/// last, with no check mode, no target label and no residual, every target
+/// it reaches at a level within `min..=max` is one match.
+pub(crate) fn counted_var_length(op: &Operator) -> Option<VarLengthOp<'_>> {
+    let Operator::VarLengthExpand { .. } = op else {
+        return None;
+    };
+    let vl = var_length_op(op);
+    (!vl.check && vl.target_label.is_none() && vl.residual.is_empty()).then_some(vl)
+}
+
+/// The matches a [`counted_var_length`] operator (plan level `depth`) adds
+/// to the binding held in `row`, **without binding a target**: the sum,
+/// over BFS levels `>= min`, of the level's newly reached targets plus the
+/// source when that level re-reached it first. The hop profile is the one
+/// the binding path records.
+pub(crate) fn var_length_count(
+    ctx: ExecContext<'_>,
+    depth: usize,
+    vl: &VarLengthOp<'_>,
+    row: &Row,
+) -> u64 {
+    let s = row.vertex(vl.src).expect("plan binds the traversal source");
+    if let Some(stats) = ctx.prof_level(depth) {
+        stats.record(1, 0, 0);
+    }
+    let mut n = 0u64;
+    let _ = var_length_bfs(ctx, vl, s, &mut |level, candidates, s_new| {
+        if level >= vl.min {
+            n = n.saturating_add((candidates.len() + usize::from(s_new)) as u64);
+        }
+        ControlFlow::Continue(())
+    });
+    n
+}
+
 /// A BFS level visitor's verdict: `Continue` descends a level,
 /// `Break(flow)` ends the traversal and hands `flow` back to the pipeline.
 type LevelFlow = ControlFlow<ControlFlow<()>>;
 
-/// The level-synchronous BFS from `s` — the one traversal loop. `visited`
-/// keeps every target at its shortest level only; the source is tracked
-/// separately (`s_hit` / `s_refound`) so the shortest cycle back to it can
-/// be reported without ever re-expanding it. After each level,
-/// `on_level(level, newly reached targets, source newly re-reached)`
-/// decides how to go on.
+/// The level-synchronous BFS from `s` — the one traversal loop, over two
+/// dense bitsets of `vertex_count` bits. `visited` holds every target from
+/// its shortest level on; the source is tracked separately (`s_hit` /
+/// `s_refound`) so the shortest cycle back to it can be reported without
+/// ever re-expanding it. `next` collects one level's unvisited neighbours;
+/// reading its set bits out yields the level ascending and duplicate-free
+/// by construction, and unsetting exactly those bits leaves it clear for
+/// the next level. After each level, `on_level(level, newly reached
+/// targets, source newly re-reached)` decides how to go on.
 fn var_length_bfs(
     ctx: ExecContext<'_>,
     vl: &VarLengthOp<'_>,
     s: VertexId,
     on_level: &mut dyn FnMut(u32, &[u32], bool) -> LevelFlow,
 ) -> ControlFlow<()> {
-    let mut visited: HashSet<u32> = HashSet::new();
-    visited.insert(s.raw());
+    let vertices = ctx.graph.vertex_count();
+    let mut visited = Bitmap::with_len(vertices, false);
+    let mut next = Bitmap::with_len(vertices, false);
+    visited.set(s.index(), true);
     let mut frontier: Vec<u32> = vec![s.raw()];
+    let mut candidates: Vec<u32> = Vec::new();
     let mut s_refound = false;
     for level in 1..=vl.max {
         if frontier.is_empty() {
             break;
         }
-        let (candidates, s_hit) = expand_frontier(ctx, vl, s, &frontier, &visited);
+        let s_hit = expand_frontier(ctx, vl, s, &frontier, &visited, &mut next);
         let s_new = s_hit && !s_refound;
+        let visited_before = visited.count_ones();
+        candidates.clear();
+        candidates.extend(next.iter_ones().map(|t| t as u32));
+        for &t in &candidates {
+            next.set(t as usize, false);
+            visited.set(t as usize, true);
+        }
         record_hop(
             ctx,
             level,
             frontier.len(),
-            visited.len(),
+            visited_before,
             &candidates,
             s_new,
         );
@@ -561,8 +612,7 @@ fn var_length_bfs(
             return flow;
         }
         s_refound |= s_hit;
-        visited.extend(candidates.iter().copied());
-        frontier = candidates;
+        std::mem::swap(&mut frontier, &mut candidates);
     }
     ControlFlow::Continue(())
 }
@@ -589,29 +639,28 @@ fn record_hop(
     }
 }
 
-/// Expands one BFS level: every unvisited neighbour of the frontier,
-/// sorted and deduplicated, and whether the source was re-reached.
+/// Expands one BFS level: sets in `next` every neighbour of the frontier
+/// that is neither visited nor the source (a neighbour reached twice is one
+/// bit), and returns whether the source was re-reached.
 fn expand_frontier(
     ctx: ExecContext<'_>,
     vl: &VarLengthOp<'_>,
     s: VertexId,
     frontier: &[u32],
-    visited: &HashSet<u32>,
-) -> (Vec<u32>, bool) {
-    let mut candidates: Vec<u32> = Vec::new();
+    visited: &Bitmap,
+    next: &mut Bitmap,
+) -> bool {
     let mut s_hit = false;
     for &u in frontier {
-        vl_neighbors(ctx, vl, VertexId(u), &mut |n| {
-            if n == s {
+        vl_neighbors(ctx, vl, VertexId(u), |n| {
+            if n == s.raw() {
                 s_hit = true;
-            } else if !visited.contains(&n.raw()) {
-                candidates.push(n.raw());
+            } else if !visited.get(n as usize) {
+                next.set(n as usize, true);
             }
         });
     }
-    candidates.sort_unstable();
-    candidates.dedup();
-    (candidates, s_hit)
+    s_hit
 }
 
 /// Fetches an E/I operator's adjacency lists for the current row; `None`
@@ -854,39 +903,39 @@ impl BoundList<'_> {
         self.list.get(self.start + i)
     }
 
+    /// The run's edge-ID and neighbour-ID columns, borrowed once: kernels
+    /// read neighbour IDs as a plain `u32` slice.
+    pub(crate) fn columns(&self) -> (&[u64], &[u32]) {
+        let (edges, nbrs) = self.list.columns();
+        (&edges[self.start..self.end], &nbrs[self.start..self.end])
+    }
+
     /// Counts the entries whose neighbour passes `keep`, in one pass over
-    /// the neighbour column: the representation is matched once, outside
-    /// the loop.
+    /// the neighbour column.
     pub(crate) fn count_nbrs(&self, keep: impl Fn(VertexId) -> bool) -> u64 {
-        let at = self.start..self.end;
-        let n = match &self.list {
-            List::Slice { nbrs, .. } => nbrs[at].iter().filter(|&&n| keep(VertexId(n))).count(),
-            List::Owned(pairs) => pairs[at]
-                .iter()
-                .filter(|&&(_, n)| keep(VertexId(n)))
-                .count(),
-        };
-        n as u64
+        self.columns()
+            .1
+            .iter()
+            .filter(|&&n| keep(VertexId(n)))
+            .count() as u64
     }
 
     /// Counts the entries holding exactly `(e, nbr)`. When the list is
     /// `nbr_sorted`, only `nbr`'s parallel-edge run is read, found by binary
-    /// search; otherwise the whole list is scanned.
+    /// search on the neighbour column; otherwise the whole list is scanned.
     pub(crate) fn count_entry(&self, e: EdgeId, nbr: VertexId, nbr_sorted: bool) -> u64 {
+        let (edges, nbrs) = self.columns();
         let from = if nbr_sorted {
-            partition_idx(0, self.len(), |i| self.get(i).1 < nbr)
+            nbrs.partition_point(|&n| n < nbr.raw())
         } else {
             0
         };
-        let mut n = 0u64;
-        for i in from..self.len() {
-            let (ei, ni) = self.get(i);
-            if nbr_sorted && ni != nbr {
-                break;
-            }
-            n += u64::from(ei == e && ni == nbr);
-        }
-        n
+        edges[from..]
+            .iter()
+            .zip(&nbrs[from..])
+            .take_while(|&(_, &n)| !nbr_sorted || n == nbr.raw())
+            .filter(|&(&ei, &n)| ei == e.raw() && n == nbr.raw())
+            .count() as u64
     }
 }
 
@@ -997,15 +1046,16 @@ fn restrict<'a>(
         // Unsorted range: fall back to a filtering scan (NULL never
         // satisfies the restriction).
         Some((op, value)) if !ald.sorted_range => {
-            let kept: Vec<(u64, u32)> = (0..fetched.len())
-                .map(|i| fetched.get(i))
-                .filter(|&(e, n)| {
-                    sort_key(ctx.graph, leading, e, n).is_some_and(|key| op.eval(key, value))
-                })
-                .map(|(e, n)| (e.raw(), n.raw()))
-                .collect();
+            let kept = List::from_pairs(
+                (0..fetched.len())
+                    .map(|i| fetched.get(i))
+                    .filter(|&(e, n)| {
+                        sort_key(ctx.graph, leading, e, n).is_some_and(|key| op.eval(key, value))
+                    })
+                    .map(|(e, n)| (e.raw(), n.raw())),
+            );
             let len = kept.len();
-            (List::Owned(kept), 0, len)
+            (kept, 0, len)
         }
         // Binary search on the leading sort key: a lazy offset list
         // dereferences O(log n) entries here — the access pattern that
@@ -1027,30 +1077,23 @@ fn restrict<'a>(
         Need::KeySorted => ald.sorted_range,
     };
     if !satisfied {
-        // An already-owned run (every offset list) is sorted in place.
-        let mut owned = match list {
-            List::Owned(mut v) => {
-                v.truncate(end);
-                v.drain(..start);
-                v
-            }
-            borrowed => (start..end)
-                .map(|i| {
-                    let (e, n) = borrowed.get(i);
-                    (e.raw(), n.raw())
-                })
-                .collect(),
-        };
+        // Sort the run as pairs, then split it back into columns.
+        let (edges, nbrs) = list.columns();
+        let mut pairs: Vec<(u64, u32)> = edges[start..end]
+            .iter()
+            .copied()
+            .zip(nbrs[start..end].iter().copied())
+            .collect();
         match need {
-            Need::NbrSorted => owned.sort_unstable_by_key(|&(e, n)| (n, e)),
-            Need::KeySorted => owned.sort_by_cached_key(|&(e, n)| {
+            Need::NbrSorted => pairs.sort_unstable_by_key(|&(e, n)| (n, e)),
+            Need::KeySorted => pairs.sort_by_cached_key(|&(e, n)| {
                 let key = sort_key(ctx.graph, merge_key, EdgeId(e), VertexId(n));
                 (key.map_or(i128::MAX, i128::from), n, e)
             }),
             Need::Any => {}
         }
-        (start, end) = (0, owned.len());
-        list = List::Owned(owned);
+        (start, end) = (0, pairs.len());
+        list = List::from_pairs(pairs);
     }
     bound(list, start, end)
 }
@@ -1123,8 +1166,8 @@ fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
 }
 
 /// Runs the E/I `ei` over its pre-fetched lists: a single list is scanned
-/// in list order, several are intersected on neighbour ID with a k-pointer
-/// leapfrog.
+/// in list order, several are intersected on neighbour ID by the one
+/// leapfrog kernel, [`leapfrog`].
 ///
 /// The continuation `k` runs per produced binding with the target vertex
 /// and all edge variables bound (and is unwound before the next binding):
@@ -1132,9 +1175,9 @@ fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
 /// or counts it.
 ///
 /// `stats` (a `PROFILE` run's cell for this operator level) accrues
-/// candidates examined — single-list entries scanned, or leapfrog head
-/// groups considered — and bindings emitted, accumulated in locals and
-/// flushed with one atomic add per call.
+/// candidates examined — single-list entries scanned, or leapfrog rounds —
+/// and bindings emitted, accumulated in locals and flushed with one atomic
+/// add per call.
 fn ei_over_lists(
     ctx: ExecContext<'_>,
     ei: &EiOp<'_>,
@@ -1145,14 +1188,106 @@ fn ei_over_lists(
 ) -> ControlFlow<()> {
     let mut cand = 0u64;
     let mut emit = 0u64;
-    let flow = ei_over_lists_counted(ctx, ei, lists, row, &mut cand, &mut emit, k);
+    let flow = match lists {
+        [list] => scan_one(ctx, ei, list, row, &mut cand, &mut emit, k),
+        _ => leapfrog(ctx, ei, lists, row, &mut cand, &mut emit, k),
+    };
     if let Some(s) = stats {
         s.record(0, cand, emit);
     }
     flow
 }
 
-fn ei_over_lists_counted(
+/// Whether neighbour `n` passes the E/I's target label check. Compares the
+/// label alone: `== Ok(want)` would compare whole `Result`s, dragging the
+/// error type's equality into the hot loop.
+fn label_ok(ctx: ExecContext<'_>, ei: &EiOp<'_>, n: VertexId) -> bool {
+    ei.target_label
+        .is_none_or(|want| ctx.graph.vertex_label(n).is_ok_and(|l| l == want))
+}
+
+/// A single-list extension: every entry whose edge is not already bound
+/// and whose neighbour passes the label, in list order.
+fn scan_one(
+    ctx: ExecContext<'_>,
+    ei: &EiOp<'_>,
+    list: &BoundList<'_>,
+    row: &mut Row,
+    cand: &mut u64,
+    emit: &mut u64,
+    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let (edges, nbrs) = list.columns();
+    for (&e, &n) in edges.iter().zip(nbrs) {
+        *cand += 1;
+        let (e, n) = (EdgeId(e), VertexId(n));
+        if row.uses_edge(e) || !label_ok(ctx, ei, n) {
+            continue;
+        }
+        row.bind_vertex(ei.target, n);
+        row.bind_edge(list.edge_var, e);
+        let flow = if ei.residual.iter().all(|p| p.eval(ctx.graph, row)) {
+            *emit += 1;
+            k(row)
+        } else {
+            ControlFlow::Continue(())
+        };
+        row.unbind_edge(list.edge_var);
+        row.unbind_vertex(ei.target);
+        flow?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// One list's place in a [`leapfrog`]: its borrowed columns, the position
+/// of its head, and — once the heads align — the end of the head's
+/// parallel-edge run.
+#[derive(Clone, Copy, Default)]
+struct Cursor<'l> {
+    edges: &'l [u64],
+    nbrs: &'l [u32],
+    edge_var: usize,
+    at: usize,
+    run_end: usize,
+}
+
+/// How many cursors [`leapfrog`] keeps on the stack; an intersection of
+/// more lists (rare: one list per bound query neighbour) spills to the heap.
+const STACK_CURSORS: usize = 8;
+
+/// The first position at or after `from` whose neighbour is `>= target`
+/// (`nbrs.len()` when none is; `from` itself when it is already at or past
+/// the end): a galloping search, probing `from + 1, + 2, + 4, …` until it
+/// overshoots, then binary-searching the last gap. Skipping `d` entries
+/// reads O(log d) of them, so a short list intersected with a hub list
+/// touches O(short · log hub) hub entries, not all of them.
+fn seek(nbrs: &[u32], from: usize, target: u32) -> usize {
+    if from >= nbrs.len() || nbrs[from] >= target {
+        return from;
+    }
+    // Invariant: `nbrs[lo] < target`, and the answer lies in `lo + 1..=hi`.
+    let (mut lo, mut step) = (from, 1usize);
+    let hi = loop {
+        let probe = lo.saturating_add(step);
+        if probe >= nbrs.len() {
+            break nbrs.len();
+        }
+        if nbrs[probe] >= target {
+            break probe;
+        }
+        lo = probe;
+        step = step.saturating_mul(2);
+    };
+    lo + 1 + nbrs[lo + 1..hi].partition_point(|&n| n < target)
+}
+
+/// The one intersection kernel: a k-pointer leapfrog over the lists'
+/// neighbour columns (each neighbour-sorted, borrowed once per call). A
+/// round takes the largest head and seeks every list to it by galloping
+/// ([`seek`]); when all heads agree, the aligned neighbour's parallel-edge
+/// run is read from each edge column and the cartesian product of the runs
+/// is bound ([`bind_edges_product`]). Each round is one candidate.
+fn leapfrog(
     ctx: ExecContext<'_>,
     ei: &EiOp<'_>,
     lists: &[BoundList<'_>],
@@ -1161,115 +1296,81 @@ fn ei_over_lists_counted(
     emit: &mut u64,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let (target, residual) = (ei.target, ei.residual);
-    // Compares the label alone: `== Ok(want)` would compare whole
-    // `Result`s, dragging the error type's equality into the hot loop.
-    let label_ok = |n: VertexId| {
-        ei.target_label
-            .is_none_or(|want| ctx.graph.vertex_label(n).is_ok_and(|l| l == want))
+    let mut stack = [Cursor::default(); STACK_CURSORS];
+    let mut spilled = Vec::new();
+    let cursors = if lists.len() <= STACK_CURSORS {
+        &mut stack[..lists.len()]
+    } else {
+        spilled.resize(lists.len(), Cursor::default());
+        &mut spilled[..]
     };
-    if lists.len() == 1 {
-        let l = &lists[0];
-        for i in 0..l.len() {
-            *cand += 1;
-            let (e, n) = l.get(i);
-            if row.uses_edge(e) || !label_ok(n) {
-                continue;
-            }
-            row.bind_vertex(target, n);
-            row.bind_edge(l.edge_var, e);
-            let flow = if residual.iter().all(|p| p.eval(ctx.graph, row)) {
-                *emit += 1;
-                k(row)
-            } else {
-                ControlFlow::Continue(())
-            };
-            row.unbind_edge(l.edge_var);
-            row.unbind_vertex(target);
-            flow?;
-        }
-        return ControlFlow::Continue(());
+    for (c, l) in cursors.iter_mut().zip(lists) {
+        (c.edges, c.nbrs) = l.columns();
+        c.edge_var = l.edge_var;
     }
-    let nl = lists.len();
-    let mut ptr: Vec<usize> = vec![0; nl];
-    // Run buffers are reused across neighbour groups to avoid per-group
-    // allocations in the hot intersection loop.
-    let mut edge_choices: Vec<Vec<EdgeId>> = vec![Vec::new(); nl];
-    'outer: loop {
-        // Find the maximum head neighbour.
+    loop {
         let mut max_nbr = 0u32;
-        for i in 0..nl {
-            if ptr[i] >= lists[i].len() {
-                break 'outer;
-            }
-            max_nbr = max_nbr.max(lists[i].get(ptr[i]).1.raw());
+        for c in cursors.iter() {
+            let Some(&head) = c.nbrs.get(c.at) else {
+                return ControlFlow::Continue(());
+            };
+            max_nbr = max_nbr.max(head);
         }
         *cand += 1;
-        // Advance every list to >= max_nbr (leapfrog step).
         let mut aligned = true;
-        for i in 0..nl {
-            while ptr[i] < lists[i].len() && lists[i].get(ptr[i]).1.raw() < max_nbr {
-                ptr[i] += 1;
-            }
-            if ptr[i] >= lists[i].len() {
-                break 'outer;
-            }
-            if lists[i].get(ptr[i]).1.raw() != max_nbr {
-                aligned = false;
-            }
+        for c in cursors.iter_mut() {
+            c.at = seek(c.nbrs, c.at, max_nbr);
+            let Some(&head) = c.nbrs.get(c.at) else {
+                return ControlFlow::Continue(());
+            };
+            aligned &= head == max_nbr;
         }
         if !aligned {
             continue;
         }
+        for c in cursors.iter_mut() {
+            c.run_end = c.at + c.nbrs[c.at..].iter().take_while(|&&n| n == max_nbr).count();
+        }
         let nbr = VertexId(max_nbr);
-        // Collect the run of entries per list (parallel edges).
-        for (i, choices) in edge_choices.iter_mut().enumerate() {
-            choices.clear();
-            let mut j = ptr[i];
-            while j < lists[i].len() && lists[i].get(j).1 == nbr {
-                choices.push(lists[i].get(j).0);
-                j += 1;
-            }
-            ptr[i] = j;
+        if label_ok(ctx, ei, nbr) {
+            row.bind_vertex(ei.target, nbr);
+            let flow = bind_edges_product(ctx, cursors, ei.residual, row, &mut |r| {
+                *emit += 1;
+                k(r)
+            });
+            row.unbind_vertex(ei.target);
+            flow?;
         }
-        if !label_ok(nbr) {
-            continue;
+        for c in cursors.iter_mut() {
+            c.at = c.run_end;
         }
-        row.bind_vertex(target, nbr);
-        let flow = bind_edges_product(ctx, lists, &edge_choices, 0, residual, row, &mut |r| {
-            *emit += 1;
-            k(r)
-        });
-        row.unbind_vertex(target);
-        flow?;
     }
-    ControlFlow::Continue(())
 }
 
-/// Binds one edge choice per list (cartesian product, with relationship
-/// uniqueness), then evaluates residuals and runs the continuation.
+/// Binds one edge of each cursor's aligned run (cartesian product, with
+/// relationship uniqueness), then evaluates residuals and runs the
+/// continuation.
 fn bind_edges_product(
     ctx: ExecContext<'_>,
-    lists: &[BoundList<'_>],
-    choices: &[Vec<EdgeId>],
-    li: usize,
+    cursors: &[Cursor<'_>],
     residual: &[QueryPredicate],
     row: &mut Row,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    if li == lists.len() {
+    let Some((c, rest)) = cursors.split_first() else {
         if residual.iter().all(|p| p.eval(ctx.graph, row)) {
             return k(row);
         }
         return ControlFlow::Continue(());
-    }
-    for &e in &choices[li] {
+    };
+    for &e in &c.edges[c.at..c.run_end] {
+        let e = EdgeId(e);
         if row.uses_edge(e) {
             continue;
         }
-        row.bind_edge(lists[li].edge_var, e);
-        let flow = bind_edges_product(ctx, lists, choices, li + 1, residual, row, k);
-        row.unbind_edge(lists[li].edge_var);
+        row.bind_edge(c.edge_var, e);
+        let flow = bind_edges_product(ctx, rest, residual, row, k);
+        row.unbind_edge(c.edge_var);
         flow?;
     }
     ControlFlow::Continue(())
@@ -2123,7 +2224,7 @@ mod tests {
             let ctx = ExecContext::new(g, store);
             let idx = store.vertex_index("VPt", Direction::Fwd).unwrap();
             let v1_list = idx.list(store.primary().index(Direction::Fwd), v1, &[]);
-            assert_eq!(matches!(v1_list, OffsetList::Dirty(_)), v1_dirty);
+            assert_eq!(matches!(v1_list, OffsetList::Dirty { .. }), v1_dirty);
             for v in g.vertices() {
                 for threshold in [0i64, 3, 10, 21, 100] {
                     for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq] {
@@ -2256,5 +2357,41 @@ mod tests {
             shapes.contains(&std::mem::discriminant(&edge_scan)),
             "an edge-scan root is covered"
         );
+    }
+
+    /// The galloping seek agrees with a linear scan on every list length up
+    /// to 70 (past one probe doubling round of a 64-entry word), for every
+    /// start position — at and past the end included — and for targets
+    /// below the head, between and on entries, and past the last entry,
+    /// over lists with runs of equal neighbours (parallel edges).
+    #[test]
+    fn galloping_seek_equals_linear_scan() {
+        let linear = |nbrs: &[u32], from: usize, target: u32| {
+            let mut p = from;
+            while p < nbrs.len() && nbrs[p] < target {
+                p += 1;
+            }
+            p
+        };
+        for len in 0..=70usize {
+            // Ascending with runs: entry i holds 3 * (i / 2) + 5, so every
+            // neighbour appears twice and gaps of 3 separate the runs; a
+            // length-divisible-by-7 list also gets a long run at its tail.
+            let mut nbrs: Vec<u32> = (0..len).map(|i| 3 * (i as u32 / 2) + 5).collect();
+            if len % 7 == 0 && len > 0 {
+                let last = *nbrs.last().unwrap();
+                nbrs.extend(std::iter::repeat_n(last, 5));
+            }
+            let top = nbrs.last().map_or(0, |&n| n + 3);
+            for from in 0..=nbrs.len() + 2 {
+                for target in 0..=top {
+                    assert_eq!(
+                        seek(&nbrs, from, target),
+                        linear(&nbrs, from, target),
+                        "len {len} from {from} target {target}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,8 @@ use std::ops::ControlFlow;
 
 use proptest::prelude::*;
 
-use aplus_core::{IndexSpec, PartitionKey, SortKey};
+use aplus_common::VertexId;
+use aplus_core::{Direction, IndexSpec, List, PartitionKey, SortKey};
 use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
 use aplus_query::plan::Operator;
 use aplus_query::{Database, MorselPool, RawRow};
@@ -139,6 +140,41 @@ fn maybe_dense(edges: &[(u32, u32, i64, bool)], dense: bool) -> Vec<(u32, u32, i
         .collect()
 }
 
+/// The hub graph's vertices: the hub (0), its `HUB_DEGREE` distinct `E`
+/// neighbours `1..=HUB_DEGREE`, and vertices past them that only short
+/// lists reach (the last, `HUB_N - 1`, is the triangle's third vertex).
+const HUB_N: u32 = 1_100;
+const HUB_DEGREE: u32 = 1_000;
+
+/// A hub whose `E` list holds every vertex `1..=HUB_DEGREE` once plus each
+/// of `hub_dups` once more (parallel edges), beside short `F` lists: the
+/// hub's own (`hub_short`) and that of `HUB_N - 1` (`c_short`), each entry
+/// a `(neighbour, multiplicity)`. The hub also reaches `HUB_N - 1` by `F`.
+fn hub_graph(hub_dups: &[u32], hub_short: &[(u32, u32)], c_short: &[(u32, u32)]) -> Graph {
+    let mut g = Graph::new();
+    g.catalog_mut().intern_edge_label("E");
+    g.catalog_mut().intern_edge_label("F");
+    for _ in 0..HUB_N {
+        g.add_vertex("A");
+    }
+    let c = HUB_N - 1;
+    let mut add = |s: u32, d: u32, label: &str| {
+        g.add_edge(VertexId(s), VertexId(d), label).unwrap();
+    };
+    for d in (1..=HUB_DEGREE).chain(hub_dups.iter().copied()) {
+        add(0, d, "E");
+    }
+    add(0, c, "F");
+    for (owner, short) in [(0, hub_short), (c, c_short)] {
+        for &(d, times) in short {
+            for _ in 0..times {
+                add(owner, d, "F");
+            }
+        }
+    }
+    g
+}
+
 fn drain_stream_prepared(
     db: &Database,
     bound: &aplus_query::QueryGraph,
@@ -204,6 +240,43 @@ proptest! {
                     t
                 );
             }
+        }
+    }
+
+    /// The galloping leapfrog against the oracle: a hub list of more than
+    /// 1 000 entries intersected with a short one, with parallel edges on
+    /// both sides — the hub's `E` list with its own short `F` list, and (the
+    /// triangle) with the short `F` list of a vertex it reaches. Checked on
+    /// clean lists (borrowed page columns), then again after an un-flushed
+    /// insert into the hub's list, so the kernel reads owned columns.
+    #[test]
+    fn hub_intersection_equals_oracle(
+        hub_dups in proptest::collection::vec(1..=HUB_DEGREE, 0..30),
+        hub_short in proptest::collection::vec((1..HUB_N, 1u32..4), 1..10),
+        c_short in proptest::collection::vec((1..HUB_N, 1u32..4), 0..8),
+        insert in (1..HUB_N, prop::bool::ANY),
+        config in 0usize..3,
+    ) {
+        let mut db = database(hub_graph(&hub_dups, &hub_short, &c_short), config);
+        let queries = [
+            "MATCH h-[s:F]->b, h-[r:E]->b WHERE h.ID = 0",
+            "MATCH h-[t:F]->c, c-[s:F]->b, h-[r:E]->b WHERE h.ID = 0",
+        ];
+        let (_, plan) = db.prepare(queries[0]).unwrap();
+        prop_assert!(
+            has(&plan.ops, |o| matches!(o, Operator::ExtendIntersect { alds, .. } if alds.len() == 2)),
+            "the hub query intersects two lists"
+        );
+        for q in queries {
+            common::assert_one_driver(&db, q)?;
+        }
+        let (dst, second_label) = insert;
+        db.insert_edge(VertexId(0), VertexId(dst), if second_label { "F" } else { "E" }, &[])
+            .unwrap();
+        let hub = db.store().primary().index(Direction::Fwd).list(VertexId(0), &[]);
+        prop_assert!(matches!(hub, List::Owned { .. }), "the insert is buffered");
+        for q in queries {
+            common::assert_one_driver(&db, q)?;
         }
     }
 

@@ -19,7 +19,8 @@ use proptest::prelude::*;
 
 use aplus_core::{IndexSpec, PartitionKey, SortKey};
 use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
-use aplus_query::{Database, MorselPool, RawRow};
+use aplus_query::plan::Operator;
+use aplus_query::{profiled, Database, MorselPool, Output, RawRow};
 
 mod common;
 use common::{collect_on, count_on};
@@ -242,6 +243,71 @@ proptest! {
         for t in THREADS {
             let par = count_on(&db, q, &MorselPool::new(t));
             prop_assert_eq!(par, expect.len() as u64, "config {} query {} threads {}", config, q, t);
+        }
+    }
+
+    /// Both ways a var-length count is taken agree with the reference: with
+    /// no target label and no residual, the count is the sum of the BFS
+    /// level sizes and binds no target; with a target label (both endpoints
+    /// labelled, so the target has one whichever end the planner roots at),
+    /// every target is bound and checked. Each count equals the reference
+    /// and the collected row count at every thread count, and hops profile
+    /// the same counted and collected. A pinned root's rows come out in the
+    /// reference's (shortest length, target) order: each level ascending,
+    /// the source spliced in at its place.
+    #[test]
+    fn varlength_count_paths_equal_reference(
+        edges in proptest::collection::vec((0..N, 0..N, prop::bool::ANY), 1..60),
+        config in 0usize..4,
+    ) {
+        let g = build_graph(&edges);
+        let spec = spec_for(&g, config);
+        let db = Database::with_primary_spec(g, spec).unwrap();
+        let b = db.graph().catalog().vertex_label("B").unwrap();
+        let is_b = |t: u32| db.graph().vertex_label(aplus_common::VertexId(t)) == Ok(b);
+        for (q, label, min, max, labelled) in [
+            ("MATCH a-[:E*1..3]->b", Some("E"), 1, 3, false),
+            ("MATCH a-[*2..4]->b", None, 2, 4, false),
+            ("MATCH (a:B)-[:E*1..3]->(b:B)", Some("E"), 1, 3, true),
+            ("MATCH (a:B)-[*2..4]->(b:B)", None, 2, 4, true),
+        ] {
+            let expect: Vec<(u32, u32)> = reference_pairs(db.graph(), label, min, max)
+                .into_iter()
+                .filter(|&(s, t)| !labelled || (is_b(s) && is_b(t)))
+                .collect();
+            let (bound, plan) = db.prepare(q).unwrap();
+            let last = plan.ops.last().unwrap();
+            prop_assert!(
+                matches!(last, Operator::VarLengthExpand { target_label, residual, check: false, .. }
+                    if target_label.is_some() == labelled && residual.is_empty()),
+                "query {} ends in the expected var-length operator",
+                q
+            );
+            for t in THREADS {
+                let pool = MorselPool::new(t);
+                let counted = profiled(&plan, |p| db.run(&bound, &plan, &pool, Some(p), Output::Count));
+                prop_assert_eq!(counted.rows, expect.len() as u64, "config {} query {} threads {}", config, q, t);
+                let mut rows = 0u64;
+                let listed = profiled(&plan, |p| {
+                    let sink = &mut |_: RawRow| {
+                        rows += 1;
+                        ControlFlow::Continue(())
+                    };
+                    db.run(&bound, &plan, &pool, Some(p), Output::Rows { limit: usize::MAX, sink })
+                });
+                prop_assert_eq!(rows, counted.rows, "config {} query {} threads {}", config, q, t);
+                prop_assert_eq!(&counted.hops, &listed.hops, "hops: config {} query {}", config, q);
+            }
+            // Vertex 1 is labelled B.
+            let pinned = format!("{q} WHERE a.ID = 1");
+            let order: Vec<(u32, u32)> = db
+                .collect(&pinned, usize::MAX)
+                .unwrap()
+                .iter()
+                .map(|(vs, _)| (vs[0], vs[1]))
+                .collect();
+            let want: Vec<(u32, u32)> = expect.iter().copied().filter(|&(s, _)| s == 1).collect();
+            prop_assert_eq!(order, want, "row order: config {} query {}", config, pinned);
         }
     }
 
