@@ -43,9 +43,7 @@
 //! frontier entries under the same owner entry share one evaluation of a
 //! branch, so for a leaf only the subtraction runs per entry — the
 //! factorized-count win on high-fanout tails. A plan without a suffix
-//! whose last operator is a var-length expansion with no check mode, target
-//! label or residual counts its BFS level sizes, binding no target; any
-//! other counts its last operator's bindings per frontier entry.
+//! counts its last operator's bindings per frontier entry.
 //!
 //! This module owns no driver: [`crate::exec::run`] cuts the root scan's ID
 //! range into morsels and merges the output, and calls in here only for
@@ -65,8 +63,7 @@ use aplus_core::Direction;
 use aplus_obs::LevelStats;
 
 use crate::exec::{
-    counted_var_length, ei_op, fetch_one, op_bindings, root_range_bindings, var_length_count,
-    BoundList, EiOp, Emit, ExecContext,
+    ei_op, fetch_one, op_bindings, root_range_bindings, BoundList, EiOp, Emit, ExecContext,
 };
 use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryPredicate, Row};
@@ -254,10 +251,8 @@ impl Blocks {
 
     /// Counts the matches of the operators the block did not build, **without
     /// building their levels**: per frontier entry, the plan's counted
-    /// [`Suffix`] product; else, for a [`counted_var_length`] last operator,
-    /// its BFS level sizes ([`var_length_count`]); else the bindings the last
-    /// operator's producer yields, folded straight into the total. This is
-    /// the one place the counting path is chosen.
+    /// [`Suffix`] product, or — when the last operator has no in-place count
+    /// — the bindings its producer yields, folded straight into the total.
     fn tail_count<'a>(
         &mut self,
         ctx: ExecContext<'a>,
@@ -277,16 +272,14 @@ impl Blocks {
                 })
                 .collect()
         });
-        let counted_vl = counted_var_length(&plan.ops[last]);
         let mut total = 0u64;
         for fi in 0..self.levels[top].len() {
             self.bind_path(row, top, fi);
-            let n = match (suffix, &counted_vl) {
-                (Some(s), _) => s
+            let n = match suffix {
+                Some(s) => s
                     .count_entry(ctx, &self.cursor, &mut runs, row)
                     .map_or(0, |n| served(ctx, stats, n)),
-                (None, Some(vl)) => var_length_count(ctx, last, vl, row),
-                (None, None) => {
+                None => {
                     let mut n = 0u64;
                     let _ = op_bindings(ctx, &plan.ops[last], last, row, &mut |_| {
                         n += 1;

@@ -362,7 +362,7 @@ pub(crate) fn ei_op(op: &Operator) -> EiOp<'_> {
 
 /// A [`Operator::VarLengthExpand`]'s pieces, destructured once per use
 /// site.
-pub(crate) struct VarLengthOp<'p> {
+struct VarLengthOp<'p> {
     src: usize,
     target: usize,
     target_label: Option<aplus_common::VertexLabelId>,
@@ -523,42 +523,6 @@ fn var_length_bindings(
         }
         ControlFlow::Continue(())
     })
-}
-
-/// The var-length operator `op` when a count may take it in place: counted
-/// last, with no check mode, no target label and no residual, every target
-/// it reaches at a level within `min..=max` is one match.
-pub(crate) fn counted_var_length(op: &Operator) -> Option<VarLengthOp<'_>> {
-    let Operator::VarLengthExpand { .. } = op else {
-        return None;
-    };
-    let vl = var_length_op(op);
-    (!vl.check && vl.target_label.is_none() && vl.residual.is_empty()).then_some(vl)
-}
-
-/// The matches a [`counted_var_length`] operator (plan level `depth`) adds
-/// to the binding held in `row`, **without binding a target**: the sum,
-/// over BFS levels `>= min`, of the level's newly reached targets plus the
-/// source when that level re-reached it first. The hop profile is the one
-/// the binding path records.
-pub(crate) fn var_length_count(
-    ctx: ExecContext<'_>,
-    depth: usize,
-    vl: &VarLengthOp<'_>,
-    row: &Row,
-) -> u64 {
-    let s = row.vertex(vl.src).expect("plan binds the traversal source");
-    if let Some(stats) = ctx.prof_level(depth) {
-        stats.record(1, 0, 0);
-    }
-    let mut n = 0u64;
-    let _ = var_length_bfs(ctx, vl, s, &mut |level, candidates, s_new| {
-        if level >= vl.min {
-            n = n.saturating_add((candidates.len() + usize::from(s_new)) as u64);
-        }
-        ControlFlow::Continue(())
-    });
-    n
 }
 
 /// A BFS level visitor's verdict: `Continue` descends a level,
@@ -1042,21 +1006,27 @@ fn restrict<'a>(
         None => None,
     };
     let leading = ald.sort.first().copied();
-    let (mut list, mut start, mut end) = match prune {
+    // Enforce the consumer's ordering requirement: a run that does not
+    // satisfy it is re-sorted (`order`); one that does is kept as it is.
+    let satisfied = match need {
+        Need::Any => true,
+        Need::NbrSorted => ald.nbr_sorted() && ald.sorted_range,
+        Need::KeySorted => ald.sorted_range,
+    };
+    let order = if satisfied { Need::Any } else { need };
+    let (list, start, end) = match prune {
         // Unsorted range: fall back to a filtering scan (NULL never
         // satisfies the restriction).
-        Some((op, value)) if !ald.sorted_range => {
-            let kept = List::from_pairs(
-                (0..fetched.len())
-                    .map(|i| fetched.get(i))
-                    .filter(|&(e, n)| {
-                        sort_key(ctx.graph, leading, e, n).is_some_and(|key| op.eval(key, value))
-                    })
-                    .map(|(e, n)| (e.raw(), n.raw())),
-            );
-            let len = kept.len();
-            (kept, 0, len)
-        }
+        Some((op, value)) if !ald.sorted_range => owned_run(
+            ctx,
+            order,
+            merge_key,
+            (0..fetched.len())
+                .map(|i| fetched.get(i))
+                .filter(|&(e, n)| {
+                    sort_key(ctx.graph, leading, e, n).is_some_and(|key| op.eval(key, value))
+                }),
+        ),
         // Binary search on the leading sort key: a lazy offset list
         // dereferences O(log n) entries here — the access pattern that
         // makes VPt's time-sorted prefix reads cheap (§V-C1).
@@ -1067,35 +1037,44 @@ fn restrict<'a>(
                     sort_key(ctx.graph, leading, e, n).map_or(i128::MAX, i128::from)
                 })
             });
-            fetched.into_run(start, end)
+            if satisfied {
+                fetched.into_run(start, end)
+            } else {
+                owned_run(ctx, order, merge_key, (start..end).map(|i| fetched.get(i)))
+            }
         }
     };
-    // Enforce the consumer's ordering requirement.
-    let satisfied = match need {
-        Need::Any => true,
-        Need::NbrSorted => ald.nbr_sorted() && ald.sorted_range,
-        Need::KeySorted => ald.sorted_range,
-    };
-    if !satisfied {
-        // Sort the run as pairs, then split it back into columns.
-        let (edges, nbrs) = list.columns();
-        let mut pairs: Vec<(u64, u32)> = edges[start..end]
-            .iter()
-            .copied()
-            .zip(nbrs[start..end].iter().copied())
-            .collect();
-        match need {
-            Need::NbrSorted => pairs.sort_unstable_by_key(|&(e, n)| (n, e)),
-            Need::KeySorted => pairs.sort_by_cached_key(|&(e, n)| {
+    bound(list, start, end)
+}
+
+/// Materializes `pairs` as an owned run sorted by `order`: split into
+/// columns as they come (`Need::Any`), or collected as pairs once, sorted,
+/// and split once.
+fn owned_run(
+    ctx: ExecContext<'_>,
+    order: Need,
+    merge_key: Option<SortKey>,
+    pairs: impl Iterator<Item = (EdgeId, VertexId)>,
+) -> (List<'static>, usize, usize) {
+    let pairs = pairs.map(|(e, n)| (e.raw(), n.raw()));
+    let list = match order {
+        Need::Any => List::from_pairs(pairs),
+        Need::NbrSorted => {
+            let mut pairs: Vec<(u64, u32)> = pairs.collect();
+            pairs.sort_unstable_by_key(|&(e, n)| (n, e));
+            List::from_pairs(pairs)
+        }
+        Need::KeySorted => {
+            let mut pairs: Vec<(u64, u32)> = pairs.collect();
+            pairs.sort_by_cached_key(|&(e, n)| {
                 let key = sort_key(ctx.graph, merge_key, EdgeId(e), VertexId(n));
                 (key.map_or(i128::MAX, i128::from), n, e)
-            }),
-            Need::Any => {}
+            });
+            List::from_pairs(pairs)
         }
-        (start, end) = (0, pairs.len());
-        list = List::from_pairs(pairs);
-    }
-    bound(list, start, end)
+    };
+    let len = list.len();
+    (list, 0, len)
 }
 
 /// Resolves a prune's comparison value against the current row; `None`
@@ -1242,7 +1221,6 @@ fn scan_one(
 /// One list's place in a [`leapfrog`]: its borrowed columns, the position
 /// of its head, and — once the heads align — the end of the head's
 /// parallel-edge run.
-#[derive(Clone, Copy, Default)]
 struct Cursor<'l> {
     edges: &'l [u64],
     nbrs: &'l [u32],
@@ -1250,10 +1228,6 @@ struct Cursor<'l> {
     at: usize,
     run_end: usize,
 }
-
-/// How many cursors [`leapfrog`] keeps on the stack; an intersection of
-/// more lists (rare: one list per bound query neighbour) spills to the heap.
-const STACK_CURSORS: usize = 8;
 
 /// The first position at or after `from` whose neighbour is `>= target`
 /// (`nbrs.len()` when none is; `from` itself when it is already at or past
@@ -1296,18 +1270,19 @@ fn leapfrog(
     emit: &mut u64,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let mut stack = [Cursor::default(); STACK_CURSORS];
-    let mut spilled = Vec::new();
-    let cursors = if lists.len() <= STACK_CURSORS {
-        &mut stack[..lists.len()]
-    } else {
-        spilled.resize(lists.len(), Cursor::default());
-        &mut spilled[..]
-    };
-    for (c, l) in cursors.iter_mut().zip(lists) {
-        (c.edges, c.nbrs) = l.columns();
-        c.edge_var = l.edge_var;
-    }
+    let mut cursors: Vec<Cursor<'_>> = lists
+        .iter()
+        .map(|l| {
+            let (edges, nbrs) = l.columns();
+            Cursor {
+                edges,
+                nbrs,
+                edge_var: l.edge_var,
+                at: 0,
+                run_end: 0,
+            }
+        })
+        .collect();
     loop {
         let mut max_nbr = 0u32;
         for c in cursors.iter() {
@@ -1334,7 +1309,7 @@ fn leapfrog(
         let nbr = VertexId(max_nbr);
         if label_ok(ctx, ei, nbr) {
             row.bind_vertex(ei.target, nbr);
-            let flow = bind_edges_product(ctx, cursors, ei.residual, row, &mut |r| {
+            let flow = bind_edges_product(ctx, &cursors, ei.residual, row, &mut |r| {
                 *emit += 1;
                 k(r)
             });

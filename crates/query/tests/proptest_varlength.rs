@@ -246,17 +246,15 @@ proptest! {
         }
     }
 
-    /// Both ways a var-length count is taken agree with the reference: with
-    /// no target label and no residual, the count is the sum of the BFS
-    /// level sizes and binds no target; with a target label (both endpoints
-    /// labelled, so the target has one whichever end the planner roots at),
-    /// every target is bound and checked. Each count equals the reference
+    /// A var-length count agrees with the reference with and without a
+    /// target label (both endpoints labelled, so the target has one
+    /// whichever end the planner roots at): each count equals the reference
     /// and the collected row count at every thread count, and hops profile
     /// the same counted and collected. A pinned root's rows come out in the
     /// reference's (shortest length, target) order: each level ascending,
     /// the source spliced in at its place.
     #[test]
-    fn varlength_count_paths_equal_reference(
+    fn varlength_labelled_counts_hops_and_order_equal_reference(
         edges in proptest::collection::vec((0..N, 0..N, prop::bool::ANY), 1..60),
         config in 0usize..4,
     ) {
