@@ -18,16 +18,16 @@ run() {
 # copy-on-write, no bitmap-index plumbing in the store, one benchmark
 # track, one (factorized) engine, blocks flattened once at the merge, one
 # partitioning strategy (root-ID morsels), one leapfrog kernel over list
-# columns, a bitset var-length BFS: keeps the forks, env reads, per-query
-# O(|E|) pass, per-request stream thread, whole-index / whole-column
-# commit copies, duplicate bench reporters, the row pipeline with its
-# engine knobs, the worker-side row buffers, the first-level partitioning
-# paths, a second intersection loop and the hashed BFS that were deleted
-# from growing back.
+# columns, a bitset var-length BFS, one ordered merge in the pool: keeps
+# the forks, env reads, per-query O(|E|) pass, per-request stream thread,
+# whole-index / whole-column commit copies, duplicate bench reporters, the
+# row pipeline with its engine knobs, the worker-side row buffers, the
+# first-level partitioning paths, a second intersection loop, the hashed
+# BFS and a second merge primitive beside `map_ranges` from growing back.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts)"
     local bad=0 f
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -136,6 +136,19 @@ guard() {
     fi
     if grep -rn 'List::Owned(' crates/core/src; then
         echo "guard: List::Owned holds two columns (edges, nbrs), not a vector of pairs"
+        bad=1
+    fi
+    # The pool has one ordered merge, `map_ranges`, through which a task
+    # hands its result over in parts (`run_ranges` collects through it):
+    # the runtime's public functions are this list, so a second merge
+    # primitive cannot grow beside it.
+    local runtime_fns
+    runtime_fns=$(sed '/#\[cfg(test)\]/,$d' crates/runtime/src/*.rs |
+        grep -oE '^\s*pub fn [a-z_0-9]+' | awk '{ print $3 }' |
+        grep -vxE 'new|sequential|from_env|threads|run_ranges|map_ranges|push|trigger|is_triggered|wait|wait_timeout|resolve_threads|scan_morsel_size' || true)
+    if [ -n "$runtime_fns" ]; then
+        echo "$runtime_fns"
+        echo "guard: crates/runtime exposes one ordered merge, map_ranges (run_ranges collects through it); a task hands its result over in parts, not through a second primitive"
         bad=1
     fi
     ((bad == 0)) || exit 1

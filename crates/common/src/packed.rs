@@ -81,13 +81,22 @@ impl PackedUints {
     ///
     /// # Panics
     /// Panics if `idx >= len`.
+    ///
+    /// One unaligned 8-byte little-endian load masked to the width; only
+    /// the entries in the array's last 8 bytes, where such a load would
+    /// read past the end, are assembled byte by byte.
     #[inline]
     #[must_use]
     pub fn get(&self, idx: usize) -> u64 {
         assert!(idx < self.len, "index {idx} out of range {}", self.len);
         let w = self.width as usize;
+        let at = idx * w;
+        if let Some(word) = self.data.get(at..at + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            return word & (u64::MAX >> (64 - 8 * w));
+        }
         let mut buf = [0u8; 8];
-        buf[..w].copy_from_slice(&self.data[idx * w..idx * w + w]);
+        buf[..w].copy_from_slice(&self.data[at..at + w]);
         u64::from_le_bytes(buf)
     }
 
@@ -137,6 +146,37 @@ mod tests {
             }
             for (i, &v) in values.iter().enumerate() {
                 assert_eq!(p.get(i), v, "width {width} idx {i}");
+            }
+        }
+    }
+
+    /// The byte-by-byte read `get` replaced: the reference its word load
+    /// must agree with.
+    fn byte_loop_get(p: &PackedUints, idx: usize) -> u64 {
+        let w = p.width as usize;
+        (0..w).fold(0, |acc, b| acc | u64::from(p.data[idx * w + b]) << (8 * b))
+    }
+
+    #[test]
+    fn word_load_matches_byte_loop_at_every_index() {
+        for width in 1..=8u8 {
+            let max = u64::MAX >> (64 - 8 * u32::from(width));
+            // Lengths whose arrays end inside, at and past the last 8
+            // bytes, so every index of the byte-copied tail is read too.
+            for len in 0..=24usize {
+                let values: Vec<u64> = (0..len as u64)
+                    .map(|i| max.wrapping_sub(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & max)
+                    .collect();
+                let p = PackedUints::from_values(&values, max);
+                assert_eq!(p.width(), width);
+                for (i, &v) in values.iter().enumerate() {
+                    assert_eq!(
+                        p.get(i),
+                        byte_loop_get(&p, i),
+                        "width {width} len {len} idx {i}"
+                    );
+                    assert_eq!(p.get(i), v, "width {width} len {len} idx {i}");
+                }
             }
         }
     }

@@ -45,18 +45,28 @@
 //! factorized-count win on high-fanout tails. A plan without a suffix
 //! counts its last operator's bindings per frontier entry.
 //!
+//! An E/I's list filter (`plan::ListFilter`) is applied to list entries
+//! before they are bound, and a filtered list that depends on its owner
+//! alone is read once per owner and morsel (`exec::ListMemo`), so a level
+//! holds only bindings that pass.
+//!
 //! This module owns no driver: [`crate::exec::run`] cuts the root scan's ID
 //! range into morsels and merges the output, and calls in here only for
 //! the *block body*, `root_morsel`: one block seeded from a root-ID range
 //! (a pinned root is the one-ID range). The body then counts its levels,
-//! or builds them all and hands the block back unflattened (`Built`,
-//! through `exec::Emit`). Blocks wait; rows are
-//! flattened once, at the merge: the driver flattens a morsel's block on
-//! the merging thread when the morsel's turn in morsel order comes, straight
-//! into the sink, so a satisfied limit or a sink `Break` stops the flatten
-//! at the last row anybody sees.
+//! or builds every level but the last whole and extends the frontier into
+//! the last level in parts of at most `exec::LEVEL_PART_CAP` entries
+//! (`Built`, through `exec::Emit`). The parts share the levels below
+//! them, and each goes to the merge as soon as it fills, so one root with
+//! a huge last level never sits built in full before its first row is
+//! flattened. Parts wait; rows are flattened once, at the merge: the
+//! driver flattens a part on the merging thread when its turn in (morsel,
+//! part) order comes, straight into the sink, while the worker builds the
+//! next part — so a satisfied limit or a sink `Break` stops the flatten at
+//! the last row anybody sees, and the build at the next part.
 
 use std::ops::{ControlFlow, Range};
+use std::sync::Arc;
 
 use aplus_common::{EdgeId, VertexId, VertexLabelId};
 use aplus_core::Direction;
@@ -64,8 +74,9 @@ use aplus_obs::LevelStats;
 
 use crate::exec::{
     ei_op, fetch_one, op_bindings, root_range_bindings, BoundList, EiOp, Emit, ExecContext,
+    ListMemo, LEVEL_PART_CAP,
 };
-use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
+use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan};
 use crate::query::{QueryGraph, QueryPredicate, Row};
 use crate::sink::RawRow;
 
@@ -137,8 +148,10 @@ impl Level {
 /// the memo to rebind only the ancestors that changed since the last call
 /// — entries are parent-ordered, so walking a level front to back rebinds
 /// each ancestor level entry exactly once (amortized O(1) per entry).
+/// Levels are shared, so the parts of a streamed last level hold the
+/// levels below it without copying them.
 struct Blocks {
-    levels: Vec<Level>,
+    levels: Vec<Arc<Level>>,
     cursor: Vec<Option<usize>>,
 }
 
@@ -147,8 +160,19 @@ impl Blocks {
     /// root scan's checks).
     fn seeded(root: Level) -> Self {
         Self {
-            levels: vec![root],
+            levels: vec![Arc::new(root)],
             cursor: vec![None],
+        }
+    }
+
+    /// A block of `lower`, shared, under `top`: one part of a streamed
+    /// last level, with its own cursor memo.
+    fn part(lower: &[Arc<Level>], top: Level) -> Self {
+        let mut levels = lower.to_vec();
+        levels.push(Arc::new(top));
+        Self {
+            cursor: vec![None; levels.len()],
+            levels,
         }
     }
 
@@ -186,7 +210,7 @@ impl Blocks {
     /// Pushes `out` as the new top level. Returns `false` when it is empty.
     fn push_level(&mut self, out: Level) -> bool {
         let produced = out.len() > 0;
-        self.levels.push(out);
+        self.levels.push(Arc::new(out));
         self.cursor.push(None);
         produced
     }
@@ -194,17 +218,78 @@ impl Blocks {
     /// Extends the whole top level through `op` at plan-op index `level`,
     /// pushing the produced level. Returns `false` when nothing was
     /// produced.
-    fn extend(&mut self, ctx: ExecContext<'_>, op: &Operator, level: usize, row: &mut Row) -> bool {
+    fn extend(
+        &mut self,
+        ctx: ExecContext<'_>,
+        op: &Operator,
+        level: usize,
+        row: &mut Row,
+        memo: &mut ListMemo,
+    ) -> bool {
         let top = self.levels.len() - 1;
         let mut out = Level::for_op(op);
         for fi in 0..self.levels[top].len() {
             self.bind_path(row, top, fi);
-            let _ = op_bindings(ctx, op, level, row, &mut |r| {
+            let _ = op_bindings(ctx, op, level, row, memo, &mut |r| {
                 out.push_from_row(fi, r);
                 ControlFlow::Continue(())
             });
         }
         self.push_level(out)
+    }
+
+    /// Extends the whole top level through `plan.ops[level]`, the plan's
+    /// last extension, into parts of at most [`LEVEL_PART_CAP`] entries.
+    /// Each part shares this block's levels, takes the plan's trailing
+    /// FILTERs, and goes to `hand` as soon as it fills — mid frontier entry
+    /// if need be, since an entry's bindings come in order. `hand`
+    /// returning `Break` stops the build.
+    fn extend_in_parts(
+        &mut self,
+        ctx: ExecContext<'_>,
+        plan: &Plan,
+        level: usize,
+        row: &mut Row,
+        memo: &mut ListMemo,
+        hand: &mut dyn FnMut(Built) -> ControlFlow<()>,
+    ) {
+        let op = &plan.ops[level];
+        let lower = self.levels.clone();
+        let vars = (row.vertex_slots().len(), row.edge_slots().len());
+        let mut flush = |out: Level| {
+            let mut st = Blocks::part(&lower, out);
+            let mut row = Row::unbound(vars.0, vars.1);
+            if apply_ops(
+                ctx,
+                plan,
+                &mut st,
+                &mut row,
+                &mut ListMemo::default(),
+                level + 1..plan.ops.len(),
+            ) {
+                hand(Built { st, row })
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        let top = self.levels.len() - 1;
+        let mut out = Level::for_op(op);
+        for fi in 0..self.levels[top].len() {
+            self.bind_path(row, top, fi);
+            let flow = op_bindings(ctx, op, level, row, memo, &mut |r| {
+                out.push_from_row(fi, r);
+                if out.len() < LEVEL_PART_CAP {
+                    return ControlFlow::Continue(());
+                }
+                flush(std::mem::replace(&mut out, Level::for_op(op)))
+            });
+            if flow.is_break() {
+                return;
+            }
+        }
+        if out.len() > 0 {
+            let _ = flush(out);
+        }
     }
 
     /// FILTER at plan-op index `level`: compacts the top level in place,
@@ -227,7 +312,7 @@ impl Blocks {
         if let Some(s) = ctx.prof_level(level) {
             s.record(0, n as u64, keep.iter().filter(|&&k| k).count() as u64);
         }
-        let lvl = &mut self.levels[top];
+        let lvl = Arc::get_mut(&mut self.levels[top]).expect("only built levels are shared");
         let (nv, ne) = (lvl.vertex_vars.len(), lvl.edge_vars.len());
         let mut w = 0usize;
         for (r, &kept) in keep.iter().enumerate() {
@@ -259,6 +344,7 @@ impl Blocks {
         plan: &Plan,
         suffix: Option<&Suffix<'_>>,
         row: &mut Row,
+        memo: &mut ListMemo,
     ) -> u64 {
         let top = self.levels.len() - 1;
         let last = plan.ops.len() - 1;
@@ -281,7 +367,7 @@ impl Blocks {
                     .map_or(0, |n| served(ctx, stats, n)),
                 None => {
                     let mut n = 0u64;
-                    let _ = op_bindings(ctx, &plan.ops[last], last, row, &mut |_| {
+                    let _ = op_bindings(ctx, &plan.ops[last], last, row, memo, &mut |_| {
                         n += 1;
                         ControlFlow::Continue(())
                     });
@@ -323,8 +409,8 @@ fn served(ctx: ExecContext<'_>, stats: Option<&LevelStats>, n: u64) -> u64 {
 }
 
 /// The factorized-count fast path: a single-list extension with no
-/// residual whose list hangs off a bound vertex (a primary or
-/// vertex-partitioned list). Counted last, its count is the number of list
+/// residual and no list filter whose list hangs off a bound vertex (a
+/// primary or vertex-partitioned list). Counted last, its count is the number of list
 /// entries whose neighbour passes the target label ([`FastTail::matching`])
 /// minus those relationship uniqueness rejects ([`FastTail::already_bound`])
 /// — nothing is bound, checked or unbound per entry. Every operator of a
@@ -347,7 +433,7 @@ struct FastTail {
 impl FastTail {
     fn of(ei: &EiOp<'_>) -> Option<Self> {
         let [ald] = ei.alds else { return None };
-        if !ei.residual.is_empty() {
+        if !ei.residual.is_empty() || !ei.filter.is_empty() {
             return None;
         }
         let dir = match &ald.index {
@@ -363,13 +449,7 @@ impl FastTail {
             dir,
             label: ei.target_label,
             nbr_sorted: ald.nbr_sorted() && ald.sorted_range,
-            per_owner: matches!(
-                ald.prune,
-                None | Some(Prune {
-                    value: PruneValue::Const(_),
-                    ..
-                })
-            ),
+            per_owner: ald.per_owner(),
         })
     }
 
@@ -705,12 +785,13 @@ fn apply_ops(
     plan: &Plan,
     st: &mut Blocks,
     row: &mut Row,
+    memo: &mut ListMemo,
     ops: Range<usize>,
 ) -> bool {
     let start = ops.start;
     plan.ops[ops].iter().enumerate().all(|(i, op)| match op {
         Operator::Filter { preds } => st.filter_top(ctx, preds, start + i, row),
-        _ => st.extend(ctx, op, start + i, row),
+        _ => st.extend(ctx, op, start + i, row, memo),
     })
 }
 
@@ -724,13 +805,14 @@ fn count_ops(
     suffix: Option<&Suffix<'_>>,
     st: &mut Blocks,
     row: &mut Row,
+    memo: &mut ListMemo,
 ) -> u64 {
     let last = plan.ops.len() - 1;
     if last == 0 {
         return st.top_len() as u64;
     }
     let built = suffix.map_or(last, |s| s.start);
-    if !apply_ops(ctx, plan, st, row, 1..built) {
+    if !apply_ops(ctx, plan, st, row, memo, 1..built) {
         return 0;
     }
     match &plan.ops[last] {
@@ -738,13 +820,44 @@ fn count_ops(
             st.filter_top(ctx, preds, last, row);
             st.top_len() as u64
         }
-        _ => st.tail_count(ctx, plan, suffix, row),
+        _ => st.tail_count(ctx, plan, suffix, row, memo),
     }
 }
 
-/// A morsel's block with every operator applied, waiting unflattened for
-/// its turn in morsel order: the levels plus the scratch row its flatten
-/// rebinds. Built on a pool worker, flattened on the merging thread.
+/// Runs the operators after the root scan over a root-seeded block for
+/// rows: every level up to the plan's last extension is built whole, and
+/// the last extension's level goes to `hand` in parts
+/// ([`Blocks::extend_in_parts`]). A plan that extends nothing hands its
+/// root block over as one part.
+fn build_ops(
+    ctx: ExecContext<'_>,
+    plan: &Plan,
+    mut st: Blocks,
+    mut row: Row,
+    memo: &mut ListMemo,
+    hand: &mut dyn FnMut(Built) -> ControlFlow<()>,
+) {
+    let last = plan
+        .ops
+        .iter()
+        .rposition(|op| !matches!(op, Operator::Filter { .. }))
+        .expect("plans start with a scan");
+    if last == 0 {
+        if apply_ops(ctx, plan, &mut st, &mut row, memo, 1..plan.ops.len()) {
+            let _ = hand(Built { st, row });
+        }
+        return;
+    }
+    if apply_ops(ctx, plan, &mut st, &mut row, memo, 1..last) {
+        st.extend_in_parts(ctx, plan, last, &mut row, memo, hand);
+    }
+}
+
+/// One part of a morsel's block with every operator applied, waiting
+/// unflattened for its turn in (morsel, part) order: the levels — the
+/// lower ones shared with the morsel's other parts — plus the scratch row
+/// its flatten rebinds. Built on a pool worker, flattened on the merging
+/// thread.
 pub(crate) struct Built {
     st: Blocks,
     row: Row,
@@ -827,15 +940,12 @@ pub(crate) fn root_morsel(
     }
     ctx.note_block();
     let mut st = Blocks::seeded(root);
+    let mut memo = ListMemo::default();
     match emit {
         Emit::Count(n) => {
-            *n = n.saturating_add(count_ops(ctx, plan, suffix, &mut st, &mut row));
+            *n = n.saturating_add(count_ops(ctx, plan, suffix, &mut st, &mut row, &mut memo));
         }
-        Emit::Block(slot) => {
-            if apply_ops(ctx, plan, &mut st, &mut row, 1..plan.ops.len()) {
-                *slot = Some(Built { st, row });
-            }
-        }
+        Emit::Parts(hand) => build_ops(ctx, plan, st, row, &mut memo, hand),
     }
 }
 
@@ -1045,6 +1155,52 @@ mod tests {
                 let levels = &profile.levels;
                 assert_eq!(levels[levels.len() - 1].emitted, want, "{q}");
                 assert_eq!(profile.fc_shortcut_hits, served, "{q}");
+            }
+        }
+    }
+
+    /// A plan whose last extension is followed by a FILTER streams that
+    /// extension in parts and filters each part: the rows are the
+    /// unfiltered plan's rows that pass, in order, at every pool and limit.
+    #[test]
+    fn parts_take_the_trailing_filter() {
+        use crate::exec::LEVEL_PART_CAP;
+        use crate::plan::Operator;
+        use crate::query::{QueryOperand, QueryPredicate};
+        use aplus_core::CmpOp;
+        let mut g = Graph::new();
+        let fan = 100u32;
+        for _ in 0..=2 * fan {
+            g.add_vertex("A");
+        }
+        for b in 1..=fan {
+            g.add_edge(VertexId(0), VertexId(b), "E").unwrap();
+            for c in fan + 1..=2 * fan {
+                g.add_edge(VertexId(b), VertexId(c), "E").unwrap();
+            }
+        }
+        let db = Database::new(g).unwrap();
+        let (bound, plan) = db.prepare("MATCH a-[r]->b-[s]->c WHERE a.ID = 0").unwrap();
+        let cut = i64::from(fan + fan / 2);
+        let mut filtered = plan.clone();
+        filtered.ops.push(Operator::Filter {
+            preds: vec![QueryPredicate::new(
+                QueryOperand::VertexIdOf(2),
+                CmpOp::Lt,
+                QueryOperand::Const(cut),
+            )],
+        });
+        let all = db.collect_prepared_parallel(&bound, &plan, usize::MAX, &MorselPool::new(1));
+        assert!(all.len() > 2 * LEVEL_PART_CAP);
+        let want: Vec<_> = all
+            .into_iter()
+            .filter(|(v, _)| i64::from(v[2]) < cut)
+            .collect();
+        for threads in [1, 2, 4] {
+            let pool = MorselPool::new(threads);
+            for limit in [1, LEVEL_PART_CAP, want.len(), usize::MAX] {
+                let got = db.collect_prepared_parallel(&bound, &filtered, limit, &pool);
+                assert_eq!(got, want[..limit.min(want.len())], "{threads} {limit}");
             }
         }
     }

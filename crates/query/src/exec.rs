@@ -9,7 +9,9 @@
 //! until the sink. Adjacency lists are read through the A+ indexes as two
 //! borrowed columns (edge IDs, neighbour IDs); E/I performs a k-pointer
 //! leapfrog intersection on the neighbour columns, seeking by galloping
-//! search (the WCOJ building block), VAR-LENGTH EXPAND is a BFS over vertex
+//! search (the WCOJ building block), and applies its list filter to list
+//! entries before binding them — a filtered owner-only list is read once
+//! per owner and morsel (`ListMemo`). VAR-LENGTH EXPAND is a BFS over vertex
 //! bitsets, MULTI-EXTEND performs a k-pointer merge-group on a
 //! property sort key and emits the cartesian product of each equal-key
 //! group, and sorted-prefix prunes are applied by binary search (the
@@ -33,11 +35,15 @@
 //!   morsel ([`crate::block`]), extended through the remaining operators
 //!   with its own per-worker scratch row — no shared mutable state, no
 //!   synchronization inside operators — then counted without flattening,
-//!   or built and handed back unflattened.
+//!   or built and handed over unflattened: every level but the last is
+//!   built whole, and the last goes to the merge in parts of at most
+//!   [`LEVEL_PART_CAP`] entries that share the levels below, each as soon
+//!   as it fills.
 //! * **Output** — a match count (per-morsel `u64`s summed), or up to
 //!   `limit` rows. Blocks wait; rows are flattened once, at the merge: the
-//!   merging thread flattens each morsel's block straight into the
-//!   [`RowSink`] when the morsel's turn in morsel order comes.
+//!   merging thread flattens each part straight into the [`RowSink`] when
+//!   its turn in (morsel, part) order comes, while the worker builds the
+//!   next part.
 //!
 //! Because the merge order is fixed, counts and row sequences are
 //! **bit-identical** at any thread count, and a 1-thread pool runs the
@@ -45,12 +51,12 @@
 //! no separate sequential path. The sink returns a
 //! [`ControlFlow`]: `Break` — a satisfied `LIMIT` or a sink that stopped
 //! consuming — stops the flatten at once, so no row past the last one
-//! delivered is built, and outstanding pool morsels are cancelled through
-//! the cooperative [`aplus_runtime::ExitSignal`].
+//! delivered is built, and the pool's [`aplus_runtime::Parts`] tells every
+//! morsel still building, at its next part, to stop.
 
 use std::ops::{ControlFlow, Range};
 
-use aplus_common::{Bitmap, EdgeId, VertexId};
+use aplus_common::{Bitmap, EdgeId, FxHashMap, VertexId};
 use aplus_core::{CmpOp, Direction, IndexStore, List, OffsetList, SortKey};
 use aplus_graph::Graph;
 use aplus_obs::{HopStats, LevelStats, QueryProfiler};
@@ -58,7 +64,7 @@ use aplus_runtime::{scan_morsel_size, MorselPool};
 
 use crate::block;
 use crate::error::QueryError;
-use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
+use crate::plan::{Ald, FromRef, IndexChoice, ListFilter, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryOperand, QueryPredicate, Row};
 use crate::sink::{drain_flattened, RowSink};
 
@@ -161,6 +167,10 @@ pub(crate) fn vid(raw: usize) -> VertexId {
 pub const VERTEX_MORSEL_CAP: usize = 256;
 /// Largest edge morsel for partitioned root scans.
 pub const EDGE_MORSEL_CAP: usize = 1024;
+/// Most entries of a streamed block's last level in one part: a morsel
+/// whose last level outgrows it hands that level to the merger in parts of
+/// this many entries, each flattened while the next is built.
+pub const LEVEL_PART_CAP: usize = 4096;
 
 /// The root scan's ID range (a pinned vertex scan is the one-ID range) and
 /// the largest morsel [`run`] cuts it into.
@@ -205,16 +215,17 @@ pub enum Output<'a> {
 pub(crate) enum Emit<'a> {
     /// Counts them.
     Count(&'a mut u64),
-    /// Builds their block and leaves it here, unflattened, for the merge.
-    Block(&'a mut Option<block::Built>),
+    /// Builds their block and hands it, unflattened, to the merge in parts
+    /// of at most [`LEVEL_PART_CAP`] last-level entries; `Break` means the
+    /// output is complete, so the body stops building.
+    Parts(&'a mut dyn FnMut(block::Built) -> ControlFlow<()>),
 }
 
-/// One morsel's contribution: `count` when the query counts, the built
-/// `block` when it produces rows (the other stays empty).
-#[derive(Default)]
-struct Part {
-    count: u64,
-    block: Option<block::Built>,
+/// What a root morsel hands the merge: its count, or one part of its
+/// built block.
+enum Part {
+    Count(u64),
+    Rows(block::Built),
 }
 
 /// The merge side of [`run`]: folds what the root morsels emit, in morsel
@@ -230,28 +241,26 @@ struct Driver<'a, 'o> {
 }
 
 impl Driver<'_, '_> {
-    /// Folds one morsel's part into the output; `Break` means the output
-    /// is complete (limit reached or the sink stopped consuming). A block
+    /// Folds one part into the output; `Break` means the output is
+    /// complete (limit reached or the sink stopped consuming). A block part
     /// is flattened here, lazily, straight into the sink through
     /// [`drain_flattened`], which enforces the global limit: the
     /// `limit`-th row is delivered, then the query stops, and no row past
     /// it is built.
     fn merge(&mut self, part: Part) -> ControlFlow<()> {
-        match &mut self.out {
-            Output::Count => {
-                self.counted = self.counted.saturating_add(part.count);
+        match (part, &mut self.out) {
+            (Part::Count(n), _) => {
+                self.counted = self.counted.saturating_add(n);
                 ControlFlow::Continue(())
             }
-            Output::Rows { limit, sink } => {
-                let Some(mut built) = part.block else {
-                    return ControlFlow::Continue(());
-                };
+            (Part::Rows(mut built), Output::Rows { limit, sink }) => {
                 let flow = drain_flattened(*sink, &mut self.sent, *limit, built.rows(self.ctx));
                 if flow.is_break() {
                     self.ctx.note_early_exit(self.sink_level);
                 }
                 flow
             }
+            (Part::Rows(_), Output::Count) => unreachable!("a count emits no rows"),
         }
     }
 }
@@ -295,17 +304,17 @@ pub fn run(
         range.len(),
         size,
         merge_window(pool),
-        |r, _| {
+        |r, parts| {
             ctx.note_morsel();
             let r = range.start + r.start..range.start + r.end;
-            let mut part = Part::default();
-            let emit = if counting {
-                Emit::Count(&mut part.count)
+            if counting {
+                let mut n = 0u64;
+                block::root_morsel(ctx, query, plan, suffix, r, Emit::Count(&mut n));
+                let _ = parts.push(Part::Count(n));
             } else {
-                Emit::Block(&mut part.block)
-            };
-            block::root_morsel(ctx, query, plan, suffix, r, emit);
-            part
+                let mut hand = |built| parts.push(Part::Rows(built));
+                block::root_morsel(ctx, query, plan, suffix, r, Emit::Parts(&mut hand));
+            }
         },
         |part| driver.merge(part),
     );
@@ -339,6 +348,7 @@ pub(crate) struct EiOp<'p> {
     pub(crate) target: usize,
     pub(crate) target_label: Option<aplus_common::VertexLabelId>,
     pub(crate) alds: &'p [Ald],
+    pub(crate) filter: &'p ListFilter,
     pub(crate) residual: &'p [QueryPredicate],
 }
 
@@ -347,6 +357,7 @@ pub(crate) fn ei_op(op: &Operator) -> EiOp<'_> {
         target,
         target_label,
         alds,
+        filter,
         residual,
     } = op
     else {
@@ -356,6 +367,7 @@ pub(crate) fn ei_op(op: &Operator) -> EiOp<'_> {
         target: *target,
         target_label: *target_label,
         alds,
+        filter,
         residual,
     }
 }
@@ -653,11 +665,13 @@ pub(crate) fn fetch_one<'a>(ctx: ExecContext<'a>, ald: &Ald, row: &Row) -> Bound
 /// held in `row`: each is bound in `row` while the continuation `k` runs,
 /// and unbound before the next. `Break` from `k` stops the enumeration.
 /// FILTER adds no bindings; the block engine compacts its level instead.
+/// `memo` is the calling morsel's [`ListMemo`].
 pub(crate) fn op_bindings(
     ctx: ExecContext<'_>,
     op: &Operator,
     depth: usize,
     row: &mut Row,
+    memo: &mut ListMemo,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     match op {
@@ -677,6 +691,9 @@ pub(crate) fn op_bindings(
             let stats = ctx.prof_level(depth);
             if let Some(s) = stats {
                 s.record(ei.alds.len() as u64, 0, 0);
+            }
+            if let Some(owner) = memo.owner(&ei, row) {
+                return memo.scan(ctx, &ei, depth, owner, row, stats, k);
             }
             let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
                 return ControlFlow::Continue(());
@@ -1146,7 +1163,10 @@ fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
 
 /// Runs the E/I `ei` over its pre-fetched lists: a single list is scanned
 /// in list order, several are intersected on neighbour ID by the one
-/// leapfrog kernel, [`leapfrog`].
+/// leapfrog kernel, [`leapfrog`]. An operator without a list filter runs
+/// both on the target label alone ([`LabelOnly`]); one with a filter
+/// applies it too ([`Filtered`]) — two monomorphised instantiations, so
+/// the filter-free loop is exactly the loop it was before filters existed.
 ///
 /// The continuation `k` runs per produced binding with the target vertex
 /// and all edge variables bound (and is unwound before the next binding):
@@ -1167,9 +1187,18 @@ fn ei_over_lists(
 ) -> ControlFlow<()> {
     let mut cand = 0u64;
     let mut emit = 0u64;
-    let flow = match lists {
-        [list] => scan_one(ctx, ei, list, row, &mut cand, &mut emit, k),
-        _ => leapfrog(ctx, ei, lists, row, &mut cand, &mut emit, k),
+    let label = LabelOnly(ei.target_label);
+    let flow = match (lists, ei.filter.is_empty()) {
+        ([list], true) => scan_list(ctx, ei, list, &label, row, &mut cand, &mut emit, k),
+        ([list], false) => {
+            let check = Filtered(label, ei.filter);
+            scan_list(ctx, ei, list, &check, row, &mut cand, &mut emit, k)
+        }
+        (_, true) => leapfrog(ctx, ei, lists, &label, row, &mut cand, &mut emit, k),
+        (_, false) => {
+            let check = Filtered(label, ei.filter);
+            leapfrog(ctx, ei, lists, &check, row, &mut cand, &mut emit, k)
+        }
     };
     if let Some(s) = stats {
         s.record(0, cand, emit);
@@ -1177,44 +1206,237 @@ fn ei_over_lists(
     flow
 }
 
-/// Whether neighbour `n` passes the E/I's target label check. Compares the
-/// label alone: `== Ok(want)` would compare whole `Result`s, dragging the
-/// error type's equality into the hot loop.
-fn label_ok(ctx: ExecContext<'_>, ei: &EiOp<'_>, n: VertexId) -> bool {
-    ei.target_label
-        .is_none_or(|want| ctx.graph.vertex_label(n).is_ok_and(|l| l == want))
+/// What a list entry must pass, beyond relationship uniqueness, before it
+/// is bound. Each implementation is one monomorphised instantiation of the
+/// E/I loops, so no enum is matched per entry.
+trait EntryCheck {
+    /// Whether neighbour `n` may bind the target.
+    fn target(&self, ctx: ExecContext<'_>, n: VertexId) -> bool;
+    /// Whether `e` may bind query edge `edge_var`.
+    fn edge(&self, ctx: ExecContext<'_>, edge_var: usize, e: EdgeId) -> bool;
 }
 
-/// A single-list extension: every entry whose edge is not already bound
-/// and whose neighbour passes the label, in list order.
-fn scan_one(
+/// An operator without a list filter: the target label check alone.
+struct LabelOnly(Option<aplus_common::VertexLabelId>);
+
+impl EntryCheck for LabelOnly {
+    /// Compares the label alone: `== Ok(want)` would compare whole
+    /// `Result`s, dragging the error type's equality into the hot loop.
+    #[inline]
+    fn target(&self, ctx: ExecContext<'_>, n: VertexId) -> bool {
+        self.0
+            .is_none_or(|want| ctx.graph.vertex_label(n).is_ok_and(|l| l == want))
+    }
+
+    #[inline]
+    fn edge(&self, _: ExecContext<'_>, _: usize, _: EdgeId) -> bool {
+        true
+    }
+}
+
+/// The target label check and the operator's [`ListFilter`]: an entry's
+/// neighbour passes the target conjuncts, and its edge the conjuncts on
+/// the query edge its list binds.
+struct Filtered<'p>(LabelOnly, &'p ListFilter);
+
+impl EntryCheck for Filtered<'_> {
+    fn target(&self, ctx: ExecContext<'_>, n: VertexId) -> bool {
+        let g = ctx.graph;
+        self.0.target(ctx, n)
+            && self
+                .1
+                .target_ids
+                .iter()
+                .all(|t| t.op.eval(i64::from(n.raw()), t.value))
+            && self.1.target_props.iter().all(|t| {
+                g.vertex_prop(n, t.at)
+                    .is_some_and(|x| t.op.eval(x, t.value))
+            })
+    }
+
+    fn edge(&self, ctx: ExecContext<'_>, edge_var: usize, e: EdgeId) -> bool {
+        let g = ctx.graph;
+        self.1.edge_labels.iter().all(|t| {
+            t.at != edge_var
+                || g.edge_label(e)
+                    .is_ok_and(|l| t.op.eval(i64::from(l.raw()), t.value))
+        }) && self.1.edge_props.iter().all(|t| {
+            t.at.0 != edge_var
+                || g.edge_prop(e, t.at.1)
+                    .is_some_and(|x| t.op.eval(x, t.value))
+        })
+    }
+}
+
+/// One list entry a [`ListMemo`] kept: its position in the list, its edge
+/// and its neighbour.
+struct KeptEntry {
+    at: usize,
+    edge: u64,
+    nbr: u32,
+}
+
+/// The entries of one owner's list that pass an operator's label and list
+/// filter, and the list's length.
+struct Kept {
+    len: usize,
+    entries: Vec<KeptEntry>,
+}
+
+/// A morsel's memo of filtered single lists, keyed by (plan-op index,
+/// owner vertex). A single-list E/I with a [`ListFilter`] whose list
+/// depends on its owner alone ([`Ald::per_owner`]) reads, checks and keeps
+/// each owner's list once per morsel; every frontier entry with that owner
+/// then replays the kept entries, checking only what depends on its row:
+/// relationship uniqueness and the residual. The key holds the operator
+/// because two operators may read one owner's list under different
+/// filters.
+///
+/// It lives and dies with its morsel, so it holds at most the owners the
+/// morsel reaches, and every thread count sees the same results. `PROFILE`
+/// reports logical work: a replay records the list and the candidates a
+/// memo-free scan would have read.
+#[derive(Default)]
+pub(crate) struct ListMemo {
+    lists: FxHashMap<(usize, u32), Kept>,
+}
+
+impl ListMemo {
+    /// The owner vertex whose list `ei` may take from the memo: a single,
+    /// filtered, owner-only list.
+    fn owner(&self, ei: &EiOp<'_>, row: &Row) -> Option<VertexId> {
+        let [ald] = ei.alds else { return None };
+        if ei.filter.is_empty() || !ald.per_owner() {
+            return None;
+        }
+        let FromRef::Vertex(v) = ald.from else {
+            return None;
+        };
+        row.vertex(v)
+    }
+
+    /// Scans the kept entries of `owner`'s list for `ei`, the operator at
+    /// plan-op index `depth` — reading and checking the list on its first
+    /// use in the morsel — as [`scan_one`] would scan the whole list.
+    #[allow(clippy::too_many_arguments)]
+    fn scan(
+        &mut self,
+        ctx: ExecContext<'_>,
+        ei: &EiOp<'_>,
+        depth: usize,
+        owner: VertexId,
+        row: &mut Row,
+        stats: Option<&LevelStats>,
+        k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let ald = &ei.alds[0];
+        let kept = self.lists.entry((depth, owner.raw())).or_insert_with(|| {
+            let list = fetch_one(ctx, ald, row);
+            let (edges, nbrs) = list.columns();
+            let check = Filtered(LabelOnly(ei.target_label), ei.filter);
+            let entries = (0..)
+                .zip(edges.iter().zip(nbrs))
+                .filter(|&(_, (&e, &n))| {
+                    check.target(ctx, VertexId(n)) && check.edge(ctx, ald.edge_var, EdgeId(e))
+                })
+                .map(|(at, (&edge, &nbr))| KeptEntry { at, edge, nbr })
+                .collect();
+            Kept {
+                len: list.len(),
+                entries,
+            }
+        });
+        let (mut cand, mut emit) = (0u64, 0u64);
+        let entries = kept.entries.iter().map(|e| (e.at, e.edge, e.nbr));
+        let flow = scan_one(
+            ctx,
+            ei,
+            ald.edge_var,
+            kept.len,
+            entries,
+            // Kept entries passed the label and the filter already.
+            &LabelOnly(None),
+            row,
+            &mut cand,
+            &mut emit,
+            k,
+        );
+        if let Some(s) = stats {
+            s.record(0, cand, emit);
+        }
+        flow
+    }
+}
+
+/// A single-list extension over the whole of `list`, in list order.
+#[allow(clippy::too_many_arguments)]
+fn scan_list<C: EntryCheck>(
     ctx: ExecContext<'_>,
     ei: &EiOp<'_>,
     list: &BoundList<'_>,
+    check: &C,
     row: &mut Row,
     cand: &mut u64,
     emit: &mut u64,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let (edges, nbrs) = list.columns();
-    for (&e, &n) in edges.iter().zip(nbrs) {
-        *cand += 1;
+    let entries = (0..)
+        .zip(edges.iter().zip(nbrs))
+        .map(|(i, (&e, &n))| (i, e, n));
+    scan_one(
+        ctx,
+        ei,
+        list.edge_var,
+        list.len(),
+        entries,
+        check,
+        row,
+        cand,
+        emit,
+        k,
+    )
+}
+
+/// A single-list extension: every entry of `entries` — `(position, edge,
+/// neighbour)`, in list order, from a list of `len` — whose edge is not
+/// already bound and which passes `check`. The candidates are the list's
+/// entries up to the last one looked at: the whole list, or up to the one
+/// at which `k` broke off.
+#[allow(clippy::too_many_arguments)]
+fn scan_one<C: EntryCheck>(
+    ctx: ExecContext<'_>,
+    ei: &EiOp<'_>,
+    edge_var: usize,
+    len: usize,
+    entries: impl Iterator<Item = (usize, u64, u32)>,
+    check: &C,
+    row: &mut Row,
+    cand: &mut u64,
+    emit: &mut u64,
+    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    for (i, e, n) in entries {
         let (e, n) = (EdgeId(e), VertexId(n));
-        if row.uses_edge(e) || !label_ok(ctx, ei, n) {
+        if row.uses_edge(e) || !check.target(ctx, n) || !check.edge(ctx, edge_var, e) {
             continue;
         }
         row.bind_vertex(ei.target, n);
-        row.bind_edge(list.edge_var, e);
+        row.bind_edge(edge_var, e);
         let flow = if ei.residual.iter().all(|p| p.eval(ctx.graph, row)) {
             *emit += 1;
             k(row)
         } else {
             ControlFlow::Continue(())
         };
-        row.unbind_edge(list.edge_var);
+        row.unbind_edge(edge_var);
         row.unbind_vertex(ei.target);
-        flow?;
+        if flow.is_break() {
+            *cand += i as u64 + 1;
+            return flow;
+        }
     }
+    *cand += len as u64;
     ControlFlow::Continue(())
 }
 
@@ -1258,13 +1480,16 @@ fn seek(nbrs: &[u32], from: usize, target: u32) -> usize {
 /// The one intersection kernel: a k-pointer leapfrog over the lists'
 /// neighbour columns (each neighbour-sorted, borrowed once per call). A
 /// round takes the largest head and seeks every list to it by galloping
-/// ([`seek`]); when all heads agree, the aligned neighbour's parallel-edge
-/// run is read from each edge column and the cartesian product of the runs
-/// is bound ([`bind_edges_product`]). Each round is one candidate.
-fn leapfrog(
+/// ([`seek`]); when all heads agree and the aligned neighbour passes
+/// `check`, its parallel-edge run is read from each edge column and the
+/// cartesian product of the runs is bound ([`bind_edges_product`]). Each
+/// round is one candidate.
+#[allow(clippy::too_many_arguments)]
+fn leapfrog<C: EntryCheck>(
     ctx: ExecContext<'_>,
     ei: &EiOp<'_>,
     lists: &[BoundList<'_>],
+    check: &C,
     row: &mut Row,
     cand: &mut u64,
     emit: &mut u64,
@@ -1307,9 +1532,9 @@ fn leapfrog(
             c.run_end = c.at + c.nbrs[c.at..].iter().take_while(|&&n| n == max_nbr).count();
         }
         let nbr = VertexId(max_nbr);
-        if label_ok(ctx, ei, nbr) {
+        if check.target(ctx, nbr) {
             row.bind_vertex(ei.target, nbr);
-            let flow = bind_edges_product(ctx, &cursors, ei.residual, row, &mut |r| {
+            let flow = bind_edges_product(ctx, &cursors, check, ei.residual, row, &mut |r| {
                 *emit += 1;
                 k(r)
             });
@@ -1323,11 +1548,12 @@ fn leapfrog(
 }
 
 /// Binds one edge of each cursor's aligned run (cartesian product, with
-/// relationship uniqueness), then evaluates residuals and runs the
-/// continuation.
-fn bind_edges_product(
+/// relationship uniqueness and `check`'s edge conjuncts), then evaluates
+/// residuals and runs the continuation.
+fn bind_edges_product<C: EntryCheck>(
     ctx: ExecContext<'_>,
     cursors: &[Cursor<'_>],
+    check: &C,
     residual: &[QueryPredicate],
     row: &mut Row,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
@@ -1340,11 +1566,11 @@ fn bind_edges_product(
     };
     for &e in &c.edges[c.at..c.run_end] {
         let e = EdgeId(e);
-        if row.uses_edge(e) {
+        if row.uses_edge(e) || !check.edge(ctx, c.edge_var, e) {
             continue;
         }
         row.bind_edge(c.edge_var, e);
-        let flow = bind_edges_product(ctx, rest, residual, row, k);
+        let flow = bind_edges_product(ctx, rest, check, residual, row, k);
         row.unbind_edge(c.edge_var);
         flow?;
     }
@@ -1568,6 +1794,7 @@ mod tests {
                         prune: None,
                         sorted_range: true,
                     }],
+                    filter: ListFilter::default(),
                     residual: vec![],
                 },
                 Operator::ExtendIntersect {
@@ -1582,6 +1809,7 @@ mod tests {
                         prune: None,
                         sorted_range: true,
                     }],
+                    filter: ListFilter::default(),
                     residual: vec![],
                 },
             ],
@@ -1648,6 +1876,7 @@ mod tests {
                         prune: None,
                         sorted_range: false,
                     }],
+                    filter: ListFilter::default(),
                     residual: vec![],
                 },
             ],
@@ -1740,12 +1969,14 @@ mod tests {
                     target: 1,
                     target_label: None,
                     alds: vec![mk_ald(0, 0)],
+                    filter: ListFilter::default(),
                     residual: vec![],
                 },
                 Operator::ExtendIntersect {
                     target: 2,
                     target_label: None,
                     alds: vec![mk_ald(1, 1)],
+                    filter: ListFilter::default(),
                     residual: vec![],
                 },
             ],
@@ -1824,6 +2055,7 @@ mod tests {
                         prune: None,
                         sorted_range: false,
                     }],
+                    filter: ListFilter::default(),
                     residual: vec![],
                 },
                 Operator::ExtendIntersect {
@@ -1849,6 +2081,7 @@ mod tests {
                             sorted_range: false,
                         },
                     ],
+                    filter: ListFilter::default(),
                     residual: vec![],
                 },
             ],
@@ -1943,6 +2176,7 @@ mod tests {
                         }),
                         sorted_range: false,
                     }],
+                    filter: ListFilter::default(),
                     residual: if use_prune {
                         vec![]
                     } else {
@@ -2135,6 +2369,7 @@ mod tests {
                         prune: None,
                         sorted_range: true,
                     }],
+                    filter: ListFilter::default(),
                     residual: vec![],
                 },
                 Operator::ExtendIntersect {
@@ -2155,6 +2390,7 @@ mod tests {
                         }),
                         sorted_range: true,
                     }],
+                    filter: ListFilter::default(),
                     residual: if use_prune {
                         vec![]
                     } else {

@@ -17,7 +17,10 @@
 //! list entries every operator will touch across all its invocations
 //! (list size × estimated input cardinality). Query predicates implied by a
 //! chosen index's view predicate or enforced by its partition prefix /
-//! sorted-prefix prune are dropped from the residual FILTER.
+//! sorted-prefix prune are dropped from the residual FILTER. Of what an
+//! E/I still has to check, the conjuncts that compare a list entry's edge
+//! or neighbour with a constant become its [`ListFilter`], applied before
+//! anything is bound.
 
 use aplus_common::EdgeLabelId;
 use aplus_common::FxHashMap;
@@ -26,7 +29,7 @@ use aplus_core::{CmpOp, Direction, IndexStore, PartitionKey, SortKey, ViewPredic
 use aplus_graph::{Graph, PropertyEntity, PropertyKind};
 
 use crate::error::QueryError;
-use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan, Prune, PruneValue};
+use crate::plan::{Ald, FromRef, IndexChoice, ListFilter, Operator, Plan, Prune, PruneValue};
 use crate::query::{QueryGraph, QueryOperand, QueryPredicate};
 
 /// Cost-model constants. Deliberately simple and fully deterministic: the
@@ -353,11 +356,16 @@ impl Optimizer<'_> {
             let out_per_tuple = intersection_estimate(&sizes, self.stats.vertex_count as f64);
             let mut cost = partial.cost + partial.card * sum_size.max(1.0);
             let mut card = (partial.card * out_per_tuple * residual_sel).max(0.001);
+            // Conjuncts reading only a list entry filter the lists before
+            // binding; the rest stay residual.
+            let edges: Vec<usize> = alds.iter().map(|a| a.edge_var).collect();
+            let (filter, residual) = ListFilter::split(residual, v, &edges);
             let mut ops = partial.ops.clone();
             ops.push(Operator::ExtendIntersect {
                 target: v,
                 target_label: self.query.vertices[v].label,
                 alds,
+                filter,
                 residual,
             });
             // Distance checks for variable-length edges newly internal to
@@ -1414,9 +1422,19 @@ mod tests {
                 .unwrap();
         let plan = plan_for(&g, &store, "MATCH a-[r:W]->b");
         match &plan.ops[1] {
-            Operator::ExtendIntersect { alds, residual, .. } => {
+            Operator::ExtendIntersect {
+                alds,
+                filter,
+                residual,
+                ..
+            } => {
                 assert!(alds[0].prefix.is_empty());
-                assert_eq!(residual.len(), 1, "label re-checked as residual");
+                assert!(residual.is_empty());
+                assert_eq!(
+                    filter.edge_labels.len(),
+                    1,
+                    "label re-checked by the list filter"
+                );
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -15,14 +15,17 @@
 //!
 //! Each adjacency-list access is described by an [`Ald`] (adjacency list
 //! descriptor): which index, from which bound variable, restricted to which
-//! partition-code prefix, with an optional sorted-prefix [`Prune`].
+//! partition-code prefix, with an optional sorted-prefix [`Prune`]. The
+//! conjuncts of an E/I's predicates that read only a list entry — its edge
+//! and its neighbour — against constants form the operator's
+//! [`ListFilter`], applied to the list's columns before anything is bound.
 
 use std::fmt;
 
-use aplus_common::{EdgeLabelId, VertexLabelId};
+use aplus_common::{EdgeLabelId, PropertyId, VertexLabelId};
 use aplus_core::{CmpOp, Direction, SortKey};
 
-use crate::query::QueryPredicate;
+use crate::query::{QueryOperand, QueryPredicate};
 
 /// Which index an ALD reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,6 +129,21 @@ impl Ald {
         }
     }
 
+    /// Whether the list depends on its owner vertex alone: it hangs off a
+    /// vertex, and its prune, if any, compares with a constant. Then every
+    /// frontier entry with the same owner reads the same list.
+    #[must_use]
+    pub fn per_owner(&self) -> bool {
+        matches!(self.from, FromRef::Vertex(_))
+            && matches!(
+                self.prune,
+                None | Some(Prune {
+                    value: PruneValue::Const(_),
+                    ..
+                })
+            )
+    }
+
     /// Whether entries come out ordered by neighbour ID (E/I requirement).
     /// True when the effective sort is empty (tiebreaks are `(nbr, edge)`)
     /// or leads with [`SortKey::NbrId`].
@@ -148,6 +166,103 @@ impl Ald {
             s.push_str(&format!(" prune({:?} {:?})", p.op, p.value));
         }
         s
+    }
+}
+
+/// One list-filter conjunct: the value read at `at` compared with a
+/// constant, `value(at) op value`. A NULL (missing) value passes nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Test<A> {
+    /// What the conjunct reads.
+    pub at: A,
+    /// Comparison operator.
+    pub op: CmpOp,
+    /// The constant compared against.
+    pub value: i64,
+}
+
+/// The conjuncts of an E/I's predicates that read only a list entry — the
+/// edge a list binds and its neighbour, the operator's target — against
+/// constants, grouped by what they read. The executor applies them to the
+/// list's columns before an entry is bound; the operator's `residual` keeps
+/// every other conjunct. An empty filter leaves the executor's loops as they
+/// are without one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ListFilter {
+    /// `edge.prop op c`, with `at` = (the query edge, the property).
+    pub edge_props: Vec<Test<(usize, PropertyId)>>,
+    /// `edge.label op c` on the label code, with `at` = the query edge (a
+    /// label the list's partition does not enforce).
+    pub edge_labels: Vec<Test<usize>>,
+    /// `target.prop op c`.
+    pub target_props: Vec<Test<PropertyId>>,
+    /// `target.ID op c`.
+    pub target_ids: Vec<Test<()>>,
+}
+
+impl ListFilter {
+    /// Whether the filter holds no conjunct.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The number of conjuncts.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.edge_props.len()
+            + self.edge_labels.len()
+            + self.target_props.len()
+            + self.target_ids.len()
+    }
+
+    /// Splits `preds`, the predicates an E/I binding `target` through lists
+    /// binding `edges` evaluates, into the conjuncts that read one of them
+    /// against a constant (the filter) and the rest (the residual).
+    #[must_use]
+    pub fn split(
+        preds: Vec<QueryPredicate>,
+        target: usize,
+        edges: &[usize],
+    ) -> (Self, Vec<QueryPredicate>) {
+        let mut filter = Self::default();
+        let residual = preds
+            .into_iter()
+            .filter(|p| !filter.take(p, target, edges))
+            .collect();
+        (filter, residual)
+    }
+
+    /// Adds `p` as a conjunct if it compares an entry read with a constant;
+    /// returns whether it did. `c op x` is taken as `x flip(op) c`; an
+    /// additive constant is folded into the constant side exactly as
+    /// [`QueryPredicate::eval`] applies it (saturating, on the right).
+    fn take(&mut self, p: &QueryPredicate, target: usize, edges: &[usize]) -> bool {
+        let (read, op, value) = match (p.lhs, p.rhs) {
+            (x, QueryOperand::Const(c)) => (x, p.op, c.saturating_add(p.rhs_add)),
+            (QueryOperand::Const(c), x) if p.rhs_add == 0 => (x, p.op.flip(), c),
+            _ => return false,
+        };
+        match read {
+            QueryOperand::EdgeProp(e, pid) if edges.contains(&e) => {
+                self.edge_props.push(Test {
+                    at: (e, pid),
+                    op,
+                    value,
+                });
+            }
+            QueryOperand::EdgeLabelOf(e) if edges.contains(&e) => {
+                self.edge_labels.push(Test { at: e, op, value });
+            }
+            QueryOperand::VertexProp(v, pid) if v == target => {
+                self.target_props.push(Test { at: pid, op, value });
+            }
+            QueryOperand::VertexIdOf(v) if v == target => {
+                self.target_ids.push(Test { at: (), op, value });
+            }
+            _ => return false,
+        }
+        true
     }
 }
 
@@ -190,6 +305,8 @@ pub enum Operator {
         target_label: Option<VertexLabelId>,
         /// Adjacency lists to intersect (one per connecting query edge).
         alds: Vec<Ald>,
+        /// Conjuncts applied to list entries before they are bound.
+        filter: ListFilter,
         /// Residual predicates evaluated per produced match.
         residual: Vec<QueryPredicate>,
     },
@@ -319,11 +436,15 @@ fn op_description(op: &Operator) -> String {
         Operator::ExtendIntersect {
             target,
             alds,
+            filter,
             residual,
             ..
         } => {
             let lists: Vec<String> = alds.iter().map(Ald::render).collect();
             let mut s = format!("E/I v{target} ⋂[{}]", lists.join(" ∩ "));
+            if !filter.is_empty() {
+                s.push_str(&format!(" list-filter={}", filter.len()));
+            }
             if !residual.is_empty() {
                 s.push_str(&format!(" filter={}", residual.len()));
             }
@@ -421,6 +542,44 @@ mod tests {
             value: PruneValue::Const(2),
         });
         assert!(!a.nbr_sorted());
+    }
+
+    #[test]
+    fn list_filter_takes_entry_conjuncts_against_constants() {
+        use aplus_common::PropertyId;
+        use QueryOperand::{Const, EdgeLabelOf, EdgeProp, VertexIdOf, VertexProp};
+        let p = |lhs, op, rhs, rhs_add| QueryPredicate {
+            lhs,
+            op,
+            rhs,
+            rhs_add,
+        };
+        let (time, acc) = (PropertyId(0), PropertyId(1));
+        // Target 2, new edge 1; vertex 0 and edge 0 were bound before.
+        let preds = vec![
+            p(EdgeProp(1, time), CmpOp::Lt, Const(50), 0),
+            p(Const(7), CmpOp::Lt, VertexProp(2, acc), 0),
+            p(VertexIdOf(2), CmpOp::Ge, Const(i64::MAX), 1),
+            p(EdgeLabelOf(1), CmpOp::Eq, Const(3), 0),
+            // Residual: a bound variable, two entry reads, and a constant
+            // on the left with an additive constant on the right.
+            p(EdgeProp(0, time), CmpOp::Lt, Const(50), 0),
+            p(VertexProp(0, acc), CmpOp::Eq, VertexProp(2, acc), 0),
+            p(EdgeProp(1, time), CmpOp::Lt, VertexProp(2, acc), 0),
+            p(Const(7), CmpOp::Lt, VertexProp(2, acc), 1),
+        ];
+        let (filter, residual) = ListFilter::split(preds.clone(), 2, &[1]);
+        assert_eq!(residual, preds[4..]);
+        assert_eq!(filter.len(), 4);
+        fn test<A>(at: A, op: CmpOp, value: i64) -> Test<A> {
+            Test { at, op, value }
+        }
+        assert_eq!(filter.edge_props, [test((1, time), CmpOp::Lt, 50)]);
+        // `7 < x` is `x > 7`.
+        assert_eq!(filter.target_props, [test(acc, CmpOp::Gt, 7)]);
+        // The additive constant saturates as `QueryPredicate::eval` adds it.
+        assert_eq!(filter.target_ids, [test((), CmpOp::Ge, i64::MAX)]);
+        assert_eq!(filter.edge_labels, [test(1, CmpOp::Eq, 3)]);
     }
 
     #[test]

@@ -71,8 +71,13 @@ fn build_graph(edges: &[(u32, u32, i64, bool)]) -> Graph {
 /// tail: once where the labels the MULTI-EXTEND enforces (a:A, c:B) prove
 /// the tail edge apart from its edges, so the tail skips the uniqueness
 /// subtraction, and once where they do not (c = a through a self-loop s,
-/// with t = r). Last, var-length expansions at the tail, in the middle and
-/// at the front of a pipeline.
+/// with t = r). Then list filters: an edge-property and a target-property
+/// conjunct against constants, on a tail and on an inner operator, where
+/// the filtered list is a backward list that holds the bound edge of the
+/// level before (same label, so relationship uniqueness must reject that
+/// edge although it passes the filter), and whose owner repeats across the
+/// frontier (the per-morsel memo replays it). Last, var-length expansions
+/// at the tail, in the middle and at the front of a pipeline.
 const TEMPLATES: &[&str] = &[
     "MATCH a-[r:E]->b",
     "MATCH a-[r]->b",
@@ -100,6 +105,12 @@ const TEMPLATES: &[&str] = &[
     "MATCH a-[r]->b, a-[s]->c WHERE b.grp = c.grp",
     "MATCH (a:A)-[r]->(b), (a:A)-[s]->(c:B), (c:B)-[t:F]->(d) WHERE a.ID < 4, b.grp = c.grp",
     "MATCH (a:A)-[r]->b, (a:A)-[s]->c, c-[t:F]->d WHERE b.grp = c.grp",
+    "MATCH a-[r:E]->b, c-[s:E]->b WHERE s.w < 50",
+    "MATCH a-[r:E]->b, c-[s:E]->b WHERE c.grp = g1",
+    "MATCH a-[r:E]->b, c-[s:E]->b, c-[t:E]->d WHERE s.w < 50, c.grp = g1",
+    "MATCH a-[r]->b-[s]->c-[t]->d WHERE s.w >= 30, c.grp = g2, t.w < 70",
+    "MATCH a-[r]->b, a-[s]->c WHERE b.grp = c.grp, r.w < 50, s.w >= 20",
+    "MATCH a-[r:E]->b-[s:E]->c-[t:E]->a WHERE t.w < 50, c.grp = g0",
     "MATCH a-[:E*1..3]->b",
     "MATCH a-[r:E]->b-[:F*1..2]->c",
     "MATCH a-[:E*2..3]->b-[s:F]->c WHERE a.ID = 0",
@@ -210,6 +221,19 @@ proptest! {
         }
         prop_assert!(has(&ops, |o| matches!(o, Operator::ScanEdges { .. })));
         prop_assert!(has(&ops, |o| matches!(o, Operator::VarLengthExpand { .. })));
+        // List filters run on tails and on inner operators.
+        let filtered = |ops: &[Operator]| -> Vec<bool> {
+            ops.iter()
+                .map(|o| matches!(o, Operator::ExtendIntersect { filter, .. } if !filter.is_empty()))
+                .collect()
+        };
+        let (mut on_tail, mut inner) = (false, false);
+        for q in TEMPLATES {
+            let f = filtered(&db.prepare(q).unwrap().1.ops);
+            on_tail |= f.last() == Some(&true);
+            inner |= f[..f.len() - 1].contains(&true);
+        }
+        prop_assert!(on_tail && inner, "list filters on a tail and an inner operator");
         if config == 3 {
             prop_assert!(has(&ops, |o| matches!(o, Operator::MultiExtend { .. })));
         }
@@ -340,6 +364,161 @@ proptest! {
                 prop_assert_eq!(factorized, flattened, "count: query {} threads {}", q, t);
             }
             common::assert_one_driver(&db, q)?;
+        }
+    }
+}
+
+/// A same-label graph around a hub: every vertex `1..HUB_ROOTS` has an `E`
+/// edge to the hub (0), so the hub owns a long backward list that every
+/// root of the one morsel reaches; `extra` adds edges (parallel ones
+/// included) between any vertices. Edge weights and vertex groups come
+/// from `weights` and the vertex ID.
+const HUB_ROOTS: u32 = 60;
+
+fn filtered_hub_graph(extra: &[(u32, u32)], weights: &[i64]) -> Graph {
+    let mut g = Graph::new();
+    g.register_property(PropertyEntity::Edge, "w", PropertyKind::Int)
+        .unwrap();
+    g.register_property(PropertyEntity::Vertex, "grp", PropertyKind::Categorical)
+        .unwrap();
+    let grp = g.catalog().property(PropertyEntity::Vertex, "grp").unwrap();
+    let w = g.catalog().property(PropertyEntity::Edge, "w").unwrap();
+    for i in 0..HUB_ROOTS {
+        let v = g.add_vertex("A");
+        g.set_vertex_prop(v, grp, Value::Str(&format!("g{}", i % 3)))
+            .unwrap();
+    }
+    let to_hub = (1..HUB_ROOTS).map(|v| (v, 0));
+    let extra = extra.iter().map(|&(s, d)| (s % HUB_ROOTS, d % HUB_ROOTS));
+    for (i, (s, d)) in to_hub.chain(extra).enumerate() {
+        let e = g.add_edge(VertexId(s), VertexId(d), "E").unwrap();
+        g.set_edge_prop(e, w, Value::Int(weights[i % weights.len()]))
+            .unwrap();
+    }
+    g
+}
+
+/// A root whose two-hop last level outgrows one part: vertex 0 reaches
+/// `FAN` vertices, each of which reaches `FAN` more (`FAN² > LEVEL_PART_CAP`),
+/// beside small roots on both sides of it in the same morsel.
+const FAN: u32 = 100;
+
+fn fan_graph() -> Graph {
+    let mut g = Graph::new();
+    let n = 1 + FAN + FAN * FAN / 8;
+    for _ in 0..n {
+        g.add_vertex("A");
+    }
+    let mut add = |s: u32, d: u32| {
+        g.add_edge(VertexId(s), VertexId(d), "E").unwrap();
+    };
+    for b in 1..=FAN {
+        add(0, b);
+        for c in 0..FAN {
+            add(b, 1 + FAN + (b * 7 + c) % (n - 1 - FAN));
+        }
+    }
+    // Small roots after the heavy one, some reaching its fan-out.
+    for a in 1 + FAN..1 + FAN + 5 {
+        add(a, 1 + a % FAN);
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// List filters and their memo around a hub owner repeated under every
+    /// root of one morsel: an edge-property and a target-property conjunct
+    /// on the tail, and both on an inner operator, against the oracle at
+    /// pools 1/2/4 and every limit. The bound `r` is in the hub's backward
+    /// list and passes the filter whenever its weight does, so only
+    /// relationship uniqueness keeps `s = r` out.
+    #[test]
+    fn filtered_hub_owner_equals_oracle(
+        extra in proptest::collection::vec((0..HUB_ROOTS, 0..HUB_ROOTS), 0..60),
+        weights in proptest::collection::vec(0i64..100, 1..20),
+    ) {
+        let db = Database::new(filtered_hub_graph(&extra, &weights)).unwrap();
+        for q in [
+            "MATCH a-[r:E]->b, c-[s:E]->b WHERE s.w < 50",
+            "MATCH a-[r:E]->b, c-[s:E]->b WHERE c.grp = g1",
+            "MATCH a-[r:E]->b, c-[s:E]->b, c-[t:E]->d WHERE s.w < 50, c.grp = g1, t.w > 20",
+        ] {
+            common::assert_one_driver(&db, q)?;
+        }
+    }
+}
+
+/// Two operators read one owner's list under different filters: the memo
+/// must key them apart (a memo keyed by the list alone would hand the
+/// second operator the first one's survivors). Unpinned, the optimizer
+/// scans `b`; pinning `a` to each account makes both operators read `a`'s
+/// list.
+#[test]
+fn memo_keys_lists_by_operator_too() {
+    let db = Database::new(aplus_datagen::build_financial_graph().graph).unwrap();
+    let q = "MATCH a-[e1]->b, a-[e2]->c WHERE b.acc = CQ, c.acc = SV";
+    common::assert_one_driver(&db, q).unwrap();
+    for account in 0..5 {
+        let pinned = format!("{q}, a.ID = {account}");
+        let (_, plan) = db.prepare(&pinned).unwrap();
+        let owners: Vec<_> = plan
+            .ops
+            .iter()
+            .filter_map(|o| match o {
+                Operator::ExtendIntersect { alds, filter, .. } if !filter.is_empty() => {
+                    Some(alds[0].from)
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(
+            owners.len() == 2 && owners[0] == owners[1],
+            "two filtered operators read one owner's list: {plan}"
+        );
+        common::assert_one_driver(&db, &pinned).unwrap();
+    }
+}
+
+/// A heavy root's last level streams in parts: rows are bit-identical at
+/// pools 1/2/4 and at limits 1, cap, cap + 1, n and n + 1, and exactly the
+/// rows delivered are flattened.
+#[test]
+fn parts_of_a_heavy_last_level_keep_rows_and_limits() {
+    use aplus_query::exec::LEVEL_PART_CAP as CAP;
+    use aplus_query::{profiled, Output};
+    let db = Database::new(fan_graph()).unwrap();
+    for q in [
+        "MATCH a-[r]->b-[s]->c WHERE a.ID = 0",
+        "MATCH a-[r]->b-[s]->c",
+    ] {
+        let (bound, plan) = db.prepare(q).unwrap();
+        let reference =
+            db.collect_prepared_parallel(&bound, &plan, usize::MAX, &MorselPool::sequential());
+        let n = reference.len();
+        assert!(
+            n > 2 * CAP,
+            "{q}: the last level must span several parts ({n})"
+        );
+        for threads in THREADS {
+            let pool = MorselPool::new(threads);
+            assert_eq!(db.count_prepared_parallel(&bound, &plan, &pool), n as u64);
+            for limit in [1, CAP, CAP + 1, n, n + 1] {
+                let at = format!("{q} threads {threads} limit {limit}");
+                let streamed = drain_stream_prepared(&db, &bound, &plan, limit, &pool);
+                assert_eq!(streamed, reference[..limit.min(n)], "{at}");
+                let mut delivered = 0u64;
+                let profile = profiled(&plan, |p| {
+                    let sink = &mut |_: RawRow| {
+                        delivered += 1;
+                        ControlFlow::Continue(())
+                    };
+                    db.run(&bound, &plan, &pool, Some(p), Output::Rows { limit, sink })
+                });
+                assert_eq!(delivered, limit.min(n) as u64, "{at}");
+                assert_eq!(profile.flatten_rows, delivered, "flattened: {at}");
+            }
         }
     }
 }

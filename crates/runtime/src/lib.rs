@@ -13,7 +13,9 @@
 //! * **Determinism.** Results are returned *in morsel order* regardless of
 //!   which worker executed which morsel, so a parallel run merges to exactly
 //!   the sequential outcome (per-worker partial aggregates are re-assembled
-//!   positionally, never in completion order).
+//!   positionally, never in completion order). A task may hand its result
+//!   over in several pieces ([`Parts`]); they keep the order it pushed them
+//!   in, inside its morsel's place.
 //! * **The sequential special case.** A 1-thread pool (or a 0/1-morsel job)
 //!   runs inline on the caller's stack — no threads are spawned, no locks
 //!   are taken — so `threads = 1` *is* the pre-existing sequential path.
@@ -43,8 +45,9 @@ pub const THREADS_ENV: &str = "APLUS_THREADS";
 
 /// A one-shot, waitable termination signal for long-lived services.
 ///
-/// Where [`ExitSignal`] is a poll-only flag scoped to a single
-/// `map_ranges` call, `Shutdown` is the *service-lifetime* variant: it can
+/// Where the early exit of a [`MorselPool::map_ranges`] call is a flag
+/// scoped to that call, seen at [`Parts::push`], `Shutdown` is the
+/// *service-lifetime* variant: it can
 /// be triggered exactly once (idempotently), checked without blocking, and
 /// **waited on** — with or without a timeout — via an internal condvar, so
 /// an accept loop or a watchdog thread can park instead of spinning. The
@@ -124,41 +127,99 @@ impl Shutdown {
 /// workers of one [`MorselPool::map_ranges`] call.
 ///
 /// The merger sets it when the sink stops consuming (a `LIMIT` was
-/// satisfied, a client disconnected); tasks poll it to abandon work whose
-/// result can no longer reach the output. Polling is advisory — a task
-/// that never checks still terminates normally, its result is simply
-/// dropped.
+/// satisfied, a client disconnected); tasks see it at their next
+/// [`Parts::push`] and abandon work whose result can no longer reach the
+/// output. Checking is advisory — a task that ignores it still terminates
+/// normally, its pieces are simply dropped.
 #[derive(Debug, Default)]
-pub struct ExitSignal {
+struct ExitSignal {
     stopped: AtomicBool,
 }
 
 impl ExitSignal {
-    /// A fresh, unset signal.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cooperative termination.
-    pub fn stop(&self) {
+    fn stop(&self) {
         self.stopped.store(true, Ordering::Release);
     }
 
-    /// Whether termination has been requested.
     #[inline]
-    #[must_use]
-    pub fn is_stopped(&self) -> bool {
+    fn is_stopped(&self) -> bool {
         self.stopped.load(Ordering::Acquire)
     }
 }
 
-/// Shared state of one streaming merge: results completed out of order,
-/// the next morsel index the sink needs, and the live worker count.
+/// Where one [`MorselPool::map_ranges`] task hands its result over, in as
+/// many pieces as it likes. The sink sees a morsel's pieces in the order
+/// the task pushed them, after every piece of the morsels before it and
+/// before any piece of the morsels after it — so a task can hand over the
+/// first part of a large result while it builds the next.
+pub struct Parts<'a, R> {
+    to: Handoff<'a, R>,
+    exit: &'a ExitSignal,
+}
+
+/// Where [`Parts::push`] sends a piece.
+enum Handoff<'a, R> {
+    /// A sequential run: straight into the sink, on the task's own stack.
+    Inline(&'a mut (dyn FnMut(R) -> ControlFlow<()> + 'a)),
+    /// A pool run: queued under the task's morsel for the merging thread.
+    Queued {
+        morsel: usize,
+        state: &'a Mutex<MergeState<R>>,
+        to_merger: &'a Condvar,
+    },
+}
+
+impl<R> Parts<'_, R> {
+    /// Hands `piece` to the sink, behind every piece this task pushed
+    /// before. `Break` means the sink stopped consuming (or another task
+    /// panicked): the piece was dropped, and so will every later one be, so
+    /// the task should stop building.
+    pub fn push(&mut self, piece: R) -> ControlFlow<()> {
+        if self.exit.is_stopped() {
+            return ControlFlow::Break(());
+        }
+        match &mut self.to {
+            Handoff::Inline(sink) => {
+                if sink(piece).is_break() {
+                    self.exit.stop();
+                    return ControlFlow::Break(());
+                }
+            }
+            Handoff::Queued {
+                morsel,
+                state,
+                to_merger,
+            } => {
+                lock(state).slot(*morsel).pieces.push_back(piece);
+                to_merger.notify_one();
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// The pieces one morsel's task has pushed and the merger has not taken
+/// yet, and whether the task has returned.
+struct Slot<R> {
+    pieces: VecDeque<R>,
+    done: bool,
+}
+
+/// Shared state of one streaming merge: pieces of morsels ahead of the
+/// merger, the morsel the merger is at, and the live worker count.
 struct MergeState<R> {
-    pending: BTreeMap<usize, R>,
-    next: usize,
+    pending: BTreeMap<usize, Slot<R>>,
+    front: usize,
     active: usize,
+}
+
+impl<R> MergeState<R> {
+    fn slot(&mut self, morsel: usize) -> &mut Slot<R> {
+        self.pending.entry(morsel).or_insert_with(|| Slot {
+            pieces: VecDeque::new(),
+            done: false,
+        })
+    }
 }
 
 /// Decrements the live-worker count (and wakes the merger) even when the
@@ -245,9 +306,9 @@ impl MorselPool {
 
     /// Cuts `0..total` into contiguous ranges of at most `morsel_size`
     /// items, executes `task` on each across the pool, and returns the
-    /// results in range order: [`Self::map_ranges`] collecting every
-    /// result, with a window as wide as the job. Panics in `task` are
-    /// propagated to the caller.
+    /// results in range order: [`Self::map_ranges`] with one piece per
+    /// morsel, collecting every result, with a window as wide as the job.
+    /// Panics in `task` are propagated to the caller.
     pub fn run_ranges<R, F>(&self, total: usize, morsel_size: usize, task: F) -> Vec<R>
     where
         R: Send,
@@ -259,7 +320,9 @@ impl MorselPool {
             total,
             morsel_size,
             morsels,
-            |r, _| task(r),
+            |r, parts| {
+                let _ = parts.push(task(r));
+            },
             |r| {
                 out.push(r);
                 ControlFlow::Continue(())
@@ -269,49 +332,57 @@ impl MorselPool {
     }
 
     /// Order-preserving streaming map over contiguous ranges of `0..total`,
-    /// with a bounded in-flight window and cooperative early exit.
+    /// with a bounded in-flight window and cooperative early exit — the
+    /// pool's one ordered merge.
     ///
-    /// Workers execute `task` on morsels out of order; the **caller's
-    /// thread** acts as the merger, feeding each result to `sink` strictly
-    /// in morsel order as soon as the next-needed morsel completes. This is
-    /// the primitive behind order-preserving parallel `collect` and row
-    /// streaming: concatenating per-morsel buffers in sink order
-    /// reconstructs exactly the sequential result sequence.
+    /// Workers execute `task` on morsels out of order; each task hands its
+    /// result to its [`Parts`] in one or more pieces, as soon as each is
+    /// ready. The **caller's thread** acts as the merger, feeding the pieces
+    /// to `sink` in morsel order. This is the primitive behind
+    /// order-preserving parallel `collect` and row streaming: concatenating
+    /// the pieces in sink order reconstructs exactly the sequential result
+    /// sequence, and the merger consumes a task's first piece while the
+    /// task builds its next.
     ///
     /// Three guarantees:
     ///
-    /// * **Order.** `sink` observes results for morsels `0, 1, 2, …` with
-    ///   no gaps, regardless of completion order.
-    /// * **Bounded buffering.** At most `window` morsels may be in flight
-    ///   (executing or completed-but-undelivered) beyond the sink's
-    ///   position, so a slow consumer never forces the pool to materialize
-    ///   the whole result. `window` is clamped to at least the worker
-    ///   count (a smaller value would only idle workers).
-    /// * **Early exit.** When `sink` returns [`ControlFlow::Break`], the
-    ///   shared [`ExitSignal`] is set: queued morsels are abandoned, and
-    ///   running tasks can poll the signal to stop mid-morsel. A result
-    ///   from a morsel the sink never reached is dropped, never delivered
-    ///   out of order — by construction everything the sink consumed came
-    ///   from the contiguous prefix, so an early exit is oblivious to
-    ///   whatever the abandoned tail would have produced.
+    /// * **Order.** `sink` observes the pieces of morsel 0 in the order its
+    ///   task pushed them, then those of morsel 1, 2, …, with no gaps,
+    ///   regardless of completion order.
+    /// * **Bounded buffering.** At most `window` morsels beyond the one the
+    ///   merger is at may be in flight (executing, or with pieces not yet
+    ///   delivered), so a slow consumer never forces the pool to
+    ///   materialize the whole result. `window` is clamped to at least the
+    ///   worker count (a smaller value would only idle workers).
+    /// * **Early exit.** When `sink` returns [`ControlFlow::Break`], queued
+    ///   morsels are abandoned, and every later [`Parts::push`] returns
+    ///   `Break` (and drops its piece), so a running task learns at its next
+    ///   piece to stop mid-morsel. A piece the sink never reached is
+    ///   dropped, never delivered out of order — everything the sink
+    ///   consumed came from the contiguous prefix.
     ///
     /// On a sequential pool (or a 0/1-morsel job) everything runs inline on
-    /// the caller's thread in order, with the same early-exit semantics —
-    /// the `threads = 1` case *is* the sequential path.
+    /// the caller's thread in order: a pushed piece goes straight into
+    /// `sink`, with the same early-exit semantics — the `threads = 1` case
+    /// *is* the sequential path.
     ///
     /// ```
     /// use std::ops::ControlFlow;
     /// use aplus_runtime::MorselPool;
     ///
-    /// // First 3 per-range sums of 0..100 in chunks of 10, then stop.
+    /// // Sums of 0..100 in chunks of 10, each handed over in two halves;
+    /// // stop after the third piece.
     /// let mut sums = Vec::new();
-    /// MorselPool::new(4).map_ranges(100, 10, 4, |r, _exit| -> u64 {
-    ///     r.map(|i| i as u64).sum()
+    /// MorselPool::new(4).map_ranges(100, 10, 4, |r, parts| {
+    ///     let mid = r.start + 5;
+    ///     if parts.push((r.start..mid).sum::<usize>()).is_continue() {
+    ///         let _ = parts.push((mid..r.end).sum::<usize>());
+    ///     }
     /// }, |s| {
     ///     sums.push(s);
     ///     if sums.len() == 3 { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
     /// });
-    /// assert_eq!(sums, vec![45, 145, 245]);
+    /// assert_eq!(sums, vec![10, 35, 60]);
     /// ```
     pub fn map_ranges<R, F, S>(
         &self,
@@ -322,19 +393,22 @@ impl MorselPool {
         mut sink: S,
     ) where
         R: Send,
-        F: Fn(Range<usize>, &ExitSignal) -> R + Sync,
+        F: Fn(Range<usize>, &mut Parts<'_, R>) + Sync,
         S: FnMut(R) -> ControlFlow<()>,
     {
         let size = morsel_size.max(1);
         let morsels = total.div_ceil(size);
         let range_of = |m: usize| m * size..((m + 1) * size).min(total);
         let workers = self.threads.min(morsels);
-        let exit = ExitSignal::new();
+        let exit = ExitSignal::default();
         if workers <= 1 {
             for m in 0..morsels {
-                let r = task(range_of(m), &exit);
-                if sink(r).is_break() {
-                    exit.stop();
+                let mut parts = Parts {
+                    to: Handoff::Inline(&mut sink),
+                    exit: &exit,
+                };
+                task(range_of(m), &mut parts);
+                if exit.is_stopped() {
                     return;
                 }
             }
@@ -354,7 +428,7 @@ impl MorselPool {
             .collect();
         let state = Mutex::new(MergeState::<R> {
             pending: BTreeMap::new(),
-            next: 0,
+            front: 0,
             active: workers,
         });
         let to_merger = Condvar::new();
@@ -378,13 +452,13 @@ impl MorselPool {
                             let Some(m) = pop_own(&queues[w]).or_else(|| steal(queues, w)) else {
                                 return;
                             };
-                            // Admission: don't run ahead of the sink by
-                            // more than `window` morsels. The worker
-                            // holding the next-needed morsel is always
+                            // Admission: don't run more than `window`
+                            // morsels ahead of the merger. The worker
+                            // holding the merger's morsel is always
                             // admitted, so the merger always progresses.
                             {
                                 let mut st = lock(state);
-                                while m >= st.next + window && !exit.is_stopped() {
+                                while m > st.front + window && !exit.is_stopped() {
                                     st =
                                         to_workers.wait(st).unwrap_or_else(PoisonError::into_inner);
                                 }
@@ -392,38 +466,55 @@ impl MorselPool {
                                     return;
                                 }
                             }
-                            let r = task(range_of(m), exit);
-                            lock(state).pending.insert(m, r);
+                            let mut parts = Parts {
+                                to: Handoff::Queued {
+                                    morsel: m,
+                                    state,
+                                    to_merger,
+                                },
+                                exit,
+                            };
+                            task(range_of(m), &mut parts);
+                            lock(state).slot(m).done = true;
                             to_merger.notify_one();
                         }
                     })
                 })
                 .collect();
-            // The merger: deliver pending results in morsel order.
-            let mut delivered = 0usize;
-            while delivered < morsels {
+            // The merger: deliver pending pieces in morsel order, until every
+            // morsel is delivered or the sink stops.
+            loop {
                 let next = {
                     let mut st = lock(state);
                     loop {
-                        if let Some(r) = st.pending.remove(&delivered) {
-                            st.next = delivered + 1;
+                        if st.front == morsels {
+                            break None;
+                        }
+                        let front = st.front;
+                        let slot = st.slot(front);
+                        if let Some(r) = slot.pieces.pop_front() {
                             break Some(r);
                         }
+                        if slot.done {
+                            st.pending.remove(&front);
+                            st.front += 1;
+                            to_workers.notify_all();
+                            continue;
+                        }
                         if st.active == 0 {
-                            // Workers are gone without producing the next
-                            // morsel: a task panicked (the scope join below
-                            // re-raises it) — nothing more will arrive.
+                            // Workers are gone without finishing the
+                            // merger's morsel: a task panicked (the scope
+                            // join below re-raises it) — nothing more will
+                            // arrive.
                             break None;
                         }
                         st = to_merger.wait(st).unwrap_or_else(PoisonError::into_inner);
                     }
                 };
                 let Some(r) = next else { break };
-                to_workers.notify_all();
                 if sink(r).is_break() {
                     break;
                 }
-                delivered += 1;
             }
             // Unblock any worker still parked at admission (early exit or
             // normal completion), then join, re-raising the first worker
@@ -594,7 +685,9 @@ mod tests {
                     1003,
                     17,
                     window,
-                    |r, _| r,
+                    |r, parts| {
+                        let _ = parts.push(r);
+                    },
                     |r| {
                         got.push(r);
                         ControlFlow::Continue(())
@@ -619,11 +712,11 @@ mod tests {
             64,
             4,
             64,
-            |r, _| {
+            |r, parts| {
                 if r.start == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(25));
                 }
-                r.start
+                let _ = parts.push(r.start);
             },
             |s| {
                 got.push(s);
@@ -644,9 +737,9 @@ mod tests {
                 10_000,
                 1,
                 threads, // smallest window: exit cancels almost everything
-                |r, _| {
+                |r, parts| {
                     executed.fetch_add(1, Ordering::Relaxed);
-                    r.start
+                    let _ = parts.push(r.start);
                 },
                 |s| {
                     seen.push(s);
@@ -675,10 +768,11 @@ mod tests {
             8,
             1,
             2,
-            |r, exit| {
-                // Morsels past the first spin until cancelled (exit is set
-                // right after morsel 0 is delivered and the sink breaks).
-                while r.start != 0 && !exit.is_stopped() {
+            |r, parts| {
+                // Morsels past the first push until cancelled (exit is set
+                // right after morsel 0's piece is delivered and the sink
+                // breaks).
+                while parts.push(()).is_continue() && r.start != 0 {
                     std::hint::spin_loop();
                 }
             },
@@ -706,7 +800,10 @@ mod tests {
             64,
             1,
             8,
-            |_r, _| std::thread::sleep(std::time::Duration::from_millis(5)),
+            |_r, parts| {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                let _ = parts.push(());
+            },
             |()| {
                 delivered += 1;
                 ControlFlow::Continue(())
@@ -724,7 +821,15 @@ mod tests {
     #[test]
     fn map_ranges_zero_morsels_is_a_noop() {
         let pool = MorselPool::new(4);
-        pool.map_ranges(0, 8, 4, |r, _| r, |_| unreachable!("no morsels"));
+        pool.map_ranges(
+            0,
+            8,
+            4,
+            |r, parts| {
+                let _ = parts.push(r);
+            },
+            |_| unreachable!("no morsels"),
+        );
     }
 
     #[test]
@@ -734,11 +839,100 @@ mod tests {
             64,
             1,
             64,
-            |r, _| {
+            |r, parts| {
                 if r.start == 9 {
                     panic!("map task panicked");
                 }
-                r.start
+                let _ = parts.push(r.start);
+            },
+            |_| ControlFlow::Continue(()),
+        );
+    }
+
+    /// Each morsel hands over `m % 4 + 1` pieces; morsel 0 is by far the
+    /// slowest and pushes its pieces slowly, so every other morsel finishes
+    /// first. The sink must still see (morsel, piece) in order.
+    #[test]
+    fn map_ranges_parts_arrive_in_morsel_then_emission_order() {
+        for threads in [1, 2, 4] {
+            let pool = MorselPool::new(threads);
+            let mut got = Vec::new();
+            pool.map_ranges(
+                24,
+                1,
+                8,
+                |r, parts| {
+                    for piece in 0..r.start % 4 + 1 {
+                        if r.start == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(5));
+                        }
+                        let _ = parts.push((r.start, piece));
+                    }
+                },
+                |p| {
+                    got.push(p);
+                    ControlFlow::Continue(())
+                },
+            );
+            let want: Vec<(usize, usize)> = (0..24)
+                .flat_map(|m| (0..m % 4 + 1).map(move |p| (m, p)))
+                .collect();
+            assert_eq!(got, want, "{threads} threads");
+        }
+    }
+
+    /// A task that would push a million pieces learns at its next push that
+    /// the sink stopped, and stops building.
+    #[test]
+    fn map_ranges_early_exit_stops_the_producing_task_mid_morsel() {
+        for threads in [1, 2, 4] {
+            let pushed = AtomicUsize::new(0);
+            let mut seen = 0;
+            MorselPool::new(threads).map_ranges(
+                4,
+                1,
+                4,
+                |_r, parts| {
+                    for i in 0..1_000_000usize {
+                        pushed.fetch_add(1, Ordering::Relaxed);
+                        if parts.push(i).is_break() {
+                            return;
+                        }
+                    }
+                },
+                |_| {
+                    seen += 1;
+                    if seen == 3 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(seen, 3, "{threads} threads");
+            let pushed = pushed.load(Ordering::Relaxed);
+            assert!(
+                pushed < 4_000_000,
+                "early exit must stop the producing tasks ({pushed} pushes at {threads} threads)"
+            );
+        }
+    }
+
+    /// A task that hands over a piece and then panics: the piece may reach
+    /// the sink, and the panic still reaches the caller.
+    #[test]
+    #[should_panic(expected = "panic after a part")]
+    fn map_ranges_panic_after_an_early_part_propagates() {
+        MorselPool::new(2).map_ranges(
+            8,
+            1,
+            8,
+            |r, parts| {
+                let _ = parts.push(r.start);
+                if r.start == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    panic!("panic after a part");
+                }
             },
             |_| ControlFlow::Continue(()),
         );
@@ -795,12 +989,12 @@ mod tests {
             64,
             1,
             2, // smallest window: the healthy worker parks almost at once
-            |r, _| {
+            |r, parts| {
                 if r.start == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(30));
                     panic!("slow panic on morsel 0");
                 }
-                r.start
+                let _ = parts.push(r.start);
             },
             |_| ControlFlow::Continue(()),
         );
