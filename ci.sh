@@ -24,10 +24,12 @@ run() {
 # row pipeline with its engine knobs, the worker-side row buffers, the
 # first-level partitioning paths, a second intersection loop, the hashed
 # BFS and a second merge primitive beside `map_ranges` from growing back.
+# A plan is what runs: no FILTER operator, and the counted suffix is plan
+# data, derived once by the planner, never by the executor.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts)"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts), no FILTER operator, the counted suffix planned once"
     local bad=0 f
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -151,6 +153,21 @@ guard() {
         echo "guard: crates/runtime exposes one ordered merge, map_ranges (run_ranges collects through it); a task hands its result over in parts, not through a second primitive"
         bad=1
     fi
+    # Every predicate runs on the operator whose bindings complete it: the
+    # FILTER operator and the level compaction that ran it stay deleted.
+    if grep -nwE 'Operator::Filter|filter_top' crates/query/src/*.rs ||
+        grep -nE '^\s*Filter \{' crates/query/src/plan.rs; then
+        echo "guard: the FILTER operator was removed (the optimizer places every predicate on an operator)"
+        bad=1
+    fi
+    # The counted suffix is plan data (`plan::Counted`, derived in
+    # `Plan::new`): the executor reads it and derives nothing per run.
+    for f in crates/query/src/{block,exec}.rs; do
+        if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nwE 'Suffix|FastTail|edge_shapes|disjoint'; then
+            echo "guard: $f must read the counted suffix from the plan, not derive it"
+            bad=1
+        fi
+    done
     ((bad == 0)) || exit 1
     echo "    guard passed"
 }

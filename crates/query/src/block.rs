@@ -15,7 +15,6 @@
 //!   **once**, never repeated per downstream row — the factorized
 //!   representation whose flat expansion is the cross product of its
 //!   levels.
-//! * FILTER operators compact the top level in place.
 //!
 //! Entries are appended in frontier order, and within one frontier entry in
 //! the order the operator's binding producer (`exec::op_bindings`)
@@ -27,19 +26,16 @@
 //! bit-identical at any thread count and limit.
 //!
 //! Counting never flattens at all, and never builds the levels of the
-//! plan's counted `Suffix`: its trailing single-list extensions with no
-//! residual whose list hangs off a vertex. They form a forest of branches,
-//! and each frontier entry's count is the product of its root branches. A
-//! leaf branch is counted **in place**, without binding a single
-//! candidate: the entries whose neighbour passes the target label, read in
-//! one tight pass over the list's neighbour column (no pass at all when
-//! unlabelled), minus the path edges already bound that relationship
-//! uniqueness would reject (found by binary search on a neighbour-sorted
-//! list). An inner branch sums its children's product over its
-//! label-passing neighbours. A plan-time proof from the query's declared
-//! labels, which every operator enforces, that no two suffix edges can
-//! bind the same graph edge makes the product exact; the suffix is the
-//! longest tail it holds for, at least the last operator. Consecutive
+//! plan's counted suffix (`plan::Counted`, planned once per prepare): its
+//! trailing single-list extensions with no residual whose list hangs off a
+//! vertex. They form a forest of branches, and each frontier entry's count
+//! is the product of its root branches. A leaf branch is counted **in
+//! place**, without binding a single candidate: the entries whose
+//! neighbour passes the target label, read in one tight pass over the
+//! list's neighbour column (no pass at all when unlabelled), minus the path
+//! edges already bound that relationship uniqueness would reject (found by
+//! binary search on a neighbour-sorted list). An inner branch sums its
+//! children's product over its label-passing neighbours. Consecutive
 //! frontier entries under the same owner entry share one evaluation of a
 //! branch, so for a leaf only the subtraction runs per entry — the
 //! factorized-count win on high-fanout tails. A plan without a suffix
@@ -68,16 +64,16 @@
 use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
-use aplus_common::{EdgeId, VertexId, VertexLabelId};
+use aplus_common::{EdgeId, VertexId};
 use aplus_core::Direction;
 use aplus_obs::LevelStats;
 
 use crate::exec::{
-    ei_op, fetch_one, op_bindings, root_range_bindings, BoundList, EiOp, Emit, ExecContext,
-    ListMemo, LEVEL_PART_CAP,
+    fetch_one, op_bindings, root_range_bindings, BoundList, Emit, ExecContext, ListMemo,
+    LEVEL_PART_CAP,
 };
-use crate::plan::{Ald, FromRef, IndexChoice, Operator, Plan};
-use crate::query::{QueryGraph, QueryPredicate, Row};
+use crate::plan::{Branch, Counted, Operator, Plan};
+use crate::query::{QueryGraph, Row};
 use crate::sink::RawRow;
 
 /// One factorized level: entry `i` binds the operator's vertex variables to
@@ -96,25 +92,7 @@ impl Level {
     /// An empty level for the variables `op` binds. A check-mode var-length
     /// expansion binds none: its entries only record which parents passed.
     fn for_op(op: &Operator) -> Self {
-        let (vertex_vars, edge_vars): (Vec<usize>, Vec<usize>) = match op {
-            Operator::ScanVertices { var, .. } => (vec![*var], vec![]),
-            Operator::ScanEdges {
-                edge_var,
-                src_var,
-                dst_var,
-                ..
-            } => (vec![*src_var, *dst_var], vec![*edge_var]),
-            Operator::ExtendIntersect { target, alds, .. } => {
-                (vec![*target], alds.iter().map(|a| a.edge_var).collect())
-            }
-            Operator::MultiExtend { targets, .. } => {
-                targets.iter().map(|(v, _, ald)| (*v, ald.edge_var)).unzip()
-            }
-            Operator::VarLengthExpand { target, check, .. } => {
-                (if *check { vec![] } else { vec![*target] }, vec![])
-            }
-            Operator::Filter { .. } => unreachable!("FILTER compacts its level in place"),
-        };
+        let (vertex_vars, edge_vars) = op.bound_vars();
         Self {
             parent: Vec::new(),
             vertex_vars,
@@ -186,8 +164,8 @@ impl Blocks {
     /// Invariant: `cursor[l] == Some(e)` implies `row` holds entry `e`'s
     /// bindings for level `l` *and* `cursor[l-1]` memoizes its parent.
     /// Only this method binds level variables (a binding producer's
-    /// transient bindings are unwound before it returns), and compaction
-    /// invalidates the memo, so the invariant is local to this struct.
+    /// transient bindings are unwound before it returns), and built levels
+    /// never change, so the invariant is local to this struct.
     fn bind_path(&mut self, row: &mut Row, li: usize, ei: usize) {
         if self.cursor[li] == Some(ei) {
             return;
@@ -238,39 +216,27 @@ impl Blocks {
         self.push_level(out)
     }
 
-    /// Extends the whole top level through `plan.ops[level]`, the plan's
-    /// last extension, into parts of at most [`LEVEL_PART_CAP`] entries.
-    /// Each part shares this block's levels, takes the plan's trailing
-    /// FILTERs, and goes to `hand` as soon as it fills — mid frontier entry
-    /// if need be, since an entry's bindings come in order. `hand`
-    /// returning `Break` stops the build.
+    /// Extends the whole top level through `op`, the plan's last operator
+    /// at plan-op index `level`, into parts of at most [`LEVEL_PART_CAP`]
+    /// entries. Each part shares this block's levels and goes to `hand` as
+    /// soon as it fills — mid frontier entry if need be, since an entry's
+    /// bindings come in order. `hand` returning `Break` stops the build.
     fn extend_in_parts(
         &mut self,
         ctx: ExecContext<'_>,
-        plan: &Plan,
+        op: &Operator,
         level: usize,
         row: &mut Row,
         memo: &mut ListMemo,
         hand: &mut dyn FnMut(Built) -> ControlFlow<()>,
     ) {
-        let op = &plan.ops[level];
         let lower = self.levels.clone();
         let vars = (row.vertex_slots().len(), row.edge_slots().len());
         let mut flush = |out: Level| {
-            let mut st = Blocks::part(&lower, out);
-            let mut row = Row::unbound(vars.0, vars.1);
-            if apply_ops(
-                ctx,
-                plan,
-                &mut st,
-                &mut row,
-                &mut ListMemo::default(),
-                level + 1..plan.ops.len(),
-            ) {
-                hand(Built { st, row })
-            } else {
-                ControlFlow::Continue(())
-            }
+            hand(Built {
+                st: Blocks::part(&lower, out),
+                row: Row::unbound(vars.0, vars.1),
+            })
         };
         let top = self.levels.len() - 1;
         let mut out = Level::for_op(op);
@@ -292,68 +258,26 @@ impl Blocks {
         }
     }
 
-    /// FILTER at plan-op index `level`: compacts the top level in place,
-    /// keeping entries whose path satisfies every predicate. Returns
-    /// `false` when none survive.
-    fn filter_top(
-        &mut self,
-        ctx: ExecContext<'_>,
-        preds: &[QueryPredicate],
-        level: usize,
-        row: &mut Row,
-    ) -> bool {
-        let top = self.levels.len() - 1;
-        let n = self.levels[top].len();
-        let mut keep = Vec::with_capacity(n);
-        for fi in 0..n {
-            self.bind_path(row, top, fi);
-            keep.push(preds.iter().all(|p| p.eval(ctx.graph, row)));
-        }
-        if let Some(s) = ctx.prof_level(level) {
-            s.record(0, n as u64, keep.iter().filter(|&&k| k).count() as u64);
-        }
-        let lvl = Arc::get_mut(&mut self.levels[top]).expect("only built levels are shared");
-        let (nv, ne) = (lvl.vertex_vars.len(), lvl.edge_vars.len());
-        let mut w = 0usize;
-        for (r, &kept) in keep.iter().enumerate() {
-            if kept {
-                if w != r {
-                    lvl.parent[w] = lvl.parent[r];
-                    lvl.verts.copy_within(r * nv..(r + 1) * nv, w * nv);
-                    lvl.edges.copy_within(r * ne..(r + 1) * ne, w * ne);
-                }
-                w += 1;
-            }
-        }
-        lvl.parent.truncate(w);
-        lvl.verts.truncate(w * nv);
-        lvl.edges.truncate(w * ne);
-        // Entries moved: the memoized row bindings may describe a removed
-        // entry.
-        self.cursor[top] = None;
-        w > 0
-    }
-
     /// Counts the matches of the operators the block did not build, **without
     /// building their levels**: per frontier entry, the plan's counted
-    /// [`Suffix`] product, or — when the last operator has no in-place count
-    /// — the bindings its producer yields, folded straight into the total.
+    /// suffix product, or — when it has none — the bindings the last
+    /// operator's producer yields, folded straight into the total.
     fn tail_count<'a>(
         &mut self,
         ctx: ExecContext<'a>,
         plan: &Plan,
-        suffix: Option<&Suffix<'_>>,
         row: &mut Row,
         memo: &mut ListMemo,
     ) -> u64 {
         let top = self.levels.len() - 1;
         let last = plan.ops.len() - 1;
         let stats = ctx.prof_level(last);
+        let suffix = plan.counted.as_ref();
         let mut runs: Vec<Run<'a>> = suffix.map_or_else(Vec::new, |s| {
             s.roots
                 .iter()
                 .map(|&r| Run {
-                    level: self.level_binding(s.branches[r].tail.owner_var),
+                    level: self.level_binding(s.branches[r].owner),
                     memo: None,
                 })
                 .collect()
@@ -398,7 +322,7 @@ struct Run<'a> {
     memo: Option<(usize, Memo<'a>)>,
 }
 
-/// Records `n` matches counted in place by a [`Suffix`] as one
+/// Records `n` matches counted in place by a counted suffix as one
 /// factorized-count shortcut hit at the last level, and returns `n`.
 fn served(ctx: ExecContext<'_>, stats: Option<&LevelStats>, n: u64) -> u64 {
     ctx.note_fc_shortcut();
@@ -408,49 +332,13 @@ fn served(ctx: ExecContext<'_>, stats: Option<&LevelStats>, n: u64) -> u64 {
     n
 }
 
-/// The factorized-count fast path: a single-list extension with no
-/// residual and no list filter whose list hangs off a bound vertex (a
-/// primary or vertex-partitioned list). Counted last, its count is the number of list
-/// entries whose neighbour passes the target label ([`FastTail::matching`])
-/// minus those relationship uniqueness rejects ([`FastTail::already_bound`])
-/// — nothing is bound, checked or unbound per entry. Every operator of a
-/// counted [`Suffix`] is one. Edge-partitioned lists hang off an edge, not
-/// a vertex, and always iterate.
-struct FastTail {
-    /// The query vertex whose list this is.
-    owner_var: usize,
-    dir: Direction,
-    /// The E/I's target label check, if any.
-    label: Option<VertexLabelId>,
-    /// Whether the fetched range is ordered by neighbour ID, so a bound
-    /// edge is found by binary search rather than by a scan.
-    nbr_sorted: bool,
-    /// Whether the list depends on its owner alone (no prune, or a
-    /// constant one), so consecutive entries with the same owner share it.
-    per_owner: bool,
-}
-
-impl FastTail {
-    fn of(ei: &EiOp<'_>) -> Option<Self> {
-        let [ald] = ei.alds else { return None };
-        if !ei.residual.is_empty() || !ei.filter.is_empty() {
-            return None;
-        }
-        let dir = match &ald.index {
-            IndexChoice::Primary(d) => *d,
-            IndexChoice::VertexIdx { direction, .. } => *direction,
-            IndexChoice::EdgeIdx { .. } => return None,
-        };
-        let FromRef::Vertex(owner_var) = ald.from else {
-            return None;
-        };
-        Some(Self {
-            owner_var,
-            dir,
-            label: ei.target_label,
-            nbr_sorted: ald.nbr_sorted() && ald.sorted_range,
-            per_owner: ald.per_owner(),
-        })
+/// Counting one suffix branch.
+impl Branch {
+    /// Whether consecutive frontier entries with the same owner entry may
+    /// share one evaluation: a leaf with a per-owner list (the subtraction
+    /// stays per entry), or an inner branch that is `prefix_disjoint`.
+    fn reusable(&self) -> bool {
+        self.per_owner && (self.children.is_empty() || self.prefix_disjoint)
     }
 
     /// The entries of `list` whose neighbour passes the target label: the
@@ -485,9 +373,7 @@ impl FastTail {
     /// edges are pairwise distinct (every level enforced uniqueness), so no
     /// position is subtracted twice.
     fn already_bound(&self, ctx: ExecContext<'_>, list: &BoundList<'_>, row: &Row) -> u64 {
-        let owner = row
-            .vertex(self.owner_var)
-            .expect("plan binds FROM before use");
+        let owner = row.vertex(self.owner).expect("plan binds FROM before use");
         let mut n = 0u64;
         for slot in 0..row.edge_slots().len() {
             let Some(e) = row.edge(slot) else { continue };
@@ -510,62 +396,6 @@ impl FastTail {
     }
 }
 
-/// The operators a count takes **without building their levels**: the
-/// longest plan suffix of [`FastTail`] extensions whose prune is absent or
-/// constant, after the root scan — else the last operator alone, if it is
-/// a [`FastTail`] with any prune. A suffix operator reads only its
-/// owner, so the suffix is a forest: a *root* branch hangs off a vertex
-/// bound before the suffix, any other off the target of an earlier suffix
-/// operator. Per frontier entry, the count is the product of the root
-/// branches' counts, where
-///
-/// * a leaf branch counts like a last [`FastTail`]: label matches minus the
-///   path edges already bound;
-/// * an inner branch sums, over the label-passing neighbours of its owner
-///   whose edge no path edge holds, the product of its children's counts.
-///   Each neighbour is bound in the row only while its children count; no
-///   suffix edge is ever bound.
-///
-/// Multiplying is exact only if no two suffix edges can bind the same graph
-/// edge, which [`Suffix::of`] proves from the labels the query declares and
-/// every operator enforces (see [`edge_shapes`] and [`disjoint`]). Where
-/// the proof fails, the suffix shrinks to the longest tail it holds for,
-/// down to the last operator alone.
-pub(crate) struct Suffix<'p> {
-    /// The plan-op index of the first suffix operator; every earlier
-    /// operator builds a level.
-    start: usize,
-    /// One per operator of the suffix, in plan order.
-    branches: Vec<Branch<'p>>,
-    /// The branches hanging off a vertex bound before the suffix.
-    roots: Vec<usize>,
-}
-
-/// One suffix operator.
-struct Branch<'p> {
-    /// Its plan-op index, which is also its `PROFILE` level.
-    level: usize,
-    ald: &'p Ald,
-    tail: FastTail,
-    /// The vertex it binds, transiently, for its children.
-    target: usize,
-    /// The branches hanging off `target`.
-    children: Vec<usize>,
-    /// Whether no path edge bound before the suffix can be its edge or a
-    /// descendant's: then its count depends on its owner alone, and no
-    /// uniqueness check or subtraction is needed under it.
-    prefix_disjoint: bool,
-}
-
-impl Branch<'_> {
-    /// Whether consecutive frontier entries with the same owner entry may
-    /// share one evaluation: a leaf with a per-owner list (the subtraction
-    /// stays per entry), or an inner branch that is `prefix_disjoint`.
-    fn reusable(&self) -> bool {
-        self.tail.per_owner && (self.children.is_empty() || self.prefix_disjoint)
-    }
-}
-
 /// What evaluating a branch leaves for later entries with the same owner.
 enum Memo<'a> {
     /// A leaf's list and how many of its entries pass the label check;
@@ -579,81 +409,18 @@ enum Memo<'a> {
 
 impl Memo<'_> {
     /// The count branch `br` contributes to the entry bound in `row`.
-    fn value(&self, ctx: ExecContext<'_>, br: &Branch<'_>, row: &Row) -> u64 {
+    fn value(&self, ctx: ExecContext<'_>, br: &Branch, row: &Row) -> u64 {
         match self {
             Self::Count(n) => *n,
             Self::Empty => 0,
             Self::Leaf { matching, .. } if br.prefix_disjoint => *matching,
-            Self::Leaf { list, matching } => matching - br.tail.already_bound(ctx, list, row),
+            Self::Leaf { list, matching } => matching - br.already_bound(ctx, list, row),
         }
     }
 }
 
-impl<'p> Suffix<'p> {
-    /// The counted suffix of `plan`, or `None` when its last operator is
-    /// not a [`FastTail`].
-    pub(crate) fn of(query: &QueryGraph, plan: &'p Plan) -> Option<Self> {
-        let fast = |i: usize| match &plan.ops[i] {
-            op @ Operator::ExtendIntersect { .. } => {
-                let ei = ei_op(op);
-                FastTail::of(&ei).map(|tail| (tail, ei))
-            }
-            _ => None,
-        };
-        let last = plan.ops.len() - 1;
-        let mut start = last;
-        if fast(last)?.0.per_owner {
-            while start > 1 && fast(start - 1).is_some_and(|(t, _)| t.per_owner) {
-                start -= 1;
-            }
-        }
-        let shapes = edge_shapes(query);
-        let edge = |i: usize| shapes[ei_op(&plan.ops[i]).alds[0].edge_var];
-        // The longest such tail whose edges are pairwise disjoint.
-        let proven =
-            |s: usize| (s..=last).all(|i| (i + 1..=last).all(|j| disjoint(edge(i), edge(j))));
-        while !proven(start) {
-            start += 1;
-        }
-        let prefix: Vec<Shape> = plan.ops[..start]
-            .iter()
-            .filter(|op| !matches!(op, Operator::Filter { .. }))
-            .flat_map(|op| Level::for_op(op).edge_vars)
-            .map(|e| shapes[e])
-            .collect();
-        let (mut branches, mut roots) = (Vec::<Branch<'p>>::new(), Vec::new());
-        for level in start..=last {
-            let (tail, ei) = fast(level).expect("every suffix operator is a fast tail");
-            let b = branches.len();
-            match branches.iter().position(|p| p.target == tail.owner_var) {
-                Some(p) => branches[p].children.push(b),
-                None => roots.push(b),
-            }
-            branches.push(Branch {
-                level,
-                ald: &ei.alds[0],
-                target: ei.target,
-                children: Vec::new(),
-                prefix_disjoint: prefix.iter().all(|&p| disjoint(p, edge(level))),
-                tail,
-            });
-        }
-        // Children follow their parent, so one back-to-front pass sees every
-        // descendant settled first.
-        for b in (0..branches.len()).rev() {
-            let clear = branches[b]
-                .children
-                .iter()
-                .all(|&c| branches[c].prefix_disjoint);
-            branches[b].prefix_disjoint &= clear;
-        }
-        Some(Self {
-            start,
-            branches,
-            roots,
-        })
-    }
-
+/// Counting the suffix per frontier entry.
+impl Counted {
     /// The count of the frontier entry bound in `row`: the product of the
     /// root branches, or `None` when a root branch's list is empty (the
     /// entry is not served). A reusable root branch is evaluated once per
@@ -715,19 +482,19 @@ impl<'p> Suffix<'p> {
         if let Some(s) = stats {
             s.record(1, 0, 0);
         }
-        let list = fetch_one(ctx, br.ald, row);
+        let list = fetch_one(ctx, &br.ald, row);
         if list.len() == 0 {
             return Memo::Empty;
         }
         if br.children.is_empty() {
-            let matching = br.tail.matching(ctx, &list, stats);
+            let matching = br.matching(ctx, &list, stats);
             return Memo::Leaf { list, matching };
         }
         let (mut sum, mut visited) = (0u64, 0u64);
         let (edges, nbrs) = list.columns();
         for (&e, &n) in edges.iter().zip(nbrs) {
             let (e, n) = (EdgeId(e), VertexId(n));
-            if !br.tail.passes(ctx, n) || (!br.prefix_disjoint && row.uses_edge(e)) {
+            if !br.passes(ctx, n) || (!br.prefix_disjoint && row.uses_edge(e)) {
                 continue;
             }
             visited += 1;
@@ -736,73 +503,34 @@ impl<'p> Suffix<'p> {
             row.unbind_vertex(br.target);
         }
         if let Some(s) = stats {
-            let label_reads = if br.tail.label.is_some() {
-                list.len()
-            } else {
-                0
-            };
+            let label_reads = if br.label.is_some() { list.len() } else { 0 };
             s.record(0, label_reads as u64, visited);
         }
         Memo::Count(sum)
     }
 }
 
-/// The labels one query edge declares: the edge's own label code, then its
-/// source's and its destination's label — each `None` where the query
-/// declares none.
-type Shape = [Option<u32>; 3];
-
-/// Whether no graph edge can match both shapes: some label they both fix
-/// differs (edge labels, or both source labels, or both destination
-/// labels).
-fn disjoint(a: Shape, b: Shape) -> bool {
-    a.iter()
-        .zip(&b)
-        .any(|pair| matches!(pair, (Some(x), Some(y)) if x != y))
-}
-
-/// Every query edge's [`Shape`]. The declared labels hold of every binding,
-/// because every operator enforces the declared labels of what it binds:
-/// scans, E/I and MULTI-EXTEND targets and var-length targets check vertex
-/// labels, and an edge label is either pinned by its list's partition
-/// prefix or re-checked as a residual (edge scans check it directly).
-fn edge_shapes(query: &QueryGraph) -> Vec<Shape> {
-    let vertex = |v: usize| query.vertices[v].label.map(|l| u32::from(l.raw()));
-    query
-        .edges
-        .iter()
-        .map(|qe| {
-            let label = qe.label.map(|l| u32::from(l.raw()));
-            [label, vertex(qe.src), vertex(qe.dst)]
-        })
-        .collect()
-}
-
-/// Runs `plan.ops[ops]` over a seeded block, building every level.
-/// Returns `false` as soon as a level comes up empty.
+/// Runs the operators at plan-op indexes `levels` over a seeded block,
+/// building every level. Returns `false` as soon as a level comes up
+/// empty.
 fn apply_ops(
     ctx: ExecContext<'_>,
     plan: &Plan,
     st: &mut Blocks,
     row: &mut Row,
     memo: &mut ListMemo,
-    ops: Range<usize>,
+    mut levels: Range<usize>,
 ) -> bool {
-    let start = ops.start;
-    plan.ops[ops].iter().enumerate().all(|(i, op)| match op {
-        Operator::Filter { preds } => st.filter_top(ctx, preds, start + i, row),
-        _ => st.extend(ctx, op, start + i, row, memo),
-    })
+    levels.all(|level| st.extend(ctx, &plan.ops[level], level, row, memo))
 }
 
 /// Runs the operators after the root scan over a root-seeded block for
-/// counting: the operators of the counted suffix — or the last operator,
-/// when there is none — are consumed as per-entry multiplicities
+/// counting: the operators of the plan's counted suffix — or the last
+/// operator, when there is none — are consumed as per-entry multiplicities
 /// ([`Blocks::tail_count`]) instead of building their levels.
 fn count_ops(
     ctx: ExecContext<'_>,
     plan: &Plan,
-    suffix: Option<&Suffix<'_>>,
     st: &mut Blocks,
     row: &mut Row,
     memo: &mut ListMemo,
@@ -811,22 +539,16 @@ fn count_ops(
     if last == 0 {
         return st.top_len() as u64;
     }
-    let built = suffix.map_or(last, |s| s.start);
+    let built = plan.counted.as_ref().map_or(last, |s| s.start);
     if !apply_ops(ctx, plan, st, row, memo, 1..built) {
         return 0;
     }
-    match &plan.ops[last] {
-        Operator::Filter { preds } => {
-            st.filter_top(ctx, preds, last, row);
-            st.top_len() as u64
-        }
-        _ => st.tail_count(ctx, plan, suffix, row, memo),
-    }
+    st.tail_count(ctx, plan, row, memo)
 }
 
 /// Runs the operators after the root scan over a root-seeded block for
-/// rows: every level up to the plan's last extension is built whole, and
-/// the last extension's level goes to `hand` in parts
+/// rows: every level up to the plan's last operator is built whole, and
+/// the last operator's level goes to `hand` in parts
 /// ([`Blocks::extend_in_parts`]). A plan that extends nothing hands its
 /// root block over as one part.
 fn build_ops(
@@ -837,19 +559,13 @@ fn build_ops(
     memo: &mut ListMemo,
     hand: &mut dyn FnMut(Built) -> ControlFlow<()>,
 ) {
-    let last = plan
-        .ops
-        .iter()
-        .rposition(|op| !matches!(op, Operator::Filter { .. }))
-        .expect("plans start with a scan");
+    let last = plan.ops.len() - 1;
     if last == 0 {
-        if apply_ops(ctx, plan, &mut st, &mut row, memo, 1..plan.ops.len()) {
-            let _ = hand(Built { st, row });
-        }
+        let _ = hand(Built { st, row });
         return;
     }
     if apply_ops(ctx, plan, &mut st, &mut row, memo, 1..last) {
-        st.extend_in_parts(ctx, plan, last, &mut row, memo, hand);
+        st.extend_in_parts(ctx, &plan.ops[last], last, &mut row, memo, hand);
     }
 }
 
@@ -916,13 +632,12 @@ impl Drop for FlattenIter<'_> {
 
 /// Seeds a block with the root bindings in ID `range` that pass the root
 /// scan's checks (pinned vertices and label/predicate semantics included)
-/// and consumes it — the one block body. A count takes `suffix`, the plan's
-/// counted suffix, without building its levels.
+/// and consumes it — the one block body. A count takes the plan's counted
+/// suffix without building its levels.
 pub(crate) fn root_morsel(
     ctx: ExecContext<'_>,
     query: &QueryGraph,
     plan: &Plan,
-    suffix: Option<&Suffix<'_>>,
     range: Range<usize>,
     emit: Emit<'_>,
 ) {
@@ -943,7 +658,7 @@ pub(crate) fn root_morsel(
     let mut memo = ListMemo::default();
     match emit {
         Emit::Count(n) => {
-            *n = n.saturating_add(count_ops(ctx, plan, suffix, &mut st, &mut row, &mut memo));
+            *n = n.saturating_add(count_ops(ctx, plan, &mut st, &mut row, &mut memo));
         }
         Emit::Parts(hand) => build_ops(ctx, plan, st, row, &mut memo, hand),
     }
@@ -956,9 +671,9 @@ mod tests {
     use aplus_graph::Graph;
     use aplus_runtime::MorselPool;
 
-    use super::Suffix;
     use crate::exec::Output;
-    use crate::{profiled, Database};
+    use crate::plan::Operator;
+    use crate::{profiled, Database, QueryError};
 
     /// v0:A, v1:B, v2:B with E edges e0, e1: v0->v1 (a parallel pair),
     /// e2: v1->v1 and e5: v2->v2 (self-loops), e3: v1->v2 and e4: v0->v2.
@@ -1021,8 +736,8 @@ mod tests {
 
     /// The number of operators `q`'s count takes as one suffix.
     fn suffix_len(db: &Database, q: &str) -> usize {
-        let (bound, plan) = db.prepare(q).unwrap();
-        Suffix::of(&bound, &plan).map_or(0, |s| s.branches.len())
+        let plan = db.prepare(q).unwrap().1;
+        plan.counted.map_or(0, |s| s.branches.len())
     }
 
     #[test]
@@ -1159,49 +874,29 @@ mod tests {
         }
     }
 
-    /// A plan whose last extension is followed by a FILTER streams that
-    /// extension in parts and filters each part: the rows are the
-    /// unfiltered plan's rows that pass, in order, at every pool and limit.
+    /// No operator binds a single-hop self-loop, so such a query is refused
+    /// (a plan that ran would count 3 and 6 here, not the 2 and 1 self-loop
+    /// matches); a variable-length self-loop is verified in check mode.
     #[test]
-    fn parts_take_the_trailing_filter() {
-        use crate::exec::LEVEL_PART_CAP;
-        use crate::plan::Operator;
-        use crate::query::{QueryOperand, QueryPredicate};
-        use aplus_core::CmpOp;
-        let mut g = Graph::new();
-        let fan = 100u32;
-        for _ in 0..=2 * fan {
-            g.add_vertex("A");
+    fn self_loops_are_refused_and_rings_checked() {
+        let db = Database::new(graph()).unwrap();
+        for q in ["MATCH a-[e]->a", "MATCH a-[e]->a, a-[f]->b"] {
+            assert_eq!(db.count(q), Err(QueryError::SelfLoop("a".into())), "{q}");
         }
-        for b in 1..=fan {
-            g.add_edge(VertexId(0), VertexId(b), "E").unwrap();
-            for c in fan + 1..=2 * fan {
-                g.add_edge(VertexId(b), VertexId(c), "E").unwrap();
-            }
-        }
-        let db = Database::new(g).unwrap();
-        let (bound, plan) = db.prepare("MATCH a-[r]->b-[s]->c WHERE a.ID = 0").unwrap();
-        let cut = i64::from(fan + fan / 2);
-        let mut filtered = plan.clone();
-        filtered.ops.push(Operator::Filter {
-            preds: vec![QueryPredicate::new(
-                QueryOperand::VertexIdOf(2),
-                CmpOp::Lt,
-                QueryOperand::Const(cut),
-            )],
-        });
-        let all = db.collect_prepared_parallel(&bound, &plan, usize::MAX, &MorselPool::new(1));
-        assert!(all.len() > 2 * LEVEL_PART_CAP);
-        let want: Vec<_> = all
-            .into_iter()
-            .filter(|(v, _)| i64::from(v[2]) < cut)
-            .collect();
-        for threads in [1, 2, 4] {
-            let pool = MorselPool::new(threads);
-            for limit in [1, LEVEL_PART_CAP, want.len(), usize::MAX] {
-                let got = db.collect_prepared_parallel(&bound, &filtered, limit, &pool);
-                assert_eq!(got, want[..limit.min(want.len())], "{threads} {limit}");
-            }
+        // v1 and v2 reach themselves in one hop, v0 never; from those two
+        // the out-edges are {e2, e3} and {e5}.
+        for (q, want) in [
+            ("MATCH a-[:E*1..2]->a", 2),
+            ("MATCH a-[:E*1..2]->a, a-[f:E]->b", 3),
+        ] {
+            let plan = db.prepare(q).unwrap().1;
+            assert!(
+                plan.ops
+                    .iter()
+                    .any(|op| matches!(op, Operator::VarLengthExpand { check: true, .. })),
+                "{q}: {plan}"
+            );
+            assert_eq!(db.count(q).unwrap(), want, "{q}");
         }
     }
 

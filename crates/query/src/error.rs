@@ -26,6 +26,24 @@ pub enum QueryError {
         /// Supported maximum.
         max: usize,
     },
+    /// Query has more query edges than the optimizer supports.
+    TooManyQueryEdges {
+        /// Number in the query.
+        got: usize,
+        /// Supported maximum.
+        max: usize,
+    },
+    /// Query has more predicate conjuncts than the optimizer supports.
+    TooManyPredicates {
+        /// Number in the query.
+        got: usize,
+        /// Supported maximum.
+        max: usize,
+    },
+    /// A single-hop query edge runs from the named query vertex to itself.
+    /// No operator binds such an edge; a variable-length one
+    /// (`a-[*1..2]->a`) is supported.
+    SelfLoop(String),
     /// The pattern is disconnected; plans require a connected pattern.
     DisconnectedPattern,
     /// The graph's vertex population exceeds the executor's 32-bit
@@ -70,6 +88,20 @@ impl fmt::Display for QueryError {
             Self::TooManyQueryVertices { got, max } => {
                 write!(f, "query has {got} vertices; at most {max} supported")
             }
+            Self::TooManyQueryEdges { got, max } => {
+                write!(f, "query has {got} edges; at most {max} supported")
+            }
+            Self::TooManyPredicates { got, max } => {
+                write!(
+                    f,
+                    "query has {got} predicate conjuncts; at most {max} supported"
+                )
+            }
+            Self::SelfLoop(v) => write!(
+                f,
+                "single-hop edge from {v} to itself is not supported \
+                 (a variable-length one such as {v}-[*1..2]->{v} is)"
+            ),
             Self::DisconnectedPattern => write!(f, "query pattern is disconnected"),
             Self::VertexDomainExceeded { vertex_count } => write!(
                 f,

@@ -1,5 +1,5 @@
-//! Plan execution: SCAN, EXTEND/INTERSECT, MULTI-EXTEND, VAR-LENGTH
-//! EXPAND, FILTER.
+//! Plan execution: SCAN, EXTEND/INTERSECT, MULTI-EXTEND and VAR-LENGTH
+//! EXPAND.
 //!
 //! Every operator is a *binding producer* (`op_bindings`): given a row
 //! holding one binding of the variables bound so far, it enumerates the
@@ -284,13 +284,6 @@ pub fn run(
         return 0;
     }
     let counting = matches!(out, Output::Count);
-    // Counts take the plan's counted suffix without building its levels.
-    let suffix = if counting {
-        block::Suffix::of(query, plan)
-    } else {
-        None
-    };
-    let suffix = suffix.as_ref();
     let mut driver = Driver {
         ctx,
         sink_level: plan.ops.len(),
@@ -309,11 +302,11 @@ pub fn run(
             let r = range.start + r.start..range.start + r.end;
             if counting {
                 let mut n = 0u64;
-                block::root_morsel(ctx, query, plan, suffix, r, Emit::Count(&mut n));
+                block::root_morsel(ctx, query, plan, r, Emit::Count(&mut n));
                 let _ = parts.push(Part::Count(n));
             } else {
                 let mut hand = |built| parts.push(Part::Rows(built));
-                block::root_morsel(ctx, query, plan, suffix, r, Emit::Parts(&mut hand));
+                block::root_morsel(ctx, query, plan, r, Emit::Parts(&mut hand));
             }
         },
         |part| driver.merge(part),
@@ -336,23 +329,23 @@ pub(crate) fn root_range_bindings(
 ) -> ControlFlow<()> {
     match plan.ops.first().expect("caller checked the root operator") {
         Operator::ScanVertices { var, label, preds } => {
-            scan_vertices_range(ctx, 0, *var, *label, preds, range, row, k)
+            scan_vertices_range(ctx, *var, *label, preds, range, row, k)
         }
-        op @ Operator::ScanEdges { .. } => scan_edges_range(ctx, 0, op, range, row, k),
+        op @ Operator::ScanEdges { .. } => scan_edges_range(ctx, op, range, row, k),
         _ => unreachable!("plans start with a scan"),
     }
 }
 
 /// An E/I operator's pieces, destructured once per use site.
-pub(crate) struct EiOp<'p> {
-    pub(crate) target: usize,
-    pub(crate) target_label: Option<aplus_common::VertexLabelId>,
-    pub(crate) alds: &'p [Ald],
-    pub(crate) filter: &'p ListFilter,
-    pub(crate) residual: &'p [QueryPredicate],
+struct EiOp<'p> {
+    target: usize,
+    target_label: Option<aplus_common::VertexLabelId>,
+    alds: &'p [Ald],
+    filter: &'p ListFilter,
+    residual: &'p [QueryPredicate],
 }
 
-pub(crate) fn ei_op(op: &Operator) -> EiOp<'_> {
+fn ei_op(op: &Operator) -> EiOp<'_> {
     let Operator::ExtendIntersect {
         target,
         target_label,
@@ -661,11 +654,11 @@ pub(crate) fn fetch_one<'a>(ctx: ExecContext<'a>, ald: &Ald, row: &Row) -> Bound
     fetch_list(ctx, ald, row, Need::Any)
 }
 
-/// The bindings operator `op` (plan level `depth`) adds to the binding
-/// held in `row`: each is bound in `row` while the continuation `k` runs,
-/// and unbound before the next. `Break` from `k` stops the enumeration.
-/// FILTER adds no bindings; the block engine compacts its level instead.
-/// `memo` is the calling morsel's [`ListMemo`].
+/// The bindings operator `op` (plan level `depth`), an extension, adds to
+/// the binding held in `row`: each is bound in `row` while the continuation
+/// `k` runs, and unbound before the next. `Break` from `k` stops the
+/// enumeration. `memo` is the calling morsel's [`ListMemo`]. The root scan
+/// binds through [`root_range_bindings`] instead.
 pub(crate) fn op_bindings(
     ctx: ExecContext<'_>,
     op: &Operator,
@@ -675,14 +668,6 @@ pub(crate) fn op_bindings(
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     match op {
-        Operator::ScanVertices { var, label, preds } => {
-            let range = vertex_scan_range(ctx, preds, *var);
-            scan_vertices_range(ctx, depth, *var, *label, preds, range, row, k)
-        }
-        Operator::ScanEdges { .. } => {
-            let range = 0..ctx.graph.edge_count();
-            scan_edges_range(ctx, depth, op, range, row, k)
-        }
         Operator::ExtendIntersect { .. } => {
             // A single list needs no intersection (plain EXTEND); multiple
             // lists are each fetched neighbour-sorted and intersected with
@@ -706,7 +691,9 @@ pub(crate) fn op_bindings(
         Operator::VarLengthExpand { .. } => {
             var_length_bindings(ctx, depth, &var_length_op(op), row, k)
         }
-        Operator::Filter { .. } => unreachable!("FILTER compacts its level in place"),
+        Operator::ScanVertices { .. } | Operator::ScanEdges { .. } => {
+            unreachable!("a scan is the root operator")
+        }
     }
 }
 
@@ -733,13 +720,12 @@ fn vertex_scan_range(ctx: ExecContext<'_>, preds: &[QueryPredicate], var: usize)
     }
 }
 
-/// The vertex scan restricted to IDs in `range` (a morsel, a pinned ID, or
-/// everything): binds each vertex passing the label + predicate checks and
-/// runs the continuation `k` — a block level collecting the bindings.
-#[allow(clippy::too_many_arguments)]
+/// The root vertex scan restricted to IDs in `range` (a morsel; a pinned ID
+/// is a one-ID morsel): binds each vertex passing the label + predicate
+/// checks and runs the continuation `k` — a block level collecting the
+/// bindings.
 fn scan_vertices_range(
     ctx: ExecContext<'_>,
-    depth: usize,
     var: usize,
     label: Option<aplus_common::VertexLabelId>,
     preds: &[QueryPredicate],
@@ -747,7 +733,7 @@ fn scan_vertices_range(
     row: &mut Row,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let stats = ctx.prof_level(depth);
+    let stats = ctx.prof_level(0);
     let (mut cand, mut emit) = (0u64, 0u64);
     let mut flow = ControlFlow::Continue(());
     for raw in range.start..range.end.min(ctx.graph.vertex_count()) {
@@ -794,12 +780,11 @@ fn visit_vertex(
     flow
 }
 
-/// The edge scan `op` restricted to IDs in `range` (a morsel, or
-/// everything): binds each edge passing the label + predicate checks and
-/// both its endpoints, and runs the continuation `k`.
+/// The root edge scan `op` restricted to IDs in `range` (a morsel): binds
+/// each edge passing the label + predicate checks and both its endpoints,
+/// and runs the continuation `k`.
 fn scan_edges_range(
     ctx: ExecContext<'_>,
-    depth: usize,
     op: &Operator,
     range: Range<usize>,
     row: &mut Row,
@@ -817,7 +802,7 @@ fn scan_edges_range(
     else {
         unreachable!("caller matched a ScanEdges")
     };
-    let stats = ctx.prof_level(depth);
+    let stats = ctx.prof_level(0);
     let (mut cand, mut emit) = (0u64, 0u64);
     let mut out = ControlFlow::Continue(());
     for (e, s, d, l) in ctx.graph.edges_in(range) {
@@ -1771,8 +1756,9 @@ mod tests {
             ],
             predicates: vec![],
         };
-        let plan = Plan {
-            ops: vec![
+        let plan = Plan::new(
+            &query,
+            vec![
                 Operator::ScanVertices {
                     var: 0,
                     label: None,
@@ -1813,8 +1799,8 @@ mod tests {
                     residual: vec![],
                 },
             ],
-            est_cost: 0.0,
-        };
+            0.0,
+        );
         let ctx = ExecContext::new(&g, &store);
         // Alice owns v1 (3 wires) and v2 (1 wire: t8) -> 4 matches.
         assert_eq!(count(ctx, &query, &plan), 4);
@@ -1857,8 +1843,9 @@ mod tests {
             }],
             predicates: vec![],
         };
-        let plan = Plan {
-            ops: vec![
+        let plan = Plan::new(
+            &query,
+            vec![
                 Operator::ScanVertices {
                     var: 0,
                     label: None,
@@ -1880,8 +1867,8 @@ mod tests {
                     residual: vec![],
                 },
             ],
-            est_cost: 0.0,
-        };
+            0.0,
+        );
         let ctx = ExecContext::new(&g, &store);
         assert!(count(ctx, &query, &plan) > 3, "fixture has enough edges");
         // `collect` gathers exactly the first `limit` rows.
@@ -1958,8 +1945,9 @@ mod tests {
             prune: None,
             sorted_range: false,
         };
-        let plan = Plan {
-            ops: vec![
+        let plan = Plan::new(
+            &query,
+            vec![
                 Operator::ScanVertices {
                     var: 0,
                     label: None,
@@ -1980,8 +1968,8 @@ mod tests {
                     residual: vec![],
                 },
             ],
-            est_cost: 0.0,
-        };
+            0.0,
+        );
         let ctx = ExecContext::new(&g, &store);
         let seq = collect(ctx, &query, &plan, usize::MAX);
         assert!(!seq.is_empty());
@@ -2036,8 +2024,9 @@ mod tests {
             ],
             predicates: vec![],
         };
-        let plan = Plan {
-            ops: vec![
+        let plan = Plan::new(
+            &query,
+            vec![
                 Operator::ScanVertices {
                     var: 0,
                     label: None,
@@ -2085,8 +2074,8 @@ mod tests {
                     residual: vec![],
                 },
             ],
-            est_cost: 0.0,
-        };
+            0.0,
+        );
         let ctx = ExecContext::new(&g, &store);
         let wcoj = count(ctx, &query, &plan);
         // Morsel-driven execution must agree at every thread count.
@@ -2147,48 +2136,51 @@ mod tests {
             }],
             predicates: vec![],
         };
-        let mk_plan = |use_prune: bool| Plan {
-            ops: vec![
-                Operator::ScanVertices {
-                    var: 0,
-                    label: None,
-                    preds: vec![QueryPredicate::new(
-                        QueryOperand::VertexIdOf(0),
-                        CmpOp::Eq,
-                        QueryOperand::Const(i64::from(fg.account(5).raw())),
-                    )],
-                },
-                Operator::ExtendIntersect {
-                    target: 1,
-                    target_label: None,
-                    alds: vec![Ald {
-                        from: FromRef::Vertex(0),
-                        index: IndexChoice::VertexIdx {
-                            name: "VPt".into(),
-                            direction: Direction::Fwd,
-                        },
-                        prefix: vec![],
-                        edge_var: 0,
-                        sort: vec![SortKey::EdgeProp(date)],
-                        prune: use_prune.then_some(Prune {
-                            op: CmpOp::Lt,
-                            value: PruneValue::Const(6),
-                        }),
-                        sorted_range: false,
-                    }],
-                    filter: ListFilter::default(),
-                    residual: if use_prune {
-                        vec![]
-                    } else {
-                        vec![QueryPredicate::new(
-                            QueryOperand::EdgeProp(0, date),
-                            CmpOp::Lt,
-                            QueryOperand::Const(6),
-                        )]
+        let mk_plan = |use_prune: bool| {
+            Plan::new(
+                &query,
+                vec![
+                    Operator::ScanVertices {
+                        var: 0,
+                        label: None,
+                        preds: vec![QueryPredicate::new(
+                            QueryOperand::VertexIdOf(0),
+                            CmpOp::Eq,
+                            QueryOperand::Const(i64::from(fg.account(5).raw())),
+                        )],
                     },
-                },
-            ],
-            est_cost: 0.0,
+                    Operator::ExtendIntersect {
+                        target: 1,
+                        target_label: None,
+                        alds: vec![Ald {
+                            from: FromRef::Vertex(0),
+                            index: IndexChoice::VertexIdx {
+                                name: "VPt".into(),
+                                direction: Direction::Fwd,
+                            },
+                            prefix: vec![],
+                            edge_var: 0,
+                            sort: vec![SortKey::EdgeProp(date)],
+                            prune: use_prune.then_some(Prune {
+                                op: CmpOp::Lt,
+                                value: PruneValue::Const(6),
+                            }),
+                            sorted_range: false,
+                        }],
+                        filter: ListFilter::default(),
+                        residual: if use_prune {
+                            vec![]
+                        } else {
+                            vec![QueryPredicate::new(
+                                QueryOperand::EdgeProp(0, date),
+                                CmpOp::Lt,
+                                QueryOperand::Const(6),
+                            )]
+                        },
+                    },
+                ],
+                0.0,
+            )
         };
         let ctx = ExecContext::new(&g, &store);
         let pruned = count(ctx, &query, &mk_plan(true));
@@ -2258,8 +2250,9 @@ mod tests {
             prune: None,
             sorted_range: false,
         };
-        let plan = Plan {
-            ops: vec![
+        let plan = Plan::new(
+            &query,
+            vec![
                 Operator::ScanVertices {
                     var: 0,
                     label: None,
@@ -2270,8 +2263,8 @@ mod tests {
                     residual: vec![],
                 },
             ],
-            est_cost: 0.0,
-        };
+            0.0,
+        );
         let ctx = ExecContext::new(&g, &store);
         let got = count(ctx, &query, &plan);
         // Brute force: ordered pairs of distinct out-edges of the same
@@ -2347,62 +2340,65 @@ mod tests {
                 QueryOperand::VertexProp(2, city),
             )],
         };
-        let mk_plan = |use_prune: bool| Plan {
-            ops: vec![
-                Operator::ScanVertices {
-                    var: 0,
-                    label: None,
-                    preds: vec![],
-                },
-                Operator::ExtendIntersect {
-                    target: 1,
-                    target_label: None,
-                    alds: vec![Ald {
-                        from: FromRef::Vertex(0),
-                        index: IndexChoice::VertexIdx {
-                            name: "VPc".into(),
-                            direction: Direction::Fwd,
-                        },
-                        prefix: vec![],
-                        edge_var: 0,
-                        sort: vec![SortKey::NbrProp(city)],
-                        prune: None,
-                        sorted_range: true,
-                    }],
-                    filter: ListFilter::default(),
-                    residual: vec![],
-                },
-                Operator::ExtendIntersect {
-                    target: 2,
-                    target_label: None,
-                    alds: vec![Ald {
-                        from: FromRef::Vertex(0),
-                        index: IndexChoice::VertexIdx {
-                            name: "VPc".into(),
-                            direction: Direction::Fwd,
-                        },
-                        prefix: vec![],
-                        edge_var: 1,
-                        sort: vec![SortKey::NbrProp(city)],
-                        prune: use_prune.then_some(Prune {
-                            op: CmpOp::Eq,
-                            value: PruneValue::VertexProp(1, city),
-                        }),
-                        sorted_range: true,
-                    }],
-                    filter: ListFilter::default(),
-                    residual: if use_prune {
-                        vec![]
-                    } else {
-                        vec![QueryPredicate::new(
-                            QueryOperand::VertexProp(1, city),
-                            CmpOp::Eq,
-                            QueryOperand::VertexProp(2, city),
-                        )]
+        let mk_plan = |use_prune: bool| {
+            Plan::new(
+                &query,
+                vec![
+                    Operator::ScanVertices {
+                        var: 0,
+                        label: None,
+                        preds: vec![],
                     },
-                },
-            ],
-            est_cost: 0.0,
+                    Operator::ExtendIntersect {
+                        target: 1,
+                        target_label: None,
+                        alds: vec![Ald {
+                            from: FromRef::Vertex(0),
+                            index: IndexChoice::VertexIdx {
+                                name: "VPc".into(),
+                                direction: Direction::Fwd,
+                            },
+                            prefix: vec![],
+                            edge_var: 0,
+                            sort: vec![SortKey::NbrProp(city)],
+                            prune: None,
+                            sorted_range: true,
+                        }],
+                        filter: ListFilter::default(),
+                        residual: vec![],
+                    },
+                    Operator::ExtendIntersect {
+                        target: 2,
+                        target_label: None,
+                        alds: vec![Ald {
+                            from: FromRef::Vertex(0),
+                            index: IndexChoice::VertexIdx {
+                                name: "VPc".into(),
+                                direction: Direction::Fwd,
+                            },
+                            prefix: vec![],
+                            edge_var: 1,
+                            sort: vec![SortKey::NbrProp(city)],
+                            prune: use_prune.then_some(Prune {
+                                op: CmpOp::Eq,
+                                value: PruneValue::VertexProp(1, city),
+                            }),
+                            sorted_range: true,
+                        }],
+                        filter: ListFilter::default(),
+                        residual: if use_prune {
+                            vec![]
+                        } else {
+                            vec![QueryPredicate::new(
+                                QueryOperand::VertexProp(1, city),
+                                CmpOp::Eq,
+                                QueryOperand::VertexProp(2, city),
+                            )]
+                        },
+                    },
+                ],
+                0.0,
+            )
         };
         let ctx = ExecContext::new(&g, &store);
         let pruned = count(ctx, &query, &mk_plan(true));

@@ -12,7 +12,9 @@
 //! * [`plan`] / [`exec`] — physical plans: `SCAN`, `EXTEND/INTERSECT`
 //!   (multiway sorted intersections on neighbour IDs — WCOJ-style),
 //!   `MULTI-EXTEND` (intersections on a property sort key binding several
-//!   query vertices at once), and `FILTER`.
+//!   query vertices at once), and `VAR-LENGTH EXPAND` (a BFS over vertex
+//!   bitsets). Every predicate runs on the operator whose bindings complete
+//!   it, and a plan carries its counted suffix, planned once per prepare.
 //! * [`optimizer`] — the DP join optimizer: enumerates one query vertex at
 //!   a time, consults the INDEX STORE with predicate subsumption, and costs
 //!   plans with **i-cost** (estimated total adjacency-list entries touched).

@@ -15,12 +15,14 @@
 //! and edge-partitioned indexes reachable from an already-bound query edge
 //! — then prices them with **i-cost**: the estimated number of adjacency
 //! list entries every operator will touch across all its invocations
-//! (list size × estimated input cardinality). Query predicates implied by a
-//! chosen index's view predicate or enforced by its partition prefix /
-//! sorted-prefix prune are dropped from the residual FILTER. Of what an
-//! E/I still has to check, the conjuncts that compare a list entry's edge
-//! or neighbour with a constant become its [`ListFilter`], applied before
-//! anything is bound.
+//! (list size × estimated input cardinality). Every other predicate is
+//! placed on the operator whose bindings complete it, minus those implied
+//! by a chosen index's view predicate or enforced by its partition prefix /
+//! sorted-prefix prune. Of what an E/I still has to check, the conjuncts
+//! that compare a list entry's edge or neighbour with a constant become its
+//! [`ListFilter`], applied before anything is bound. The finished plan
+//! carries its counted suffix (`Plan::new`), so executing a prepared plan
+//! derives nothing.
 
 use aplus_common::EdgeLabelId;
 use aplus_common::FxHashMap;
@@ -179,25 +181,15 @@ impl Optimizer<'_> {
             self.extend_varlength(mask, &partial, &mut best);
         }
 
-        let mut final_plan = best
+        let plan = best
             .remove(&full)
             .ok_or_else(|| QueryError::NoPlan("no connected extension order found".into()))?;
-        // Safety net: apply any predicate not yet applied.
-        let leftovers: Vec<QueryPredicate> = self
-            .query
-            .predicates
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| final_plan.applied & (1 << i) == 0)
-            .map(|(_, p)| *p)
-            .collect();
-        if !leftovers.is_empty() {
-            final_plan.ops.push(Operator::Filter { preds: leftovers });
+        // Every transition places the predicates its bindings complete, and
+        // every query edge is bound or checked by the time all vertices are.
+        if plan.applied.count_ones() as usize != self.query.predicates.len() {
+            return Err(QueryError::NoPlan("a predicate was left unplaced".into()));
         }
-        Ok(Plan {
-            ops: final_plan.ops,
-            est_cost: final_plan.cost,
-        })
+        Ok(Plan::new(self.query, plan.ops, plan.cost))
     }
 
     // ----- seeds ----------------------------------------------------------
@@ -248,17 +240,17 @@ impl Optimizer<'_> {
                     (QueryOperand::EdgeIdOf(e), CmpOp::Eq, QueryOperand::Const(_)) if e == ei
                 ) && p.rhs_add == 0
             });
-            if !pinned || edge.src == edge.dst || edge.var_length.is_some() {
+            if !pinned || edge.var_length.is_some() {
                 continue;
             }
             let mask = (1u32 << edge.src) | (1u32 << edge.dst);
-            // Conservatively leave masks containing variable-length edges
-            // to the vertex-seeded transitions, which append the required
-            // distance checks.
-            if self.varlength_internal(mask) != 0 {
+            // The scan binds one query edge: leave a mask holding another
+            // (a parallel edge, or a variable-length one needing a distance
+            // check) to the vertex-seeded transitions.
+            let bound_edges = self.bound_edges(mask);
+            if bound_edges != 1 << ei {
                 continue;
             }
-            let bound_edges = self.bound_edges(mask);
             let mut applied = 0u64;
             let mut preds = Vec::new();
             for (i, p) in self.query.predicates.iter().enumerate() {

@@ -11,7 +11,12 @@
 //! * [`Operator::MultiExtend`] — binds one *or more* query vertices by
 //!   intersecting lists sorted on a property (e.g. `vnbr.city`), emitting
 //!   all combinations per equal-property group.
-//! * [`Operator::Filter`] — residual predicates not subsumed by any index.
+//! * [`Operator::VarLengthExpand`] — binds a query vertex by a BFS over
+//!   matching edges, or checks the distance between two bound ones.
+//!
+//! The optimizer places every predicate on the operator whose bindings
+//! complete it (a scan's `preds`, an extension's list filter or
+//! `residual`), so a plan is exactly what runs: no operator only filters.
 //!
 //! Each adjacency-list access is described by an [`Ald`] (adjacency list
 //! descriptor): which index, from which bound variable, restricted to which
@@ -19,13 +24,16 @@
 //! conjuncts of an E/I's predicates that read only a list entry — its edge
 //! and its neighbour — against constants form the operator's
 //! [`ListFilter`], applied to the list's columns before anything is bound.
+//!
+//! A plan also carries what a count may take without building levels, its
+//! counted suffix (`Counted`), derived once when the plan is made.
 
 use std::fmt;
 
 use aplus_common::{EdgeLabelId, PropertyId, VertexLabelId};
 use aplus_core::{CmpOp, Direction, SortKey};
 
-use crate::query::{QueryOperand, QueryPredicate};
+use crate::query::{QueryGraph, QueryOperand, QueryPredicate};
 
 /// Which index an ALD reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -351,11 +359,32 @@ pub enum Operator {
         /// Residual predicates evaluated per produced match.
         residual: Vec<QueryPredicate>,
     },
-    /// Residual filter.
-    Filter {
-        /// Predicates to evaluate.
-        preds: Vec<QueryPredicate>,
-    },
+}
+
+impl Operator {
+    /// The query vertices and the query edges this operator binds, in the
+    /// order its level stores them. A check-mode var-length expansion binds
+    /// no vertex, and a var-length expansion binds no edge.
+    pub(crate) fn bound_vars(&self) -> (Vec<usize>, Vec<usize>) {
+        match self {
+            Self::ScanVertices { var, .. } => (vec![*var], vec![]),
+            Self::ScanEdges {
+                edge_var,
+                src_var,
+                dst_var,
+                ..
+            } => (vec![*src_var, *dst_var], vec![*edge_var]),
+            Self::ExtendIntersect { target, alds, .. } => {
+                (vec![*target], alds.iter().map(|a| a.edge_var).collect())
+            }
+            Self::MultiExtend { targets, .. } => {
+                targets.iter().map(|(v, _, ald)| (*v, ald.edge_var)).unzip()
+            }
+            Self::VarLengthExpand { target, check, .. } => {
+                (if *check { vec![] } else { vec![*target] }, vec![])
+            }
+        }
+    }
 }
 
 /// A complete physical plan.
@@ -365,9 +394,22 @@ pub struct Plan {
     pub ops: Vec<Operator>,
     /// Estimated i-cost (total adjacency-list entries accessed).
     pub est_cost: f64,
+    /// The operators a count takes without building their levels, derived
+    /// from `ops` when the plan is made; `None` when the last operator is
+    /// not a [`Branch`].
+    pub(crate) counted: Option<Counted>,
 }
 
 impl Plan {
+    /// A plan running `ops` for `query`, with its counted suffix.
+    pub(crate) fn new(query: &QueryGraph, ops: Vec<Operator>, est_cost: f64) -> Self {
+        Self {
+            counted: Counted::of(query, &ops),
+            ops,
+            est_cost,
+        }
+    }
+
     /// Whether any operator is a MULTI-EXTEND (used by plan-shape tests).
     #[must_use]
     pub fn uses_multi_extend(&self) -> bool {
@@ -488,7 +530,6 @@ fn op_description(op: &Operator) -> String {
             }
             s
         }
-        Operator::Filter { preds } => format!("Filter ({} predicates)", preds.len()),
     }
 }
 
@@ -500,6 +541,196 @@ impl fmt::Display for Plan {
         }
         Ok(())
     }
+}
+
+/// The operators a count takes **without building their levels**: the
+/// longest plan suffix of [`Branch`]es whose prune is absent or constant,
+/// after the root scan — else the last operator alone, if it is a
+/// [`Branch`] with any prune. A suffix operator reads only its owner, so
+/// the suffix is a forest: a *root* branch hangs off a vertex bound before
+/// the suffix, any other off the target of an earlier suffix operator. The
+/// block engine counts each frontier entry as the product of its root
+/// branches, binding no suffix edge.
+///
+/// Multiplying is exact only if no two suffix edges can bind the same graph
+/// edge, which [`Counted::of`] proves from the labels the query declares
+/// and every operator enforces (see [`edge_shapes`] and [`disjoint`]).
+/// Where the proof fails, the suffix shrinks to the longest tail it holds
+/// for, down to the last operator alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Counted {
+    /// The plan-op index of the first suffix operator; every earlier
+    /// operator builds a level.
+    pub(crate) start: usize,
+    /// One per operator of the suffix, in plan order.
+    pub(crate) branches: Vec<Branch>,
+    /// The branches hanging off a vertex bound before the suffix.
+    pub(crate) roots: Vec<usize>,
+}
+
+/// One counted-suffix operator: a single-list E/I with no residual and no
+/// list filter whose list hangs off a bound vertex (a primary or
+/// vertex-partitioned list), so that its count needs no binding.
+/// Edge-partitioned lists hang off an edge, not a vertex, and always
+/// iterate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Branch {
+    /// Its plan-op index, which is also its `PROFILE` level.
+    pub(crate) level: usize,
+    /// The list it reads.
+    pub(crate) ald: Ald,
+    /// The query vertex whose list this is.
+    pub(crate) owner: usize,
+    /// The direction of the list's index.
+    pub(crate) dir: Direction,
+    /// The E/I's target label check, if any.
+    pub(crate) label: Option<VertexLabelId>,
+    /// Whether the fetched range is ordered by neighbour ID, so a bound
+    /// edge is found by binary search rather than by a scan.
+    pub(crate) nbr_sorted: bool,
+    /// Whether the list depends on its owner alone (no prune, or a
+    /// constant one), so consecutive entries with the same owner share it.
+    pub(crate) per_owner: bool,
+    /// The vertex it binds, transiently, for its children.
+    pub(crate) target: usize,
+    /// The branches hanging off `target`.
+    pub(crate) children: Vec<usize>,
+    /// Whether no path edge bound before the suffix can be its edge or a
+    /// descendant's: then its count depends on its owner alone, and no
+    /// uniqueness check or subtraction is needed under it.
+    pub(crate) prefix_disjoint: bool,
+}
+
+impl Branch {
+    /// `op`, at plan-op index `level`, as a branch with no children, or
+    /// `None` when it is not one.
+    fn of(level: usize, op: &Operator) -> Option<Self> {
+        let Operator::ExtendIntersect {
+            target,
+            target_label,
+            alds,
+            filter,
+            residual,
+        } = op
+        else {
+            return None;
+        };
+        let [ald] = alds.as_slice() else { return None };
+        if !residual.is_empty() || !filter.is_empty() {
+            return None;
+        }
+        let dir = match &ald.index {
+            IndexChoice::Primary(d) => *d,
+            IndexChoice::VertexIdx { direction, .. } => *direction,
+            IndexChoice::EdgeIdx { .. } => return None,
+        };
+        let FromRef::Vertex(owner) = ald.from else {
+            return None;
+        };
+        Some(Self {
+            level,
+            ald: ald.clone(),
+            owner,
+            dir,
+            label: *target_label,
+            nbr_sorted: ald.nbr_sorted() && ald.sorted_range,
+            per_owner: ald.per_owner(),
+            target: *target,
+            children: Vec::new(),
+            prefix_disjoint: true,
+        })
+    }
+}
+
+impl Counted {
+    /// The counted suffix of `ops`, a plan for `query`, or `None` when its
+    /// last operator is not a [`Branch`].
+    fn of(query: &QueryGraph, ops: &[Operator]) -> Option<Self> {
+        let last = ops.len() - 1;
+        let mut branches = vec![Branch::of(last, &ops[last])?];
+        if branches[0].per_owner {
+            for level in (1..last).rev() {
+                match Branch::of(level, &ops[level]) {
+                    Some(b) if b.per_owner => branches.insert(0, b),
+                    _ => break,
+                }
+            }
+        }
+        let shapes = edge_shapes(query);
+        let shape = |b: &Branch| shapes[b.ald.edge_var];
+        // The longest such tail whose edges are pairwise disjoint.
+        while !branches.iter().enumerate().all(|(i, a)| {
+            branches[i + 1..]
+                .iter()
+                .all(|b| disjoint(shape(a), shape(b)))
+        }) {
+            branches.remove(0);
+        }
+        let start = branches[0].level;
+        let prefix: Vec<Shape> = ops[..start]
+            .iter()
+            .flat_map(|op| op.bound_vars().1)
+            .map(|e| shapes[e])
+            .collect();
+        let mut roots = Vec::new();
+        for b in 0..branches.len() {
+            match branches[..b]
+                .iter()
+                .position(|p| p.target == branches[b].owner)
+            {
+                Some(p) => branches[p].children.push(b),
+                None => roots.push(b),
+            }
+            let own = shape(&branches[b]);
+            branches[b].prefix_disjoint = prefix.iter().all(|&p| disjoint(p, own));
+        }
+        // Children follow their parent, so one back-to-front pass sees every
+        // descendant settled first.
+        for b in (0..branches.len()).rev() {
+            let clear = branches[b]
+                .children
+                .iter()
+                .all(|&c| branches[c].prefix_disjoint);
+            branches[b].prefix_disjoint &= clear;
+        }
+        Some(Self {
+            start,
+            branches,
+            roots,
+        })
+    }
+}
+
+/// The labels one query edge declares: the edge's own label code, then its
+/// source's and its destination's label — each `None` where the query
+/// declares none.
+type Shape = [Option<u32>; 3];
+
+/// Whether no graph edge can match both shapes: some label they both fix
+/// differs (edge labels, or both source labels, or both destination
+/// labels).
+fn disjoint(a: Shape, b: Shape) -> bool {
+    a.iter()
+        .zip(&b)
+        .any(|pair| matches!(pair, (Some(x), Some(y)) if x != y))
+}
+
+/// Every query edge's [`Shape`]. The declared labels hold of every binding,
+/// because every operator enforces the declared labels of what it binds:
+/// scans, E/I and MULTI-EXTEND targets and var-length targets check vertex
+/// labels, and an edge label is either pinned by its list's partition
+/// prefix or re-checked per entry — in an E/I's list filter, a
+/// MULTI-EXTEND's residual — and edge scans check it directly.
+fn edge_shapes(query: &QueryGraph) -> Vec<Shape> {
+    let vertex = |v: usize| query.vertices[v].label.map(|l| u32::from(l.raw()));
+    query
+        .edges
+        .iter()
+        .map(|qe| {
+            let label = qe.label.map(|l| u32::from(l.raw()));
+            [label, vertex(qe.src), vertex(qe.dst)]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -582,10 +813,83 @@ mod tests {
         assert_eq!(filter.edge_labels, [test(1, CmpOp::Eq, 3)]);
     }
 
+    /// The counted suffix of SQ1–SQ13 (the `primary_count` workload) on a
+    /// `G_{8,2}` graph of the workload's density, under the primary
+    /// configurations D and Dp: per query, `(start, branch levels, roots,
+    /// children, prefix_disjoint)`, or `None` when the last operator is not
+    /// a branch. Recorded from the per-run derivation the plan data
+    /// replaced; D and Dp agree.
+    #[test]
+    fn sq_plans_carry_their_counted_suffix() {
+        use aplus_datagen::{generate, GeneratorConfig};
+        type Want = Option<(
+            usize,
+            &'static [usize],
+            &'static [usize],
+            &'static [&'static [usize]],
+        )>;
+        const CHAIN: &[&[usize]] = &[&[1], &[2], &[3], &[4], &[]];
+        let want: [Want; 13] = [
+            None,
+            None,
+            None,
+            Some((3, &[3], &[0], &[&[]])),
+            Some((1, &[1, 2, 3], &[0, 1, 2], &[&[], &[], &[]])),
+            Some((1, &[1, 2, 3, 4], &[0], &[&[1], &[2], &[3], &[]])),
+            Some((1, &[1, 2, 3, 4], &[0, 1], &[&[2, 3], &[], &[], &[]])),
+            None,
+            None,
+            None,
+            None,
+            None,
+            Some((1, &[1, 2, 3, 4, 5], &[0], CHAIN)),
+        ];
+        let queries: Vec<(&str, &str)> =
+            include_str!("../../../benchmark/queries/primary_count.txt")
+                .lines()
+                .filter(|l| l.starts_with("SQ"))
+                .map(|l| l.split_once(' ').unwrap())
+                .collect();
+        assert_eq!(queries.len(), want.len());
+        let graph = generate(&GeneratorConfig::social(2_000, 78_000, 8, 2).with_seed(2));
+        let mut db = crate::Database::new(graph).unwrap();
+        for config in ["D", "Dp"] {
+            if config == "Dp" {
+                db.ddl(
+                    "RECONFIGURE PRIMARY INDEXES PARTITION BY eadj.label, vnbr.label \
+                     SORT BY vnbr.ID",
+                )
+                .unwrap();
+            }
+            for (&(name, q), want) in queries.iter().zip(want) {
+                let counted = db.prepare(q).unwrap().1.counted;
+                let got = counted.as_ref().map(|c| {
+                    let levels: Vec<usize> = c.branches.iter().map(|b| b.level).collect();
+                    let children: Vec<&[usize]> =
+                        c.branches.iter().map(|b| b.children.as_slice()).collect();
+                    (c.start, levels, c.roots.clone(), children)
+                });
+                let want = want.map(|(start, levels, roots, children)| {
+                    (start, levels.to_vec(), roots.to_vec(), children.to_vec())
+                });
+                assert_eq!(got, want, "{config} {name}");
+                // Each SQ vertex has a label of its own and no two SQ edges
+                // join the same pair, so no branch can meet a prefix edge.
+                if let Some(c) = counted {
+                    assert!(
+                        c.branches.iter().all(|b| b.prefix_disjoint),
+                        "{config} {name}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn plan_introspection() {
-        let plan = Plan {
-            ops: vec![
+        let plan = Plan::new(
+            &QueryGraph::default(),
+            vec![
                 Operator::ScanVertices {
                     var: 0,
                     label: None,
@@ -608,8 +912,8 @@ mod tests {
                     residual: vec![],
                 },
             ],
-            est_cost: 12.0,
-        };
+            12.0,
+        );
         assert!(plan.uses_multi_extend());
         assert!(plan.uses_edge_partitioned_index());
         assert!(plan.uses_index("EPc"));

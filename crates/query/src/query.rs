@@ -18,6 +18,14 @@ use crate::error::QueryError;
 /// Maximum query vertices supported by the bitmask DP optimizer.
 pub const MAX_QUERY_VERTICES: usize = 16;
 
+/// Maximum query edges: the optimizer tracks the bound query edges as the
+/// bits of a `u64`.
+pub const MAX_QUERY_EDGES: usize = 64;
+
+/// Maximum predicate conjuncts: the optimizer tracks the placed conjuncts
+/// as the bits of a `u64`.
+pub const MAX_QUERY_PREDICATES: usize = 64;
+
 /// Maximum hops a variable-length pattern may request: the bound
 /// substituted for open upper bounds like `*` / `+` / `*2..`; an explicit
 /// bound past it is a structured `hop_cap_exceeded` error.
@@ -274,13 +282,35 @@ pub struct QueryGraph {
 }
 
 impl QueryGraph {
-    /// Validates structural invariants: size bound and connectivity.
+    /// Validates structural invariants: size bounds, no fixed-length
+    /// self-loop, and connectivity.
     pub fn validate(&self) -> Result<(), QueryError> {
         if self.vertices.len() > MAX_QUERY_VERTICES {
             return Err(QueryError::TooManyQueryVertices {
                 got: self.vertices.len(),
                 max: MAX_QUERY_VERTICES,
             });
+        }
+        if self.edges.len() > MAX_QUERY_EDGES {
+            return Err(QueryError::TooManyQueryEdges {
+                got: self.edges.len(),
+                max: MAX_QUERY_EDGES,
+            });
+        }
+        if self.predicates.len() > MAX_QUERY_PREDICATES {
+            return Err(QueryError::TooManyPredicates {
+                got: self.predicates.len(),
+                max: MAX_QUERY_PREDICATES,
+            });
+        }
+        // No operator binds a single-hop edge whose endpoints are one
+        // vertex; a variable-length one is verified in check mode.
+        if let Some(e) = self
+            .edges
+            .iter()
+            .find(|e| e.src == e.dst && e.var_length.is_none())
+        {
+            return Err(QueryError::SelfLoop(self.vertices[e.src].name.clone()));
         }
         if self.vertices.len() > 1 {
             // Connectivity via union-find over query edges.

@@ -102,6 +102,7 @@ const TEMPLATES: &[&str] = &[
     "MATCH a-[r:E]->b, b-[s:E]->c, c-[t:E]->d, d-[u:E]->a, a-[v:E]->c",
     "MATCH a-[r:E]->b, a-[s:E]->c, a-[t:E]->d, b-[u:E]->c, b-[v:E]->d, c-[x:E]->d",
     "MATCH a-[r]->b-[s]->c WHERE r.eID = 3",
+    "MATCH a-[r]->b, a-[s]->b WHERE r.eID = 3",
     "MATCH a-[r]->b, a-[s]->c WHERE b.grp = c.grp",
     "MATCH (a:A)-[r]->(b), (a:A)-[s]->(c:B), (c:B)-[t:F]->(d) WHERE a.ID < 4, b.grp = c.grp",
     "MATCH (a:A)-[r]->b, (a:A)-[s]->c, c-[t:F]->d WHERE b.grp = c.grp",

@@ -436,6 +436,9 @@ impl From<&QueryError> for WireError {
             QueryError::UnknownVariable(_) => ("unknown_variable", None),
             QueryError::VariableRoleConflict(_) => ("variable_role_conflict", None),
             QueryError::TooManyQueryVertices { .. } => ("too_many_query_vertices", None),
+            QueryError::TooManyQueryEdges { .. } => ("too_many_query_edges", None),
+            QueryError::TooManyPredicates { .. } => ("too_many_predicates", None),
+            QueryError::SelfLoop(_) => ("self_loop", None),
             QueryError::DisconnectedPattern => ("disconnected_pattern", None),
             QueryError::VertexDomainExceeded { .. } => ("vertex_domain_exceeded", None),
             QueryError::HopCapExceeded { offset, .. } => ("hop_cap_exceeded", Some(*offset as u64)),

@@ -524,8 +524,10 @@ fn shell_matches_database_collect_on_the_quickstart_workload() {
 /// streams match the direct API bit-for-bit, a hop-count request past the
 /// cap comes back as a structured `hop_cap_exceeded` error citing the
 /// offset of the `*` spec, and a predicate over a var-length edge
-/// variable is `var_length_predicate` — all without dropping the
-/// connection.
+/// variable is `var_length_predicate`. A single-hop self-loop is
+/// `self_loop` (a var-length one counts), and 65 query edges or conjuncts
+/// are `too_many_query_edges` / `too_many_predicates` (64 count) — all
+/// without dropping the connection.
 #[test]
 fn var_length_round_trips_and_reports_structured_errors() {
     let shared = financial_shared(2);
@@ -575,6 +577,36 @@ fn var_length_round_trips_and_reports_structured_errors() {
         }
         other => panic!("expected a server error, got {other:?}"),
     }
+
+    let err = client.count("MATCH a-[r:W]->a").unwrap_err();
+    match err {
+        ClientError::Server(e) => assert_eq!(e.kind, "self_loop", "{e}"),
+        other => panic!("expected a server error, got {other:?}"),
+    }
+    let ring = "MATCH a-[:W*1..2]->a";
+    assert_eq!(client.count(ring).unwrap(), direct.count(ring).unwrap());
+    // The optimizer tracks query edges and conjuncts as u64 bits.
+    let parallel = |n: usize| {
+        let edges: Vec<String> = (0..n).map(|i| format!("a-[r{i}]->b")).collect();
+        format!("MATCH {}", edges.join(", "))
+    };
+    let conjuncts = |n: usize| {
+        format!(
+            "MATCH a-[r:W]->b WHERE {}",
+            vec!["a.ID >= 0"; n].join(" AND ")
+        )
+    };
+    for (q, kind) in [
+        (parallel(65), "too_many_query_edges"),
+        (conjuncts(65), "too_many_predicates"),
+    ] {
+        match client.count(&q).unwrap_err() {
+            ClientError::Server(e) => assert_eq!(e.kind, kind, "{e}"),
+            other => panic!("expected a server error, got {other:?}"),
+        }
+    }
+    assert_eq!(client.count(&parallel(64)).unwrap(), 0);
+    assert_eq!(client.count(&conjuncts(64)).unwrap(), 9);
 
     // The connection survives all those errors.
     client.ping().unwrap();

@@ -171,3 +171,45 @@ fn empty_graph_queries() {
     // runs on an empty store.
     assert_eq!(db.count("MATCH a-[r]->b").unwrap_or(0), 0);
 }
+
+/// The optimizer tracks query edges and predicate conjuncts as the bits of
+/// a `u64`: 64 of each plan and count, the 65th is a structured error (it
+/// used to alias bit 0, dropping a conjunct: the 65-conjunct query below
+/// counted 9 instead of 0).
+#[test]
+fn query_edges_and_conjuncts_are_bounded() {
+    use aplus::query::query::{MAX_QUERY_EDGES, MAX_QUERY_PREDICATES};
+    let db = db();
+    let conjuncts = |n: usize| {
+        let mut q = String::from("MATCH a-[r:W]->b WHERE ");
+        q.push_str(&"a.ID >= 0 AND ".repeat(n - 1));
+        q.push_str("r.amt < -1");
+        q
+    };
+    assert_eq!(db.count(&conjuncts(MAX_QUERY_PREDICATES)).unwrap(), 0);
+    assert_eq!(
+        db.count(&conjuncts(MAX_QUERY_PREDICATES + 1)),
+        Err(QueryError::TooManyPredicates { got: 65, max: 64 })
+    );
+    let parallel = |n: usize| {
+        let edges: Vec<String> = (0..n).map(|i| format!("a-[r{i}]->b")).collect();
+        format!("MATCH {}", edges.join(", "))
+    };
+    assert_eq!(db.count(&parallel(MAX_QUERY_EDGES)).unwrap(), 0);
+    assert_eq!(
+        db.count(&parallel(MAX_QUERY_EDGES + 1)),
+        Err(QueryError::TooManyQueryEdges { got: 65, max: 64 })
+    );
+}
+
+/// No operator binds a single-hop edge from a vertex to itself, so such a
+/// pattern is refused; a variable-length one is checked.
+#[test]
+fn single_hop_self_loops_rejected() {
+    let db = db();
+    assert_eq!(
+        db.count("MATCH a-[r:W]->a"),
+        Err(QueryError::SelfLoop("a".into()))
+    );
+    assert!(db.count("MATCH a-[:W*1..2]->a").is_ok());
+}
