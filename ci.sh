@@ -25,11 +25,13 @@ run() {
 # first-level partitioning paths, a second intersection loop, the hashed
 # BFS and a second merge primitive beside `map_ranges` from growing back.
 # A plan is what runs: no FILTER operator, and the counted suffix is plan
-# data, derived once by the planner, never by the executor.
+# data, derived once by the planner, never by the executor. Every secondary
+# index keeps its pages in one store (`OffsetCsr`), and the maintenance
+# knobs stay deleted.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts), no FILTER operator, the counted suffix planned once"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts), no FILTER operator, the counted suffix planned once, one secondary page store, no maintenance knobs"
     local bad=0 f
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -81,12 +83,20 @@ guard() {
     fi
     # A commit copies the pages and chunks it dirties: index pages and
     # edge columns stay shared per page / per chunk, never as one block.
-    if grep -rnE '^\s*(pub(\(crate\))? )?pages: Vec<(Page|OffsetPage|SharedPage)>' crates/core/src; then
+    if grep -rnE '^\s*(pub(\(crate\))? )?pages: Vec<(Page|OffsetPage)>' crates/core/src; then
         echo "guard: index pages must be Arc-shared (Vec<Arc<Page>>), so a write copies one page"
         bad=1
     fi
     if grep -nE '^\s*\w+: Arc<(Vec<(VertexId|EdgeLabelId)>|Bitmap)>' crates/graph/src/graph.rs; then
         echo "guard: edge columns are ChunkedVecs, so a write copies one chunk, not the column"
+        bad=1
+    fi
+    # Both §III-B3 cases are one page store, `OffsetCsr`, whose levels each
+    # call names; the maintenance settings with one value in use are
+    # constants. The second page type and the knobs stay deleted.
+    if grep -rnwE 'SharedOffsets|SharedPage|SharedBuffered|VpStorage|MaintenanceConfig|set_maintenance_config|ep_build_threads|build_entries_parallel' \
+        crates/*/src; then
+        echo "guard: secondary indexes keep one page store (OffsetCsr with Levels), and the maintenance knobs were removed"
         bad=1
     fi
     if grep -nE 'create_bitmap_index|bitmap_indexes' crates/core/src/store.rs; then

@@ -65,8 +65,9 @@ impl LabelCsr {
         }
         let mut offsets = Vec::with_capacity(n * label_count + 1);
         offsets.push(0u32);
-        let mut edges = Vec::new();
-        let mut nbrs = Vec::new();
+        let total = buckets.iter().map(Vec::len).sum();
+        let mut edges = Vec::with_capacity(total);
+        let mut nbrs = Vec::with_capacity(total);
         for bucket in &mut buckets {
             if sorted {
                 bucket.sort_unstable_by_key(|&(e, v)| (v, e));
@@ -424,6 +425,16 @@ mod tests {
 
     fn bind(db: &Database, q: &str) -> QueryGraph {
         db.prepare(q).unwrap().0
+    }
+
+    #[test]
+    fn memory_after_build_is_what_the_lists_need() {
+        let fg = build_financial_graph();
+        for (forward, sorted) in [(true, false), (false, true)] {
+            let csr = LabelCsr::build(&fg.graph, forward, sorted);
+            let by_len = csr.offsets.len() * 4 + csr.edges.len() * 8 + csr.nbrs.len() * 4;
+            assert_eq!(csr.memory_bytes(), by_len, "forward {forward}");
+        }
     }
 
     #[test]

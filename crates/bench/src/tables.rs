@@ -4,7 +4,6 @@
 use std::time::Instant;
 
 use aplus_baseline::{Baseline, BaselineKind};
-use aplus_core::maintenance::MaintenanceConfig;
 use aplus_datagen::presets::DatasetPreset;
 use aplus_datagen::properties::{
     add_fraud_properties, add_magicrecs_properties, amount_alpha_for_selectivity,
@@ -343,13 +342,6 @@ pub fn run_table6(scale: usize) -> Reporter {
                 }
             }
             let mut db = Database::new(half_graph).expect("index build");
-            {
-                let (store, _) = db.store_and_graph_mut();
-                store.set_maintenance_config(MaintenanceConfig {
-                    buffer_threshold: 64,
-                    ep_build_threads: 1,
-                });
-            }
             for ddl in &ddls {
                 db.ddl(ddl).expect("config DDL");
             }

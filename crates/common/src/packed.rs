@@ -33,6 +33,18 @@ impl PackedUints {
         }
     }
 
+    /// Creates an empty array of `width`-byte elements with room for
+    /// `capacity` of them.
+    ///
+    /// # Panics
+    /// Panics if `width` is not in `1..=8`.
+    #[must_use]
+    pub fn with_capacity(width: u8, capacity: usize) -> Self {
+        let mut packed = Self::with_width(width);
+        packed.data.reserve_exact(capacity * width as usize);
+        packed
+    }
+
     /// Builds a packed array from `values`, choosing the smallest width that
     /// fits `max_value` (values must not exceed it).
     #[must_use]

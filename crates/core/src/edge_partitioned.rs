@@ -20,7 +20,7 @@ use aplus_graph::Graph;
 
 use crate::error::IndexError;
 use crate::list::OffsetList;
-use crate::offsets::{OffsetCsr, OffsetEntry};
+use crate::offsets::{Levels, OffsetCsr, OffsetEntry};
 use crate::primary::{PrimaryIndex, PrimaryIndexes};
 use crate::spec::{Direction, IndexSpec};
 use crate::view::{TwoHopOrientation, TwoHopView};
@@ -38,16 +38,12 @@ pub struct EdgePartitionedIndex {
 impl EdgePartitionedIndex {
     /// Builds the index over the current graph. `primary` must be the
     /// primary index in [`TwoHopOrientation::primary_direction`].
-    ///
-    /// Creation parallelizes over bound-edge pages when `threads > 1`
-    /// (the paper creates edge-partitioned indexes with 16 threads, §V-A).
     pub fn build(
         graph: &Graph,
         primary: &PrimaryIndex,
         name: &str,
         view: TwoHopView,
         spec: IndexSpec,
-        threads: usize,
     ) -> Result<Self, IndexError> {
         assert_eq!(
             primary.direction(),
@@ -58,26 +54,16 @@ impl EdgePartitionedIndex {
         view.predicate.validate_two_hop()?;
         let widths = spec.snapshot_widths(graph.catalog());
         let owner_count = graph.edge_count();
-
-        let entries = if threads > 1 && owner_count > 1024 {
-            build_entries_parallel(graph, primary, &view, &spec, &widths, threads)
-        } else {
-            let mut out = Vec::new();
-            for (eb, src, dst, _) in graph.edges() {
-                entries_for_bound_edge(
-                    graph, primary, &view, &spec, &widths, eb, src, dst, &mut out,
-                );
-            }
-            out
-        };
-
         let pcsr = primary.csr();
-        let orientation = view.orientation;
-        let csr = OffsetCsr::build(owner_count, widths.clone(), entries, |g| {
+        let csr = OffsetCsr::build(
+            owner_count,
+            widths.clone(),
+            Levels::Own,
             // Longest anchor region among the bound edges of this 64-edge
             // group fixes the offset byte width.
-            max_anchor_region(graph, pcsr, orientation, g, owner_count) + 1
-        });
+            |g| max_anchor_region(graph, pcsr, view.orientation, g, owner_count) + 1,
+            |eb, out| entries_for_bound_edge(graph, primary, &view, &spec, &widths, eb, out),
+        );
         Ok(Self {
             name: name.to_owned(),
             view,
@@ -142,8 +128,12 @@ impl EdgePartitionedIndex {
         if anchor >= primary.csr().owner_count() {
             return OffsetList::empty();
         }
-        self.csr
-            .list(eb.index(), prefix, primary.csr().region(anchor))
+        self.csr.list(
+            Levels::Own,
+            eb.index(),
+            prefix,
+            primary.csr().region(anchor),
+        )
     }
 
     /// Maintenance for an inserted edge `e` (§IV-C): two delta queries.
@@ -161,7 +151,7 @@ impl EdgePartitionedIndex {
         if e.index() >= self.csr.owner_count() {
             let pcsr = primary.csr();
             let owner_count = graph.edge_count();
-            self.csr.grow_owners(owner_count, |g| {
+            self.csr.grow_owners(Levels::Own, owner_count, |g| {
                 max_anchor_region(graph, pcsr, orientation, g, owner_count) + 1
             });
         }
@@ -185,11 +175,18 @@ impl EdgePartitionedIndex {
             let sort = self.spec.sort_val(graph, e, e_nbr);
             let spec = &self.spec;
             let anchor = e_owner;
-            self.csr
-                .insert(eb.index(), slot, sort, e.raw(), e_nbr.raw(), |off| {
+            self.csr.insert(
+                Levels::Own,
+                eb.index(),
+                slot,
+                sort,
+                e.raw(),
+                e_nbr.raw(),
+                |off| {
                     let (edge, n) = primary.csr().region_entry(anchor.index(), off as usize);
                     spec.sort_val(graph, edge, n)
-                });
+                },
+            );
         }
 
         // Delta 2: e as bound edge — scan the anchor's current adjacency.
@@ -215,11 +212,18 @@ impl EdgePartitionedIndex {
             };
             let sort = self.spec.sort_val(graph, eadj, nbr);
             let spec = &self.spec;
-            self.csr
-                .insert(e.index(), slot, sort, eadj.raw(), nbr.raw(), |off| {
+            self.csr.insert(
+                Levels::Own,
+                e.index(),
+                slot,
+                sort,
+                eadj.raw(),
+                nbr.raw(),
+                |off| {
                     let (edge, n) = primary.csr().region_entry(anchor.index(), off as usize);
                     spec.sort_val(graph, edge, n)
-                });
+                },
+            );
         }
     }
 
@@ -238,7 +242,7 @@ impl EdgePartitionedIndex {
                 .collect();
             for t in targets {
                 let region = primary.csr().region(anchor.index());
-                self.csr.delete(e.index(), t, region);
+                self.csr.delete(Levels::Own, e.index(), t, region);
             }
         }
         // e inside other bound lists.
@@ -248,7 +252,7 @@ impl EdgePartitionedIndex {
                 continue;
             }
             let region = primary.csr().region(e_owner.index());
-            self.csr.delete(eb.index(), e.raw(), region);
+            self.csr.delete(Levels::Own, eb.index(), e.raw(), region);
         }
     }
 
@@ -258,37 +262,11 @@ impl EdgePartitionedIndex {
         let orientation = self.view.orientation;
         let owner_count = self.csr.owner_count();
         let max_off = max_anchor_region(graph, primary.csr(), orientation, group, owner_count) + 1;
-        let view = &self.view;
-        let spec = &self.spec;
-        let widths = &self.widths;
-        self.csr.rebuild_group(group, max_off, |eb_raw| {
-            let eb = EdgeId(u64::from(eb_raw));
-            let mut out = Vec::new();
-            let Ok((src, dst)) = graph.edge_endpoints(eb) else {
-                return out;
-            };
-            if graph.edge_is_deleted(eb) {
-                return out;
-            }
-            let anchor = orientation.anchor(src, dst);
-            for (off, eadj, nbr, deleted) in primary.csr().region_entries(anchor.index()) {
-                if deleted || eadj == eb {
-                    continue;
-                }
-                if !view.predicate.eval_two_hop(graph, eb, eadj, nbr) {
-                    continue;
-                }
-                let Some(slot) = spec.slot_of(graph, widths, eadj, nbr) else {
-                    continue;
-                };
-                out.push((
-                    slot,
-                    spec.sort_val(graph, eadj, nbr),
-                    u32::try_from(off).expect("offsets fit u32"),
-                ));
-            }
-            out
-        });
+        let (view, spec, widths) = (&self.view, &self.spec, &self.widths);
+        self.csr
+            .rebuild_group(Levels::Own, group, max_off, |eb, out| {
+                entries_for_bound_edge(graph, primary, view, spec, widths, eb, out);
+            });
     }
 
     /// Whether any page buffer exceeds `threshold`.
@@ -368,18 +346,25 @@ fn max_anchor_region(
         .unwrap_or(0)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Appends the entries of bound edge `eb`'s list to `out`: the live
+/// entries of its anchor's merged primary region, other than `eb` itself,
+/// that the view accepts with `eb`. The one generator of build and rebuild.
 fn entries_for_bound_edge(
     graph: &Graph,
     primary: &PrimaryIndex,
     view: &TwoHopView,
     spec: &IndexSpec,
     widths: &[u32],
-    eb: EdgeId,
-    src: VertexId,
-    dst: VertexId,
+    eb: u32,
     out: &mut Vec<OffsetEntry>,
 ) {
+    let eb = EdgeId(u64::from(eb));
+    let Ok((src, dst)) = graph.edge_endpoints(eb) else {
+        return;
+    };
+    if graph.edge_is_deleted(eb) {
+        return;
+    }
     let anchor = view.orientation.anchor(src, dst);
     for (off, eadj, nbr, deleted) in primary.csr().region_entries(anchor.index()) {
         if deleted || eadj == eb {
@@ -392,46 +377,11 @@ fn entries_for_bound_edge(
             continue;
         };
         out.push(OffsetEntry {
-            owner: u32::try_from(eb.raw()).expect("edge owners fit u32 in-memory"),
             slot,
             sort: spec.sort_val(graph, eadj, nbr),
             offset: u32::try_from(off).expect("offsets fit u32"),
         });
     }
-}
-
-/// Builds the offset entries morsel-parallel on the workspace's shared
-/// parallelism substrate ([`aplus_runtime::MorselPool`]). Morsels are
-/// contiguous bound-edge ranges and partial results concatenate in morsel
-/// order, so the entry sequence is identical to the sequential build.
-fn build_entries_parallel(
-    graph: &Graph,
-    primary: &PrimaryIndex,
-    view: &TwoHopView,
-    spec: &IndexSpec,
-    widths: &[u32],
-    threads: usize,
-) -> Vec<OffsetEntry> {
-    let pool = aplus_runtime::MorselPool::new(threads);
-    let edge_count = graph.edge_count();
-    let morsel = aplus_runtime::scan_morsel_size(edge_count, pool.threads(), 4096);
-    pool.run_ranges(edge_count, morsel, |range| {
-        let mut out = Vec::new();
-        for i in range {
-            let eb = EdgeId(i as u64);
-            if graph.edge_is_deleted(eb) {
-                continue;
-            }
-            let Ok((src, dst)) = graph.edge_endpoints(eb) else {
-                continue;
-            };
-            entries_for_bound_edge(graph, primary, view, spec, widths, eb, src, dst, &mut out);
-        }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 #[cfg(test)]
@@ -487,7 +437,6 @@ mod tests {
             IndexSpec::default()
                 .with_partitioning(vec![crate::spec::PartitionKey::EdgeLabel])
                 .with_sort(vec![SortKey::NbrProp(city)]),
-            1,
         )
         .unwrap();
         (g, p, fg, ep)
@@ -534,38 +483,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, IndexError::RedundantTwoHopView);
         let _ = p;
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let (g, p, _, ep_seq) = fixture();
-        let city = g
-            .catalog()
-            .property(PropertyEntity::Vertex, "city")
-            .unwrap();
-        let ep_par = EdgePartitionedIndex::build(
-            &g,
-            p.index(Direction::Fwd),
-            "MoneyFlowPar",
-            money_flow_view(&g),
-            IndexSpec::default()
-                .with_partitioning(vec![crate::spec::PartitionKey::EdgeLabel])
-                .with_sort(vec![SortKey::NbrProp(city)]),
-            4,
-        )
-        .unwrap();
-        assert_eq!(ep_seq.entry_count(), ep_par.entry_count());
-        for i in 0..g.edge_count() as u64 {
-            let a: Vec<_> = ep_seq
-                .list(&g, p.index(Direction::Fwd), EdgeId(i), &[])
-                .iter()
-                .collect();
-            let b: Vec<_> = ep_par
-                .list(&g, p.index(Direction::Fwd), EdgeId(i), &[])
-                .iter()
-                .collect();
-            assert_eq!(a, b, "bound edge e{i}");
-        }
     }
 
     #[test]
@@ -631,6 +548,58 @@ mod tests {
         // t17 alone appears in ≥2 lists, so pairs > distinct edges is
         // possible; just sanity-check the count is the sum of list lengths.
         assert!(ep.entry_count() > 0);
+    }
+
+    /// Source-BW (forward edges of the source) over `eb.amt >= eadj.amt`:
+    /// every bound edge lies in its anchor's region and passes the
+    /// predicate with itself, yet no list holds its own bound edge — after
+    /// the build and after rebuilds.
+    #[test]
+    fn bound_edge_never_lists_itself() {
+        let (mut g, mut p, fg, _) = fixture();
+        let amt = g.catalog().property(PropertyEntity::Edge, "amt").unwrap();
+        let view = TwoHopView::new(
+            TwoHopOrientation::SrcBw,
+            ViewPredicate::all_of(vec![ViewComparison::new(
+                ViewOperand::Prop(ViewEntity::BoundEdge, amt),
+                CmpOp::Ge,
+                ViewOperand::Prop(ViewEntity::AdjEdge, amt),
+            )]),
+        )
+        .unwrap();
+        let primary = p.index(Direction::Fwd);
+        let mut ep =
+            EdgePartitionedIndex::build(&g, primary, "Self", view, IndexSpec::default_primary())
+                .unwrap();
+        let check = |ep: &EdgePartitionedIndex, g: &aplus_graph::Graph, p: &PrimaryIndexes| {
+            for (eb, src, _, _) in g.edges() {
+                let list = ep.list(g, p.index(Direction::Fwd), eb, &[]);
+                let mut got: Vec<EdgeId> = list.iter().map(|(e, _)| e).collect();
+                let mut want: Vec<EdgeId> = g
+                    .edges()
+                    .filter(|&(e, s, _, _)| {
+                        let amts = (g.edge_prop(eb, amt), g.edge_prop(e, amt));
+                        s == src && e != eb && matches!(amts, (Some(a), Some(b)) if a >= b)
+                    })
+                    .map(|(e, ..)| e)
+                    .collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "bound edge {eb}");
+            }
+        };
+        check(&ep, &g, &p);
+        let e = g.add_edge(fg.accounts[0], fg.accounts[2], "W").unwrap();
+        g.set_edge_prop(e, amt, aplus_graph::Value::Int(150))
+            .unwrap();
+        p.index_mut(Direction::Fwd).insert_edge(&g, e);
+        p.index_mut(Direction::Bwd).insert_edge(&g, e);
+        ep.insert_edge(&g, &p, e);
+        p.index_mut(Direction::Fwd).csr_mut().merge_all();
+        for group in 0..ep.page_count() {
+            ep.rebuild_group(&g, p.index(Direction::Fwd), group);
+        }
+        check(&ep, &g, &p);
     }
 
     #[test]

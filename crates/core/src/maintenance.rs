@@ -11,30 +11,14 @@
 //! indexes store *offsets* into primary regions, merging a primary page
 //! invalidates the offsets of every secondary list over the same owners.
 //! The store therefore consolidates at a *flush barrier*: when any page
-//! buffer reaches [`MaintenanceConfig::buffer_threshold`], all dirty
+//! buffer reaches [`BUFFER_THRESHOLD`] entries, all dirty
 //! primary pages merge first, then the secondary pages over the changed
 //! owner groups are rebuilt from the merged primaries. This keeps the
 //! amortized cost profile the paper measures (vertex-partitioned
 //! maintenance ≫ faster than edge-partitioned) while guaranteeing offsets
 //! are never stale.
 
-/// Tunables for the update-buffer machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaintenanceConfig {
-    /// Page-buffer capacity that triggers a flush. The paper does not give
-    /// a number; 64 pending entries per 64-owner page keeps buffers a small
-    /// constant factor of page size.
-    pub buffer_threshold: usize,
-    /// Threads used when (re)building edge-partitioned indexes (§V-A uses
-    /// 16 for index creation).
-    pub ep_build_threads: usize,
-}
-
-impl Default for MaintenanceConfig {
-    fn default() -> Self {
-        Self {
-            buffer_threshold: 64,
-            ep_build_threads: 1,
-        }
-    }
-}
+/// Page-buffer capacity that triggers a flush. The paper does not give a
+/// number; 64 pending entries per 64-owner page keeps buffers a small
+/// constant factor of page size.
+pub const BUFFER_THRESHOLD: usize = 64;

@@ -136,8 +136,10 @@ impl NestedCsr {
             let slot_count = owners_in_page * slots_per_owner as usize;
             let mut slot_offsets = Vec::with_capacity(slot_count + 1);
             slot_offsets.push(0u32);
-            let mut edge_ids = Vec::new();
-            let mut nbr_ids = Vec::new();
+            let in_page =
+                entries[cursor..].partition_point(|e| (e.owner as usize) < (g + 1) * GROUP_SIZE);
+            let mut edge_ids = Vec::with_capacity(in_page);
+            let mut nbr_ids = Vec::with_capacity(in_page);
             for local in 0..owners_in_page {
                 let owner = (g * GROUP_SIZE + local) as u32;
                 for slot in 0..slots_per_owner {
@@ -282,6 +284,12 @@ impl NestedCsr {
         }
         let span: u32 = self.widths[prefix.len()..].iter().product::<u32>().max(1);
         (base * span, span)
+    }
+
+    /// The slot bounds of `group`'s page: `owners_in_page * slots_per_owner
+    /// + 1` positions into its merged ID arrays.
+    pub(crate) fn slot_offsets(&self, group: usize) -> &[u32] {
+        &self.pages[group].slot_offsets
     }
 
     /// Absolute (within-page) ID-array range of one flattened slot.
@@ -623,7 +631,7 @@ fn owners_in_group(owner_count: usize, group: usize) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sortkey::{encode_component, SortVal, MAX_SORT_KEYS};
 
@@ -838,5 +846,30 @@ mod tests {
     fn memory_accounting_positive() {
         let csr = small();
         assert!(csr.memory_bytes() > 0);
+    }
+
+    /// Owner `o` of 130 holds `o % 7` edges over two slots: three pages of
+    /// uneven, non-power-of-two sizes.
+    pub(crate) fn uneven() -> NestedCsr {
+        let entries = (0..130u32).flat_map(|o| {
+            (0..o % 7).map(move |k| entry(o, k % 2, i64::from(k), u64::from(o * 8 + k), k))
+        });
+        NestedCsr::build(130, vec![2], entries.collect())
+    }
+
+    #[test]
+    fn memory_after_build_is_what_the_lists_need() {
+        let csr = uneven();
+        let by_len: usize = csr
+            .pages
+            .iter()
+            .map(|p| {
+                p.edge_ids.len() * 8
+                    + p.nbr_ids.len() * 4
+                    + p.slot_offsets.len() * 4
+                    + p.deleted.len().div_ceil(64) * 8
+            })
+            .sum();
+        assert_eq!(csr.memory_bytes(), by_len);
     }
 }

@@ -13,7 +13,7 @@ use aplus_graph::Graph;
 
 use crate::edge_partitioned::{bound_edges_anchored_at, EdgePartitionedIndex};
 use crate::error::IndexError;
-use crate::maintenance::MaintenanceConfig;
+use crate::maintenance::BUFFER_THRESHOLD;
 use crate::primary::{MaintenanceOutcome, PrimaryIndexes};
 use crate::spec::{Direction, IndexSpec};
 use crate::vertex_partitioned::VertexPartitionedIndex;
@@ -57,7 +57,6 @@ pub struct IndexStore {
     primary: Arc<PrimaryIndexes>,
     vertex_indexes: Vec<Arc<VertexPartitionedIndex>>,
     edge_indexes: Vec<Arc<EdgePartitionedIndex>>,
-    config: MaintenanceConfig,
 }
 
 impl IndexStore {
@@ -72,13 +71,7 @@ impl IndexStore {
             primary: Arc::new(PrimaryIndexes::build(graph, spec)?),
             vertex_indexes: Vec::new(),
             edge_indexes: Vec::new(),
-            config: MaintenanceConfig::default(),
         })
-    }
-
-    /// Replaces the maintenance configuration.
-    pub fn set_maintenance_config(&mut self, config: MaintenanceConfig) {
-        self.config = config;
     }
 
     /// The primary index pair.
@@ -176,14 +169,7 @@ impl IndexStore {
             return Err(IndexError::DuplicateIndexName(name.to_owned()));
         }
         let primary = self.primary.index(view.orientation.primary_direction());
-        let idx = EdgePartitionedIndex::build(
-            graph,
-            primary,
-            name,
-            view,
-            spec,
-            self.config.ep_build_threads,
-        )?;
+        let idx = EdgePartitionedIndex::build(graph, primary, name, view, spec)?;
         self.edge_indexes.push(Arc::new(idx));
         Ok(())
     }
@@ -251,7 +237,7 @@ impl IndexStore {
     }
 
     fn maybe_flush(&mut self, graph: &Graph) {
-        let t = self.config.buffer_threshold;
+        let t = BUFFER_THRESHOLD;
         let full = self.primary.index(Direction::Fwd).any_buffer_full(t)
             || self.primary.index(Direction::Bwd).any_buffer_full(t)
             || self.vertex_indexes.iter().any(|i| i.any_buffer_full(t))
@@ -368,14 +354,7 @@ impl IndexStore {
             .collect();
         for (name, view, spec) in edge_defs {
             let primary = self.primary.index(view.orientation.primary_direction());
-            let idx = EdgePartitionedIndex::build(
-                graph,
-                primary,
-                &name,
-                view,
-                spec,
-                self.config.ep_build_threads,
-            )?;
+            let idx = EdgePartitionedIndex::build(graph, primary, &name, view, spec)?;
             self.edge_indexes.push(Arc::new(idx));
         }
         Ok(())
@@ -787,6 +766,20 @@ mod tests {
             unshared(&store, Direction::Bwd),
             groups([dst.index(), gone_dst.index()])
         );
+        // Rebuilding every secondary page again reproduces each one, so
+        // every page stays shared with the flushed head.
+        let flushed = store.clone();
+        let fwd = flushed.primary().index(Direction::Fwd);
+        let vp = Arc::make_mut(&mut store.vertex_indexes[0]);
+        (0..fwd.csr().page_count()).for_each(|grp| vp.rebuild_group(&g, fwd, grp));
+        let ep = Arc::make_mut(&mut store.edge_indexes[0]);
+        (0..ep.page_count()).for_each(|grp| ep.rebuild_group(&g, fwd, grp));
+        assert!(store.vertex_indexes[0]
+            .unshared_pages(&flushed.vertex_indexes[0])
+            .is_empty());
+        assert!(store.edge_indexes[0]
+            .unshared_pages(&flushed.edge_indexes[0])
+            .is_empty());
 
         // A reconfigure swaps in fresh artifacts; the clone keeps the old
         // ones untouched (rebuild-and-swap, never mutate-in-place).

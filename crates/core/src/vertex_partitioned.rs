@@ -4,80 +4,29 @@
 //! edges with predicates on the edge and/or its endpoint vertices — and
 //! partitions it like a primary index: by vertex ID, then by the index's
 //! own nested criteria, sorted by its own criteria. Physically the lists
-//! are **offset lists** (§III-B3) in one of two layouts:
+//! are **offset lists** (§III-B3) in an [`OffsetCsr`], whose slot bounds
+//! come from one of two places, chosen once at build:
 //!
-//! * [`VpStorage::Shared`] — the view has *no predicate* and the *same
-//!   partitioning* as the primary index; only the sort differs. The index
-//!   then reuses the primary's CSR partitioning levels outright and stores
-//!   nothing but one re-sorted offset array per page (the paper's VPt
-//!   configuration: 1.08× total memory for a full second index).
-//! * [`VpStorage::Own`] — predicates or different partitioning mean the
-//!   innermost lists differ from the primary's, so the index stores its own
-//!   (smaller) partitioning levels plus offset lists (the paper's
+//! * the primary's ([`Levels::Primary`]) — the view has *no predicate* and
+//!   the *same partitioning* as the primary index; only the sort differs.
+//!   The index then reuses the primary's CSR partitioning levels outright
+//!   and stores nothing but one re-sorted offset array per page (the
+//!   paper's VPt configuration: 1.08× total memory for a full second
+//!   index).
+//! * its own ([`Levels::Own`]) — predicates or different partitioning mean
+//!   the innermost lists differ from the primary's, so the index stores its
+//!   own (smaller) partitioning levels plus offset lists (the paper's
 //!   LargeUSDTrnx example and the VPc configuration).
-//!
-//! Both layouts share their pages behind `Arc`s: a write unshares only the
-//! page it changes.
 
-use std::sync::Arc;
-
-use aplus_common::{byte_width_for, Bitmap, EdgeId, PackedUints, VertexId, GROUP_SIZE};
+use aplus_common::{EdgeId, VertexId};
 use aplus_graph::Graph;
 
 use crate::error::IndexError;
-use crate::list::{OffsetList, Splice};
-use crate::nested_csr::{NestedCsr, Region};
-use crate::offsets::{OffsetCsr, OffsetEntry};
+use crate::list::OffsetList;
+use crate::offsets::{Levels, OffsetCsr, OffsetEntry};
 use crate::primary::PrimaryIndex;
-use crate::sortkey::SortVal;
 use crate::spec::{Direction, IndexSpec};
 use crate::view::OneHopView;
-
-/// A buffered ID-based entry for the shared-levels layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SharedBuffered {
-    owner_in_page: u32,
-    slot: u32,
-    sort: SortVal,
-    edge: u64,
-    nbr: u32,
-    /// Secondary position (absolute within page) this sorts before.
-    merge_pos: u32,
-}
-
-/// One page of the shared-levels layout: a packed offset array positionally
-/// aligned with the primary page's merged ID arrays (same slot boundaries).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct SharedPage {
-    offsets: PackedUints,
-    deleted: Bitmap,
-    buffer: Vec<SharedBuffered>,
-}
-
-impl SharedPage {
-    /// Live entries: merged minus tombstoned, plus buffered.
-    fn entry_count(&self) -> usize {
-        self.offsets.len() - self.deleted.count_ones() + self.buffer.len()
-    }
-}
-
-/// Shared-levels offset storage.
-#[derive(Debug, Clone, Default)]
-pub struct SharedOffsets {
-    pages: Vec<Arc<SharedPage>>,
-    /// Live entries across all pages, kept by every mutation so the
-    /// optimizer's size estimate reads it without touching the pages.
-    entry_count: usize,
-}
-
-/// Physical layout of a vertex-partitioned index.
-#[derive(Debug, Clone)]
-pub enum VpStorage {
-    /// Reuses the primary's partitioning levels (§III-B3 case 1).
-    Shared(SharedOffsets),
-    /// Own partitioning levels + offset lists (§III-B3 case 2).
-    Own(OffsetCsr),
-}
 
 /// A secondary vertex-partitioned A+ index in one direction.
 #[derive(Debug, Clone)]
@@ -87,12 +36,14 @@ pub struct VertexPartitionedIndex {
     view: OneHopView,
     spec: IndexSpec,
     widths: Vec<u32>,
-    storage: VpStorage,
+    /// Whether the slot bounds are the primary's (§III-B3 case 1).
+    shares_levels: bool,
+    csr: OffsetCsr,
 }
 
 impl VertexPartitionedIndex {
-    /// Builds the index over the current graph, choosing the storage layout
-    /// per §III-B3: shared levels iff the view has no predicate and the
+    /// Builds the index over the current graph, choosing the levels per
+    /// §III-B3: the primary's iff the view has no predicate and the
     /// partitioning equals the primary's.
     pub fn build(
         graph: &Graph,
@@ -108,30 +59,32 @@ impl VertexPartitionedIndex {
             "primary index direction must match"
         );
         spec.validate(graph.catalog())?;
+        let pcsr = primary.csr();
         let shares_levels =
             view.predicate.is_trivial() && spec.partitioning == primary.spec().partitioning;
-        if shares_levels {
-            let storage = SharedOffsets::build(graph, primary, &spec);
-            Ok(Self {
-                name: name.to_owned(),
-                direction,
-                view,
-                widths: primary.widths().to_vec(),
-                spec,
-                storage: VpStorage::Shared(storage),
-            })
+        let (owner_count, widths, levels) = if shares_levels {
+            let widths = primary.widths().to_vec();
+            (pcsr.owner_count(), widths, Levels::Primary(pcsr))
         } else {
             let widths = spec.snapshot_widths(graph.catalog());
-            let csr = build_own(graph, primary, &view, &spec, &widths);
-            Ok(Self {
-                name: name.to_owned(),
-                direction,
-                view,
-                spec,
-                widths,
-                storage: VpStorage::Own(csr),
-            })
-        }
+            (graph.vertex_count(), widths, Levels::Own)
+        };
+        let csr = OffsetCsr::build(
+            owner_count,
+            widths.clone(),
+            levels,
+            |g| pcsr.max_region_len_in_group(g) as u64 + 1,
+            generator(graph, primary, &view, &spec, &widths, levels),
+        );
+        Ok(Self {
+            name: name.to_owned(),
+            direction,
+            view,
+            spec,
+            widths,
+            shares_levels,
+            csr,
+        })
     }
 
     /// Index name.
@@ -161,7 +114,16 @@ impl VertexPartitionedIndex {
     /// Whether the index shares the primary's partitioning levels.
     #[must_use]
     pub fn shares_levels(&self) -> bool {
-        matches!(self.storage, VpStorage::Shared(_))
+        self.shares_levels
+    }
+
+    /// The levels this index's slot bounds come from.
+    fn levels<'p>(&self, primary: &'p PrimaryIndex) -> Levels<'p> {
+        if self.shares_levels {
+            Levels::Primary(primary.csr())
+        } else {
+            Levels::Own
+        }
     }
 
     /// The partition widths in effect (primary's when shared).
@@ -174,23 +136,20 @@ impl VertexPartitionedIndex {
     /// index's sort criteria (the prefix pins at most one non-empty slot).
     #[must_use]
     pub fn range_sorted(&self, primary: &PrimaryIndex, prefix: &[u32]) -> bool {
-        match &self.storage {
-            // Shared layout mirrors the primary's slot occupancy exactly.
-            VpStorage::Shared(_) => primary.range_sorted(prefix),
-            VpStorage::Own(csr) => csr.span_sorted(prefix),
+        if self.shares_levels {
+            // Shared levels mirror the primary's slot occupancy exactly.
+            primary.range_sorted(prefix)
+        } else {
+            self.csr.span_sorted(prefix)
         }
     }
 
-    /// Number of indexed edges.
+    /// Number of indexed edges. The count is the index's own; `primary` is
+    /// not read.
     #[must_use]
     pub fn entry_count(&self, primary: &PrimaryIndex) -> usize {
-        match &self.storage {
-            VpStorage::Shared(s) => s.entry_count(),
-            VpStorage::Own(csr) => {
-                let _ = primary;
-                csr.entry_count()
-            }
-        }
+        let _ = primary;
+        self.csr.entry_count()
     }
 
     /// The indexed adjacency list of `owner` under a partition-code
@@ -208,10 +167,8 @@ impl VertexPartitionedIndex {
             return OffsetList::empty();
         }
         let region = csr.region(owner.index());
-        match &self.storage {
-            VpStorage::Shared(s) => s.list(csr, owner.index(), prefix, region),
-            VpStorage::Own(own) => own.list(owner.index(), prefix, region),
-        }
+        self.csr
+            .list(self.levels(primary), owner.index(), prefix, region)
     }
 
     /// Inserts edge `e` if it satisfies the view predicate. The caller must
@@ -222,94 +179,55 @@ impl VertexPartitionedIndex {
         if !self.view.predicate.eval_one_hop(graph, e, src, dst) {
             return;
         }
-        let owner = self.direction.owner(src, dst);
+        let owner = self.direction.owner(src, dst).index();
         let nbr = self.direction.neighbour(src, dst);
-        let sort = self.spec.sort_val(graph, e, nbr);
-        match &mut self.storage {
-            VpStorage::Shared(s) => {
-                // Shared layout: the slot comes from the primary's spec
-                // (identical partitioning by construction).
-                let Some(slot) = primary.spec().slot_of(graph, primary.widths(), e, nbr) else {
-                    return; // domain grew; store triggers a rebuild
-                };
-                s.insert(
-                    graph,
-                    primary,
-                    &self.spec,
-                    owner,
-                    slot,
-                    sort,
-                    e.raw(),
-                    nbr.raw(),
-                );
-            }
-            VpStorage::Own(csr) => {
-                if owner.index() >= csr.owner_count() {
-                    let pcsr = primary.csr();
-                    csr.grow_owners(graph.vertex_count(), |g| {
-                        pcsr.max_region_len_in_group(g) as u64 + 1
-                    });
-                }
-                let Some(slot) = self.spec.slot_of(graph, &self.widths, e, nbr) else {
-                    return;
-                };
-                let spec = &self.spec;
-                csr.insert(owner.index(), slot, sort, e.raw(), nbr.raw(), |off| {
-                    let (edge, n) = primary.csr().region_entry(owner.index(), off as usize);
-                    spec.sort_val(graph, edge, n)
-                });
-            }
+        let levels = self.levels(primary);
+        let pcsr = primary.csr();
+        if owner >= self.csr.owner_count() {
+            self.csr.grow_owners(levels, graph.vertex_count(), |g| {
+                pcsr.max_region_len_in_group(g) as u64 + 1
+            });
         }
+        let Some(slot) = self.spec.slot_of(graph, &self.widths, e, nbr) else {
+            return; // domain grew; the store rebuilds
+        };
+        let sort = self.spec.sort_val(graph, e, nbr);
+        let spec = &self.spec;
+        self.csr
+            .insert(levels, owner, slot, sort, e.raw(), nbr.raw(), |off| {
+                let (edge, n) = pcsr.region_entry(owner, off as usize);
+                spec.sort_val(graph, edge, n)
+            });
     }
 
     /// Removes edge `e` (tombstone or buffered removal).
     pub fn delete_edge(&mut self, graph: &Graph, primary: &PrimaryIndex, e: EdgeId) -> bool {
         let (src, dst) = graph.edge_endpoints(e).expect("edge exists");
-        let owner = self.direction.owner(src, dst);
-        match &mut self.storage {
-            VpStorage::Shared(s) => s.delete(primary, owner, e.raw()),
-            VpStorage::Own(csr) => {
-                csr.delete(owner.index(), e.raw(), primary.csr().region(owner.index()))
-            }
-        }
+        let owner = self.direction.owner(src, dst).index();
+        let region = primary.csr().region(owner);
+        self.csr
+            .delete(self.levels(primary), owner, e.raw(), region)
     }
 
-    /// Rebuilds the pages for one 64-vertex group after the primary's page
+    /// Rebuilds the page of one 64-vertex group after the primary's page
     /// merged (offsets into its regions went stale).
     pub fn rebuild_group(&mut self, graph: &Graph, primary: &PrimaryIndex, group: usize) {
-        match &mut self.storage {
-            VpStorage::Shared(s) => s.rebuild_group(graph, primary, &self.spec, group),
-            VpStorage::Own(csr) => {
-                let max_off = primary.csr().max_region_len_in_group(group) as u64 + 1;
-                let view = &self.view;
-                let spec = &self.spec;
-                let widths = &self.widths;
-                let dir = self.direction;
-                csr.rebuild_group(group, max_off, |owner| {
-                    own_entries_for_owner(graph, primary, view, spec, widths, dir, owner)
-                        .map(|e| (e.slot, e.sort, e.offset))
-                        .collect()
-                });
-            }
-        }
+        let levels = self.levels(primary);
+        let max_off = primary.csr().max_region_len_in_group(group) as u64 + 1;
+        let gen = generator(graph, primary, &self.view, &self.spec, &self.widths, levels);
+        self.csr.rebuild_group(levels, group, max_off, gen);
     }
 
     /// Whether any page buffer exceeds `threshold` entries.
     #[must_use]
     pub fn any_buffer_full(&self, threshold: usize) -> bool {
-        match &self.storage {
-            VpStorage::Shared(s) => s.pages.iter().any(|p| p.buffer.len() >= threshold),
-            VpStorage::Own(csr) => (0..csr.page_count()).any(|g| csr.buffer_len(g) >= threshold),
-        }
+        (0..self.csr.page_count()).any(|g| self.csr.buffer_len(g) >= threshold)
     }
 
     /// Heap bytes.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        match &self.storage {
-            VpStorage::Shared(s) => s.memory_bytes(),
-            VpStorage::Own(csr) => csr.memory_bytes(),
-        }
+        self.csr.memory_bytes()
     }
 
     /// Bytes of the packed offset lists only, excluding partitioning
@@ -317,29 +235,59 @@ impl VertexPartitionedIndex {
     /// 12-byte ID pairs and one-bit bitmap entries.
     #[must_use]
     pub fn list_bytes(&self) -> usize {
-        match &self.storage {
-            VpStorage::Shared(s) => s.pages.iter().map(|p| p.offsets.memory_bytes()).sum(),
-            VpStorage::Own(csr) => csr.offset_bytes(),
-        }
+        self.csr.offset_bytes()
+    }
+
+    /// Indexes of the pages `self` does not share with `other`.
+    #[cfg(test)]
+    pub(crate) fn unshared_pages(&self, other: &Self) -> Vec<usize> {
+        self.csr.unshared_pages(&other.csr)
     }
 }
 
-/// Generates the own-storage entries of one owner by scanning its primary
-/// region and applying the view predicate.
-fn own_entries_for_owner<'a>(
+/// Appends one owner's entries to a buffer (see [`OffsetCsr::build`]).
+type EntryGen<'a> = Box<dyn FnMut(u32, &mut Vec<OffsetEntry>) + 'a>;
+
+/// The one entry generator of build and rebuild, chosen once per call by
+/// `levels`.
+///
+/// Under the primary's levels it yields every merged position of the
+/// owner's region, tombstoned or not, tagged with the primary's slot, so
+/// the slot bounds the page builder derives are the primary page's.
+/// Under its own levels it yields the live region entries the view
+/// accepts, slotted under the index's own widths.
+fn generator<'a>(
     graph: &'a Graph,
     primary: &'a PrimaryIndex,
     view: &'a OneHopView,
     spec: &'a IndexSpec,
     widths: &'a [u32],
-    direction: Direction,
-    owner: u32,
-) -> impl Iterator<Item = OffsetEntry> + 'a {
-    let owner_v = VertexId(owner);
-    primary
-        .csr()
-        .region_entries(owner as usize)
-        .filter_map(move |(off, edge, nbr, deleted)| {
+    levels: Levels<'a>,
+) -> EntryGen<'a> {
+    let pcsr = primary.csr();
+    if let Levels::Primary(_) = levels {
+        return Box::new(move |owner, out| {
+            let owner = owner as usize;
+            let region = pcsr.region(owner);
+            let start = pcsr.region_bounds(owner).1.start;
+            for slot in 0..pcsr.slots_per_owner() {
+                out.extend(pcsr.slot_bounds(owner, slot).map(|pos| {
+                    let off = pos - start;
+                    let (edge, nbr) = (EdgeId(region.edges[off]), VertexId(region.nbrs[off]));
+                    OffsetEntry {
+                        slot,
+                        sort: spec.sort_val(graph, edge, nbr),
+                        offset: u32::try_from(off).expect("region offsets fit u32"),
+                    }
+                }));
+            }
+        });
+    }
+    let direction = primary.direction();
+    Box::new(move |owner, out| {
+        let owner_v = VertexId(owner);
+        let entries = pcsr.region_entries(owner as usize);
+        out.extend(entries.filter_map(|(off, edge, nbr, deleted)| {
             if deleted {
                 return None;
             }
@@ -350,256 +298,13 @@ fn own_entries_for_owner<'a>(
             if !view.predicate.eval_one_hop(graph, edge, src, dst) {
                 return None;
             }
-            let slot = spec.slot_of(graph, widths, edge, nbr)?;
             Some(OffsetEntry {
-                owner,
-                slot,
+                slot: spec.slot_of(graph, widths, edge, nbr)?,
                 sort: spec.sort_val(graph, edge, nbr),
                 offset: u32::try_from(off).expect("region offsets fit u32"),
             })
-        })
-}
-
-fn build_own(
-    graph: &Graph,
-    primary: &PrimaryIndex,
-    view: &OneHopView,
-    spec: &IndexSpec,
-    widths: &[u32],
-) -> OffsetCsr {
-    let mut entries = Vec::new();
-    for owner in 0..graph.vertex_count() as u32 {
-        entries.extend(own_entries_for_owner(
-            graph,
-            primary,
-            view,
-            spec,
-            widths,
-            primary.direction(),
-            owner,
-        ));
-    }
-    let pcsr = primary.csr();
-    OffsetCsr::build(graph.vertex_count(), widths.to_vec(), entries, |g| {
-        pcsr.max_region_len_in_group(g) as u64 + 1
+        }));
     })
-}
-
-impl SharedOffsets {
-    fn build(graph: &Graph, primary: &PrimaryIndex, spec: &IndexSpec) -> Self {
-        let pages: Vec<SharedPage> = (0..primary.csr().page_count())
-            .map(|g| Self::build_page(graph, primary, spec, g))
-            .collect();
-        // Page headers back to back, after the arrays (see `NestedCsr::build`).
-        Self {
-            entry_count: pages.iter().map(SharedPage::entry_count).sum(),
-            pages: pages.into_iter().map(Arc::new).collect(),
-        }
-    }
-
-    fn rebuild_group(
-        &mut self,
-        graph: &Graph,
-        primary: &PrimaryIndex,
-        spec: &IndexSpec,
-        group: usize,
-    ) {
-        while self.pages.len() < primary.csr().page_count() {
-            self.pages.push(Arc::default());
-        }
-        if group >= self.pages.len() {
-            return;
-        }
-        let page = Self::build_page(graph, primary, spec, group);
-        // A rebuild that reproduces the page leaves it shared.
-        if *self.pages[group] != page {
-            self.entry_count =
-                self.entry_count - self.pages[group].entry_count() + page.offsets.len();
-            self.pages[group] = Arc::new(page);
-        }
-    }
-
-    /// The page of `group`: each slot's offsets re-sorted by `spec`.
-    fn build_page(
-        graph: &Graph,
-        primary: &PrimaryIndex,
-        spec: &IndexSpec,
-        group: usize,
-    ) -> SharedPage {
-        let csr = primary.csr();
-        let width = byte_width_for(csr.max_region_len_in_group(group) as u64 + 1);
-        let mut offsets = PackedUints::with_width(width);
-        let start_owner = group * GROUP_SIZE;
-        let end_owner = ((group + 1) * GROUP_SIZE).min(csr.owner_count());
-        for owner in start_owner..end_owner {
-            let (_, region) = csr.region_bounds(owner);
-            let region_start = region.start;
-            for slot in 0..csr.slots_per_owner() {
-                let bounds = csr.slot_bounds(owner, slot);
-                let mut entries: Vec<(SortVal, u32)> = bounds
-                    .map(|pos| {
-                        let off = (pos - region_start) as u32;
-                        let (edge, nbr) = csr.region_entry(owner, off as usize);
-                        (spec.sort_val(graph, edge, nbr), off)
-                    })
-                    .collect();
-                entries.sort_unstable();
-                for (_, off) in entries {
-                    offsets.push(u64::from(off));
-                }
-            }
-        }
-        SharedPage {
-            deleted: Bitmap::with_len(offsets.len(), false),
-            offsets,
-            buffer: Vec::new(),
-        }
-    }
-
-    fn entry_count(&self) -> usize {
-        debug_assert_eq!(
-            self.entry_count,
-            self.pages.iter().map(|p| p.entry_count()).sum::<usize>(),
-            "maintained entry count drifted from the pages"
-        );
-        self.entry_count
-    }
-
-    /// `owner`'s range of the shared page: the primary's own slot
-    /// boundaries, read through this index's re-sorted offsets.
-    fn list<'a>(
-        &'a self,
-        csr: &NestedCsr,
-        owner: usize,
-        prefix: &[u32],
-        region: Region<'a>,
-    ) -> OffsetList<'a> {
-        if prefix.iter().zip(csr.widths()).any(|(c, w)| c >= w) {
-            return OffsetList::empty();
-        }
-        let (g, range) = csr.range_abs(owner, prefix);
-        let Some(page) = self.pages.get(g) else {
-            return OffsetList::empty();
-        };
-        let (slot_lo, span) = csr.slot_span(prefix);
-        let local = (owner % GROUP_SIZE) as u32;
-        let splices: Vec<Splice> = page
-            .buffer
-            .iter()
-            .filter(|b| b.owner_in_page == local && b.slot >= slot_lo && b.slot < slot_lo + span)
-            .map(|b| (b.merge_pos, b.edge, b.nbr))
-            .collect();
-        OffsetList::read(&page.offsets, &page.deleted, range, &splices, region)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn insert(
-        &mut self,
-        graph: &Graph,
-        primary: &PrimaryIndex,
-        spec: &IndexSpec,
-        owner: VertexId,
-        slot: u32,
-        sort: SortVal,
-        edge: u64,
-        nbr: u32,
-    ) {
-        let csr = primary.csr();
-        let g = owner.index() / GROUP_SIZE;
-        while self.pages.len() <= g {
-            self.pages.push(Arc::default());
-        }
-        let bounds = csr.slot_bounds(owner.index(), slot);
-        let page = &self.pages[g];
-        // Binary search among this slot's secondary positions by sort key.
-        let mut a = bounds.start;
-        let mut b = bounds.end.min(page.offsets.len());
-        while a < b {
-            let mid = (a + b) / 2;
-            let off = page.offsets.get(mid) as u32;
-            let (e, n) = csr.region_entry(owner.index(), off as usize);
-            if spec.sort_val(graph, e, n) < sort {
-                a = mid + 1;
-            } else {
-                b = mid;
-            }
-        }
-        let entry = SharedBuffered {
-            owner_in_page: (owner.index() % GROUP_SIZE) as u32,
-            slot,
-            sort,
-            edge,
-            nbr,
-            merge_pos: a as u32,
-        };
-        let page = Arc::make_mut(&mut self.pages[g]);
-        let ins = page.buffer.partition_point(|e| {
-            // Slot is the middle tiebreak: empty slots collapse onto the
-            // same merged position, and slot order must win over sort-key
-            // order across slots.
-            (e.merge_pos, e.slot, e.sort) <= (entry.merge_pos, entry.slot, entry.sort)
-        });
-        page.buffer.insert(ins, entry);
-        self.entry_count += 1;
-    }
-
-    fn delete(&mut self, primary: &PrimaryIndex, owner: VertexId, edge: u64) -> bool {
-        let g = owner.index() / GROUP_SIZE;
-        let Some(page) = self.pages.get(g) else {
-            return false;
-        };
-        let local = (owner.index() % GROUP_SIZE) as u32;
-        if let Some(i) = page
-            .buffer
-            .iter()
-            .position(|b| b.owner_in_page == local && b.edge == edge)
-        {
-            Arc::make_mut(&mut self.pages[g]).buffer.remove(i);
-            self.entry_count -= 1;
-            return true;
-        }
-        let csr = primary.csr();
-        let (_, mut region) = csr.region_bounds(owner.index());
-        let Some(pos) = region.find(|&pos| {
-            pos < page.offsets.len()
-                && !page.deleted.get(pos)
-                && csr
-                    .region_entry(owner.index(), page.offsets.get(pos) as usize)
-                    .0
-                    .raw()
-                    == edge
-        }) else {
-            return false;
-        };
-        Arc::make_mut(&mut self.pages[g]).deleted.set(pos, true);
-        self.entry_count -= 1;
-        true
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.pages
-            .iter()
-            .map(|p| {
-                p.offsets.memory_bytes()
-                    + p.deleted.memory_bytes()
-                    + p.buffer.capacity() * std::mem::size_of::<SharedBuffered>()
-            })
-            .sum()
-    }
-}
-
-#[cfg(test)]
-impl VertexPartitionedIndex {
-    /// Indexes of the pages `self` does not share with `other`.
-    pub(crate) fn unshared_pages(&self, other: &Self) -> Vec<usize> {
-        match (&self.storage, &other.storage) {
-            (VpStorage::Shared(a), VpStorage::Shared(b)) => {
-                crate::nested_csr::unshared_pages(&a.pages, &b.pages)
-            }
-            (VpStorage::Own(a), VpStorage::Own(b)) => a.unshared_pages(b),
-            _ => panic!("different layouts share no pages"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -783,6 +488,53 @@ mod tests {
             .collect();
         assert_eq!(dates, vec![4, 10, 17, 20]);
         assert_eq!(vp.entry_count(p.index(Direction::Fwd)), 26);
+    }
+
+    /// Between the primary's page merge and this index's rebuild, the
+    /// primary's slot bounds run past the shared page's offsets: an insert
+    /// searches only the offsets the page holds, and the rebuild restores
+    /// the list.
+    #[test]
+    fn shared_insert_between_primary_merge_and_rebuild() {
+        let mut g = aplus_graph::Graph::new();
+        g.register_property(PropertyEntity::Edge, "t", aplus_graph::PropertyKind::Int)
+            .unwrap();
+        let t = g.catalog().property(PropertyEntity::Edge, "t").unwrap();
+        let (a, b) = (g.add_vertex("V"), g.add_vertex("V"));
+        let add = |g: &mut aplus_graph::Graph, time| {
+            let e = g.add_edge(a, b, "E").unwrap();
+            g.set_edge_prop(e, t, aplus_graph::Value::Int(time))
+                .unwrap();
+            e
+        };
+        add(&mut g, 30);
+        add(&mut g, 10);
+        let mut p = PrimaryIndexes::build_default(&g).unwrap();
+        let spec = IndexSpec::default_primary().with_sort(vec![SortKey::EdgeProp(t)]);
+        let view = OneHopView::new(ViewPredicate::always_true()).unwrap();
+        let mut vp = VertexPartitionedIndex::build(
+            &g,
+            p.index(Direction::Fwd),
+            "T",
+            Direction::Fwd,
+            view,
+            spec,
+        )
+        .unwrap();
+        assert!(vp.shares_levels());
+        for time in [20, 40] {
+            let e = add(&mut g, time);
+            p.index_mut(Direction::Fwd).insert_edge(&g, e);
+            vp.insert_edge(&g, p.index(Direction::Fwd), e);
+            p.index_mut(Direction::Fwd).csr_mut().merge_all();
+        }
+        vp.rebuild_group(&g, p.index(Direction::Fwd), 0);
+        let times: Vec<i64> = vp
+            .list(p.index(Direction::Fwd), a, &[])
+            .iter()
+            .map(|(e, _)| g.edge_prop(e, t).unwrap())
+            .collect();
+        assert_eq!(times, vec![10, 20, 30, 40]);
     }
 
     #[test]
