@@ -27,11 +27,12 @@ run() {
 # A plan is what runs: no FILTER operator, and the counted suffix is plan
 # data, derived once by the planner, never by the executor. Every secondary
 # index keeps its pages in one store (`OffsetCsr`), and the maintenance
-# knobs stay deleted.
+# knobs stay deleted. A count memoises its counted suffix in one store per
+# query (`CountMemo`); the per-block owner runs stay deleted.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts), no FILTER operator, the counted suffix planned once, one secondary page store, no maintenance knobs"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts), no FILTER operator, the counted suffix planned once, one secondary page store, no maintenance knobs, one count memo"
     local bad=0 f
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -178,6 +179,23 @@ guard() {
             bad=1
         fi
     done
+    # A count's suffix branches share one per-query memo, `CountMemo`,
+    # keyed by (branch, owner vertex): the per-block owner runs (`Run`),
+    # their `Memo` enum and `Branch::reusable` stay deleted, and the only
+    # memo types are `CountMemo` (counts) and `ListMemo` (filtered lists).
+    if sed '/#\[cfg(test)\]/,$d' crates/query/src/block.rs |
+        grep -nE '(struct|enum) (Run|Memo)\b|fn reusable\b'; then
+        echo "guard: block.rs: counts memoise in CountMemo (block::Run, Memo and Branch::reusable were removed)"
+        bad=1
+    fi
+    local memos
+    memos=$(grep -rhoE '(struct|enum|type) [A-Za-z0-9_]*Memo[A-Za-z0-9_]*' crates/query/src |
+        awk '{ print $2 }' | sort | uniq -c | awk '$1 > 1 || $2 !~ /^(CountMemo|ListMemo)$/' || true)
+    if [ -n "$memos" ]; then
+        echo "$memos"
+        echo "guard: crates/query keeps one count memo (CountMemo) beside ListMemo; do not add a second memo type"
+        bad=1
+    fi
     ((bad == 0)) || exit 1
     echo "    guard passed"
 }

@@ -24,6 +24,13 @@ use std::thread::ThreadId;
 const NO_EARLY_EXIT: usize = usize::MAX;
 
 /// Shared atomic counters for one operator level of one query.
+///
+/// At a level of a count's counted suffix these count the work of the
+/// suffix's memo cells, each recorded once, by the write that lands (a hit
+/// records nothing): one list and its label reads per (branch, owner
+/// vertex) evaluated, and an inner branch's bound neighbours as emitted.
+/// The last level's `emitted` is still the matches counted per frontier
+/// entry.
 #[derive(Debug, Default)]
 pub struct LevelStats {
     /// Adjacency (or secondary-index) lists fetched at this level.
@@ -255,6 +262,9 @@ pub struct HopProfile {
 ///
 /// Everything except `elapsed_us` and `morsels_per_worker` is
 /// deterministic for a given (database, plan, limit) at any thread count.
+/// A count records each memoised suffix branch once per owner vertex it
+/// reaches (see [`LevelStats`]), so its levels report the work done, not
+/// the work a memo-free run would do.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QueryProfile {
     /// Which executor ran the plan: `"block"`, the factorized engine every

@@ -35,11 +35,16 @@
 //! list's neighbour column (no pass at all when unlabelled), minus the path
 //! edges already bound that relationship uniqueness would reject (found by
 //! binary search on a neighbour-sorted list). An inner branch sums its
-//! children's product over its label-passing neighbours. Consecutive
-//! frontier entries under the same owner entry share one evaluation of a
-//! branch, so for a leaf only the subtraction runs per entry — the
-//! factorized-count win on high-fanout tails. A plan without a suffix
-//! counts its last operator's bindings per frontier entry.
+//! children's product over its label-passing neighbours. A count query
+//! keeps one memo (`CountMemo`), shared by every morsel and worker, with a
+//! cell per (branch, owner vertex): a leaf's label-passing count whenever
+//! its list depends on its owner alone, and an inner branch's count when no
+//! path edge can enter it either (`prefix_disjoint`). So each such branch
+//! is evaluated once per owner vertex and query — Yannakakis-style counting
+//! over the factorized levels — and for a leaf only the subtraction runs
+//! per entry. A `PROFILE` run records a cell's own work once, by the write
+//! that lands; a hit records nothing. A plan without a suffix counts its
+//! last operator's bindings per frontier entry.
 //!
 //! An E/I's list filter (`plan::ListFilter`) is applied to list entries
 //! before they are bound, and a filtered list that depends on its owner
@@ -62,9 +67,10 @@
 //! the last row anybody sees, and the build at the next part.
 
 use std::ops::{ControlFlow, Range};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use aplus_common::{EdgeId, VertexId};
+use aplus_common::{EdgeId, FxHashMap, VertexId};
 use aplus_core::Direction;
 use aplus_obs::LevelStats;
 
@@ -262,32 +268,23 @@ impl Blocks {
     /// building their levels**: per frontier entry, the plan's counted
     /// suffix product, or — when it has none — the bindings the last
     /// operator's producer yields, folded straight into the total.
-    fn tail_count<'a>(
+    fn tail_count(
         &mut self,
-        ctx: ExecContext<'a>,
+        ctx: ExecContext<'_>,
         plan: &Plan,
         row: &mut Row,
         memo: &mut ListMemo,
+        counts: &CountMemo,
     ) -> u64 {
         let top = self.levels.len() - 1;
         let last = plan.ops.len() - 1;
         let stats = ctx.prof_level(last);
-        let suffix = plan.counted.as_ref();
-        let mut runs: Vec<Run<'a>> = suffix.map_or_else(Vec::new, |s| {
-            s.roots
-                .iter()
-                .map(|&r| Run {
-                    level: self.level_binding(s.branches[r].owner),
-                    memo: None,
-                })
-                .collect()
-        });
         let mut total = 0u64;
         for fi in 0..self.levels[top].len() {
             self.bind_path(row, top, fi);
-            let n = match suffix {
+            let n = match &plan.counted {
                 Some(s) => s
-                    .count_entry(ctx, &self.cursor, &mut runs, row)
+                    .product(ctx, counts, &s.roots, row)
                     .map_or(0, |n| served(ctx, stats, n)),
                 None => {
                     let mut n = 0u64;
@@ -302,24 +299,6 @@ impl Blocks {
         }
         total
     }
-
-    /// The index of the level that binds query vertex `var`.
-    fn level_binding(&self, var: usize) -> usize {
-        self.levels
-            .iter()
-            .position(|l| l.vertex_vars.contains(&var))
-            .expect("the suffix's owners are bound before it")
-    }
-}
-
-/// One root branch's reuse within a block: the level binding its owner,
-/// and the memo computed for the owner entry it names. Frontier entries
-/// come in depth-first order, so every entry under one owner entry is
-/// consecutive, and they all lie in the block that holds that entry —
-/// wherever the thread count cuts the morsels.
-struct Run<'a> {
-    level: usize,
-    memo: Option<(usize, Memo<'a>)>,
 }
 
 /// Records `n` matches counted in place by a counted suffix as one
@@ -332,29 +311,38 @@ fn served(ctx: ExecContext<'_>, stats: Option<&LevelStats>, n: u64) -> u64 {
     n
 }
 
+/// What a branch contributes for one owner vertex: its count, or `None`
+/// when the owner's list is empty (a root branch's entry is then not
+/// served).
+type Served = Option<u64>;
+
+/// The work one evaluation of a branch did itself, besides its one list
+/// fetch: the labels it read and the neighbours an inner branch bound. It
+/// is recorded only once it is known that the evaluation's cell write
+/// landed.
+struct Work {
+    label_reads: u64,
+    visited: u64,
+}
+
+impl Work {
+    /// Records the evaluation at `level`: one list, each label read as a
+    /// candidate, each bound neighbour as emitted.
+    fn record(self, ctx: ExecContext<'_>, level: usize) {
+        if let Some(s) = ctx.prof_level(level) {
+            s.record(1, self.label_reads, self.visited);
+        }
+    }
+}
+
 /// Counting one suffix branch.
 impl Branch {
-    /// Whether consecutive frontier entries with the same owner entry may
-    /// share one evaluation: a leaf with a per-owner list (the subtraction
-    /// stays per entry), or an inner branch that is `prefix_disjoint`.
-    fn reusable(&self) -> bool {
-        self.per_owner && (self.children.is_empty() || self.prefix_disjoint)
-    }
-
     /// The entries of `list` whose neighbour passes the target label: the
     /// list length when unlabelled, else one tight pass over the neighbour
-    /// column. A `PROFILE` run records each label read as a candidate.
-    fn matching(
-        &self,
-        ctx: ExecContext<'_>,
-        list: &BoundList<'_>,
-        stats: Option<&LevelStats>,
-    ) -> u64 {
+    /// column.
+    fn matching(&self, ctx: ExecContext<'_>, list: &BoundList<'_>) -> u64 {
         if self.label.is_none() {
             return list.len() as u64;
-        }
-        if let Some(s) = stats {
-            s.record(0, list.len() as u64, 0);
         }
         list.count_nbrs(|n| self.passes(ctx, n))
     }
@@ -371,9 +359,11 @@ impl Branch {
     /// entry's neighbour as the other, so only a bound edge with the owner
     /// on that side can occur, and only where the other endpoint is. Bound
     /// edges are pairwise distinct (every level enforced uniqueness), so no
-    /// position is subtracted twice.
-    fn already_bound(&self, ctx: ExecContext<'_>, list: &BoundList<'_>, row: &Row) -> u64 {
+    /// position is subtracted twice. The list is fetched again only when
+    /// such an edge is bound, and a `PROFILE` run records that fetch.
+    fn already_bound(&self, ctx: ExecContext<'_>, row: &Row) -> u64 {
         let owner = row.vertex(self.owner).expect("plan binds FROM before use");
+        let mut list = None;
         let mut n = 0u64;
         for slot in 0..row.edge_slots().len() {
             let Some(e) = row.edge(slot) else { continue };
@@ -385,71 +375,143 @@ impl Branch {
                 Direction::Fwd => (s, d),
                 Direction::Bwd => (d, s),
             };
-            if side != owner {
+            if side != owner || !self.passes(ctx, nbr) {
                 continue;
             }
-            if self.passes(ctx, nbr) {
-                n += list.count_entry(e, nbr, self.nbr_sorted);
-            }
+            let list = list.get_or_insert_with(|| {
+                if let Some(s) = ctx.prof_level(self.level) {
+                    s.record(1, 0, 0);
+                }
+                fetch_one(ctx, &self.ald, row)
+            });
+            n += list.count_entry(e, nbr, self.nbr_sorted);
         }
         n
     }
 }
 
-/// What evaluating a branch leaves for later entries with the same owner.
-enum Memo<'a> {
-    /// A leaf's list and how many of its entries pass the label check;
-    /// each entry subtracts its own bound edges from `matching`.
-    Leaf { list: BoundList<'a>, matching: u64 },
-    /// An inner branch's count.
-    Count(u64),
-    /// The owner's list is empty.
-    Empty,
+/// One count query's memo of counted-suffix branches, shared by every
+/// morsel and worker of the query: a cell per (branch, owner vertex),
+/// holding what the branch contributes for that owner. The value is a pure
+/// function of the key, so the first write wins and a racing writer would
+/// have stored the same number.
+///
+/// A branch is memoised when its list depends on its owner alone
+/// (`per_owner`) and it is a leaf, whose cell is the label-passing count
+/// before any uniqueness subtraction, or an inner branch that is
+/// `prefix_disjoint`, whose count then depends on its owner alone. Every
+/// child of a memoised branch is memoised too, so on a path each (branch,
+/// vertex) is evaluated once per query: Yannakakis-style counting.
+///
+/// Each memoised branch has 8 B of cells per graph vertex, in pages of
+/// [`MEMO_PAGE`] cells allocated zeroed on their first write, so a page
+/// no owner reaches is never allocated: a pinned count allocates a few
+/// pages, not 8 B × V. A cell is 0 until written, 1 for an empty list,
+/// and `n + 3` for a count `n`; a count within 2 of `u64::MAX` does not
+/// fit beside those and is kept in `big`, behind a cell of 2.
+pub(crate) struct CountMemo {
+    /// Per suffix branch, the index of its cell for vertex 0, when it is
+    /// memoised. Each branch's cells start on a page of their own.
+    first: Vec<Option<usize>>,
+    pages: Box<[OnceLock<Box<[AtomicU64]>>]>,
+    big: Mutex<FxHashMap<usize, u64>>,
 }
 
-impl Memo<'_> {
-    /// The count branch `br` contributes to the entry bound in `row`.
-    fn value(&self, ctx: ExecContext<'_>, br: &Branch, row: &Row) -> u64 {
-        match self {
-            Self::Count(n) => *n,
-            Self::Empty => 0,
-            Self::Leaf { matching, .. } if br.prefix_disjoint => *matching,
-            Self::Leaf { list, matching } => matching - br.already_bound(ctx, list, row),
+/// Cells per [`CountMemo`] page: 4 KiB.
+const MEMO_PAGE: usize = 512;
+
+const UNSET: u64 = 0;
+const EMPTY: u64 = 1;
+const BIG: u64 = 2;
+const OFFSET: u64 = 3;
+
+impl CountMemo {
+    /// The memo for a count of a plan whose counted suffix is `counted`,
+    /// over a graph of `vertices` vertices. Without a suffix it holds
+    /// nothing.
+    pub(crate) fn new(counted: Option<&Counted>, vertices: usize) -> Self {
+        let stride = vertices.div_ceil(MEMO_PAGE) * MEMO_PAGE;
+        let mut cells = 0;
+        let first = counted.map_or_else(Vec::new, |c| {
+            c.branches
+                .iter()
+                .map(|b| {
+                    let memo = b.per_owner && (b.children.is_empty() || b.prefix_disjoint);
+                    memo.then(|| {
+                        cells += stride;
+                        cells - stride
+                    })
+                })
+                .collect()
+        });
+        Self {
+            first,
+            pages: (0..cells / MEMO_PAGE).map(|_| OnceLock::new()).collect(),
+            big: Mutex::default(),
         }
+    }
+
+    /// The cell of branch `b` for owner `v`, when `b` is memoised.
+    fn cell(&self, b: usize, v: VertexId) -> Option<usize> {
+        self.first
+            .get(b)
+            .copied()
+            .flatten()
+            .map(|at| at + v.index())
+    }
+
+    /// What cell `at` holds, or `None` before its first write.
+    fn get(&self, at: usize) -> Option<Served> {
+        let page = self.pages[at / MEMO_PAGE].get()?;
+        match page[at % MEMO_PAGE].load(Ordering::Acquire) {
+            UNSET => None,
+            EMPTY => Some(None),
+            BIG => Some(Some(self.big_counts()[&at])),
+            raw => Some(Some(raw - OFFSET)),
+        }
+    }
+
+    /// Writes `value` into cell `at` unless a value landed there first.
+    /// Returns whether this write landed.
+    fn put(&self, at: usize, value: Served) -> bool {
+        let raw = match value {
+            None => EMPTY,
+            Some(n) if n > u64::MAX - OFFSET => {
+                self.big_counts().entry(at).or_insert(n);
+                BIG
+            }
+            Some(n) => n + OFFSET,
+        };
+        let page = self.pages[at / MEMO_PAGE]
+            .get_or_init(|| (0..MEMO_PAGE).map(|_| AtomicU64::new(UNSET)).collect());
+        // The release pairs with `get`'s acquire: a reader that sees
+        // `BIG` sees its entry in `big` too.
+        page[at % MEMO_PAGE]
+            .compare_exchange(UNSET, raw, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+
+    fn big_counts(&self) -> std::sync::MutexGuard<'_, FxHashMap<usize, u64>> {
+        self.big.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// Counting the suffix per frontier entry.
+/// Counting the suffix.
 impl Counted {
-    /// The count of the frontier entry bound in `row`: the product of the
-    /// root branches, or `None` when a root branch's list is empty (the
-    /// entry is not served). A reusable root branch is evaluated once per
-    /// owner entry (`runs`, keyed by the owner level's `cursor`).
-    fn count_entry<'a>(
+    /// The product of `branches`' counts with their owners bound in `row`,
+    /// or `None` when one of their lists is empty: for the roots, the
+    /// count of the frontier entry bound in `row`, which is then not
+    /// served.
+    fn product(
         &self,
-        ctx: ExecContext<'a>,
-        cursor: &[Option<usize>],
-        runs: &mut [Run<'a>],
+        ctx: ExecContext<'_>,
+        memo: &CountMemo,
+        branches: &[usize],
         row: &mut Row,
-    ) -> Option<u64> {
+    ) -> Served {
         let mut n = 1u64;
-        for (&r, run) in self.roots.iter().zip(runs.iter_mut()) {
-            let br = &self.branches[r];
-            let fresh;
-            let memo = if br.reusable() {
-                let key = cursor[run.level].expect("bind_path memoizes the whole path");
-                if run.memo.as_ref().is_none_or(|(k, _)| *k != key) {
-                    run.memo = Some((key, self.evaluate(ctx, r, row)));
-                }
-                &run.memo.as_ref().expect("filled above").1
-            } else {
-                fresh = self.evaluate(ctx, r, row);
-                &fresh
-            };
-            if matches!(memo, Memo::Empty) {
-                return None;
-            }
-            n = n.saturating_mul(memo.value(ctx, br, row));
+        for &b in branches {
+            n = n.saturating_mul(self.value(ctx, memo, b, row)?);
             if n == 0 {
                 break;
             }
@@ -457,56 +519,74 @@ impl Counted {
         Some(n)
     }
 
-    /// The product of `branches`' counts, each evaluated afresh, for the
-    /// neighbour an inner branch bound in `row`.
-    fn product(&self, ctx: ExecContext<'_>, branches: &[usize], row: &mut Row) -> u64 {
-        let mut n = 1u64;
-        for &c in branches {
-            n = n.saturating_mul(
-                self.evaluate(ctx, c, row)
-                    .value(ctx, &self.branches[c], row),
-            );
-            if n == 0 {
-                break;
+    /// What branch `b` contributes with its owner bound in `row`: its
+    /// memo cell's value once written, else its evaluation, which a
+    /// `PROFILE` run records only when it is the write that landed (or
+    /// when `b` is not memoised), so a hit records nothing. A leaf that
+    /// is not `prefix_disjoint` then subtracts the path edges bound in
+    /// `row` from its cell's count.
+    fn value(&self, ctx: ExecContext<'_>, memo: &CountMemo, b: usize, row: &mut Row) -> Served {
+        let br = &self.branches[b];
+        let owner = row.vertex(br.owner).expect("plan binds FROM before use");
+        let cell = memo.cell(b, owner);
+        let served = match cell.and_then(|at| memo.get(at)) {
+            Some(served) => served,
+            None => {
+                let (served, work) = self.evaluate(ctx, memo, b, row);
+                if cell.is_none_or(|at| memo.put(at, served)) {
+                    work.record(ctx, br.level);
+                }
+                served
             }
+        };
+        if br.children.is_empty() && !br.prefix_disjoint {
+            return served.map(|n| n - br.already_bound(ctx, row));
         }
-        n
+        served
     }
 
-    /// Evaluates branch `b` with its owner bound in `row`. A `PROFILE` run
-    /// records at the branch's level the list fetched, each label read as a
-    /// candidate, and each neighbour an inner branch binds as emitted.
-    fn evaluate<'a>(&self, ctx: ExecContext<'a>, b: usize, row: &mut Row) -> Memo<'a> {
+    /// Evaluates branch `b` with its owner bound in `row`: a leaf's
+    /// label-passing entries, or an inner branch's sum of its children's
+    /// product over its label-passing neighbours (skipping an edge a path
+    /// edge holds, unless the branch is `prefix_disjoint`).
+    fn evaluate(
+        &self,
+        ctx: ExecContext<'_>,
+        memo: &CountMemo,
+        b: usize,
+        row: &mut Row,
+    ) -> (Served, Work) {
         let br = &self.branches[b];
-        let stats = ctx.prof_level(br.level);
-        if let Some(s) = stats {
-            s.record(1, 0, 0);
-        }
         let list = fetch_one(ctx, &br.ald, row);
+        let label_reads = if br.label.is_some() {
+            list.len() as u64
+        } else {
+            0
+        };
+        let mut work = Work {
+            label_reads,
+            visited: 0,
+        };
         if list.len() == 0 {
-            return Memo::Empty;
+            return (None, work);
         }
         if br.children.is_empty() {
-            let matching = br.matching(ctx, &list, stats);
-            return Memo::Leaf { list, matching };
+            return (Some(br.matching(ctx, &list)), work);
         }
-        let (mut sum, mut visited) = (0u64, 0u64);
+        let mut sum = 0u64;
         let (edges, nbrs) = list.columns();
         for (&e, &n) in edges.iter().zip(nbrs) {
             let (e, n) = (EdgeId(e), VertexId(n));
             if !br.passes(ctx, n) || (!br.prefix_disjoint && row.uses_edge(e)) {
                 continue;
             }
-            visited += 1;
+            work.visited += 1;
             row.bind_vertex(br.target, n);
-            sum = sum.saturating_add(self.product(ctx, &br.children, row));
+            let children = self.product(ctx, memo, &br.children, row);
+            sum = sum.saturating_add(children.unwrap_or(0));
             row.unbind_vertex(br.target);
         }
-        if let Some(s) = stats {
-            let label_reads = if br.label.is_some() { list.len() } else { 0 };
-            s.record(0, label_reads as u64, visited);
-        }
-        Memo::Count(sum)
+        (Some(sum), work)
     }
 }
 
@@ -534,6 +614,7 @@ fn count_ops(
     st: &mut Blocks,
     row: &mut Row,
     memo: &mut ListMemo,
+    counts: &CountMemo,
 ) -> u64 {
     let last = plan.ops.len() - 1;
     if last == 0 {
@@ -543,7 +624,7 @@ fn count_ops(
     if !apply_ops(ctx, plan, st, row, memo, 1..built) {
         return 0;
     }
-    st.tail_count(ctx, plan, row, memo)
+    st.tail_count(ctx, plan, row, memo, counts)
 }
 
 /// Runs the operators after the root scan over a root-seeded block for
@@ -657,8 +738,8 @@ pub(crate) fn root_morsel(
     let mut st = Blocks::seeded(root);
     let mut memo = ListMemo::default();
     match emit {
-        Emit::Count(n) => {
-            *n = n.saturating_add(count_ops(ctx, plan, &mut st, &mut row, &mut memo));
+        Emit::Count(n, counts) => {
+            *n = n.saturating_add(count_ops(ctx, plan, &mut st, &mut row, &mut memo, counts));
         }
         Emit::Parts(hand) => build_ops(ctx, plan, st, row, &mut memo, hand),
     }
@@ -671,6 +752,7 @@ mod tests {
     use aplus_graph::Graph;
     use aplus_runtime::MorselPool;
 
+    use super::CountMemo;
     use crate::exec::Output;
     use crate::plan::Operator;
     use crate::{profiled, Database, QueryError};
@@ -898,6 +980,31 @@ mod tests {
             );
             assert_eq!(db.count(q).unwrap(), want, "{q}");
         }
+    }
+
+    /// A memo cell keeps every count apart from "not written yet" and from
+    /// an empty list, a saturated count and the two below it included, and
+    /// the first write to a cell wins.
+    #[test]
+    fn memo_cells_keep_counts_apart_from_unset_and_empty() {
+        let db = Database::new(graph()).unwrap();
+        let plan = db.prepare("MATCH a-[r]->b").unwrap().1;
+        let values = [Some(0), Some(1), Some(u64::MAX - 1), Some(u64::MAX), None];
+        let memo = CountMemo::new(plan.counted.as_ref(), values.len());
+        for (v, &value) in values.iter().enumerate() {
+            let at = memo
+                .cell(0, VertexId(v as u32))
+                .expect("a leaf is memoised");
+            assert_eq!(memo.get(at), None, "{value:?}");
+            assert!(memo.put(at, value), "{value:?}");
+            assert_eq!(memo.get(at), Some(value));
+            assert!(!memo.put(at, Some(7)), "{value:?}");
+            assert_eq!(memo.get(at), Some(value));
+        }
+        // A plan without a counted suffix memoises nothing.
+        let plan = db.prepare("MATCH a-[r:E]->b-[s:E]->c-[t:E]->a").unwrap().1;
+        let memo = CountMemo::new(plan.counted.as_ref(), 3);
+        assert_eq!(memo.cell(0, VertexId(0)), None);
     }
 
     /// A star of eight differently labelled edges off one vertex, each

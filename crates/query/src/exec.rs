@@ -33,12 +33,14 @@
 //!   the caller at any pool size; its block builds every level.
 //! * **Block body** — what one morsel runs: the block seeded from the
 //!   morsel ([`crate::block`]), extended through the remaining operators
-//!   with its own per-worker scratch row — no shared mutable state, no
-//!   synchronization inside operators — then counted without flattening,
-//!   or built and handed over unflattened: every level but the last is
-//!   built whole, and the last goes to the merge in parts of at most
-//!   [`LEVEL_PART_CAP`] entries that share the levels below, each as soon
-//!   as it fills.
+//!   with its own per-worker scratch row — no synchronization inside
+//!   operators — then counted without flattening, or built and handed
+//!   over unflattened. A count's one shared state is its memo of the
+//!   counted suffix (`block::CountMemo`): atomic cells whose first write
+//!   wins, built here once per query. When built, every level but the
+//!   last is built whole, and the last goes to the merge in parts of at
+//!   most [`LEVEL_PART_CAP`] entries that share the levels below, each as
+//!   soon as it fills.
 //! * **Output** — a match count (per-morsel `u64`s summed), or up to
 //!   `limit` rows. Blocks wait; rows are flattened once, at the merge: the
 //!   merging thread flattens each part straight into the [`RowSink`] when
@@ -213,8 +215,9 @@ pub enum Output<'a> {
 
 /// What a morsel body does with the matches it finds.
 pub(crate) enum Emit<'a> {
-    /// Counts them.
-    Count(&'a mut u64),
+    /// Counts them into the `u64`, memoising the counted suffix in the
+    /// query's one [`block::CountMemo`].
+    Count(&'a mut u64, &'a block::CountMemo),
     /// Builds their block and hands it, unflattened, to the merge in parts
     /// of at most [`LEVEL_PART_CAP`] last-level entries; `Break` means the
     /// output is complete, so the body stops building.
@@ -283,7 +286,8 @@ pub fn run(
     if matches!(out, Output::Rows { limit: 0, .. }) {
         return 0;
     }
-    let counting = matches!(out, Output::Count);
+    let counts = matches!(out, Output::Count)
+        .then(|| block::CountMemo::new(plan.counted.as_ref(), ctx.graph.vertex_count()));
     let mut driver = Driver {
         ctx,
         sink_level: plan.ops.len(),
@@ -300,9 +304,9 @@ pub fn run(
         |r, parts| {
             ctx.note_morsel();
             let r = range.start + r.start..range.start + r.end;
-            if counting {
+            if let Some(counts) = &counts {
                 let mut n = 0u64;
-                block::root_morsel(ctx, query, plan, r, Emit::Count(&mut n));
+                block::root_morsel(ctx, query, plan, r, Emit::Count(&mut n, counts));
                 let _ = parts.push(Part::Count(n));
             } else {
                 let mut hand = |built| parts.push(Part::Rows(built));

@@ -589,7 +589,7 @@ pub(crate) struct Branch {
     /// edge is found by binary search rather than by a scan.
     pub(crate) nbr_sorted: bool,
     /// Whether the list depends on its owner alone (no prune, or a
-    /// constant one), so consecutive entries with the same owner share it.
+    /// constant one), so every entry with the same owner vertex shares it.
     pub(crate) per_owner: bool,
     /// The vertex it binds, transiently, for its children.
     pub(crate) target: usize,

@@ -107,8 +107,9 @@ fn assign(
 }
 
 /// What a profile must agree on across pools: the deterministic view,
-/// exactly. Every morsel is a root-ID range and a suffix serves one
-/// frontier entry per hit, so no counter follows the morsel cut.
+/// exactly. Every morsel is a root-ID range, and a count's memo cell
+/// records its work once, by the write that lands, so no counter follows
+/// the morsel cut or which worker reached a cell first.
 fn comparable(profile: &QueryProfile) -> QueryProfile {
     profile.deterministic_view()
 }

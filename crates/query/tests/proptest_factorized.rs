@@ -66,7 +66,12 @@ fn build_graph(edges: &[(u32, u32, i64, bool)]) -> Graph {
 /// a five-vertex tree whose inner branch has two leaves. Then the paper
 /// workload's densest cyclic shapes, SQ3
 /// (diamond) and SQ9 (4-clique), whose closing levels intersect two and
-/// three lists. Then an edge-scan root and a MULTI-EXTEND (planned on the
+/// three lists. Two suffixes follow that exercise the per-query count memo
+/// (cells keyed by branch and owner vertex): an inner branch whose list
+/// holds the same-label path edge `r`, so it is not prefix-disjoint and is
+/// evaluated per entry (parallel `r`/`s` edges make every owner repeat
+/// with different bound edges), and a tree whose two inner branches own
+/// vertices of one label, each above its own leaf. Then an edge-scan root and a MULTI-EXTEND (planned on the
 /// `bygrp` configuration), alone and followed by a labelled single-list
 /// tail: once where the labels the MULTI-EXTEND enforces (a:A, c:B) prove
 /// the tail edge apart from its edges, so the tail skips the uniqueness
@@ -101,6 +106,8 @@ const TEMPLATES: &[&str] = &[
     "MATCH (a:B)-[r:E]->(b:B), (b:B)-[s:F]->(c:A), (c:A)-[t:E]->(d:B), (c:A)-[u:F]->(e:A)",
     "MATCH a-[r:E]->b, b-[s:E]->c, c-[t:E]->d, d-[u:E]->a, a-[v:E]->c",
     "MATCH a-[r:E]->b, a-[s:E]->c, a-[t:E]->d, b-[u:E]->c, b-[v:E]->d, c-[x:E]->d",
+    "MATCH a-[r:E]->b, a-[s:E]->c, c-[t:F]->d",
+    "MATCH (a:A)-[r:E]->(b:B), (a:A)-[s:F]->(c:B), (b:B)-[t:E]->(d:A), (c:B)-[u:F]->(e:A)",
     "MATCH a-[r]->b-[s]->c WHERE r.eID = 3",
     "MATCH a-[r]->b, a-[s]->b WHERE r.eID = 3",
     "MATCH a-[r]->b, a-[s]->c WHERE b.grp = c.grp",

@@ -421,3 +421,79 @@ fn live_version_gauge_tracks_pinned_versions() {
     drop(pinned);
     assert_eq!(live(), 1, "dropping the pin releases it");
 }
+
+/// The hub graph of the count-memo race: `HUB_ROOTS` `A` vertices each
+/// with an `E` edge to one `B` hub, which has an `F` edge to each of
+/// `HUB_FAN` `C` vertices, each with one to three `G` edges to `D`
+/// vertices.
+const HUB_ROOTS: u32 = 2_048;
+const HUB_FAN: u32 = 20_000;
+
+fn memo_hub() -> Database {
+    let mut g = aplus::graph::Graph::new();
+    let hub = HUB_ROOTS;
+    let c0 = hub + 1;
+    let d0 = c0 + HUB_FAN;
+    for _ in 0..HUB_ROOTS {
+        g.add_vertex("A");
+    }
+    g.add_vertex("B");
+    for _ in 0..HUB_FAN {
+        g.add_vertex("C");
+    }
+    for _ in 0..3 {
+        g.add_vertex("D");
+    }
+    for a in 0..HUB_ROOTS {
+        g.add_edge(VertexId(a), VertexId(hub), "E").unwrap();
+    }
+    for c in c0..d0 {
+        g.add_edge(VertexId(hub), VertexId(c), "F").unwrap();
+        for d in 0..=c % 3 {
+            g.add_edge(VertexId(c), VertexId(d0 + d), "G").unwrap();
+        }
+    }
+    Database::new(g).expect("index build")
+}
+
+/// The roots of every morsel reach one hub, the owner of a counted inner
+/// branch, so at pools 2 and 4 several workers evaluate the hub's cell at
+/// once. Its work is recorded once, by the write that lands, so the count
+/// `PROFILE` equals the sequential one on every run, and reads the hub's
+/// list once and each `C` vertex's list once.
+#[test]
+fn count_memo_records_a_raced_cell_once() {
+    let db = memo_hub();
+    let query = "MATCH (a:A)-[r:E]->(h:B), (h:B)-[s:F]->(c:C), (c:C)-[t:G]->(d:D)";
+    let (bound, plan) = db.prepare(query).expect("plan");
+    let profile = |pool: &MorselPool| {
+        profiled(&plan, |p| {
+            db.run(&bound, &plan, pool, Some(p), Output::Count)
+        })
+    };
+    let sequential = profile(&MorselPool::sequential());
+    let leaves: u64 = (HUB_ROOTS + 1..HUB_ROOTS + 1 + HUB_FAN)
+        .map(|c| u64::from(1 + c % 3))
+        .sum();
+    assert_eq!(sequential.rows, u64::from(HUB_ROOTS) * leaves);
+    let lists: Vec<u64> = sequential.levels.iter().map(|l| l.lists_scanned).collect();
+    assert_eq!(
+        lists,
+        [0, u64::from(HUB_ROOTS), 1, u64::from(HUB_FAN)],
+        "{}",
+        sequential.render()
+    );
+    let want = sequential.deterministic_view();
+    for threads in [2, 4] {
+        let pool = MorselPool::new(threads);
+        for run in 0..20 {
+            let got = profile(&pool);
+            assert_eq!(
+                got.deterministic_view(),
+                want,
+                "pool {threads} run {run}:\n{}",
+                got.render()
+            );
+        }
+    }
+}
