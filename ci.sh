@@ -24,15 +24,16 @@ run() {
 # row pipeline with its engine knobs, the worker-side row buffers, the
 # first-level partitioning paths, a second intersection loop, the hashed
 # BFS and a second merge primitive beside `map_ranges` from growing back.
-# A plan is what runs: no FILTER operator, and the counted suffix is plan
-# data, derived once by the planner, never by the executor. Every secondary
+# A plan is what runs: no FILTER operator, and the counted suffix and the
+# outer lists are plan data, derived once by the planner, never by the
+# executor, whose E/I calls allocate no per-call list or cursor vector. Every secondary
 # index keeps its pages in one store (`OffsetCsr`), and the maintenance
 # knobs stay deleted. A count memoises its counted suffix in one store per
 # query (`CountMemo`); the per-block owner runs stay deleted.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts), no FILTER operator, the counted suffix planned once, one secondary page store, no maintenance knobs, one count memo"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts), no FILTER operator, the counted suffix and the outer lists planned once, E/I scratch per morsel, one secondary page store, no maintenance knobs, one count memo"
     local bad=0 f
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -172,13 +173,27 @@ guard() {
         bad=1
     fi
     # The counted suffix is plan data (`plan::Counted`, derived in
-    # `Plan::new`): the executor reads it and derives nothing per run.
+    # `Plan::new`), and so is how a morsel reads the lists that depend on
+    # their owner alone (`Plan::outer`, `Plan::list_memo`): the executor
+    # reads them and derives nothing per run.
     for f in crates/query/src/{block,exec}.rs; do
         if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nwE 'Suffix|FastTail|edge_shapes|disjoint'; then
             echo "guard: $f must read the counted suffix from the plan, not derive it"
             bad=1
         fi
+        if sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^\s*//' |
+            grep -nwE 'per_owner|list_reads'; then
+            echo "guard: $f must read its outer lists and list-memo operators from the plan, not derive them"
+            bad=1
+        fi
     done
+    # An E/I call's lists and cursors live in per-morsel scratch
+    # (`exec::Scratch`): no call collects them into a fresh vector.
+    if grep -nE 'Option<Vec<BoundList|Vec<Cursor' <<<"$exec_src" |
+        grep -vE "^[0-9]+:\s*cursors: Vec<Cursor<'static>>,$"; then
+        echo "guard: exec.rs: E/I lists and cursors live in per-morsel scratch (no per-call Vec<BoundList> / Vec<Cursor>)"
+        bad=1
+    fi
     # A count's suffix branches share one per-query memo, `CountMemo`,
     # keyed by (branch, owner vertex): the per-block owner runs (`Run`),
     # their `Memo` enum and `Branch::reusable` stay deleted, and the only

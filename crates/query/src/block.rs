@@ -49,7 +49,15 @@
 //! An E/I's list filter (`plan::ListFilter`) is applied to list entries
 //! before they are bound, and a filtered list that depends on its owner
 //! alone is read once per owner and morsel (`exec::ListMemo`), so a level
-//! holds only bindings that pass.
+//! holds only bindings that pass. An E/I's *outer* lists (`Plan::outer`:
+//! owner-only lists hanging off a vertex bound two or more levels up) are
+//! fetched and pre-checked once per run of frontier entries that share
+//! their root entry and owner, into the morsel's scratch (`exec::Scratch`,
+//! made once per block body, which also holds each call's lists and
+//! cursors). The body tells the binding producer each entry's root entry —
+//! the root level's cursor once the entry's path is bound — so a list is
+//! never carried from one root entry to the next, and what runs does not
+//! depend on where the pool cuts the root range.
 //!
 //! This module owns no driver: [`crate::exec::run`] cuts the root scan's ID
 //! range into morsels and merges the output, and calls in here only for
@@ -75,7 +83,7 @@ use aplus_core::Direction;
 use aplus_obs::LevelStats;
 
 use crate::exec::{
-    fetch_one, op_bindings, root_range_bindings, BoundList, Emit, ExecContext, ListMemo,
+    fetch_one, op_bindings, root_range_bindings, BoundList, Emit, ExecContext, Scratch,
     LEVEL_PART_CAP,
 };
 use crate::plan::{Branch, Counted, Operator, Plan};
@@ -199,22 +207,28 @@ impl Blocks {
         produced
     }
 
-    /// Extends the whole top level through `op` at plan-op index `level`,
-    /// pushing the produced level. Returns `false` when nothing was
-    /// produced.
-    fn extend(
+    /// The root entry of the path [`Self::bind_path`] bound last.
+    fn root(&self) -> usize {
+        self.cursor[0].expect("a path is bound")
+    }
+
+    /// Extends the whole top level through the operator at plan-op index
+    /// `level` of `plan`, pushing the produced level. Returns `false` when
+    /// nothing was produced.
+    fn extend<'a>(
         &mut self,
-        ctx: ExecContext<'_>,
-        op: &Operator,
+        ctx: ExecContext<'a>,
+        plan: &Plan,
         level: usize,
         row: &mut Row,
-        memo: &mut ListMemo,
+        scratch: &mut Scratch<'a>,
     ) -> bool {
         let top = self.levels.len() - 1;
-        let mut out = Level::for_op(op);
+        let mut out = Level::for_op(&plan.ops[level]);
         for fi in 0..self.levels[top].len() {
             self.bind_path(row, top, fi);
-            let _ = op_bindings(ctx, op, level, row, memo, &mut |r| {
+            let root = self.root();
+            let _ = op_bindings(ctx, plan, level, root, row, scratch, &mut |r| {
                 out.push_from_row(fi, r);
                 ControlFlow::Continue(())
             });
@@ -222,20 +236,21 @@ impl Blocks {
         self.push_level(out)
     }
 
-    /// Extends the whole top level through `op`, the plan's last operator
-    /// at plan-op index `level`, into parts of at most [`LEVEL_PART_CAP`]
+    /// Extends the whole top level through the plan's last operator, at
+    /// plan-op index `level`, into parts of at most [`LEVEL_PART_CAP`]
     /// entries. Each part shares this block's levels and goes to `hand` as
     /// soon as it fills — mid frontier entry if need be, since an entry's
     /// bindings come in order. `hand` returning `Break` stops the build.
-    fn extend_in_parts(
+    fn extend_in_parts<'a>(
         &mut self,
-        ctx: ExecContext<'_>,
-        op: &Operator,
+        ctx: ExecContext<'a>,
+        plan: &Plan,
         level: usize,
         row: &mut Row,
-        memo: &mut ListMemo,
+        scratch: &mut Scratch<'a>,
         hand: &mut dyn FnMut(Built) -> ControlFlow<()>,
     ) {
+        let op = &plan.ops[level];
         let lower = self.levels.clone();
         let vars = (row.vertex_slots().len(), row.edge_slots().len());
         let mut flush = |out: Level| {
@@ -248,7 +263,8 @@ impl Blocks {
         let mut out = Level::for_op(op);
         for fi in 0..self.levels[top].len() {
             self.bind_path(row, top, fi);
-            let flow = op_bindings(ctx, op, level, row, memo, &mut |r| {
+            let root = self.root();
+            let flow = op_bindings(ctx, plan, level, root, row, scratch, &mut |r| {
                 out.push_from_row(fi, r);
                 if out.len() < LEVEL_PART_CAP {
                     return ControlFlow::Continue(());
@@ -268,12 +284,12 @@ impl Blocks {
     /// building their levels**: per frontier entry, the plan's counted
     /// suffix product, or — when it has none — the bindings the last
     /// operator's producer yields, folded straight into the total.
-    fn tail_count(
+    fn tail_count<'a>(
         &mut self,
-        ctx: ExecContext<'_>,
+        ctx: ExecContext<'a>,
         plan: &Plan,
         row: &mut Row,
-        memo: &mut ListMemo,
+        scratch: &mut Scratch<'a>,
         counts: &CountMemo,
     ) -> u64 {
         let top = self.levels.len() - 1;
@@ -288,7 +304,8 @@ impl Blocks {
                     .map_or(0, |n| served(ctx, stats, n)),
                 None => {
                     let mut n = 0u64;
-                    let _ = op_bindings(ctx, &plan.ops[last], last, row, memo, &mut |_| {
+                    let root = self.root();
+                    let _ = op_bindings(ctx, plan, last, root, row, scratch, &mut |_| {
                         n += 1;
                         ControlFlow::Continue(())
                     });
@@ -396,12 +413,14 @@ impl Branch {
 /// function of the key, so the first write wins and a racing writer would
 /// have stored the same number.
 ///
-/// A branch is memoised when its list depends on its owner alone
-/// (`per_owner`) and it is a leaf, whose cell is the label-passing count
-/// before any uniqueness subtraction, or an inner branch that is
-/// `prefix_disjoint`, whose count then depends on its owner alone. Every
-/// child of a memoised branch is memoised too, so on a path each (branch,
-/// vertex) is evaluated once per query: Yannakakis-style counting.
+/// Which branches are memoised is plan data (`Branch::memoised`): a
+/// branch whose list depends on its owner alone that is a leaf, whose cell
+/// is the label-passing count before any uniqueness subtraction, or an
+/// inner branch that is `prefix_disjoint`, whose count then depends on its
+/// owner alone — but not a branch owned by the variable of a vertex scan
+/// the suffix directly follows, whose owners never repeat. On a path each
+/// memoised (branch, vertex) is evaluated once per query:
+/// Yannakakis-style counting.
 ///
 /// Each memoised branch has 8 B of cells per graph vertex, in pages of
 /// [`MEMO_PAGE`] cells allocated zeroed on their first write, so a page
@@ -436,8 +455,7 @@ impl CountMemo {
             c.branches
                 .iter()
                 .map(|b| {
-                    let memo = b.per_owner && (b.children.is_empty() || b.prefix_disjoint);
-                    memo.then(|| {
+                    b.memoised.then(|| {
                         cells += stride;
                         cells - stride
                     })
@@ -593,27 +611,27 @@ impl Counted {
 /// Runs the operators at plan-op indexes `levels` over a seeded block,
 /// building every level. Returns `false` as soon as a level comes up
 /// empty.
-fn apply_ops(
-    ctx: ExecContext<'_>,
+fn apply_ops<'a>(
+    ctx: ExecContext<'a>,
     plan: &Plan,
     st: &mut Blocks,
     row: &mut Row,
-    memo: &mut ListMemo,
+    scratch: &mut Scratch<'a>,
     mut levels: Range<usize>,
 ) -> bool {
-    levels.all(|level| st.extend(ctx, &plan.ops[level], level, row, memo))
+    levels.all(|level| st.extend(ctx, plan, level, row, scratch))
 }
 
 /// Runs the operators after the root scan over a root-seeded block for
 /// counting: the operators of the plan's counted suffix — or the last
 /// operator, when there is none — are consumed as per-entry multiplicities
 /// ([`Blocks::tail_count`]) instead of building their levels.
-fn count_ops(
-    ctx: ExecContext<'_>,
+fn count_ops<'a>(
+    ctx: ExecContext<'a>,
     plan: &Plan,
     st: &mut Blocks,
     row: &mut Row,
-    memo: &mut ListMemo,
+    scratch: &mut Scratch<'a>,
     counts: &CountMemo,
 ) -> u64 {
     let last = plan.ops.len() - 1;
@@ -621,10 +639,10 @@ fn count_ops(
         return st.top_len() as u64;
     }
     let built = plan.counted.as_ref().map_or(last, |s| s.start);
-    if !apply_ops(ctx, plan, st, row, memo, 1..built) {
+    if !apply_ops(ctx, plan, st, row, scratch, 1..built) {
         return 0;
     }
-    st.tail_count(ctx, plan, row, memo, counts)
+    st.tail_count(ctx, plan, row, scratch, counts)
 }
 
 /// Runs the operators after the root scan over a root-seeded block for
@@ -632,12 +650,12 @@ fn count_ops(
 /// the last operator's level goes to `hand` in parts
 /// ([`Blocks::extend_in_parts`]). A plan that extends nothing hands its
 /// root block over as one part.
-fn build_ops(
-    ctx: ExecContext<'_>,
+fn build_ops<'a>(
+    ctx: ExecContext<'a>,
     plan: &Plan,
     mut st: Blocks,
     mut row: Row,
-    memo: &mut ListMemo,
+    scratch: &mut Scratch<'a>,
     hand: &mut dyn FnMut(Built) -> ControlFlow<()>,
 ) {
     let last = plan.ops.len() - 1;
@@ -645,8 +663,8 @@ fn build_ops(
         let _ = hand(Built { st, row });
         return;
     }
-    if apply_ops(ctx, plan, &mut st, &mut row, memo, 1..last) {
-        st.extend_in_parts(ctx, &plan.ops[last], last, &mut row, memo, hand);
+    if apply_ops(ctx, plan, &mut st, &mut row, scratch, 1..last) {
+        st.extend_in_parts(ctx, plan, last, &mut row, scratch, hand);
     }
 }
 
@@ -736,12 +754,13 @@ pub(crate) fn root_morsel(
     }
     ctx.note_block();
     let mut st = Blocks::seeded(root);
-    let mut memo = ListMemo::default();
+    let mut scratch = Scratch::new(plan);
     match emit {
         Emit::Count(n, counts) => {
-            *n = n.saturating_add(count_ops(ctx, plan, &mut st, &mut row, &mut memo, counts));
+            let counted = count_ops(ctx, plan, &mut st, &mut row, &mut scratch, counts);
+            *n = n.saturating_add(counted);
         }
-        Emit::Parts(hand) => build_ops(ctx, plan, st, row, &mut memo, hand),
+        Emit::Parts(hand) => build_ops(ctx, plan, st, row, &mut scratch, hand),
     }
 }
 
@@ -988,7 +1007,8 @@ mod tests {
     #[test]
     fn memo_cells_keep_counts_apart_from_unset_and_empty() {
         let db = Database::new(graph()).unwrap();
-        let plan = db.prepare("MATCH a-[r]->b").unwrap().1;
+        // The leaf c hangs off b, which repeats across frontier entries.
+        let plan = db.prepare("MATCH a-[r]->b, b-[s]->c").unwrap().1;
         let values = [Some(0), Some(1), Some(u64::MAX - 1), Some(u64::MAX), None];
         let memo = CountMemo::new(plan.counted.as_ref(), values.len());
         for (v, &value) in values.iter().enumerate() {
@@ -1005,6 +1025,39 @@ mod tests {
         let plan = db.prepare("MATCH a-[r:E]->b-[s:E]->c-[t:E]->a").unwrap().1;
         let memo = CountMemo::new(plan.counted.as_ref(), 3);
         assert_eq!(memo.cell(0, VertexId(0)), None);
+    }
+
+    /// SQ5 is three leaves off the scanned vertex, so its count keeps no
+    /// memo cell and allocates no page: each cell would be written once
+    /// and never read. SQ6's chain memoises every branch below its root.
+    #[test]
+    fn root_branches_off_the_scanned_vertex_allocate_no_memo_page() {
+        use aplus_datagen::{generate, GeneratorConfig};
+        let sq = |name: &str| {
+            include_str!("../../../benchmark/queries/primary_count.txt")
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                .unwrap()
+        };
+        let graph = generate(&GeneratorConfig::social(2_000, 78_000, 8, 2).with_seed(2));
+        let vertices = graph.vertex_count();
+        let db = Database::new(graph).unwrap();
+        let pool = MorselPool::sequential();
+        for (name, memoised) in [("SQ5", 0), ("SQ6", 3)] {
+            let (bound, plan) = db.prepare(sq(name)).unwrap();
+            let counted = plan.counted.as_ref().expect("a counted suffix");
+            let cells = counted.branches.iter().filter(|b| b.memoised).count();
+            assert_eq!(cells, memoised, "{name}");
+            let memo = CountMemo::new(Some(counted), vertices);
+            assert_eq!(memo.pages.is_empty(), memoised == 0, "{name}");
+            // The count is the same with or without cells.
+            let flat = db.collect_prepared_parallel(&bound, &plan, usize::MAX, &pool);
+            assert_eq!(
+                db.count_prepared_parallel(&bound, &plan, &pool),
+                flat.len() as u64,
+                "{name}"
+            );
+        }
     }
 
     /// A star of eight differently labelled edges off one vertex, each

@@ -11,11 +11,17 @@
 //! leapfrog intersection on the neighbour columns, seeking by galloping
 //! search (the WCOJ building block), and applies its list filter to list
 //! entries before binding them — a filtered owner-only list is read once
-//! per owner and morsel (`ListMemo`). VAR-LENGTH EXPAND is a BFS over vertex
-//! bitsets, MULTI-EXTEND performs a k-pointer merge-group on a
-//! property sort key and emits the cartesian product of each equal-key
-//! group, and sorted-prefix prunes are applied by binary search (the
-//! "fewer predicate evaluations" effect of VPt, §V-C1).
+//! per owner and morsel (`ListMemo`). A list that depends on its owner
+//! alone and hangs off a vertex bound two or more levels up, an *outer*
+//! list (`Plan::outer`, planned once), is the same for every frontier entry
+//! of an owner run: it is fetched and pre-checked (target label, target
+//! conjuncts and its own edge's conjuncts) once per (root entry, owner)
+//! run into the morsel's `Scratch`, where each call's lists and cursors
+//! live too, so no E/I call allocates a vector of its own. VAR-LENGTH
+//! EXPAND is a BFS over vertex bitsets, MULTI-EXTEND performs a k-pointer
+//! merge-group on a property sort key and emits the cartesian product of
+//! each equal-key group, and sorted-prefix prunes are applied by binary
+//! search (the "fewer predicate evaluations" effect of VPt, §V-C1).
 //!
 //! Matching semantics follow openCypher: query vertices may bind the same
 //! data vertex, but each data edge binds at most one query edge per match.
@@ -636,58 +642,35 @@ fn expand_frontier(
     s_hit
 }
 
-/// Fetches an E/I operator's adjacency lists for the current row; `None`
-/// when any list is empty (the extension produces nothing).
-fn fetch_ei_lists<'a>(ctx: ExecContext<'a>, alds: &[Ald], row: &Row) -> Option<Vec<BoundList<'a>>> {
-    let need = if alds.len() > 1 {
-        Need::NbrSorted
-    } else {
-        Need::Any
-    };
-    let lists: Vec<BoundList<'a>> = alds.iter().map(|a| fetch_list(ctx, a, row, need)).collect();
-    if lists.iter().any(|l| l.len() == 0) {
-        None
-    } else {
-        Some(lists)
-    }
-}
-
 /// Fetches a single-list extension's list for the current row, in any
 /// order.
 pub(crate) fn fetch_one<'a>(ctx: ExecContext<'a>, ald: &Ald, row: &Row) -> BoundList<'a> {
     fetch_list(ctx, ald, row, Need::Any)
 }
 
-/// The bindings operator `op` (plan level `depth`), an extension, adds to
-/// the binding held in `row`: each is bound in `row` while the continuation
-/// `k` runs, and unbound before the next. `Break` from `k` stops the
-/// enumeration. `memo` is the calling morsel's [`ListMemo`]. The root scan
-/// binds through [`root_range_bindings`] instead.
-pub(crate) fn op_bindings(
-    ctx: ExecContext<'_>,
-    op: &Operator,
+/// The bindings operator `depth` of `plan`, an extension, adds to the
+/// binding held in `row`, a path under the block's root entry `root`: each
+/// is bound in `row` while the continuation `k` runs, and unbound before
+/// the next. `Break` from `k` stops the enumeration. `scratch` is the
+/// calling morsel's [`Scratch`]. The root scan binds through
+/// [`root_range_bindings`] instead.
+pub(crate) fn op_bindings<'a>(
+    ctx: ExecContext<'a>,
+    plan: &Plan,
     depth: usize,
+    root: usize,
     row: &mut Row,
-    memo: &mut ListMemo,
+    scratch: &mut Scratch<'a>,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
+    let op = &plan.ops[depth];
     match op {
         Operator::ExtendIntersect { .. } => {
-            // A single list needs no intersection (plain EXTEND); multiple
-            // lists are each fetched neighbour-sorted and intersected with
-            // a k-pointer leapfrog.
             let ei = ei_op(op);
-            let stats = ctx.prof_level(depth);
-            if let Some(s) = stats {
-                s.record(ei.alds.len() as u64, 0, 0);
+            if plan.list_memo.binary_search(&depth).is_ok() {
+                return scratch.memo.scan(ctx, &ei, depth, row, k);
             }
-            if let Some(owner) = memo.owner(&ei, row) {
-                return memo.scan(ctx, &ei, depth, owner, row, stats, k);
-            }
-            let Some(lists) = fetch_ei_lists(ctx, ei.alds, row) else {
-                return ControlFlow::Continue(());
-            };
-            ei_over_lists(ctx, &ei, &lists, row, stats, k)
+            scratch.extend_intersect(ctx, plan, depth, root, &ei, row, k)
         }
         Operator::MultiExtend { targets, residual } => {
             multi_extend(ctx, depth, targets, residual, row, k)
@@ -1150,12 +1133,14 @@ fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
     sort_key(graph, list.merge_key, e, n)
 }
 
-/// Runs the E/I `ei` over its pre-fetched lists: a single list is scanned
-/// in list order, several are intersected on neighbour ID by the one
-/// leapfrog kernel, [`leapfrog`]. An operator without a list filter runs
-/// both on the target label alone ([`LabelOnly`]); one with a filter
-/// applies it too ([`Filtered`]) — two monomorphised instantiations, so
-/// the filter-free loop is exactly the loop it was before filters existed.
+/// Runs the E/I `ei` over its lists' cursors, in list order: a single list
+/// is scanned in list order, several are intersected on neighbour ID by the
+/// one leapfrog kernel, [`leapfrog`]. An operator without a list filter
+/// runs both on the target label alone ([`LabelOnly`]); one with a filter
+/// applies it too ([`Filtered`]) — two monomorphised instantiations, so the
+/// filter-free loop is exactly the loop it was before filters existed. A
+/// single list that is `prechecked` (an outer list, whose entries passed
+/// the operator's checks when it was read) is scanned with no check.
 ///
 /// The continuation `k` runs per produced binding with the target vertex
 /// and all edge variables bound (and is unwound before the next binding):
@@ -1169,7 +1154,8 @@ fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
 fn ei_over_lists(
     ctx: ExecContext<'_>,
     ei: &EiOp<'_>,
-    lists: &[BoundList<'_>],
+    cursors: &mut [Cursor<'_>],
+    prechecked: bool,
     row: &mut Row,
     stats: Option<&LevelStats>,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
@@ -1177,16 +1163,19 @@ fn ei_over_lists(
     let mut cand = 0u64;
     let mut emit = 0u64;
     let label = LabelOnly(ei.target_label);
-    let flow = match (lists, ei.filter.is_empty()) {
-        ([list], true) => scan_list(ctx, ei, list, &label, row, &mut cand, &mut emit, k),
-        ([list], false) => {
-            let check = Filtered(label, ei.filter);
-            scan_list(ctx, ei, list, &check, row, &mut cand, &mut emit, k)
+    let flow = match (cursors, ei.filter.is_empty()) {
+        ([c], _) if prechecked => {
+            scan_list(ctx, ei, c, &LabelOnly(None), row, &mut cand, &mut emit, k)
         }
-        (_, true) => leapfrog(ctx, ei, lists, &label, row, &mut cand, &mut emit, k),
-        (_, false) => {
+        ([c], true) => scan_list(ctx, ei, c, &label, row, &mut cand, &mut emit, k),
+        ([c], false) => {
             let check = Filtered(label, ei.filter);
-            leapfrog(ctx, ei, lists, &check, row, &mut cand, &mut emit, k)
+            scan_list(ctx, ei, c, &check, row, &mut cand, &mut emit, k)
+        }
+        (cs, true) => leapfrog(ctx, ei, cs, &label, row, &mut cand, &mut emit, k),
+        (cs, false) => {
+            let check = Filtered(label, ei.filter);
+            leapfrog(ctx, ei, cs, &check, row, &mut cand, &mut emit, k)
         }
     };
     if let Some(s) = stats {
@@ -1274,8 +1263,9 @@ struct Kept {
 
 /// A morsel's memo of filtered single lists, keyed by (plan-op index,
 /// owner vertex). A single-list E/I with a [`ListFilter`] whose list
-/// depends on its owner alone ([`Ald::per_owner`]) reads, checks and keeps
-/// each owner's list once per morsel; every frontier entry with that owner
+/// depends on its owner alone (one of the plan's `list_memo` operators)
+/// reads, checks and keeps each owner's list once per morsel; every
+/// frontier entry with that owner
 /// then replays the kept entries, checking only what depends on its row:
 /// relationship uniqueness and the residual. The key holds the operator
 /// because two operators may read one owner's list under different
@@ -1291,34 +1281,27 @@ pub(crate) struct ListMemo {
 }
 
 impl ListMemo {
-    /// The owner vertex whose list `ei` may take from the memo: a single,
-    /// filtered, owner-only list.
-    fn owner(&self, ei: &EiOp<'_>, row: &Row) -> Option<VertexId> {
-        let [ald] = ei.alds else { return None };
-        if ei.filter.is_empty() || !ald.per_owner() {
-            return None;
-        }
-        let FromRef::Vertex(v) = ald.from else {
-            return None;
-        };
-        row.vertex(v)
-    }
-
-    /// Scans the kept entries of `owner`'s list for `ei`, the operator at
-    /// plan-op index `depth` — reading and checking the list on its first
-    /// use in the morsel — as [`scan_one`] would scan the whole list.
-    #[allow(clippy::too_many_arguments)]
+    /// Scans the kept entries of its owner's list for `ei`, the operator at
+    /// plan-op index `depth`, one of the plan's `list_memo` operators —
+    /// reading and checking the list on its first use in the morsel — as
+    /// [`scan_one`] would scan the whole list.
     fn scan(
         &mut self,
         ctx: ExecContext<'_>,
         ei: &EiOp<'_>,
         depth: usize,
-        owner: VertexId,
         row: &mut Row,
-        stats: Option<&LevelStats>,
         k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let ald = &ei.alds[0];
+        let FromRef::Vertex(v) = ald.from else {
+            unreachable!("a memoised list hangs off a vertex")
+        };
+        let owner = row.vertex(v).expect("plan binds FROM before use");
+        let stats = ctx.prof_level(depth);
+        if let Some(s) = stats {
+            s.record(1, 0, 0);
+        }
         let kept = self.lists.entry((depth, owner.raw())).or_insert_with(|| {
             let list = fetch_one(ctx, ald, row);
             let (edges, nbrs) = list.columns();
@@ -1357,27 +1340,202 @@ impl ListMemo {
     }
 }
 
-/// A single-list extension over the whole of `list`, in list order.
+/// A morsel's reusable E/I state, owned by its block body
+/// ([`crate::block`]) and handed to every [`op_bindings`] call of the
+/// morsel: the [`ListMemo`], the buffers one call's lists and cursors live
+/// in, and one slot per outer list of the plan ([`Plan`]'s `outer`).
+///
+/// An outer list is fetched once per owner run: its slot keeps the list's
+/// entries that pass the operator's checks — the target label and, with a
+/// [`ListFilter`], its target conjuncts and the conjuncts on the list's own
+/// edge — for the (root entry, owner vertex) it was read under. Every call
+/// with the same key reads the slot, and the first call under another root
+/// entry or owner reads the list again. Keying on the root entry means a
+/// list is never reused across root entries, so what a run reads does not
+/// depend on where the pool cuts the root range into morsels. `PROFILE`
+/// records work done: a list read counts as scanned when it is fetched, a
+/// reused slot counts nothing, and the leapfrog runs over the checked
+/// entries, so its rounds fall.
+pub(crate) struct Scratch<'a> {
+    memo: ListMemo,
+    /// The lists one call fetched, in list order, outer ones aside.
+    lists: Vec<BoundList<'a>>,
+    /// The buffer one call's cursors live in; empty between calls.
+    cursors: Vec<Cursor<'static>>,
+    hoisted: Vec<Hoisted>,
+}
+
+/// An outer list's slot in a [`Scratch`]: the checked entries of the list
+/// read under `key`, a (root entry, owner vertex) pair.
+#[derive(Default)]
+struct Hoisted {
+    key: Option<(usize, u32)>,
+    edges: Vec<u64>,
+    nbrs: Vec<u32>,
+}
+
+impl Hoisted {
+    /// Refills the slot with the entries of `list` that pass `ei`'s checks
+    /// on a neighbour and on the list's own edge. Parallel-edge runs stay
+    /// contiguous, so the leapfrog reads them as it reads the list.
+    fn refill(&mut self, ctx: ExecContext<'_>, ei: &EiOp<'_>, list: &BoundList<'_>) {
+        self.edges.clear();
+        self.nbrs.clear();
+        let label = LabelOnly(ei.target_label);
+        match (ei.target_label, ei.filter.is_empty()) {
+            (None, true) => {
+                let (edges, nbrs) = list.columns();
+                self.edges.extend_from_slice(edges);
+                self.nbrs.extend_from_slice(nbrs);
+            }
+            (_, true) => self.keep(ctx, &label, list),
+            (_, false) => self.keep(ctx, &Filtered(label, ei.filter), list),
+        }
+    }
+
+    /// Keeps the entries of `list` that pass `check`, checking each
+    /// neighbour once per run of equal neighbours.
+    fn keep<C: EntryCheck>(&mut self, ctx: ExecContext<'_>, check: &C, list: &BoundList<'_>) {
+        let (edges, nbrs) = list.columns();
+        let mut last: Option<(u32, bool)> = None;
+        for (&e, &n) in edges.iter().zip(nbrs) {
+            let target = match last {
+                Some((m, pass)) if m == n => pass,
+                _ => {
+                    let pass = check.target(ctx, VertexId(n));
+                    last = Some((n, pass));
+                    pass
+                }
+            };
+            if target && check.edge(ctx, list.edge_var, EdgeId(e)) {
+                self.edges.push(e);
+                self.nbrs.push(n);
+            }
+        }
+    }
+}
+
+/// `v`'s buffer, emptied, as a vector of `U`, a type of the same layout —
+/// here a [`Cursor`] of another lifetime, so the cursors' buffer outlives
+/// the borrows of each call. Collecting a mapped `vec::IntoIter` into a
+/// vector of an element type of the same size and alignment reuses its
+/// buffer, so no call allocates one (`tests/ei_allocations.rs` checks it).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
+impl<'a> Scratch<'a> {
+    /// The scratch of one morsel of `plan`.
+    pub(crate) fn new(plan: &Plan) -> Self {
+        Self {
+            memo: ListMemo::default(),
+            lists: Vec::new(),
+            cursors: Vec::new(),
+            hoisted: plan.outer.iter().map(|_| Hoisted::default()).collect(),
+        }
+    }
+
+    /// The bindings E/I `ei`, the operator at plan-op index `depth` of
+    /// `plan`, adds to `row`, a path under root entry `root`: its lists
+    /// are fetched in list order — an outer list from its slot, read again
+    /// only for a new (root entry, owner vertex) — until one comes up
+    /// empty, then run through [`ei_over_lists`].
+    #[allow(clippy::too_many_arguments)]
+    fn extend_intersect(
+        &mut self,
+        ctx: ExecContext<'a>,
+        plan: &Plan,
+        depth: usize,
+        root: usize,
+        ei: &EiOp<'_>,
+        row: &mut Row,
+        k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        // A single list needs no intersection (plain EXTEND); multiple
+        // lists are each fetched neighbour-sorted and intersected.
+        let need = if ei.alds.len() > 1 {
+            Need::NbrSorted
+        } else {
+            Need::Any
+        };
+        let (first, outer) = plan.outer_at(depth);
+        let slot = |i: usize| outer.iter().position(|&(_, o)| o == i).map(|p| first + p);
+        let mut fetched = 0u64;
+        let mut all = true;
+        for (i, ald) in ei.alds.iter().enumerate() {
+            let len = match slot(i) {
+                Some(s) => {
+                    let FromRef::Vertex(v) = ald.from else {
+                        unreachable!("an outer list hangs off a vertex")
+                    };
+                    let key = Some((root, row.vertex(v).expect("plan binds FROM").raw()));
+                    let h = &mut self.hoisted[s];
+                    if h.key != key {
+                        fetched += 1;
+                        h.refill(ctx, ei, &fetch_list(ctx, ald, row, need));
+                        h.key = key;
+                    }
+                    h.nbrs.len()
+                }
+                None => {
+                    fetched += 1;
+                    self.lists.push(fetch_list(ctx, ald, row, need));
+                    self.lists.last().map_or(0, BoundList::len)
+                }
+            };
+            if len == 0 {
+                all = false;
+                break;
+            }
+        }
+        let stats = ctx.prof_level(depth);
+        if let Some(s) = stats {
+            s.record(fetched, 0, 0);
+        }
+        let mut flow = ControlFlow::Continue(());
+        if all {
+            let mut cursors = recycle(std::mem::take(&mut self.cursors));
+            let mut lists = self.lists.iter();
+            for (i, ald) in ei.alds.iter().enumerate() {
+                let columns = match slot(i) {
+                    Some(s) => (&self.hoisted[s].edges[..], &self.hoisted[s].nbrs[..]),
+                    None => lists.next().expect("fetched above").columns(),
+                };
+                cursors.push(Cursor::new(columns, ald.edge_var));
+            }
+            let prechecked = !outer.is_empty();
+            flow = ei_over_lists(ctx, ei, &mut cursors, prechecked, row, stats, k);
+            self.cursors = recycle(cursors);
+        }
+        self.lists.clear();
+        flow
+    }
+}
+
+/// A single-list extension over the whole of the list under `c`, in list
+/// order.
 #[allow(clippy::too_many_arguments)]
 fn scan_list<C: EntryCheck>(
     ctx: ExecContext<'_>,
     ei: &EiOp<'_>,
-    list: &BoundList<'_>,
+    c: &Cursor<'_>,
     check: &C,
     row: &mut Row,
     cand: &mut u64,
     emit: &mut u64,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let (edges, nbrs) = list.columns();
     let entries = (0..)
-        .zip(edges.iter().zip(nbrs))
+        .zip(c.edges.iter().zip(c.nbrs))
         .map(|(i, (&e, &n))| (i, e, n));
     scan_one(
         ctx,
         ei,
-        list.edge_var,
-        list.len(),
+        c.edge_var,
+        c.nbrs.len(),
         entries,
         check,
         row,
@@ -1429,15 +1587,28 @@ fn scan_one<C: EntryCheck>(
     ControlFlow::Continue(())
 }
 
-/// One list's place in a [`leapfrog`]: its borrowed columns, the position
-/// of its head, and — once the heads align — the end of the head's
-/// parallel-edge run.
+/// One list's place in an E/I: its borrowed columns, the query edge it
+/// binds, and for a [`leapfrog`] the position of its head and — once the
+/// heads align — the end of the head's parallel-edge run.
 struct Cursor<'l> {
     edges: &'l [u64],
     nbrs: &'l [u32],
     edge_var: usize,
     at: usize,
     run_end: usize,
+}
+
+impl<'l> Cursor<'l> {
+    /// A cursor at the head of the columns `(edges, nbrs)`.
+    fn new((edges, nbrs): (&'l [u64], &'l [u32]), edge_var: usize) -> Self {
+        Self {
+            edges,
+            nbrs,
+            edge_var,
+            at: 0,
+            run_end: 0,
+        }
+    }
 }
 
 /// The first position at or after `from` whose neighbour is `>= target`
@@ -1477,26 +1648,13 @@ fn seek(nbrs: &[u32], from: usize, target: u32) -> usize {
 fn leapfrog<C: EntryCheck>(
     ctx: ExecContext<'_>,
     ei: &EiOp<'_>,
-    lists: &[BoundList<'_>],
+    cursors: &mut [Cursor<'_>],
     check: &C,
     row: &mut Row,
     cand: &mut u64,
     emit: &mut u64,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let mut cursors: Vec<Cursor<'_>> = lists
-        .iter()
-        .map(|l| {
-            let (edges, nbrs) = l.columns();
-            Cursor {
-                edges,
-                nbrs,
-                edge_var: l.edge_var,
-                at: 0,
-                run_end: 0,
-            }
-        })
-        .collect();
     loop {
         let mut max_nbr = 0u32;
         for c in cursors.iter() {
@@ -1523,7 +1681,7 @@ fn leapfrog<C: EntryCheck>(
         let nbr = VertexId(max_nbr);
         if check.target(ctx, nbr) {
             row.bind_vertex(ei.target, nbr);
-            let flow = bind_edges_product(ctx, &cursors, check, ei.residual, row, &mut |r| {
+            let flow = bind_edges_product(ctx, cursors, check, ei.residual, row, &mut |r| {
                 *emit += 1;
                 k(r)
             });

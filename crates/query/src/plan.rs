@@ -25,8 +25,12 @@
 //! and its neighbour — against constants form the operator's
 //! [`ListFilter`], applied to the list's columns before anything is bound.
 //!
-//! A plan also carries what a count may take without building levels, its
-//! counted suffix (`Counted`), derived once when the plan is made.
+//! A plan also carries what its executor would otherwise derive per run,
+//! derived once when the plan is made: what a count may take without
+//! building levels, its counted suffix (`Counted`), and how a morsel reads
+//! the E/I lists that depend on their owner alone — once per owner run,
+//! its *outer* lists (`Plan::outer`), or once per owner and morsel, a
+//! filtered single list (`Plan::list_memo`).
 
 use std::fmt;
 
@@ -398,16 +402,41 @@ pub struct Plan {
     /// from `ops` when the plan is made; `None` when the last operator is
     /// not a [`Branch`].
     pub(crate) counted: Option<Counted>,
+    /// The *outer* E/I lists, as `(plan-op index, list index)` pairs in
+    /// plan order: lists that depend on their owner alone
+    /// ([`Ald::per_owner`]) and whose owner an operator at least two before
+    /// theirs binds. Frontier entries come in parent order, so consecutive
+    /// entries under one root share such an owner, and the executor reads
+    /// the list once per run of them. A pair's position is its slot in the
+    /// executor's per-morsel scratch.
+    pub(crate) outer: Vec<(usize, usize)>,
+    /// The plan-op indexes, ascending, of the single-list E/Is whose list
+    /// depends on its owner alone and has a [`ListFilter`]: the executor
+    /// keeps such a list's filtered entries once per owner and morsel
+    /// (`exec::ListMemo`), so none of them is outer.
+    pub(crate) list_memo: Vec<usize>,
 }
 
 impl Plan {
-    /// A plan running `ops` for `query`, with its counted suffix.
+    /// A plan running `ops` for `query`, with its counted suffix and how it
+    /// reads its owner-only lists.
     pub(crate) fn new(query: &QueryGraph, ops: Vec<Operator>, est_cost: f64) -> Self {
+        let (outer, list_memo) = list_reads(&ops);
         Self {
             counted: Counted::of(query, &ops),
+            outer,
+            list_memo,
             ops,
             est_cost,
         }
+    }
+
+    /// The outer lists of the operator at plan-op index `depth`, and the
+    /// slot of the first of them.
+    pub(crate) fn outer_at(&self, depth: usize) -> (usize, &[(usize, usize)]) {
+        let from = self.outer.partition_point(|&(d, _)| d < depth);
+        let to = from + self.outer[from..].partition_point(|&(d, _)| d == depth);
+        (from, &self.outer[from..to])
     }
 
     /// Whether any operator is a MULTI-EXTEND (used by plan-shape tests).
@@ -439,7 +468,14 @@ impl Plan {
     /// its per-level statistics with these.
     #[must_use]
     pub fn op_descriptions(&self) -> Vec<String> {
-        self.ops.iter().map(op_description).collect()
+        (0..self.ops.len())
+            .map(|d| self.op_description(d))
+            .collect()
+    }
+
+    /// The line describing the operator at plan-op index `depth`.
+    fn op_description(&self, depth: usize) -> String {
+        op_description(&self.ops[depth], self.outer_at(depth).1)
     }
 
     fn all_alds(&self) -> impl Iterator<Item = &Ald> {
@@ -457,7 +493,8 @@ impl Plan {
     }
 }
 
-fn op_description(op: &Operator) -> String {
+/// One line for `op`, whose outer lists are `outer` (each marked `outer`).
+fn op_description(op: &Operator, outer: &[(usize, usize)]) -> String {
     match op {
         Operator::ScanVertices { var, label, preds } => {
             let mut s = format!("Scan v{var}");
@@ -482,7 +519,17 @@ fn op_description(op: &Operator) -> String {
             residual,
             ..
         } => {
-            let lists: Vec<String> = alds.iter().map(Ald::render).collect();
+            let lists: Vec<String> = alds
+                .iter()
+                .enumerate()
+                .map(|(i, a)| {
+                    let mut s = a.render();
+                    if outer.iter().any(|&(_, o)| o == i) {
+                        s.push_str(" outer");
+                    }
+                    s
+                })
+                .collect();
             let mut s = format!("E/I v{target} ⋂[{}]", lists.join(" ∩ "));
             if !filter.is_empty() {
                 s.push_str(&format!(" list-filter={}", filter.len()));
@@ -536,11 +583,39 @@ fn op_description(op: &Operator) -> String {
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Plan (est i-cost {:.1}):", self.est_cost)?;
-        for op in &self.ops {
-            writeln!(f, "  {}", op_description(op))?;
+        for depth in 0..self.ops.len() {
+            writeln!(f, "  {}", self.op_description(depth))?;
         }
         Ok(())
     }
+}
+
+/// The outer lists of `ops` and the operators whose list the executor's
+/// list memo keeps (see [`Plan::outer`] and [`Plan::list_memo`]). Every
+/// query vertex is bound by one operator before any list hangs off it, so
+/// an owner the operator just before the list's does not bind was bound two
+/// or more operators before.
+fn list_reads(ops: &[Operator]) -> (Vec<(usize, usize)>, Vec<usize>) {
+    let (mut outer, mut list_memo) = (Vec::new(), Vec::new());
+    for (depth, op) in ops.iter().enumerate().skip(1) {
+        let Operator::ExtendIntersect { alds, filter, .. } = op else {
+            continue;
+        };
+        if let [ald] = alds.as_slice() {
+            if !filter.is_empty() && ald.per_owner() {
+                list_memo.push(depth);
+                continue;
+            }
+        }
+        for (i, ald) in alds.iter().enumerate() {
+            if let FromRef::Vertex(owner) = ald.from {
+                if ald.per_owner() && !ops[depth - 1].bound_vars().0.contains(&owner) {
+                    outer.push((depth, i));
+                }
+            }
+        }
+    }
+    (outer, list_memo)
 }
 
 /// The operators a count takes **without building their levels**: the
@@ -599,6 +674,12 @@ pub(crate) struct Branch {
     /// descendant's: then its count depends on its owner alone, and no
     /// uniqueness check or subtraction is needed under it.
     pub(crate) prefix_disjoint: bool,
+    /// Whether a count keeps a memo cell per owner vertex for it: its list
+    /// depends on its owner alone, and it is a leaf or `prefix_disjoint`
+    /// (then its count does too) — unless the suffix starts right after a
+    /// vertex scan and the branch is owned by the scan's variable, whose
+    /// owners are distinct per frontier entry, so no cell would be read.
+    pub(crate) memoised: bool,
 }
 
 impl Branch {
@@ -638,6 +719,7 @@ impl Branch {
             target: *target,
             children: Vec::new(),
             prefix_disjoint: true,
+            memoised: false,
         })
     }
 }
@@ -692,6 +774,18 @@ impl Counted {
                 .iter()
                 .all(|&c| branches[c].prefix_disjoint);
             branches[b].prefix_disjoint &= clear;
+        }
+        // Right after a vertex scan, each frontier entry binds the scan's
+        // variable to a vertex of its own, so a branch owned by it (a root
+        // branch) would write each of its cells once and never read one.
+        let scanned = match ops[0] {
+            Operator::ScanVertices { var, .. } if start == 1 => Some(var),
+            _ => None,
+        };
+        for br in &mut branches {
+            br.memoised = br.per_owner
+                && (br.children.is_empty() || br.prefix_disjoint)
+                && scanned != Some(br.owner);
         }
         Some(Self {
             start,
@@ -882,6 +976,60 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// SQ8 and SQ11 close their cycle by intersecting the newest vertex's
+    /// list with `v0`'s backward list, which is the same for every entry
+    /// under one root: the plan marks it outer, under D and Dp alike. SQ8's
+    /// diamond chord reads `v0`'s forward list two levels down, outer too.
+    #[test]
+    fn sq8_and_sq11_mark_their_outer_lists() {
+        use aplus_datagen::{generate, GeneratorConfig};
+        let sq = |name: &str| {
+            include_str!("../../../benchmark/queries/primary_count.txt")
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                .unwrap()
+        };
+        let graph = generate(&GeneratorConfig::social(2_000, 78_000, 8, 2).with_seed(2));
+        let mut db = crate::Database::new(graph).unwrap();
+        // Per query: its outer lists and the plan lines that mark them.
+        type Want = (
+            &'static str,
+            &'static [(usize, usize)],
+            &'static [&'static str],
+        );
+        let want: [Want; 2] = [
+            (
+                "SQ8",
+                &[(2, 1), (4, 1)],
+                &[
+                    "  E/I v2 ⋂[v1→primary:fwd[1] ∩ v0→primary:fwd[1] outer]",
+                    "  E/I v4 ⋂[v3→primary:fwd[1] ∩ v0→primary:bwd[1] outer]",
+                ],
+            ),
+            (
+                "SQ11",
+                &[(4, 1)],
+                &["  E/I v4 ⋂[v3→primary:fwd[0] ∩ v0→primary:bwd[0] outer]"],
+            ),
+        ];
+        for (name, outer, lines) in want {
+            let plan = db.prepare(sq(name)).unwrap().1;
+            assert_eq!(plan.outer, outer, "D {name}");
+            let rendered = plan.to_string();
+            for line in lines {
+                assert!(rendered.lines().any(|l| l == *line), "{name}: {rendered}");
+            }
+            assert_eq!(rendered.matches(" outer").count(), outer.len(), "{name}");
+        }
+        db.ddl("RECONFIGURE PRIMARY INDEXES PARTITION BY eadj.label, vnbr.label SORT BY vnbr.ID")
+            .unwrap();
+        for (name, outer, _) in want {
+            let plan = db.prepare(sq(name)).unwrap().1;
+            assert_eq!(plan.outer, outer, "Dp {name}: {plan}");
+            assert!(plan.list_memo.is_empty(), "Dp {name}");
         }
     }
 

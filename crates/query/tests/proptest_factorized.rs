@@ -119,6 +119,9 @@ const TEMPLATES: &[&str] = &[
     "MATCH a-[r]->b-[s]->c-[t]->d WHERE s.w >= 30, c.grp = g2, t.w < 70",
     "MATCH a-[r]->b, a-[s]->c WHERE b.grp = c.grp, r.w < 50, s.w >= 20",
     "MATCH a-[r:E]->b-[s:E]->c-[t:E]->a WHERE t.w < 50, c.grp = g0",
+    "MATCH a-[r]->b-[s]->c-[t]->a",
+    "MATCH a-[r:E]->b-[s:E]->c-[t:E]->a WHERE s.w < 50, t.w >= 20",
+    "MATCH a-[r:E]->b-[s:E]->c-[t:E]->d-[u:E]->a WHERE d.grp = g1, b.grp = d.grp",
     "MATCH a-[:E*1..3]->b",
     "MATCH a-[r:E]->b-[:F*1..2]->c",
     "MATCH a-[:E*2..3]->b-[s:F]->c WHERE a.ID = 0",
@@ -242,6 +245,15 @@ proptest! {
             inner |= f[..f.len() - 1].contains(&true);
         }
         prop_assert!(on_tail && inner, "list filters on a tail and an inner operator");
+        // Outer lists are read in a filtered E/I (the MF1 shape) and over
+        // an unlabelled list, which spans every label's slot.
+        let plans: Vec<String> = TEMPLATES
+            .iter()
+            .map(|q| db.prepare(q).unwrap().1.to_string())
+            .collect();
+        let lines = || plans.iter().flat_map(|p| p.lines());
+        prop_assert!(lines().any(|l| l.contains(" outer") && l.contains("list-filter=")));
+        prop_assert!(lines().any(|l| l.contains(":bwd outer") || l.contains(":fwd outer")));
         if config == 3 {
             prop_assert!(has(&ops, |o| matches!(o, Operator::MultiExtend { .. })));
         }
@@ -529,4 +541,69 @@ fn parts_of_a_heavy_last_level_keep_rows_and_limits() {
             }
         }
     }
+}
+
+/// Roots 1 and 2 (`A`) and the vertices past them: root 1 reaches `b0`
+/// then `b1`, root 2 reaches `b1`, and each `b` reaches `d`s straight (its
+/// list to `d0`, and `b1`'s to `d0 + 3`, by two parallel edges) and
+/// through the `c`s.
+fn owner_runs_graph() -> Graph {
+    let mut g = Graph::new();
+    for i in 0..64 {
+        g.add_vertex(if i < 4 { "A" } else { "B" });
+    }
+    let (b0, b1, c0, d0) = (38, 39, 49, 60);
+    let edges = [
+        (1, b0),
+        (1, b1),
+        (2, b1),
+        (b0, c0),
+        (b0, c0 + 1),
+        (b1, c0 + 2),
+        (c0, d0),
+        (c0, d0 + 1),
+        (c0 + 1, d0 + 1),
+        (c0 + 2, d0 + 2),
+        (c0 + 2, d0),
+        (b0, d0),
+        (b0, d0),
+        (b0, d0 + 1),
+        (b1, d0 + 2),
+        (b1, d0 + 3),
+        (b1, d0 + 3),
+    ];
+    for (s, d) in edges {
+        g.add_edge(VertexId(s), VertexId(d), "E").unwrap();
+    }
+    g
+}
+
+/// An outer list owned by a vertex bound below the root: the closing
+/// intersection reads `b`'s list, with its parallel-edge runs, once per
+/// (root entry, `b`) run. Under root 1 the owner changes from `b0` to
+/// `b1`, so the list is read again; root 2 starts with the owner root 1
+/// ended with, so the list is read again there too — and with 64 vertices
+/// the two roots share a morsel at pools 1 and 2 but not at pool 4, so a
+/// read carried across the root boundary would show as a `PROFILE` that
+/// differs between pools. Each of the 13 frontier entries (`c` is any
+/// out-neighbour of `b`, the `d`s included) fetches `c`'s list, and each of
+/// the three runs fetches `b`'s once.
+#[test]
+fn outer_lists_are_read_once_per_root_and_owner_run() {
+    use aplus_query::{profiled, Output};
+    let db = Database::new(owner_runs_graph()).unwrap();
+    let q = "MATCH (a:A)-[r]->(b), (b)-[s]->(c), (c)-[t]->(d), (b)-[u]->(d)";
+    let (bound, plan) = db.prepare(q).unwrap();
+    assert!(
+        plan.to_string()
+            .contains("E/I v3 ⋂[v2→primary:fwd ∩ v1→primary:fwd outer]"),
+        "{plan}"
+    );
+    common::assert_one_driver(&db, q).unwrap();
+    let pool = MorselPool::sequential();
+    let profile = profiled(&plan, |p| {
+        db.run(&bound, &plan, &pool, Some(p), Output::Count)
+    });
+    assert_eq!(profile.rows, 6);
+    assert_eq!(profile.levels[3].lists_scanned, 13 + 3);
 }
