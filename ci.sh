@@ -28,12 +28,13 @@ run() {
 # outer lists are plan data, derived once by the planner, never by the
 # executor, whose E/I calls allocate no per-call list or cursor vector. Every secondary
 # index keeps its pages in one store (`OffsetCsr`), and the maintenance
-# knobs stay deleted. A count memoises its counted suffix in one store per
-# query (`CountMemo`); the per-block owner runs stay deleted.
+# knobs stay deleted. A query memoises its owner-only work — counted-suffix
+# counts and filtered lists — in one store (`OwnerMemo`); the per-block
+# owner runs and the per-morsel list memo stay deleted.
 # `./ci.sh guard` runs only this (the ci.yml step does).
 guard() {
     echo
-    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts), no FILTER operator, the counted suffix and the outer lists planned once, E/I scratch per morsel, one secondary page store, no maintenance knobs, one count memo"
+    echo "==> guard: one query driver, no planner/executor env knobs, no graph scan in the planner, one offset-list read path, pages and edge columns shared per page/chunk, no store bitmap indexes, one benchmark track, no profiled-collect twins, one factorized engine, blocks flattened once at the merge, one partitioning strategy (root-ID morsels), one leapfrog kernel over list columns, a bitset var-length BFS, one ordered merge (map_ranges, handing results over in parts), no FILTER operator, the counted suffix and the outer lists planned once, E/I scratch per morsel, one secondary page store, no maintenance knobs, one owner memo"
     local bad=0 f
     if grep -n 'env::var' crates/query/src/{optimizer,plan,exec,block}.rs; then
         echo "guard: planning and execution must not read the environment"
@@ -173,16 +174,16 @@ guard() {
         bad=1
     fi
     # The counted suffix is plan data (`plan::Counted`, derived in
-    # `Plan::new`), and so is how a morsel reads the lists that depend on
-    # their owner alone (`Plan::outer`, `Plan::list_memo`): the executor
-    # reads them and derives nothing per run.
+    # `Plan::new`), and so is how the lists that depend on their owner
+    # alone are read (`Plan::outer`, `Plan::list_memo`): the executor reads
+    # them and derives nothing per run.
     for f in crates/query/src/{block,exec}.rs; do
         if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nwE 'Suffix|FastTail|edge_shapes|disjoint'; then
             echo "guard: $f must read the counted suffix from the plan, not derive it"
             bad=1
         fi
         if sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^\s*//' |
-            grep -nwE 'per_owner|list_reads'; then
+            grep -nwE 'per_owner|list_reads|scanned_owner'; then
             echo "guard: $f must read its outer lists and list-memo operators from the plan, not derive them"
             bad=1
         fi
@@ -194,21 +195,27 @@ guard() {
         echo "guard: exec.rs: E/I lists and cursors live in per-morsel scratch (no per-call Vec<BoundList> / Vec<Cursor>)"
         bad=1
     fi
-    # A count's suffix branches share one per-query memo, `CountMemo`,
-    # keyed by (branch, owner vertex): the per-block owner runs (`Run`),
-    # their `Memo` enum and `Branch::reusable` stay deleted, and the only
-    # memo types are `CountMemo` (counts) and `ListMemo` (filtered lists).
+    # A query's owner-only work shares one per-query memo, `OwnerMemo`,
+    # keyed by (slot, owner vertex): counted-suffix branches and filtered
+    # lists alike. The per-block owner runs (`Run`), their `Memo` enum,
+    # `Branch::reusable` and the per-morsel list memo (`ListMemo`, with its
+    # `KeptEntry` replay) stay deleted, and `OwnerMemo` is the only memo
+    # type.
     if sed '/#\[cfg(test)\]/,$d' crates/query/src/block.rs |
         grep -nE '(struct|enum) (Run|Memo)\b|fn reusable\b'; then
-        echo "guard: block.rs: counts memoise in CountMemo (block::Run, Memo and Branch::reusable were removed)"
+        echo "guard: block.rs: counts memoise in OwnerMemo (block::Run, Memo and Branch::reusable were removed)"
+        bad=1
+    fi
+    if grep -rnwE 'ListMemo|KeptEntry' crates/*/src crates/*/tests src tests README.md docs; then
+        echo "guard: filtered lists are memoised in the query's OwnerMemo (the per-morsel ListMemo and its KeptEntry replay were removed)"
         bad=1
     fi
     local memos
     memos=$(grep -rhoE '(struct|enum|type) [A-Za-z0-9_]*Memo[A-Za-z0-9_]*' crates/query/src |
-        awk '{ print $2 }' | sort | uniq -c | awk '$1 > 1 || $2 !~ /^(CountMemo|ListMemo)$/' || true)
-    if [ -n "$memos" ]; then
+        awk '{ print $2 }' | sort | uniq -c | awk '{ print $2 " x" $1 }')
+    if [ "$memos" != "OwnerMemo x1" ]; then
         echo "$memos"
-        echo "guard: crates/query keeps one count memo (CountMemo) beside ListMemo; do not add a second memo type"
+        echo "guard: crates/query keeps exactly one memo type (OwnerMemo); do not add a second"
         bad=1
     fi
     ((bad == 0)) || exit 1

@@ -35,21 +35,26 @@
 //! list's neighbour column (no pass at all when unlabelled), minus the path
 //! edges already bound that relationship uniqueness would reject (found by
 //! binary search on a neighbour-sorted list). An inner branch sums its
-//! children's product over its label-passing neighbours. A count query
-//! keeps one memo (`CountMemo`), shared by every morsel and worker, with a
-//! cell per (branch, owner vertex): a leaf's label-passing count whenever
-//! its list depends on its owner alone, and an inner branch's count when no
-//! path edge can enter it either (`prefix_disjoint`). So each such branch
-//! is evaluated once per owner vertex and query — Yannakakis-style counting
-//! over the factorized levels — and for a leaf only the subtraction runs
-//! per entry. A `PROFILE` run records a cell's own work once, by the write
-//! that lands; a hit records nothing. A plan without a suffix counts its
-//! last operator's bindings per frontier entry.
+//! children's product over its label-passing neighbours.
+//!
+//! Every query keeps one memo of owner-only work (`OwnerMemo`), shared by
+//! every morsel and worker, with a cell per (slot, owner vertex) whose
+//! first write wins. A count's slots are its memoised branches: a leaf's
+//! label-passing count whenever its list depends on its owner alone, and
+//! an inner branch's count when no path edge can enter it either
+//! (`prefix_disjoint`). So each such branch is evaluated once per owner
+//! vertex and query — Yannakakis-style counting over the factorized levels
+//! — and for a leaf only the subtraction runs per entry. A plan without a
+//! suffix counts its last operator's bindings per frontier entry. Counts
+//! and rows alike have a slot per `Plan::list_memo` operator, a filtered
+//! single list that depends on its owner alone: its cell keeps the owner's
+//! entries that pass the operator's checks, so the list is read once per
+//! owner vertex and query, and a level holds only bindings that pass. A
+//! `PROFILE` run records a cell's own work once, by the write that lands;
+//! a hit records nothing.
 //!
 //! An E/I's list filter (`plan::ListFilter`) is applied to list entries
-//! before they are bound, and a filtered list that depends on its owner
-//! alone is read once per owner and morsel (`exec::ListMemo`), so a level
-//! holds only bindings that pass. An E/I's *outer* lists (`Plan::outer`:
+//! before they are bound. An E/I's *outer* lists (`Plan::outer`:
 //! owner-only lists hanging off a vertex bound two or more levels up) are
 //! fetched and pre-checked once per run of frontier entries that share
 //! their root entry and owner, into the morsel's scratch (`exec::Scratch`,
@@ -83,7 +88,7 @@ use aplus_core::Direction;
 use aplus_obs::LevelStats;
 
 use crate::exec::{
-    fetch_one, op_bindings, root_range_bindings, BoundList, Emit, ExecContext, Scratch,
+    fetch_one, op_bindings, root_range_bindings, BoundList, Checked, Emit, ExecContext, Scratch,
     LEVEL_PART_CAP,
 };
 use crate::plan::{Branch, Counted, Operator, Plan};
@@ -290,7 +295,7 @@ impl Blocks {
         plan: &Plan,
         row: &mut Row,
         scratch: &mut Scratch<'a>,
-        counts: &CountMemo,
+        memo: &OwnerMemo,
     ) -> u64 {
         let top = self.levels.len() - 1;
         let last = plan.ops.len() - 1;
@@ -300,7 +305,7 @@ impl Blocks {
             self.bind_path(row, top, fi);
             let n = match &plan.counted {
                 Some(s) => s
-                    .product(ctx, counts, &s.roots, row)
+                    .product(ctx, memo, &s.roots, row)
                     .map_or(0, |n| served(ctx, stats, n)),
                 None => {
                     let mut n = 0u64;
@@ -407,36 +412,51 @@ impl Branch {
     }
 }
 
-/// One count query's memo of counted-suffix branches, shared by every
-/// morsel and worker of the query: a cell per (branch, owner vertex),
-/// holding what the branch contributes for that owner. The value is a pure
-/// function of the key, so the first write wins and a racing writer would
-/// have stored the same number.
+/// One query's memo of owner-only work, shared by every morsel and worker
+/// of the query: a cell per (slot, owner vertex), holding what the slot's
+/// list yields for that owner. A cell's value is a pure function of its
+/// key, so the first write wins; a `PROFILE` run records a cell's work
+/// once, by the write that lands, so a profile depends only on the cells a
+/// query reaches — the same at every thread count and wherever the pool
+/// cuts the root range.
 ///
-/// Which branches are memoised is plan data (`Branch::memoised`): a
-/// branch whose list depends on its owner alone that is a leaf, whose cell
-/// is the label-passing count before any uniqueness subtraction, or an
-/// inner branch that is `prefix_disjoint`, whose count then depends on its
-/// owner alone — but not a branch owned by the variable of a vertex scan
-/// the suffix directly follows, whose owners never repeat. On a path each
-/// memoised (branch, vertex) is evaluated once per query:
-/// Yannakakis-style counting.
+/// Its slots are plan data:
 ///
-/// Each memoised branch has 8 B of cells per graph vertex, in pages of
-/// [`MEMO_PAGE`] cells allocated zeroed on their first write, so a page
-/// no owner reaches is never allocated: a pinned count allocates a few
-/// pages, not 8 B × V. A cell is 0 until written, 1 for an empty list,
-/// and `n + 3` for a count `n`; a count within 2 of `u64::MAX` does not
-/// fit beside those and is kept in `big`, behind a cell of 2.
-pub(crate) struct CountMemo {
-    /// Per suffix branch, the index of its cell for vertex 0, when it is
-    /// memoised. Each branch's cells start on a page of their own.
-    first: Vec<Option<usize>>,
-    pages: Box<[OnceLock<Box<[AtomicU64]>>]>,
+/// * **Count slots**, one per memoised counted-suffix branch of a count
+///   (`Branch::memoised`: a branch whose list depends on its owner alone
+///   that is a leaf, whose cell is the label-passing count before any
+///   uniqueness subtraction, or an inner branch that is `prefix_disjoint`,
+///   whose count then depends on its owner alone — but not one owned by the
+///   scanned vertex right after the scan). On a path each memoised
+///   (branch, vertex) is evaluated once per query: Yannakakis-style
+///   counting. A cell is 0 until written, 1 for an empty list, and `n + 3`
+///   for a count `n`; a count within 2 of `u64::MAX` does not fit beside
+///   those and is kept in `big`, behind a cell of 2.
+/// * **List slots**, one per `Plan::list_memo` operator of any run: the
+///   owner's list entries that pass the operator's checks, as edge and
+///   neighbour columns (`exec::Checked`). The key holds the slot because
+///   two operators may read one vertex's list under different filters. A
+///   cell is filled once: its first reader fills it while any racer waits.
+///
+/// Each slot has a cell per graph vertex, in pages of [`MEMO_PAGE`] cells
+/// allocated on their first write, so a page no owner reaches is never
+/// allocated (a pinned query allocates a few pages, not a cell per vertex),
+/// and a plan with no slot allocates nothing.
+pub(crate) struct OwnerMemo {
+    counts: Cells<AtomicU64>,
+    lists: Cells<OnceLock<Checked>>,
     big: Mutex<FxHashMap<usize, u64>>,
 }
 
-/// Cells per [`CountMemo`] page: 4 KiB.
+/// The cells of a memo's slots of one kind: per slot, the index of its
+/// cell for vertex 0 when it keeps cells (each slot's cells start on a page
+/// of their own), and the pages, each allocated on its first write.
+struct Cells<T> {
+    first: Vec<Option<usize>>,
+    pages: Box<[OnceLock<Box<[T]>>]>,
+}
+
+/// Cells per memo page: 4 KiB of count cells.
 const MEMO_PAGE: usize = 512;
 
 const UNSET: u64 = 0;
@@ -444,44 +464,69 @@ const EMPTY: u64 = 1;
 const BIG: u64 = 2;
 const OFFSET: u64 = 3;
 
-impl CountMemo {
-    /// The memo for a count of a plan whose counted suffix is `counted`,
-    /// over a graph of `vertices` vertices. Without a suffix it holds
-    /// nothing.
-    pub(crate) fn new(counted: Option<&Counted>, vertices: usize) -> Self {
+impl<T: Default> Cells<T> {
+    /// Cells for one slot per `kept` flag that is set, over a graph of
+    /// `vertices` vertices.
+    fn new(kept: impl Iterator<Item = bool>, vertices: usize) -> Self {
         let stride = vertices.div_ceil(MEMO_PAGE) * MEMO_PAGE;
         let mut cells = 0;
-        let first = counted.map_or_else(Vec::new, |c| {
-            c.branches
-                .iter()
-                .map(|b| {
-                    b.memoised.then(|| {
-                        cells += stride;
-                        cells - stride
-                    })
+        let first = kept
+            .map(|k| {
+                k.then(|| {
+                    cells += stride;
+                    cells - stride
                 })
-                .collect()
-        });
+            })
+            .collect();
         Self {
             first,
             pages: (0..cells / MEMO_PAGE).map(|_| OnceLock::new()).collect(),
-            big: Mutex::default(),
         }
     }
 
-    /// The cell of branch `b` for owner `v`, when `b` is memoised.
-    fn cell(&self, b: usize, v: VertexId) -> Option<usize> {
+    /// The cell of slot `slot` for owner `v`, when the slot keeps cells.
+    fn at(&self, slot: usize, v: VertexId) -> Option<usize> {
         self.first
-            .get(b)
+            .get(slot)
             .copied()
             .flatten()
             .map(|at| at + v.index())
     }
 
-    /// What cell `at` holds, or `None` before its first write.
+    /// Cell `at`, or `None` while its page is not allocated.
+    fn get(&self, at: usize) -> Option<&T> {
+        Some(&self.pages[at / MEMO_PAGE].get()?[at % MEMO_PAGE])
+    }
+
+    /// Cell `at`, allocating its page on first use.
+    fn get_or_alloc(&self, at: usize) -> &T {
+        let page = self.pages[at / MEMO_PAGE]
+            .get_or_init(|| (0..MEMO_PAGE).map(|_| T::default()).collect());
+        &page[at % MEMO_PAGE]
+    }
+}
+
+impl OwnerMemo {
+    /// The memo of one run of `plan` over a graph of `vertices` vertices:
+    /// count slots when `counting`, and list slots either way.
+    pub(crate) fn new(plan: &Plan, counting: bool, vertices: usize) -> Self {
+        let branches = plan.counted.as_ref().filter(|_| counting);
+        let counted = branches.into_iter().flat_map(|c| &c.branches);
+        Self {
+            counts: Cells::new(counted.map(|b| b.memoised), vertices),
+            lists: Cells::new(plan.list_memo.iter().map(|_| true), vertices),
+            big: Mutex::default(),
+        }
+    }
+
+    /// The count cell of branch `b` for owner `v`, when `b` is memoised.
+    fn cell(&self, b: usize, v: VertexId) -> Option<usize> {
+        self.counts.at(b, v)
+    }
+
+    /// What count cell `at` holds, or `None` before its first write.
     fn get(&self, at: usize) -> Option<Served> {
-        let page = self.pages[at / MEMO_PAGE].get()?;
-        match page[at % MEMO_PAGE].load(Ordering::Acquire) {
+        match self.counts.get(at)?.load(Ordering::Acquire) {
             UNSET => None,
             EMPTY => Some(None),
             BIG => Some(Some(self.big_counts()[&at])),
@@ -489,8 +534,8 @@ impl CountMemo {
         }
     }
 
-    /// Writes `value` into cell `at` unless a value landed there first.
-    /// Returns whether this write landed.
+    /// Writes `value` into count cell `at` unless a value landed there
+    /// first. Returns whether this write landed.
     fn put(&self, at: usize, value: Served) -> bool {
         let raw = match value {
             None => EMPTY,
@@ -500,17 +545,29 @@ impl CountMemo {
             }
             Some(n) => n + OFFSET,
         };
-        let page = self.pages[at / MEMO_PAGE]
-            .get_or_init(|| (0..MEMO_PAGE).map(|_| AtomicU64::new(UNSET)).collect());
         // The release pairs with `get`'s acquire: a reader that sees
         // `BIG` sees its entry in `big` too.
-        page[at % MEMO_PAGE]
+        self.counts
+            .get_or_alloc(at)
             .compare_exchange(UNSET, raw, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
 
     fn big_counts(&self) -> std::sync::MutexGuard<'_, FxHashMap<usize, u64>> {
         self.big.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The checked list of list slot `slot` for owner `v`: its cell's value,
+    /// which `fill` computes on the cell's first use. `fill` runs once per
+    /// cell and query, so whatever it records is recorded once.
+    pub(crate) fn list(
+        &self,
+        slot: usize,
+        v: VertexId,
+        fill: impl FnOnce() -> Checked,
+    ) -> &Checked {
+        let at = self.lists.at(slot, v).expect("every list slot keeps cells");
+        self.lists.get_or_alloc(at).get_or_init(fill)
     }
 }
 
@@ -523,7 +580,7 @@ impl Counted {
     fn product(
         &self,
         ctx: ExecContext<'_>,
-        memo: &CountMemo,
+        memo: &OwnerMemo,
         branches: &[usize],
         row: &mut Row,
     ) -> Served {
@@ -543,7 +600,7 @@ impl Counted {
     /// when `b` is not memoised), so a hit records nothing. A leaf that
     /// is not `prefix_disjoint` then subtracts the path edges bound in
     /// `row` from its cell's count.
-    fn value(&self, ctx: ExecContext<'_>, memo: &CountMemo, b: usize, row: &mut Row) -> Served {
+    fn value(&self, ctx: ExecContext<'_>, memo: &OwnerMemo, b: usize, row: &mut Row) -> Served {
         let br = &self.branches[b];
         let owner = row.vertex(br.owner).expect("plan binds FROM before use");
         let cell = memo.cell(b, owner);
@@ -570,7 +627,7 @@ impl Counted {
     fn evaluate(
         &self,
         ctx: ExecContext<'_>,
-        memo: &CountMemo,
+        memo: &OwnerMemo,
         b: usize,
         row: &mut Row,
     ) -> (Served, Work) {
@@ -632,7 +689,7 @@ fn count_ops<'a>(
     st: &mut Blocks,
     row: &mut Row,
     scratch: &mut Scratch<'a>,
-    counts: &CountMemo,
+    memo: &OwnerMemo,
 ) -> u64 {
     let last = plan.ops.len() - 1;
     if last == 0 {
@@ -642,7 +699,7 @@ fn count_ops<'a>(
     if !apply_ops(ctx, plan, st, row, scratch, 1..built) {
         return 0;
     }
-    st.tail_count(ctx, plan, row, scratch, counts)
+    st.tail_count(ctx, plan, row, scratch, memo)
 }
 
 /// Runs the operators after the root scan over a root-seeded block for
@@ -732,12 +789,13 @@ impl Drop for FlattenIter<'_> {
 /// Seeds a block with the root bindings in ID `range` that pass the root
 /// scan's checks (pinned vertices and label/predicate semantics included)
 /// and consumes it — the one block body. A count takes the plan's counted
-/// suffix without building its levels.
-pub(crate) fn root_morsel(
-    ctx: ExecContext<'_>,
+/// suffix without building its levels. `memo` is the query's one memo.
+pub(crate) fn root_morsel<'a>(
+    ctx: ExecContext<'a>,
     query: &QueryGraph,
     plan: &Plan,
     range: Range<usize>,
+    memo: &'a OwnerMemo,
     emit: Emit<'_>,
 ) {
     // A fresh scratch row per block: `bind_path` materializes exactly the
@@ -754,10 +812,10 @@ pub(crate) fn root_morsel(
     }
     ctx.note_block();
     let mut st = Blocks::seeded(root);
-    let mut scratch = Scratch::new(plan);
+    let mut scratch = Scratch::new(plan, memo);
     match emit {
-        Emit::Count(n, counts) => {
-            let counted = count_ops(ctx, plan, &mut st, &mut row, &mut scratch, counts);
+        Emit::Count(n) => {
+            let counted = count_ops(ctx, plan, &mut st, &mut row, &mut scratch, memo);
             *n = n.saturating_add(counted);
         }
         Emit::Parts(hand) => build_ops(ctx, plan, st, row, &mut scratch, hand),
@@ -771,7 +829,7 @@ mod tests {
     use aplus_graph::Graph;
     use aplus_runtime::MorselPool;
 
-    use super::CountMemo;
+    use super::OwnerMemo;
     use crate::exec::Output;
     use crate::plan::Operator;
     use crate::{profiled, Database, QueryError};
@@ -1010,7 +1068,7 @@ mod tests {
         // The leaf c hangs off b, which repeats across frontier entries.
         let plan = db.prepare("MATCH a-[r]->b, b-[s]->c").unwrap().1;
         let values = [Some(0), Some(1), Some(u64::MAX - 1), Some(u64::MAX), None];
-        let memo = CountMemo::new(plan.counted.as_ref(), values.len());
+        let memo = OwnerMemo::new(&plan, true, values.len());
         for (v, &value) in values.iter().enumerate() {
             let at = memo
                 .cell(0, VertexId(v as u32))
@@ -1021,10 +1079,13 @@ mod tests {
             assert!(!memo.put(at, Some(7)), "{value:?}");
             assert_eq!(memo.get(at), Some(value));
         }
-        // A plan without a counted suffix memoises nothing.
+        // Rows runs keep no count cell, and a plan without a counted suffix
+        // or a list slot allocates nothing.
+        assert_eq!(OwnerMemo::new(&plan, false, 3).cell(0, VertexId(0)), None);
         let plan = db.prepare("MATCH a-[r:E]->b-[s:E]->c-[t:E]->a").unwrap().1;
-        let memo = CountMemo::new(plan.counted.as_ref(), 3);
+        let memo = OwnerMemo::new(&plan, true, 3);
         assert_eq!(memo.cell(0, VertexId(0)), None);
+        assert!(memo.counts.pages.is_empty() && memo.lists.pages.is_empty());
     }
 
     /// SQ5 is three leaves off the scanned vertex, so its count keeps no
@@ -1048,8 +1109,8 @@ mod tests {
             let counted = plan.counted.as_ref().expect("a counted suffix");
             let cells = counted.branches.iter().filter(|b| b.memoised).count();
             assert_eq!(cells, memoised, "{name}");
-            let memo = CountMemo::new(Some(counted), vertices);
-            assert_eq!(memo.pages.is_empty(), memoised == 0, "{name}");
+            let memo = OwnerMemo::new(&plan, true, vertices);
+            assert_eq!(memo.counts.pages.is_empty(), memoised == 0, "{name}");
             // The count is the same with or without cells.
             let flat = db.collect_prepared_parallel(&bound, &plan, usize::MAX, &pool);
             assert_eq!(

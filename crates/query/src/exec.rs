@@ -10,18 +10,20 @@
 //! borrowed columns (edge IDs, neighbour IDs); E/I performs a k-pointer
 //! leapfrog intersection on the neighbour columns, seeking by galloping
 //! search (the WCOJ building block), and applies its list filter to list
-//! entries before binding them — a filtered owner-only list is read once
-//! per owner and morsel (`ListMemo`). A list that depends on its owner
-//! alone and hangs off a vertex bound two or more levels up, an *outer*
-//! list (`Plan::outer`, planned once), is the same for every frontier entry
-//! of an owner run: it is fetched and pre-checked (target label, target
-//! conjuncts and its own edge's conjuncts) once per (root entry, owner)
-//! run into the morsel's `Scratch`, where each call's lists and cursors
-//! live too, so no E/I call allocates a vector of its own. VAR-LENGTH
-//! EXPAND is a BFS over vertex bitsets, MULTI-EXTEND performs a k-pointer
-//! merge-group on a property sort key and emits the cartesian product of
-//! each equal-key group, and sorted-prefix prunes are applied by binary
-//! search (the "fewer predicate evaluations" effect of VPt, §V-C1).
+//! entries before binding them. A list that depends on its owner alone is
+//! read *pre-checked* — only the entries that pass the operator's checks
+//! (target label, target conjuncts and its own edge's conjuncts), as
+//! `Checked` columns — where its owner repeats: a filtered single list
+//! (`Plan::list_memo`) once per owner vertex and query, into the query's
+//! memo (`block::OwnerMemo`), and a list hanging off a vertex bound two or
+//! more levels up, an *outer* list (`Plan::outer`), once per (root entry,
+//! owner) run into the morsel's `Scratch`, where each call's lists and
+//! cursors live too, so no E/I call allocates a vector of its own. Both
+//! are plan data, not derived here. VAR-LENGTH EXPAND is a BFS over vertex
+//! bitsets, MULTI-EXTEND performs a k-pointer merge-group on a property
+//! sort key and emits the cartesian product of each equal-key group, and
+//! sorted-prefix prunes are applied by binary search (the "fewer predicate
+//! evaluations" effect of VPt, §V-C1).
 //!
 //! Matching semantics follow openCypher: query vertices may bind the same
 //! data vertex, but each data edge binds at most one query edge per match.
@@ -41,12 +43,13 @@
 //!   morsel ([`crate::block`]), extended through the remaining operators
 //!   with its own per-worker scratch row — no synchronization inside
 //!   operators — then counted without flattening, or built and handed
-//!   over unflattened. A count's one shared state is its memo of the
-//!   counted suffix (`block::CountMemo`): atomic cells whose first write
-//!   wins, built here once per query. When built, every level but the
-//!   last is built whole, and the last goes to the merge in parts of at
-//!   most [`LEVEL_PART_CAP`] entries that share the levels below, each as
-//!   soon as it fills.
+//!   over unflattened. A query's one shared state is its memo of
+//!   owner-only work (`block::OwnerMemo`, built here once per query):
+//!   cells per (slot, owner vertex) for a count's memoised suffix branches
+//!   and for every `list_memo` operator, whose first write wins. When
+//!   built, every level but the last is built whole, and the last goes to
+//!   the merge in parts of at most [`LEVEL_PART_CAP`] entries that share
+//!   the levels below, each as soon as it fills.
 //! * **Output** — a match count (per-morsel `u64`s summed), or up to
 //!   `limit` rows. Blocks wait; rows are flattened once, at the merge: the
 //!   merging thread flattens each part straight into the [`RowSink`] when
@@ -64,7 +67,7 @@
 
 use std::ops::{ControlFlow, Range};
 
-use aplus_common::{Bitmap, EdgeId, FxHashMap, VertexId};
+use aplus_common::{Bitmap, EdgeId, VertexId};
 use aplus_core::{CmpOp, Direction, IndexStore, List, OffsetList, SortKey};
 use aplus_graph::Graph;
 use aplus_obs::{HopStats, LevelStats, QueryProfiler};
@@ -221,9 +224,8 @@ pub enum Output<'a> {
 
 /// What a morsel body does with the matches it finds.
 pub(crate) enum Emit<'a> {
-    /// Counts them into the `u64`, memoising the counted suffix in the
-    /// query's one [`block::CountMemo`].
-    Count(&'a mut u64, &'a block::CountMemo),
+    /// Counts them into the `u64`.
+    Count(&'a mut u64),
     /// Builds their block and hands it, unflattened, to the merge in parts
     /// of at most [`LEVEL_PART_CAP`] last-level entries; `Break` means the
     /// output is complete, so the body stops building.
@@ -292,8 +294,8 @@ pub fn run(
     if matches!(out, Output::Rows { limit: 0, .. }) {
         return 0;
     }
-    let counts = matches!(out, Output::Count)
-        .then(|| block::CountMemo::new(plan.counted.as_ref(), ctx.graph.vertex_count()));
+    let counting = matches!(out, Output::Count);
+    let memo = block::OwnerMemo::new(plan, counting, ctx.graph.vertex_count());
     let mut driver = Driver {
         ctx,
         sink_level: plan.ops.len(),
@@ -310,13 +312,13 @@ pub fn run(
         |r, parts| {
             ctx.note_morsel();
             let r = range.start + r.start..range.start + r.end;
-            if let Some(counts) = &counts {
+            if counting {
                 let mut n = 0u64;
-                block::root_morsel(ctx, query, plan, r, Emit::Count(&mut n, counts));
+                block::root_morsel(ctx, query, plan, r, &memo, Emit::Count(&mut n));
                 let _ = parts.push(Part::Count(n));
             } else {
                 let mut hand = |built| parts.push(Part::Rows(built));
-                block::root_morsel(ctx, query, plan, r, Emit::Parts(&mut hand));
+                block::root_morsel(ctx, query, plan, r, &memo, Emit::Parts(&mut hand));
             }
         },
         |part| driver.merge(part),
@@ -666,11 +668,7 @@ pub(crate) fn op_bindings<'a>(
     let op = &plan.ops[depth];
     match op {
         Operator::ExtendIntersect { .. } => {
-            let ei = ei_op(op);
-            if plan.list_memo.binary_search(&depth).is_ok() {
-                return scratch.memo.scan(ctx, &ei, depth, row, k);
-            }
-            scratch.extend_intersect(ctx, plan, depth, root, &ei, row, k)
+            scratch.extend_intersect(ctx, plan, depth, root, &ei_op(op), row, k)
         }
         Operator::MultiExtend { targets, residual } => {
             multi_extend(ctx, depth, targets, residual, row, k)
@@ -1139,8 +1137,9 @@ fn merge_key_at(graph: &Graph, list: &BoundList<'_>, i: usize) -> Option<i64> {
 /// runs both on the target label alone ([`LabelOnly`]); one with a filter
 /// applies it too ([`Filtered`]) — two monomorphised instantiations, so the
 /// filter-free loop is exactly the loop it was before filters existed. A
-/// single list that is `prechecked` (an outer list, whose entries passed
-/// the operator's checks when it was read) is scanned with no check.
+/// single list that is `prechecked` (an outer or memoised list, whose
+/// entries passed the operator's checks when it was read) is scanned with
+/// no check.
 ///
 /// The continuation `k` runs per produced binding with the target vertex
 /// and all edge variables bound (and is unwound before the next binding):
@@ -1246,138 +1245,58 @@ impl EntryCheck for Filtered<'_> {
     }
 }
 
-/// One list entry a [`ListMemo`] kept: its position in the list, its edge
-/// and its neighbour.
-struct KeptEntry {
-    at: usize,
-    edge: u64,
-    nbr: u32,
-}
-
-/// The entries of one owner's list that pass an operator's label and list
-/// filter, and the list's length.
-struct Kept {
-    len: usize,
-    entries: Vec<KeptEntry>,
-}
-
-/// A morsel's memo of filtered single lists, keyed by (plan-op index,
-/// owner vertex). A single-list E/I with a [`ListFilter`] whose list
-/// depends on its owner alone (one of the plan's `list_memo` operators)
-/// reads, checks and keeps each owner's list once per morsel; every
-/// frontier entry with that owner
-/// then replays the kept entries, checking only what depends on its row:
-/// relationship uniqueness and the residual. The key holds the operator
-/// because two operators may read one owner's list under different
-/// filters.
-///
-/// It lives and dies with its morsel, so it holds at most the owners the
-/// morsel reaches, and every thread count sees the same results. `PROFILE`
-/// reports logical work: a replay records the list and the candidates a
-/// memo-free scan would have read.
-#[derive(Default)]
-pub(crate) struct ListMemo {
-    lists: FxHashMap<(usize, u32), Kept>,
-}
-
-impl ListMemo {
-    /// Scans the kept entries of its owner's list for `ei`, the operator at
-    /// plan-op index `depth`, one of the plan's `list_memo` operators —
-    /// reading and checking the list on its first use in the morsel — as
-    /// [`scan_one`] would scan the whole list.
-    fn scan(
-        &mut self,
-        ctx: ExecContext<'_>,
-        ei: &EiOp<'_>,
-        depth: usize,
-        row: &mut Row,
-        k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        let ald = &ei.alds[0];
-        let FromRef::Vertex(v) = ald.from else {
-            unreachable!("a memoised list hangs off a vertex")
-        };
-        let owner = row.vertex(v).expect("plan binds FROM before use");
-        let stats = ctx.prof_level(depth);
-        if let Some(s) = stats {
-            s.record(1, 0, 0);
-        }
-        let kept = self.lists.entry((depth, owner.raw())).or_insert_with(|| {
-            let list = fetch_one(ctx, ald, row);
-            let (edges, nbrs) = list.columns();
-            let check = Filtered(LabelOnly(ei.target_label), ei.filter);
-            let entries = (0..)
-                .zip(edges.iter().zip(nbrs))
-                .filter(|&(_, (&e, &n))| {
-                    check.target(ctx, VertexId(n)) && check.edge(ctx, ald.edge_var, EdgeId(e))
-                })
-                .map(|(at, (&edge, &nbr))| KeptEntry { at, edge, nbr })
-                .collect();
-            Kept {
-                len: list.len(),
-                entries,
-            }
-        });
-        let (mut cand, mut emit) = (0u64, 0u64);
-        let entries = kept.entries.iter().map(|e| (e.at, e.edge, e.nbr));
-        let flow = scan_one(
-            ctx,
-            ei,
-            ald.edge_var,
-            kept.len,
-            entries,
-            // Kept entries passed the label and the filter already.
-            &LabelOnly(None),
-            row,
-            &mut cand,
-            &mut emit,
-            k,
-        );
-        if let Some(s) = stats {
-            s.record(0, cand, emit);
-        }
-        flow
-    }
-}
-
 /// A morsel's reusable E/I state, owned by its block body
 /// ([`crate::block`]) and handed to every [`op_bindings`] call of the
-/// morsel: the [`ListMemo`], the buffers one call's lists and cursors live
+/// morsel: the query's memo, the buffers one call's lists and cursors live
 /// in, and one slot per outer list of the plan ([`Plan`]'s `outer`).
 ///
-/// An outer list is fetched once per owner run: its slot keeps the list's
-/// entries that pass the operator's checks — the target label and, with a
-/// [`ListFilter`], its target conjuncts and the conjuncts on the list's own
-/// edge — for the (root entry, owner vertex) it was read under. Every call
-/// with the same key reads the slot, and the first call under another root
-/// entry or owner reads the list again. Keying on the root entry means a
-/// list is never reused across root entries, so what a run reads does not
-/// depend on where the pool cuts the root range into morsels. `PROFILE`
-/// records work done: a list read counts as scanned when it is fetched, a
-/// reused slot counts nothing, and the leapfrog runs over the checked
-/// entries, so its rounds fall.
+/// A list is read pre-checked — only its entries that pass the operator's
+/// checks, the target label and, with a [`ListFilter`], its target
+/// conjuncts and the conjuncts on the list's own edge, as [`Checked`]
+/// columns — in two cases. A filtered single list that depends on its
+/// owner alone (one of the plan's `list_memo` operators) is read once per
+/// owner vertex and query, into the query's memo
+/// ([`block::OwnerMemo`]). An outer list is read once per owner run: its
+/// slot here keeps the list for the (root entry, owner vertex) it was read
+/// under, every call with the same key reads the slot, and the first call
+/// under another root entry or owner reads the list again. Keying on the
+/// root entry means a slot is never reused across root entries, so what a
+/// run reads does not depend on where the pool cuts the root range into
+/// morsels. `PROFILE` records work done: a list counts as scanned when it
+/// is fetched (a memo cell's by its one fill), a reused list counts
+/// nothing, and the scan or leapfrog runs over the checked entries, so its
+/// candidates fall.
 pub(crate) struct Scratch<'a> {
-    memo: ListMemo,
-    /// The lists one call fetched, in list order, outer ones aside.
+    memo: &'a block::OwnerMemo,
+    /// The lists one call fetched, in list order, pre-checked ones aside.
     lists: Vec<BoundList<'a>>,
     /// The buffer one call's cursors live in; empty between calls.
     cursors: Vec<Cursor<'static>>,
-    hoisted: Vec<Hoisted>,
+    /// Per outer list, the (root entry, owner vertex) its slot was read
+    /// under and its checked entries.
+    hoisted: Vec<(Option<(usize, u32)>, Checked)>,
 }
 
-/// An outer list's slot in a [`Scratch`]: the checked entries of the list
-/// read under `key`, a (root entry, owner vertex) pair.
+/// The entries of one list that pass an operator's checks, with
+/// parallel-edge runs intact, as an edge and a neighbour column: the one
+/// layout of a pre-checked list, outer or memoised.
 #[derive(Default)]
-struct Hoisted {
-    key: Option<(usize, u32)>,
+pub(crate) struct Checked {
     edges: Vec<u64>,
     nbrs: Vec<u32>,
 }
 
-impl Hoisted {
-    /// Refills the slot with the entries of `list` that pass `ei`'s checks
-    /// on a neighbour and on the list's own edge. Parallel-edge runs stay
-    /// contiguous, so the leapfrog reads them as it reads the list.
+impl Checked {
+    /// The entries of `list` that pass `ei`'s checks.
+    fn of(ctx: ExecContext<'_>, ei: &EiOp<'_>, list: &BoundList<'_>) -> Self {
+        let mut checked = Self::default();
+        checked.refill(ctx, ei, list);
+        checked
+    }
+
+    /// Refills the columns with the entries of `list` that pass `ei`'s
+    /// checks on a neighbour and on the list's own edge. Parallel-edge runs
+    /// stay contiguous, so the leapfrog reads them as it reads the list.
     fn refill(&mut self, ctx: ExecContext<'_>, ei: &EiOp<'_>, list: &BoundList<'_>) {
         self.edges.clear();
         self.nbrs.clear();
@@ -1413,6 +1332,10 @@ impl Hoisted {
             }
         }
     }
+
+    fn columns(&self) -> (&[u64], &[u32]) {
+        (&self.edges, &self.nbrs)
+    }
 }
 
 /// `v`'s buffer, emptied, as a vector of `U`, a type of the same layout —
@@ -1428,21 +1351,22 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
 }
 
 impl<'a> Scratch<'a> {
-    /// The scratch of one morsel of `plan`.
-    pub(crate) fn new(plan: &Plan) -> Self {
+    /// The scratch of one morsel of `plan`, whose query keeps `memo`.
+    pub(crate) fn new(plan: &Plan, memo: &'a block::OwnerMemo) -> Self {
         Self {
-            memo: ListMemo::default(),
+            memo,
             lists: Vec::new(),
             cursors: Vec::new(),
-            hoisted: plan.outer.iter().map(|_| Hoisted::default()).collect(),
+            hoisted: plan.outer.iter().map(|_| Default::default()).collect(),
         }
     }
 
     /// The bindings E/I `ei`, the operator at plan-op index `depth` of
     /// `plan`, adds to `row`, a path under root entry `root`: its lists
-    /// are fetched in list order — an outer list from its slot, read again
-    /// only for a new (root entry, owner vertex) — until one comes up
-    /// empty, then run through [`ei_over_lists`].
+    /// are read in list order — a `list_memo` operator's from the query's
+    /// memo, an outer list from its slot, read again only for a new (root
+    /// entry, owner vertex), any other fetched — until one comes up empty,
+    /// then run through [`ei_over_lists`].
     #[allow(clippy::too_many_arguments)]
     fn extend_intersect(
         &mut self,
@@ -1461,26 +1385,33 @@ impl<'a> Scratch<'a> {
         } else {
             Need::Any
         };
+        let memo_slot = plan.list_memo.binary_search(&depth).ok();
         let (first, outer) = plan.outer_at(depth);
         let slot = |i: usize| outer.iter().position(|&(_, o)| o == i).map(|p| first + p);
+        let mut memoised = None;
         let mut fetched = 0u64;
         let mut all = true;
         for (i, ald) in ei.alds.iter().enumerate() {
-            let len = match slot(i) {
-                Some(s) => {
-                    let FromRef::Vertex(v) = ald.from else {
-                        unreachable!("an outer list hangs off a vertex")
-                    };
-                    let key = Some((root, row.vertex(v).expect("plan binds FROM").raw()));
-                    let h = &mut self.hoisted[s];
-                    if h.key != key {
+            let len = match (memo_slot, slot(i)) {
+                (Some(m), _) => {
+                    let kept = self.memo.list(m, owner(ald, row), || {
+                        fetched += 1;
+                        Checked::of(ctx, ei, &fetch_list(ctx, ald, row, need))
+                    });
+                    memoised = Some(kept);
+                    kept.nbrs.len()
+                }
+                (None, Some(s)) => {
+                    let key = Some((root, owner(ald, row).raw()));
+                    let (read_under, h) = &mut self.hoisted[s];
+                    if *read_under != key {
                         fetched += 1;
                         h.refill(ctx, ei, &fetch_list(ctx, ald, row, need));
-                        h.key = key;
+                        *read_under = key;
                     }
                     h.nbrs.len()
                 }
-                None => {
+                (None, None) => {
                     fetched += 1;
                     self.lists.push(fetch_list(ctx, ald, row, need));
                     self.lists.last().map_or(0, BoundList::len)
@@ -1500,13 +1431,14 @@ impl<'a> Scratch<'a> {
             let mut cursors = recycle(std::mem::take(&mut self.cursors));
             let mut lists = self.lists.iter();
             for (i, ald) in ei.alds.iter().enumerate() {
-                let columns = match slot(i) {
-                    Some(s) => (&self.hoisted[s].edges[..], &self.hoisted[s].nbrs[..]),
-                    None => lists.next().expect("fetched above").columns(),
+                let columns = match (memoised, slot(i)) {
+                    (Some(kept), _) => kept.columns(),
+                    (None, Some(s)) => self.hoisted[s].1.columns(),
+                    (None, None) => lists.next().expect("fetched above").columns(),
                 };
                 cursors.push(Cursor::new(columns, ald.edge_var));
             }
-            let prechecked = !outer.is_empty();
+            let prechecked = memoised.is_some() || !outer.is_empty();
             flow = ei_over_lists(ctx, ei, &mut cursors, prechecked, row, stats, k);
             self.cursors = recycle(cursors);
         }
@@ -1515,8 +1447,18 @@ impl<'a> Scratch<'a> {
     }
 }
 
-/// A single-list extension over the whole of the list under `c`, in list
-/// order.
+/// The vertex bound in `row` that the owner-only list `ald` hangs off.
+fn owner(ald: &Ald, row: &Row) -> VertexId {
+    let FromRef::Vertex(v) = ald.from else {
+        unreachable!("an owner-only list hangs off a vertex")
+    };
+    row.vertex(v).expect("plan binds FROM before use")
+}
+
+/// A single-list extension over the list under `c`, in list order: every
+/// entry whose edge is not already bound and which passes `check`. The
+/// candidates are the entries up to the last one looked at: the whole
+/// list, or up to the one at which `k` broke off.
 #[allow(clippy::too_many_arguments)]
 fn scan_list<C: EntryCheck>(
     ctx: ExecContext<'_>,
@@ -1528,62 +1470,27 @@ fn scan_list<C: EntryCheck>(
     emit: &mut u64,
     k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let entries = (0..)
-        .zip(c.edges.iter().zip(c.nbrs))
-        .map(|(i, (&e, &n))| (i, e, n));
-    scan_one(
-        ctx,
-        ei,
-        c.edge_var,
-        c.nbrs.len(),
-        entries,
-        check,
-        row,
-        cand,
-        emit,
-        k,
-    )
-}
-
-/// A single-list extension: every entry of `entries` — `(position, edge,
-/// neighbour)`, in list order, from a list of `len` — whose edge is not
-/// already bound and which passes `check`. The candidates are the list's
-/// entries up to the last one looked at: the whole list, or up to the one
-/// at which `k` broke off.
-#[allow(clippy::too_many_arguments)]
-fn scan_one<C: EntryCheck>(
-    ctx: ExecContext<'_>,
-    ei: &EiOp<'_>,
-    edge_var: usize,
-    len: usize,
-    entries: impl Iterator<Item = (usize, u64, u32)>,
-    check: &C,
-    row: &mut Row,
-    cand: &mut u64,
-    emit: &mut u64,
-    k: &mut dyn FnMut(&mut Row) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    for (i, e, n) in entries {
+    for (i, (&e, &n)) in c.edges.iter().zip(c.nbrs).enumerate() {
         let (e, n) = (EdgeId(e), VertexId(n));
-        if row.uses_edge(e) || !check.target(ctx, n) || !check.edge(ctx, edge_var, e) {
+        if row.uses_edge(e) || !check.target(ctx, n) || !check.edge(ctx, c.edge_var, e) {
             continue;
         }
         row.bind_vertex(ei.target, n);
-        row.bind_edge(edge_var, e);
+        row.bind_edge(c.edge_var, e);
         let flow = if ei.residual.iter().all(|p| p.eval(ctx.graph, row)) {
             *emit += 1;
             k(row)
         } else {
             ControlFlow::Continue(())
         };
-        row.unbind_edge(edge_var);
+        row.unbind_edge(c.edge_var);
         row.unbind_vertex(ei.target);
         if flow.is_break() {
             *cand += i as u64 + 1;
             return flow;
         }
     }
-    *cand += len as u64;
+    *cand += c.nbrs.len() as u64;
     ControlFlow::Continue(())
 }
 

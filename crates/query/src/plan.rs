@@ -27,10 +27,12 @@
 //!
 //! A plan also carries what its executor would otherwise derive per run,
 //! derived once when the plan is made: what a count may take without
-//! building levels, its counted suffix (`Counted`), and how a morsel reads
-//! the E/I lists that depend on their owner alone — once per owner run,
-//! its *outer* lists (`Plan::outer`), or once per owner and morsel, a
-//! filtered single list (`Plan::list_memo`).
+//! building levels, its counted suffix (`Counted`), and how the E/I lists
+//! that depend on their owner alone are read — once per owner run, its
+//! *outer* lists (`Plan::outer`), or once per owner vertex and query, a
+//! filtered single list (`Plan::list_memo`). The per-query memo keeps a
+//! cell only where owners repeat across root entries: a list owned by the
+//! root vertex scan's variable never gets one (`scanned_owner`).
 
 use std::fmt;
 
@@ -411,9 +413,11 @@ pub struct Plan {
     /// executor's per-morsel scratch.
     pub(crate) outer: Vec<(usize, usize)>,
     /// The plan-op indexes, ascending, of the single-list E/Is whose list
-    /// depends on its owner alone and has a [`ListFilter`]: the executor
-    /// keeps such a list's filtered entries once per owner and morsel
-    /// (`exec::ListMemo`), so none of them is outer.
+    /// depends on its owner alone and has a [`ListFilter`], and whose owner
+    /// is not the root vertex scan's variable: the executor keeps such a
+    /// list's checked entries once per owner vertex and query, in the
+    /// query's memo (`block::OwnerMemo`), so none of them is outer. A
+    /// position here is the operator's list slot in that memo.
     pub(crate) list_memo: Vec<usize>,
 }
 
@@ -590,19 +594,25 @@ impl fmt::Display for Plan {
     }
 }
 
-/// The outer lists of `ops` and the operators whose list the executor's
-/// list memo keeps (see [`Plan::outer`] and [`Plan::list_memo`]). Every
-/// query vertex is bound by one operator before any list hangs off it, so
-/// an owner the operator just before the list's does not bind was bound two
-/// or more operators before.
+/// The outer lists of `ops` and the operators whose list the query's memo
+/// keeps (see [`Plan::outer`] and [`Plan::list_memo`]). Every query vertex
+/// is bound by one operator before any list hangs off it, so an owner the
+/// operator just before the list's does not bind was bound two or more
+/// operators before. A filtered list owned by the scanned vertex is not
+/// memoised ([`scanned_owner`]): two or more levels down it is outer, read
+/// once per root entry, and right after the scan each entry reads its own.
 fn list_reads(ops: &[Operator]) -> (Vec<(usize, usize)>, Vec<usize>) {
     let (mut outer, mut list_memo) = (Vec::new(), Vec::new());
     for (depth, op) in ops.iter().enumerate().skip(1) {
         let Operator::ExtendIntersect { alds, filter, .. } = op else {
             continue;
         };
-        if let [ald] = alds.as_slice() {
-            if !filter.is_empty() && ald.per_owner() {
+        if let [ald @ Ald {
+            from: FromRef::Vertex(owner),
+            ..
+        }] = alds.as_slice()
+        {
+            if !filter.is_empty() && ald.per_owner() && !scanned_owner(ops, *owner) {
                 list_memo.push(depth);
                 continue;
             }
@@ -616,6 +626,14 @@ fn list_reads(ops: &[Operator]) -> (Vec<(usize, usize)>, Vec<usize>) {
         }
     }
     (outer, list_memo)
+}
+
+/// Whether `owner` is the variable of `ops`' root vertex scan. Each root
+/// entry binds it to a vertex of its own, so a per-query memo cell of a
+/// list it owns is only ever read under the root entry that filled it:
+/// right after the scan, never.
+fn scanned_owner(ops: &[Operator], owner: usize) -> bool {
+    matches!(ops[0], Operator::ScanVertices { var, .. } if var == owner)
 }
 
 /// The operators a count takes **without building their levels**: the
@@ -775,17 +793,13 @@ impl Counted {
                 .all(|&c| branches[c].prefix_disjoint);
             branches[b].prefix_disjoint &= clear;
         }
-        // Right after a vertex scan, each frontier entry binds the scan's
-        // variable to a vertex of its own, so a branch owned by it (a root
-        // branch) would write each of its cells once and never read one.
-        let scanned = match ops[0] {
-            Operator::ScanVertices { var, .. } if start == 1 => Some(var),
-            _ => None,
-        };
+        // Right after a vertex scan, a branch owned by the scan's variable
+        // (a root branch) would write each of its cells once and never read
+        // one.
         for br in &mut branches {
             br.memoised = br.per_owner
                 && (br.children.is_empty() || br.prefix_disjoint)
-                && scanned != Some(br.owner);
+                && !(start == 1 && scanned_owner(ops, br.owner));
         }
         Some(Self {
             start,
@@ -1031,6 +1045,54 @@ mod tests {
             assert_eq!(plan.outer, outer, "Dp {name}: {plan}");
             assert!(plan.list_memo.is_empty(), "Dp {name}");
         }
+    }
+
+    /// MR1's backward hop reads `v1`'s list under a list filter, and every
+    /// owner `v1` can recur under other roots: the query's memo keeps it.
+    /// MF1's first hop reads the scanned `v0`'s filtered list, which no other
+    /// root entry reads: it is read inline, neither memoised nor outer.
+    #[test]
+    fn filtered_lists_are_memoised_only_where_owners_repeat() {
+        use aplus_datagen::properties::{
+            add_fraud_properties, add_magicrecs_properties, time_threshold_for_selectivity,
+        };
+        use aplus_datagen::{generate, GeneratorConfig};
+        let mut graph = generate(&GeneratorConfig::social(10_000, 100_000, 1, 1).with_seed(1));
+        let time = add_magicrecs_properties(&mut graph, 7);
+        add_fraud_properties(&mut graph, 8);
+        let alpha = time_threshold_for_selectivity(&graph, time, 0.05).to_string();
+        let mut db = crate::Database::new(graph).unwrap();
+        db.ddl(
+            "CREATE 1-HOP VIEW VPt MATCH vs-[eadj]->vd INDEX AS FW \
+             PARTITION BY eadj.label SORT BY eadj.time",
+        )
+        .unwrap();
+        let mr = |name: &str| {
+            include_str!("../../../benchmark/queries/secondary_stream.txt")
+                .lines()
+                .find_map(|l| Some(l.strip_prefix(name)?.split_once("MATCH")?.1))
+                .map(|q| format!("MATCH{}", q.replace("{time_alpha}", &alpha)))
+                .unwrap()
+        };
+        let plan = db.prepare(&mr("MR1")).unwrap().1;
+        assert_eq!(plan.list_memo, [2], "{plan}");
+        assert!(plan.outer.is_empty(), "{plan}");
+        assert!(
+            plan.to_string()
+                .lines()
+                .any(|l| l == "  E/I v2 ⋂[v1→primary:bwd] list-filter=1"),
+            "{plan}"
+        );
+        let plan = db.prepare(&mr("MF1")).unwrap().1;
+        assert!(
+            plan.to_string()
+                .lines()
+                .any(|l| l == "  E/I v1 ⋂[v0→primary:fwd] list-filter=1"),
+            "{plan}"
+        );
+        assert!(matches!(plan.ops[0], Operator::ScanVertices { var: 0, .. }));
+        assert!(!plan.list_memo.contains(&1), "{plan}");
+        assert!(plan.outer_at(1).1.is_empty(), "{plan}");
     }
 
     #[test]

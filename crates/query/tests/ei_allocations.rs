@@ -1,6 +1,7 @@
-//! A closing intersection allocates nothing per frontier entry: its lists
-//! and cursors live in per-morsel scratch, and its outer list is read once
-//! per owner run. A counting global allocator (this binary's own, so no
+//! An E/I allocates nothing per frontier entry: a closing intersection's
+//! lists and cursors live in per-morsel scratch, and its outer list is read
+//! once per owner run; a filtered list is read once per owner from the
+//! query's memo. A counting global allocator (this binary's own, so no
 //! other suite sees it) counts what a sequential count allocates on the
 //! calling thread at two frontier sizes.
 
@@ -8,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use aplus_common::VertexId;
-use aplus_graph::Graph;
+use aplus_graph::{Graph, PropertyEntity, PropertyKind, Value};
 use aplus_query::plan::Operator;
 use aplus_query::{Database, MorselPool};
 
@@ -120,6 +121,64 @@ fn count_allocations(frontier: u32) -> u64 {
 fn closing_intersection_allocates_nothing_per_frontier_entry() {
     let small = count_allocations(100);
     let large = count_allocations(10_000);
+    assert!(
+        large < small + 64,
+        "allocations grew with the frontier: {small} at 100 entries, {large} at 10 000"
+    );
+}
+
+/// The root `a` (vertex 0) reaches `frontier` vertices `b` by `X` edges,
+/// each of which reaches the one hub `h` by a `Y` edge; `h` has `Z` edges to
+/// 100 more vertices, whose `w` runs through 0..10 in turn.
+fn hub_fan(frontier: u32) -> Graph {
+    let mut g = Graph::new();
+    g.register_property(PropertyEntity::Edge, "w", PropertyKind::Int)
+        .unwrap();
+    let w = g.catalog().property(PropertyEntity::Edge, "w").unwrap();
+    g.add_vertex("A");
+    for _ in 0..frontier {
+        g.add_vertex("B");
+    }
+    let h = g.add_vertex("H");
+    for b in 1..=frontier {
+        g.add_edge(VertexId(0), VertexId(b), "X").unwrap();
+        g.add_edge(VertexId(b), h, "Y").unwrap();
+    }
+    for i in 0..100 {
+        let c = g.add_vertex("C");
+        let z = g.add_edge(h, c, "Z").unwrap();
+        g.set_edge_prop(z, w, Value::Int(i % 10)).unwrap();
+    }
+    g
+}
+
+/// What a sequential count of the hub's filtered list under the one root
+/// allocates, with `frontier` entries reaching the hub.
+fn filtered_allocations(frontier: u32) -> u64 {
+    let q = "MATCH (a:A)-[r:X]->(b:B), (b:B)-[s:Y]->(h:H), (h:H)-[t:Z]->c WHERE a.ID = 0, t.w < 1";
+    let db = Database::new(hub_fan(frontier)).unwrap();
+    let (bound, plan) = db.prepare(q).unwrap();
+    assert!(
+        plan.to_string().lines().last().is_some_and(
+            |l| l.starts_with("  E/I v3 ⋂[v2→primary:fwd") && l.ends_with("list-filter=1")
+        ),
+        "the count must read h's filtered list last: {plan}"
+    );
+    let pool = MorselPool::sequential();
+    let mut count = 0;
+    let n = allocations(|| count = db.count_prepared_parallel(&bound, &plan, &pool));
+    // Ten kept `Z` edges per b.
+    assert_eq!(count, 10 * u64::from(frontier));
+    n
+}
+
+/// A filtered single-list E/I whose owner every frontier entry shares
+/// fills the hub's memo cell once: a 100-fold longer frontier costs only
+/// the growth of the frontier's own level columns.
+#[test]
+fn memoised_filtered_list_allocates_nothing_per_frontier_entry() {
+    let small = filtered_allocations(100);
+    let large = filtered_allocations(10_000);
     assert!(
         large < small + 64,
         "allocations grew with the frontier: {small} at 100 entries, {large} at 10 000"

@@ -448,12 +448,14 @@ fn fan_graph() -> Graph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// List filters and their memo around a hub owner repeated under every
-    /// root of one morsel: an edge-property and a target-property conjunct
-    /// on the tail, and both on an inner operator, against the oracle at
-    /// pools 1/2/4 and every limit. The bound `r` is in the hub's backward
-    /// list and passes the filter whenever its weight does, so only
-    /// relationship uniqueness keeps `s = r` out.
+    /// List filters around a hub owner repeated under many roots: an
+    /// edge-property and a target-property conjunct on the tail, and both on
+    /// an inner operator, against the oracle at pools 1/2/4 and every limit.
+    /// The bound `r` is in the hub's backward list and passes the filter
+    /// whenever its weight does, so only relationship uniqueness keeps
+    /// `s = r` out. The last two queries scan `a` and read the hub's
+    /// filtered list from the query's memo, under every root of every
+    /// morsel.
     #[test]
     fn filtered_hub_owner_equals_oracle(
         extra in proptest::collection::vec((0..HUB_ROOTS, 0..HUB_ROOTS), 0..60),
@@ -464,22 +466,41 @@ proptest! {
             "MATCH a-[r:E]->b, c-[s:E]->b WHERE s.w < 50",
             "MATCH a-[r:E]->b, c-[s:E]->b WHERE c.grp = g1",
             "MATCH a-[r:E]->b, c-[s:E]->b, c-[t:E]->d WHERE s.w < 50, c.grp = g1, t.w > 20",
+            "MATCH a-[r:E]->b, c-[s:E]->b WHERE a.grp = g1, s.w < 50",
+            "MATCH a-[r:E]->b, c-[s:E]->b WHERE r.w < 50, s.w < 50",
         ] {
             common::assert_one_driver(&db, q)?;
         }
     }
 }
 
-/// Two operators read one owner's list under different filters: the memo
-/// must key them apart (a memo keyed by the list alone would hand the
-/// second operator the first one's survivors). Unpinned, the optimizer
-/// scans `b`; pinning `a` to each account makes both operators read `a`'s
-/// list.
+/// Two operators read one vertex's list under different filters: the
+/// query's memo must key a cell by its operator too (a cell keyed by the
+/// owner vertex alone would hand the second operator the first one's
+/// survivors). In the chain pinned at `a`, `b`'s list is filtered for `CQ`
+/// targets and `c`'s for `SV` ones, and an account reached both as a `b`
+/// and as a `c` has its list read by both operators. In the star pinned at
+/// `a`, the scanned vertex, its two filtered lists are read inline and as
+/// an outer list.
 #[test]
 fn memo_keys_lists_by_operator_too() {
     let db = Database::new(aplus_datagen::build_financial_graph().graph).unwrap();
+    let chain = "MATCH a-[e1:W]->b, b-[e2:W]->c, c-[e3:W]->d WHERE c.acc = CQ, d.acc = SV";
     let q = "MATCH a-[e1]->b, a-[e2]->c WHERE b.acc = CQ, c.acc = SV";
-    common::assert_one_driver(&db, q).unwrap();
+    for q in [chain, q] {
+        common::assert_one_driver(&db, q).unwrap();
+    }
+    for account in 0..5 {
+        let pinned = format!("{chain}, a.ID = {account}");
+        let plan = db.prepare(&pinned).unwrap().1.to_string();
+        for line in [
+            "  E/I v2 ⋂[v1→primary:fwd[2]] list-filter=1",
+            "  E/I v3 ⋂[v2→primary:fwd[2]] list-filter=1",
+        ] {
+            assert!(plan.lines().any(|l| l == line), "{plan}");
+        }
+        common::assert_one_driver(&db, &pinned).unwrap();
+    }
     for account in 0..5 {
         let pinned = format!("{q}, a.ID = {account}");
         let (_, plan) = db.prepare(&pinned).unwrap();
@@ -498,6 +519,50 @@ fn memo_keys_lists_by_operator_too() {
             "two filtered operators read one owner's list: {plan}"
         );
         common::assert_one_driver(&db, &pinned).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The query's memo reads a filtered owner-only list once per owner
+    /// vertex, however many frontier entries reach the owner and wherever
+    /// the pool cuts the root range: the memo level's `lists_scanned` is the
+    /// number of distinct owners reached, in counts and in full rows runs at
+    /// pools 1/2/4 (8, 15 and 30 morsels over the hub graph's 60 roots).
+    #[test]
+    fn memo_reads_each_owner_list_once(
+        extra in proptest::collection::vec((0..HUB_ROOTS, 0..HUB_ROOTS), 0..60),
+        weights in proptest::collection::vec(0i64..100, 1..20),
+    ) {
+        use aplus_query::{profiled, Output};
+        let g = filtered_hub_graph(&extra, &weights);
+        // The frontier before the memo level is one entry per edge out of a
+        // `g1` vertex (ID 1 mod 3), and its owners are those edges' targets.
+        let owners: std::collections::BTreeSet<_> =
+            g.edges().filter(|(_, s, _, _)| s.raw() % 3 == 1).map(|(_, _, d, _)| d).collect();
+        let db = Database::new(g).unwrap();
+        let q = "MATCH a-[r:E]->b, c-[s:E]->b WHERE a.grp = g1, s.w < 50";
+        let (bound, plan) = db.prepare(q).unwrap();
+        prop_assert!(
+            plan.to_string().lines().any(|l| l == "  E/I v2 ⋂[v1→primary:bwd[0]] list-filter=1"),
+            "{}", plan
+        );
+        for threads in THREADS {
+            let pool = MorselPool::new(threads);
+            let counted = profiled(&plan, |p| db.run(&bound, &plan, &pool, Some(p), Output::Count));
+            let rows = profiled(&plan, |p| {
+                let sink = &mut |_: RawRow| ControlFlow::Continue(());
+                db.run(&bound, &plan, &pool, Some(p), Output::Rows { limit: usize::MAX, sink })
+            });
+            for profile in [counted, rows] {
+                prop_assert_eq!(
+                    profile.levels[2].lists_scanned,
+                    owners.len() as u64,
+                    "threads {}:\n{}", threads, profile.render()
+                );
+            }
+        }
     }
 }
 

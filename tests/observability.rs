@@ -422,15 +422,19 @@ fn live_version_gauge_tracks_pinned_versions() {
     assert_eq!(live(), 1, "dropping the pin releases it");
 }
 
-/// The hub graph of the count-memo race: `HUB_ROOTS` `A` vertices each
-/// with an `E` edge to one `B` hub, which has an `F` edge to each of
-/// `HUB_FAN` `C` vertices, each with one to three `G` edges to `D`
-/// vertices.
+/// The hub graph of the memo races: `HUB_ROOTS` `A` vertices each with an
+/// `E` edge to one `B` hub, which has an `F` edge to each of `HUB_FAN` `C`
+/// vertices, each with one to three `G` edges to `D` vertices. An `F`
+/// edge's `w` is 1 for every thousandth `C` vertex, else 0.
 const HUB_ROOTS: u32 = 2_048;
 const HUB_FAN: u32 = 20_000;
 
 fn memo_hub() -> Database {
+    use aplus::graph::{PropertyEntity, PropertyKind, Value};
     let mut g = aplus::graph::Graph::new();
+    g.register_property(PropertyEntity::Edge, "w", PropertyKind::Int)
+        .unwrap();
+    let w = g.catalog().property(PropertyEntity::Edge, "w").unwrap();
     let hub = HUB_ROOTS;
     let c0 = hub + 1;
     let d0 = c0 + HUB_FAN;
@@ -448,7 +452,9 @@ fn memo_hub() -> Database {
         g.add_edge(VertexId(a), VertexId(hub), "E").unwrap();
     }
     for c in c0..d0 {
-        g.add_edge(VertexId(hub), VertexId(c), "F").unwrap();
+        let f = g.add_edge(VertexId(hub), VertexId(c), "F").unwrap();
+        g.set_edge_prop(f, w, Value::Int(i64::from(c % 1_000 == 0)))
+            .unwrap();
         for d in 0..=c % 3 {
             g.add_edge(VertexId(c), VertexId(d0 + d), "G").unwrap();
         }
@@ -483,6 +489,54 @@ fn count_memo_records_a_raced_cell_once() {
         "{}",
         sequential.render()
     );
+    let want = sequential.deterministic_view();
+    for threads in [2, 4] {
+        let pool = MorselPool::new(threads);
+        for run in 0..20 {
+            let got = profile(&pool);
+            assert_eq!(
+                got.deterministic_view(),
+                want,
+                "pool {threads} run {run}:\n{}",
+                got.render()
+            );
+        }
+    }
+}
+
+/// The roots of every morsel reach the hub, whose `F` list a filtered
+/// last operator reads from the query's memo, so at pools 2 and 4 several
+/// workers want the hub's list cell at once. The cell is filled once, and
+/// that fill records the one list read, so the `PROFILE` equals the
+/// sequential one on every run: one list at the memo level, and a scan of
+/// the 20 kept entries per root.
+#[test]
+fn list_memo_records_a_raced_fill_once() {
+    let db = memo_hub();
+    let query = "MATCH (a:A)-[r:E]->h, h-[s:F]->c WHERE s.w = 1";
+    let (bound, plan) = db.prepare(query).expect("plan");
+    assert!(
+        plan.to_string()
+            .lines()
+            .any(|l| l.starts_with("  E/I v2 ⋂[v1→primary:fwd") && l.ends_with("list-filter=1")),
+        "{plan}"
+    );
+    let profile = |pool: &MorselPool| {
+        profiled(&plan, |p| {
+            db.run(&bound, &plan, pool, Some(p), Output::Count)
+        })
+    };
+    let sequential = profile(&MorselPool::sequential());
+    let kept = u64::from(HUB_FAN / 1_000);
+    assert_eq!(sequential.rows, u64::from(HUB_ROOTS) * kept);
+    let lists: Vec<u64> = sequential.levels.iter().map(|l| l.lists_scanned).collect();
+    assert_eq!(
+        lists,
+        [0, u64::from(HUB_ROOTS), 1],
+        "{}",
+        sequential.render()
+    );
+    assert_eq!(sequential.levels[2].candidates, u64::from(HUB_ROOTS) * kept);
     let want = sequential.deterministic_view();
     for threads in [2, 4] {
         let pool = MorselPool::new(threads);
